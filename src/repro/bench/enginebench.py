@@ -1,15 +1,17 @@
 """Microbenchmarks of the event core: how fast does the simulator *run*?
 
-Four patterns stress the distinct hot paths of the ISSUE 7 engine rework,
-each driven through the production entry points (``SimExecutor`` /
-``Engine.run_until_complete``), not synthetic inner loops:
+Four patterns stress the distinct hot paths of the event core, each
+driven through the production entry points (``SimExecutor`` /
+``Engine.run_until_complete``), not synthetic inner loops.  All four
+time *dispatch* - the same event-per-stage path every benchmark cell
+runs - never arithmetic that skips the engine:
 
 * ``ping-pong`` - one client issuing sequential 8-byte READ verbs: the
-  scalar verb-trip path (idle-engine closed form when numpy is on).
+  scalar verb trip, four stage events per verb.
 * ``doorbell`` - one client posting same-MN doorbell batches of 16
-  reads: the whole-batch closed form / member-trip path.
+  reads: member trips joined by a batch trip, 6N+1 events per doorbell.
 * ``timeout-storm`` - many pure-engine processes cycling prime-length
-  timeouts: heap churn, macro-batch draining, and the timeout pool.
+  timeouts: heap churn and macro-batch draining.
 * ``fifo-saturation`` - many workers hammering one FIFO station:
   contended-queue dispatch plus ``FifoServer`` accounting.
 
@@ -29,15 +31,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..dm.cluster import Cluster, ClusterConfig
-from ..dm.network import vector_enabled
 from ..dm.rdma import Batch, ReadOp
 from ..sim import Engine, FifoServer
+from ..sim.engine import _slow_requested
 
 DOORBELL_WIDTH = 16
 STORM_PROCS = 64
@@ -147,10 +148,6 @@ def run_pattern(name: str, ops: int, repeat: int = 3) -> dict:
         if best is None or wall < best[1]:
             best = (events, wall, sim_ns)
     events, wall, sim_ns = best
-    if os.environ.get("REPRO_SIM_SLOW", "") == "1":
-        mode = "slow"
-    else:
-        mode = "fast" if vector_enabled() else "fast-novector"
     return {
         "system": "engine",
         "dataset": "core",
@@ -160,7 +157,7 @@ def run_pattern(name: str, ops: int, repeat: int = 3) -> dict:
         "wall_s": round(wall, 4),
         "events": events,
         "events_per_s": round(events / wall) if wall > 0 else 0,
-        "engine_mode": mode,
+        "engine_mode": "slow" if _slow_requested() else "fast",
         "sim_ns": sim_ns,
     }
 

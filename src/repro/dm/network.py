@@ -18,33 +18,9 @@ Defaults approximate the paper's testbed (ConnectX-6, ~2 us RTT,
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
 
 from ..sim import Engine, FifoServer
-
-try:  # Optional acceleration; every helper below has a pure-Python twin.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the default image
-    _np = None
-
-#: Bursts at least this long take the numpy path in charge_burst /
-#: charge_chain / msg_service_table; shorter ones stay scalar.  The
-#: crossover is high because each numpy call pays asarray + ufunc setup
-#: (~3-4 us) while the scalar recurrence costs ~60 ns per element;
-#: doorbell-width runs (16) are firmly scalar territory.
-_VECTOR_MIN = 48
-
-
-def vector_enabled() -> bool:
-    """True unless ``REPRO_SIM_VECTOR=0`` (or numpy is absent).
-
-    Gates the closed-form/vectorized NIC pipeline used by the verb trips
-    in :mod:`repro.dm.rdma`; the pure-Python event-per-stage path is
-    always available and produces identical results.
-    """
-    return os.environ.get("REPRO_SIM_VECTOR", "") not in ("0",)
 
 
 @dataclass(frozen=True)
@@ -84,23 +60,6 @@ class NetworkConfig:
         wire = payload_bytes + self.header_bytes
         return per_msg + int(wire / self.bytes_per_ns)
 
-    def msg_service_table(self, side: str,
-                          payload_sizes: Sequence[int]) -> List[int]:
-        """Service times for a run of payload sizes.
-
-        Vectorized with numpy for longer runs; the scalar fallback is the
-        exact same arithmetic (float64 division truncated toward zero),
-        so both produce identical integers.
-        """
-        per_msg = self.cn_msg_ns if side == "cn" else self.mn_msg_ns
-        header = self.header_bytes
-        bpn = self.bytes_per_ns
-        if _np is not None and len(payload_sizes) >= _VECTOR_MIN:
-            wire = _np.asarray(payload_sizes, dtype=_np.int64) + header
-            return (per_msg
-                    + (wire / bpn).astype(_np.int64)).tolist()
-        return [per_msg + int((p + header) / bpn) for p in payload_sizes]
-
     def unloaded_rtt_ns(self, req_bytes: int = 0, resp_bytes: int = 8) -> int:
         """Latency of a single verb with no queueing (sanity/testing aid)."""
         return (self.msg_service_ns("cn", req_bytes)
@@ -139,50 +98,28 @@ class Nic:
         ``arrive_delay`` is the wire time before the message reaches this
         NIC (propagation from the far side, DMA completion, ...).
         """
-        self.messages += 1
-        self.payload_bytes += payload_bytes
-        service = self._service_ns.get(payload_bytes)
-        if service is None:
-            service = self._service_ns[payload_bytes] = \
-                self.config.msg_service_ns(self.side, payload_bytes)
-        return self.server.submit(service + extra_ns, arrive_delay)
-
-    def service_ns(self, payload_bytes: int) -> int:
-        """Memoized service time for one message of ``payload_bytes``."""
-        service = self._service_ns.get(payload_bytes)
-        if service is None:
-            service = self._service_ns[payload_bytes] = \
-                self.config.msg_service_ns(self.side, payload_bytes)
-        return service
-
-    def prime_service_cache(self, payload_sizes: Sequence[int]) -> None:
-        """Precompute service times for known payload sizes in one
-        (vectorizable) pass, so the hot path never misses the memo."""
-        fresh = [p for p in payload_sizes if p not in self._service_ns]
-        if fresh:
-            table = self.config.msg_service_table(self.side, fresh)
-            self._service_ns.update(zip(fresh, table))
+        done = self.charge(payload_bytes, extra_ns, arrive_delay)
+        return self.engine.timeout(done - self.engine.now)
 
     def charge(self, payload_bytes: int, extra_ns: int = 0,
-               arrive_delay: int = 0, now: Optional[int] = None) -> int:
+               arrive_delay: int = 0) -> int:
         """Account one message and advance the FIFO station, returning
         the **absolute** completion time without scheduling an event.
 
         Exactly :meth:`process` minus the event: same counters, same
-        station math.  The verb trips in :mod:`repro.dm.rdma` use this to
-        schedule one pooled timeout per stage (or none at all on the
-        closed-form path) instead of going through ``FifoServer.submit``.
-
-        ``now`` overrides the submission time (default: the engine
-        clock); the closed-form trip uses it to account a future stage's
-        submission before the clock gets there.
+        station math (the :meth:`FifoServer.submit` recurrence).  The
+        verb trips in :mod:`repro.dm.rdma` use this to schedule one
+        timeout per stage themselves.
         """
         self.messages += 1
         self.payload_bytes += payload_bytes
-        service = self.service_ns(payload_bytes) + extra_ns
+        service = self._service_ns.get(payload_bytes)
+        if service is None:
+            service = self._service_ns[payload_bytes] = \
+                self.config.msg_service_ns(self.side, payload_bytes)
+        service += extra_ns
         server = self.server
-        if now is None:
-            now = self.engine.now
+        now = self.engine.now
         if server.capacity == 1:
             start = now + arrive_delay
             free = server._free1
@@ -199,123 +136,6 @@ class Nic:
         server.busy_time += service
         server.jobs += 1
         return done
-
-    def charge_chain(self, arrivals: Sequence[int],
-                     payloads: Sequence[int],
-                     extras: Optional[Sequence[int]] = None,
-                     offset: int = 0) -> List[int]:
-        """Account a chain of messages with known **absolute** arrival
-        times (non-decreasing); returns each absolute completion time.
-
-        This is the middle-stage closed form of a doorbell batch: member
-        ``i`` reaches this NIC at ``arrivals[i] + offset`` and is served
-        FIFO, so ``done[i] = max(done[i-1], arrival[i]) + service[i]``.
-        ``offset`` shifts every arrival (wire propagation, DMA latency)
-        so callers can chain stages without building intermediate lists.
-        The recurrence vectorizes as ``done = S + cummax(arrivals - S')``
-        with ``S`` the service prefix sum (``S'`` shifted by one) - numpy
-        for long runs, the literal recurrence otherwise; identical
-        integers either way.
-        """
-        n = len(arrivals)
-        if n == 0:
-            return []
-        self.messages += n
-        self.payload_bytes += sum(payloads)
-        memo = self._service_ns
-        lookup = memo.get
-        msg_ns = self.config.msg_service_ns
-        side = self.side
-        services = []
-        total = 0
-        if extras is None:
-            for p in payloads:
-                s = lookup(p)
-                if s is None:
-                    s = memo[p] = msg_ns(side, p)
-                total += s
-                services.append(s)
-        else:
-            for p, e in zip(payloads, extras):
-                s = lookup(p)
-                if s is None:
-                    s = memo[p] = msg_ns(side, p)
-                s += e
-                total += s
-                services.append(s)
-        server = self.server
-        if server.capacity != 1:
-            out = []
-            for arr, svc in zip(arrivals, services):
-                free_at = heapq.heappop(server._free_at)
-                done = max(arr + offset, free_at) + svc
-                heapq.heappush(server._free_at, done)
-                out.append(done)
-            server.busy_time += total
-            server.jobs += n
-            return out
-        free = server._free1
-        if _np is not None and n >= _VECTOR_MIN:
-            svc = _np.asarray(services, dtype=_np.int64)
-            cum = _np.cumsum(svc)
-            pressure = _np.asarray(arrivals, dtype=_np.int64) + offset
-            pressure = pressure - cum + svc  # arrivals[i] - S[i-1]
-            if free > pressure[0]:
-                pressure[0] = free
-            out = (cum + _np.maximum.accumulate(pressure)).tolist()
-        else:
-            out = []
-            prev = free
-            for arr, svc in zip(arrivals, services):
-                arr += offset
-                if arr > prev:
-                    prev = arr
-                prev += svc
-                out.append(prev)
-        server._free1 = out[-1]
-        server.busy_time += total
-        server.jobs += n
-        return out
-
-    def charge_burst(self, payloads: Sequence[int], extra_ns: int = 0,
-                     arrive_delay: int = 0) -> List[int]:
-        """Account a back-to-back run of messages; returns each message's
-        absolute completion time.
-
-        The closed form of calling :meth:`charge` once per message at the
-        same simulated time: on a capacity-1 station the completions are
-        ``start + cumsum(service)``.  Long runs use numpy for the prefix
-        sum; short runs (and numpy-less installs) use the scalar
-        :meth:`FifoServer.submit_burst` - identical integers either way.
-        """
-        n = len(payloads)
-        if n == 0:
-            return []
-        self.messages += n
-        self.payload_bytes += sum(payloads)
-        memo = self._service_ns
-        lookup = memo.get
-        services = []
-        for p in payloads:
-            s = lookup(p)
-            if s is None:
-                s = memo[p] = self.config.msg_service_ns(self.side, p)
-            services.append(s + extra_ns if extra_ns else s)
-        server = self.server
-        if (_np is not None and n >= _VECTOR_MIN
-                and server.capacity == 1):
-            start = self.engine.now + arrive_delay
-            free = server._free1
-            if free > start:
-                start = free
-            done = start + _np.cumsum(
-                _np.asarray(services, dtype=_np.int64))
-            out = done.tolist()
-            server._free1 = out[-1]
-            server.busy_time += int(done[-1]) - start
-            server.jobs += n
-            return out
-        return server.submit_burst(services, arrive_delay)
 
     def utilization(self) -> float:
         return self.server.utilization()

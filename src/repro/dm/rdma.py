@@ -22,17 +22,15 @@ resumes when the last completion arrives - one round trip of latency, but
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Generator, Mapping, Optional, Sequence, \
     Tuple, Union
 
 from ..errors import ClientCrash, InjectedFault, MNUnavailable, \
     RetryLimitExceeded, SimulationError
-from ..sim.engine import _DEFER, _POOL_CAP, PENDING, \
-    Event as SimEvent, Timeout as SimTimeout
-from .memory import Memory, OFFSET_BITS, OFFSET_MASK, addr_mn, addr_offset
-from .network import Nic, vector_enabled
+from ..sim.engine import _DEFER, Event as SimEvent
+from .memory import Memory, addr_mn, addr_offset
+from .network import Nic
 
 
 # --------------------------------------------------------------------------
@@ -342,42 +340,15 @@ class DirectExecutor:
 
         Injected faults are delivered *into* the client generator with
         ``gen.throw`` - the client sees them at its ``yield``, exactly
-        where a real completion error would surface.
+        where a real completion error would surface.  An attached tracer
+        brackets the op in a span.
         """
-        if self._tracer is not None:
-            return self._run_traced(gen)
-        result = None
-        pending: Exception | None = None
-        while True:
-            try:
-                if pending is not None:
-                    exc, pending = pending, None
-                    op = gen.throw(exc)
-                else:
-                    op = gen.send(result)
-            except StopIteration as stop:
-                return stop.value
-            except RetryLimitExceeded as exc:
-                exc.attach_context(self.client_id, replace(self.stats))
-                if self._injector is not None:
-                    exc.attach_fault_trace(self._injector.trace_tuple())
-                raise
-            try:
-                result = self.execute(op)
-            except (InjectedFault, MNUnavailable) as exc:
-                # Both are delivered into the generator so clients can
-                # retry (InjectedFault) or degrade (MNUnavailable) at
-                # the yield; ClientCrash deliberately is NOT - a dead CN
-                # runs no cleanup, so the generator is just abandoned.
-                pending = exc
-                result = None
-
-    def _run_traced(self, gen: OpGenerator) -> Any:
-        """The :meth:`run` loop with span bracketing (only entered when a
-        tracer is attached, so the clean path stays allocation-free)."""
         tracer = self._tracer
-        span = tracer.op_begin(self.client_id,
-                               getattr(gen, "__name__", "op"), self._clock())
+        span = None
+        if tracer is not None:
+            span = tracer.op_begin(self.client_id,
+                                   getattr(gen, "__name__", "op"),
+                                   self._clock())
         status = "error"
         try:
             result = None
@@ -398,34 +369,34 @@ class DirectExecutor:
                     if self._injector is not None:
                         exc.attach_fault_trace(self._injector.trace_tuple())
                     raise
-                if op.__class__ is not LocalCompute:
+                if tracer is not None and op.__class__ is not LocalCompute:
                     tracer.on_round_trip(span)
                 try:
                     result = self.execute(op)
-                except InjectedFault as exc:
-                    tracer.on_fault(self.client_id, exc.kind,
-                                    exc.addr or 0, self._clock())
-                    pending = exc
-                    result = None
-                except MNUnavailable as exc:
-                    tracer.on_fault(self.client_id, "mn_unavailable",
-                                    exc.addr or 0, self._clock())
+                except (InjectedFault, MNUnavailable) as exc:
+                    # Both are delivered into the generator so clients
+                    # can retry (InjectedFault) or degrade
+                    # (MNUnavailable) at the yield; ClientCrash
+                    # deliberately is NOT - a dead CN runs no cleanup,
+                    # so the generator is just abandoned.
+                    if tracer is not None:
+                        # MNUnavailable is not a fault-rule kind.
+                        tracer.on_fault(
+                            self.client_id,
+                            getattr(exc, "kind", "mn_unavailable"),
+                            exc.addr or 0, self._clock())
                     pending = exc
                     result = None
         finally:
-            tracer.op_end(span, self._clock(), status)
-
-
-#: Returned by ``SimExecutor._scalar_sync`` when it declines an op
-#: (multi-unit NIC); distinct from any legitimate verb result.
-_SYNC_MISS = object()
+            if tracer is not None:
+                tracer.op_end(span, self._clock(), status)
 
 
 class _VerbTrip:
     """Continuation object driving one clean verb through its four NIC
     stages without a generator frame.
 
-    Registered as the single callback (``_cb1``) of each stage's pooled
+    Registered as the single callback (``_cb1``) of each stage's
     timeout, it performs exactly the work :meth:`SimExecutor._verb` does
     at the matching resume point - same NIC charges at the same simulated
     times, events created in the same order - so the schedule (and every
@@ -434,10 +405,7 @@ class _VerbTrip:
     bootstrap; scalar verbs start at stage 1 with the sizes precomputed
     by :meth:`SimExecutor._scalar_fast`.  ``worker`` is the client
     process to resume with the result (scalar verbs); batch members
-    instead report into their :class:`_BatchTrip` join context.  Spent
-    stage timeouts are recycled into the engine's slab pool (the
-    refcount-3 check proves the dispatch loop and this frame hold the
-    only references).
+    instead report into their :class:`_BatchTrip` join context.
     """
 
     __slots__ = ("ex", "op", "worker", "ctx", "idx",
@@ -453,7 +421,7 @@ class _VerbTrip:
         self.result = None
         self.stage = 0
 
-    def __call__(self, event: SimEvent) -> None:
+    def __call__(self, _event: SimEvent) -> None:
         ex = self.ex
         engine = ex.engine
         cfg = ex._config
@@ -507,11 +475,6 @@ class _VerbTrip:
             done_ev._value = self.result
             done_ev._cb1 = ctx
             engine._queue_event(done_ev)
-        if type(event) is SimTimeout and sys.getrefcount(event) == 3 \
-                and len(engine._pool) < _POOL_CAP:
-            event._value = PENDING
-            event._cb1 = None
-            engine._pool.append(event)
 
 
 class _BatchTrip:
@@ -569,7 +532,6 @@ class SimExecutor:
             else self._verb_faulted
         self._budget = 0  # message ceiling armed by arm_verb_budget
         self._crashed = False  # latched by a crash_cn decision
-        self._vector = vector_enabled()
         # Verb trips (continuation objects replacing the per-stage
         # generator resume; event-stream-identical to _verb) need the
         # fast dispatch loop and an unobserved schedule: an injector or
@@ -578,15 +540,18 @@ class SimExecutor:
         # attached after construction.
         self._trips = (injector is None and tracer is None
                        and not engine._slow)
-        self._sync_memo: dict = {}  # (mn, req, resp, extra) -> offsets
 
     def arm_verb_budget(self, extra_messages: int) -> None:
         """See :meth:`DirectExecutor.arm_verb_budget`."""
         self._budget = self.stats.messages + extra_messages
 
     # -- single verb ----------------------------------------------------
-    def _verb(self, op: Verb):
-        """Timed execution of one verb (a generator of engine events)."""
+    def _request_leg(self, op: Verb):
+        """The half of a verb that lands its side effect: issue -> CN NIC
+        -> wire -> MN NIC -> apply, with the monitor/lease hooks (a
+        generator of engine events).  Returns ``(token, result, mn_nic,
+        resp_bytes)`` - what the response leg, or a fault that loses the
+        completion, needs to finish the verb."""
         cfg = self._config
         mn_nic = self._mn_nics[addr_mn(op.addr)]
         req_bytes, resp_bytes = _verb_sizes(op)
@@ -594,12 +559,9 @@ class SimExecutor:
         extra = cfg.atomic_extra_ns if (cls is CasOp or cls is FaaOp) else 0
         self.stats.count_verb(op)
         monitor = self.monitor
-        tracer = self._tracer
         token = None
-        t0 = self.engine.now if tracer is not None else 0
         if monitor is not None:
             token = monitor.on_issue(self.client_id, op, self.engine.now)
-
         # Request through the CN NIC ...
         yield self._cn_nic.process(req_bytes)
         # ... across the wire, processed by the MN NIC ...
@@ -612,15 +574,33 @@ class SimExecutor:
         if self._lease_hook is not None \
                 and getattr(op, "lease", None) is not None:
             self._lease_hook(self.client_id, op, result, self.engine.now)
+        return token, result, mn_nic, resp_bytes
+
+    def _verb(self, op: Verb):
+        """Timed execution of one verb (a generator of engine events)."""
+        cfg = self._config
+        monitor = self.monitor
+        t0 = self.engine.now
+        token, result, mn_nic, resp_bytes = yield from self._request_leg(op)
         # Response: DRAM/DMA access, back through the MN NIC ...
         yield mn_nic.process(resp_bytes, arrive_delay=cfg.mem_access_ns)
         # ... across the wire, delivered by the CN NIC.
         yield self._cn_nic.process(resp_bytes, arrive_delay=cfg.prop_ns)
         if monitor is not None:
             monitor.on_complete(token, self.engine.now)
-        if tracer is not None:
-            tracer.on_verb(self.client_id, op, t0, self.engine.now)
+        if self._tracer is not None:
+            self._tracer.on_verb(self.client_id, op, t0, self.engine.now)
         return result
+
+    def _lost_request(self, op: Verb, t0: int, fault: str):
+        """A request the MN never executes (dead MN, NAK, fabric drop):
+        charge the send plus the client's completion timeout."""
+        self.stats.count_verb(op)
+        yield self._cn_nic.process(_verb_sizes(op)[0])
+        yield self.engine.timeout(self._injector.plan.timeout_ns)
+        if self._tracer is not None:
+            self._tracer.on_verb(self.client_id, op, t0, self.engine.now,
+                                 fault=fault)
 
     def _verb_faulted(self, op: Verb):
         """Injector-aware timed verb path (only bound when a FaultPlan is
@@ -640,31 +620,20 @@ class SimExecutor:
         if injector.dead_mns:
             # Before address_ok: a blanked region still passes the range
             # check and would hand back all-zero "data" - silent wrong
-            # answers instead of a typed failure.  Charge the send plus
-            # one completion timeout, then fail fast (no retry storm).
+            # answers instead of a typed failure.  Fail fast (no retry
+            # storm).
             mn = addr_mn(op.addr)
             if injector.mn_dead(mn):
                 injector.record_mn_unavailable(self.client_id, op,
                                                engine.now)
                 self.stats.faults_injected += 1
-                req_bytes, _ = _verb_sizes(op)
-                yield self._cn_nic.process(req_bytes)
-                yield engine.timeout(injector.plan.timeout_ns)
-                if tracer is not None:
-                    tracer.on_verb(self.client_id, op, t0, engine.now,
-                                   fault="mn_unavailable")
+                yield from self._lost_request(op, t0, "mn_unavailable")
                 raise MNUnavailable(f"MN {mn} crashed (crash_mn)",
                                     mn=mn, addr=op.addr)
         if not injector.address_ok(op):
             injector.record_nak(self.client_id, op, engine.now)
-            self.stats.count_verb(op)
             self.stats.faults_injected += 1
-            req_bytes, _ = _verb_sizes(op)
-            yield self._cn_nic.process(req_bytes)
-            yield engine.timeout(injector.plan.timeout_ns)
-            if tracer is not None:
-                tracer.on_verb(self.client_id, op, t0, engine.now,
-                               fault="nak")
+            yield from self._lost_request(op, t0, "nak")
             raise InjectedFault("NAK: unreachable address",
                                 kind="nak", addr=op.addr)
         decision = injector.decide(self.client_id, op, engine.now)
@@ -685,27 +654,10 @@ class SimExecutor:
             # at the MN.  The monitor sees the full issue/apply/complete
             # life cycle (the access happened; the write interval closes
             # at apply time) so no inflight entry dangles from a corpse.
-            cfg = self._config
-            req_bytes, _ = _verb_sizes(op)
-            self.stats.count_verb(op)
-            mn_nic = self._mn_nics[addr_mn(op.addr)]
-            cls = op.__class__
-            extra = cfg.atomic_extra_ns \
-                if (cls is CasOp or cls is FaaOp) else 0
             monitor = self.monitor
-            token = None
+            token = (yield from self._request_leg(op))[0]
             if monitor is not None:
-                token = monitor.on_issue(self.client_id, op, engine.now)
-            yield self._cn_nic.process(req_bytes)
-            yield mn_nic.process(req_bytes, extra_ns=extra,
-                                 arrive_delay=cfg.prop_ns)
-            result = apply_verb(self._memories, op)
-            if monitor is not None:
-                monitor.on_apply(token, engine.now, result)
                 monitor.on_complete(token, engine.now)
-            if self._lease_hook is not None \
-                    and getattr(op, "lease", None) is not None:
-                self._lease_hook(self.client_id, op, result, engine.now)
             if tracer is not None:
                 tracer.on_verb(self.client_id, op, t0, engine.now,
                                fault="crash_cn")
@@ -733,38 +685,16 @@ class SimExecutor:
             return result
         if kind != "drop":  # pragma: no cover - decision set is closed
             raise SimulationError(f"unknown fault decision {kind!r}")
-        cfg = self._config
-        req_bytes, _ = _verb_sizes(op)
-        self.stats.count_verb(op)
         if not decision.applied:
-            # Request lost in the fabric: the MN never saw it.  Charge
-            # the send plus the client's completion timeout.
-            yield self._cn_nic.process(req_bytes)
-            yield engine.timeout(injector.plan.timeout_ns)
-            if tracer is not None:
-                tracer.on_verb(self.client_id, op, t0, engine.now,
-                               fault="drop")
+            # Request lost in the fabric: the MN never saw it.
+            yield from self._lost_request(op, t0, "drop")
             raise InjectedFault("request dropped", kind="drop",
                                 addr=op.addr, applied=False)
         # Applied at the MN; the completion never arrives.  The monitor
         # sees the full issue/apply/complete life cycle - the access
         # happened - with completion at the client's timeout decision.
-        mn_nic = self._mn_nics[addr_mn(op.addr)]
-        cls = op.__class__
-        extra = cfg.atomic_extra_ns if (cls is CasOp or cls is FaaOp) else 0
         monitor = self.monitor
-        token = None
-        if monitor is not None:
-            token = monitor.on_issue(self.client_id, op, engine.now)
-        yield self._cn_nic.process(req_bytes)
-        yield mn_nic.process(req_bytes, extra_ns=extra,
-                             arrive_delay=cfg.prop_ns)
-        result = apply_verb(self._memories, op)
-        if monitor is not None:
-            monitor.on_apply(token, engine.now, result)
-        if self._lease_hook is not None \
-                and getattr(op, "lease", None) is not None:
-            self._lease_hook(self.client_id, op, result, engine.now)
+        token = (yield from self._request_leg(op))[0]
         yield engine.timeout(injector.plan.timeout_ns)
         if monitor is not None:
             monitor.on_complete(token, engine.now)
@@ -826,298 +756,39 @@ class SimExecutor:
         t1 = engine.timeout(self._cn_nic.charge(trip.req) - engine.now)
         t1._cb1 = trip
 
-    def _sync_offsets(self, key):
-        """Precompute the per-(mn, sizes, extra) arithmetic of one idle
-        round trip, plus the objects the hot loop would otherwise chase
-        through attribute/dict lookups; None marks a shape the sync path
-        must decline (multi-unit NIC: its free time is a heap, not a
-        scalar)."""
-        mn_id, req, resp, extra = key
-        cn = self._cn_nic
-        mn = self._mn_nics[mn_id]
-        if cn.server.capacity != 1 or mn.server.capacity != 1:
-            return None
-        cfg = self._config
-        cn_req = cn.service_ns(req)
-        mn_req = mn.service_ns(req) + extra
-        mn_resp = mn.service_ns(resp)
-        cn_resp = cn.service_ns(resp)
-        o2 = cn_req + cfg.prop_ns + mn_req
-        o3 = o2 + cfg.mem_access_ns + mn_resp
-        o4 = o3 + cfg.prop_ns + cn_resp
-        return (o2, o3, o4, cn_req + cn_resp, mn_req + mn_resp,
-                req + resp, mn, mn.server, cn.server,
-                self._memories[mn_id])
-
-    def _scalar_sync(self, op: Verb):
-        """Idle-engine scalar verb: the whole four-stage round trip as
-        closed-form arithmetic - the clock jumps to the completion time,
-        no event is created at all, and the result returns synchronously.
-
-        Exact because the caller verified both engine queues are empty:
-        nothing exists to interleave with, so every stage starts the
-        instant it arrives (each station's free time is necessarily in
-        the past - its last completion event already fired).  All four
-        logical events are accounted; NIC counters advance exactly as
-        the per-stage path would.  Returns ``_SYNC_MISS`` (declining,
-        nothing touched) for multi-unit NICs.
-
-        The single exact-class dispatch below folds together what
-        :func:`_verb_sizes`, :meth:`OpStats.count_verb`, and
-        :func:`apply_verb` would each dispatch separately; the stats
-        fields and Memory methods are the same ones those helpers hit,
-        in the same order.
-        """
-        stats = self.stats
-        cls = op.__class__
-        addr = op.addr
-        if cls is ReadOp:
-            size = op.size
-            key = (addr >> OFFSET_BITS, 0, size, 0)
-        elif cls is WriteOp:
-            key = (addr >> OFFSET_BITS, len(op.data), 0, 0)
-        elif cls is CasOp:
-            key = (addr >> OFFSET_BITS, 16, 8,
-                   self._config.atomic_extra_ns)
-        else:
-            key = (addr >> OFFSET_BITS, 8, 8,
-                   self._config.atomic_extra_ns)
-        memo = self._sync_memo
-        offs = memo.get(key)
-        if offs is None:
-            if key in memo:
-                return _SYNC_MISS
-            offs = self._sync_offsets(key)
-            memo[key] = offs
-            if offs is None:
-                return _SYNC_MISS
-        (o2, o3, o4, cn_busy, mn_busy, payload,
-         mn, mn_server, cn_server, memory) = offs
-        offset = addr & OFFSET_MASK
-        if cls is ReadOp:
-            stats.reads += 1
-            stats.bytes_read += size
-            result = memory.read(offset, size)
-        elif cls is WriteOp:
-            data = op.data
-            stats.writes += 1
-            stats.bytes_written += len(data)
-            memory.write(offset, data)
-            result = None
-        elif cls is CasOp:
-            stats.cas += 1
-            result = memory.cas_u64(offset, op.expected, op.desired)
-        else:
-            stats.faa += 1
-            result = memory.faa_u64(offset, op.delta)
-        stats.messages += 1
-        stats.round_trips += 1
-        engine = self.engine
-        now = engine.now
-        if self._lease_hook is not None \
-                and getattr(op, "lease", None) is not None:
-            self._lease_hook(self.client_id, op, result, now + o2)
-        cn = self._cn_nic
-        cn.messages += 2
-        cn.payload_bytes += payload
-        cn_server.jobs += 2
-        cn_server.busy_time += cn_busy
-        cn_server._free1 = now + o4
-        mn.messages += 2
-        mn.payload_bytes += payload
-        mn_server.jobs += 2
-        mn_server.busy_time += mn_busy
-        mn_server._free1 = now + o3
-        engine.now = now + o4
-        engine.events_processed += 4
-        return result
-
-    def _batch_fast(self, op: Batch, worker):
-        """Issue a clean doorbell batch.  Returns the results list when
-        the whole batch completed synchronously (idle engine, one MN, no
-        deadline armed); returns None after scheduling events (the
-        caller must ``yield _DEFER``)."""
+    def _batch_fast(self, op: Batch, worker) -> None:
+        """Issue a clean doorbell batch as event-driven member trips: one
+        zero-delay boot per member in member order, exactly where the
+        generator path boots its member processes; the join context
+        stands in for the AllOf."""
         stats = self.stats
         stats.batches += 1
         stats.round_trips += 1
         engine = self.engine
         ops = op.ops
-        if (self._vector and engine._deadline is None
-                and not engine._fifo and not engine._heap):
-            mn_id = addr_mn(ops[0].addr)
-            for verb in ops:
-                if addr_mn(verb.addr) != mn_id:
-                    mn_id = -1
-                    break
-            if mn_id >= 0:
-                closed = self._batch_closed(ops, self._mn_nics[mn_id])
-                if closed is not None:
-                    results, end = closed
-                    engine.now = end
-                    # All 6N+1 logical events (N boots, 4N stages, N
-                    # member completions, the batch completion) happen
-                    # arithmetically.
-                    engine.events_processed += 6 * len(ops) + 1
-                    return results
-        # Event-driven member trips: one zero-delay boot per member in
-        # member order, exactly where the generator path boots its member
-        # processes; the join context stands in for the AllOf.
         ctx = _BatchTrip(engine, worker, len(ops))
         for idx, verb in enumerate(ops):
             boot = engine.timeout(0)
             boot._cb1 = _VerbTrip(self, verb, None, ctx, idx)
-        return None
-
-    def _batch_closed(self, ops, mn_nic: Nic):
-        """Whole-doorbell closed form: every member's four stage
-        completions as prefix sums / running maxes over the FIFO
-        recurrences (numpy for long batches, scalar twins otherwise).
-
-        Only valid when the member submission order *is* the FIFO service
-        order at the MN NIC: all N requests must clear the CN NIC before
-        the first response reaches the MN, else request/response service
-        would interleave there and the stage-wise chains below would
-        misorder the queue.  Returns None (touching nothing) when that
-        guard fails - the caller falls back to event-driven member trips
-        - else ``(results, completion_time)``.
-        """
-        engine = self.engine
-        cfg = self._config
-        cn = self._cn_nic
-        req: list = []
-        resp: list = []
-        extras: list = []
-        atomic = cfg.atomic_extra_ns
-        for verb in ops:
-            r, p = _verb_sizes(verb)
-            req.append(r)
-            resp.append(p)
-            cls = verb.__class__
-            extras.append(atomic if (cls is CasOp or cls is FaaOp) else 0)
-        # Guard (pure arithmetic, no counters touched yet): with the
-        # engine idle every station is free, so member i's request clears
-        # the CN NIC at t0 + cumsum(cn_svc)[i] and the first response is
-        # submitted to the MN NIC at t0 + cn_svc[0] + prop + mn_svc[0].
-        cn_tail = 0
-        for r in req[1:]:
-            cn_tail += cn.service_ns(r)
-        if cfg.prop_ns + mn_nic.service_ns(req[0]) + extras[0] <= cn_tail:
-            return None
-        prop = cfg.prop_ns
-        d1 = cn.charge_burst(req)
-        d2 = mn_nic.charge_chain(d1, req, extras, offset=prop)
-        stats = self.stats
-        memory = self._memories[addr_mn(ops[0].addr)]
-        lease_hook = self._lease_hook
-        client_id = self.client_id
-        results = []
-        append = results.append
-        # One exact-class dispatch per member folds OpStats.count_verb
-        # and apply_verb together (same fields, same Memory methods).
-        for verb, done in zip(ops, d2):
-            cls = verb.__class__
-            offset = verb.addr & OFFSET_MASK
-            if cls is ReadOp:
-                size = verb.size
-                stats.reads += 1
-                stats.bytes_read += size
-                result = memory.read(offset, size)
-            elif cls is WriteOp:
-                data = verb.data
-                stats.writes += 1
-                stats.bytes_written += len(data)
-                memory.write(offset, data)
-                result = None
-            elif cls is CasOp:
-                stats.cas += 1
-                result = memory.cas_u64(offset, verb.expected,
-                                        verb.desired)
-            else:
-                stats.faa += 1
-                result = memory.faa_u64(offset, verb.delta)
-            if lease_hook is not None \
-                    and getattr(verb, "lease", None) is not None:
-                lease_hook(client_id, verb, result, done)
-            append(result)
-        stats.messages += len(ops)
-        d3 = mn_nic.charge_chain(d2, resp, offset=cfg.mem_access_ns)
-        d4 = cn.charge_chain(d3, resp, offset=prop)
-        return results, d4[-1]
 
     # -- generator driver -------------------------------------------------
     def run(self, gen: OpGenerator):
         """Drive ``gen`` under the clock; yields engine events throughout.
 
         Injected faults are delivered into the client generator with
-        ``gen.throw``, exactly like :meth:`DirectExecutor.run`.
+        ``gen.throw``, exactly like :meth:`DirectExecutor.run`.  An
+        attached tracer brackets the op in a span; the traced schedule
+        stays bit-identical because the tracer never creates engine
+        events.
         """
-        if self._tracer is not None:
-            result = yield from self._run_traced(gen)
-            return result
-        result = None
-        pending: Exception | None = None
+        tracer = self._tracer
         trips = self._trips
         engine = self.engine
-        while True:
-            try:
-                if pending is not None:
-                    exc, pending = pending, None
-                    op = gen.throw(exc)
-                else:
-                    op = gen.send(result)
-            except StopIteration as stop:
-                return stop.value
-            except RetryLimitExceeded as exc:
-                exc.attach_context(self.client_id, replace(self.stats))
-                if self._injector is not None:
-                    exc.attach_fault_trace(self._injector.trace_tuple())
-                raise
-            if trips and self.monitor is None:
-                # Clean fast path: complete the op synchronously (idle
-                # engine, closed-form arithmetic, no events) or post it
-                # as a trip and tell the dispatch loop we already
-                # subscribed ourselves.  engine._active is the process
-                # currently being dispatched - our driving client - and
-                # is None when this generator is stepped by hand, which
-                # falls back to the yield-per-stage path below.
-                worker = engine._active
-                if worker is not None:
-                    cls = op.__class__
-                    if cls is ReadOp or cls is WriteOp \
-                            or cls is CasOp or cls is FaaOp:
-                        if (self._vector and engine._deadline is None
-                                and not engine._fifo and not engine._heap):
-                            fast = self._scalar_sync(op)
-                            if fast is not _SYNC_MISS:
-                                result = fast
-                                continue
-                        self._scalar_fast(op, worker)
-                        result = yield _DEFER
-                        continue
-                    if cls is Batch:
-                        fast = self._batch_fast(op, worker)
-                        if fast is not None:
-                            result = fast
-                            continue
-                        result = yield _DEFER
-                        continue
-            try:
-                result = yield from self._perform(op)
-            except (InjectedFault, MNUnavailable) as exc:
-                # Delivered into the generator (retry vs. degrade at the
-                # yield); ClientCrash is NOT - the generator of a dead
-                # CN is abandoned with its locks still held.
-                pending = exc
-                result = None
-
-    def _run_traced(self, gen: OpGenerator):
-        """The :meth:`run` loop with span bracketing (only entered when a
-        tracer is attached; the traced schedule stays bit-identical
-        because the tracer never creates engine events)."""
-        tracer = self._tracer
-        engine = self.engine
-        span = tracer.op_begin(self.client_id,
-                               getattr(gen, "__name__", "op"), engine.now)
+        span = None
+        if tracer is not None:
+            span = tracer.op_begin(self.client_id,
+                                   getattr(gen, "__name__", "op"),
+                                   engine.now)
         status = "error"
         try:
             result = None
@@ -1138,19 +809,41 @@ class SimExecutor:
                     if self._injector is not None:
                         exc.attach_fault_trace(self._injector.trace_tuple())
                     raise
-                if op.__class__ is not LocalCompute:
+                cls = op.__class__
+                if trips and self.monitor is None:
+                    # Clean fast path: post the op as a trip and tell
+                    # the dispatch loop we already subscribed ourselves.
+                    # engine._active is the process currently being
+                    # dispatched - our driving client - and is None when
+                    # this generator is stepped by hand, which falls
+                    # back to the yield-per-stage path below.
+                    worker = engine._active
+                    if worker is not None:
+                        if cls is ReadOp or cls is WriteOp \
+                                or cls is CasOp or cls is FaaOp:
+                            self._scalar_fast(op, worker)
+                            result = yield _DEFER
+                            continue
+                        if cls is Batch:
+                            self._batch_fast(op, worker)
+                            result = yield _DEFER
+                            continue
+                if tracer is not None and cls is not LocalCompute:
                     tracer.on_round_trip(span)
                 try:
                     result = yield from self._perform(op)
-                except InjectedFault as exc:
-                    tracer.on_fault(self.client_id, exc.kind,
-                                    exc.addr or 0, engine.now)
-                    pending = exc
-                    result = None
-                except MNUnavailable as exc:
-                    tracer.on_fault(self.client_id, "mn_unavailable",
-                                    exc.addr or 0, engine.now)
+                except (InjectedFault, MNUnavailable) as exc:
+                    # Delivered into the generator (retry vs. degrade at
+                    # the yield); ClientCrash is NOT - the generator of
+                    # a dead CN is abandoned with its locks still held.
+                    if tracer is not None:
+                        # MNUnavailable is not a fault-rule kind.
+                        tracer.on_fault(
+                            self.client_id,
+                            getattr(exc, "kind", "mn_unavailable"),
+                            exc.addr or 0, engine.now)
                     pending = exc
                     result = None
         finally:
-            tracer.op_end(span, engine.now, status)
+            if tracer is not None:
+                tracer.op_end(span, engine.now, status)

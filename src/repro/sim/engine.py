@@ -41,36 +41,27 @@ once per timestamp and dispatches whole same-time runs in tight inner
 loops ("macro-batch draining") instead of re-entering the heap-vs-FIFO
 comparison per event.
 
-Two more mechanisms ride on the batched loop:
-
-* **single-subscriber resume specialization** - almost every event has
-  exactly one subscriber: the generator that yielded it.  The first
-  process to subscribe is stored in a dedicated ``_proc`` slot and the
-  dispatch loop calls ``gen.send`` directly, with no bound-method call,
-  no callback-list walk, and no tuple unpacking.  Later subscribers fall
-  back to the ``_cb1``/``_spill`` slots; dispatch order is always
-  ``_proc`` then ``_cb1`` then ``_spill`` = subscription order.
-* **slab event pooling** - processed single-subscriber :class:`Timeout`
-  objects are recycled onto a free list and reused by
-  :meth:`Engine.timeout`.  An event is recycled only when (a) it is
-  exactly a ``Timeout``, (b) its only subscriber was the ``_proc`` slot
-  (no spilled callbacks), and (c) ``sys.getrefcount`` proves the loop
-  holds the sole reference - so events stored by client code, AllOf
-  children, or anything else introspectable are never recycled.
+One more mechanism rides on the batched loop, **single-subscriber
+resume specialization**: almost every event has exactly one subscriber,
+the generator that yielded it.  The first process to subscribe is stored
+in a dedicated ``_proc`` slot and the dispatch loop calls ``gen.send``
+directly, with no bound-method call, no callback-list walk, and no tuple
+unpacking.  Later subscribers fall back to the ``_cb1``/``_spill``
+slots; dispatch order is always ``_proc`` then ``_cb1`` then ``_spill``
+= subscription order.
 
 Setting the environment variable ``REPRO_SIM_SLOW=1`` (checked at
 :class:`Engine` construction) routes every event through the heap again
 and dispatches strictly one event at a time through the callback slots,
-with no pooling and no ``_proc`` specialization - the bit-identical
-reference oracle.  The equivalence suites in ``tests/test_sim_fastpath.py``
-and ``tests/test_perf_equivalence.py`` diff benchmark rows across the two
+with no ``_proc`` specialization - the bit-identical reference oracle.
+The equivalence suites in ``tests/test_sim_fastpath.py`` and
+``tests/test_perf_equivalence.py`` diff benchmark rows across the two
 paths.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
@@ -88,10 +79,6 @@ _PROCESSED = object()
 #: The loop skips subscriber registration; the generator is resumed when
 #: whatever event it attached itself to fires.
 _DEFER = object()
-
-#: Upper bound on the Timeout free list; beyond this, processed events
-#: are simply dropped to the garbage collector.
-_POOL_CAP = 4096
 
 
 def _slow_requested() -> bool:
@@ -260,14 +247,7 @@ class Engine:
         self._fifo: deque = deque()
         self._seq = 0
         self._slow = _slow_requested() if slow is None else bool(slow)
-        self._pool: List[Timeout] = []
         self._active: Optional[Process] = None
-        #: Time bound of the loop currently driving the engine (``until``
-        #: or ``limit``), None when unbounded.  The synchronous verb
-        #: fast-forward in repro.dm.rdma only runs unbounded: with a
-        #: deadline armed, every stage must be a real event so until-
-        #: slicing and limit errors stay bit-identical to the reference.
-        self._deadline: Optional[int] = None
         self.events_processed: int = 0
 
     # -- scheduling ---------------------------------------------------
@@ -304,21 +284,16 @@ class Engine:
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         # Inlined Timeout construction + scheduling: this is the single
         # hottest allocation site in the simulator (one per NIC service
-        # completion), so it bypasses __init__ and _schedule and reuses
-        # pooled events directly.
+        # completion), so it bypasses __init__ and _schedule.
         if type(delay) is not int:
             delay = int(delay)
         if delay < 0:
             raise SimulationError(f"negative timeout {delay}")
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-        else:
-            ev = Timeout.__new__(Timeout)
-            ev.engine = self
-            ev._cb1 = None
-            ev._spill = None
-            ev._proc = None
+        ev = Timeout.__new__(Timeout)
+        ev.engine = self
+        ev._cb1 = None
+        ev._spill = None
+        ev._proc = None
         ev._value = value
         seq = self._seq = self._seq + 1
         if delay == 0 and not self._slow:
@@ -386,13 +361,8 @@ class Engine:
         """
         heap = self._heap
         fifo = self._fifo
-        pool = self._pool
         popleft = fifo.popleft
-        pool_append = pool.append
-        refcount = sys.getrefcount
-        pool_cap = _POOL_CAP
         processed = 0
-        self._deadline = until if until is not None else limit
         try:
             while heap or fifo:
                 if fifo:
@@ -413,10 +383,10 @@ class Engine:
                     event = heappop(heap)[2]
                     processed += 1
                     proc = event._proc
+                    cb1 = event._cb1
+                    event._cb1 = _PROCESSED
                     if proc is not None:
                         event._proc = None
-                        cb1 = event._cb1
-                        event._cb1 = _PROCESSED
                         self._active = proc
                         gen = proc._gen
                         try:
@@ -438,37 +408,21 @@ class Engine:
                                     f"{type(target).__name__}, expected "
                                     "an Event"
                                 )
-                        if cb1 is not None:
-                            cb1(event)
-                            spill = event._spill
-                            if spill:
-                                event._spill = None
-                                for fn in spill:
-                                    fn(event)
-                        elif (type(event) is Timeout
-                              and refcount(event) == 2
-                              and len(pool) < pool_cap):
-                            event._value = PENDING
-                            event._cb1 = None
-                            pool_append(event)
-                    else:
-                        cb1 = event._cb1
-                        event._cb1 = _PROCESSED
-                        if cb1 is not None:
-                            cb1(event)
-                            spill = event._spill
-                            if spill:
-                                event._spill = None
-                                for fn in spill:
-                                    fn(event)
+                    if cb1 is not None:
+                        cb1(event)
+                        spill = event._spill
+                        if spill:
+                            event._spill = None
+                            for fn in spill:
+                                fn(event)
                 while fifo and fifo[0]._when == t:
                     event = popleft()
                     processed += 1
                     proc = event._proc
+                    cb1 = event._cb1
+                    event._cb1 = _PROCESSED
                     if proc is not None:
                         event._proc = None
-                        cb1 = event._cb1
-                        event._cb1 = _PROCESSED
                         self._active = proc
                         gen = proc._gen
                         try:
@@ -490,40 +444,14 @@ class Engine:
                                     f"{type(target).__name__}, expected "
                                     "an Event"
                                 )
-                        if cb1 is not None:
-                            cb1(event)
-                            spill = event._spill
-                            if spill:
-                                event._spill = None
-                                for fn in spill:
-                                    fn(event)
-                        elif (type(event) is Timeout
-                              and refcount(event) == 2
-                              and len(pool) < pool_cap):
-                            event._value = PENDING
-                            event._cb1 = None
-                            pool_append(event)
-                    else:
-                        cb1 = event._cb1
-                        event._cb1 = _PROCESSED
-                        if cb1 is not None:
-                            cb1(event)
-                            spill = event._spill
-                            if spill:
-                                event._spill = None
-                                for fn in spill:
-                                    fn(event)
+                    if cb1 is not None:
+                        cb1(event)
+                        spill = event._spill
+                        if spill:
+                            event._spill = None
+                            for fn in spill:
+                                fn(event)
                 if stop is not None and stop._value is not PENDING:
-                    # A synchronous verb fast-forward may have advanced
-                    # the clock past this batch's timestamp before the
-                    # stop process succeeded; its completion event (and
-                    # nothing else - sync runs only on idle queues) is
-                    # then still pending at self.now.  The reference
-                    # path always consumes same-time completions before
-                    # returning, so drain up to the clock first.
-                    if ((fifo and fifo[0]._when <= self.now)
-                            or (heap and heap[0][0] <= self.now)):
-                        continue
                     return self.now
             if stop is not None and stop._value is PENDING:
                 raise SimulationError(
@@ -534,7 +462,6 @@ class Engine:
         finally:
             self.events_processed += processed
             self._active = None
-            self._deadline = None
 
     def _run_ref(self, until: Optional[int] = None) -> int:
         """Reference dispatch loop: one event at a time, merged by

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..errors import InvalidArgument
 from .engine import Engine, Event
@@ -65,54 +65,6 @@ class FifoServer:
         self.busy_time += service_time
         self.jobs += 1
         return self.engine.timeout(done - now)
-
-    def submit_burst(self, service_times: Sequence[int],
-                     arrive_delay: int = 0) -> List[int]:
-        """Enqueue a run of jobs submitted back-to-back at the current
-        time; returns the **absolute** completion time of each.
-
-        This is the closed form of calling :meth:`submit` once per job at
-        the same ``now`` on a capacity-1 station: the first job starts at
-        ``max(now + arrive_delay, free)`` and the rest chain behind it, so
-        ``done[i] = start + sum(service_times[:i+1])``.  Station counters
-        (``busy_time``, ``jobs``, the free time) advance exactly as the
-        per-job path would.  No events are scheduled - callers that need
-        completion events schedule their own (see the doorbell trip in
-        ``repro.dm.rdma``).
-        """
-        if arrive_delay < 0:
-            raise InvalidArgument("arrive_delay must be >= 0")
-        if not service_times:
-            return []
-        if self.capacity != 1:
-            # Rare configuration: fall back to the per-job path's math.
-            out = []
-            now = self.engine.now
-            for svc in service_times:
-                if svc < 0:
-                    raise InvalidArgument("service_time must be >= 0")
-                free_at = heapq.heappop(self._free_at)
-                done = max(now + arrive_delay, free_at) + svc
-                heapq.heappush(self._free_at, done)
-                self.busy_time += svc
-                self.jobs += 1
-                out.append(done)
-            return out
-        cursor = self.engine.now + arrive_delay
-        if self._free1 > cursor:
-            cursor = self._free1
-        out = []
-        total = 0
-        for svc in service_times:
-            if svc < 0:
-                raise InvalidArgument("service_time must be >= 0")
-            cursor += svc
-            total += svc
-            out.append(cursor)
-        self._free1 = cursor
-        self.busy_time += total
-        self.jobs += len(out)
-        return out
 
     def utilization(self) -> float:
         """Fraction of elapsed simulated time this station spent busy."""

@@ -17,7 +17,7 @@ from repro.art import encode_str
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.memory import make_addr
-from repro.dm.rdma import CasOp, OpStats, ReadOp, WriteOp
+from repro.dm.rdma import Batch, CasOp, OpStats, ReadOp, WriteOp
 from repro.errors import ClientCrash, InjectedFault, MNUnavailable, \
     RetryLimitExceeded
 from repro.fault import FaultPlan, RetryPolicy, crash_cn, crash_mn, drop
@@ -192,6 +192,37 @@ def test_crash_mn_fails_fast_with_typed_error():
     assert not isinstance(exc_info.value, InjectedFault), \
         "MNUnavailable must not look retryable"
     assert cluster.injector.counters.get("mn_unavailable") == 1
+
+
+@pytest.mark.parametrize("dead_op", [
+    lambda live, dead: ReadOp(dead, 8),
+    lambda live, dead: Batch([WriteOp(live, b"x" * 8), CasOp(dead, 0, 1),
+                              ReadOp(live, 8)]),
+], ids=["scalar", "batch-member"])
+def test_dead_mn_verb_counts_match_direct_and_sim(dead_op):
+    """A verb posted to a crashed MN is still a message: the timed
+    executor once dropped it from OpStats, so a client spinning on a
+    dead MN never advanced the count ``arm_verb_budget`` bounds."""
+    def stats_of(sim):
+        cluster = Cluster(ClusterConfig())
+        cluster.attach_faults(FaultPlan(seed=1))
+        cluster.injector.dead_mns.add(1)
+
+        def client():
+            with pytest.raises(MNUnavailable):
+                yield dead_op(make_addr(0, 128), make_addr(1, 128))
+        if sim:
+            ex = cluster.sim_executor(0)
+            cluster.engine.run_until_complete(
+                cluster.engine.process(ex.run(client())))
+        else:
+            ex = cluster.direct_executor()
+            ex.run(client())
+        return ex.stats
+
+    direct = stats_of(sim=False)
+    assert direct.messages >= 1 and direct.faults_injected == 1
+    assert stats_of(sim=True) == direct
 
 
 def test_ycsb_crash_accounting():

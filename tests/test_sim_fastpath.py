@@ -1,27 +1,28 @@
-"""Fast-path equivalence suite (ISSUE 7).
+"""Fast-path equivalence suite (ISSUE 7, narrowed by ISSUE 13).
 
-The batched+pooled dispatch loop, the clean-verb trips, and the
-vectorized NIC closed forms are *performance* features: the
-``REPRO_SIM_SLOW=1`` heap-only engine remains the bit-identical
-reference oracle, and ``REPRO_SIM_VECTOR=0`` (or a numpy-less install)
-must not change a single simulated digit.  These tests diff complete
-observable digests - benchmark rows, raw latency samples, the final
-clock, NIC station counters, and the engine's logical
-``events_processed`` - across every mode, over clean, chaos,
-crash-recovery, and tracer-attached runs.
+The batched dispatch loop and the clean-verb trips are *performance*
+features: the ``REPRO_SIM_SLOW=1`` heap-only engine remains the
+bit-identical reference oracle.  These tests diff complete observable
+digests - benchmark rows, raw latency samples, the final clock, NIC
+station counters, and the engine's logical ``events_processed`` -
+across the two modes, over clean, chaos, crash-recovery, and
+tracer-attached runs.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-import repro.dm.network as network_mod
+import repro
 
 from repro.bench import CellSpec, clear_setup_caches, run_cell
 from repro.dm.cluster import Cluster, ClusterConfig
 from repro.dm.rdma import Batch, CasOp, FaaOp, LocalCompute, ReadOp, WriteOp
 from repro.errors import SimulationError
-from repro.sim.engine import _POOL_CAP, Engine
+from repro.sim.engine import Engine
 
 TINY = dict(num_keys=900, ops=140, workers=6, warmup_ops_per_cn=60)
 
@@ -34,7 +35,7 @@ TRACED = CellSpec(system="Sphinx", dataset="u64", workload="A",
                   profile=True, **TINY)
 # Locator-family cells (ISSUE 8): the leaf-locator fast path and the
 # Outback MPH baseline issue their own verb shapes (single raw leaf
-# READ), so they get their own fast/slow/vector0 identity coverage.
+# READ), so they get their own fast/slow identity coverage.
 LOC_CLEAN = CellSpec(system="Sphinx+Loc", dataset="u64", workload="A",
                      **TINY)
 OUTBACK_CLEAN = CellSpec(system="Outback", dataset="u64", workload="A",
@@ -94,34 +95,31 @@ def test_outback_cell_fast_matches_slow(monkeypatch):
                                                        monkeypatch)
 
 
-def test_vector_disabled_cell_matches(monkeypatch):
-    fast = _cell_digest(CLEAN)
-    monkeypatch.setenv("REPRO_SIM_VECTOR", "0")
-    clear_setup_caches()
-    assert _cell_digest(CLEAN) == fast
-
-
-def test_locator_cell_vector_disabled_matches(monkeypatch):
-    fast = _cell_digest(LOC_CLEAN)
-    monkeypatch.setenv("REPRO_SIM_VECTOR", "0")
-    clear_setup_caches()
-    assert _cell_digest(LOC_CLEAN) == fast
-
-
-def test_numpy_absent_cell_matches(monkeypatch):
-    fast = _cell_digest(CLEAN)
-    monkeypatch.setattr(network_mod, "_np", None)
-    clear_setup_caches()
-    assert _cell_digest(CLEAN) == fast
+def test_numpy_never_imported():
+    """The simulator is pure Python: importing the package and the bench
+    harness and running a cell must not pull numpy in."""
+    code = (
+        "import sys, repro, repro.bench\n"
+        "from repro.bench import CellSpec, run_cell\n"
+        f"run_cell(CellSpec(system='Sphinx', dataset='u64', workload='A',"
+        f" **{TINY!r}))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 # -- engine-level digest including events_processed -----------------------
 
-def _mixed_digest():
+def _mixed_digest(slice_ns=None):
     """Mixed scalar/batch/local workload: a contended phase (several
-    clients -> event-driven trips) then a solo phase (idle engine ->
-    closed forms).  Returns every observable the equivalence contract
-    covers, including the logical event count."""
+    clients) then a solo phase (one client on an otherwise idle engine,
+    still event-per-stage trips: 4 events per verb, 6N+1 per doorbell).
+    ``slice_ns`` drives the engine in ``run(until=...)`` steps of that
+    length instead of ``run_until_complete``.  Returns every observable
+    the equivalence contract covers, including the logical event count."""
     cluster = Cluster(ClusterConfig(mn_capacity_bytes=1 << 20))
     addrs = [cluster.alloc(i % 3, 8) for i in range(24)]
     engine = cluster.engine
@@ -152,11 +150,20 @@ def _mixed_digest():
 
         return engine.process(sx.run(op()), name=f"c{seed}")
 
+    def drive(procs):
+        if slice_ns is None:
+            for p in procs:
+                engine.run_until_complete(p)
+            return
+        while not all(p.triggered for p in procs):
+            assert engine._peek_time() is not None, "deadlock"
+            engine.run(until=engine.now + slice_ns)
+
     procs = [client(cluster.sim_executor(i % 3), 1000 + i) for i in range(3)]
-    for p in procs:
-        engine.run_until_complete(p)
-    solo = engine.run_until_complete(
-        client(cluster.sim_executor(0), 7))
+    drive(procs)
+    solo_proc = client(cluster.sim_executor(0), 7)
+    drive([solo_proc])
+    solo = solo_proc.value
     cn = cluster.cn_nics[0]
     mn = cluster.mn_nics[0]
     return (engine.now, engine.events_processed,
@@ -169,58 +176,18 @@ def _mixed_digest():
 
 def test_mixed_workload_identical_across_all_modes(monkeypatch):
     fast = _mixed_digest()
-
-    monkeypatch.setenv("REPRO_SIM_VECTOR", "0")
-    no_vector = _mixed_digest()
-    monkeypatch.delenv("REPRO_SIM_VECTOR")
-
-    monkeypatch.setattr(network_mod, "_np", None)
-    no_numpy = _mixed_digest()
-    monkeypatch.undo()
+    # Slices shorter than one round trip cut verbs and doorbells
+    # mid-flight.
+    sliced = _mixed_digest(slice_ns=700)
 
     monkeypatch.setenv("REPRO_SIM_SLOW", "1")
     slow = _mixed_digest()
+    slow_sliced = _mixed_digest(slice_ns=700)
     monkeypatch.delenv("REPRO_SIM_SLOW")
 
-    assert fast == no_vector
-    assert fast == no_numpy
     assert fast == slow  # includes logical events_processed equality
-
-
-# -- pooling safety --------------------------------------------------------
-
-def test_client_held_timeout_never_recycled():
-    """An event the client still references must not enter the pool (its
-    value would be clobbered by reuse)."""
-    engine = Engine(slow=False)
-    held = []
-
-    def proc():
-        for i in range(50):
-            t = engine.timeout(1, value=i)
-            held.append(t)
-            yield t
-
-    engine.run_until_complete(engine.process(proc()))
-    for i, t in enumerate(held):
-        assert t.value == i
-    for t in held:
-        assert all(t is not p for p in engine._pool)
-
-
-def test_pool_recycles_and_respects_cap():
-    engine = Engine(slow=False)
-
-    def ping():
-        for _ in range(200):
-            yield engine.timeout(1)
-
-    engine.run_until_complete(engine.process(ping()))
-    assert engine._pool, "steady-state timeouts should be recycled"
-    assert len(engine._pool) <= _POOL_CAP
-    # A recycled event is actually reused by the allocator.
-    top = engine._pool[-1]
-    assert engine.timeout(1) is top
+    assert fast == sliced
+    assert fast == slow_sliced
 
 
 # -- misbehaving generators ------------------------------------------------
