@@ -295,12 +295,10 @@ class SphinxClient(RemoteArtTree):
         key = ctx.key
         if self.config.filter_probe_ns:
             yield LocalCompute(self.config.filter_probe_ns)
-        for depth in range(min(len(key) - 1, ctx.limit), 0, -1):
-            prefix = key[:depth]
-            if not self.filter.contains(prefix):
-                continue
+        depth = self.filter.deepest_hit(key, min(len(key) - 1, ctx.limit))
+        while depth:
             try:
-                found = yield from self._fetch_via_inht(prefix, depth)
+                found = yield from self._fetch_via_inht(key[:depth], depth)
             except (RetryLimitExceeded, InjectedFault, MNUnavailable):
                 # An INHT bucket stuck behind an abandoned segment-split
                 # lock, an injected fabric fault on the INHT path, or a
@@ -314,6 +312,7 @@ class SphinxClient(RemoteArtTree):
             # False positive (or evicted/stale entry): fall through to
             # the next shorter prefix present in the filter.
             self.metrics.fp_restarts += 1
+            depth = self.filter.deepest_hit(key, depth - 1)
         view = yield from self._read_node(self.root_addr, NODE256)
         if view is None:
             return RETRY

@@ -20,13 +20,23 @@ therefore **never fails**; it may instead evict.
 
 from __future__ import annotations
 
+import copy
 import random
-from typing import List
+from typing import Dict, List, Tuple
 
 from ..errors import FilterError
-from ..util.hashing import fingerprint, hash64
+from ..util.hashing import FINGERPRINT_SEED, cache_put, hash64, hash64_raw
 
 EMPTY = 0
+
+# One probe table per filter geometry ``(fp_bits, num_buckets)``, shared
+# by every filter of that geometry in the process: prefix bytes ->
+# ``(fp, bucket1, bucket2, code1, code2)``, where a *resident code* is
+# ``(bucket << fp_bits) | fp``.  It caches a pure function, so sharing
+# cannot change an answer; it is filled from ``hash64_raw`` (nothing is
+# stored twice) and bounded by ``cache_put`` like ``hash64``'s own
+# tables.  Probes dominate every search.
+_probe_tables: Dict[Tuple[int, int], dict] = {}
 
 
 def _floor_pow2(n: int) -> int:
@@ -59,12 +69,17 @@ class SuccinctFilterCache:
         self._fps: List[int] = [EMPTY] * n
         self._hot: List[bool] = [False] * n
         self._rng = rng if rng is not None else random.Random(0x5FC)
-        # (fp, bucket1, bucket2) per item, and the fp -> alt-xor mask
-        # table used during relocation.  Both memoize pure functions of
-        # the filter geometry, so cached and computed paths agree bit
-        # for bit; probes dominate every search, so the cache matters.
-        self._key_memo: dict = {}
-        self._alt_memo: dict = {}
+        self._table = _probe_tables.setdefault(
+            (fp_bits, self.num_buckets), {})
+        # Resident index: code -> slot for every occupied slot.  ``_fps``
+        # and ``_hot`` stay the ground truth (eviction, relocation and
+        # every RNG draw read them in slot order); the index only answers
+        # "is this fingerprint in this bucket, and where".  It is a map,
+        # not a multimap, because (bucket, fp) is unique: ``insert``
+        # refuses a fingerprint already in its bucket pair, a relocation
+        # moves an entry within its own pair, and ``_alt_index`` is an
+        # involution, so a fingerprint's pair is fixed by either bucket.
+        self._index: Dict[int, int] = {}
         self.second_chance = second_chance
         """False = ablation mode: evict uniformly, ignoring hotness bits."""
         self.count = 0
@@ -74,126 +89,142 @@ class SuccinctFilterCache:
 
     def __deepcopy__(self, memo):
         """Snapshot-restore support: copy the filter *state* (slots,
-        hotness bits, RNG, counters) but share the probe memos - they
-        cache pure functions of the fixed filter geometry, so every copy
-        reads identical values, and walking their ~100k tuples dominated
-        ``copy.deepcopy`` of a loaded benchmark system."""
-        import copy as _copy
+        hotness bits, resident index, RNG, counters); the probe table
+        stays the process-wide one."""
         clone = self.__class__.__new__(self.__class__)
         memo[id(self)] = clone
         clone.__dict__.update(self.__dict__)
         clone._fps = list(self._fps)
         clone._hot = list(self._hot)
-        clone._rng = _copy.deepcopy(self._rng, memo)
+        clone._index = dict(self._index)
+        clone._rng = copy.deepcopy(self._rng, memo)
         return clone
 
     # -- hashing (same scheme as the base filter) -------------------------
-    def _fp(self, item: bytes) -> int:
-        return fingerprint(item, self.fp_bits)
-
-    def _index1(self, item: bytes) -> int:
-        return hash64(item, 0xB0CCE7) & self._mask
-
     def _alt_index(self, index: int, fp: int) -> int:
-        mask = self._alt_memo.get(fp)
-        if mask is None:
-            mask = self._alt_memo[fp] = hash64(fp.to_bytes(4, "little"),
-                                               0xA17)
-        return (index ^ mask) & self._mask
-
-    def _slots(self, bucket: int) -> range:
-        base = bucket * self.bucket_slots
-        return range(base, base + self.bucket_slots)
+        return (index ^ hash64(fp.to_bytes(4, "little"), 0xA17)) & self._mask
 
     def _probe(self, item: bytes):
-        """(fp, bucket1, bucket2) for ``item``, memoized."""
-        probe = self._key_memo.get(item)
+        """``(fp, bucket1, bucket2, code1, code2)`` for ``item``."""
+        table = self._table
+        probe = table.get(item)
         if probe is None:
-            fp = self._fp(item)
-            i1 = self._index1(item)
-            probe = (fp, i1, self._alt_index(i1, fp))
-            self._key_memo[item] = probe
+            bits = self.fp_bits
+            fp = hash64_raw(item, FINGERPRINT_SEED) & ((1 << bits) - 1) or 1
+            i1 = hash64_raw(item, 0xB0CCE7) & self._mask
+            i2 = self._alt_index(i1, fp)
+            probe = (fp, i1, i2, i1 << bits | fp, i2 << bits | fp)
+            cache_put(table, item, probe)
         return probe
+
+    def _resident(self, probe) -> int | None:
+        """The slot holding ``probe``'s fingerprint in its bucket pair."""
+        slot = self._index.get(probe[3])
+        return self._index.get(probe[4]) if slot is None else slot
+
+    def _store(self, slot: int, fp: int) -> None:
+        """The one writer of a slot; keeps the resident index in step."""
+        base = slot // self.bucket_slots << self.fp_bits
+        old = self._fps[slot]
+        if old != EMPTY:
+            del self._index[base | old]
+        if fp != EMPTY:
+            assert base | fp not in self._index, "(bucket, fp) not unique"
+            self._index[base | fp] = slot
+        self._fps[slot] = fp
+        self._hot[slot] = False
 
     # -- queries ----------------------------------------------------------
     def contains(self, item: bytes) -> bool:
         """Existence check; a hit marks the entry as recently used."""
-        probe = self._key_memo.get(item)  # inlined _probe: hottest query
-        if probe is None:
-            probe = self._probe(item)
-        fp, i1, i2 = probe
-        fps = self._fps
-        slots_per = self.bucket_slots
-        for bucket in (i1, i2):
-            base = bucket * slots_per
-            for slot in range(base, base + slots_per):
-                if fps[slot] == fp:
-                    self._hot[slot] = True
-                    self.hits += 1
-                    return True
-        self.misses += 1
-        return False
+        slot = self._resident(self._probe(item))
+        if slot is None:
+            self.misses += 1
+            return False
+        self._hot[slot] = True
+        self.hits += 1
+        return True
+
+    def deepest_hit(self, key: bytes, depth: int) -> int:
+        """The largest ``d <= depth`` with ``key[:d]`` present, else 0.
+
+        Exactly ``contains(key[:d])`` asked for d = depth, depth - 1, ...
+        up to and including the first hit - same hot bit, same hit and
+        miss counts - fused because the search path asks it of every key
+        and nearly every rung is a miss.
+        """
+        table = self._table
+        index = self._index
+        for d in range(depth, 0, -1):
+            prefix = key[:d]
+            probe = table.get(prefix)
+            if probe is None:
+                probe = self._probe(prefix)
+            slot = index.get(probe[3])
+            if slot is None:
+                slot = index.get(probe[4])
+                if slot is None:
+                    continue
+            self._hot[slot] = True
+            self.hits += 1
+            self.misses += depth - d
+            return d
+        self.misses += max(depth, 0)
+        return 0
 
     # -- updates -----------------------------------------------------------
     def insert(self, item: bytes) -> None:
         """Insert ``item``; never fails (may evict a cold entry)."""
-        fp, i1, i2 = self._probe(item)
+        probe = self._probe(item)
         # Already present? Nothing to do (idempotent for a *cache*).
-        for bucket in (i1, i2):
-            for slot in self._slots(bucket):
-                if self._fps[slot] == fp:
-                    return
-        for bucket in (i1, i2):
-            for slot in self._slots(bucket):
-                if self._fps[slot] == EMPTY:
-                    self._fps[slot] = fp
-                    self._hot[slot] = False
-                    self.count += 1
-                    return
+        if self._resident(probe) is not None:
+            return
+        fp, i1, i2 = probe[:3]
+        fps, hot, per = self._fps, self._hot, self.bucket_slots
+        slots = (*range(i1 * per, i1 * per + per),
+                 *range(i2 * per, i2 * per + per))
+        for slot in slots:
+            if fps[slot] == EMPTY:
+                self._store(slot, fp)
+                self.count += 1
+                return
         # Both buckets full: second chance - replace a random cold entry.
         # (In the ablation mode every resident counts as cold.)
-        cold = [slot for bucket in (i1, i2) for slot in self._slots(bucket)
-                if not (self.second_chance and self._hot[slot])]
+        cold = [slot for slot in slots
+                if not (self.second_chance and hot[slot])]
         if cold:
-            slot = self._rng.choice(cold)
-            self._fps[slot] = fp
-            self._hot[slot] = False
+            self._store(self._rng.choice(cold), fp)
             self.evictions += 1
             return
         # All hot: cuckoo relocation, resetting hotness along the way.
         bucket = self._rng.choice((i1, i2))
         for _ in range(self.max_kicks):
-            slot = bucket * self.bucket_slots + \
-                self._rng.randrange(self.bucket_slots)
-            fp, self._fps[slot] = self._fps[slot], fp
-            self._hot[slot] = False
+            slot = bucket * per + self._rng.randrange(per)
+            victim = fps[slot]
+            self._store(slot, fp)
+            fp = victim
             bucket = self._alt_index(bucket, fp)
-            for target in self._slots(bucket):
-                if self._fps[target] == EMPTY:
-                    self._fps[target] = fp
-                    self._hot[target] = False
+            targets = range(bucket * per, bucket * per + per)
+            for target in targets:
+                if fps[target] == EMPTY:
+                    self._store(target, fp)
                     self.count += 1
                     return
-            for target in self._slots(bucket):
-                if not self._hot[target]:
-                    self._fps[target] = fp
-                    self._hot[target] = False
+            for target in targets:
+                if not hot[target]:
+                    self._store(target, fp)
                     self.evictions += 1
                     return
         # Kick budget exhausted: drop the homeless fingerprint.
         self.evictions += 1
 
     def delete(self, item: bytes) -> bool:
-        fp = self._fp(item)
-        i1 = self._index1(item)
-        for bucket in (i1, self._alt_index(i1, fp)):
-            for slot in self._slots(bucket):
-                if self._fps[slot] == fp:
-                    self._fps[slot] = EMPTY
-                    self._hot[slot] = False
-                    self.count -= 1
-                    return True
-        return False
+        slot = self._resident(self._probe(item))
+        if slot is None:
+            return False
+        self._store(slot, EMPTY)
+        self.count -= 1
+        return True
 
     # -- introspection ------------------------------------------------------
     def load_factor(self) -> float:

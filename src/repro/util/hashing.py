@@ -41,25 +41,39 @@ def _splitmix64(x: int) -> int:
 _CACHE_MAX = 1 << 21
 _hash_tables: dict = {}
 
+FINGERPRINT_SEED = 0x0F1E2D3C
 
-def hash64(data: bytes, seed: int = 0) -> int:
-    """Seeded 64-bit hash of ``data``.
+
+def cache_put(table: dict, key, value) -> None:
+    """Store into a memo of a pure function, under the one bound."""
+    if len(table) >= _CACHE_MAX:
+        table.clear()
+    table[key] = value
+
+
+def hash64_raw(data: bytes, seed: int = 0) -> int:
+    """:func:`hash64` without its memo: the computation itself.
 
     Two CRC32 passes with seed-derived initial values provide 64 input-
     sensitive bits; splitmix64 mixes them so that low bits are usable as
-    bucket indexes and high bits as fingerprints.
+    bucket indexes and high bits as fingerprints.  For callers that keep
+    their own table of derived values (the filter's probe table) and so
+    would only store every hash twice.
     """
+    lo = zlib.crc32(data, seed & 0xFFFFFFFF)
+    hi = zlib.crc32(data, (~seed ^ 0x5BD1E995) & 0xFFFFFFFF)
+    return _splitmix64((hi << 32) | lo ^ ((seed >> 32) & _MASK64))
+
+
+def hash64(data: bytes, seed: int = 0) -> int:
+    """Seeded 64-bit hash of ``data``, memoized per seed."""
     table = _hash_tables.get(seed)
     if table is None:
         table = _hash_tables[seed] = {}
     h = table.get(data)
     if h is None:
-        lo = zlib.crc32(data, seed & 0xFFFFFFFF)
-        hi = zlib.crc32(data, (~seed ^ 0x5BD1E995) & 0xFFFFFFFF)
-        h = _splitmix64((hi << 32) | lo ^ ((seed >> 32) & _MASK64))
-        if len(table) >= _CACHE_MAX:
-            table.clear()
-        table[data] = h
+        h = hash64_raw(data, seed)
+        cache_put(table, data, h)
     return h
 
 
@@ -70,7 +84,8 @@ def hash_pair(data: bytes, seed: int = 0) -> Tuple[int, int]:
     return h1, h2
 
 
-def fingerprint(data: bytes, bits: int, seed: int = 0x0F1E2D3C) -> int:
+def fingerprint(data: bytes, bits: int,
+                seed: int = FINGERPRINT_SEED) -> int:
     """A ``bits``-wide nonzero fingerprint of ``data``.
 
     Fingerprint 0 is reserved to mean "empty slot" in both the cuckoo
@@ -134,9 +149,7 @@ class ConsistentHashRing:
             if idx == len(self._tokens):
                 idx = 0
             member = self._owners[idx]
-            if len(self._memo) >= _CACHE_MAX:
-                self._memo.clear()
-            self._memo[data] = member
+            cache_put(self._memo, data, member)
         return member
 
     def lookup_int(self, value: int) -> int:

@@ -1,11 +1,16 @@
 """Unit tests for the succinct filter cache (hotness-bit second chance)."""
 
+import copy
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from repro.errors import FilterError
 from repro.filters import SuccinctFilterCache
+from repro.util import hashing
+from repro.util.hashing import fingerprint, hash64
 
 
 def test_insert_contains_delete():
@@ -95,3 +100,204 @@ def test_validates_parameters():
 def test_delete_missing_returns_false():
     c = SuccinctFilterCache(1024)
     assert not c.delete(b"nope")
+
+
+# -- differential oracle: the slot-scan algorithm the resident index replaced --
+
+class _SlotScanReference:
+    """The pre-index filter, kept as the oracle: every query and update
+    walks the candidate slots, every hash goes through ``util.hashing``."""
+
+    def __init__(self, real: SuccinctFilterCache, rng: random.Random):
+        self.fp_bits, self.per = real.fp_bits, real.bucket_slots
+        self.max_kicks, self.second_chance = real.max_kicks, real.second_chance
+        self._mask = real.num_buckets - 1
+        self._fps = [0] * len(real._fps)
+        self._hot = [False] * len(real._fps)
+        self._rng = rng
+        self.count = self.evictions = self.hits = self.misses = 0
+        self.branches = Counter()
+
+    def _alt(self, index, fp):
+        return (index ^ hash64(fp.to_bytes(4, "little"), 0xA17)) & self._mask
+
+    def _slots(self, bucket):
+        return range(bucket * self.per, bucket * self.per + self.per)
+
+    def _candidates(self, item):
+        fp = fingerprint(item, self.fp_bits)
+        i1 = hash64(item, 0xB0CCE7) & self._mask
+        return fp, [s for b in (i1, self._alt(i1, fp)) for s in self._slots(b)]
+
+    def _put(self, slot, fp):
+        self._fps[slot], self._hot[slot] = fp, False
+
+    def contains(self, item):
+        fp, slots = self._candidates(item)
+        for slot in slots:
+            if self._fps[slot] == fp:
+                self._hot[slot] = True
+                self.hits += 1
+                return True
+        self.misses += 1
+        return False
+
+    def deepest_hit(self, key, depth):
+        return next((d for d in range(depth, 0, -1)
+                     if self.contains(key[:d])), 0)
+
+    def insert(self, item):
+        fp, slots = self._candidates(item)
+        if any(self._fps[s] == fp for s in slots):
+            return
+        for slot in slots:
+            if self._fps[slot] == 0:
+                self._put(slot, fp)
+                self.count += 1
+                return
+        cold = [s for s in slots
+                if not (self.second_chance and self._hot[s])]
+        if cold:
+            self.branches["cold_replace"] += 1
+            self._put(self._rng.choice(cold), fp)
+            self.evictions += 1
+            return
+        bucket = self._rng.choice((slots[0] // self.per,
+                                   slots[-1] // self.per))
+        for _ in range(self.max_kicks):
+            slot = bucket * self.per + self._rng.randrange(self.per)
+            fp, self._fps[slot] = self._fps[slot], fp
+            self._hot[slot] = False
+            bucket = self._alt(bucket, fp)
+            for target in self._slots(bucket):
+                if self._fps[target] == 0:
+                    self.branches["relocated"] += 1
+                    self._put(target, fp)
+                    self.count += 1
+                    return
+            for target in self._slots(bucket):
+                if not self._hot[target]:
+                    self.branches["relocated"] += 1
+                    self._put(target, fp)
+                    self.evictions += 1
+                    return
+        self.branches["kick_exhausted"] += 1
+        self.evictions += 1
+
+    def delete(self, item):
+        fp, slots = self._candidates(item)
+        for slot in slots:
+            if self._fps[slot] == fp:
+                self._put(slot, 0)
+                self.count -= 1
+                return True
+        return False
+
+
+def _state(f):
+    return (f._fps, f._hot, f.hits, f.misses, f.evictions, f.count)
+
+
+KEYS = [bytes(k) for n in range(1, 7) for k in product(b"abc", repeat=n)]
+
+
+def _op_mix(ops: random.Random, steps: int):
+    """A seeded op stream over a small alphabet (so prefixes repeat).
+    Now and then every key is probed: only a filter whose slots are all
+    hot relocates, and only a long all-hot chain exhausts its kicks."""
+    for _ in range(steps):
+        key = ops.choice(KEYS)
+        op = ops.choices(("insert", "contains", "delete", "deepest_hit",
+                          "heat"), weights=(60, 30, 3, 40, 2))[0]
+        if op == "heat":
+            yield from (("contains", (k,)) for k in KEYS)
+        elif op == "deepest_hit":
+            yield op, (key, ops.randint(0, len(key)))
+        else:
+            yield op, (key,)
+
+
+def test_matches_slot_scan_reference():
+    branches = Counter()
+    for budget, max_kicks, second_chance in product(
+            (16, 32, 64, 200, 1000), (8, 64), (True, False)):
+        where = f"budget={budget} kicks={max_kicks} sc={second_chance}"
+        seed = budget * 1000 + max_kicks * 2 + second_chance
+        real = SuccinctFilterCache(budget, max_kicks=max_kicks,
+                                   rng=random.Random(seed),
+                                   second_chance=second_chance)
+        ref = _SlotScanReference(real, random.Random(seed))
+        for op, args in _op_mix(random.Random(~seed), 2000):
+            assert getattr(real, op)(*args) == getattr(ref, op)(*args), where
+            assert _state(real) == _state(ref), (where, op, args)
+        assert real._rng.getstate() == ref._rng.getstate(), where
+        assert real._index == {
+            (slot // real.bucket_slots << real.fp_bits) | fp: slot
+            for slot, fp in enumerate(real._fps) if fp}, where
+        branches += ref.branches
+    # Not vacuous: every eviction branch ran, many times.
+    assert min(branches[b] for b in (
+        "cold_replace", "relocated", "kick_exhausted")) >= 10, branches
+
+
+# -- the shared probe table: same hashes, bounded ---------------------------
+
+@pytest.mark.parametrize("fp_bits", [2, 8, 12, 32])
+def test_probe_table_matches_hashing_functions(fp_bits):
+    f = SuccinctFilterCache(4096, fp_bits=fp_bits)
+    mask = f.num_buckets - 1
+    rng = random.Random(fp_bits)
+    items = [rng.randbytes(rng.randint(1, 40)) for _ in range(300)]
+    if fp_bits == 2:  # a masked fingerprint of 0 is remapped to 1
+        zero = next(p for p in (b"z%d" % i for i in range(1000))
+                    if hash64(p, hashing.FINGERPRINT_SEED) & 3 == 0)
+        assert f._probe(zero)[0] == 1
+        items.append(zero)
+    for p in items:
+        fp, i1, i2, code1, code2 = f._probe(p)
+        assert fp == fingerprint(p, fp_bits)
+        assert i1 == hash64(p, 0xB0CCE7) & mask
+        assert i2 == (i1 ^ hash64(fp.to_bytes(4, "little"), 0xA17)) & mask
+        assert (code1, code2) == (i1 << fp_bits | fp, i2 << fp_bits | fp)
+        assert f._probe(p) is f._table[p]
+        assert hashing.hash64_raw(p, fp_bits) == hash64(p, fp_bits)
+
+
+def _replay(f, seed, steps=400):
+    """Answers of a seeded insert/contains/delete run, and a snapshot of
+    the state it left."""
+    ops = random.Random(seed)
+    out = [getattr(f, ops.choice(("insert", "contains", "delete")))(
+        ops.choice(KEYS)) for _ in range(steps)]
+    return out, copy.deepcopy((_state(f), f._index, f._rng.getstate()))
+
+
+def test_tables_clear_wholesale_at_cache_max(monkeypatch):
+    # A geometry and a seed no other test uses: both tables start empty,
+    # so the capped runs below miss, overflow and clear again and again.
+    with monkeypatch.context() as patch:
+        patch.setattr(hashing, "_CACHE_MAX", 8)
+        f = SuccinctFilterCache(200, fp_bits=9)
+        assert f._table is SuccinctFilterCache(200, fp_bits=9)._table
+        capped = _replay(f, 3)
+        assert 0 < len(f._table) <= 8
+        hashed = [hash64(k, 0xBEEF) for k in KEYS]
+        assert 0 < len(hashing._hash_tables[0xBEEF]) <= 8
+    assert _replay(SuccinctFilterCache(200, fp_bits=9), 3) == capped
+    assert len(f._table) > 8
+    assert hashed == [hashing.hash64_raw(k, 0xBEEF) for k in KEYS]
+
+
+# -- snapshot / deepcopy ---------------------------------------------------
+
+def test_deepcopy_carries_index_and_diverges_independently():
+    original = SuccinctFilterCache(64)  # tiny: evictions, so the RNG matters
+    fresh = SuccinctFilterCache(64)
+    loaded = _replay(original, 1)
+    assert _replay(fresh, 1) == loaded
+    clone = copy.deepcopy(original)
+    assert clone._table is original._table
+    assert clone._index is not original._index
+    assert _replay(clone, 2) == _replay(fresh, 2)
+    assert _replay(original, 0, steps=0) == ([], loaded[1])  # left alone
+    assert _replay(original, 5) != _replay(clone, 5)  # different histories
