@@ -7,9 +7,12 @@ time *dispatch* - the same event-per-stage path every benchmark cell
 runs - never arithmetic that skips the engine:
 
 * ``ping-pong`` - one client issuing sequential 8-byte READ verbs: the
-  scalar verb trip, four stage events per verb.
+  scalar verb trip, one self-re-arming event dispatched four times per
+  verb.
 * ``doorbell`` - one client posting same-MN doorbell batches of 16
-  reads: member trips joined by a batch trip, 6N+1 events per doorbell.
+  reads: member trips under a batch trip, 4N+3 dispatches per doorbell
+  (6N+1 on the ``REPRO_SIM_SLOW=1`` reference path, whose ``events``
+  therefore read higher for the same ``sim_ns``).
 * ``timeout-storm`` - many pure-engine processes cycling prime-length
   timeouts: heap churn and macro-batch draining.
 * ``fifo-saturation`` - many workers hammering one FIFO station:

@@ -108,8 +108,8 @@ class Nic:
 
         Exactly :meth:`process` minus the event: same counters, same
         station math (the :meth:`FifoServer.submit` recurrence).  The
-        verb trips in :mod:`repro.dm.rdma` use this to schedule one
-        timeout per stage themselves.
+        verb trips in :mod:`repro.dm.rdma` re-arm themselves at the
+        returned time, once per stage.
         """
         self.messages += 1
         self.payload_bytes += payload_bytes

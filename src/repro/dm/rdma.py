@@ -23,6 +23,7 @@ resumes when the last completion arrives - one round trip of latency, but
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from heapq import heappush
 from typing import Any, Callable, Generator, Mapping, Optional, Sequence, \
     Tuple, Union
 
@@ -392,43 +393,50 @@ class DirectExecutor:
                 tracer.op_end(span, self._clock(), status)
 
 
-class _VerbTrip:
-    """Continuation object driving one clean verb through its four NIC
-    stages without a generator frame.
+class _VerbTrip(SimEvent):
+    """One clean verb as a single engine event that re-arms itself for
+    each of its four NIC stages - no generator frame, no per-stage
+    :class:`Timeout`.
 
-    Registered as the single callback (``_cb1``) of each stage's
-    timeout, it performs exactly the work :meth:`SimExecutor._verb` does
-    at the matching resume point - same NIC charges at the same simulated
-    times, events created in the same order - so the schedule (and every
-    committed baseline) is bit-identical to the generator path.  Stage 0
-    exists only for batch members, standing in for the member process
-    bootstrap; scalar verbs start at stage 1 with the sizes precomputed
-    by :meth:`SimExecutor._scalar_fast`.  ``worker`` is the client
-    process to resume with the result (scalar verbs); batch members
-    instead report into their :class:`_BatchTrip` join context.
+    The trip is its own only callback (``_cb1 = self``): each dispatch
+    does exactly the work :meth:`SimExecutor._verb` does at the matching
+    resume point - same NIC charges at the same simulated times, one
+    ``_seq`` draw per stage in the same order - and queues the trip
+    again at the stage's completion time, so the schedule (and every
+    committed baseline) is bit-identical to the generator path.
+    Constructing a trip posts the verb (stage 0, what ``_verb`` does
+    before its first yield).  A scalar verb's last arming turns the trip
+    into the event that resumes ``worker`` with the result; a doorbell
+    member (``worker`` None) reports into its :class:`_BatchTrip`
+    ``ctx`` instead.  The dispatch loop marks ``_cb1`` processed before
+    each call, so a finished trip keeps no reference to itself (the e2e
+    timed region runs with the cycle collector off).
     """
 
     __slots__ = ("ex", "op", "worker", "ctx", "idx",
-                 "mn", "req", "resp", "extra", "result", "stage")
+                 "mn", "req", "resp", "extra", "stage")
 
     def __init__(self, ex: "SimExecutor", op: Verb,
                  worker, ctx: "_BatchTrip | None" = None, idx: int = 0):
+        self.engine = ex.engine
+        self._spill = self._proc = None
         self.ex = ex
         self.op = op
         self.worker = worker
         self.ctx = ctx
         self.idx = idx
-        self.result = None
         self.stage = 0
+        self(self)
 
     def __call__(self, _event: SimEvent) -> None:
         ex = self.ex
-        engine = ex.engine
+        engine = self.engine
         cfg = ex._config
         stage = self.stage
         self.stage = stage + 1
+        again = self
         if stage == 0:
-            # Batch-member boot: what _verb does before its first yield.
+            # Posting the verb: what _verb does before its first yield.
             op = self.op
             ex.stats.count_verb(op)
             self.mn = ex._mn_nics[addr_mn(op.addr)]
@@ -437,72 +445,102 @@ class _VerbTrip:
             self.extra = cfg.atomic_extra_ns \
                 if (cls is CasOp or cls is FaaOp) else 0
             done = ex._cn_nic.charge(self.req)
-            nxt = engine.timeout(done - engine.now)
-            nxt._cb1 = self
         elif stage == 1:
             # CN request sent; request crosses the wire to the MN NIC.
             done = self.mn.charge(self.req, self.extra, cfg.prop_ns)
-            nxt = engine.timeout(done - engine.now)
-            nxt._cb1 = self
         elif stage == 2:
             # MN NIC executed the verb: side effect lands now.
             op = self.op
-            result = self.result = apply_verb(ex._memories, op)
+            result = self._value = apply_verb(ex._memories, op)
             if ex._lease_hook is not None \
                     and getattr(op, "lease", None) is not None:
                 ex._lease_hook(ex.client_id, op, result, engine.now)
             done = self.mn.charge(self.resp, 0, cfg.mem_access_ns)
-            nxt = engine.timeout(done - engine.now)
-            nxt._cb1 = self
         elif stage == 3:
             # Response back across the wire through the CN NIC.
             done = ex._cn_nic.charge(self.resp, 0, cfg.prop_ns)
-            worker = self.worker
-            if worker is not None:
-                # Scalar verb: resume the client process with the result,
-                # exactly where the generator path's return would land it.
-                nxt = engine.timeout(done - engine.now, self.result)
-                nxt._proc = worker
-            else:
-                nxt = engine.timeout(done - engine.now)
-                nxt._cb1 = self
-        else:
-            # Batch member complete: stands in for the member Process
-            # event the generator path queues at this exact moment.
+            if self.worker is not None:
+                # Scalar verb: the last dispatch resumes the client
+                # process with the result, exactly where the generator
+                # path's return would land it.
+                self._proc = self.worker
+                again = None
+        elif stage == 4:
+            # Batch member complete.  The generator path queues a member
+            # Process event here whose dispatch decrements the AllOf;
+            # those events fire in this same order and only the last
+            # one creates anything, so every other member joins inline.
             ctx = self.ctx
-            ctx.results[self.idx] = self.result
-            done_ev = SimEvent(engine)
-            done_ev._value = self.result
-            done_ev._cb1 = ctx
-            engine._queue_event(done_ev)
+            ctx.results[self.idx] = self._value
+            tracer = ex._tracer
+            if tracer is not None:
+                tracer.on_verb(ex.client_id, self.op, ctx.t0, engine.now)
+            ctx.remaining -= 1
+            if ctx.remaining == 0:
+                self._cb1 = self
+                engine._queue_event(self)
+            return
+        else:
+            # The last member's completion event: queue the batch's.
+            self.ctx.complete()
+            return
+        # Re-arm: Engine._schedule(self, done - now), inlined (one call
+        # per stage was worth 6 % of sphinx-e host time, DESIGN.md 11.7).
+        # A stage that completes at this very instant joins the FIFO run
+        # like timeout(0); a heap entry at its own timestamp would break
+        # the dispatch loop's heap-before-FIFO order.
+        self._cb1 = again
+        seq = engine._seq = engine._seq + 1
+        if done > engine.now:
+            heappush(engine._heap, (done, seq, self))
+        else:
+            self._when = done
+            self._seq = seq
+            engine._fifo.append(self)
 
 
-class _BatchTrip:
-    """Join counter for a doorbell batch driven by member trips.
+class _BatchTrip(SimEvent):
+    """A doorbell batch as one boot event and, re-armed, one completion
+    event: 4N+3 dispatches where the generator path's member processes
+    and :class:`AllOf` take 6N+1.
 
-    Registered as the callback of each member-completion event; when the
-    last member reports, it queues the batch-completion event that
-    resumes the client - standing in for the generator path's
-    :class:`AllOf` at the identical event position, with results in
-    member order.
+    The generator path boots N member processes with N consecutive
+    zero-delay events that nothing can interleave; the single boot here
+    sits at the first one's queue position and starts every member trip
+    in member order.  Members join inline (see :class:`_VerbTrip`
+    stage 4) except the last, which keeps the two zero-delay hops -
+    member done, then batch done - that place the client's resume among
+    same-time events exactly where the ``AllOf`` would.  Surviving
+    events keep their relative creation order, so the schedule is exact
+    under ties.
     """
 
-    __slots__ = ("engine", "worker", "results", "remaining")
+    __slots__ = ("ex", "ops", "worker", "results", "remaining", "t0")
 
-    def __init__(self, engine, worker, n: int):
-        self.engine = engine
+    def __init__(self, ex: "SimExecutor", ops: Tuple[Verb, ...], worker):
+        self.engine = engine = ex.engine
+        self._spill = self._proc = None
+        self._cb1 = self
+        self.ex = ex
+        self.ops = ops
         self.worker = worker
-        self.results: list = [None] * n
-        self.remaining = n
+        self.results: list = [None] * len(ops)
+        self.remaining = len(ops)
+        self.t0 = engine.now
+        engine._queue_event(self)
 
     def __call__(self, _event: SimEvent) -> None:
-        self.remaining -= 1
-        if self.remaining == 0:
-            engine = self.engine
-            done = SimEvent(engine)
-            done._value = self.results
-            done._proc = self.worker
-            engine._queue_event(done)
+        ex = self.ex
+        for idx, verb in enumerate(self.ops):
+            _VerbTrip(ex, verb, None, self, idx)
+
+    def complete(self) -> None:
+        """Re-arm as the event that resumes the client with the results
+        in member order."""
+        self._proc = self.worker
+        self._cb1 = None
+        self._value = self.results
+        self.engine._queue_event(self)
 
 
 class SimExecutor:
@@ -532,14 +570,14 @@ class SimExecutor:
             else self._verb_faulted
         self._budget = 0  # message ceiling armed by arm_verb_budget
         self._crashed = False  # latched by a crash_cn decision
-        # Verb trips (continuation objects replacing the per-stage
-        # generator resume; event-stream-identical to _verb) need the
-        # fast dispatch loop and an unobserved schedule: an injector or
-        # tracer routes back through the generator paths those features
-        # hook.  A monitor is checked per-op in run() since it can be
-        # attached after construction.
-        self._trips = (injector is None and tracer is None
-                       and not engine._slow)
+        # Verb trips (self-re-arming events replacing the per-stage
+        # generator resume; schedule-identical to _verb) need the fast
+        # dispatch loop and no active interceptor: an injector routes
+        # back through the generator paths it hooks.  A tracer rides
+        # the trips (run() and the batch members call it from the same
+        # dispatch positions _verb does).  A monitor is checked per-op
+        # in run() since it can be attached after construction.
+        self._trips = injector is None and not engine._slow
 
     def arm_verb_budget(self, extra_messages: int) -> None:
         """See :meth:`DirectExecutor.arm_verb_budget`."""
@@ -737,40 +775,6 @@ class SimExecutor:
         result = yield from self._verb_entry(op)
         return result
 
-    # -- verb trips (clean fast path) -------------------------------------
-    def _scalar_fast(self, op: Verb, worker) -> None:
-        """Issue one clean verb as an event-per-stage :class:`_VerbTrip`
-        whose schedule is bit-identical to :meth:`_verb`."""
-        stats = self.stats
-        stats.round_trips += 1
-        stats.count_verb(op)
-        engine = self.engine
-        cfg = self._config
-        cls = op.__class__
-        trip = _VerbTrip(self, op, worker)
-        trip.mn = self._mn_nics[addr_mn(op.addr)]
-        trip.req, trip.resp = _verb_sizes(op)
-        trip.extra = cfg.atomic_extra_ns \
-            if (cls is CasOp or cls is FaaOp) else 0
-        trip.stage = 1
-        t1 = engine.timeout(self._cn_nic.charge(trip.req) - engine.now)
-        t1._cb1 = trip
-
-    def _batch_fast(self, op: Batch, worker) -> None:
-        """Issue a clean doorbell batch as event-driven member trips: one
-        zero-delay boot per member in member order, exactly where the
-        generator path boots its member processes; the join context
-        stands in for the AllOf."""
-        stats = self.stats
-        stats.batches += 1
-        stats.round_trips += 1
-        engine = self.engine
-        ops = op.ops
-        ctx = _BatchTrip(engine, worker, len(ops))
-        for idx, verb in enumerate(ops):
-            boot = engine.timeout(0)
-            boot._cb1 = _VerbTrip(self, verb, None, ctx, idx)
-
     # -- generator driver -------------------------------------------------
     def run(self, gen: OpGenerator):
         """Drive ``gen`` under the clock; yields engine events throughout.
@@ -810,6 +814,8 @@ class SimExecutor:
                         exc.attach_fault_trace(self._injector.trace_tuple())
                     raise
                 cls = op.__class__
+                if tracer is not None and cls is not LocalCompute:
+                    tracer.on_round_trip(span)
                 if trips and self.monitor is None:
                     # Clean fast path: post the op as a trip and tell
                     # the dispatch loop we already subscribed ourselves.
@@ -821,15 +827,20 @@ class SimExecutor:
                     if worker is not None:
                         if cls is ReadOp or cls is WriteOp \
                                 or cls is CasOp or cls is FaaOp:
-                            self._scalar_fast(op, worker)
+                            self.stats.round_trips += 1
+                            t0 = engine.now
+                            _VerbTrip(self, op, worker)
                             result = yield _DEFER
+                            if tracer is not None:
+                                tracer.on_verb(self.client_id, op, t0,
+                                               engine.now)
                             continue
                         if cls is Batch:
-                            self._batch_fast(op, worker)
+                            self.stats.batches += 1
+                            self.stats.round_trips += 1
+                            _BatchTrip(self, op.ops, worker)
                             result = yield _DEFER
                             continue
-                if tracer is not None and cls is not LocalCompute:
-                    tracer.on_round_trip(span)
                 try:
                     result = yield from self._perform(op)
                 except (InjectedFault, MNUnavailable) as exc:

@@ -75,9 +75,10 @@ PENDING = object()
 _PROCESSED = object()
 
 #: Sentinel a generator may yield to tell the dispatch loop "I already
-#: subscribed myself to a future event" (see repro.dm.rdma's verb trips).
-#: The loop skips subscriber registration; the generator is resumed when
-#: whatever event it attached itself to fires.
+#: subscribed myself to a future event" (see repro.dm.rdma's verb trips,
+#: which put the yielding process in their own ``_proc`` slot for their
+#: last dispatch).  The loop skips subscriber registration; the generator
+#: is resumed when whatever event it attached itself to fires.
 _DEFER = object()
 
 
@@ -252,6 +253,12 @@ class Engine:
 
     # -- scheduling ---------------------------------------------------
     def _schedule(self, event: Event, delay: int) -> None:
+        """Queue ``event`` for dispatch ``delay`` ns from now: one seq
+        draw, then the FIFO for a zero delay and the heap otherwise.
+        The split is what `_run_fast` relies on - a heap entry is never
+        created at its own timestamp.  ``repro.dm.rdma``'s verb trips
+        re-arm themselves with an inlined copy of this body, once per
+        NIC stage; keep the two in step."""
         seq = self._seq = self._seq + 1
         if delay == 0 and not self._slow:
             event._when = self.now
@@ -282,9 +289,10 @@ class Engine:
 
     # -- public factory helpers ---------------------------------------
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        # Inlined Timeout construction + scheduling: this is the single
-        # hottest allocation site in the simulator (one per NIC service
-        # completion), so it bypasses __init__ and _schedule.
+        # Inlined Timeout construction + scheduling: the hottest
+        # allocation site of the generator verb path (one per NIC
+        # service completion; clean verbs run as trips and allocate no
+        # Timeout), so it bypasses __init__ and _schedule.
         if type(delay) is not int:
             delay = int(delay)
         if delay < 0:

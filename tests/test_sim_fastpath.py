@@ -4,15 +4,20 @@ The batched dispatch loop and the clean-verb trips are *performance*
 features: the ``REPRO_SIM_SLOW=1`` heap-only engine remains the
 bit-identical reference oracle.  These tests diff complete observable
 digests - benchmark rows, raw latency samples, the final clock, NIC
-station counters, and the engine's logical ``events_processed`` -
-across the two modes, over clean, chaos, crash-recovery, and
-tracer-attached runs.
+station counters - across the two modes, over clean, chaos,
+crash-recovery, and tracer-attached runs.  ``events_processed`` is not
+an observable of the simulated system but the dispatch count of the
+engine that ran: a doorbell of N verbs is 6N+1 dispatches on the
+reference path and 4N+3 as trips, so the count is compared within a
+mode and tied across modes by that one exact relation.
 """
 
+import gc
 import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -20,7 +25,9 @@ import repro
 
 from repro.bench import CellSpec, clear_setup_caches, run_cell
 from repro.dm.cluster import Cluster, ClusterConfig
-from repro.dm.rdma import Batch, CasOp, FaaOp, LocalCompute, ReadOp, WriteOp
+from repro.dm.network import NetworkConfig, Nic
+from repro.dm.rdma import Batch, CasOp, FaaOp, LocalCompute, ReadOp, \
+    WriteOp, _BatchTrip, _VerbTrip
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
 
@@ -111,23 +118,47 @@ def test_numpy_never_imported():
     assert done.returncode == 0, done.stderr
 
 
-# -- engine-level digest including events_processed -----------------------
+# -- engine-level digest; events_processed per mode -----------------------
+
+def _drive(engine, procs, slice_ns):
+    """``run_until_complete`` each process, or ``run(until=...)`` steps
+    of ``slice_ns`` (shorter than one round trip: cuts verbs and
+    doorbells mid-flight)."""
+    if slice_ns is None:
+        for p in procs:
+            engine.run_until_complete(p)
+        return
+    while not all(p.triggered for p in procs):
+        assert engine._peek_time() is not None, "deadlock"
+        engine.run(until=engine.now + slice_ns)
+
+
+def _nic_digest(cluster):
+    return [(nic.name, nic.messages, nic.payload_bytes,
+             nic.server.busy_time, nic.server.jobs, nic.server._free1)
+            for nic in (*cluster.cn_nics.values(),
+                        *cluster.mn_nics.values())]
+
 
 def _mixed_digest(slice_ns=None):
     """Mixed scalar/batch/local workload: a contended phase (several
     clients) then a solo phase (one client on an otherwise idle engine,
-    still event-per-stage trips: 4 events per verb, 6N+1 per doorbell).
-    ``slice_ns`` drives the engine in ``run(until=...)`` steps of that
-    length instead of ``run_until_complete``.  Returns every observable
-    the equivalence contract covers, including the logical event count."""
+    still event-per-stage trips: 4 events per verb, 4N+3 per doorbell;
+    6N+1 on the reference path).  Returns ``(observables, events,
+    join_slack)``: everything the equivalence contract covers across
+    modes, the dispatch count of the engine that ran, and the sum of
+    2N-2 over the doorbells posted - how many more dispatches the
+    reference path must have made."""
     cluster = Cluster(ClusterConfig(mn_capacity_bytes=1 << 20))
     addrs = [cluster.alloc(i % 3, 8) for i in range(24)]
     engine = cluster.engine
+    join_slack = 0
 
     def client(sx, seed):
         rng = random.Random(seed)
 
         def op():
+            nonlocal join_slack
             results = []
             for _ in range(60):
                 k = rng.random()
@@ -143,6 +174,7 @@ def _mixed_digest(slice_ns=None):
                 elif k < 0.9:
                     members = [ReadOp(rng.choice(addrs), 8)
                                for _ in range(rng.randint(2, 12))]
+                    join_slack += 2 * len(members) - 2
                     results.append([bytes(x) for x in (yield Batch(members))])
                 else:
                     yield LocalCompute(rng.randint(10, 500))
@@ -150,44 +182,186 @@ def _mixed_digest(slice_ns=None):
 
         return engine.process(sx.run(op()), name=f"c{seed}")
 
-    def drive(procs):
-        if slice_ns is None:
-            for p in procs:
-                engine.run_until_complete(p)
-            return
-        while not all(p.triggered for p in procs):
-            assert engine._peek_time() is not None, "deadlock"
-            engine.run(until=engine.now + slice_ns)
-
     procs = [client(cluster.sim_executor(i % 3), 1000 + i) for i in range(3)]
-    drive(procs)
+    _drive(engine, procs, slice_ns)
     solo_proc = client(cluster.sim_executor(0), 7)
-    drive([solo_proc])
-    solo = solo_proc.value
-    cn = cluster.cn_nics[0]
-    mn = cluster.mn_nics[0]
-    return (engine.now, engine.events_processed,
-            repr([p.value for p in procs]) + repr(solo),
-            (cn.messages, cn.payload_bytes, cn.server.busy_time,
-             cn.server.jobs),
-            (mn.messages, mn.payload_bytes, mn.server.busy_time,
-             mn.server.jobs))
+    _drive(engine, [solo_proc], slice_ns)
+    observables = (engine.now,
+                   repr([p.value for p in procs]) + repr(solo_proc.value),
+                   _nic_digest(cluster))
+    return observables, engine.events_processed, join_slack
+
+
+def _check_all_modes(monkeypatch, digest):
+    """Run ``digest()`` and ``digest(slice_ns=700)`` on the fast engine,
+    then both again under ``REPRO_SIM_SLOW=1``, and assert the
+    equivalence contract over the four ``(observables, events,
+    join_slack, ...)`` results: observables equal everywhere; the
+    dispatch count exact within a mode; the two modes apart by exactly
+    the doorbell joins (6N+1 vs 4N+3 per doorbell).  Returns the fast
+    result."""
+    fast, sliced = digest(), digest(slice_ns=700)
+    monkeypatch.setenv("REPRO_SIM_SLOW", "1")
+    slow, slow_sliced = digest(), digest(slice_ns=700)
+    monkeypatch.delenv("REPRO_SIM_SLOW")
+    assert fast[0] == slow[0] == sliced[0] == slow_sliced[0]
+    assert fast[1] == sliced[1]
+    assert slow[1] == slow_sliced[1]
+    assert slow[1] - fast[1] == fast[2] > 0
+    return fast
 
 
 def test_mixed_workload_identical_across_all_modes(monkeypatch):
-    fast = _mixed_digest()
-    # Slices shorter than one round trip cut verbs and doorbells
-    # mid-flight.
-    sliced = _mixed_digest(slice_ns=700)
+    _check_all_modes(monkeypatch, _mixed_digest)
 
-    monkeypatch.setenv("REPRO_SIM_SLOW", "1")
-    slow = _mixed_digest()
-    slow_sliced = _mixed_digest(slice_ns=700)
-    monkeypatch.delenv("REPRO_SIM_SLOW")
 
-    assert fast == slow  # includes logical events_processed equality
-    assert fast == sliced
-    assert fast == slow_sliced
+# -- ties and zero delays ---------------------------------------------------
+
+def _lockstep_digest(slice_ns=None):
+    """Twelve identical clients, six on each of two CNs, running
+    the same doorbell / CAS / WRITE / zero-length-compute sequence
+    against the same addresses and re-aligned on the clock before every
+    step: clients tie at their CN NIC, the two CNs' requests tie at the
+    MN NICs, and CAS winners are picked by the ``(time, seq)``
+    tie-break alone.  Every ``Nic.charge`` call is logged in call order
+    (one per stage dispatch), so the digest pins the global dispatch
+    order, not just its outcome.  Returns ``(observables, events,
+    join_slack, ties)``; ``ties`` counts stage dispatches at the same
+    instant as the charge before them."""
+    cluster = Cluster(ClusterConfig(num_cns=2, mn_capacity_bytes=1 << 20))
+    addrs = [cluster.alloc(i % 3, 8) for i in range(18)]
+    engine = cluster.engine
+    log = []
+    charges = []
+    join_slack = 0
+    real_charge = Nic.charge
+
+    def charge(nic, payload_bytes, extra_ns=0, arrive_delay=0):
+        charges.append((nic.name, engine.now, payload_bytes, arrive_delay))
+        return real_charge(nic, payload_bytes, extra_ns, arrive_delay)
+
+    def client(cid, sx):
+        def op():
+            nonlocal join_slack
+            results = []
+            for step in range(10):
+                yield LocalCompute(-engine.now % 20_000)
+                width = 2 + step % 7
+                join_slack += 2 * width - 2
+                got = yield Batch([ReadOp(addrs[(step + j) % 8], 8)
+                                   for j in range(width)])
+                results.append([bytes(x) for x in got])
+                log.append((cid, step, "batch", engine.now))
+                results.append((yield CasOp(addrs[8 + step], 0, cid + 1)))
+                log.append((cid, step, "cas", engine.now))
+                yield WriteOp(addrs[(step + 3) % 8], bytes([step] * 8))
+                yield LocalCompute(0)
+                log.append((cid, step, "local", engine.now))
+            return results
+
+        return engine.process(sx.run(op()), name=f"c{cid}")
+
+    procs = [client(cid, cluster.sim_executor(cid % 2))
+             for cid in range(12)]
+    with mock.patch.object(Nic, "charge", charge):
+        _drive(engine, procs, slice_ns)
+    ties = sum(1 for prev, cur in zip(charges, charges[1:])
+               if cur[3] and prev[1] == cur[1])
+    observables = (engine.now, log, [p.value for p in procs], charges,
+                   _nic_digest(cluster))
+    return observables, engine.events_processed, join_slack, ties
+
+
+def test_lockstep_clients_tie_break_identically(monkeypatch):
+    (_now, _log, results, charges, _nics), _events, _slack, ties = \
+        _check_all_modes(monkeypatch, _lockstep_digest)
+    # The run really was decided by tie-breaks: same-instant dispatches,
+    # and one CAS winner per step among twelve simultaneous attempts.
+    assert ties >= sum(1 for c in charges if c[3]) // 4
+    winners = [r for client in results for r in client[1::2] if r[0]]
+    assert len(winners) == 10
+
+
+ZERO_COST = NetworkConfig(prop_ns=0, cn_msg_ns=0, mn_msg_ns=0,
+                          mem_access_ns=0, atomic_extra_ns=0,
+                          header_bytes=0)
+
+
+def _zero_cost_digest(slice_ns=None):
+    """Zero-payload READs on a fabric where every service time is 0:
+    each stage completes at the instant it starts.  Odd clients
+    interleave runs of zero-length computes, whose FIFO events carry
+    seqs between the verb stages': a trip re-armed through the heap at
+    its own timestamp would be dispatched out of seq order against
+    them, so the trip's re-arm must send it to the FIFO exactly as
+    ``Engine._schedule`` does for ``timeout(0)``.  The log is the
+    global resume order."""
+    cluster = Cluster(ClusterConfig(num_cns=2, mn_capacity_bytes=1 << 20,
+                                    network=ZERO_COST))
+    addrs = [cluster.alloc(i % 3, 8) for i in range(6)]
+    engine = cluster.engine
+    log = []
+    join_slack = 0
+
+    def client(cid, sx):
+        def op():
+            nonlocal join_slack
+            for step in range(6):
+                if cid % 2:
+                    for _ in range(3):
+                        yield LocalCompute(0)
+                        log.append((cid, step, "local", engine.now))
+                yield ReadOp(addrs[(cid + step) % 6], 0)
+                log.append((cid, step, "read", engine.now))
+                width = 1 + (cid + step) % 4
+                join_slack += 2 * width - 2
+                yield Batch([ReadOp(addrs[(step + j) % 6], 0)
+                             for j in range(width)])
+                log.append((cid, step, "batch", engine.now))
+                if cid == 3:
+                    yield LocalCompute(5)
+
+        return engine.process(sx.run(op()), name=f"c{cid}")
+
+    procs = [client(cid, cluster.sim_executor(cid % 2)) for cid in range(4)]
+    _drive(engine, procs, slice_ns)
+    observables = (engine.now, log, _nic_digest(cluster))
+    return observables, engine.events_processed, join_slack
+
+
+def test_zero_cost_fabric_rearms_through_the_fifo(monkeypatch):
+    (now, _log, nics), _events, _slack = \
+        _check_all_modes(monkeypatch, _zero_cost_digest)
+    # Only client 3's LocalCompute(5) ever moves the clock.
+    assert now == 30 and all(nic[3] == 0 for nic in nics)
+
+
+def test_finished_trips_hold_no_self_reference():
+    """A trip is its own callback while in flight; once finished it must
+    not be (the e2e timed region runs with ``gc.disable()``, so a
+    surviving ``_cb1 = self`` cycle would be a leak)."""
+    cluster = Cluster(ClusterConfig(mn_capacity_bytes=1 << 20))
+    addrs = [cluster.alloc(i % 3, 8) for i in range(4)]
+    engine = cluster.engine
+    sx = cluster.sim_executor(0)
+
+    def op():
+        yield ReadOp(addrs[0], 8)
+        yield Batch([ReadOp(a, 8) for a in addrs])
+        yield CasOp(addrs[1], 0, 1)
+
+    gc.collect()
+    gc.disable()
+    try:
+        engine.run_until_complete(engine.process(sx.run(op())))
+        trips = [o for o in gc.get_objects()
+                 if isinstance(o, (_VerbTrip, _BatchTrip))]
+    finally:
+        gc.enable()
+    # With the collector off, the trips still alive are exactly the ones
+    # something references - a self-referencing one would be among them.
+    assert all(t._cb1 is not t for t in trips)
+    assert not trips, "finished trips are still referenced"
 
 
 # -- misbehaving generators ------------------------------------------------
