@@ -23,10 +23,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+from zlib import crc32
 
 from ..errors import ReproError
 from ..util.bits import BitStruct, round_up, u64_from_bytes, u64_to_bytes
-from ..util.checksum import leaf_checksum
+from ..util.checksum import LEAF_CHECKSUM_SEED, leaf_checksum
 
 # -- status values (2 bits) --------------------------------------------------
 STATUS_IDLE = 0
@@ -77,6 +78,15 @@ SLOT = BitStruct("slot", [
     ("is_leaf", 1),
     ("occupied", 1),
 ])
+
+# The same layout as masks and shifts, for code that works on raw slot
+# words (NodeView, the scan walk) instead of building Slot objects.
+SLOT_ADDR_MASK = SLOT.fields["addr"].mask
+SLOT_PARTIAL_SHIFT = SLOT.fields["partial"].shift
+SLOT_SIZE_SHIFT = SLOT.fields["size_class"].shift
+SLOT_SIZE_MASK = (1 << SLOT.fields["size_class"].width) - 1
+SLOT_LEAF = SLOT.fields["is_leaf"].mask
+SLOT_OCCUPIED = SLOT.fields["occupied"].mask
 
 HASH_ENTRY = BitStruct("hash_entry", [
     ("addr", 48),
@@ -232,10 +242,6 @@ def encode_node(header: Header, slots: List[Optional[Slot]]) -> bytes:
     return _NODE_STRUCTS[header.node_type].pack(*words)
 
 
-_OCC = 1 << 63
-_ADDR_MASK = (1 << 48) - 1
-
-
 class NodeView:
     """A decoded node as read from remote memory.
 
@@ -256,10 +262,10 @@ class NodeView:
         return [Slot.unpack(w) for w in self.words]
 
     def occupied_slots(self) -> List[Slot]:
-        return [Slot.unpack(w) for w in self.words if w & _OCC]
+        return [Slot.unpack(w) for w in self.words if w & SLOT_OCCUPIED]
 
     def occupied_count(self) -> int:
-        return sum(1 for w in self.words if w & _OCC)
+        return sum(1 for w in self.words if w & SLOT_OCCUPIED)
 
     def find_child(self, partial: int) -> Optional[Slot]:
         """Locate the child slot for key byte ``partial``.
@@ -268,9 +274,9 @@ class NodeView:
         """
         if self.header.node_type == NODE256:
             word = self.words[partial]
-            return Slot.unpack(word) if word & _OCC else None
+            return Slot.unpack(word) if word & SLOT_OCCUPIED else None
         for word in self.words:
-            if word & _OCC and ((word >> 48) & 0xFF) == partial:
+            if word & SLOT_OCCUPIED and ((word >> 48) & 0xFF) == partial:
                 return Slot.unpack(word)
         return None
 
@@ -278,32 +284,36 @@ class NodeView:
         if self.header.node_type == NODE256:
             raise ReproError("Node256 children are direct-indexed")
         for i, word in enumerate(self.words):
-            if not word & _OCC:
+            if not word & SLOT_OCCUPIED:
                 return i
         return None
 
     def find_index_by_addr(self, addr: int) -> Optional[int]:
         """Index of the occupied slot pointing at ``addr``, if any."""
         for i, word in enumerate(self.words):
-            if word & _OCC and (word & _ADDR_MASK) == addr:
+            if word & SLOT_OCCUPIED and (word & SLOT_ADDR_MASK) == addr:
                 return i
         return None
 
 
 _NODE_STRUCTS = {t: struct.Struct(f"<{NODE_CAPACITY[t] + 1}Q")
                  for t in NODE_TYPES}
+# Slots only: decode unpacks them at offset 8 straight into NodeView.words
+# (header + slots in one tuple would need a copy to drop the header).
+_SLOT_STRUCTS = {t: struct.Struct(f"<{NODE_CAPACITY[t]}Q")
+                 for t in NODE_TYPES}
 
 
 def decode_node(data: bytes) -> NodeView:
     """Parse a node blob read from an MN."""
     header = Header.unpack(u64_from_bytes(data, 0))
-    if header.node_type not in NODE_CAPACITY:
+    unpacker = _SLOT_STRUCTS.get(header.node_type)
+    if unpacker is None:
         raise ReproError(f"bad node type {header.node_type} in header")
-    unpacker = _NODE_STRUCTS[header.node_type]
-    if len(data) < unpacker.size:
-        raise ReproError(f"short node read: {len(data)} < {unpacker.size}")
-    words = unpacker.unpack_from(data, 0)
-    return NodeView(header, words[1:])
+    size = HEADER_SIZE + unpacker.size
+    if len(data) < size:
+        raise ReproError(f"short node read: {len(data)} < {size}")
+    return NodeView(header, unpacker.unpack_from(data, HEADER_SIZE))
 
 
 # -- leaves ---------------------------------------------------------------
@@ -381,12 +391,14 @@ def decode_leaf(data: bytes) -> LeafView:
         raise ReproError("short leaf read")
     status, units, key_len, val_len, _res, checksum, version = \
         _LEAF_HEADER.unpack_from(data, 0)
-    end = LEAF_HEADER_SIZE + key_len + val_len
+    split = LEAF_HEADER_SIZE + key_len
+    end = split + val_len
     if end > len(data):
         return LeafView(status, units, b"", b"", False, version)
-    key = data[LEAF_HEADER_SIZE:LEAF_HEADER_SIZE + key_len]
-    value = data[LEAF_HEADER_SIZE + key_len:end]
-    payload = (key_len.to_bytes(2, "little") + val_len.to_bytes(2, "little")
-               + key + value)
-    ok = leaf_checksum(payload) == checksum
-    return LeafView(status, units, key, value, ok, version)
+    # The checksummed payload "lengths + key + value" sits in the blob as
+    # bytes 2..6 and 16..end, and CRC32 chains: crc(a + b, seed) ==
+    # crc(b, crc(a, seed)).  So it is checked in place, not re-assembled.
+    ok = crc32(data[LEAF_HEADER_SIZE:end],
+               crc32(data[2:6], LEAF_CHECKSUM_SEED)) == checksum
+    return LeafView(status, units, data[LEAF_HEADER_SIZE:split],
+                    data[split:end], ok, version)

@@ -27,7 +27,7 @@ after a type switch so readers holding stale pointers retry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..art.keys import common_prefix_len
@@ -35,7 +35,13 @@ from ..art.layout import (
     HEADER_SIZE,
     NODE256,
     NODE_CAPACITY,
+    SLOT_ADDR_MASK,
+    SLOT_LEAF,
+    SLOT_OCCUPIED,
+    SLOT_PARTIAL_SHIFT,
     SLOT_SIZE,
+    SLOT_SIZE_MASK,
+    SLOT_SIZE_SHIFT,
     STATUS_IDLE,
     STATUS_INVALID,
     Header,
@@ -109,27 +115,9 @@ class _ScanState:
     start_key: bytes
     count: Optional[int]
     hi: Optional[bytes]
-    results: List[Tuple[bytes, bytes]] = None  # type: ignore[assignment]
-    pending: List[Slot] = None  # type: ignore[assignment]
-    done: bool = False
+    results: List[Tuple[bytes, bytes]] = field(default_factory=list)
+    pending: List[int] = field(default_factory=list)  # raw leaf slot words
     flush_chunk: int = 64  # buffer bound for unbounded (hi-only) scans
-
-    def __post_init__(self):
-        self.results = []
-        self.pending = []
-
-    def satisfied(self) -> bool:
-        return self.count is not None and len(self.results) >= self.count
-
-    def maybe_satisfied(self) -> bool:
-        """True when the buffered leaves could already cover the budget."""
-        return self.count is not None and \
-            len(self.results) + len(self.pending) >= self.count
-
-    def buffer_full(self) -> bool:
-        if self.count is not None:
-            return len(self.results) + len(self.pending) >= self.count
-        return len(self.pending) >= self.flush_chunk
 
 
 @dataclass
@@ -400,8 +388,8 @@ class RemoteArtTree:
                     continue
                 return None
             if slot.is_leaf:
-                leaf = yield from leaf_ops.read_leaf(slot.addr,
-                                                     slot.size_class)
+                leaf = yield from leaf_ops.read_leaf(
+                    slot.addr, slot.size_class, retry=self.retry)
                 if leaf.status == STATUS_INVALID:
                     return RETRY  # mid-delete; retry until slot clears
                 if leaf.key == key:
@@ -481,8 +469,8 @@ class RemoteArtTree:
                     cur_addr, cur, parent, key, value)
                 return True if outcome is not RETRY else RETRY
             if slot.is_leaf:
-                leaf = yield from leaf_ops.read_leaf(slot.addr,
-                                                     slot.size_class)
+                leaf = yield from leaf_ops.read_leaf(
+                    slot.addr, slot.size_class, retry=self.retry)
                 if leaf.status != STATUS_IDLE:
                     return RETRY
                 if leaf.key == key:
@@ -692,8 +680,8 @@ class RemoteArtTree:
                     self.note_leaf(leaf.key, slot.addr, leaf.units)
                     return True
                 yield LocalCompute(self._backoff_delay(attempt))
-                leaf = yield from leaf_ops.read_leaf(slot.addr,
-                                                     slot.size_class)
+                leaf = yield from leaf_ops.read_leaf(
+                    slot.addr, slot.size_class, retry=self.retry)
                 if (leaf.status != STATUS_IDLE
                         or not leaf.checksum_ok
                         or leaf_units_for(len(leaf.key), len(value))
@@ -895,8 +883,8 @@ class RemoteArtTree:
         transient = False
         for slot in occupied:
             if slot.is_leaf:
-                leaf = yield from leaf_ops.read_leaf(slot.addr,
-                                                     slot.size_class)
+                leaf = yield from leaf_ops.read_leaf(
+                    slot.addr, slot.size_class, retry=self.retry)
                 if leaf.status == STATUS_INVALID or not leaf.checksum_ok:
                     transient = True
                     continue
@@ -951,8 +939,8 @@ class RemoteArtTree:
                     continue
                 return False
             if slot.is_leaf:
-                leaf = yield from leaf_ops.read_leaf(slot.addr,
-                                                     slot.size_class)
+                leaf = yield from leaf_ops.read_leaf(
+                    slot.addr, slot.size_class, retry=self.retry)
                 if leaf.status != STATUS_IDLE:
                     return RETRY
                 if leaf.key == key:
@@ -1029,8 +1017,8 @@ class RemoteArtTree:
                     continue
                 return False
             if slot.is_leaf:
-                leaf = yield from leaf_ops.read_leaf(slot.addr,
-                                                     slot.size_class)
+                leaf = yield from leaf_ops.read_leaf(
+                    slot.addr, slot.size_class, retry=self.retry)
                 if leaf.status == STATUS_INVALID:
                     return RETRY  # another delete is mid-flight
                 if leaf.key != key:
@@ -1153,34 +1141,24 @@ class RemoteArtTree:
         plain ART port issues every read sequentially.
         """
         self.metrics.scans += 1
-        result = yield from self._run_scan(
-            lambda: self._scan_count_once(start_key, count),
+        results = yield from self._run_scan(
+            lambda: self._scan_once(_ScanState(start_key, count, None)),
             f"scan_count({start_key!r})")
-        return result
-
-    def _scan_count_once(self, start_key: bytes, count: int):
-        state = _ScanState(start_key=start_key, count=count, hi=None)
-        root = yield from self._read_node(self.root_addr, NODE256)
-        if root is None:
-            return state.results
-        yield from self._scan_rec(root, b"", state, True)
-        yield from self._flush_leaves(state)
-        return state.results[:count]
+        return results[:count]
 
     def scan_range(self, lo: bytes, hi: bytes):
         """Op generator: all pairs with lo <= key <= hi."""
         self.metrics.scans += 1
-        result = yield from self._run_scan(
-            lambda: self._scan_range_once(lo, hi), f"scan_range({lo!r})")
-        return result
+        results = yield from self._run_scan(
+            lambda: self._scan_once(_ScanState(lo, None, hi)),
+            f"scan_range({lo!r})")
+        return results
 
-    def _scan_range_once(self, lo: bytes, hi: bytes):
-        state = _ScanState(start_key=lo, count=None, hi=hi)
+    def _scan_once(self, state: "_ScanState"):
         root = yield from self._read_node(self.root_addr, NODE256)
-        if root is None:
-            return state.results
-        yield from self._scan_rec(root, b"", state, True)
-        yield from self._flush_leaves(state)
+        if root is not None:
+            yield from self._scan_walk(root, state)
+            yield from self._flush_leaves(state)
         return state.results
 
     def _run_scan(self, once, op_name: str):
@@ -1200,97 +1178,133 @@ class RemoteArtTree:
             addr=self.root_addr)
 
     def _flush_leaves(self, state: "_ScanState"):
-        """Fetch and filter the buffered leaf slots (one doorbell batch
-        when batching is on, sequential reads otherwise)."""
-        if not state.pending or state.done:
-            state.pending.clear()
-            return
-        reads = [ReadOp(s.addr, s.size_class * LEAF_ALIGN)
-                 for s in state.pending]
+        """Fetch and filter the buffered leaf slot words (one doorbell
+        batch when batching is on, sequential reads otherwise).  Returns
+        True once the scan is over: budget met, or a leaf above ``hi``."""
+        pending = state.pending
+        if not pending:
+            return False
+        reads = [ReadOp(w & SLOT_ADDR_MASK,
+                        ((w >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK) * LEAF_ALIGN)
+                 for w in pending]
         if self.scan_batched:
             blobs = yield Batch(reads)
         else:
             blobs = []
             for op in reads:
                 blobs.append((yield op))
-        for slot, blob in zip(state.pending, blobs):
-            if state.satisfied():
+        start_key, count, hi = state.start_key, state.count, state.hi
+        results = state.results
+        over = False
+        for word, blob in zip(pending, blobs):
+            if count is not None and len(results) >= count:
                 break
             leaf = decode_leaf(blob)
             if not leaf.checksum_ok:
-                leaf = yield from leaf_ops.read_leaf(slot.addr,
-                                                     slot.size_class)
+                leaf = yield from leaf_ops.read_leaf(
+                    word & SLOT_ADDR_MASK,
+                    (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK,
+                    retry=self.retry)
             if leaf.status == STATUS_INVALID or not leaf.checksum_ok:
                 continue
-            if leaf.key < state.start_key:
+            key = leaf.key
+            if key < start_key:
                 continue
-            if state.hi is not None and leaf.key > state.hi:
+            if hi is not None and key > hi:
                 # Leaves are buffered in key order: nothing later fits.
-                state.done = True
+                over = True
                 break
-            state.results.append((leaf.key, leaf.value))
-        state.pending.clear()
+            results.append((key, leaf.value))
+        pending.clear()
+        return over or (count is not None and len(results) >= count)
 
-    def _scan_rec(self, view: NodeView, known_prefix: bytes,
-                  state: "_ScanState", ambiguous: bool):
-        """DFS in key order, buffering leaf slots for batched fetching.
+    def _scan_walk(self, root: NodeView, state: "_ScanState"):
+        """DFS in key order over raw slot words, buffering leaf words for
+        batched fetching; returns once the scan is satisfied or the tree
+        is exhausted.
 
-        Returns False once the scan is satisfied (stops the traversal).
+        One generator with an explicit stack: a verb result is delivered
+        to this frame (plus ``_read_node`` / ``_flush_leaves``), not
+        through one ``yield from`` frame per tree level.  A stack entry is
+        ``(children, real_prefix, threshold)`` with ``children`` a live
+        iterator, so popping an entry resumes its node's loop.
         """
-        start_key, hi = state.start_key, state.hi
-        depth = view.header.depth
-        real_prefix = known_prefix
-        if depth > len(known_prefix):
-            if not ambiguous and hi is None:
-                pass  # whole subtree already known in-range below
+        start_key, hi, count = state.start_key, state.hi, state.count
+        results, pending = state.results, state.pending
+        bounded = count is not None
+        # Buffered leaves that trigger a flush: what the result budget
+        # still lacks, or the chunk bound of an unbounded (hi-only) scan.
+        # Only a flush moves it, so it is re-derived there and nowhere else.
+        want = count - len(results) if bounded else state.flush_chunk
+        if want <= 0:
+            return
+        stack: list = []
+        entering = (root, b"", True)
+        while True:
+            if entering is not None:
+                # A `continue` below skips the node: with `entering`
+                # cleared, the next pass resumes the innermost open node.
+                view, real_prefix, ambiguous = entering
+                entering = None
+                depth = view.header.depth
+                if depth > len(real_prefix) and (ambiguous or hi is not None):
+                    # Path compression hid bytes a bound still depends on
+                    # (otherwise the whole subtree is known in-range).
+                    witness = yield from self._recover_leaf_key(view)
+                    if witness is EMPTY_SUBTREE or witness is None:
+                        continue  # nothing live below (or mid-churn)
+                    real_prefix = witness[:depth]
+                if ambiguous:
+                    head = start_key[:depth]
+                    if real_prefix < head:
+                        continue  # entire subtree below the range start
+                    if real_prefix > head:
+                        ambiguous = False
+                if hi is not None and real_prefix > hi[:depth]:
+                    # Entire subtree above the range end: the walk is
+                    # over.  The leaves buffered so far sort before this
+                    # subtree; the caller's last flush fetches them.
+                    return
+                threshold = start_key[depth] \
+                    if ambiguous and depth < len(start_key) else None
+                low = 0 if threshold is None else threshold
+                # Conservative upper prune: children strictly above hi's
+                # byte can only hold keys > hi when the prefix equals
+                # hi's head.
+                high = hi[depth] if hi is not None and depth < len(hi) \
+                    and real_prefix == hi[:depth] else 255
+                # Decorated sort: (partial, index, word) orders exactly as
+                # a stable sort of the occupied slots by partial byte.
+                children = sorted([
+                    ((word >> SLOT_PARTIAL_SHIFT) & 0xFF, index, word)
+                    for index, word in enumerate(view.words)
+                    if word & SLOT_OCCUPIED])
+                if low > 0 or high < 255:
+                    children = [c for c in children if low <= c[0] <= high]
+                stack.append((iter(children), real_prefix, threshold))
+            if not stack:
+                return
+            children, real_prefix, threshold = stack[-1]
+            for partial, _index, word in children:
+                if word & SLOT_LEAF:
+                    pending.append(word)
+                    if len(pending) >= want:
+                        if (yield from self._flush_leaves(state)):
+                            return
+                        if bounded:
+                            want = count - len(results)
+                    continue
+                # Descend; len(pending) < want here (every append above is
+                # checked), so there is never a flush to do first.
+                child = yield from self._read_node(
+                    word & SLOT_ADDR_MASK,
+                    (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK)
+                if child is None or child.header.status == STATUS_INVALID:
+                    continue  # retired under a held parent image: skipped
+                # Only the child on the start key's own path stays
+                # ambiguous (threshold is None off that path).
+                entering = (child, real_prefix + bytes((partial,)),
+                            partial == threshold)
+                break
             else:
-                witness = yield from self._recover_leaf_key(view)
-                if witness is EMPTY_SUBTREE or witness is None:
-                    return True  # nothing live below (or mid-churn: skip)
-                real_prefix = witness[:depth]
-        if ambiguous:
-            head = start_key[:depth]
-            if real_prefix < head:
-                return True   # entire subtree below the range start
-            if real_prefix > head:
-                ambiguous = False
-        if hi is not None and real_prefix > hi[:depth]:
-            state.done = True
-            return False      # entire subtree above the range end
-        threshold = start_key[depth] if ambiguous and depth < len(start_key) \
-            else None
-        children = sorted(view.occupied_slots(), key=lambda s: s.partial)
-        if threshold is not None:
-            children = [s for s in children if s.partial >= threshold]
-        if hi is not None and depth < len(hi):
-            # Conservative upper prune: children strictly above hi's byte
-            # can only hold keys > hi when the prefix equals hi's head.
-            if real_prefix == hi[:depth]:
-                children = [s for s in children if s.partial <= hi[depth]]
-        for slot in children:
-            if state.satisfied() or state.done:
-                return False
-            if slot.is_leaf:
-                state.pending.append(slot)
-                if state.buffer_full():
-                    yield from self._flush_leaves(state)
-                    if state.satisfied() or state.done:
-                        return False
-                continue
-            # Descend.  Before crossing a subtree boundary the buffered
-            # budget may already cover the request: flush first so the
-            # traversal can stop without reading another subtree.
-            if state.maybe_satisfied():
-                yield from self._flush_leaves(state)
-                if state.satisfied() or state.done:
-                    return False
-            child = yield from self._read_node(slot.addr, slot.size_class)
-            if child is None or child.header.status == STATUS_INVALID:
-                continue
-            child_ambiguous = ambiguous and slot.partial == threshold
-            keep_going = yield from self._scan_rec(
-                child, real_prefix + bytes([slot.partial]), state,
-                child_ambiguous)
-            if not keep_going:
-                return False
-        return True
+                stack.pop()

@@ -222,7 +222,10 @@ class Memory:
             self._data.extend(bytes(new_len - len(self._data)))
 
     def read(self, offset: int, size: int) -> bytes:
-        self._check_range(offset, size)
+        # Inlined happy path of _check_range: the backing never outgrows
+        # `capacity`, so a well-formed range inside it needs no call.
+        if size < 0 or offset < 64 or offset + size > len(self._data):
+            self._check_range(offset, size)
         if self._freed_offsets:
             self._flag_uaf(offset, size, "read")
         # memoryview slice -> one copy; a bytearray slice plus bytes()

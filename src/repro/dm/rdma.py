@@ -30,7 +30,7 @@ from typing import Any, Callable, Generator, Mapping, Optional, Sequence, \
 from ..errors import ClientCrash, InjectedFault, MNUnavailable, \
     RetryLimitExceeded, SimulationError
 from ..sim.engine import _DEFER, Event as SimEvent
-from .memory import Memory, addr_mn, addr_offset
+from .memory import OFFSET_BITS, OFFSET_MASK, Memory, addr_mn
 from .network import Nic
 
 
@@ -155,8 +155,9 @@ class OpStats:
 
 def apply_verb(memories: Mapping[int, Memory], op: Verb) -> Any:
     """Execute a verb's memory side effect and return its result."""
-    memory = memories[addr_mn(op.addr)]
-    offset = addr_offset(op.addr)
+    addr = op.addr
+    memory = memories[addr >> OFFSET_BITS]
+    offset = addr & OFFSET_MASK
     cls = op.__class__
     if cls is ReadOp:
         return memory.read(offset, op.size)

@@ -10,12 +10,12 @@ from __future__ import annotations
 import zlib
 
 CHECKSUM_BYTES = 4
-_SEED = 0x5F3759DF
+LEAF_CHECKSUM_SEED = 0x5F3759DF
 
 
 def leaf_checksum(payload: bytes) -> int:
     """32-bit checksum over a leaf's logical payload (lengths + key + value)."""
-    return zlib.crc32(payload, _SEED) & 0xFFFFFFFF
+    return zlib.crc32(payload, LEAF_CHECKSUM_SEED) & 0xFFFFFFFF
 
 
 def verify(payload: bytes, expected: int) -> bool:

@@ -1,15 +1,21 @@
 """Unit tests for the Fig-3 byte layouts."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.art import layout
 from repro.art.layout import (
     HEADER_SIZE,
+    LEAF_HEADER_SIZE,
     NODE4,
     NODE16,
     NODE48,
     NODE256,
+    NODE_CAPACITY,
+    SLOT,
     STATUS_IDLE,
     STATUS_INVALID,
     STATUS_LOCKED,
@@ -28,6 +34,7 @@ from repro.art.layout import (
     smallest_type_for,
 )
 from repro.errors import ReproError
+from repro.util.checksum import leaf_checksum
 
 
 def test_node_sizes_match_paper_range():
@@ -199,3 +206,116 @@ def test_decode_leaf_truncated_payload_flagged():
 def test_header_size_is_8_bytes():
     assert HEADER_SIZE == 8
     assert len(encode_node(Header(0, NODE4, 0, 0, 0), [None] * 4)) == 40
+
+
+# -- raw-word masks and the copy-free / in-place decodes ----------------------
+
+def test_slot_masks_mirror_the_slot_bitstruct():
+    fields = SLOT.fields
+    assert layout.SLOT_ADDR_MASK == fields["addr"].mask == (1 << 48) - 1
+    assert layout.SLOT_PARTIAL_SHIFT == fields["partial"].shift == 48
+    assert fields["partial"].width == 8  # the walk masks the byte with 0xFF
+    assert layout.SLOT_SIZE_SHIFT == fields["size_class"].shift == 56
+    assert layout.SLOT_SIZE_MASK == (1 << fields["size_class"].width) - 1 == 63
+    assert layout.SLOT_LEAF == fields["is_leaf"].mask == 1 << 62
+    assert layout.SLOT_OCCUPIED == fields["occupied"].mask == 1 << 63
+    rng = random.Random(5)
+    for _ in range(500):
+        slot = Slot(rng.getrandbits(48), rng.getrandbits(8), rng.getrandbits(6),
+                    rng.random() < 0.5, rng.random() < 0.5)
+        word = slot.pack()
+        assert word & layout.SLOT_ADDR_MASK == slot.addr
+        assert (word >> layout.SLOT_PARTIAL_SHIFT) & 0xFF == slot.partial
+        assert (word >> layout.SLOT_SIZE_SHIFT) & layout.SLOT_SIZE_MASK \
+            == slot.size_class
+        assert bool(word & layout.SLOT_LEAF) == slot.is_leaf
+        assert bool(word & layout.SLOT_OCCUPIED) == slot.occupied
+
+
+def _reference_leaf_ok(key, value, checksum):
+    """The payload re-assembly ``decode_leaf`` used to do."""
+    return leaf_checksum(len(key).to_bytes(2, "little")
+                         + len(value).to_bytes(2, "little")
+                         + key + value) == checksum
+
+
+def test_decode_leaf_equals_reference_composition():
+    rng = random.Random(18)
+    for n in range(2000):
+        key = rng.randbytes(rng.randint(1, 48))
+        value = rng.randbytes(rng.choice((0, 1, 8, 64, rng.randint(0, 700))))
+        units = leaf_units_for(len(key), len(value)) + rng.choice((0, 0, 1, 3))
+        version = rng.getrandbits(32)
+        status = rng.choice((STATUS_IDLE, STATUS_LOCKED, STATUS_INVALID))
+        blob = encode_leaf(key, value, status, units, version)
+        view = decode_leaf(blob)
+        checksum = int.from_bytes(blob[8:12], "little")
+        assert (view.status, view.units, view.key, view.value, view.version) \
+            == (status, units, key, value, version)
+        assert view.checksum_ok and _reference_leaf_ok(key, value, checksum)
+        if n % 8 == 0:
+            # A torn image: both compositions must agree it is torn.
+            torn = bytearray(blob)
+            torn[rng.randrange(LEAF_HEADER_SIZE, len(blob))] ^= 1 << n % 8
+            view = decode_leaf(bytes(torn))
+            assert view.checksum_ok == _reference_leaf_ok(
+                view.key, view.value, checksum)
+
+
+def test_decode_leaf_checksum_covers_lengths_and_payload_only():
+    key, value = b"scan-key", b"some value bytes"
+    blob = encode_leaf(key, value, units=2)
+    end = LEAF_HEADER_SIZE + len(key) + len(value)
+    for byte in range(len(blob)):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[byte] ^= 1 << bit
+            ok = decode_leaf(bytes(flipped)).checksum_ok
+            if byte < 2 or 6 <= byte < 8 or 12 <= byte < 16 or byte >= end:
+                assert ok, (byte, bit)       # status, LeafLen, reserved,
+            else:                            # version, padding: not covered
+                assert not ok, (byte, bit)   # lengths, CRC, key, value
+
+
+def test_decode_leaf_edges_unchanged():
+    blob = encode_leaf(b"abcd", b"efgh")
+    # Lengths pointing past the blob: the empty-key, not-ok view.
+    long_value = bytearray(blob)
+    long_value[4:6] = (len(blob) - LEAF_HEADER_SIZE - 4 + 1).to_bytes(
+        2, "little")
+    view = decode_leaf(bytes(long_value))
+    assert (view.key, view.value, view.checksum_ok) == (b"", b"", False)
+    assert decode_leaf(blob[:LEAF_HEADER_SIZE]).checksum_ok is False
+    with pytest.raises(ReproError):
+        decode_leaf(blob[:LEAF_HEADER_SIZE - 1])
+
+
+@pytest.mark.parametrize("node_type", [NODE4, NODE16, NODE48, NODE256])
+def test_decode_node_words_are_exactly_the_slots(node_type):
+    rng = random.Random(node_type)
+    capacity = NODE_CAPACITY[node_type]
+    slots = [Slot(rng.getrandbits(48), i if node_type == NODE256
+                  else rng.getrandbits(8), rng.getrandbits(6),
+                  rng.random() < 0.5, True) if rng.random() < 0.6 else None
+             for i in range(capacity)]
+    header = Header(STATUS_LOCKED, node_type, 9, 0x2AAAAAAAAAA,
+                    sum(s is not None for s in slots))
+    blob = encode_node(header, slots)
+    view = decode_node(blob)
+    assert view.header == header
+    assert len(view.words) == capacity
+    assert list(view.words) == [s.pack() if s else 0 for s in slots]
+    assert view.occupied_slots() == [s for s in slots if s]
+    # Trailing bytes (a read longer than the node) are ignored; one byte
+    # short is a short read.
+    assert list(decode_node(blob + b"\xff" * 8).words) == list(view.words)
+    with pytest.raises(ReproError):
+        decode_node(blob[:-1])
+
+
+def test_decode_node_rejects_unknown_types():
+    for bad in (0, 5, 6, 7):
+        word = Header(STATUS_IDLE, NODE4, 0, 0, 0).pack() & ~(0x7 << 2) \
+            | bad << 2
+        with pytest.raises(ReproError):
+            decode_node(word.to_bytes(8, "little") + bytes(2048))

@@ -194,3 +194,35 @@ def test_retired_block_stays_readable():
     memory.retire(offset, 64)
     assert memory.read(offset, 64) == b"a" * 64
     assert memory.uaf_hits == 0
+
+
+def test_read_checks_survive_the_inlined_fast_path():
+    """``read`` skips ``_check_range`` only for a well-formed range inside
+    the committed backing; everything else still goes through it."""
+    capacity = 4 << 20
+    memory = Memory(0, capacity)
+    committed = len(memory._data)
+    assert committed < capacity
+    # Past the committed backing but inside capacity: grows, reads zeros.
+    assert memory.read(committed + 4096, 32) == bytes(32)
+    assert len(memory._data) >= committed + 4096 + 32
+    # Straddling the (new) end of the backing.
+    edge = len(memory._data)
+    assert memory.read(edge - 8, 16) == bytes(16)
+    assert memory.read(capacity - 8, 8) == bytes(8)
+    for offset, size in ((capacity - 8, 9), (capacity, 1), (63, 8),
+                         (0, 8), (-8, 8), (128, -1), (capacity + 64, -8)):
+        with pytest.raises(BadAddress):
+            memory.read(offset, size)
+    assert memory.read(64, 0) == b""
+
+
+def test_read_of_a_freed_block_still_counts_a_uaf():
+    memory = Memory(0, 1 << 20)
+    keep, victim = memory.alloc(64), memory.alloc(64)
+    memory.free(victim, 64)
+    memory.read(keep, 64)
+    assert memory.uaf_hits == 0
+    memory.read(victim + 60, 1)   # last bytes of the freed block
+    memory.read(keep, 64 + 1)     # a read running into it
+    assert memory.uaf_hits == 2
