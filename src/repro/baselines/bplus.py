@@ -292,7 +292,8 @@ class BplusClient:
                 index = view.find_key_index(key)
                 if index is None:
                     return None
-                leaf = yield from leaf_ops.read_leaf(view.addrs[index], 2)
+                leaf = yield from leaf_ops.read_leaf(
+                    view.addrs[index], 2, retry=self.config.retry)
                 if leaf.status == STATUS_INVALID:
                     return _RETRY
                 if leaf.key.ljust(self.config.key_width, b"\0") != key:
@@ -403,7 +404,8 @@ class BplusClient:
         existing = cur.find_key_index(key)
         if existing is not None:
             blob_addr = cur.addrs[existing]
-            leaf = yield from leaf_ops.read_leaf(blob_addr, 2)
+            leaf = yield from leaf_ops.read_leaf(blob_addr, 2,
+                                                 retry=self.config.retry)
             yield from self._unlock_only(cur_addr, cur)
             if leaf.status != STATUS_IDLE:
                 return _RETRY

@@ -47,6 +47,7 @@ from ..dm import Cluster, ClusterConfig
 from ..errors import ConfigError
 from ..ycsb import Dataset, RunResult, bulk_load, make_dataset, run_workload, \
     warm_clients, workload
+from .perftrack import TRACKER, perf_record
 
 PAPER_KEYS = 60_000_000
 PAPER_CACHE_BYTES = 20 << 20
@@ -289,14 +290,9 @@ def _warmed_setup(cell: CellSpec) -> SystemSetup:
 def run_cell(cell: CellSpec) -> RunResult:
     """Execute one grid cell from a pristine loaded-and-warmed snapshot.
 
-    Returns the :class:`RunResult` with ``result.perf`` filled in: host
-    wall seconds (``wall_s`` includes snapshot restore and any
-    cache-miss build; ``run_wall_s`` is the measured phase alone),
-    simulation events processed, events per *run* wall second (the
-    engine dispatch-rate metric - restore time would pollute it), and
-    which engine mode produced the numbers (``fast``/``slow``), so
-    BENCH_2 wall times are never silently compared across dispatch
-    paths.
+    Returns the :class:`RunResult` with ``result.perf`` filled in by
+    :func:`repro.bench.perftrack.perf_record`; here ``wall_s`` includes
+    snapshot restore and any cache-miss build.
     """
     wall_start = time.perf_counter()
     live = copy.deepcopy(_warmed_setup(cell))
@@ -319,18 +315,9 @@ def run_cell(cell: CellSpec) -> RunResult:
                           workers=cell.workers, ops=cell.ops,
                           warmup_ops_per_cn=0, seed=cell.seed)
     wall_end = time.perf_counter()
-    wall_s = wall_end - wall_start
-    run_wall_s = wall_end - run_start
-    events = engine.events_processed - events_before
-    result.perf = {
-        "wall_s": round(wall_s, 4),
-        "run_wall_s": round(run_wall_s, 4),
-        "events": events,
-        "events_per_s": round(events / run_wall_s) if run_wall_s > 0 else 0,
-        "engine_mode": "slow" if engine._slow else "fast",
-        "sim_ns": result.sim_ns,
-        "throughput_mops": round(result.throughput_mops, 4),
-    }
+    result.perf = perf_record(result, engine, wall_end - wall_start,
+                              wall_end - run_start,
+                              engine.events_processed - events_before)
     if tracer is not None:
         from ..obs import profile_summary
         tracer.finish()  # drops live refs: results stay pool-picklable
@@ -387,7 +374,6 @@ def run_grid(cells: Iterable[CellSpec],
         finally:
             if gc_was_enabled:
                 gc.enable()
-    from .perftrack import TRACKER
     for result in results:
         TRACKER.add(result)
     return results

@@ -16,8 +16,8 @@ and whether the grid survives elastic membership changes:
 
 Each cell contributes a BENCH_RACK perf record (same BENCH_2 schema, its
 own baseline file) through the shared :data:`repro.bench.perftrack.
-TRACKER`, so the rack-smoke CI job gates host-side wall time with the
-exact machinery the other benchmark suites use.
+TRACKER`, so the rack-smoke CI job runs the same simulated-result
+identity gate as the other benchmark suites.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 from ..dm.rack import ClusterSpec, TopologyEvent
 from ..tenancy import RackRunResult, default_tenants, run_rack
 from .harness import DEFAULT_KEYS, DEFAULT_OPS
-from .perftrack import TRACKER
+from .perftrack import TRACKER, perf_record
 from .reporting import banner, format_table
 
 #: Simulated times of the rebalance cell's membership events: the join
@@ -77,18 +77,12 @@ def _run_cell(label: str, system: str, spec: ClusterSpec, figure: RackFigure,
                   events=events, chaos_seed=chaos_seed,
                   fault_plan=fault_plan)
     wall_s = time.perf_counter() - wall_start
-    events_processed = rr.rack.cluster.engine.events_processed
+    engine = rr.rack.cluster.engine
     result = rr.result
     result.system = system
-    result.perf = {
-        "wall_s": round(wall_s, 3),
-        "run_wall_s": round(wall_s, 3),
-        "events": events_processed,
-        "events_per_s": round(events_processed / wall_s) if wall_s else 0,
-        "engine_mode": "rack",
-        "sim_ns": result.sim_ns,
-        "throughput_mops": round(result.throughput_mops, 4),
-    }
+    # run_rack builds its own cluster, so the whole call is the run.
+    result.perf = perf_record(result, engine, wall_s, wall_s,
+                              engine.events_processed)
     TRACKER.add(result)
     row = result.row()
     row["cell"] = label

@@ -9,10 +9,12 @@ start-time-fair queueing (:class:`WeightedFairScheduler`) decides
 *whose* op it is.  :func:`run_rack` composes the whole thing with a
 rack-scale sharded cluster and online topology changes.
 
-Attachment contract: a run with no controller (``tenancy=None``) takes
-the pre-tenancy code path and stays byte-identical to it; a run with a
-controller is bit-reproducible for the same (roster, seed, topology) -
-both are enforced by tests/test_tenancy.py.
+Attachment contract: both kinds of run drive the one client loop in
+:mod:`repro.ycsb.runner`.  A run with no controller (``tenancy=None``)
+is one lane per client and stays byte-identical to the golden
+pre-tenancy fixture; a run with a controller is bit-reproducible for the
+same (roster, seed, topology) - both are enforced by
+tests/test_tenancy.py.
 """
 
 from .admission import UNITS_PER_TOKEN, TokenBucket

@@ -8,17 +8,16 @@ vnow)``) keeps a tenant that was throttled by admission from hoarding an
 unbounded virtual-time credit and starving everyone once its bucket
 refills.
 
-:class:`TenancyController` is the object the tenant-aware YCSB workers
-share: it owns each tenant's token bucket, virtual time, and metric
-stores (OpStats / latency / failure counts), and hands out admission
-decisions.  It is pure state plus integer arithmetic driven by the
+:class:`TenancyController` is the object the YCSB runner's clients
+share on a tenant run: it owns each tenant's token bucket, virtual time,
+and metric stores (OpStats / latency / failure counts), and hands out
+admission decisions.  It is pure state plus integer arithmetic driven by the
 simulated clock - no randomness, no wall time - so the per-tenant
 schedule is a deterministic function of (roster, seed, topology).
 """
 
 from __future__ import annotations
 
-from dataclasses import fields as _dataclass_fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dm.rdma import OpStats
@@ -73,7 +72,7 @@ class TenancyController:
             if t.rate_ops_per_s is not None else None
             for t in self.tenants]
         self.workload_specs = [t.workload_spec() for t in self.tenants]
-        # Per-tenant metric stores, filled by the tenant-aware workers.
+        # Per-tenant metric stores, filled by the runner's tenant lanes.
         self.op_stats = [OpStats() for _ in range(n)]
         self.latency = [LatencyRecorder() for _ in range(n)]
         self.ops_done = [0] * n
@@ -94,9 +93,6 @@ class TenancyController:
         # belongs to no single tenant).
         self.throttle_waits = 0
         self.throttle_wait_ns = 0
-
-    def __len__(self) -> int:
-        return len(self.tenants)
 
     def acquire(self, now_ns: int) -> Tuple[int, int]:
         """``(tenant, 0)`` when a tenant is admitted at ``now_ns``, or
@@ -136,14 +132,6 @@ class TenancyController:
         self.retry_spent[tenant] += amount
 
     # -- results -----------------------------------------------------------
-    def merge_opstats_into(self, total: OpStats) -> None:
-        """Fold every tenant's verb totals into the run-level OpStats."""
-        for stats in self.op_stats:
-            for field in _dataclass_fields(stats):
-                setattr(total, field.name,
-                        getattr(total, field.name)
-                        + getattr(stats, field.name))
-
     def tenant_counters(self, tenant: int) -> Counters:
         """One tenant's verb totals in the shared facade shape."""
         return Counters.from_opstats(self.op_stats[tenant])

@@ -170,8 +170,9 @@ def warm_clients(cluster: Cluster, index, spec: WorkloadSpec,
             executor.run(client.search(key))
 
 
-def _make_chooser(spec: WorkloadSpec, dataset: Dataset,
-                  rng: random.Random):
+def _make_chooser(spec: WorkloadSpec, dataset, rng: random.Random):
+    """The key-index generator of ``spec``'s distribution, sized off
+    ``dataset.keys`` (a Dataset, or a run's live :class:`_SharedRunState`)."""
     n = len(dataset.keys)
     if spec.distribution == "zipfian":
         return ScrambledZipfianGenerator(n, ZIPFIAN_THETA, rng)
@@ -201,26 +202,79 @@ class _SharedRunState:
         return key
 
 
-def _worker(cluster: Cluster, index, state: _SharedRunState, wid: int,
-            cn: int, ops: int, latency: LatencyRecorder, stats: OpStats,
-            latency_by_op: Dict[str, LatencyRecorder],
+class _Lane:
+    """One op stream of one client: rng, key chooser, executor, op mix.
+
+    A plain run has one lane per worker; a tenant run has one per
+    (worker, tenant), each drawing from its own seeded rng so a tenant's
+    op stream is a deterministic function of (seed, wid, tenant) alone -
+    reordering tenants inside a worker, or adding a tenant, never
+    perturbs another tenant's stream.
+    """
+
+    __slots__ = ("spec", "rng", "chooser", "executor", "ops_names",
+                 "cum_weights", "served")
+
+    def __init__(self, cluster: Cluster, state: _SharedRunState, cn: int,
+                 spec: WorkloadSpec, rng_seed: int, stats: OpStats):
+        self.spec = spec
+        self.rng = random.Random(rng_seed)
+        self.chooser = _make_chooser(spec, state, self.rng)
+        self.executor = cluster.sim_executor(cn, stats)
+        mix = spec.mix()
+        self.ops_names = [k for k, v in mix.items() if v > 0]
+        # Pre-accumulated weights: random.choices() otherwise rebuilds the
+        # cumulative list on every op.  Same bisect, same rng.random()
+        # draw, so the op sequence is unchanged.
+        self.cum_weights = list(_accumulate(mix[k] for k in self.ops_names))
+        self.served = 0
+
+
+def _client(cluster: Cluster, index, state: _SharedRunState, wid: int,
+            cn: int, ops: int, controller, latency: LatencyRecorder,
+            stats: OpStats, latency_by_op: Dict[str, LatencyRecorder],
             failed: Optional[Dict[str, int]] = None):
-    """One closed-loop client coroutine (a simulation process)."""
-    spec = state.spec
-    rng = random.Random(state.seed * 7919 + wid)
-    chooser = _make_chooser(spec, _DatasetView(state), rng)
-    client = index.client(cn)
-    executor = cluster.sim_executor(cn, stats)
+    """One closed-loop client coroutine (a simulation process).
+
+    With no ``controller`` the client runs the run's one workload on a
+    single lane charged to the run-level ``stats``.  With a
+    :class:`repro.tenancy.TenancyController` it multiplexes the roster:
+    the controller decides *which* tenant's op runs next (weighted-fair
+    over every tenant whose token bucket has a token) and *when*
+    (sleeping until the earliest refill when all buckets are empty), the
+    tenant's lane is made at its first op, and verbs, latency and
+    failures are charged to the tenant's own stores as well as the
+    run-level ones.
+    """
     engine = cluster.engine
-    mix = spec.mix()
-    ops_names = [k for k, v in mix.items() if v > 0]
-    weights = [mix[k] for k in ops_names]
-    # Pre-accumulated weights: random.choices() otherwise rebuilds the
-    # cumulative list on every op.  Same bisect, same rng.random() draw,
-    # so the op sequence is unchanged.
-    cum_weights = list(_accumulate(weights))
-    for i in range(ops):
-        op_name = rng.choices(ops_names, cum_weights=cum_weights, k=1)[0]
+    client = index.client(cn)
+    lanes: Dict[int, _Lane] = {}
+    tenant = 0
+    if controller is None:
+        lane = _Lane(cluster, state, cn, state.spec,
+                     state.seed * 7919 + wid, stats)
+    completed = 0
+    while completed < ops:
+        if controller is not None:
+            tenant, wait_ns = controller.acquire(engine.now)
+            if tenant < 0:
+                yield engine.timeout(wait_ns)
+                continue
+            lane = lanes.get(tenant)
+            if lane is None:
+                lane = lanes[tenant] = _Lane(
+                    cluster, state, cn, controller.workload_specs[tenant],
+                    state.seed * 7919 + wid * 104729 + tenant,
+                    controller.op_stats[tenant])
+            controller.ops_done[tenant] += 1
+        spec = lane.spec
+        rng = lane.rng
+        chooser = lane.chooser
+        executor = lane.executor
+        op_name = rng.choices(lane.ops_names,
+                              cum_weights=lane.cum_weights, k=1)[0]
+        i = lane.served
+        lane.served += 1
         start = engine.now
         try:
             if op_name == "read":
@@ -258,166 +312,46 @@ def _worker(cluster: Cluster, index, state: _SharedRunState, wid: int,
             # (and every replica, if any, was also down) or raced a
             # failover fence.  Fail-fast by design - one typed error
             # per op, no retry storm - and counted apart from chaos
-            # retries so rack tables can show outage cost distinctly.
+            # retries so rack tables can show outage cost distinctly;
+            # the issuing tenant pays in its failure count, degraded
+            # count and retry budget alike.
             if failed is None:
                 raise
             failed["ops"] += 1
             failed["degraded"] += 1
+            if controller is not None:
+                controller.failed_ops[tenant] += 1
+                controller.degraded_ops[tenant] += 1
+                controller.charge_retry(tenant)
         except (RetryLimitExceeded, InjectedFault):
             # Clean per-op failure under fault injection: count it
             # against goodput and keep the closed loop running.  With no
-            # plan attached these exceptions stay fatal, as before.
+            # plan attached these exceptions stay fatal.
             if failed is None:
                 raise
             failed["ops"] += 1
+            if controller is not None:
+                controller.failed_ops[tenant] += 1
+                controller.charge_retry(tenant)
         except ClientCrash:
-            # crash_cn killed this worker: its dying op and everything it
-            # would still have run count against goodput, and the closed
-            # loop ends here - a dead client issues no more verbs.
-            if failed is None:
-                raise
-            failed["ops"] += ops - i
-            failed["crashed"] += 1
-            latency.record(engine.now - start)
-            return
-        elapsed = engine.now - start
-        latency.record(elapsed)
-        latency_by_op.setdefault(op_name, LatencyRecorder()).record(elapsed)
-
-
-class _DatasetView:
-    """Adapter so _make_chooser sizes distributions off the live key list."""
-
-    def __init__(self, state: _SharedRunState):
-        self.keys = state.keys
-
-
-class _TenantLane:
-    """One worker's per-tenant op machinery (rng, chooser, executor).
-
-    Each (worker, tenant) pair draws from its own seeded rng so a
-    tenant's op stream is a deterministic function of (seed, wid,
-    tenant) alone - reordering tenants inside a worker, or adding a
-    tenant, never perturbs another tenant's stream.
-    """
-
-    __slots__ = ("rng", "chooser", "executor", "ops_names", "cum_weights",
-                 "spec", "served")
-
-    def __init__(self, cluster, state: _SharedRunState, wid: int, cn: int,
-                 tenant: int, spec, stats: OpStats):
-        self.spec = spec
-        self.rng = random.Random(state.seed * 7919 + wid * 104729 + tenant)
-        self.chooser = _make_chooser(spec, _DatasetView(state), self.rng)
-        self.executor = cluster.sim_executor(cn, stats)
-        mix = spec.mix()
-        self.ops_names = [k for k, v in mix.items() if v > 0]
-        self.cum_weights = list(_accumulate(mix[k] for k in self.ops_names))
-        self.served = 0
-
-
-def _tenant_worker(cluster: Cluster, index, state: _SharedRunState,
-                   wid: int, cn: int, ops: int, controller,
-                   latency: LatencyRecorder,
-                   latency_by_op: Dict[str, LatencyRecorder],
-                   failed: Optional[Dict[str, int]] = None):
-    """One closed-loop client multiplexing the roster's tenants.
-
-    The shared :class:`repro.tenancy.TenancyController` decides *which*
-    tenant's op runs next (weighted-fair over every tenant whose token
-    bucket has a token) and *when* (sleeping until the earliest refill
-    when all buckets are empty); this worker then runs the op exactly
-    like :func:`_worker` does, charging verbs and latency to the
-    tenant's own stores as well as the run-level ones.
-    """
-    engine = cluster.engine
-    client = index.client(cn)
-    lanes: Dict[int, _TenantLane] = {}
-    completed = 0
-    while completed < ops:
-        tenant, wait_ns = controller.acquire(engine.now)
-        if tenant < 0:
-            yield engine.timeout(wait_ns)
-            continue
-        lane = lanes.get(tenant)
-        if lane is None:
-            lane = _TenantLane(cluster, state, wid, cn, tenant,
-                               controller.workload_specs[tenant],
-                               controller.op_stats[tenant])
-            lanes[tenant] = lane
-        spec = lane.spec
-        rng = lane.rng
-        chooser = lane.chooser
-        executor = lane.executor
-        op_name = rng.choices(lane.ops_names,
-                              cum_weights=lane.cum_weights, k=1)[0]
-        i = lane.served
-        lane.served += 1
-        controller.ops_done[tenant] += 1
-        start = engine.now
-        try:
-            if op_name == "read":
-                key = state.keys[chooser.next() % len(state.keys)]
-                yield from executor.run(client.search(key))
-            elif op_name == "update":
-                key = state.keys[chooser.next() % len(state.keys)]
-                yield from executor.run(
-                    client.update(key, _value(wid * ops + i,
-                                              spec.value_size)))
-            elif op_name == "insert":
-                key = state.next_insert_key()
-                if key is None:  # pool exhausted: degrade to an update
-                    key = state.keys[chooser.next() % len(state.keys)]
-                    yield from executor.run(
-                        client.update(key, _value(i, spec.value_size)))
-                else:
-                    yield from executor.run(
-                        client.insert(key, _value(state.insert_seq,
-                                                  spec.value_size)))
-                    if isinstance(chooser, LatestGenerator):
-                        chooser.advance()
-            elif op_name == "scan":
-                key = state.keys[chooser.next() % len(state.keys)]
-                length = rng.randint(1, spec.scan_max_len)
-                yield from executor.run(client.scan_count(key, length))
-            elif op_name == "rmw":
-                key = state.keys[chooser.next() % len(state.keys)]
-                value = yield from executor.run(client.search(key))
-                new = _value(i, spec.value_size) if value is None else \
-                    bytes(reversed(value))
-                yield from executor.run(client.update(key, new))
-        except (MNUnavailable, StaleEpoch):
-            # Degraded-mode failure (dead group / failover fence),
-            # charged to the issuing tenant's failure count, degraded
-            # count, and retry budget alike.
-            if failed is None:
-                raise
-            failed["ops"] += 1
-            failed["degraded"] += 1
-            controller.failed_ops[tenant] += 1
-            controller.degraded_ops[tenant] += 1
-            controller.charge_retry(tenant)
-        except (RetryLimitExceeded, InjectedFault):
-            if failed is None:
-                raise
-            failed["ops"] += 1
-            controller.failed_ops[tenant] += 1
-            controller.charge_retry(tenant)
-        except ClientCrash:
-            # The dying op is charged to the tenant that issued it; the
-            # capacity this dead worker would still have contributed is
-            # charged to the run, not to any one tenant.
+            # crash_cn killed this client: a dead client issues no more
+            # verbs, so the closed loop ends here.  The dying op is
+            # charged to the tenant that issued it; it and the capacity
+            # this client would still have contributed count against the
+            # run's goodput, not against any one tenant.
             if failed is None:
                 raise
             failed["ops"] += ops - completed
             failed["crashed"] += 1
-            controller.failed_ops[tenant] += 1
             latency.record(engine.now - start)
-            controller.latency[tenant].record(engine.now - start)
+            if controller is not None:
+                controller.failed_ops[tenant] += 1
+                controller.latency[tenant].record(engine.now - start)
             return
         elapsed = engine.now - start
         latency.record(elapsed)
-        controller.latency[tenant].record(elapsed)
+        if controller is not None:
+            controller.latency[tenant].record(elapsed)
         latency_by_op.setdefault(op_name, LatencyRecorder()).record(elapsed)
         completed += 1
 
@@ -458,13 +392,14 @@ def run_workload(cluster: Cluster, index, spec: WorkloadSpec,
                  tenancy=None) -> RunResult:
     """Execute one timed run and collect throughput/latency/verb stats.
 
-    ``tenancy`` (a :class:`repro.tenancy.TenancyController`) switches the
-    workers to tenant-multiplexed mode: the controller's weighted-fair
+    ``tenancy`` (a :class:`repro.tenancy.TenancyController`) makes the
+    clients multiplex its roster: the controller's weighted-fair
     scheduler and token buckets decide which tenant each op belongs to,
     verbs and latency are charged per tenant, and the result carries
-    ``tenants`` rows.  With ``tenancy=None`` the runner takes the
-    original code path and its results are byte-identical to the
-    pre-tenancy runner (see tests/test_tenancy.py).
+    ``tenants`` rows.  Both modes run the same :func:`_client` loop;
+    with ``tenancy=None`` each client is one lane with no controller,
+    ``result.tenants`` is None, and the results stay byte-identical to
+    the golden fixture in tests/test_tenancy.py.
     """
     if workers < 1:
         raise ConfigError("need at least one worker")
@@ -486,14 +421,8 @@ def run_workload(cluster: Cluster, index, spec: WorkloadSpec,
                        name="recoveryd")
     processes = []
     for wid in range(workers):
-        cn = wid % num_cns
-        if tenancy is None:
-            gen = _worker(cluster, index, state, wid, cn, per_worker,
-                          latency, stats, latency_by_op, failed)
-        else:
-            gen = _tenant_worker(cluster, index, state, wid, cn,
-                                 per_worker, tenancy, latency,
-                                 latency_by_op, failed)
+        gen = _client(cluster, index, state, wid, wid % num_cns, per_worker,
+                      tenancy, latency, stats, latency_by_op, failed)
         processes.append(engine.process(gen, name=f"worker{wid}"))
     for process in processes:
         engine.run_until_complete(process, limit=start_ns + time_limit_ns)
@@ -508,9 +437,10 @@ def run_workload(cluster: Cluster, index, spec: WorkloadSpec,
     metrics = Counters.aggregate(
         client_counters(index.client(cn)) for cn in range(num_cns))
     if tenancy is not None:
-        # The tenant workers charged their verbs to per-tenant OpStats;
-        # fold them into the run-level totals the row() metrics read.
-        tenancy.merge_opstats_into(stats)
+        # Tenant lanes charged their verbs to per-tenant OpStats; fold
+        # them into the run-level totals the row() metrics read.
+        for tenant_stats in tenancy.op_stats:
+            stats.merge(tenant_stats)
     return RunResult(system=system, workload=spec.name,
                      dataset=dataset.name, workers=workers, ops=actual_ops,
                      sim_ns=sim_ns, latency=latency, op_stats=stats,

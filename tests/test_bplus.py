@@ -165,3 +165,40 @@ def test_search_round_trips_scale_with_depth():
     per_op = stats.round_trips / 300
     # root ptr + ~4 levels + value blob.
     assert 4 <= per_op <= 9, per_op
+
+
+def test_torn_leaf_read_budget_follows_the_tree_policy():
+    """Both value-blob reads (search, insert-over-existing) are bound by
+    the tree's own RetryPolicy, not by DEFAULT_RETRY's 16 attempts."""
+    from repro.dm.memory import addr_mn, addr_offset
+    from repro.dm.rdma import ReadOp
+    from repro.errors import RetryLimitExceeded
+    from repro.fault.retry import RetryPolicy
+    cluster = Cluster(ClusterConfig(mn_capacity_bytes=64 << 20))
+    index = BplusIndex(cluster, BplusConfig(
+        key_width=8, order=16, retry=RetryPolicy(torn_read_retries=2)))
+    client, ex = index.client(0), cluster.direct_executor()
+    keys = [encode_u64(i * 7919) for i in range(200)]
+    for key in keys:
+        ex.run(client.insert(key, b"v"))
+    reads = []
+    execute = ex.execute
+
+    def recording(op):
+        if op.__class__ is ReadOp:
+            reads.append(op.addr)
+        return execute(op)
+
+    ex.execute = recording
+    key = keys[77]
+    assert ex.run(client.search(key)) == b"v"
+    victim = reads[-1]  # a search ends on the key's value blob
+    memory = cluster.memories[addr_mn(victim)]
+    offset = addr_offset(victim) + 8  # the CRC32 field of the leaf header
+    memory.write(offset, bytes([memory.read(offset, 1)[0] ^ 0xFF]))
+    for op in (client.search(key), client.insert(key, b"w")):
+        del reads[:]
+        with pytest.raises(RetryLimitExceeded) as caught:
+            ex.run(op)
+        assert caught.value.addr == victim
+        assert reads.count(victim) == 2

@@ -15,6 +15,7 @@ digit.  These tests pin that down:
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -24,7 +25,10 @@ import repro
 
 from repro.bench import CellSpec, clear_setup_caches, run_cell, run_grid
 from repro.bench.harness import _env_int
-from repro.bench.perftrack import PerfTracker, compare
+from repro.bench.perftrack import TRACKER, PerfTracker, compare, \
+    load_report, strip_host
+from repro.bench.perftrack import main as perftrack_main
+from repro.bench.rackfig import rack_family
 from repro.errors import ConfigError
 
 TINY = dict(num_keys=900, ops=120, workers=6, warmup_ops_per_cn=60)
@@ -178,30 +182,118 @@ def test_perf_records_and_report(tmp_path):
         report["total_wall_s"]
 
 
-def _report(wall_by_cell):
-    cells = [{"system": s, "dataset": "u64", "workload": w, "workers": 6,
-              "ops": 120, "wall_s": wall, "events": 1000}
-             for (s, w), wall in wall_by_cell.items()]
-    return {"schema": "BENCH_2",
-            "total_wall_s": round(sum(c["wall_s"] for c in cells), 3),
-            "cells": cells}
+def _cell(system, workload, *, sim_ns=1000, mops=1.5, wall=None):
+    cell = {"system": system, "dataset": "u64", "workload": workload,
+            "workers": 6, "ops": 120, "sim_ns": sim_ns,
+            "throughput_mops": mops}
+    if wall is not None:
+        cell.update(wall_s=wall, run_wall_s=wall, events=1000,
+                    events_per_s=round(1000 / wall), engine_mode="fast")
+    return cell
 
 
-def test_compare_flags_total_regression():
-    base = _report({("Sphinx", "A"): 1.0, ("ART", "C"): 1.0})
-    same = _report({("Sphinx", "A"): 1.05, ("ART", "C"): 1.0})
-    messages, failed = compare(same, base, threshold=0.2)
-    assert not failed
-    regressed = _report({("Sphinx", "A"): 2.0, ("ART", "C"): 1.0})
-    messages, failed = compare(regressed, base, threshold=0.2)
+def _report(*cells):
+    report = {"schema": "BENCH_2", "cells": list(cells)}
+    if all("wall_s" in c for c in cells):
+        report["total_wall_s"] = round(sum(c["wall_s"] for c in cells), 3)
+    return report
+
+
+def test_compare_fails_on_sim_ns_off_by_one():
+    base = _report(_cell("Sphinx", "A", wall=1.0), _cell("ART", "C", wall=1.0))
+    cur = _report(_cell("Sphinx", "A", wall=1.0),
+                  _cell("ART", "C", sim_ns=1001, wall=1.0))
+    messages, failed = compare(cur, base)
     assert failed
-    assert any("Sphinx/u64/A" in m for m in messages)
+    moved = [m for m in messages if "MOVED" in m]
+    assert len(moved) == 1
+    assert "ART/u64/C" in moved[0] and "sim_ns 1000 -> 1001" in moved[0]
+
+
+def test_compare_fails_on_moved_throughput_with_identical_wall():
+    base = _report(_cell("Sphinx", "A", wall=1.0))
+    cur = _report(_cell("Sphinx", "A", mops=1.4999, wall=1.0))
+    messages, failed = compare(cur, base)
+    assert failed
+    assert any("Sphinx/u64/A" in m and "throughput_mops" in m
+               for m in messages)
+
+
+def test_compare_passes_on_10x_wall_with_identical_simulated_fields():
+    base = _report(_cell("Sphinx", "A", wall=1.0), _cell("ART", "C", wall=1.0))
+    cur = _report(_cell("Sphinx", "A", wall=10.0),
+                  _cell("ART", "C", wall=10.0))
+    messages, failed = compare(cur, base)
+    assert not failed
+    assert not any("MOVED" in m for m in messages)
+    # Host time is still reported - as a trend, never as a verdict.
+    assert any("not gated" in m and "10.00x" in m for m in messages)
+    assert any("identity gate OK: 2 of 2" in m for m in messages)
 
 
 def test_compare_tolerates_new_cells():
-    base = _report({("Sphinx", "A"): 1.0})
-    cur = _report({("Sphinx", "A"): 1.0, ("ART", "C"): 9.0})
-    # New cells have no baseline: reported in the total, never per-cell.
-    messages, failed = compare(cur, base, threshold=0.2)
-    assert failed  # total did balloon
-    assert not any("ART" in m for m in messages if "cell" in m)
+    base = _report(_cell("Sphinx", "A", wall=1.0))
+    cur = _report(_cell("Sphinx", "A", wall=1.0),
+                  _cell("ART", "C", sim_ns=7, mops=9.9, wall=9.0))
+    messages, failed = compare(cur, base)
+    assert not failed
+    # The new cell has no baseline: it is named, and it is not gated.
+    assert any("ART/u64/C" in m and "no baseline" in m for m in messages)
+    assert any("1 of 2 cells compared" in m for m in messages)
+
+
+def test_compare_tolerates_baselines_without_host_fields():
+    full = _report(_cell("Sphinx", "A", wall=1.0), _cell("ART", "C", wall=2.0))
+    base = strip_host(full)
+    assert "total_wall_s" not in base
+    assert all("wall_s" not in c and "events" not in c
+               for c in base["cells"])
+    messages, failed = compare(full, base)
+    assert not failed
+    full["cells"][1]["sim_ns"] += 1
+    messages, failed = compare(full, base)
+    assert failed and any("ART/u64/C" in m for m in messages)
+
+
+BASELINES = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
+
+
+@pytest.mark.parametrize("name,cells", [("BENCH_2", 48), ("BENCH_LOC", 6),
+                                        ("BENCH_RACK", 3)])
+def test_committed_baselines_carry_no_host_fields(name, cells):
+    """A committed baseline is a fixed point of strip_host: cell id +
+    simulated fields only, so host-only changes never regenerate it."""
+    report = load_report(str(BASELINES / f"{name}.baseline.json"))
+    assert len(report["cells"]) == cells
+    assert strip_host(report) == report
+
+
+def test_gate_cli_names_the_moved_cell(tmp_path, capsys):
+    baseline = load_report(str(BASELINES / "BENCH_RACK.baseline.json"))
+    current = tmp_path / "BENCH_RACK.json"
+    current.write_text(json.dumps(baseline))
+    committed = str(BASELINES / "BENCH_RACK.baseline.json")
+    assert perftrack_main([str(current), "--compare", committed]) == 0
+    baseline["cells"][2]["sim_ns"] += 1
+    current.write_text(json.dumps(baseline))
+    assert perftrack_main([str(current), "--compare", committed]) == 1
+    out = capsys.readouterr().out
+    assert "Rack+Rep1/u64/A/64/8000: sim_ns" in out
+    assert "identity gate FAILED" in out
+
+
+def test_rack_and_grid_cells_share_one_perf_record():
+    """Both families build ``perf`` in one place: same keys, and
+    ``engine_mode`` names the engine that ran, never the family."""
+    grid = run_cell(CELLS[1]).perf
+    tracked = len(TRACKER.cells)
+    figure = rack_family(num_cns=2, num_mns=4, group_size=2, num_shards=8,
+                         clients=4, tenants=2, num_keys=300, ops=80,
+                         rebalance=False)
+    rack = figure.results["steady"].result.perf
+    assert set(rack) == set(grid)
+    assert rack["engine_mode"] == grid["engine_mode"]
+    assert grid["engine_mode"] in ("fast", "slow")
+    assert rack["events"] > 0 and rack["wall_s"] == rack["run_wall_s"]
+    assert TRACKER.cells[tracked]["system"] == "Rack"
+    assert TRACKER.cells[tracked]["sim_ns"] == rack["sim_ns"]

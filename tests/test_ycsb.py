@@ -6,6 +6,8 @@ from repro.art import check_prefix_free
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
 from repro.errors import ConfigError
+from repro.fault import FaultPlan, crash_cn
+from repro.tenancy import TenancyConfig, TenancyController, TenantSpec
 from repro.ycsb import (
     WORKLOADS,
     WorkloadSpec,
@@ -171,3 +173,58 @@ def test_more_workers_do_not_reduce_total_throughput(loaded):
     high = run_workload(cluster, index, workload("C"), dataset,
                         workers=24, ops=900, seed=2)
     assert high.throughput_mops > low.throughput_mops
+
+
+# -- one client loop, two modes ----------------------------------------------
+
+MIX5 = WorkloadSpec("MIX5", read=0.3, update=0.2, insert=0.2, scan=0.15,
+                    rmw=0.15, scan_max_len=10)
+
+
+@pytest.mark.parametrize("mode", ["plain", "one-tenant"])
+def test_client_loop_op_kinds_and_crash_accounting(mode, monkeypatch):
+    """The runner has one client loop.  Plain (one lane, no controller)
+    and under a one-tenant uncapped roster it must serve all five op
+    kinds, account for every op, and charge a ``crash_cn`` victim's
+    unfinished ops to the run."""
+    monkeypatch.setitem(WORKLOADS, "MIX5", MIX5)
+
+    def run(plan=None):
+        cluster = Cluster(ClusterConfig(mn_capacity_bytes=64 << 20))
+        index = SphinxIndex(cluster,
+                            SphinxConfig(filter_budget_bytes=1 << 14))
+        dataset = make_dataset("u64", 600, seed=1, insert_pool=120)
+        bulk_load(cluster, index, dataset)
+        if plan is not None:
+            cluster.attach_recovery()
+            cluster.attach_faults(plan)
+        tenancy = None
+        if mode == "one-tenant":
+            tenancy = TenancyController(TenancyConfig(
+                (TenantSpec("solo", workload="MIX5"),)))
+        return run_workload(cluster, index, MIX5, dataset, workers=6,
+                            ops=360, seed=3, tenancy=tenancy)
+
+    result = run()
+    assert set(result.latency_by_op) == {"read", "update", "insert",
+                                         "scan", "rmw"}
+    by_op = sum(rec.count for rec in result.latency_by_op.values())
+    assert by_op == result.ops == result.latency.count == 360
+    assert result.failed_ops == 0 and result.crashed_workers == 0
+    assert result.op_stats.round_trips >= result.ops
+    if mode == "plain":
+        assert result.tenants is None
+    else:
+        (row,) = result.tenants
+        assert row["ops"] == 360 and row["failed_ops"] == 0
+
+    crashed = run(FaultPlan(rules=(crash_cn(400),), seed=4))
+    assert crashed.ops == 360 and crashed.crashed_workers == 1
+    completed = sum(rec.count for rec in crashed.latency_by_op.values())
+    assert 0 < completed < 360
+    assert crashed.failed_ops == crashed.ops - completed
+    # The dying op still records its latency at run level.
+    assert crashed.latency.count == completed + 1
+    if mode == "one-tenant":
+        (row,) = crashed.tenants
+        assert row["ops"] == completed + 1 and row["failed_ops"] == 1
