@@ -98,9 +98,12 @@ class Cluster:
         return the live :class:`repro.fault.FaultInjector`.
 
         Mirrors :meth:`attach_monitor`: executors created *after* this
-        call consult the injector on every verb; executors created
-        before it are untouched.  Attach after bulk loading so the
-        loaded image is fault-free and snapshot-shareable.
+        call ask the injector's fault gate about every verb as they post
+        it; executors created before it are untouched.  A verb the gate
+        passes runs exactly as with no plan attached - the plan selects
+        no verb path and does not serialise doorbells (DESIGN.md 7.1).
+        Attach after bulk loading so the loaded image is fault-free and
+        snapshot-shareable.
         """
         from ..fault import FaultInjector  # local import: fault uses dm
         injector = FaultInjector(plan, self.memories)

@@ -18,6 +18,12 @@ A :class:`Batch` models doorbell batching (Kalia et al., ATC'16): all verbs
 are posted together, traverse the network in parallel, and the client
 resumes when the last completion arrives - one round trip of latency, but
 ``len(ops)`` messages of NIC load.
+
+An attached :class:`repro.fault.FaultPlan` is not a mode of either
+executor: both ask ``FaultInjector.gate`` once per verb as they post it,
+a verb the gate passes runs as if no plan were attached, and only a verb
+with a decision takes a faulted continuation - inside a doorbell that
+still posts every member at once.
 """
 
 from __future__ import annotations
@@ -185,6 +191,44 @@ def _verb_sizes(op: Verb) -> Tuple[int, int]:
     raise SimulationError(f"unknown verb {op!r}")
 
 
+def _fault_error(client: str, op: Verb, decision) -> Exception:
+    """The typed failure a fault decision ends its verb with."""
+    kind = decision.kind
+    if kind == "crash_cn":
+        return ClientCrash(f"client {client} crashed (crash_cn)",
+                           client=client, applied=decision.applied)
+    if kind == "mn_unavailable":  # fail fast: not retryable
+        mn = addr_mn(op.addr)
+        return MNUnavailable(f"MN {mn} crashed (crash_mn)",
+                             mn=mn, addr=op.addr)
+    if kind == "nak":
+        return InjectedFault("NAK: unreachable address",
+                             kind="nak", addr=op.addr)
+    if kind == "drop":
+        return InjectedFault("completion dropped" if decision.applied
+                             else "request dropped", kind="drop",
+                             addr=op.addr, applied=decision.applied)
+    raise SimulationError(f"unknown fault decision {kind!r}")
+
+
+def _raise_member_faults(results: Sequence[Any]) -> None:
+    """Join of a doorbell posted under faults: every member was posted
+    and reported either its result or its fault, and the one completion
+    the client waits for fails if any member's did.  A dead client
+    outranks everything (it is always the last member posted), a dead MN
+    outranks a retryable fault, else the last fault in member order."""
+    failure = None
+    for value in results:
+        if isinstance(value, ClientCrash):
+            raise value
+        if isinstance(value, MNUnavailable) or (
+                isinstance(value, InjectedFault)
+                and not isinstance(failure, MNUnavailable)):
+            failure = value
+    if failure is not None:
+        raise failure
+
+
 # --------------------------------------------------------------------------
 # Executors
 # --------------------------------------------------------------------------
@@ -209,10 +253,7 @@ class DirectExecutor:
         self._injector = injector
         self._tracer = tracer
         self._lease_hook = lease_hook
-        self._apply_entry = self._apply if injector is None \
-            else self._apply_faulted
         self._budget = 0  # message ceiling armed by arm_verb_budget
-        self._crashed = False  # latched by a crash_cn decision
 
     def arm_verb_budget(self, extra_messages: int) -> None:
         """Fail with SimulationError once ``stats.messages`` exceeds its
@@ -241,65 +282,31 @@ class DirectExecutor:
             tracer.on_verb(self.client_id, verb, now, now)
         return result
 
-    def _apply_faulted(self, verb: Verb) -> Any:
-        """The injector-aware verb path (only bound when a FaultPlan is
-        attached, so the clean path stays untouched)."""
-        injector = self._injector
-        now = self._clock()
-        if self._crashed:
-            raise ClientCrash(
-                f"client {self.client_id} has crashed (crash_cn)",
-                client=self.client_id)
-        if injector.dead_mns:
-            # Before address_ok: a blanked region still passes the range
-            # check and would hand back all-zero "data" - silent wrong
-            # answers instead of a typed failure.
-            mn = addr_mn(verb.addr)
-            if injector.mn_dead(mn):
-                injector.record_mn_unavailable(self.client_id, verb, now)
-                self.stats.faults_injected += 1
-                raise MNUnavailable(f"MN {mn} crashed (crash_mn)",
-                                    mn=mn, addr=verb.addr)
-        if not injector.address_ok(verb):
-            injector.record_nak(self.client_id, verb, now)
-            self.stats.faults_injected += 1
-            raise InjectedFault("NAK: unreachable address",
-                                kind="nak", addr=verb.addr)
-        decision = injector.decide(self.client_id, verb, now)
+    def _gated(self, verb: Verb) -> Any:
+        """One verb through the post-time fault gate: no decision, no
+        difference; otherwise the untimed form of the decision."""
+        decision = self._injector.gate(self.client_id, verb, self._clock())
         if decision is None:
             return self._apply(verb)
-        self.stats.faults_injected += 1
         kind = decision.kind
         tracer = self._tracer
-        if kind == "crash_cn":
-            self._crashed = True
-            applied = decision.applied
-            if applied:
-                self._apply(verb)  # the request escaped the dying NIC
-            raise ClientCrash(
-                f"client {self.client_id} crashed (crash_cn)",
-                client=self.client_id, applied=applied)
-        if kind == "drop":
-            if decision.applied:
-                self._apply(verb)  # side effect lands, completion lost
-                if tracer is not None:
-                    tracer.tag_verb(self.client_id, "drop")
-            raise InjectedFault("completion dropped", kind="drop",
-                                addr=verb.addr, applied=decision.applied)
-        if kind == "delay":  # untimed executor: a delay is invisible
+        self.stats.faults_injected += 1
+        if kind in ("delay", "duplicate", "stale_cas"):
             result = self._apply(verb)
-        elif kind == "duplicate":
-            result = self._apply(verb)
-            apply_verb(self._memories, verb)  # phantom retransmission
-        elif kind == "stale_cas":
-            result = self._apply(verb)
-            if verb.__class__ is CasOp and result[0]:
+            if tracer is not None:
+                tracer.tag_verb(self.client_id, kind)
+            if kind == "duplicate":
+                apply_verb(self._memories, verb)  # phantom retransmission
+            elif kind == "stale_cas" \
+                    and verb.__class__ is CasOp and result[0]:
                 result = (False, verb.expected)
-        else:
-            raise SimulationError(f"unknown fault decision {kind!r}")
-        if tracer is not None:
-            tracer.tag_verb(self.client_id, kind)
-        return result
+            return result  # untimed executor: a delay is invisible
+        if decision.applied:
+            # The side effect lands; the completion - or the CN - is lost.
+            self._apply(verb)
+            if tracer is not None:
+                tracer.tag_verb(self.client_id, kind)
+        raise _fault_error(self.client_id, verb, decision)
 
     def execute(self, op: OpOrBatch) -> Any:
         if self._budget and self.stats.messages > self._budget:
@@ -310,32 +317,27 @@ class DirectExecutor:
         if cls is LocalCompute:
             self.stats.local_compute_ns += op.ns
             return None
-        if cls is Batch:
-            self.stats.batches += 1
-            self.stats.round_trips += 1
-            results = []
-            if self._injector is None:
-                for verb in op.ops:
-                    self.stats.count_verb(verb)
-                    results.append(self._apply(verb))
-                return results
-            # Doorbell under faults: every verb was posted, so surviving
-            # members still apply; the batch completion is lost if any
-            # member's completion is.
-            failure = None
-            for verb in op.ops:
-                self.stats.count_verb(verb)
-                try:
-                    results.append(self._apply_faulted(verb))
-                except InjectedFault as exc:
-                    failure = exc
-                    results.append(None)
-            if failure is not None:
-                raise failure
-            return results
+        faults = self._injector is not None
+        apply = self._gated if faults else self._apply
         self.stats.round_trips += 1
-        self.stats.count_verb(op)
-        return self._apply_entry(op)
+        if cls is not Batch:
+            self.stats.count_verb(op)
+            return apply(op)
+        # Doorbell: every member is posted (and counted), so under
+        # faults surviving members still apply and a member's fault is
+        # raised at the join.  Only a crash_cn stops the posting: later
+        # members are neither gated nor counted.
+        self.stats.batches += 1
+        results = []
+        for verb in op.ops:
+            self.stats.count_verb(verb)
+            try:
+                results.append(apply(verb))
+            except (InjectedFault, MNUnavailable) as exc:
+                results.append(exc)
+        if faults:
+            _raise_member_faults(results)
+        return results
 
     def run(self, gen: OpGenerator) -> Any:
         """Drive ``gen`` to completion; returns its return value.
@@ -395,9 +397,11 @@ class DirectExecutor:
 
 
 class _VerbTrip(SimEvent):
-    """One clean verb as a single engine event that re-arms itself for
-    each of its four NIC stages - no generator frame, no per-stage
-    :class:`Timeout`.
+    """One verb as a single engine event that re-arms itself for each of
+    its four NIC stages - no generator frame, no per-stage
+    :class:`Timeout`.  Every verb on the fast engine is one, with or
+    without a tracer or a FaultPlan attached, unless a monitor is
+    watching or the fault gate returned a decision for it.
 
     The trip is its own only callback (``_cb1 = self``): each dispatch
     does exactly the work :meth:`SimExecutor._verb` does at the matching
@@ -567,18 +571,16 @@ class SimExecutor:
         self._injector = injector
         self._tracer = tracer
         self._lease_hook = lease_hook
-        self._verb_entry = self._verb if injector is None \
-            else self._verb_faulted
         self._budget = 0  # message ceiling armed by arm_verb_budget
-        self._crashed = False  # latched by a crash_cn decision
         # Verb trips (self-re-arming events replacing the per-stage
-        # generator resume; schedule-identical to _verb) need the fast
-        # dispatch loop and no active interceptor: an injector routes
-        # back through the generator paths it hooks.  A tracer rides
-        # the trips (run() and the batch members call it from the same
-        # dispatch positions _verb does).  A monitor is checked per-op
-        # in run() since it can be attached after construction.
-        self._trips = injector is None and not engine._slow
+        # generator resume; schedule-identical to _verb) need only the
+        # fast dispatch loop.  A tracer rides them (run() and the batch
+        # members call it from the same dispatch positions _verb does),
+        # and so does an attached FaultPlan: run() asks the fault gate
+        # at post time, and only a verb that got a decision leaves them.
+        # A monitor is checked per-op in run() since it can be attached
+        # after construction.
+        self._trips = not engine._slow
 
     def arm_verb_budget(self, extra_messages: int) -> None:
         """See :meth:`DirectExecutor.arm_verb_budget`."""
@@ -631,150 +633,118 @@ class SimExecutor:
             self._tracer.on_verb(self.client_id, op, t0, self.engine.now)
         return result
 
-    def _lost_request(self, op: Verb, t0: int, fault: str):
-        """A request the MN never executes (dead MN, NAK, fabric drop):
-        charge the send plus the client's completion timeout."""
-        self.stats.count_verb(op)
-        yield self._cn_nic.process(_verb_sizes(op)[0])
-        yield self.engine.timeout(self._injector.plan.timeout_ns)
-        if self._tracer is not None:
-            self._tracer.on_verb(self.client_id, op, t0, self.engine.now,
-                                 fault=fault)
-
-    def _verb_faulted(self, op: Verb):
-        """Injector-aware timed verb path (only bound when a FaultPlan is
-        attached; the clean ``_verb`` path is byte-identical to before)."""
-        injector = self._injector
-        engine = self.engine
+    def _gate(self, op: OpOrBatch):
+        """Ask the fault gate about ``op`` as it is posted.  ``None``:
+        no verb of it is touched, so it runs as if no plan were
+        attached.  Otherwise the :class:`Decision` of a scalar verb, or
+        a doorbell's per-member decisions in member order - cut short
+        after a ``crash_cn``, whose later members are neither gated nor
+        posted."""
         if self._budget and self.stats.messages > self._budget:
             raise SimulationError(
                 f"verb budget exceeded for {self.client_id}: "
                 f"{self.stats.messages} messages - livelock under faults?")
+        gate = self._injector.gate
+        client = self.client_id
+        now = self.engine.now
+        if op.__class__ is not Batch:
+            return gate(client, op, now)
+        decisions = []
+        faulted = False
+        for verb in op.ops:
+            decision = gate(client, verb, now)
+            decisions.append(decision)
+            if decision is not None:
+                faulted = True
+                if decision.kind == "crash_cn":
+                    break
+        return decisions if faulted else None
+
+    def _verb_faulted(self, op: Verb, decision):
+        """Timed execution of a verb the fault gate decided about (a
+        generator of engine events, on either engine)."""
+        engine = self.engine
         tracer = self._tracer
         t0 = engine.now
-        if self._crashed:
-            raise ClientCrash(
-                f"client {self.client_id} has crashed (crash_cn)",
-                client=self.client_id)
-        if injector.dead_mns:
-            # Before address_ok: a blanked region still passes the range
-            # check and would hand back all-zero "data" - silent wrong
-            # answers instead of a typed failure.  Fail fast (no retry
-            # storm).
-            mn = addr_mn(op.addr)
-            if injector.mn_dead(mn):
-                injector.record_mn_unavailable(self.client_id, op,
-                                               engine.now)
-                self.stats.faults_injected += 1
-                yield from self._lost_request(op, t0, "mn_unavailable")
-                raise MNUnavailable(f"MN {mn} crashed (crash_mn)",
-                                    mn=mn, addr=op.addr)
-        if not injector.address_ok(op):
-            injector.record_nak(self.client_id, op, engine.now)
-            self.stats.faults_injected += 1
-            yield from self._lost_request(op, t0, "nak")
-            raise InjectedFault("NAK: unreachable address",
-                                kind="nak", addr=op.addr)
-        decision = injector.decide(self.client_id, op, engine.now)
-        if decision is None:
-            result = yield from self._verb(op)
-            return result
-        self.stats.faults_injected += 1
         kind = decision.kind
-        if kind == "crash_cn":
-            self._crashed = True
-            if not decision.applied:
-                # The CN died before the request left its NIC: no side
-                # effect, no NIC load, no completion - just a corpse.
-                raise ClientCrash(
-                    f"client {self.client_id} crashed (crash_cn)",
-                    client=self.client_id, applied=False)
-            # The request escaped the dying NIC: the side effect lands
-            # at the MN.  The monitor sees the full issue/apply/complete
-            # life cycle (the access happened; the write interval closes
-            # at apply time) so no inflight entry dangles from a corpse.
+        self.stats.faults_injected += 1
+        if kind in ("delay", "duplicate", "stale_cas"):
+            result = yield from self._verb(op)
+            if tracer is not None:
+                tracer.tag_verb(self.client_id, kind)
+            if kind == "delay":
+                yield engine.timeout(decision.delay_ns)
+            elif kind == "duplicate":
+                apply_verb(self._memories, op)  # phantom retransmission
+            elif op.__class__ is CasOp and result[0]:
+                result = (False, op.expected)
+            return result
+        if decision.applied:
+            # The request got out and its side effect lands at the MN;
+            # the completion never arrives (dropped, or the CN died).
+            # The monitor sees the full issue/apply/complete life cycle
+            # - the access happened - closing at the client's timeout
+            # decision, or at apply time when no client is left to wait.
             monitor = self.monitor
             token = (yield from self._request_leg(op))[0]
+            if kind == "drop":
+                yield engine.timeout(self._injector.plan.timeout_ns)
             if monitor is not None:
                 monitor.on_complete(token, engine.now)
             if tracer is not None:
                 tracer.on_verb(self.client_id, op, t0, engine.now,
-                               fault="crash_cn")
-            raise ClientCrash(
-                f"client {self.client_id} crashed (crash_cn)",
-                client=self.client_id, applied=True)
-        if kind == "delay":
-            result = yield from self._verb(op)
-            yield engine.timeout(decision.delay_ns)
+                               fault=kind)
+        elif kind != "crash_cn":
+            # Dead MN, NAK or a drop in the fabric: the MN never saw it.
+            # Charge the send plus the client's completion timeout.  (A
+            # CN that died before the request left its NIC leaves no NIC
+            # load and no completion either - just a corpse.)
+            self.stats.count_verb(op)
+            yield self._cn_nic.process(_verb_sizes(op)[0])
+            yield engine.timeout(self._injector.plan.timeout_ns)
             if tracer is not None:
-                tracer.tag_verb(self.client_id, kind)
-            return result
-        if kind == "duplicate":
-            result = yield from self._verb(op)
-            apply_verb(self._memories, op)  # phantom retransmission
-            if tracer is not None:
-                tracer.tag_verb(self.client_id, kind)
-            return result
-        if kind == "stale_cas":
-            result = yield from self._verb(op)
-            if tracer is not None:
-                tracer.tag_verb(self.client_id, kind)
-            if op.__class__ is CasOp and result[0]:
-                return (False, op.expected)
-            return result
-        if kind != "drop":  # pragma: no cover - decision set is closed
-            raise SimulationError(f"unknown fault decision {kind!r}")
-        if not decision.applied:
-            # Request lost in the fabric: the MN never saw it.
-            yield from self._lost_request(op, t0, "drop")
-            raise InjectedFault("request dropped", kind="drop",
-                                addr=op.addr, applied=False)
-        # Applied at the MN; the completion never arrives.  The monitor
-        # sees the full issue/apply/complete life cycle - the access
-        # happened - with completion at the client's timeout decision.
-        monitor = self.monitor
-        token = (yield from self._request_leg(op))[0]
-        yield engine.timeout(injector.plan.timeout_ns)
-        if monitor is not None:
-            monitor.on_complete(token, engine.now)
-        if tracer is not None:
-            tracer.on_verb(self.client_id, op, t0, engine.now, fault="drop")
-        raise InjectedFault("completion dropped", kind="drop",
-                            addr=op.addr, applied=True)
+                tracer.on_verb(self.client_id, op, t0, engine.now,
+                               fault=kind)
+        raise _fault_error(self.client_id, op, decision)
 
-    def _perform(self, op: OpOrBatch):
+    def _member(self, op: Verb, decision):
+        """One member of a doorbell posted under faults: its own process
+        like any member, but its fault comes back as its value so the
+        others still complete; the join raises it."""
+        try:
+            if decision is None:
+                return (yield from self._verb(op))
+            return (yield from self._verb_faulted(op, decision))
+        except (InjectedFault, MNUnavailable, ClientCrash) as exc:
+            return exc
+
+    def _perform(self, op: OpOrBatch, decision):
+        """The generator path of one op: the reference engine, a
+        monitor, a hand-stepped generator - and, on either engine, any
+        op the fault gate returned a ``decision`` for."""
         cls = op.__class__
         if cls is LocalCompute:
             self.stats.local_compute_ns += op.ns
             yield self.engine.timeout(op.ns)
             return None
-        if cls is Batch:
-            self.stats.batches += 1
-            self.stats.round_trips += 1
-            if self._injector is not None:
-                # Doorbell under faults: members run sequentially so a
-                # dropped completion can surface per member; surviving
-                # members still apply, the batch completion is lost if
-                # any member's completion is.
-                results = []
-                failure = None
-                for verb in op.ops:
-                    try:
-                        member = yield from self._verb_faulted(verb)
-                    except InjectedFault as exc:
-                        failure = exc
-                        member = None
-                    results.append(member)
-                if failure is not None:
-                    raise failure
-                return results
-            procs = [self.engine.process(self._verb(verb), name="verb")
-                     for verb in op.ops]
-            results = yield self.engine.all_of(procs)
-            return results
         self.stats.round_trips += 1
-        result = yield from self._verb_entry(op)
-        return result
+        if cls is not Batch:
+            if decision is None:
+                return (yield from self._verb(op))
+            return (yield from self._verb_faulted(op, decision))
+        self.stats.batches += 1
+        process = self.engine.process
+        if decision is None:
+            procs = [process(self._verb(verb), name="verb")
+                     for verb in op.ops]
+            return (yield self.engine.all_of(procs))
+        # Doorbell with a faulted member: still one doorbell - every
+        # member is posted now and they travel in parallel.
+        procs = [process(self._member(verb, member), name="verb")
+                 for verb, member in zip(op.ops, decision)]
+        results = yield self.engine.all_of(procs)
+        _raise_member_faults(results)
+        return results
 
     # -- generator driver -------------------------------------------------
     def run(self, gen: OpGenerator):
@@ -787,6 +757,7 @@ class SimExecutor:
         events.
         """
         tracer = self._tracer
+        injector = self._injector
         trips = self._trips
         engine = self.engine
         span = None
@@ -811,14 +782,16 @@ class SimExecutor:
                 except RetryLimitExceeded as exc:
                     status = "failed"
                     exc.attach_context(self.client_id, replace(self.stats))
-                    if self._injector is not None:
-                        exc.attach_fault_trace(self._injector.trace_tuple())
+                    if injector is not None:
+                        exc.attach_fault_trace(injector.trace_tuple())
                     raise
                 cls = op.__class__
                 if tracer is not None and cls is not LocalCompute:
                     tracer.on_round_trip(span)
-                if trips and self.monitor is None:
-                    # Clean fast path: post the op as a trip and tell
+                decision = None if injector is None or cls is LocalCompute \
+                    else self._gate(op)
+                if decision is None and trips and self.monitor is None:
+                    # Untouched op, fast path: post it as a trip and tell
                     # the dispatch loop we already subscribed ourselves.
                     # engine._active is the process currently being
                     # dispatched - our driving client - and is None when
@@ -843,7 +816,7 @@ class SimExecutor:
                             result = yield _DEFER
                             continue
                 try:
-                    result = yield from self._perform(op)
+                    result = yield from self._perform(op, decision)
                 except (InjectedFault, MNUnavailable) as exc:
                     # Delivered into the generator (retry vs. degrade at
                     # the yield); ClientCrash is NOT - the generator of

@@ -143,8 +143,8 @@ class ClientCrash(ReproError):
     Never delivered *into* the op generator: a crashed compute node runs
     no cleanup, so the generator is simply abandoned and any locks it
     holds stay held until a :class:`repro.recover.RecoveryManager`
-    expires their leases.  The executor latches crashed state; further
-    use raises this same error immediately.
+    expires their leases.  The injector latches the client as crashed;
+    further use of its executor raises this same error immediately.
     """
 
     def __init__(self, message: str, *, client: Optional[str] = None,

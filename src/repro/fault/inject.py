@@ -1,14 +1,17 @@
 """The runtime half of fault injection.
 
 A :class:`FaultInjector` binds a :class:`FaultPlan` to a cluster's memory
-nodes.  Executors consult :meth:`decide` once per verb; the injector
-walks the plan's rules in order against its single seeded RNG and returns
-either ``None`` (verb proceeds untouched) or a :class:`Decision` that the
-executor turns into lost completions, delays, phantom retransmissions or
-stale CAS replies.  Scheduled environment rules (pokes, bit flips, MN
-crashes) fire from the same call, keyed on the global verb sequence
-number, and mutate memory bytes directly - invisible to the allocator and
-the sanitizer, exactly like real silent corruption.
+nodes.  Executors consult :meth:`FaultInjector.gate` once per verb, when
+the verb is posted; the injector checks the client and target MN are
+alive and the address routable, then walks the plan's rules in order
+against its single seeded RNG, and returns either ``None`` (the verb
+takes exactly the path it takes with no plan attached) or a
+:class:`Decision` that the executor turns into a lost request, a lost
+completion, a delay, a phantom retransmission, a stale CAS reply or a
+dead client.  Scheduled environment rules (pokes, bit flips, MN crashes)
+fire from the same call, keyed on the global verb sequence number, and
+mutate memory bytes directly - invisible to the allocator and the
+sanitizer, exactly like real silent corruption.
 
 Determinism: the schedule is a pure function of ``(plan, verb stream)``.
 The injector draws from its RNG only for rules that *match* a verb, so a
@@ -49,7 +52,11 @@ class FaultEvent:
 @dataclass
 class Decision:
     """What the executor should do to the current verb."""
-    kind: str            # "drop" | "delay" | "duplicate" | "stale_cas"
+    # "drop" | "delay" | "duplicate" | "stale_cas" | "crash_cn" from the
+    # plan's rules ("crash_cn" again on every later verb of the victim);
+    # the lost requests "mn_unavailable" | "nak" from the liveness and
+    # address checks.
+    kind: str
     applied: bool = False  # drop/crash_cn: did the side effect land?
     delay_ns: int = 0
 
@@ -126,21 +133,30 @@ class FaultInjector:
             size = 8
         return 64 <= offset and offset + size <= memory.capacity
 
-    def record_nak(self, client: str, op: Verb, now: int) -> None:
-        self._record(now, client, "nak", _VERB_KIND[op.__class__], op.addr)
-
-    # -- MN liveness (crash_mn fail-fast) --------------------------------
-    def mn_dead(self, mn: int) -> bool:
-        return mn in self.dead_mns
-
-    def record_mn_unavailable(self, client: str, op: Verb,
-                              now: int) -> None:
-        self._record(now, client, "mn_unavailable",
-                     _VERB_KIND[op.__class__], op.addr)
-
     # -- the per-verb hook ----------------------------------------------
-    def decide(self, client: str, op: Verb, now: int) -> Optional[Decision]:
-        """Called by executors once per verb, in issue order."""
+    def gate(self, client: str, op: Verb, now: int) -> Optional[Decision]:
+        """The one pre-verb fault gate: executors call it once per verb
+        at post time, in issue order (member order for a doorbell).
+
+        ``None`` - every verb of an empty plan, almost every verb under
+        chaos - means the verb runs exactly as it would with no plan
+        attached.  Otherwise the checks fire in this order: a crashed
+        client stays crashed; a dead MN fails fast (before
+        :meth:`address_ok`: a blanked region still passes the range
+        check and would hand back all-zero "data" - silent wrong answers
+        instead of a typed failure); an unroutable address is NAKed;
+        then the plan's rules decide.  Only the last step consumes a
+        verb sequence number."""
+        if client in self.crashed_clients:
+            return Decision("crash_cn")  # it never gets a verb out again
+        if self.dead_mns and addr_mn(op.addr) in self.dead_mns:
+            self._record(now, client, "mn_unavailable",
+                         _VERB_KIND[op.__class__], op.addr)
+            return Decision("mn_unavailable")
+        if not self.address_ok(op):
+            self._record(now, client, "nak", _VERB_KIND[op.__class__],
+                         op.addr)
+            return Decision("nak")
         seq = self.verb_seq
         if self._fired < len(self._scheduled):
             self._run_scheduled(seq, now)

@@ -10,6 +10,10 @@ contract as the engine: one seed, one history.  These tests pin down
 * the zero-overhead guarantee: an attached-but-empty plan, and a grid
   with ``chaos_seed=None``, are byte-identical to runs with no fault
   machinery at all (including the ``row()`` schema);
+* a doorbell with a faulted member is still one doorbell: every member
+  posted, one round trip (+ the completion timeout), per-member
+  outcomes identical fast vs ``REPRO_SIM_SLOW=1`` and vs the untimed
+  executor; a ``crash_cn`` mid-doorbell stops the posting;
 * (env-gated) the fault-free smoke grid still reproduces the committed
   BENCH_2 baseline digits exactly.
 """
@@ -24,9 +28,9 @@ from repro.art import encode_str
 from repro.bench import CellSpec, clear_setup_caches, run_cell, run_grid
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
-from repro.dm.rdma import OpStats
-from repro.errors import RetryLimitExceeded
-from repro.fault import FaultPlan
+from repro.dm.rdma import Batch, CasOp, OpStats, ReadOp, WriteOp, apply_verb
+from repro.errors import ClientCrash, InjectedFault, RetryLimitExceeded
+from repro.fault import FaultPlan, crash_cn, drop
 
 TINY = dict(num_keys=900, ops=120, workers=6, warmup_ops_per_cn=60)
 
@@ -144,17 +148,23 @@ def test_chaos_does_not_pollute_fault_free_cells():
 
 # -- zero overhead ---------------------------------------------------------
 
-def test_empty_plan_is_zero_overhead():
+def test_empty_plan_is_zero_overhead(monkeypatch):
     """Attaching a plan with no rules must not move a single simulated
-    digit: the empty ruleset draws no RNG and injects nothing."""
+    digit - nor a single engine dispatch: the empty ruleset draws no RNG,
+    injects nothing, and every verb leaves the fault gate on the path it
+    would have taken with no plan.  The mix posts multi-member doorbells
+    (50-key scans; with ``use_filter=False`` every search is the
+    Theta(L) INHT probe): an attached plan once ran their members one
+    after another, 4.4x the simulated time of this very mix."""
 
-    def run(attach_empty):
+    def run(attach_empty, use_filter):
         cluster = Cluster(ClusterConfig(mn_capacity_bytes=64 << 20))
         index = SphinxIndex(cluster,
-                            SphinxConfig(filter_budget_bytes=1 << 14))
+                            SphinxConfig(filter_budget_bytes=1 << 14,
+                                         use_filter=use_filter))
         client = index.client(0)
         ex = cluster.direct_executor()
-        keys = [encode_str(f"z/{i:03d}") for i in range(24)]
+        keys = [encode_str(f"z/{i:04d}") for i in range(400)]
         for i, key in enumerate(keys):
             ex.run(client.insert(key, f"v{i}".encode()))
         if attach_empty:
@@ -162,19 +172,131 @@ def test_empty_plan_is_zero_overhead():
         stats = OpStats()
         executor = cluster.sim_executor(0, stats)
         engine = cluster.engine
+        latencies = []
 
         def mix():
-            for step, key in enumerate(keys * 3):
-                if step % 2:
+            for step, key in enumerate(keys[::7]):
+                t0 = engine.now
+                if step % 3 == 0:
+                    yield from executor.run(client.scan_count(key, 50))
+                elif step % 3 == 1:
                     yield from executor.run(client.search(key))
                 else:
                     yield from executor.run(
                         client.update(key, f"u{step}".encode()))
+                latencies.append(engine.now - t0)
 
         engine.run_until_complete(engine.process(mix(), name="zo"))
-        return _stats_tuple(stats), engine.now
+        assert stats.batches >= len(latencies) // 3
+        return (_stats_tuple(stats), engine.now, engine.events_processed,
+                latencies)
 
-    assert run(False) == run(True)
+    for slow in ("0", "1"):
+        monkeypatch.setenv("REPRO_SIM_SLOW", slow)
+        for use_filter in (True, False):
+            assert run(False, use_filter) == run(True, use_filter)
+
+
+# -- a doorbell under faults is still one doorbell ----------------------------
+
+def _doorbell_run(rule, monkeypatch, slow, sim=True):
+    """Post WRITE(MN 0) | CAS(MN 1) | WRITE(MN 2) as one doorbell under
+    a plan holding just ``rule`` (``None``: no plan at all)."""
+    monkeypatch.setenv("REPRO_SIM_SLOW", slow)
+    cluster = Cluster(ClusterConfig())
+    addrs = [cluster.alloc(mn, 8) for mn in range(3)]
+    if rule is not None:
+        cluster.attach_faults(FaultPlan(seed=3, rules=(rule,)))
+    ex = cluster.sim_executor(0) if sim else cluster.direct_executor()
+    seen = []
+
+    def client():
+        try:
+            yield Batch([WriteOp(addrs[0], b"a" * 8), CasOp(addrs[1], 0, 7),
+                         WriteOp(addrs[2], b"c" * 8)])
+        except InjectedFault as exc:
+            seen.append((exc.kind, exc.addr, exc.applied))
+
+    crashed = False
+    try:
+        if sim:
+            cluster.engine.run_until_complete(
+                cluster.engine.process(ex.run(client())))
+        else:
+            ex.run(client())
+    except ClientCrash:
+        crashed = True
+    words = [bytes(apply_verb(cluster.memories, ReadOp(a, 8)))
+             for a in addrs]
+    injector = cluster.injector
+    return dict(seen=seen, crashed=crashed, words=words,
+                stats=_stats_tuple(ex.stats), now=cluster.engine.now,
+                schedule=injector.schedule() if injector else (),
+                verb_seq=injector.verb_seq if injector else 0,
+                ex=ex, addrs=addrs)
+
+
+def _observables(run):
+    return {k: v for k, v in run.items() if k not in ("ex", "addrs")}
+
+
+@pytest.mark.parametrize("rule", [drop(1.0, verbs=("cas",)),
+                                  drop(1.0, mn=1, applied_prob=1.0)],
+                         ids=["verbs=cas", "mn=1-applied"])
+def test_dropped_member_costs_one_round_trip_plus_timeout(rule, monkeypatch):
+    clean = _doorbell_run(None, monkeypatch, "0")
+    fast = _doorbell_run(rule, monkeypatch, "0")
+    slow = _doorbell_run(rule, monkeypatch, "1")
+    assert _observables(fast) == _observables(slow)
+    # The client sees the one fault, on the member the rule matched ...
+    applied = rule.applied_prob >= 1.0
+    assert fast["seen"] == [("drop", fast["addrs"][1], applied)]
+    assert len(fast["schedule"]) == 1
+    # ... every member was posted, and the surviving members landed.
+    stats = OpStats(*fast["stats"])
+    assert (stats.writes, stats.cas, stats.messages) == (2, 1, 3)
+    assert (stats.round_trips, stats.batches, stats.faults_injected) \
+        == (1, 1, 1)
+    assert fast["words"] == [b"a" * 8,
+                             (7 if applied else 0).to_bytes(8, "little"),
+                             b"c" * 8]
+    # Still one round trip: the members travelled together, so the
+    # doorbell costs the completion timeout on top of at most one clean
+    # doorbell - not the sum of its members.
+    timeout_ns = FaultPlan(seed=3).timeout_ns
+    assert timeout_ns < fast["now"] <= clean["now"] + timeout_ns
+    # The untimed executor posts, counts and reports the same.
+    direct = _doorbell_run(rule, monkeypatch, "0", sim=False)
+    for key in ("seen", "words", "stats", "verb_seq"):
+        assert direct[key] == fast[key], key
+
+
+@pytest.mark.parametrize("applied", [False, True])
+@pytest.mark.parametrize("sim", [True, False], ids=["sim", "direct"])
+def test_crash_cn_mid_doorbell_stops_the_posting(sim, applied, monkeypatch):
+    rule = crash_cn(1, applied_prob=1.0 if applied else 0.0)
+    runs = [_doorbell_run(rule, monkeypatch, slow, sim=sim)
+            for slow in ("0", "1")]
+    assert _observables(runs[0]) == _observables(runs[1])
+    run = runs[0]
+    assert run["crashed"] and run["seen"] == []
+    # Member 0 was in flight and lands; member 1 is the dying verb;
+    # member 2 is neither gated (no sequence number drawn) nor posted.
+    assert run["verb_seq"] == 2
+    assert run["words"] == [b"a" * 8,
+                            (7 if applied else 0).to_bytes(8, "little"),
+                            bytes(8)]
+    ex = run["ex"]
+
+    def again():
+        yield ReadOp(run["addrs"][0], 8)
+    with pytest.raises(ClientCrash):
+        if sim:
+            for _ in ex.run(again()):
+                pass
+        else:
+            ex.run(again())
+    assert ex._injector.verb_seq == 2, "the latch must not consume a verb"
 
 
 def test_fault_free_row_schema_unchanged():

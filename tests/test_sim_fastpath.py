@@ -12,6 +12,7 @@ reference path and 4N+3 as trips, so the count is compared within a
 mode and tied across modes by that one exact relation.
 """
 
+import functools
 import gc
 import os
 import random
@@ -29,6 +30,7 @@ from repro.dm.network import NetworkConfig, Nic
 from repro.dm.rdma import Batch, CasOp, FaaOp, LocalCompute, ReadOp, \
     WriteOp, _BatchTrip, _VerbTrip
 from repro.errors import SimulationError
+from repro.fault import FaultPlan
 from repro.sim.engine import Engine
 
 TINY = dict(num_keys=900, ops=140, workers=6, warmup_ops_per_cn=60)
@@ -219,7 +221,7 @@ def test_mixed_workload_identical_across_all_modes(monkeypatch):
 
 # -- ties and zero delays ---------------------------------------------------
 
-def _lockstep_digest(slice_ns=None):
+def _lockstep_digest(slice_ns=None, empty_plan=False):
     """Twelve identical clients, six on each of two CNs, running
     the same doorbell / CAS / WRITE / zero-length-compute sequence
     against the same addresses and re-aligned on the clock before every
@@ -229,9 +231,13 @@ def _lockstep_digest(slice_ns=None):
     (one per stage dispatch), so the digest pins the global dispatch
     order, not just its outcome.  Returns ``(observables, events,
     join_slack, ties)``; ``ties`` counts stage dispatches at the same
-    instant as the charge before them."""
+    instant as the charge before them.  ``empty_plan`` attaches a
+    ``FaultPlan`` with no rules first: every verb then passes the fault
+    gate, and must come out exactly where it went in."""
     cluster = Cluster(ClusterConfig(num_cns=2, mn_capacity_bytes=1 << 20))
     addrs = [cluster.alloc(i % 3, 8) for i in range(18)]
+    if empty_plan:
+        cluster.attach_faults(FaultPlan(seed=0, rules=()))
     engine = cluster.engine
     log = []
     charges = []
@@ -275,13 +281,18 @@ def _lockstep_digest(slice_ns=None):
 
 
 def test_lockstep_clients_tie_break_identically(monkeypatch):
-    (_now, _log, results, charges, _nics), _events, _slack, ties = \
-        _check_all_modes(monkeypatch, _lockstep_digest)
+    clean = _check_all_modes(monkeypatch, _lockstep_digest)
+    (_now, _log, results, charges, _nics), _events, _slack, ties = clean
     # The run really was decided by tie-breaks: same-instant dispatches,
     # and one CAS winner per step among twelve simultaneous attempts.
     assert ties >= sum(1 for c in charges if c[3]) // 4
     winners = [r for client in results for r in client[1::2] if r[0]]
     assert len(winners) == 10
+    # An attached empty plan rides the same trips: the same contract
+    # (slow - fast == sum(2N-2) included) holds under a plan, and the
+    # gate costs not one dispatch on either engine.
+    assert clean == _check_all_modes(
+        monkeypatch, functools.partial(_lockstep_digest, empty_plan=True))
 
 
 ZERO_COST = NetworkConfig(prop_ns=0, cn_msg_ns=0, mn_msg_ns=0,
