@@ -12,11 +12,22 @@ hook                Sphinx                     SMART / ART-on-DM
 ==================  ========================  ==========================
 ``locate_start``    filter cache + INHT       cached-node walk / root
 ``note_visited``    (nothing)                 fill the CN node cache
+``invalidate_hint`` (nothing)                 drop the cached node
 ``on_path``         filter freshness insert   (nothing)
+``note_leaf``       leaf-locator put          (nothing)
+``forget_leaf``     leaf-locator drop         (nothing)
 ``after_new_inner`` INHT insert + filter      (nothing)
+``make_split_..``   INHT insert on the        (nothing: falls back to
+                    split's own doorbells     ``after_new_inner``)
 ``after_switch``    INHT entry CAS            n/a (SMART never switches)
 ``node_type_for``   smallest fitting type     SMART: always Node-256
+``grown_type``      next larger type          SMART: raises (never grows)
 ==================  ========================  ==========================
+
+Every point operation is the same optimistic walk (``_descend``: per hop
+check header status, depth and the 42-bit prefix hash) plus a different
+action at the *landing* where the walk ends; ``_absent`` owns the
+negative verdict there.
 
 Concurrency follows the paper's Sec. III-C: lock-free reads validated by
 header metadata (status / depth / 42-bit prefix hash) and leaf checksums;
@@ -27,6 +38,7 @@ after a type switch so readers holding stale pointers retry.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -44,6 +56,7 @@ from ..art.layout import (
     SLOT_SIZE_SHIFT,
     STATUS_IDLE,
     STATUS_INVALID,
+    STATUS_LOCKED,
     Header,
     NodeView,
     Slot,
@@ -51,13 +64,14 @@ from ..art.layout import (
     decode_node,
     encode_leaf,
     encode_node,
+    leaf_status_word,
     leaf_units_for,
     next_node_type,
     node_size,
     smallest_type_for,
 )
 from ..dm.cluster import Cluster
-from ..dm.memory import addr_mn, format_addr
+from ..dm.memory import addr_mn, addr_offset, format_addr
 from ..dm.rdma import Batch, CasOp, LocalCompute, ReadOp, WriteOp
 from ..errors import InjectedFault, ReproError, RetryLimitExceeded
 from ..fault.retry import DEFAULT_RETRY, RetryPolicy
@@ -143,10 +157,9 @@ class RemoteArtTree:
         self.retry.validate()
         self.metrics = TreeMetrics()
         self.scan_batched = True
-        import random as _random
         # Cluster-scoped seed: a process-global counter here would tie
         # the jitter stream to process history (see Cluster.next_seed).
-        self._backoff_rng = _random.Random(cluster.next_seed(0xBACC0FF))
+        self._backoff_rng = random.Random(cluster.next_seed(0xBACC0FF))
 
     def counters(self) -> Counters:
         """Per-client counters in the shared :class:`repro.obs.Counters`
@@ -172,7 +185,6 @@ class RemoteArtTree:
     @staticmethod
     def create_root(cluster: Cluster) -> int:
         """Allocate and initialize the (always Node-256) root."""
-        from ..dm.memory import addr_offset
         addr = cluster.alloc_for_prefix(b"", node_size(NODE256),
                                         INNER_CATEGORY)
         header = Header(STATUS_IDLE, NODE256, 0, prefix_hash42(b""), 0)
@@ -347,67 +359,41 @@ class RemoteArtTree:
             addr=self.root_addr)
 
     # ------------------------------------------------------------------
-    # Search
+    # The one descent
     # ------------------------------------------------------------------
-    def search(self, key: bytes):
-        """Op generator: value for ``key`` or None."""
-        self.metrics.searches += 1
-        result = yield from self._run(self._search_once,
-                                      OpContext(key, len(key) - 1), "search")
-        return result
+    def _descend(self, ctx: OpContext, located, note_path: bool = True):
+        """Walk from ``located`` (``locate_start``'s answer) towards
+        ``ctx.key`` until the key's byte has no validated inner child.
 
-    def _refresh_node(self, addr: int, view: NodeView):
-        """Re-read an untrusted (cached) node before a negative verdict."""
-        fresh = yield from self._read_node(addr, view.header.node_type)
-        return fresh
+        Per hop: an Invalid node or an inconsistent child read restarts
+        the op; a node at or below the key's length is a filter false
+        positive (shrink the limit, restart); a child whose depth and
+        42-bit prefix hash match the key is on the path - it becomes the
+        current node and, having just been read, is trusted.
 
-    def _search_once(self, ctx: OpContext):
-        key = ctx.key
-        located = yield from self.locate_start(ctx)
+        Returns RETRY or the *landing* ``(addr, view, trusted, slot,
+        child, parent)``: ``slot`` is None (no child for the byte), a leaf
+        slot (``child`` None, leaf not read yet), or an inner slot whose
+        ``child`` diverges from the key; ``parent`` is the ``(addr,
+        view)`` hop above ``addr``, None when the walk never advanced.
+        """
         if located is RETRY:
             return RETRY
-        cur_addr, cur, trusted = located
+        key = ctx.key
+        key_len = len(key)
+        addr, view, trusted = located
+        parent: Optional[Tuple[int, NodeView]] = None
         while True:
-            header = cur.header
+            header = view.header
             if header.status == STATUS_INVALID:
-                self.invalidate_hint(cur_addr)
+                self.invalidate_hint(addr)
                 return RETRY
             depth = header.depth
-            if depth >= len(key):
-                # Can only happen off-path (filter false positive).
-                self.metrics.fp_restarts += 1
-                ctx.shrink(depth - 1)
-                return RETRY
-            slot = cur.find_child(key[depth])
-            if slot is None:
-                if not trusted:
-                    cur = yield from self._refresh_node(cur_addr, cur)
-                    if cur is None:
-                        return RETRY
-                    trusted = True
-                    continue
-                return None
-            if slot.is_leaf:
-                leaf = yield from leaf_ops.read_leaf(
-                    slot.addr, slot.size_class, retry=self.retry)
-                if leaf.status == STATUS_INVALID:
-                    return RETRY  # mid-delete; retry until slot clears
-                if leaf.key == key:
-                    self.note_leaf(key, slot.addr, slot.size_class)
-                    return leaf.value
-                if not trusted:
-                    cur = yield from self._refresh_node(cur_addr, cur)
-                    if cur is None:
-                        return RETRY
-                    trusted = True
-                    continue
-                if common_prefix_len(key, leaf.key) < depth:
-                    # We started from an unmatched node (double hash
-                    # collision, paper Sec. III-B): retry shorter.
-                    self.metrics.fp_restarts += 1
-                    ctx.shrink(depth - 1)
-                    return RETRY
-                return None
+            if depth >= key_len:
+                return self._false_positive(ctx, depth)
+            slot = view.find_child(key[depth])
+            if slot is None or slot.is_leaf:
+                return addr, view, trusted, slot, None, parent
             child = yield from self._read_node(slot.addr, slot.size_class)
             if child is None:
                 return RETRY
@@ -417,20 +403,72 @@ class RemoteArtTree:
                 return RETRY
             if cheader.depth <= depth:
                 return RETRY  # structurally impossible -> stale read
-            if (cheader.depth < len(key)
-                    and cheader.prefix_hash
-                    == prefix_hash42(key[:cheader.depth])):
+            if (cheader.depth >= key_len
+                    or cheader.prefix_hash
+                    != prefix_hash42(key[:cheader.depth])):
+                return addr, view, trusted, slot, child, parent
+            if note_path:
                 self.on_path(key[:cheader.depth])
-                cur_addr, cur = slot.addr, child
-                trusted = True
-                continue
-            if not trusted:
-                cur = yield from self._refresh_node(cur_addr, cur)
-                if cur is None:
-                    return RETRY
-                trusted = True
-                continue
-            return None  # subtree prefix diverges from the key
+            parent = (addr, view)
+            addr, view, trusted = slot.addr, child, True
+
+    def _absent(self, ctx: OpContext, landing, leaf):
+        """The negative verdict at ``landing``: the key's byte has no
+        child, its leaf (``leaf``, else None) holds another key, or the
+        child there diverges.
+
+        Returns None when the key is absent; a ``located`` triple to
+        descend from again when the view was untrusted (a cached node is
+        re-read before anything is concluded from it); RETRY when that
+        read was inconsistent or the leaf shows the walk started from an
+        unmatched node.
+        """
+        addr, view, trusted = landing[:3]
+        if not trusted:
+            fresh = yield from self._read_node(addr, view.header.node_type)
+            return RETRY if fresh is None else (addr, fresh, True)
+        depth = view.header.depth
+        if leaf is not None and common_prefix_len(ctx.key, leaf.key) < depth:
+            return self._false_positive(ctx, depth)
+        return None
+
+    def _false_positive(self, ctx: OpContext, depth: int):
+        """The walk is off the key's path, so it started from an
+        unmatched node (filter false positive, or the double hash
+        collision of paper Sec. III-B): restart from a shorter prefix."""
+        self.metrics.fp_restarts += 1
+        ctx.shrink(depth - 1)
+        return RETRY
+
+    # ------------------------------------------------------------------
+    # Search
+    # ------------------------------------------------------------------
+    def search(self, key: bytes):
+        """Op generator: value for ``key`` or None."""
+        self.metrics.searches += 1
+        return (yield from self._run(self._search_once,
+                                     OpContext(key, len(key) - 1), "search"))
+
+    def _search_once(self, ctx: OpContext):
+        key = ctx.key
+        located = yield from self.locate_start(ctx)
+        while True:  # a second pass only after _absent refreshed the view
+            landing = yield from self._descend(ctx, located)
+            if landing is RETRY:
+                return RETRY
+            slot = landing[3]
+            leaf = None
+            if slot is not None and slot.is_leaf:
+                leaf = yield from leaf_ops.read_leaf(
+                    slot.addr, slot.size_class, retry=self.retry)
+                if leaf.status == STATUS_INVALID:
+                    return RETRY  # mid-delete; retry until slot clears
+                if leaf.key == key:
+                    self.note_leaf(key, slot.addr, slot.size_class)
+                    return leaf.value
+            located = yield from self._absent(ctx, landing, leaf)
+            if located is None:
+                return None
 
     # ------------------------------------------------------------------
     # Insert (upsert)
@@ -438,10 +476,9 @@ class RemoteArtTree:
     def insert(self, key: bytes, value: bytes):
         """Op generator: True if the key was new, False if overwritten."""
         self.metrics.inserts += 1
-        result = yield from self._run(
+        return (yield from self._run(
             lambda ctx: self._insert_once(ctx, value),
-            OpContext(key, len(key) - 1), "insert")
-        return result
+            OpContext(key, len(key) - 1), "insert"))
 
     def _insert_once(self, ctx: OpContext, value: bytes):
         # Inserts need no trust refreshes: every mutation below is CAS-
@@ -449,81 +486,49 @@ class RemoteArtTree:
         # view can only cause a failed CAS and a retry, never corruption.
         key = ctx.key
         located = yield from self.locate_start(ctx)
-        if located is RETRY:
+        landing = yield from self._descend(ctx, located)
+        if landing is RETRY:
             return RETRY
-        cur_addr, cur, _trusted = located
-        parent: Optional[Tuple[int, NodeView]] = None
-        while True:
-            header = cur.header
-            if header.status == STATUS_INVALID:
-                self.invalidate_hint(cur_addr)
+        addr, view, _trusted, slot, child, parent = landing
+        depth = view.header.depth
+        if slot is None:
+            return (yield from self._install_new_leaf(
+                addr, view, parent, key, value))
+        if child is None:
+            leaf = yield from leaf_ops.read_leaf(
+                slot.addr, slot.size_class, retry=self.retry)
+            if leaf.status != STATUS_IDLE:
                 return RETRY
-            depth = header.depth
-            if depth >= len(key):
-                self.metrics.fp_restarts += 1
-                ctx.shrink(depth - 1)
-                return RETRY
-            slot = cur.find_child(key[depth])
-            if slot is None:
-                outcome = yield from self._install_new_leaf(
-                    cur_addr, cur, parent, key, value)
-                return True if outcome is not RETRY else RETRY
-            if slot.is_leaf:
-                leaf = yield from leaf_ops.read_leaf(
-                    slot.addr, slot.size_class, retry=self.retry)
-                if leaf.status != STATUS_IDLE:
-                    return RETRY
-                if leaf.key == key:
-                    outcome = yield from self._update_leaf(
-                        cur_addr, cur, slot, leaf, value)
-                    return False if outcome is not RETRY else RETRY
-                split_depth = common_prefix_len(key, leaf.key)
-                if split_depth < depth:
-                    self.metrics.fp_restarts += 1
-                    ctx.shrink(depth - 1)
-                    return RETRY
-                outcome = yield from self._split_at_slot(
-                    cur_addr, cur, slot, key, value,
-                    existing_key=leaf.key, split_depth=split_depth)
-                if outcome is not RETRY:
-                    self.metrics.leaf_splits += 1
-                    return True
-                return RETRY
-            child = yield from self._read_node(slot.addr, slot.size_class)
-            if child is None:
-                return RETRY
-            cheader = child.header
-            if cheader.status == STATUS_INVALID:
-                self.invalidate_hint(slot.addr)
-                return RETRY
-            if cheader.depth <= depth:
-                return RETRY
-            if (cheader.depth < len(key)
-                    and cheader.prefix_hash
-                    == prefix_hash42(key[:cheader.depth])):
-                self.on_path(key[:cheader.depth])
-                parent = (cur_addr, cur)
-                cur_addr, cur = slot.addr, child
-                continue
+            if leaf.key == key:
+                outcome = yield from self._update_leaf(
+                    addr, view, slot, leaf, value)
+                return False if outcome is not RETRY else RETRY
+            existing_key = leaf.key
+            split_depth = common_prefix_len(key, existing_key)
+            if split_depth < depth:
+                return self._false_positive(ctx, depth)
+        else:
             # The child's compressed prefix diverges: split the edge.
             witness = yield from self._recover_leaf_key(child)
             if witness is None:
                 return RETRY
             if witness is EMPTY_SUBTREE:
-                outcome = yield from self._replace_empty_child(
-                    cur_addr, cur, slot, child, key, value)
-                return True if outcome is not RETRY else RETRY
-            child_prefix = witness[:cheader.depth]
-            split_depth = common_prefix_len(key, child_prefix)
-            if not depth < split_depth < cheader.depth:
+                return (yield from self._replace_empty_child(
+                    addr, view, slot, child, key, value))
+            existing_key = witness[:child.header.depth]
+            split_depth = common_prefix_len(key, existing_key)
+            if not depth < split_depth < child.header.depth:
                 return RETRY  # raced a structural change
-            outcome = yield from self._split_at_slot(
-                cur_addr, cur, slot, key, value,
-                existing_key=child_prefix, split_depth=split_depth)
-            if outcome is not RETRY:
-                self.metrics.edge_splits += 1
-                return True
+        outcome = yield from self._split_at_slot(
+            addr, view, slot, key, value,
+            existing_key=existing_key, split_depth=split_depth)
+        if outcome is RETRY:
             return RETRY
+        if child is None:
+            self.metrics.leaf_splits += 1
+        else:
+            self.metrics.edge_splits += 1
+        return True
 
     def _install_new_leaf(self, node_addr: int, view: NodeView,
                           parent: Optional[Tuple[int, NodeView]],
@@ -690,7 +695,6 @@ class RemoteArtTree:
             return RETRY
         # Out-of-place: take ownership of the old leaf first, then
         # repoint the parent slot and retire the old leaf.
-        from ..art.layout import STATUS_LOCKED, leaf_status_word
         idle = leaf_status_word(STATUS_IDLE, leaf.units, len(leaf.key),
                                 len(leaf.value))
         locked = leaf_status_word(STATUS_LOCKED, leaf.units, len(leaf.key),
@@ -908,78 +912,32 @@ class RemoteArtTree:
     def update(self, key: bytes, value: bytes):
         """Op generator: overwrite ``key``; False if the key is absent."""
         self.metrics.updates += 1
-        result = yield from self._run(
+        return (yield from self._run(
             lambda ctx: self._update_once(ctx, value),
-            OpContext(key, len(key) - 1), "update")
-        return result
+            OpContext(key, len(key) - 1), "update"))
 
     def _update_once(self, ctx: OpContext, value: bytes):
         key = ctx.key
         located = yield from self.locate_start(ctx)
-        if located is RETRY:
-            return RETRY
-        cur_addr, cur, trusted = located
-        while True:
-            header = cur.header
-            if header.status == STATUS_INVALID:
-                self.invalidate_hint(cur_addr)
+        while True:  # a second pass only after _absent refreshed the view
+            landing = yield from self._descend(ctx, located)
+            if landing is RETRY:
                 return RETRY
-            depth = header.depth
-            if depth >= len(key):
-                self.metrics.fp_restarts += 1
-                ctx.shrink(depth - 1)
-                return RETRY
-            slot = cur.find_child(key[depth])
-            if slot is None:
-                if not trusted:
-                    cur = yield from self._refresh_node(cur_addr, cur)
-                    if cur is None:
-                        return RETRY
-                    trusted = True
-                    continue
-                return False
-            if slot.is_leaf:
+            addr, view, _trusted, slot, _child, _parent = landing
+            leaf = None
+            if slot is not None and slot.is_leaf:
                 leaf = yield from leaf_ops.read_leaf(
                     slot.addr, slot.size_class, retry=self.retry)
+                # Unlike search / delete, a Locked leaf restarts the
+                # update *before* its key is compared (DESIGN.md 4.1).
                 if leaf.status != STATUS_IDLE:
                     return RETRY
                 if leaf.key == key:
-                    outcome = yield from self._update_leaf(
-                        cur_addr, cur, slot, leaf, value)
-                    return True if outcome is not RETRY else RETRY
-                if not trusted:
-                    cur = yield from self._refresh_node(cur_addr, cur)
-                    if cur is None:
-                        return RETRY
-                    trusted = True
-                    continue
-                if common_prefix_len(key, leaf.key) < depth:
-                    self.metrics.fp_restarts += 1
-                    ctx.shrink(depth - 1)
-                    return RETRY
+                    return (yield from self._update_leaf(
+                        addr, view, slot, leaf, value))
+            located = yield from self._absent(ctx, landing, leaf)
+            if located is None:
                 return False
-            child = yield from self._read_node(slot.addr, slot.size_class)
-            if child is None:
-                return RETRY
-            if child.header.status == STATUS_INVALID:
-                self.invalidate_hint(slot.addr)
-                return RETRY
-            if child.header.depth <= depth:
-                return RETRY
-            if (child.header.depth < len(key)
-                    and child.header.prefix_hash
-                    == prefix_hash42(key[:child.header.depth])):
-                self.on_path(key[:child.header.depth])
-                cur_addr, cur = slot.addr, child
-                trusted = True
-                continue
-            if not trusted:
-                cur = yield from self._refresh_node(cur_addr, cur)
-                if cur is None:
-                    return RETRY
-                trusted = True
-                continue
-            return False
 
     # ------------------------------------------------------------------
     # Delete
@@ -987,108 +945,71 @@ class RemoteArtTree:
     def delete(self, key: bytes):
         """Op generator: remove ``key``; False if absent."""
         self.metrics.deletes += 1
-        result = yield from self._run(self._delete_once,
-                                      OpContext(key, len(key) - 1), "delete")
-        return result
+        return (yield from self._run(self._delete_once,
+                                     OpContext(key, len(key) - 1), "delete"))
 
     def _delete_once(self, ctx: OpContext):
         key = ctx.key
         located = yield from self.locate_start(ctx)
-        if located is RETRY:
-            return RETRY
-        cur_addr, cur, trusted = located
-        while True:
-            header = cur.header
-            if header.status == STATUS_INVALID:
-                self.invalidate_hint(cur_addr)
+        while True:  # a second pass only after _absent refreshed the view
+            # Delete alone walks without on_path, as it always has;
+            # filling the filter from deletes would move simulated
+            # digits (DESIGN.md 4.1).
+            landing = yield from self._descend(ctx, located, note_path=False)
+            if landing is RETRY:
                 return RETRY
-            depth = header.depth
-            if depth >= len(key):
-                self.metrics.fp_restarts += 1
-                ctx.shrink(depth - 1)
-                return RETRY
-            slot = cur.find_child(key[depth])
-            if slot is None:
-                if not trusted:
-                    cur = yield from self._refresh_node(cur_addr, cur)
-                    if cur is None:
-                        return RETRY
-                    trusted = True
-                    continue
-                return False
-            if slot.is_leaf:
+            addr, view, _trusted, slot, _child, _parent = landing
+            leaf = None
+            if slot is not None and slot.is_leaf:
                 leaf = yield from leaf_ops.read_leaf(
                     slot.addr, slot.size_class, retry=self.retry)
                 if leaf.status == STATUS_INVALID:
                     return RETRY  # another delete is mid-flight
-                if leaf.key != key:
-                    if not trusted:
-                        cur = yield from self._refresh_node(cur_addr, cur)
-                        if cur is None:
-                            return RETRY
-                        trusted = True
-                        continue
-                    if common_prefix_len(key, leaf.key) < depth:
-                        self.metrics.fp_restarts += 1
-                        ctx.shrink(depth - 1)
+                if leaf.key == key:
+                    if leaf.status != STATUS_IDLE:
                         return RETRY
-                    return False
-                if leaf.status != STATUS_IDLE:
-                    return RETRY
-                ok = yield from leaf_ops.invalidate_leaf(slot.addr, leaf)
-                if not ok:
-                    return RETRY
-                # The invalid leaf's slot must be cleared before we
-                # finish (readers retry on Invalid leaves), and the leaf
-                # block may only be freed once it is provably unlinked.
-                # Care: a racing split/type switch (or a stale cached
-                # parent view) can have RELINKED the leaf under a new
-                # inner node - the clear must chase it to its *current*
-                # parent, never assume "slot changed => already cleared".
-                victim_addr, victim_units = slot.addr, leaf.units
-                for _ in range(self.max_retries):
-                    cleared = yield from self._replace_slot(
-                        cur_addr, cur, slot, 0)
-                    if cleared:
-                        self.forget_leaf(key)
-                        self._free_leaf(victim_addr, victim_units)
-                        return True
-                    found = yield from self._chase_leaf_slot(key,
-                                                             victim_addr)
-                    if found is RETRY:
-                        yield LocalCompute(self.backoff_ns)
-                        continue
-                    if found is None:
-                        # The key's path no longer reaches the victim:
-                        # it is unlinked and safe to reclaim.
-                        self.forget_leaf(key)
-                        self._free_leaf(victim_addr, victim_units)
-                        return True
-                    cur_addr, cur, slot = found
-                raise RetryLimitExceeded(
-                    f"delete({key!r}) could not clear the leaf slot",
-                    addr=victim_addr)
-            child = yield from self._read_node(slot.addr, slot.size_class)
-            if child is None:
-                return RETRY
-            if child.header.status == STATUS_INVALID:
-                self.invalidate_hint(slot.addr)
-                return RETRY
-            if child.header.depth <= depth:
-                return RETRY
-            if (child.header.depth < len(key)
-                    and child.header.prefix_hash
-                    == prefix_hash42(key[:child.header.depth])):
-                cur_addr, cur = slot.addr, child
-                trusted = True
+                    ok = yield from leaf_ops.invalidate_leaf(slot.addr, leaf)
+                    if not ok:
+                        return RETRY
+                    return (yield from self._clear_leaf_slot(
+                        key, addr, view, slot, leaf.units))
+            located = yield from self._absent(ctx, landing, leaf)
+            if located is None:
+                return False
+
+    def _clear_leaf_slot(self, key: bytes, node_addr: int, view: NodeView,
+                         slot: Slot, units: int):
+        """Unlink the leaf a delete just invalidated, then free it.
+
+        The invalid leaf's slot must be cleared before the delete
+        finishes (readers retry on Invalid leaves), and the leaf block
+        may only be freed once it is provably unlinked.  Care: a racing
+        split/type switch (or a stale cached parent view) can have
+        RELINKED the leaf under a new inner node - the clear must chase
+        it to its *current* parent, never assume "slot changed => already
+        cleared".
+        """
+        victim_addr = slot.addr
+        for _ in range(self.max_retries):
+            cleared = yield from self._replace_slot(node_addr, view, slot, 0)
+            if cleared:
+                self.forget_leaf(key)
+                self._free_leaf(victim_addr, units)
+                return True
+            found = yield from self._chase_leaf_slot(key, victim_addr)
+            if found is RETRY:
+                yield LocalCompute(self.backoff_ns)
                 continue
-            if not trusted:
-                cur = yield from self._refresh_node(cur_addr, cur)
-                if cur is None:
-                    return RETRY
-                trusted = True
-                continue
-            return False
+            if found is None:
+                # The key's path no longer reaches the victim: it is
+                # unlinked and safe to reclaim.
+                self.forget_leaf(key)
+                self._free_leaf(victim_addr, units)
+                return True
+            node_addr, view, slot = found
+        raise RetryLimitExceeded(
+            f"delete({key!r}) could not clear the leaf slot",
+            addr=victim_addr)
 
     def _chase_leaf_slot(self, key: bytes, leaf_addr: int):
         """Find the (node, view, slot) currently linking ``leaf_addr`` on
@@ -1098,35 +1019,16 @@ class RemoteArtTree:
         reach ``leaf_addr`` (it is unlinked), or RETRY on transient state
         (locked/invalid nodes mid-change) - the caller backs off.
         """
-        cur_addr = self.root_addr
-        cur = yield from self._read_node(cur_addr, NODE256)
-        if cur is None:
+        ctx = OpContext(key, 0)
+        # The root itself, never a subclass's cached / filter-located node.
+        located = yield from RemoteArtTree.locate_start(self, ctx)
+        landing = yield from self._descend(ctx, located, note_path=False)
+        if landing is RETRY:
             return RETRY
-        # Descent-depth cap (max key length), not a retry budget.
-        for _ in range(256):  # lint: disable=L006
-            header = cur.header
-            if header.status == STATUS_INVALID:
-                return RETRY
-            if header.depth >= len(key):
-                return RETRY  # structurally off-path; re-examine later
-            slot = cur.find_child(key[header.depth])
-            if slot is None:
-                return None  # path ends: the leaf is unlinked
-            if slot.is_leaf:
-                if slot.addr == leaf_addr:
-                    return cur_addr, cur, slot
-                return None  # path ends at a different leaf
-            child = yield from self._read_node(slot.addr, slot.size_class)
-            if child is None or child.header.status == STATUS_INVALID:
-                return RETRY
-            if child.header.depth <= header.depth:
-                return RETRY
-            if (child.header.depth >= len(key)
-                    or child.header.prefix_hash
-                    != prefix_hash42(key[:child.header.depth])):
-                return None  # subtree diverges: leaf unreachable via key
-            cur_addr, cur = slot.addr, child
-        return RETRY
+        addr, view, _trusted, slot, _child, _parent = landing
+        if slot is not None and slot.is_leaf and slot.addr == leaf_addr:
+            return addr, view, slot
+        return None  # path ends, diverges, or reaches a different leaf
 
     # ------------------------------------------------------------------
     # Scan
@@ -1141,18 +1043,17 @@ class RemoteArtTree:
         plain ART port issues every read sequentially.
         """
         self.metrics.scans += 1
-        results = yield from self._run_scan(
-            lambda: self._scan_once(_ScanState(start_key, count, None)),
-            f"scan_count({start_key!r})")
+        results = yield from self._run(
+            lambda ctx: self._scan_once(_ScanState(start_key, count, None)),
+            OpContext(start_key, 0), "scan_count")
         return results[:count]
 
     def scan_range(self, lo: bytes, hi: bytes):
         """Op generator: all pairs with lo <= key <= hi."""
         self.metrics.scans += 1
-        results = yield from self._run_scan(
-            lambda: self._scan_once(_ScanState(lo, None, hi)),
-            f"scan_range({lo!r})")
-        return results
+        return (yield from self._run(
+            lambda ctx: self._scan_once(_ScanState(lo, None, hi)),
+            OpContext(lo, 0), "scan_range"))
 
     def _scan_once(self, state: "_ScanState"):
         root = yield from self._read_node(self.root_addr, NODE256)
@@ -1160,22 +1061,6 @@ class RemoteArtTree:
             yield from self._scan_walk(root, state)
             yield from self._flush_leaves(state)
         return state.results
-
-    def _run_scan(self, once, op_name: str):
-        """Whole-scan retry harness: scans are read-only, so an injected
-        fault mid-traversal simply restarts the scan from the root."""
-        retry = self.retry
-        for attempt in range(retry.max_retries):
-            try:
-                result = yield from once()
-            except InjectedFault:
-                self.metrics.fault_restarts += 1
-                yield LocalCompute(self._backoff_delay(attempt))
-                continue
-            return result
-        raise RetryLimitExceeded(
-            f"{op_name} exceeded {retry.max_retries} retries under faults",
-            addr=self.root_addr)
 
     def _flush_leaves(self, state: "_ScanState"):
         """Fetch and filter the buffered leaf slot words (one doorbell

@@ -35,7 +35,6 @@ from typing import Dict, List, Tuple
 
 from ..art.layout import (
     LEAF_ALIGN,
-    NODE256,
     STATUS_INVALID,
     decode_leaf,
     decode_node,
@@ -205,17 +204,14 @@ class SphinxClient(RemoteArtTree):
         """Locator-guided leaf reads rejected by the fence check (stale
         address, tag collision, torn read, fault) and retried via the
         regular filter/INHT ladder."""
+        # The ``locate_start`` hook, bound once: the config is frozen, so
+        # no op pays a dispatch frame to re-ask which ladder it climbs.
+        self.locate_start = self._locate_with_filter \
+            if config.use_filter else self._locate_parallel
 
     # ------------------------------------------------------------------
     # Hook implementations
     # ------------------------------------------------------------------
-    def locate_start(self, ctx: OpContext):
-        if self.config.use_filter:
-            result = yield from self._locate_with_filter(ctx)
-        else:
-            result = yield from self._locate_parallel(ctx)
-        return result
-
     def on_path(self, prefix: bytes) -> None:
         # Freshness rule (Sec. IV, Search): any on-path prefix reached by
         # traversal rather than by the filter gets (re)inserted locally.
@@ -256,8 +252,7 @@ class SphinxClient(RemoteArtTree):
         locator-disabled client - the locator only changes round trips.
         """
         if self.locator is None:
-            result = yield from super().search(key)
-            return result
+            return (yield from super().search(key))
         self.metrics.searches += 1
         hit = self.locator.get(key)
         if hit is not None:
@@ -283,9 +278,8 @@ class SphinxClient(RemoteArtTree):
                     # is fine, the image just raced an in-place writer.
                     self.locator.drop(key)
                 self.locator_fallbacks += 1
-        result = yield from self._run(self._search_once,
-                                      OpContext(key, len(key) - 1), "search")
-        return result
+        return (yield from self._run(self._search_once,
+                                     OpContext(key, len(key) - 1), "search"))
 
     # ------------------------------------------------------------------
     # Locate via the succinct filter cache (common case: 2 round trips
@@ -308,20 +302,15 @@ class SphinxClient(RemoteArtTree):
                 self.inht_fallbacks += 1
                 break
             if found is not None:
-                return found[0], found[1], True
+                return found
             # False positive (or evicted/stale entry): fall through to
             # the next shorter prefix present in the filter.
             self.metrics.fp_restarts += 1
             depth = self.filter.deepest_hit(key, depth - 1)
-        view = yield from self._read_node(self.root_addr, NODE256)
-        if view is None:
-            return RETRY
-        return self.root_addr, view, True
+        return (yield from super().locate_start(ctx))
 
     def _fetch_via_inht(self, prefix: bytes, depth: int):
-        """Hash-entry read + doorbell-batched candidate node reads,
-        validated by header depth + 42-bit prefix hash."""
-        target_hash = prefix_hash42(prefix)
+        """Hash-entry read + validated candidate node reads."""
         # One extra attempt is intrinsic: a type switch's fresh entry
         # lands within one round trip (backoff below is policy-derived).
         for _attempt in range(2):  # lint: disable=L006
@@ -330,24 +319,10 @@ class SphinxClient(RemoteArtTree):
                 return None
             if len(matches) > 1:
                 self.multi_candidate_lookups += 1
-            blobs = yield Batch([ReadOp(entry.addr, node_size(entry.node_type))
-                                 for _slot, entry in matches])
-            saw_invalid = False
-            for (_slot, entry), blob in zip(matches, blobs):
-                try:
-                    view = decode_node(blob)
-                except ReproError:
-                    continue
-                if view.header.node_type != entry.node_type:
-                    continue
-                if view.header.status == STATUS_INVALID:
-                    saw_invalid = True
-                    continue
-                if (view.header.depth == depth
-                        and view.header.prefix_hash == target_hash):
-                    return entry.addr, view
-            if not saw_invalid:
-                return None
+            blobs = yield self._candidate_reads(matches)
+            found = self._validate_candidates(prefix, depth, matches, blobs)
+            if found is not RETRY:
+                return found
             # A type switch is propagating to the hash table; the fresh
             # entry lands within one round trip - retry the lookup once.
             yield LocalCompute(self.backoff_ns)
@@ -359,19 +334,15 @@ class SphinxClient(RemoteArtTree):
     def _locate_parallel(self, ctx: OpContext):
         key = ctx.key
         max_depth = min(len(key) - 1, ctx.limit)
-        if max_depth < 1:
-            view = yield from self._read_node(self.root_addr, NODE256)
-            if view is None:
-                return RETRY
-            return self.root_addr, view, True
-        try:
-            probes = yield from self.inht.probe_all(
-                [key[:d] for d in range(1, max_depth + 1)])
-        except MNUnavailable:
-            # The MN hosting a probed table crashed: the base design's
-            # batched probe cannot complete, but the tree survives.
-            self.inht_fallbacks += 1
-            probes = {}
+        probes: dict = {}
+        if max_depth >= 1:
+            try:
+                probes = yield from self.inht.probe_all(
+                    [key[:d] for d in range(1, max_depth + 1)])
+            except MNUnavailable:
+                # The MN hosting a probed table crashed: the base design's
+                # batched probe cannot complete, but the tree survives.
+                self.inht_fallbacks += 1
         for depth in range(max_depth, 0, -1):
             prefix = key[:depth]
             matches = probes.get(prefix)
@@ -383,33 +354,47 @@ class SphinxClient(RemoteArtTree):
                     continue
             if not matches:
                 continue
-            found = yield from self._validate_candidates(prefix, depth,
-                                                         matches)
-            if found is not None:
-                return found[0], found[1], True
-        view = yield from self._read_node(self.root_addr, NODE256)
-        if view is None:
-            return RETRY
-        return self.root_addr, view, True
+            blobs = yield self._candidate_reads(matches)
+            found = self._validate_candidates(prefix, depth, matches, blobs)
+            # RETRY (an Invalid candidate) is just "no match" here: the
+            # next shorter prefix is already probed, nothing to wait for.
+            if found is not None and found is not RETRY:
+                return found
+        return (yield from super().locate_start(ctx))
 
-    def _validate_candidates(self, prefix: bytes, depth: int,
-                             matches: List[Tuple[int, object]]):
+    @staticmethod
+    def _candidate_reads(matches: List[Tuple[int, object]]) -> Batch:
+        """One doorbell batch reading every fp2-matching INHT candidate."""
+        return Batch([ReadOp(entry.addr, node_size(entry.node_type))
+                      for _slot, entry in matches])
+
+    @staticmethod
+    def _validate_candidates(prefix: bytes, depth: int,
+                             matches: List[Tuple[int, object]], blobs):
+        """Validate the candidates' images (``_candidate_reads``) by node
+        type, header depth and 42-bit prefix hash.  A plain function: no
+        generator frame between the ladder and its verbs.
+
+        Returns the ``located`` triple of the match, None if there is
+        none, or RETRY if there is none but a candidate was Invalid (a
+        type switch whose fresh entry has not reached the table yet).
+        """
         target_hash = prefix_hash42(prefix)
-        blobs = yield Batch([ReadOp(entry.addr, node_size(entry.node_type))
-                             for _slot, entry in matches])
+        saw_invalid = False
         for (_slot, entry), blob in zip(matches, blobs):
             try:
                 view = decode_node(blob)
             except ReproError:
                 continue
-            if view.header.node_type != entry.node_type:
+            header = view.header
+            if header.node_type != entry.node_type:
                 continue
-            if view.header.status == STATUS_INVALID:
-                continue
-            if (view.header.depth == depth
-                    and view.header.prefix_hash == target_hash):
-                return entry.addr, view
-        return None
+            if header.status == STATUS_INVALID:
+                saw_invalid = True
+            elif (header.depth == depth
+                    and header.prefix_hash == target_hash):
+                return entry.addr, view, True
+        return RETRY if saw_invalid else None
 
     # ------------------------------------------------------------------
     # Introspection

@@ -6,6 +6,14 @@ optimistic operations under one :class:`RetryPolicy` instead of scattered
 frozen: it is embedded in frozen config dataclasses and deep-copied with
 benchmark snapshots.
 
+Budgets and backoffs are honoured by every client.  The ``op_timeout_ns``
+deadline is enforced by ``RemoteArtTree._run`` only: the outermost
+attempt loop of the tree point ops and scans of Sphinx, SMART and
+ART-on-DM.  RACE, B+, Outback and the recovery manager never read it,
+and a loop nested inside a tree op (an INHT lookup retrying in
+``RaceClient._read_group``) can overshoot the op's deadline by its own
+``max_retries`` budget (ROADMAP.md carries the reproducer).
+
 ``backoff_delay`` reproduces the historical jittered exponential backoff
 bit-for-bit (same shift cap, same ``randrange`` bounds), so swapping the
 old per-client fields for a shared policy does not move a single

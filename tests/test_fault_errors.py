@@ -21,14 +21,14 @@ from repro.errors import InjectedFault, RetryLimitExceeded
 from repro.fault import FaultPlan, RetryPolicy, drop, stale_cas
 
 
-def _fresh(plan, retry=None):
+def _fresh(plan, retry=None, keys=8):
     cluster = Cluster(ClusterConfig(mn_capacity_bytes=64 << 20))
     config = SphinxConfig(filter_budget_bytes=1 << 14,
                           **({"retry": retry} if retry else {}))
     index = SphinxIndex(cluster, config)
     client = index.client(0)
     ex = cluster.direct_executor()
-    for i in range(8):
+    for i in range(keys):
         ex.run(client.insert(encode_str(f"e/{i}"), f"v{i}".encode()))
     cluster.attach_faults(plan)
     return cluster, client
@@ -73,6 +73,31 @@ def test_op_timeout_deadline_fires():
         engine.run_until_complete(
             engine.process(executor.run(client.search(encode_str("e/3"))),
                            name="deadline"))
+
+
+def test_scan_deadline_fires_at_the_deadline():
+    """Scans retry through the same ``_run`` as point ops, so the same
+    ``op_timeout_ns`` bounds them: every read is dropped, the first
+    attempt costs one completion timeout, and that is already past the
+    deadline - the scan must stop there, not after all 200 attempts
+    (3.36 ms and "exceeded 200 retries under faults" before scans moved
+    onto ``_run``).  Each refused attempt still counts one
+    ``fault_restarts``."""
+    plan = FaultPlan(seed=5, rules=(drop(1.0, ("read",)),))
+    retry = RetryPolicy(max_retries=200, backoff_ns=100,
+                        op_timeout_ns=10_000)
+    cluster, client = _fresh(plan, retry, keys=50)
+    executor = cluster.sim_executor(0, OpStats())
+    engine = cluster.engine
+    scans = (lambda: client.scan_count(encode_str("e/2"), 10),
+             lambda: client.scan_range(encode_str("e/1"), encode_str("e/4")))
+    for scan in scans:
+        t0, restarts = engine.now, client.metrics.fault_restarts
+        with pytest.raises(RetryLimitExceeded, match="timed out after"):
+            engine.run_until_complete(
+                engine.process(executor.run(scan()), name="scan-deadline"))
+        assert engine.now - t0 <= retry.op_timeout_ns + plan.timeout_ns
+        assert client.metrics.fault_restarts == restarts + 1
 
 
 def test_unreachable_address_naks_like_a_nic():

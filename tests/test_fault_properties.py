@@ -19,8 +19,10 @@ A mutation check closes the loop: a deliberately broken retry policy
 (silently swallowing exhaustion) must be *caught* by this same harness.
 """
 
+import inspect
 import os
 import random
+import textwrap
 
 import pytest
 
@@ -288,17 +290,19 @@ def test_race_chaos_presence_or_clean_failure(seed):
 
 def test_mutation_broken_retry_is_caught(monkeypatch):
     """Mutate the unified retry loop to swallow exhaustion (returning
-    None instead of raising).  Under heavy chaos with a tiny retry
-    budget this manufactures silent wrong answers - which the oracle
-    harness above must flag.  If this test ever fails, the property
-    suite has lost its teeth."""
+    "nothing there" instead of raising: None for a point op, an empty
+    list for a scan - ``_run`` serves both).  Under heavy chaos with a
+    tiny retry budget this manufactures silent wrong answers - which the
+    oracle harness above must flag.  If this test ever fails, the
+    property suite has lost its teeth."""
     original = RemoteArtTree._run
 
     def swallowing_run(self, once, ctx, op_name):
         try:
             result = yield from original(self, once, ctx, op_name)
         except RetryLimitExceeded:
-            return None  # the mutant: exhaustion pretends key is absent
+            # The mutant: exhaustion pretends the key / range is empty.
+            return [] if op_name.startswith("scan") else None
         return result
 
     monkeypatch.setattr(RemoteArtTree, "_run", swallowing_run)
@@ -306,3 +310,52 @@ def test_mutation_broken_retry_is_caught(monkeypatch):
     with pytest.raises(AssertionError):
         for seed in range(20):
             _run_tree_chaos("Sphinx", seed, intensity=25.0, retry=tiny)
+
+
+def _stale_pointer_to_retired_node():
+    """A reader whose cached path ends in a node that was retired under
+    it: SMART client ``a`` caches root -> "e/" node; client ``b`` empties
+    that node, replaces it outright with a leaf (the node goes Invalid)
+    and then grows a new subtree holding "e/z" where it hung.  ``a``'s
+    search for "e/z" starts from its cached copy of the retired node."""
+    cluster = Cluster(ClusterConfig(mn_capacity_bytes=64 << 20))
+    index = SmartIndex(cluster, SmartConfig(cache_budget_bytes=1 << 16))
+    a, b = index.client(0), index.client(1)
+    ex = cluster.direct_executor()
+    for c in "ab":
+        ex.run(a.insert(encode_str(f"e/{c}"), c.encode()))
+    assert ex.run(a.search(encode_str("e/c"))) is None  # caches the path
+    for c in "ab":
+        assert ex.run(b.delete(encode_str(f"e/{c}")))
+    assert ex.run(b.insert(encode_str("eXtra"), b"x"))
+    assert b.metrics.empty_replacements == 1
+    assert ex.run(b.insert(encode_str("e/z"), b"z"))
+    restarts = a.metrics.op_restarts
+    got = ex.run(a.search(encode_str("e/z")))
+    assert got == b"z", f"search through a retired node returned {got!r}"
+    assert a.metrics.op_restarts == restarts + 1
+
+
+def test_stale_pointer_to_retired_node_restarts_the_walk():
+    _stale_pointer_to_retired_node()
+
+
+def test_mutation_descend_ignoring_invalid_is_caught(monkeypatch):
+    """Mutate the one descent to ignore ``STATUS_INVALID`` (both the
+    current node's and the child's check).  Killed by
+    ``test_stale_pointer_to_retired_node_restarts_the_walk`` above - and,
+    when this mutant was written, by nothing else: tier-1's concurrency,
+    stateful, chaos, recovery, locator and rack suites and the golden
+    verb streams of ``test_point_descent.py`` all pass under it, because
+    every mutation below a retired node is CAS-guarded by that node's
+    own header and a reader only gets there through a stale *cache*
+    (ROADMAP.md, mutation-matrix item)."""
+    source = textwrap.dedent(inspect.getsource(RemoteArtTree._descend))
+    assert source.count("== STATUS_INVALID") == 2
+    namespace = {}
+    exec(compile(source.replace("== STATUS_INVALID", "== -1"),
+                 "<_descend mutant>", "exec"),
+         vars(inspect.getmodule(RemoteArtTree)), namespace)
+    monkeypatch.setattr(RemoteArtTree, "_descend", namespace["_descend"])
+    with pytest.raises(AssertionError, match="retired node returned None"):
+        _stale_pointer_to_retired_node()

@@ -43,7 +43,7 @@ from repro.art.layout import (
 from repro.baselines import ArtDmConfig, ArtDmIndex
 from repro.core import SphinxConfig, SphinxIndex
 from repro.core import leaf as leaf_ops
-from repro.core.remote_art import EMPTY_SUBTREE
+from repro.core.remote_art import EMPTY_SUBTREE, OpContext
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.memory import addr_mn, addr_offset
 from repro.dm.rdma import Batch, ReadOp
@@ -108,7 +108,7 @@ class _RecursiveScanReference:
     ``state.done``, which made the last flush drop the in-range leaves
     still buffered (``test_scan_range_matches_reference`` checks both
     sides against the tree's truth).  Everything the PR left alone - ``_read_node``,
-    ``_recover_leaf_key``, ``_run_scan``, ``scan_batched``, ``retry``,
+    ``_recover_leaf_key``, ``_run``, ``scan_batched``, ``retry``,
     ``metrics`` - is the client's own, reached through ``__getattr__``.
     """
 
@@ -121,9 +121,9 @@ class _RecursiveScanReference:
 
     def scan_count(self, start_key: bytes, count: int):
         self.metrics.scans += 1
-        result = yield from self._run_scan(
-            lambda: self._scan_count_once(start_key, count),
-            f"scan_count({start_key!r})")
+        result = yield from self._run(
+            lambda ctx: self._scan_count_once(start_key, count),
+            OpContext(start_key, 0), "scan_count")
         return result
 
     def _scan_count_once(self, start_key: bytes, count: int):
@@ -137,8 +137,9 @@ class _RecursiveScanReference:
 
     def scan_range(self, lo: bytes, hi: bytes):
         self.metrics.scans += 1
-        result = yield from self._run_scan(
-            lambda: self._scan_range_once(lo, hi), f"scan_range({lo!r})")
+        result = yield from self._run(
+            lambda ctx: self._scan_range_once(lo, hi),
+            OpContext(lo, 0), "scan_range")
         return result
 
     def _scan_range_once(self, lo: bytes, hi: bytes):
