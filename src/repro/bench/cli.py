@@ -36,7 +36,9 @@ and reports how many workers died per cell.  ``--workloads A,C`` and
 ``--systems Sphinx,ART`` narrow the grid.
 
 Profile mode: ``--profile`` attaches a ``repro.obs`` tracer to every
-fig4/fig5 cell and prints the per-op round-trip/bytes/retry breakdown;
+fig4/fig5 cell and prints the per-op round-trip/bytes/retry breakdown
+and, under it, the memo census (``repro.util.hashing.memo_census()``:
+entries held by every process-wide memo of a pure function);
 ``--trace-out trace.json`` additionally writes the Chrome
 ``trace_event`` JSON (load it in chrome://tracing or Perfetto), and
 ``--trace-jsonl trace.jsonl`` the compact JSONL span log.  Attached
@@ -74,6 +76,7 @@ from .harness import DEFAULT_KEYS, DEFAULT_OPS, DEFAULT_PARALLEL, \
 from .perftrack import TRACKER, gate
 from .rackfig import rack_family, render_rack
 from .reporting import banner, format_table
+from ..util.hashing import memo_census
 
 
 def _rows_table(rows) -> str:
@@ -259,6 +262,10 @@ def main(argv=None) -> int:
         print(banner("Profile - per-op round-trip/bytes/retry breakdown"))
         print(render_profile(profiles))
         print(render_rtt_histograms(rtt_histograms(traces)))
+        print(banner("Memo census - entries per memo of a pure function "
+                     "(this process)"))
+        print(format_table(["memo", "entries"],
+                           sorted(memo_census().items())))
         if args.trace_out:
             labels = list(traces)
             write_chrome_trace([traces[label] for label in labels],

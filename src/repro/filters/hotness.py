@@ -16,27 +16,64 @@ hold every prefix, a second-chance (clock-like) policy keeps hot prefixes:
 
 Unlike the plain :class:`~repro.filters.cuckoo.CuckooFilter`, insertion
 therefore **never fails**; it may instead evict.
+
+Host side, the filter state proper is ``_fps`` / ``_hot`` plus a resident
+index over them.  *Where an item may live* is a pure function of its
+bytes and the geometry, memoised process-wide in two tables (below): point
+probes per inner-node prefix, search ladders per key.
 """
 
 from __future__ import annotations
 
 import copy
 import random
+from array import array
 from typing import Dict, List, Tuple
+from zlib import crc32
 
 from ..errors import FilterError
-from ..util.hashing import FINGERPRINT_SEED, cache_put, hash64, hash64_raw
+from ..util.hashing import FINGERPRINT_SEED, cache_put, hash64_raw, memo
 
 EMPTY = 0
 
-# One probe table per filter geometry ``(fp_bits, num_buckets)``, shared
-# by every filter of that geometry in the process: prefix bytes ->
-# ``(fp, bucket1, bucket2, code1, code2)``, where a *resident code* is
-# ``(bucket << fp_bits) | fp``.  It caches a pure function, so sharing
-# cannot change an answer; it is filled from ``hash64_raw`` (nothing is
-# stored twice) and bounded by ``cache_put`` like ``hash64``'s own
-# tables.  Probes dominate every search.
-_probe_tables: Dict[Tuple[int, int], dict] = {}
+# Where an item may live is a pure function of its bytes and the filter
+# geometry ``(fp_bits, num_buckets)``: a fingerprint and two buckets,
+# i.e. two *resident codes* ``(bucket << fp_bits) | fp``.  It is memoised
+# per geometry, process-wide (sharing a pure function cannot change an
+# answer), filled from the un-memoised hash (nothing is stored twice),
+# bounded by ``cache_put`` - and at the granularity its caller repeats:
+#
+# * the *probe table* ``filter.probe(fp_bits, buckets)``: item bytes ->
+#   ``(fp, bucket1, bucket2, code1, code2)`` for the point operations
+#   ``insert`` / ``contains`` / ``delete``.  Their items are inner-node
+#   prefixes, which many keys and every CN's filter share, so the prefix
+#   is the unit that repeats.
+# * the *ladder table* ``filter.ladder(fp_bits, buckets)``: key bytes ->
+#   its ladder, an ``array("Q")`` with the two codes of ``key[:d]`` at
+#   ``[2d - 2, 2d - 1]``, for ``deepest_hit``.  A search walks ~13-16
+#   rungs of its key and almost every rung is a prefix no other key
+#   shares, so the key is the unit that repeats.  0 means "rung not
+#   hashed yet" (a code is never 0: ``fp >= 1``); rungs are filled by
+#   the walks that visit them.
+#
+# One hash (``_locate``), two memos over it.
+
+# fp -> hash64 of its 4 little-endian bytes, seed 0xA17: the XOR that
+# takes a fingerprint from either of its buckets to the other.
+_alt_hashes = memo("filter.alt")
+
+# ``_locate`` is ``hash64_raw`` inlined for its two seeds (a cold rung
+# runs it ~13 times per inserted key; the frames were a third of its
+# cost, DESIGN.md 11.6).  These are the CRC initial values ``hash64_raw``
+# derives from a seed; both seeds are below 2^32, so the seed's high half
+# contributes nothing.  ``test_probe_table_matches_hashing_functions``
+# pins the copy to ``util.hashing``.
+_BUCKET_SEED = 0xB0CCE7
+_M64 = (1 << 64) - 1
+_FP_LO = FINGERPRINT_SEED & 0xFFFFFFFF
+_FP_HI = (~FINGERPRINT_SEED ^ 0x5BD1E995) & 0xFFFFFFFF
+_BUCKET_LO = _BUCKET_SEED & 0xFFFFFFFF
+_BUCKET_HI = (~_BUCKET_SEED ^ 0x5BD1E995) & 0xFFFFFFFF
 
 
 def _floor_pow2(n: int) -> int:
@@ -69,8 +106,9 @@ class SuccinctFilterCache:
         self._fps: List[int] = [EMPTY] * n
         self._hot: List[bool] = [False] * n
         self._rng = rng if rng is not None else random.Random(0x5FC)
-        self._table = _probe_tables.setdefault(
-            (fp_bits, self.num_buckets), {})
+        geometry = (fp_bits, self.num_buckets)
+        self._table = memo(f"filter.probe{geometry}")
+        self._ladders = memo(f"filter.ladder{geometry}")
         # Resident index: code -> slot for every occupied slot.  ``_fps``
         # and ``_hot`` stay the ground truth (eviction, relocation and
         # every RNG draw read them in slot order); the index only answers
@@ -89,8 +127,8 @@ class SuccinctFilterCache:
 
     def __deepcopy__(self, memo):
         """Snapshot-restore support: copy the filter *state* (slots,
-        hotness bits, resident index, RNG, counters); the probe table
-        stays the process-wide one."""
+        hotness bits, resident index, RNG, counters); the probe and
+        ladder tables stay the process-wide ones."""
         clone = self.__class__.__new__(self.__class__)
         memo[id(self)] = clone
         clone.__dict__.update(self.__dict__)
@@ -102,17 +140,39 @@ class SuccinctFilterCache:
 
     # -- hashing (same scheme as the base filter) -------------------------
     def _alt_index(self, index: int, fp: int) -> int:
-        return (index ^ hash64(fp.to_bytes(4, "little"), 0xA17)) & self._mask
+        h = _alt_hashes.get(fp)
+        if h is None:
+            h = hash64_raw(fp.to_bytes(4, "little"), 0xA17)
+            cache_put(_alt_hashes, fp, h)
+        return (index ^ h) & self._mask
+
+    def _locate(self, item: bytes) -> Tuple[int, int, int]:
+        """``(fp, bucket1, bucket2)`` for ``item``, the one hash:
+        ``hash64_raw(item, FINGERPRINT_SEED)`` masked and never 0,
+        ``hash64_raw(item, _BUCKET_SEED)`` masked, ``_alt_index`` of
+        the two - in one frame."""
+        x = (crc32(item, _FP_HI) << 32 | crc32(item, _FP_LO)) \
+            + 0x9E3779B97F4A7C15 & _M64
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _M64
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & _M64
+        fp = (x ^ x >> 31) & ((1 << self.fp_bits) - 1) or 1
+        x = (crc32(item, _BUCKET_HI) << 32 | crc32(item, _BUCKET_LO)) \
+            + 0x9E3779B97F4A7C15 & _M64
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _M64
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & _M64
+        i1 = (x ^ x >> 31) & self._mask
+        h = _alt_hashes.get(fp)
+        if h is None:
+            return fp, i1, self._alt_index(i1, fp)
+        return fp, i1, (i1 ^ h) & self._mask
 
     def _probe(self, item: bytes):
         """``(fp, bucket1, bucket2, code1, code2)`` for ``item``."""
         table = self._table
         probe = table.get(item)
         if probe is None:
+            fp, i1, i2 = self._locate(item)
             bits = self.fp_bits
-            fp = hash64_raw(item, FINGERPRINT_SEED) & ((1 << bits) - 1) or 1
-            i1 = hash64_raw(item, 0xB0CCE7) & self._mask
-            i2 = self._alt_index(i1, fp)
             probe = (fp, i1, i2, i1 << bits | fp, i2 << bits | fp)
             cache_put(table, item, probe)
         return probe
@@ -151,18 +211,27 @@ class SuccinctFilterCache:
         Exactly ``contains(key[:d])`` asked for d = depth, depth - 1, ...
         up to and including the first hit - same hot bit, same hit and
         miss counts - fused because the search path asks it of every key
-        and nearly every rung is a miss.
+        and nearly every rung is a miss.  The rungs come from the key's
+        ladder; every ``d`` past the end of the key names the key itself,
+        so it reads the last rung.
         """
-        table = self._table
+        ladders = self._ladders
+        ladder = ladders.get(key)
+        if ladder is None:
+            ladder = array("Q", bytes(16 * (len(key) or 1)))
+            cache_put(ladders, key, ladder)
         index = self._index
+        last = len(ladder)
         for d in range(depth, 0, -1):
-            prefix = key[:d]
-            probe = table.get(prefix)
-            if probe is None:
-                probe = self._probe(prefix)
-            slot = index.get(probe[3])
+            end = d + d if d + d < last else last  # of this rung's pair
+            code = ladder[end - 2]
+            if not code:
+                fp, i1, i2 = self._locate(key[:end >> 1])
+                code = ladder[end - 2] = i1 << self.fp_bits | fp
+                ladder[end - 1] = i2 << self.fp_bits | fp
+            slot = index.get(code)
             if slot is None:
-                slot = index.get(probe[4])
+                slot = index.get(ladder[end - 1])
                 if slot is None:
                     continue
             self._hot[slot] = True

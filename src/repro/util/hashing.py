@@ -16,8 +16,9 @@ splitmix64 finalizer to de-correlate the two 32-bit halves.
 from __future__ import annotations
 
 import bisect
+import weakref
 import zlib
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import InvalidArgument
 
@@ -41,6 +42,12 @@ def _splitmix64(x: int) -> int:
 _CACHE_MAX = 1 << 21
 _hash_tables: dict = {}
 
+# Every memo that goes through ``cache_put``, registered where it is
+# created: the process-wide tables by name (``memo``), the per-ring
+# lookup memos through their (weakly held) rings.
+_memos: Dict[str, dict] = {}
+_rings: "weakref.WeakSet[ConsistentHashRing]" = weakref.WeakSet()
+
 FINGERPRINT_SEED = 0x0F1E2D3C
 
 
@@ -51,14 +58,31 @@ def cache_put(table: dict, key, value) -> None:
     table[key] = value
 
 
+def memo(name: str) -> dict:
+    """The process-wide ``cache_put`` table called ``name`` (made on
+    first request), listed by :func:`memo_census`."""
+    return _memos.setdefault(name, {})
+
+
+def memo_census() -> Dict[str, int]:
+    """``{name: entries}`` for every memo of a pure function in this
+    process: ``hash64[<seed>]``, ``ring.lookup`` (summed over the live
+    rings) and whatever other modules asked :func:`memo` for (the
+    filter cache's ``filter.probe(...)`` / ``filter.ladder(...)``).  It
+    is where host memory that is not simulated state goes."""
+    census = {name: len(table) for name, table in _memos.items()}
+    census["ring.lookup"] = sum(len(ring._memo) for ring in _rings)
+    return census
+
+
 def hash64_raw(data: bytes, seed: int = 0) -> int:
     """:func:`hash64` without its memo: the computation itself.
 
     Two CRC32 passes with seed-derived initial values provide 64 input-
     sensitive bits; splitmix64 mixes them so that low bits are usable as
     bucket indexes and high bits as fingerprints.  For callers that keep
-    their own table of derived values (the filter's probe table) and so
-    would only store every hash twice.
+    their own table of derived values (the filter's probe and ladder
+    tables) and so would only store every hash twice.
     """
     lo = zlib.crc32(data, seed & 0xFFFFFFFF)
     hi = zlib.crc32(data, (~seed ^ 0x5BD1E995) & 0xFFFFFFFF)
@@ -69,7 +93,7 @@ def hash64(data: bytes, seed: int = 0) -> int:
     """Seeded 64-bit hash of ``data``, memoized per seed."""
     table = _hash_tables.get(seed)
     if table is None:
-        table = _hash_tables[seed] = {}
+        table = _hash_tables[seed] = memo(f"hash64[{seed:#x}]")
     h = table.get(data)
     if h is None:
         h = hash64_raw(data, seed)
@@ -128,6 +152,7 @@ class ConsistentHashRing:
         # a given byte string never changes; placement sits on every
         # alloc and every INHT client lookup.
         self._memo: dict = {}
+        _rings.add(self)
 
     def __deepcopy__(self, memo):
         # Membership and tokens are immutable after construction and the

@@ -7,6 +7,8 @@ from itertools import product
 
 import pytest
 
+from repro.core import SphinxConfig, SphinxIndex
+from repro.dm import Cluster, ClusterConfig
 from repro.errors import FilterError
 from repro.filters import SuccinctFilterCache
 from repro.util import hashing
@@ -201,43 +203,96 @@ def _state(f):
 KEYS = [bytes(k) for n in range(1, 7) for k in product(b"abc", repeat=n)]
 
 
-def _op_mix(ops: random.Random, steps: int):
+def _op_mix(ops: random.Random, steps: int, keys=KEYS):
     """A seeded op stream over a small alphabet (so prefixes repeat).
     Now and then every key is probed: only a filter whose slots are all
-    hot relocates, and only a long all-hot chain exhausts its kicks."""
+    hot relocates, and only a long all-hot chain exhausts its kicks.
+    ``deepest_hit`` is asked from below 0 to past the end of the key:
+    slices clamp, each depth still counts one miss or stops at a hit."""
     for _ in range(steps):
-        key = ops.choice(KEYS)
+        key = ops.choice(keys)
         op = ops.choices(("insert", "contains", "delete", "deepest_hit",
                           "heat"), weights=(60, 30, 3, 40, 2))[0]
         if op == "heat":
             yield from (("contains", (k,)) for k in KEYS)
         elif op == "deepest_hit":
-            yield op, (key, ops.randint(0, len(key)))
+            yield op, (key, ops.randint(-1, len(key) + 2))
         else:
             yield op, (key,)
 
 
+def _step(real, ref, op, args, where):
+    """One op on the filter and on its oracle: same answer, same state."""
+    assert getattr(real, op)(*args) == getattr(ref, op)(*args), (where, op)
+    assert _state(real) == _state(ref), (where, op, args)
+
+
+def _check_index(real, where):
+    assert real._index == {
+        (slot // real.bucket_slots << real.fp_bits) | fp: slot
+        for slot, fp in enumerate(real._fps) if fp}, where
+
+
 def test_matches_slot_scan_reference():
     branches = Counter()
-    for budget, max_kicks, second_chance in product(
-            (16, 32, 64, 200, 1000), (8, 64), (True, False)):
-        where = f"budget={budget} kicks={max_kicks} sc={second_chance}"
+    for fp_bits, budget, max_kicks, second_chance in product(
+            (2, 12, 32), (16, 32, 64, 200, 1000), (8, 64), (True, False)):
+        where = (f"fp_bits={fp_bits} budget={budget} kicks={max_kicks} "
+                 f"sc={second_chance}")
         seed = budget * 1000 + max_kicks * 2 + second_chance
-        real = SuccinctFilterCache(budget, max_kicks=max_kicks,
+        real = SuccinctFilterCache(budget, fp_bits=fp_bits,
+                                   max_kicks=max_kicks,
                                    rng=random.Random(seed),
                                    second_chance=second_chance)
         ref = _SlotScanReference(real, random.Random(seed))
         for op, args in _op_mix(random.Random(~seed), 2000):
-            assert getattr(real, op)(*args) == getattr(ref, op)(*args), where
-            assert _state(real) == _state(ref), (where, op, args)
+            _step(real, ref, op, args, where)
         assert real._rng.getstate() == ref._rng.getstate(), where
-        assert real._index == {
-            (slot // real.bucket_slots << real.fp_bits) | fp: slot
-            for slot, fp in enumerate(real._fps) if fp}, where
+        _check_index(real, where)
         branches += ref.branches
     # Not vacuous: every eviction branch ran, many times.
     assert min(branches[b] for b in (
         "cold_replace", "relocated", "kick_exhausted")) >= 10, branches
+
+
+def test_shared_ladders_hold_prefix_hashes_not_filter_state():
+    """Two filters of one geometry share one ladder table.  They replay
+    different op streams turn by turn, re-asking the same few keys at
+    varying depths between inserts, deletes, cold replacements and
+    relocations; each must keep matching its own slot-scan oracle."""
+    asked = [k for k in KEYS if len(k) == 6][::20]
+    branches = Counter()
+    for budget in (32, 64, 200):
+        pairs = []
+        for seed in (budget, budget + 1):
+            real = SuccinctFilterCache(budget, rng=random.Random(seed))
+            ref = _SlotScanReference(real, random.Random(seed))
+            pairs.append((real, ref, _op_mix(random.Random(~seed), 2000),
+                          random.Random(seed * 31)))
+        assert pairs[0][0]._ladders is pairs[1][0]._ladders
+        for _ in range(2000):
+            for real, ref, stream, again in pairs:
+                key = again.choice(asked)
+                _step(real, ref, *next(stream), budget)
+                _step(real, ref, "deepest_hit",
+                      (key, again.randint(-1, len(key) + 2)), budget)
+        for real, ref, _, _ in pairs:
+            assert real._rng.getstate() == ref._rng.getstate(), budget
+            _check_index(real, budget)
+            branches += ref.branches
+    assert min(branches[b] for b in ("cold_replace", "relocated")) >= 10, \
+        branches
+
+
+def test_ladder_codes_fit_widest_geometry():
+    """32-bit fingerprints in 2^17 buckets: resident codes are 49 bits."""
+    real = SuccinctFilterCache((1 << 17) * 4 * 33 // 8, fp_bits=32)
+    assert real.num_buckets == 1 << 17
+    ref = _SlotScanReference(real, random.Random(0))
+    for op, args in _op_mix(random.Random(49), 600):
+        assert getattr(real, op)(*args) == getattr(ref, op)(*args), (op, args)
+    assert _state(real) == _state(ref)
+    assert max(real._index) >> 48
 
 
 # -- the shared probe table: same hashes, bounded ---------------------------
@@ -260,32 +315,77 @@ def test_probe_table_matches_hashing_functions(fp_bits):
         assert i2 == (i1 ^ hash64(fp.to_bytes(4, "little"), 0xA17)) & mask
         assert (code1, code2) == (i1 << fp_bits | fp, i2 << fp_bits | fp)
         assert f._probe(p) is f._table[p]
+        f.deepest_hit(p, len(p))  # whole-key rung: the ladder's last pair
+        assert tuple(f._ladders[p][-2:]) == (code1, code2)
         assert hashing.hash64_raw(p, fp_bits) == hash64(p, fp_bits)
 
 
 def _replay(f, seed, steps=400):
-    """Answers of a seeded insert/contains/delete run, and a snapshot of
-    the state it left."""
+    """Answers of a seeded insert/contains/delete/deepest_hit run, and a
+    snapshot of the state it left."""
     ops = random.Random(seed)
-    out = [getattr(f, ops.choice(("insert", "contains", "delete")))(
-        ops.choice(KEYS)) for _ in range(steps)]
+    out = []
+    for _ in range(steps):
+        op = ops.choice(("insert", "contains", "delete", "deepest_hit"))
+        key = ops.choice(KEYS)
+        args = (key, ops.randint(-1, len(key) + 2)) \
+            if op == "deepest_hit" else (key,)
+        out.append(getattr(f, op)(*args))
     return out, copy.deepcopy((_state(f), f._index, f._rng.getstate()))
 
 
 def test_tables_clear_wholesale_at_cache_max(monkeypatch):
-    # A geometry and a seed no other test uses: both tables start empty,
+    # A geometry and a seed no other test uses: the tables start empty,
     # so the capped runs below miss, overflow and clear again and again.
     with monkeypatch.context() as patch:
         patch.setattr(hashing, "_CACHE_MAX", 8)
         f = SuccinctFilterCache(200, fp_bits=9)
-        assert f._table is SuccinctFilterCache(200, fp_bits=9)._table
+        twin = SuccinctFilterCache(200, fp_bits=9)
+        assert f._table is twin._table and f._ladders is twin._ladders
         capped = _replay(f, 3)
-        assert 0 < len(f._table) <= 8
+        assert 0 < len(f._table) <= 8 and 0 < len(f._ladders) <= 8
         hashed = [hash64(k, 0xBEEF) for k in KEYS]
         assert 0 < len(hashing._hash_tables[0xBEEF]) <= 8
     assert _replay(SuccinctFilterCache(200, fp_bits=9), 3) == capped
-    assert len(f._table) > 8
+    assert len(f._table) > 8 and len(f._ladders) > 8
     assert hashed == [hashing.hash64_raw(k, 0xBEEF) for k in KEYS]
+
+
+# -- footprint: ladders are per key, probes per inner-node prefix ----------
+
+def test_ladder_walks_add_keys_not_prefixes():
+    f = SuccinctFilterCache(3000, fp_bits=11)  # a geometry of its own
+    geometry = (f.fp_bits, f.num_buckets)
+    rng = random.Random(11)
+    keys = [b"%d/" % i + rng.randbytes(rng.randint(8, 30))
+            for i in range(2000)]
+    for key in keys + keys[:200]:
+        f.deepest_hit(key, len(key) - 1)
+    census = hashing.memo_census()
+    assert census[f"filter.ladder{geometry}"] == 2000
+    assert census[f"filter.probe{geometry}"] == 0
+
+
+def test_sphinx_load_memoises_inner_prefixes_and_keys_only(monkeypatch):
+    asked = set()
+    for name in ("insert", "contains", "delete"):
+        def counted(self, item, _inner=getattr(SuccinctFilterCache, name)):
+            asked.add(item)
+            return _inner(self, item)
+        monkeypatch.setattr(SuccinctFilterCache, name, counted)
+    cluster = Cluster(ClusterConfig())
+    index = SphinxIndex(cluster, SphinxConfig(  # a geometry of its own
+        filter_budget_bytes=5000, filter_fp_bits=10))
+    client, run = index.client(0), cluster.direct_executor().run
+    rng = random.Random(10)
+    keys = [b"user/%d@%s.org\0" % (i, rng.randbytes(3).hex().encode())
+            for i in range(300)]
+    for key in keys:
+        run(client.insert(key, b"v"))
+    geometry = (client.filter.fp_bits, client.filter.num_buckets)
+    census = hashing.memo_census()
+    assert 0 < census[f"filter.probe{geometry}"] <= len(asked)
+    assert 0 < census[f"filter.ladder{geometry}"] <= len(keys)
 
 
 # -- snapshot / deepcopy ---------------------------------------------------
@@ -297,6 +397,7 @@ def test_deepcopy_carries_index_and_diverges_independently():
     assert _replay(fresh, 1) == loaded
     clone = copy.deepcopy(original)
     assert clone._table is original._table
+    assert clone._ladders is original._ladders
     assert clone._index is not original._index
     assert _replay(clone, 2) == _replay(fresh, 2)
     assert _replay(original, 0, steps=0) == ([], loaded[1])  # left alone
