@@ -159,7 +159,7 @@ def lint_rules(cfgs: Sequence[CFG], l001_exempt: bool,
                     findings.append(RawFinding(
                         "L006", stmt.lineno,
                         "bare retry loop: a bounded loop that yields "
-                        "verbs must take its bound from RetryPolicy "
+                        "verbs must iterate RetryPolicy.attempts() "
                         "(see repro.fault.retry), or pragma an "
                         "intrinsic protocol bound with a "
                         "justification"))
@@ -245,7 +245,7 @@ def _s004_for(stmt: ast.For,
     return RawFinding(
         "S004", stmt.lineno,
         f"retry loop with a magic bound ({bound}): a bounded loop "
-        f"that yields verbs must take its budget from RetryPolicy "
+        f"that yields verbs must iterate RetryPolicy.attempts() "
         f"(repro.fault.retry), or pragma an intrinsic protocol bound")
 
 
@@ -286,9 +286,9 @@ def _s004_while(stmt: ast.While,
     return RawFinding(
         "S004", stmt.lineno,
         f"retry loop with a magic bound (`{counter}` vs {bound}): a "
-        f"bounded loop that yields verbs must take its budget from "
-        f"RetryPolicy (repro.fault.retry), or pragma an intrinsic "
-        f"protocol bound")
+        f"bounded loop that yields verbs must iterate "
+        f"RetryPolicy.attempts() (repro.fault.retry), or pragma an "
+        f"intrinsic protocol bound")
 
 
 # ----------------------------------------------------------------------

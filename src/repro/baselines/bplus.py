@@ -32,9 +32,8 @@ from ..art.layout import STATUS_IDLE, STATUS_INVALID
 from ..core import leaf as leaf_ops
 from ..dm.cluster import Cluster
 from ..dm.memory import addr_mn, addr_offset
-from ..dm.rdma import Batch, CasOp, LocalCompute, ReadOp, WriteOp
-from ..errors import (ConfigError, InjectedFault, KeyCodecError,
-                      RetryLimitExceeded)
+from ..dm.rdma import Batch, CasOp, ReadOp, WriteOp
+from ..errors import ConfigError, InjectedFault, KeyCodecError
 from ..fault.retry import DEFAULT_RETRY, RetryPolicy
 from ..util.bits import u64_to_bytes
 
@@ -231,6 +230,10 @@ class BplusClient:
         return Counters(self.metrics)
 
     # -- small helpers -----------------------------------------------------
+    def _attempts(self, op: str, key: bytes, deadline=None):
+        return self.config.retry.attempts(self.cluster, f"bplus {op}", key,
+                                          deadline)
+
     def _backoff(self, attempt: int) -> int:
         return self.config.retry.backoff_delay(self._rng, attempt)
 
@@ -264,7 +267,8 @@ class BplusClient:
         """Op generator: value for ``key`` or None."""
         self.metrics["searches"] += 1
         key = self.index.pad_key(key)
-        for attempt in range(self.config.retry.max_retries):
+        attempts = self._attempts("search", key)
+        for attempt in attempts:
             try:
                 result = yield from self._search_once(key)
             except InjectedFault:
@@ -272,9 +276,7 @@ class BplusClient:
             if result is not _RETRY:
                 return result
             self.metrics["restarts"] += 1
-            yield LocalCompute(self._backoff(attempt))
-        raise RetryLimitExceeded(f"bplus search({key!r})",
-                                 addr=self.index.root_ptr_addr)
+            yield attempts.pause(self._backoff(attempt))
 
     def _search_once(self, key: bytes):
         _addr, view = yield from self._read_root()
@@ -307,14 +309,17 @@ class BplusClient:
         return _RETRY
 
     # -- insert / update ------------------------------------------------------
-    def insert(self, key: bytes, value: bytes):
-        """Op generator: upsert; True if the key was new."""
+    def insert(self, key: bytes, value: bytes,
+               deadline: Optional[int] = None):
+        """Op generator: upsert; True if the key was new.  ``deadline``
+        is the enclosing op's (``update``); None starts this op's own."""
         self.metrics["inserts"] += 1
         if 16 + self.config.key_width + len(value) > 128:
             raise ConfigError(
                 "bplus value blobs are fixed at 128 B: value too large")
         key = self.index.pad_key(key)
-        for attempt in range(self.config.retry.max_retries):
+        attempts = self._attempts("insert", key, deadline)
+        for attempt in attempts:
             try:
                 result = yield from self._insert_once(key, value)
             except InjectedFault:
@@ -322,28 +327,25 @@ class BplusClient:
             if result is not _RETRY:
                 return result
             self.metrics["restarts"] += 1
-            yield LocalCompute(self._backoff(attempt))
-        raise RetryLimitExceeded(f"bplus insert({key!r})",
-                                 addr=self.index.root_ptr_addr)
+            yield attempts.pause(self._backoff(attempt))
 
     def update(self, key: bytes, value: bytes):
         """Op generator: overwrite; False when absent."""
         self.metrics["updates"] += 1
         padded = self.index.pad_key(key)
-        for attempt in range(self.config.retry.max_retries):
+        attempts = self._attempts("update", key)
+        for attempt in attempts:
             try:
                 result = yield from self._search_once(padded)
             except InjectedFault:
                 result = _RETRY
             if result is _RETRY:
-                yield LocalCompute(self._backoff(attempt))
+                yield attempts.pause(self._backoff(attempt))
                 continue
             if result is None:
                 return False
-            yield from self.insert(key, value)  # upsert path overwrites
+            yield from self.insert(key, value, attempts.deadline)  # upsert
             return True
-        raise RetryLimitExceeded(f"bplus update({key!r})",
-                                 addr=self.index.root_ptr_addr)
 
     def _insert_once(self, key: bytes, value: bytes):
         """Top-down descent with preemptive splitting under lock coupling."""
@@ -484,17 +486,15 @@ class BplusClient:
     def scan_count(self, start_key: bytes, count: int):
         """First ``count`` pairs with key >= start_key (best effort)."""
         start = self.index.pad_key(start_key)
-        for attempt in range(self.config.retry.max_retries):
+        attempts = self._attempts("scan", start_key)
+        for attempt in attempts:
             results: List[Tuple[bytes, bytes]] = []
             try:
                 yield from self._scan_node_ptr(None, start, count, results)
+                return results[:count]
             except InjectedFault:
                 self.metrics["restarts"] += 1
-                yield LocalCompute(self._backoff(attempt))
-                continue
-            return results[:count]
-        raise RetryLimitExceeded(f"bplus scan({start_key!r})",
-                                 addr=self.index.root_ptr_addr)
+                yield attempts.pause(self._backoff(attempt))
 
     def _scan_node_ptr(self, addr: Optional[int], start: bytes, count: int,
                        results: List[Tuple[bytes, bytes]]):

@@ -59,7 +59,7 @@ from ..core.leaf_locator import (
 )
 from ..dm.cluster import Cluster
 from ..dm.rdma import Batch, LocalCompute, ReadOp, WriteOp
-from ..errors import InjectedFault, RetryLimitExceeded
+from ..errors import InjectedFault
 from ..fault.retry import DEFAULT_RETRY, RetryPolicy
 
 LEAF_ALIGN = 64
@@ -258,6 +258,9 @@ class OutbackClient:
         return counters
 
     # -- small helpers -----------------------------------------------------
+    def _attempts(self, op: str, key: bytes):
+        return self.config.retry.attempts(self.cluster, f"outback {op}", key)
+
     def _backoff(self, attempt: int) -> int:
         return self.config.retry.backoff_delay(self._rng, attempt)
 
@@ -289,7 +292,8 @@ class OutbackClient:
         clean None at the cost of that one wasted READ.
         """
         self.metrics["searches"] += 1
-        for attempt in range(self.config.retry.max_retries):
+        attempts = self._attempts("search", key)
+        for attempt in attempts:
             hinted = self.index.dir_lookup(key)
             if hinted is None:
                 self.metrics["dir_misses"] += 1
@@ -300,7 +304,7 @@ class OutbackClient:
                 data = yield ReadOp(addr, units * LEAF_ALIGN)
             except InjectedFault:
                 self.metrics["restarts"] += 1
-                yield LocalCompute(self._backoff(attempt))
+                yield attempts.pause(self._backoff(attempt))
                 continue
             leaf = decode_leaf(data)
             if leaf.checksum_ok:
@@ -313,8 +317,7 @@ class OutbackClient:
             # Torn read (raced an in-place writer): re-read, bounded by
             # the one retry policy.
             self.metrics["torn_rereads"] += 1
-            yield LocalCompute(self.config.retry.torn_read_delay(attempt))
-        raise RetryLimitExceeded(f"outback search({key!r})", addr=0)
+            yield attempts.pause(self.config.retry.torn_read_delay(attempt))
 
     # -- insert / update -----------------------------------------------------
     def insert(self, key: bytes, value: bytes):
@@ -332,7 +335,8 @@ class OutbackClient:
         return True if result is not None else False
 
     def _upsert(self, key: bytes, value: bytes):
-        for attempt in range(self.config.retry.max_retries):
+        attempts = self._attempts("upsert", key)
+        for attempt in attempts:
             hinted = self.index.dir_lookup(key)
             try:
                 if hinted is None:
@@ -344,8 +348,7 @@ class OutbackClient:
             if outcome is not _RETRY:
                 return outcome
             self.metrics["restarts"] += 1
-            yield LocalCompute(self._backoff(attempt))
-        raise RetryLimitExceeded(f"outback upsert({key!r})", addr=0)
+            yield attempts.pause(self._backoff(attempt))
 
     def _insert_new(self, key: bytes, value: bytes):
         addr, units = self._alloc_leaf(key, value)
@@ -415,7 +418,8 @@ class OutbackClient:
     def delete(self, key: bytes):
         """Op generator: remove ``key``; False if absent."""
         self.metrics["deletes"] += 1
-        for attempt in range(self.config.retry.max_retries):
+        attempts = self._attempts("delete", key)
+        for attempt in attempts:
             hinted = self.index.dir_lookup(key)
             if hinted is None:
                 return False
@@ -434,17 +438,16 @@ class OutbackClient:
                     ok = yield from leaf_ops.invalidate_leaf(addr, leaf)
             except InjectedFault:
                 self.metrics["restarts"] += 1
-                yield LocalCompute(self._backoff(attempt))
+                yield attempts.pause(self._backoff(attempt))
                 continue
             if not ok:
                 self.metrics["lock_failures"] += 1
-                yield LocalCompute(self._backoff(attempt))
+                yield attempts.pause(self._backoff(attempt))
                 continue
             self.index.dir_remove(key)
             self._free_leaf(addr, leaf.units)
             yield from self._maybe_rebuild()
             return True
-        raise RetryLimitExceeded(f"outback delete({key!r})", addr=0)
 
     # -- scan ----------------------------------------------------------------
     def scan_count(self, start_key: bytes, count: int):
@@ -454,15 +457,13 @@ class OutbackClient:
         walks the replicated key list and doorbell-batches the leaf
         reads (real Outback delegates scans to an MN-side structure)."""
         self.metrics["scans"] += 1
-        for attempt in range(self.config.retry.max_retries):
+        attempts = self._attempts("scan", start_key)
+        for attempt in attempts:
             try:
-                result = yield from self._scan_once(start_key, count)
+                return (yield from self._scan_once(start_key, count))
             except InjectedFault:
                 self.metrics["restarts"] += 1
-                yield LocalCompute(self._backoff(attempt))
-                continue
-            return result
-        raise RetryLimitExceeded(f"outback scan({start_key!r})", addr=0)
+                yield attempts.pause(self._backoff(attempt))
 
     def _scan_once(self, start_key: bytes, count: int):
         targets = [(key, addr, units)

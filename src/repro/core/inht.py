@@ -11,13 +11,14 @@ reach the node with one bucket read plus one node read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..art.layout import HashEntry
 from ..dm.cluster import Cluster
+from ..fault.retry import UNTIMED
 from ..race.client import RaceClient
 from ..race.layout import TableInfo, TableParams, fp2_of, key_hash
-from ..race.table import allocate_segment, create_table
+from ..race.table import create_table
 
 
 @dataclass
@@ -46,25 +47,6 @@ class InnerNodeHashTable:
             for mn in self.tables)
 
 
-class _SegmentAllocator:
-    """Allocates zeroed table segments on one MN.
-
-    A class (not a closure) so that snapshotting a loaded system with
-    ``copy.deepcopy`` copies the captured cluster reference along with
-    the rest of the object graph; a lambda would be copied by reference
-    and keep allocating on the *original* cluster after a restore.
-    """
-
-    def __init__(self, cluster: Cluster, mn_id: int, params: TableParams):
-        self._cluster = cluster
-        self._mn_id = mn_id
-        self._params = params
-
-    def __call__(self, local_depth: int) -> int:
-        return allocate_segment(self._cluster, self._mn_id, self._params,
-                                local_depth)
-
-
 class InhtClient:
     """One CN's client of the cluster-wide INHT.
 
@@ -75,11 +57,9 @@ class InhtClient:
     def __init__(self, cluster: Cluster, inht: InnerNodeHashTable,
                  retry=None):
         self._placement = cluster.placement
-        self._clients: Dict[int, RaceClient] = {}
-        for mn, info in inht.tables.items():
-            self._clients[mn] = RaceClient(
-                info, _SegmentAllocator(cluster, mn, info.params),
-                retry=retry)
+        self._clients: Dict[int, RaceClient] = {
+            mn: RaceClient(cluster, info, retry=retry)
+            for mn, info in inht.tables.items()}
 
     def _client_for(self, prefix: bytes) -> RaceClient:
         return self._clients[self._placement.mn_for_prefix(prefix)]
@@ -93,16 +73,16 @@ class InhtClient:
                          node_type=node_type, occupied=True)
 
     # -- op generators -----------------------------------------------------
-    def lookup(self, prefix: bytes) -> "list":
+    def lookup(self, prefix: bytes, deadline: Optional[int] = None):
         """Candidate entries for ``prefix`` -> [(slot_addr, HashEntry)]."""
-        result = yield from self._client_for(prefix).lookup(prefix)
-        return result
+        return (yield from self._client_for(prefix).lookup(prefix, deadline))
 
     def insert(self, prefix: bytes, node_addr: int, node_type: int):
-        """Register a freshly created inner node."""
+        """Register a freshly published inner node: post-commit
+        bookkeeping, so it runs ``UNTIMED``."""
         entry = self.entry_for(prefix, node_addr, node_type)
-        slot_addr = yield from self._client_for(prefix).insert(prefix, entry)
-        return slot_addr
+        return (yield from self._client_for(prefix).insert(prefix, entry,
+                                                           UNTIMED))
 
     def update_for_type_switch(self, prefix: bytes, old_addr: int,
                                old_type: int, new_addr: int, new_type: int):
@@ -110,12 +90,13 @@ class InhtClient:
 
         Falls back to lookup + CAS if the cached slot moved (e.g. a table
         segment split relocated the entry).  Returns True on success.
+        The switch is already published, so both run ``UNTIMED``.
         """
         client = self._client_for(prefix)
         old_entry = self.entry_for(prefix, old_addr, old_type)
         new_entry = self.entry_for(prefix, new_addr, new_type)
         matches: List[Tuple[int, HashEntry]] = \
-            yield from client.lookup(prefix)
+            yield from client.lookup(prefix, UNTIMED)
         for slot_addr, found in matches:
             if found.addr == old_addr:
                 swapped = yield from client.cas_entry(slot_addr, old_entry,
@@ -124,7 +105,7 @@ class InhtClient:
                     return True
         # Entry vanished (concurrent split migrated it, or a racing switch
         # already retired the old node).  Install the new mapping outright.
-        yield from client.insert(prefix, new_entry)
+        yield from client.insert(prefix, new_entry, UNTIMED)
         return False
 
     def probe_all(self, prefixes: List[bytes]):

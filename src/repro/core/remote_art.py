@@ -73,8 +73,8 @@ from ..art.layout import (
 from ..dm.cluster import Cluster
 from ..dm.memory import addr_mn, addr_offset, format_addr
 from ..dm.rdma import Batch, CasOp, LocalCompute, ReadOp, WriteOp
-from ..errors import InjectedFault, ReproError, RetryLimitExceeded
-from ..fault.retry import DEFAULT_RETRY, RetryPolicy
+from ..errors import InjectedFault, ReproError
+from ..fault.retry import DEFAULT_RETRY, UNTIMED, RetryPolicy
 from ..obs.counters import Counters
 from ..util.bits import u64_to_bytes
 from ..util.hashing import prefix_hash42
@@ -141,6 +141,7 @@ class OpContext:
     key: bytes
     limit: int  # longest prefix length locate_start may use
     attempt: int = 0  # retry number; caches revalidate when attempt > 0
+    deadline: Optional[int] = None  # the op's; nested pre-commit loops obey it
 
     def shrink(self, new_limit: int) -> None:
         self.limit = min(self.limit, max(new_limit, 0))
@@ -165,14 +166,6 @@ class RemoteArtTree:
         """Per-client counters in the shared :class:`repro.obs.Counters`
         shape (subclasses merge their cache/filter counters in)."""
         return self.metrics.counters()
-
-    @property
-    def max_retries(self) -> int:
-        return self.retry.max_retries
-
-    @property
-    def backoff_ns(self) -> int:
-        return self.retry.backoff_ns
 
     def _backoff_delay(self, attempt: int) -> int:
         """Exponential backoff with jitter (hot zipfian keys put many
@@ -316,11 +309,9 @@ class RemoteArtTree:
     # Retry harness
     # ------------------------------------------------------------------
     def _run(self, once, ctx: OpContext, op_name: str):
-        retry = self.retry
-        deadline = None
-        if retry.op_timeout_ns:
-            deadline = self.cluster.engine.now + retry.op_timeout_ns
-        for attempt in range(retry.max_retries):
+        attempts = self.retry.attempts(self.cluster, op_name, ctx.key)
+        ctx.deadline = attempts.deadline
+        for attempt in attempts:
             ctx.attempt = attempt
             try:
                 result = yield from once(ctx)
@@ -329,34 +320,11 @@ class RemoteArtTree:
                 # partially applied state is handled by the normal
                 # validation on the next descent.
                 self.metrics.fault_restarts += 1
-                result = RETRY
             else:
                 if result is not RETRY:
                     return result
                 self.metrics.op_restarts += 1
-            delay = self._backoff_delay(attempt)
-            if deadline is not None:
-                # Clamp the sleep to the remaining budget: the final
-                # backoff must not overshoot op_timeout_ns before the
-                # deadline check fires (an op that times out should do
-                # so at the deadline, not a full backoff past it).
-                remaining = deadline - self.cluster.engine.now
-                if remaining <= 0:
-                    raise RetryLimitExceeded(
-                        f"{op_name}({ctx.key!r}) timed out after "
-                        f"{retry.op_timeout_ns} ns of retries",
-                        addr=self.root_addr)
-                if delay > remaining:
-                    delay = remaining
-            yield LocalCompute(delay)
-            if deadline is not None and self.cluster.engine.now >= deadline:
-                raise RetryLimitExceeded(
-                    f"{op_name}({ctx.key!r}) timed out after "
-                    f"{retry.op_timeout_ns} ns of retries",
-                    addr=self.root_addr)
-        raise RetryLimitExceeded(
-            f"{op_name}({ctx.key!r}) exceeded {retry.max_retries} retries",
-            addr=self.root_addr)
+            yield attempts.pause(self._backoff_delay(attempt))
 
     # ------------------------------------------------------------------
     # The one descent
@@ -987,29 +955,27 @@ class RemoteArtTree:
         split/type switch (or a stale cached parent view) can have
         RELINKED the leaf under a new inner node - the clear must chase
         it to its *current* parent, never assume "slot changed => already
-        cleared".
+        cleared".  The leaf is already invalidated, so this loop keeps
+        its budget but ignores the op's deadline (DESIGN.md 7.3).
         """
         victim_addr = slot.addr
-        for _ in range(self.max_retries):
+        attempts = self.retry.attempts(self.cluster, "clear leaf slot", key,
+                                       UNTIMED)
+        for _ in attempts:
             cleared = yield from self._replace_slot(node_addr, view, slot, 0)
-            if cleared:
-                self.forget_leaf(key)
-                self._free_leaf(victim_addr, units)
-                return True
-            found = yield from self._chase_leaf_slot(key, victim_addr)
-            if found is RETRY:
-                yield LocalCompute(self.backoff_ns)
-                continue
-            if found is None:
-                # The key's path no longer reaches the victim: it is
-                # unlinked and safe to reclaim.
-                self.forget_leaf(key)
-                self._free_leaf(victim_addr, units)
-                return True
-            node_addr, view, slot = found
-        raise RetryLimitExceeded(
-            f"delete({key!r}) could not clear the leaf slot",
-            addr=victim_addr)
+            if not cleared:
+                found = yield from self._chase_leaf_slot(key, victim_addr)
+                if found is RETRY:
+                    yield attempts.pause(self.retry.flat_delay())
+                    continue
+                if found is not None:  # relinked: clear it where it is
+                    node_addr, view, slot = found
+                    continue
+            # Cleared, or the key's path no longer reaches the victim:
+            # either way it is unlinked and safe to reclaim.
+            self.forget_leaf(key)
+            self._free_leaf(victim_addr, units)
+            return True
 
     def _chase_leaf_slot(self, key: bytes, leaf_addr: int):
         """Find the (node, view, slot) currently linking ``leaf_addr`` on

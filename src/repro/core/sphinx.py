@@ -48,7 +48,7 @@ from ..errors import (
     ReproError,
     RetryLimitExceeded,
 )
-from ..fault.retry import DEFAULT_RETRY, RetryPolicy
+from ..fault.retry import DEFAULT_RETRY, UNTIMED, RetryPolicy, expired
 from ..filters.hotness import SuccinctFilterCache
 from ..race.layout import TableParams
 from ..util.hashing import prefix_hash42
@@ -147,8 +147,8 @@ class _InhtSplitCoupling:
         if self._group is not None:
             installed = yield from self._race.insert_into_group(
                 self._prefix, self._entry, self._group)
-        if not installed:
-            yield from self._race.insert(self._prefix, self._entry)
+        if not installed:  # the split is published: post-commit, UNTIMED
+            yield from self._race.insert(self._prefix, self._entry, UNTIMED)
         if self._sphinx.config.use_filter:
             self._sphinx.filter.insert(self._prefix)
 
@@ -292,13 +292,16 @@ class SphinxClient(RemoteArtTree):
         depth = self.filter.deepest_hit(key, min(len(key) - 1, ctx.limit))
         while depth:
             try:
-                found = yield from self._fetch_via_inht(key[:depth], depth)
+                found = yield from self._fetch_via_inht(ctx, depth)
             except (RetryLimitExceeded, InjectedFault, MNUnavailable):
                 # An INHT bucket stuck behind an abandoned segment-split
                 # lock, an injected fabric fault on the INHT path, or a
                 # crashed MN hosting the table must not take searches
                 # down with it: the tree is still intact, so degrade to
-                # root traversal.
+                # root traversal - unless the op's deadline is what ran
+                # out, which stops the op instead.
+                if expired(self.cluster, ctx.deadline):
+                    raise
                 self.inht_fallbacks += 1
                 break
             if found is not None:
@@ -309,12 +312,14 @@ class SphinxClient(RemoteArtTree):
             depth = self.filter.deepest_hit(key, depth - 1)
         return (yield from super().locate_start(ctx))
 
-    def _fetch_via_inht(self, prefix: bytes, depth: int):
-        """Hash-entry read + validated candidate node reads."""
+    def _fetch_via_inht(self, ctx: OpContext, depth: int):
+        """Hash-entry read + validated candidate node reads for the
+        op's ``depth``-byte prefix, within the op's deadline."""
+        prefix = ctx.key[:depth]
         # One extra attempt is intrinsic: a type switch's fresh entry
         # lands within one round trip (backoff below is policy-derived).
         for _attempt in range(2):  # lint: disable=L006
-            matches = yield from self.inht.lookup(prefix)
+            matches = yield from self.inht.lookup(prefix, ctx.deadline)
             if not matches:
                 return None
             if len(matches) > 1:
@@ -325,7 +330,7 @@ class SphinxClient(RemoteArtTree):
                 return found
             # A type switch is propagating to the hash table; the fresh
             # entry lands within one round trip - retry the lookup once.
-            yield LocalCompute(self.backoff_ns)
+            yield LocalCompute(self.retry.flat_delay())
         return None
 
     # ------------------------------------------------------------------
@@ -348,7 +353,7 @@ class SphinxClient(RemoteArtTree):
             matches = probes.get(prefix)
             if matches is None:  # stale/locked group: precise fallback
                 try:
-                    matches = yield from self.inht.lookup(prefix)
+                    matches = yield from self.inht.lookup(prefix, ctx.deadline)
                 except MNUnavailable:
                     self.inht_fallbacks += 1
                     continue

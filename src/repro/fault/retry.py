@@ -1,18 +1,14 @@
-"""The unified client retry/backoff/timeout policy.
+"""The unified client retry/backoff/timeout policy and its attempt loop.
 
-Every index client (Sphinx, SMART, ART-on-DM, RACE, B+) retries
-optimistic operations under one :class:`RetryPolicy` instead of scattered
-``max_retries``/``backoff_ns`` pairs.  The policy is deliberately tiny and
-frozen: it is embedded in frozen config dataclasses and deep-copied with
-benchmark snapshots.
-
-Budgets and backoffs are honoured by every client.  The ``op_timeout_ns``
-deadline is enforced by ``RemoteArtTree._run`` only: the outermost
-attempt loop of the tree point ops and scans of Sphinx, SMART and
-ART-on-DM.  RACE, B+, Outback and the recovery manager never read it,
-and a loop nested inside a tree op (an INHT lookup retrying in
-``RaceClient._read_group``) can overshoot the op's deadline by its own
-``max_retries`` budget (ROADMAP.md carries the reproducer).
+Every index client (Sphinx, SMART, ART-on-DM, RACE, B+, Outback) and the
+recovery manager retries under one frozen :class:`RetryPolicy`, embedded
+in the frozen config dataclasses and deep-copied with benchmark
+snapshots.  Every loop bounded by ``max_retries`` iterates
+:meth:`RetryPolicy.attempts`, so the budget, the ``op_timeout_ns``
+deadline, the backoff clamp and the exhaustion messages exist once, in
+:class:`Attempts`.  The deadline is op-scoped: an op starts it and hands
+it down to the loops nested in it (a Sphinx search's INHT lookup), while
+post-commit bookkeeping passes :data:`UNTIMED` (DESIGN.md §7.3).
 
 ``backoff_delay`` reproduces the historical jittered exponential backoff
 bit-for-bit (same shift cap, same ``randrange`` bounds), so swapping the
@@ -23,9 +19,15 @@ simulated digit when faults are off.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import Optional
 
-from ..errors import ConfigError
+from ..dm.rdma import LocalCompute
+from ..errors import ConfigError, RetryLimitExceeded
+
+UNTIMED = 1 << 63
+"""A deadline no run reaches: the loop keeps its budget, never times out."""
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,15 @@ class RetryPolicy:
             raise ConfigError(
                 "RetryPolicy.inplace_update_retries must be >= 1")
 
+    def attempts(self, cluster, op: str, key: Optional[bytes] = None,
+                 deadline: Optional[int] = None) -> "Attempts":
+        """The attempt loop of op ``op`` on ``key``, timed by ``cluster``'s
+        engine (read only when there is a deadline).  ``deadline`` is the
+        enclosing op's; None starts this op's own."""
+        if deadline is None and self.op_timeout_ns:
+            deadline = cluster.engine.now + self.op_timeout_ns
+        return Attempts(self, cluster, op, key, deadline)
+
     def backoff_delay(self, rng: random.Random, attempt: int) -> int:
         """Jittered delay before retry number ``attempt`` (0-based)."""
         ceiling = self.backoff_ns << min(attempt, self.max_backoff_shift)
@@ -82,6 +93,58 @@ class RetryPolicy:
         default ``backoff_ns`` this reproduces the historical
         ``1_000 * (attempt + 1)`` bit-for-bit."""
         return (self.backoff_ns // 2) * (attempt + 1)
+
+
+class Attempts(Iterator):
+    """One op's attempt numbers; raises :class:`RetryLimitExceeded`
+    instead of starting one past the deadline (absolute sim ns, handed
+    to nested loops) or the budget.  The body yields its own verbs and
+    ``attempts.pause(delay)``.  Not a generator: a clean op that returns
+    from attempt 0 leaves nothing to close."""
+
+    __slots__ = ("_policy", "_cluster", "_op", "_key", "deadline",
+                 "_attempt")
+
+    def __init__(self, policy: RetryPolicy, cluster, op: str,
+                 key: Optional[bytes], deadline: Optional[int]):
+        self._policy = policy
+        self._cluster = cluster
+        self._op = op
+        self._key = key
+        self.deadline = deadline
+        self._attempt = -1
+
+    def __next__(self) -> int:
+        attempt = self._attempt = self._attempt + 1
+        if attempt and expired(self._cluster, self.deadline):
+            raise self._error(timed_out=True)
+        if attempt == self._policy.max_retries:
+            raise self._error(timed_out=False)
+        return attempt
+
+    def pause(self, delay: int) -> LocalCompute:
+        """The backoff verb, clamped so an op times out at its deadline,
+        not a backoff past it."""
+        if self.deadline is not None:
+            remaining = self.deadline - self._cluster.engine.now
+            if remaining <= 0:
+                raise self._error(timed_out=True)
+            delay = min(delay, remaining)
+        return LocalCompute(delay)
+
+    def _error(self, timed_out: bool) -> RetryLimitExceeded:
+        policy = self._policy
+        what = (f"timed out after {policy.op_timeout_ns} ns of retries"
+                if timed_out else f"exceeded {policy.max_retries} retries")
+        subject = self._op if self._key is None \
+            else f"{self._op}({self._key!r})"
+        return RetryLimitExceeded(f"{subject} {what}")
+
+
+def expired(cluster, deadline: Optional[int]) -> bool:
+    """True once the absolute ``deadline`` has passed (None: never): a
+    degradation point asks this before swallowing a failure."""
+    return deadline is not None and cluster.engine.now >= deadline
 
 
 DEFAULT_RETRY = RetryPolicy()

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..art.layout import HashEntry
+from ..dm.cluster import Cluster
 from ..dm.rdma import Batch, CasOp, LocalCompute, ReadOp, WriteOp
 from ..errors import HashTableError, InjectedFault, RetryLimitExceeded
 from ..fault.retry import DEFAULT_RETRY, RetryPolicy
@@ -52,6 +53,7 @@ from .layout import (
     key_hash,
     segment_index,
 )
+from .table import allocate_segment
 
 @dataclass
 class DirCacheEntry:
@@ -107,13 +109,14 @@ def _group_struct(slots_per_group: int) -> struct.Struct:
 class RaceClient:
     """One client's view of one MN-resident table."""
 
-    def __init__(self, info: TableInfo, allocate_segment,
+    def __init__(self, cluster: Cluster, info: TableInfo,
                  retry: RetryPolicy | None = None):
-        """``allocate_segment(local_depth) -> addr`` provisions a zeroed
-        segment on the table's MN (control-plane; see DESIGN.md)."""
+        """``cluster`` provisions split segments on the table's MN
+        (control-plane; see DESIGN.md) and is the clock op deadlines
+        are read from."""
+        self.cluster = cluster
         self.info = info
         self.params = info.params
-        self._allocate_segment = allocate_segment
         self.retry = retry if retry is not None else DEFAULT_RETRY
         self.retry.validate()
         self._dir_cache: Dict[int, DirCacheEntry] = {}
@@ -171,47 +174,45 @@ class RaceClient:
         return GroupView(addr, header & 0xFF, bool((header >> 8) & 1),
                          (header >> 9) & ((1 << 40) - 1), words[1:])
 
-    def _read_group(self, h: int):
+    def _read_group(self, key: bytes, h: int, deadline: Optional[int]):
         """Read + validate the group for ``h``; retries around splits
-        (and, under fault injection, around dropped/NAKed reads)."""
-        cached = None
-        for _ in range(self.retry.max_retries):
+        (and, under fault injection, around dropped/NAKed reads) until
+        the caller's ``deadline``."""
+        attempts = self.retry.attempts(self.cluster, "group read", key,
+                                       deadline)
+        for _ in attempts:
             try:
                 cached = yield from self._locate(h)
                 addr = self._group_addr(cached.seg_addr, h)
                 group = self._parse_group(
                     addr, (yield ReadOp(addr, self.params.group_size)))
-                if group.locked:
-                    yield LocalCompute(self.retry.flat_delay())
-                    yield from self._refresh_dir(h)
-                    continue
-                if group.local_depth != cached.local_depth:
-                    yield from self._refresh_dir(h)
-                    continue
-                return group
+                if group.locked:  # a split is migrating the segment
+                    yield attempts.pause(self.retry.flat_delay())
+                elif group.local_depth == cached.local_depth:
+                    return group
+                yield from self._refresh_dir(h)
             except InjectedFault:
-                yield LocalCompute(self.retry.flat_delay())
-                continue
-        raise RetryLimitExceeded(
-            "group read kept racing splits",
-            addr=None if cached is None
-            else self._group_addr(cached.seg_addr, h))
+                yield attempts.pause(self.retry.flat_delay())
 
     # -- public operations ---------------------------------------------
-    def lookup(self, key: bytes):
+    # ``deadline``: the enclosing op's absolute deadline; None makes the
+    # call an op of its own (repro.fault.retry.RetryPolicy.attempts).
+    def lookup(self, key: bytes, deadline: Optional[int] = None):
         """All entries whose fp2 matches ``key`` -> [(slot_addr, entry)]."""
         h = key_hash(key, self.params.seed)
-        group = yield from self._read_group(h)
+        group = yield from self._read_group(key, h, deadline)
         return group.matches(fp2_of(h))
 
-    def insert(self, key: bytes, entry: HashEntry):
+    def insert(self, key: bytes, entry: HashEntry,
+               deadline: Optional[int] = None):
         """Install ``entry`` for ``key``; returns the slot address."""
         h = key_hash(key, self.params.seed)
         if entry.fp2 != fp2_of(h):
             raise HashTableError("entry fp2 inconsistent with key hash")
-        for _ in range(self.retry.max_retries):
+        attempts = self.retry.attempts(self.cluster, "insert", key, deadline)
+        for _ in attempts:
             try:
-                group = yield from self._read_group(h)
+                group = yield from self._read_group(key, h, attempts.deadline)
                 free = group.free_index()
                 if free is None:
                     yield from self._split(h)
@@ -235,7 +236,8 @@ class RaceClient:
                         # segment before we could take it back: the insert
                         # is durably installed there.  Retrying would plant
                         # a duplicate, so find the entry's new home instead.
-                        group = yield from self._read_group(h)
+                        group = yield from self._read_group(
+                            key, h, attempts.deadline)
                         for new_slot, moved in group.matches(entry.fp2):
                             if moved.pack() == entry.pack():
                                 return new_slot
@@ -244,10 +246,7 @@ class RaceClient:
                     continue
                 return slot_addr
             except InjectedFault:
-                yield LocalCompute(self.retry.flat_delay())
-                continue
-        raise RetryLimitExceeded(f"insert of {key!r} exceeded retries",
-                                 addr=self.info.dir_addr)
+                yield attempts.pause(self.retry.flat_delay())
 
     def cas_entry(self, slot_addr: int, old: HashEntry, new: HashEntry):
         """Atomically replace an entry in place (node type switches)."""
@@ -257,10 +256,10 @@ class RaceClient:
     def delete(self, key: bytes, node_addr: int):
         """Remove the entry for ``key`` pointing at ``node_addr``."""
         h = key_hash(key, self.params.seed)
-        slot_addr = None
-        for _ in range(self.retry.max_retries):
+        attempts = self.retry.attempts(self.cluster, "delete", key)
+        for _ in attempts:
             try:
-                group = yield from self._read_group(h)
+                group = yield from self._read_group(key, h, attempts.deadline)
                 targets = [(sa, e) for sa, e in group.matches(fp2_of(h))
                            if e.addr == node_addr]
                 if not targets:
@@ -270,10 +269,7 @@ class RaceClient:
                 if swapped:
                     return True
             except InjectedFault:
-                yield LocalCompute(self.retry.flat_delay())
-                continue
-        raise RetryLimitExceeded(f"delete of {key!r} exceeded retries",
-                                 addr=slot_addr)
+                yield attempts.pause(self.retry.flat_delay())
 
     # -- piggybacked single-shot insert ------------------------------------
     def cached_group_location(self, key: bytes):
@@ -391,7 +387,8 @@ class RaceClient:
         new_depth = local_depth + 1
         move_bit = 1 << local_depth
         # Phase 3: build and publish the sibling segment.
-        new_seg_addr = self._allocate_segment(new_depth)
+        new_seg_addr = allocate_segment(self.cluster, self.info.mn_id,
+                                        params, new_depth)
         new_seg = bytearray()
         moved_slots: List[int] = []
         for group in groups:

@@ -40,8 +40,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..dm.memory import addr_mn
 from ..dm.rdma import CasOp, ReadOp
-from ..errors import ConfigError, InjectedFault, MNUnavailable, RetryLimitExceeded
-from ..fault.retry import DEFAULT_RETRY, RetryPolicy
+from ..errors import ConfigError, InjectedFault, MNUnavailable
+from ..fault.retry import DEFAULT_RETRY, UNTIMED, RetryPolicy
 from ..util.bits import u64_from_bytes
 
 # Where the status lives inside each kind's lock word (STATUS_IDLE is 0
@@ -183,14 +183,14 @@ class RecoveryManager:
     def _run(self, executor, thunk):
         """Drive one recovery op generator, retrying injected faults
         through the shared policy (the recovery pass runs under the same
-        chaotic network as everyone else)."""
-        retry = self.config.retry
-        for _attempt in range(retry.max_retries):
+        chaotic network as everyone else).  Untimed: it repairs state a
+        dead client left behind, so it keeps its budget only."""
+        for _ in self.config.retry.attempts(self.cluster, "recovery op",
+                                            deadline=UNTIMED):
             try:
                 return executor.run(thunk())
             except InjectedFault:
                 continue
-        raise RetryLimitExceeded("recovery op exceeded retry budget")
 
     @staticmethod
     def _idle_word(lease: LeaseRecord) -> int:

@@ -23,9 +23,10 @@ rules catch the same classes of bug at rest:
   fails the build if one sneaks back in.
 * **L006** - a bare retry loop in protocol code: ``for ... in range(<
   literal>)`` whose body yields verbs.  Every bounded remote-op loop
-  must take its bound (and backoff) from the one shared
-  :class:`repro.fault.RetryPolicy` - magic-number retry budgets drift
-  apart and make timeout behaviour impossible to reason about globally.
+  must iterate the one shared :class:`repro.fault.RetryPolicy`'s
+  ``attempts()`` (budget, op deadline, backoff clamp) - magic-number
+  retry budgets drift apart and make timeout behaviour impossible to
+  reason about globally.
   Loops whose bound is intrinsic to the protocol (not a tunable) carry a
   pragma with a justification.  Infrastructure layers (dm/sim/obs/bench/
   ycsb) are exempt: their loops pace engine events, not client retries.

@@ -13,12 +13,15 @@ explicitly.
 
 import pytest
 
-from repro.art import encode_str
+from repro.art import HashEntry, encode_str
+from repro.baselines.bplus import BplusConfig, BplusIndex
+from repro.baselines.outback import OutbackConfig, OutbackIndex
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.rdma import OpStats, ReadOp
 from repro.errors import InjectedFault, RetryLimitExceeded
 from repro.fault import FaultPlan, RetryPolicy, drop, stale_cas
+from repro.race import RaceClient, TableParams, create_table, fp2_of, key_hash
 
 
 def _fresh(plan, retry=None, keys=8):
@@ -98,6 +101,124 @@ def test_scan_deadline_fires_at_the_deadline():
                 engine.process(executor.run(scan()), name="scan-deadline"))
         assert engine.now - t0 <= retry.op_timeout_ns + plan.timeout_ns
         assert client.metrics.fault_restarts == restarts + 1
+
+
+def test_nested_inht_lookup_stops_at_the_op_deadline():
+    """The op's deadline reaches the loop nested inside it: a Sphinx
+    search whose INHT lookup retries in ``RaceClient._read_group`` must
+    stop at the search's deadline, neither after the lookup's own 200
+    attempts (2 437 427 ns while the lookup kept a budget of its own)
+    nor after degrading to a root walk that costs one more completion
+    timeout."""
+    plan = FaultPlan(seed=5, rules=(drop(1.0, ("read",)),))
+    retry = RetryPolicy(max_retries=200, backoff_ns=100,
+                        op_timeout_ns=10_000)
+    cluster, client = _fresh(plan, retry, keys=50)
+    executor = cluster.sim_executor(0, OpStats())
+    engine = cluster.engine
+    t0 = engine.now
+    with pytest.raises(RetryLimitExceeded, match="timed out after"):
+        engine.run_until_complete(engine.process(
+            executor.run(client.search(encode_str("e/3"))),
+            name="nested-deadline"))
+    assert engine.now - t0 <= retry.op_timeout_ns + plan.timeout_ns
+    assert client.inht_fallbacks == 0  # stopped, did not degrade
+
+
+_KEYS = [f"k{i:03d}".encode() for i in range(16)]
+
+
+def _race_ops(cluster, retry):
+    params = TableParams(seed=7)
+    client = RaceClient(cluster, create_table(cluster, 0, params),
+                        retry=retry)
+
+    def entry(key):
+        return HashEntry(addr=0x4000, fp2=fp2_of(key_hash(key, params.seed)),
+                         node_type=0, occupied=True)
+    loader = cluster.direct_executor()
+    for key in _KEYS:
+        loader.run(client.insert(key, entry(key)))
+    return {"lookup": lambda: client.lookup(_KEYS[3]),
+            "insert": lambda: client.insert(b"new", entry(b"new")),
+            "delete": lambda: client.delete(_KEYS[3], 0x4000)}
+
+
+def _bplus_ops(cluster, retry):
+    client = BplusIndex(cluster, BplusConfig(retry=retry)).client(0)
+    loader = cluster.direct_executor()
+    for key in _KEYS:
+        loader.run(client.insert(key, b"v"))
+    return {"search": lambda: client.search(_KEYS[3]),
+            "insert": lambda: client.insert(b"new", b"v"),
+            "update": lambda: client.update(_KEYS[3], b"w"),
+            "scan_count": lambda: client.scan_count(_KEYS[2], 4)}
+
+
+def _outback_ops(cluster, retry):
+    client = OutbackIndex(cluster, OutbackConfig(retry=retry)).client(0)
+    loader = cluster.direct_executor()
+    keys = [encode_str(key.decode()) for key in _KEYS]
+    for key in keys:
+        loader.run(client.insert(key, b"v"))
+    # Every op targets a committed key: the directory hints its leaf, so
+    # each one has to read (an unhinted key is answered with no verb).
+    return {"search": lambda: client.search(keys[3]),
+            "insert": lambda: client.insert(keys[3], b"w"),
+            "delete": lambda: client.delete(keys[3]),
+            "scan_count": lambda: client.scan_count(keys[3], 4)}
+
+
+_CLIENT_OPS = {"race": _race_ops, "bplus": _bplus_ops,
+               "outback": _outback_ops}
+_CASES = [("race", "lookup"), ("race", "insert"), ("race", "delete"),
+          ("bplus", "search"), ("bplus", "insert"), ("bplus", "update"),
+          ("bplus", "scan_count"), ("outback", "search"),
+          ("outback", "insert"), ("outback", "delete"),
+          ("outback", "scan_count")]
+_READ_LOSS = FaultPlan(seed=5, rules=(drop(1.0, ("read",)),))
+
+
+def _fail_under_read_loss(system, op, retry):
+    """Run one op of a loaded ``system`` client with every read dropped;
+    returns (sim ns it took, its OpStats, the RetryLimitExceeded)."""
+    cluster = Cluster(ClusterConfig(mn_capacity_bytes=64 << 20))
+    ops = _CLIENT_OPS[system](cluster, retry)
+    cluster.attach_faults(_READ_LOSS)
+    stats = OpStats()
+    executor = cluster.sim_executor(0, stats)
+    engine = cluster.engine
+    t0 = engine.now
+    with pytest.raises(RetryLimitExceeded) as info:
+        engine.run_until_complete(engine.process(
+            executor.run(ops[op]()), name=f"{system}-{op}"))
+    return engine.now - t0, stats, info.value
+
+
+@pytest.mark.parametrize("system,op", _CASES,
+                         ids=[f"{s}-{o}" for s, o in _CASES])
+def test_client_deadline_fires_at_the_deadline(system, op):
+    """RACE, B+ and Outback ops run under the same attempt loop as the
+    trees: each stops at ``op_timeout_ns`` plus the one completion
+    timeout in flight, not after 200 attempts (2.4-3.4 ms while they
+    never read the deadline)."""
+    retry = RetryPolicy(max_retries=200, backoff_ns=100,
+                        op_timeout_ns=10_000)
+    elapsed, _stats, exc = _fail_under_read_loss(system, op, retry)
+    assert "timed out after 10000 ns" in exc.message
+    assert elapsed <= retry.op_timeout_ns + _READ_LOSS.timeout_ns
+
+
+@pytest.mark.parametrize("system,op", _CASES,
+                         ids=[f"{s}-{o}" for s, o in _CASES])
+def test_client_budget_without_deadline(system, op):
+    """The deadline's twin: with ``op_timeout_ns=0`` the budget alone
+    ends the op, after exactly as many round trips as the hand-written
+    loops took (one dropped read per attempt)."""
+    retry = RetryPolicy(max_retries=200, backoff_ns=100)
+    _elapsed, stats, exc = _fail_under_read_loss(system, op, retry)
+    assert "exceeded 200 retries" in exc.message
+    assert stats.round_trips == 200
 
 
 def test_unreachable_address_naks_like_a_nic():

@@ -38,7 +38,6 @@ from repro.fault import FaultPlan, RetryPolicy
 from repro.race import (
     RaceClient,
     TableParams,
-    allocate_segment,
     create_table,
     fp2_of,
     key_hash,
@@ -215,8 +214,7 @@ def test_race_chaos_presence_or_clean_failure(seed):
     params = TableParams(seed=77, groups_per_segment=8, slots_per_group=4,
                          initial_depth=1)
     info = create_table(cluster, 0, params)
-    client = RaceClient(
-        info, lambda depth: allocate_segment(cluster, 0, params, depth))
+    client = RaceClient(cluster, info)
     keys = [f"p/{i:02d}".encode() for i in range(32)]
     addr_of = {key: 0x4000 + i * 64 for i, key in enumerate(keys)}
     ex = cluster.direct_executor()

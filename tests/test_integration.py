@@ -9,7 +9,7 @@ from repro.art.layout import HashEntry
 from repro.baselines import ArtDmIndex, SmartIndex
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
-from repro.race import RaceClient, TableParams, allocate_segment, create_table
+from repro.race import RaceClient, TableParams, create_table
 from repro.race.layout import fp2_of, key_hash
 
 
@@ -82,8 +82,7 @@ def test_concurrent_race_table_clients():
     params = TableParams(seed=9, groups_per_segment=4, slots_per_group=4,
                          initial_depth=1)
     info = create_table(cluster, 0, params)
-    clients = [RaceClient(info, lambda d: allocate_segment(
-        cluster, 0, params, d)) for _ in range(2)]
+    clients = [RaceClient(cluster, info) for _ in range(2)]
     keys = [f"entry-{i}".encode() for i in range(600)]
 
     def worker(wid):

@@ -12,7 +12,6 @@ from repro.errors import HashTableError
 from repro.race import (
     RaceClient,
     TableParams,
-    allocate_segment,
     create_table,
     fp2_of,
     group_index,
@@ -25,9 +24,7 @@ from repro.race import (
 def make_table(cluster, mn=0, **kwargs):
     params = TableParams(seed=77, **kwargs)
     info = create_table(cluster, mn, params)
-    client = RaceClient(info,
-                        lambda depth: allocate_segment(cluster, mn, params,
-                                                       depth))
+    client = RaceClient(cluster, info)
     return info, client
 
 
@@ -141,7 +138,7 @@ def test_split_updates_depths(table):
 def test_stale_directory_cache_heals(table):
     """A second client with a stale cache still finds migrated entries."""
     cluster, info, client = table
-    other = RaceClient(info, client._allocate_segment)
+    other = RaceClient(cluster, info)
     ex = cluster.direct_executor()
     # Warm other's cache before any splits.
     probe = b"warm"
@@ -167,8 +164,7 @@ def test_max_depth_overflow_raises(single_mn_cluster):
     params = TableParams(seed=3, groups_per_segment=1, slots_per_group=1,
                          initial_depth=0, max_depth=2)
     info = create_table(single_mn_cluster, 0, params)
-    client = RaceClient(info, lambda d: allocate_segment(
-        single_mn_cluster, 0, params, d))
+    client = RaceClient(single_mn_cluster, info)
     ex = single_mn_cluster.direct_executor()
     with pytest.raises(HashTableError):
         for i in range(64):
