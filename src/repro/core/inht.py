@@ -11,7 +11,7 @@ reach the node with one bucket read plus one node read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..art.layout import HashEntry
 from ..dm.cluster import Cluster
@@ -86,27 +86,13 @@ class InhtClient:
 
     def update_for_type_switch(self, prefix: bytes, old_addr: int,
                                old_type: int, new_addr: int, new_type: int):
-        """Repoint a prefix after a node type switch (one 8-byte CAS).
-
-        Falls back to lookup + CAS if the cached slot moved (e.g. a table
-        segment split relocated the entry).  Returns True on success.
-        The switch is already published, so both run ``UNTIMED``.
-        """
-        client = self._client_for(prefix)
-        old_entry = self.entry_for(prefix, old_addr, old_type)
-        new_entry = self.entry_for(prefix, new_addr, new_type)
-        matches: List[Tuple[int, HashEntry]] = \
-            yield from client.lookup(prefix, UNTIMED)
-        for slot_addr, found in matches:
-            if found.addr == old_addr:
-                swapped = yield from client.cas_entry(slot_addr, old_entry,
-                                                      new_entry)
-                if swapped:
-                    return True
-        # Entry vanished (concurrent split migrated it, or a racing switch
-        # already retired the old node).  Install the new mapping outright.
-        yield from client.insert(prefix, new_entry, UNTIMED)
-        return False
+        """Repoint a prefix after a node type switch: one guarded
+        :meth:`RaceClient.replace`.  False if the old entry was gone and
+        the new one was installed outright.  The switch is already
+        published, so it runs ``UNTIMED``."""
+        return (yield from self._client_for(prefix).replace(
+            prefix, self.entry_for(prefix, old_addr, old_type),
+            self.entry_for(prefix, new_addr, new_type), UNTIMED))
 
     def probe_all(self, prefixes: List[bytes]):
         """Read the hash-entry buckets of many prefixes in one doorbell

@@ -11,12 +11,26 @@ Concurrency protocol
   means a split is migrating this segment - back off and retry.  A header
   ``local_depth`` differing from the cached directory entry means the
   cache is stale - refresh and retry.
-* **Insert**: READ the group, pick a free slot, then a doorbell batch of
-  [CAS(slot, 0, entry), READ(header)].  The two verbs target the same MN
-  and execute in posted order, so the header read observes the post-CAS
-  state: if the version moved or the group is locked, a split raced the
-  insert and the entry may have landed in a stale segment - the client
-  undoes the CAS and retries.
+* **Slot writes** - :meth:`RaceClient.insert`, :meth:`~RaceClient.replace`
+  (a node type switch repointing its entry), :meth:`~RaceClient.delete`
+  and the piggybacked :meth:`~RaceClient.insert_into_group` - are one
+  **step**: READ the group, then a doorbell of [CAS(slot, old, new),
+  READ(header)].  The two verbs target the same MN and execute in posted
+  order, so the header read observes the post-CAS state.  An op is only
+  its *rule*: what already holds (insert: the entry word is present;
+  replace: the new word is; delete: no entry with that addr remains) and
+  which slot to CAS when it does not.
+* **One re-check rule.**  A step whose CAS applied under a raced header
+  (locked, or version moved), or whose reply was lost (an
+  ``InjectedFault``: the CAS may or may not have applied), is
+  *ambiguous*: a split may have copied the slot into the sibling segment,
+  stranded it in the old one, or will blind-clear it in phase 5.  The
+  step takes back a word it may have planted with the inverse CAS (a
+  delete plants none: putting its entry back could strand it), refreshes
+  the directory, and the op's next attempt re-reads the group and
+  re-checks its rule - so it finishes only if its post-state does not
+  already hold.  No entry is planted twice, and none that a repoint or a
+  delete replaced survives in a sibling.
 * **Split** (triggered by inserting into a full group): lock every group
   header in the segment with CASes, re-read the segment, write a fresh
   sibling segment containing the entries whose hash bit ``local_depth``
@@ -34,7 +48,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..art.layout import HashEntry
 from ..dm.cluster import Cluster
@@ -86,11 +100,28 @@ class GroupView:
                 for i, w in enumerate(self.words)
                 if w & _OCC and ((w >> 48) & 0xFFF) == fp2]
 
-    def free_index(self) -> Optional[int]:
+    def free_slot(self) -> Optional[int]:
         for i, w in enumerate(self.words):
             if not w & _OCC:
-                return i
+                return self.slot_addr(i)
         return None
+
+    def slot_of(self, word: int) -> Optional[int]:
+        """Address of the slot holding exactly ``word`` (occupied)."""
+        if word in self.words:
+            return self.slot_addr(self.words.index(word))
+        return None
+
+
+class _Write(NamedTuple):
+    """The slot write an op's rule asks for: CAS ``slot_addr`` from
+    ``old`` to ``new``, then return ``result``.  ``slot_addr`` None means
+    the group has no free slot: split it first."""
+
+    slot_addr: Optional[int]
+    old: int
+    new: int
+    result: object
 
 
 _GROUP_STRUCTS: Dict[int, struct.Struct] = {}
@@ -205,71 +236,111 @@ class RaceClient:
 
     def insert(self, key: bytes, entry: HashEntry,
                deadline: Optional[int] = None):
-        """Install ``entry`` for ``key``; returns the slot address."""
+        """Install ``entry`` for ``key``; returns its slot address.  An
+        entry already present is not planted twice."""
         h = key_hash(key, self.params.seed)
         if entry.fp2 != fp2_of(h):
             raise HashTableError("entry fp2 inconsistent with key hash")
-        attempts = self.retry.attempts(self.cluster, "insert", key, deadline)
-        for _ in attempts:
-            try:
-                group = yield from self._read_group(key, h, attempts.deadline)
-                free = group.free_index()
-                if free is None:
-                    yield from self._split(h)
-                    continue
-                slot_addr = group.slot_addr(free)
-                cas_result, header_bytes = yield Batch([
-                    CasOp(slot_addr, 0, entry.pack()),
-                    ReadOp(group.addr, HEADER_SIZE),
-                ])
-                swapped, _old = cas_result
-                if not swapped:
-                    continue  # another insert took the slot
-                fields = GROUP_HEADER.unpack(u64_from_bytes(header_bytes))
-                if fields["locked"] or fields["version"] != group.version:
-                    # A split raced us; our entry may now be in the wrong
-                    # segment.  Undo and retry through the fresh directory.
-                    undone, _ = yield CasOp(slot_addr, entry.pack(), 0)
-                    yield from self._refresh_dir(h)
-                    if not undone:
-                        # The split migrated our entry to the sibling
-                        # segment before we could take it back: the insert
-                        # is durably installed there.  Retrying would plant
-                        # a duplicate, so find the entry's new home instead.
-                        group = yield from self._read_group(
-                            key, h, attempts.deadline)
-                        for new_slot, moved in group.matches(entry.fp2):
-                            if moved.pack() == entry.pack():
-                                return new_slot
-                        # A concurrent delete removed it in the window; the
-                        # retry loop reinstalls it.
-                    continue
-                return slot_addr
-            except InjectedFault:
-                yield attempts.pause(self.retry.flat_delay())
+        word = entry.pack()
 
-    def cas_entry(self, slot_addr: int, old: HashEntry, new: HashEntry):
-        """Atomically replace an entry in place (node type switches)."""
-        swapped, _ = yield CasOp(slot_addr, old.pack(), new.pack())
-        return swapped
+        def rule(group: GroupView, _ambiguous: bool):
+            held = group.slot_of(word)
+            if held is not None:
+                return held
+            free = group.free_slot()
+            return _Write(free, 0, word, free)
+
+        return (yield from self._write_slot("insert", key, h, rule, deadline))
+
+    def replace(self, key: bytes, old: HashEntry, new: HashEntry,
+                deadline: Optional[int] = None):
+        """Repoint ``key``'s entry from ``old`` to ``new`` (a node type
+        switch).  True once ``new`` holds; False if ``old`` was gone, in
+        which case ``new`` is installed outright."""
+        h = key_hash(key, self.params.seed)
+        old_word, new_word = old.pack(), new.pack()
+
+        def rule(group: GroupView, _ambiguous: bool):
+            if group.slot_of(new_word) is not None:
+                return True
+            slot = group.slot_of(old_word)
+            if slot is not None:
+                return _Write(slot, old_word, new_word, True)
+            return _Write(group.free_slot(), 0, new_word, False)
+
+        return (yield from self._write_slot("replace", key, h, rule,
+                                            deadline))
 
     def delete(self, key: bytes, node_addr: int):
-        """Remove the entry for ``key`` pointing at ``node_addr``."""
+        """Remove the entry for ``key`` pointing at ``node_addr``.  False
+        if there was none (and no ambiguous step of this call may have
+        removed it)."""
         h = key_hash(key, self.params.seed)
-        attempts = self.retry.attempts(self.cluster, "delete", key)
+        fp2 = fp2_of(h)
+
+        def rule(group: GroupView, ambiguous: bool):
+            for slot_addr, entry in group.matches(fp2):
+                if entry.addr == node_addr:
+                    return _Write(slot_addr, entry.pack(), 0, True)
+            return ambiguous
+
+        return (yield from self._write_slot("delete", key, h, rule, None))
+
+    # -- the one guarded slot write ----------------------------------------
+    def _write_slot(self, op: str, key: bytes, h: int, rule,
+                    deadline: Optional[int]):
+        """The attempt loop of every slot write.  ``rule(group,
+        ambiguous)`` returns the op's result when its post-state already
+        holds in ``group``, else the :class:`_Write` that makes it hold;
+        after an ambiguous :meth:`_step` the next attempt's fresh read is
+        the re-check."""
+        attempts = self.retry.attempts(self.cluster, op, key, deadline)
+        ambiguous = False
         for _ in attempts:
             try:
                 group = yield from self._read_group(key, h, attempts.deadline)
-                targets = [(sa, e) for sa, e in group.matches(fp2_of(h))
-                           if e.addr == node_addr]
-                if not targets:
-                    return False
-                slot_addr, entry = targets[0]
-                swapped, _ = yield CasOp(slot_addr, entry.pack(), 0)
-                if swapped:
-                    return True
+                write = rule(group, ambiguous)
+                if write.__class__ is not _Write:
+                    return write
+                if write.slot_addr is None:
+                    yield from self._split(h)
+                    continue
+                applied = yield from self._step(h, group, write)
+                if applied:
+                    return write.result
+                ambiguous = ambiguous or applied is None
             except InjectedFault:
                 yield attempts.pause(self.retry.flat_delay())
+
+    def _step(self, h: int, group: GroupView, write: _Write):
+        """One [CAS(slot, old, new), READ(header)] doorbell into ``group``.
+
+        True: applied, no split raced it.  False: the CAS lost (the slot
+        holds something else; nothing to undo).  None: ambiguous - the
+        CAS applied under a raced header, or the reply was lost.  Then a
+        word this step may have planted is taken back with the inverse
+        CAS (a split copies what it re-reads, and strands what lands
+        after its re-read), and the directory is refreshed so the
+        caller's re-check reads the group where the key lives now.
+        """
+        slot_addr, old, new = write.slot_addr, write.old, write.new
+        try:
+            (swapped, _), header = yield Batch([
+                CasOp(slot_addr, old, new),
+                ReadOp(group.addr, HEADER_SIZE),
+            ])
+        except InjectedFault:
+            pass  # the CAS may or may not have applied
+        else:
+            if not swapped:
+                return False
+            fields = GROUP_HEADER.unpack(u64_from_bytes(header))
+            if not fields["locked"] and fields["version"] == group.version:
+                return True
+        if new:
+            _taken_back, _ = yield CasOp(slot_addr, new, old)
+        yield from self._refresh_dir(h)
+        return None
 
     # -- piggybacked single-shot insert ------------------------------------
     def cached_group_location(self, key: bytes):
@@ -285,33 +356,21 @@ class RaceClient:
 
     def insert_into_group(self, key: bytes, entry: HashEntry,
                           group: GroupView):
-        """One CAS attempt into a group read earlier (piggybacked).
+        """One :meth:`_step` into a group read earlier (piggybacked).
 
-        Returns True if the entry was installed; False sends the caller
-        to the full :meth:`insert` path.
+        True if the entry was installed; False sends the caller to
+        :meth:`insert`, whose re-check resolves an ambiguous try.
         """
-        free = group.free_index()
+        free = group.free_slot()
         if free is None:
             return False
-        slot_addr = group.slot_addr(free)
-        cas_result, header_bytes = yield Batch([
-            CasOp(slot_addr, 0, entry.pack()),
-            ReadOp(group.addr, HEADER_SIZE),
-        ])
-        swapped, _old = cas_result
-        if not swapped:
+        h = key_hash(key, self.params.seed)
+        try:
+            applied = yield from self._step(
+                h, group, _Write(free, 0, entry.pack(), free))
+        except InjectedFault:
             return False
-        fields = GROUP_HEADER.unpack(u64_from_bytes(header_bytes))
-        if fields["locked"] or fields["version"] != group.version:
-            undone, _ = yield CasOp(slot_addr, entry.pack(), 0)
-            if not undone:
-                # The racing split migrated the entry to the sibling
-                # segment: it is durably installed, so reporting failure
-                # (and sending the caller to the full insert path) would
-                # plant a duplicate.
-                return True
-            return False
-        return True
+        return bool(applied)
 
     # -- batched probing ---------------------------------------------------
     def probe_prepare(self, key: bytes):
@@ -340,6 +399,23 @@ class RaceClient:
                                   data[self.params.group_offset(g):
                                        self.params.group_offset(g + 1)])
                 for g in range(self.params.groups_per_segment)]
+
+    def _repoint_directory(self, old_pattern: int, seg_addr: int,
+                           new_seg_addr: int, new_depth: int) -> Batch:
+        """Phase 4's doorbell: every mirrored directory slot of the split
+        pair at ``new_depth``, the sibling's slots first (recovery reads
+        slot ``new_pattern`` to tell whether phase 4 began).  The
+        directory cache follows."""
+        writes = []
+        for pattern, addr in ((old_pattern | 1 << (new_depth - 1),
+                               new_seg_addr), (old_pattern, seg_addr)):
+            word = u64_to_bytes(DIR_ENTRY.pack(addr=addr, local_depth=new_depth,
+                                               occupied=1))
+            for idx in range(pattern, self.params.directory_slots,
+                             1 << new_depth):
+                writes.append(WriteOp(self.info.dir_addr + idx * 8, word))
+                self._dir_cache[idx] = DirCacheEntry(addr, new_depth)
+        return Batch(writes)
 
     def _split(self, h: int):
         """Split the segment containing ``h``; returns when done or after
@@ -404,23 +480,8 @@ class RaceClient:
             new_seg += blob
         yield WriteOp(new_seg_addr, bytes(new_seg))
         # Phase 4: repoint mirrored directory slots (we hold the lock).
-        old_pattern = segment_index(h, local_depth)
-        new_pattern = old_pattern | move_bit
-        stride = 1 << new_depth
-        dir_writes = []
-        for idx in range(new_pattern, params.directory_slots, stride):
-            word = DIR_ENTRY.pack(addr=new_seg_addr, local_depth=new_depth,
-                                  occupied=1)
-            dir_writes.append(WriteOp(self.info.dir_addr + idx * 8,
-                                      u64_to_bytes(word)))
-            self._dir_cache[idx] = DirCacheEntry(new_seg_addr, new_depth)
-        for idx in range(old_pattern, params.directory_slots, stride):
-            word = DIR_ENTRY.pack(addr=seg_addr, local_depth=new_depth,
-                                  occupied=1)
-            dir_writes.append(WriteOp(self.info.dir_addr + idx * 8,
-                                      u64_to_bytes(word)))
-            self._dir_cache[idx] = DirCacheEntry(seg_addr, new_depth)
-        yield Batch(dir_writes)
+        yield self._repoint_directory(segment_index(h, local_depth),
+                                      seg_addr, new_seg_addr, new_depth)
         # Phase 5: clear migrated entries, then unlock with bumped depth.
         finalize = [WriteOp(slot, bytes(8)) for slot in moved_slots]
         finalize += [WriteOp(g.addr, u64_to_bytes(GROUP_HEADER.pack(
@@ -496,30 +557,15 @@ class RaceClient:
             raise HashTableError(
                 f"segment {seg_addr:#x} unreachable from directory")
         old_pattern = seg_idxs[0] & (move_bit - 1)
-        new_pattern = old_pattern | move_bit
-        sibling = entries[new_pattern]
-        stride = 1 << new_depth
+        sibling = entries[old_pattern | move_bit]
         if sibling["occupied"] and sibling["addr"] != seg_addr \
                 and sibling["local_depth"] == new_depth:
             # Roll forward.  Phase 4 writes new-pattern slots first, so a
             # published sibling here implies phase 3 completed; redo the
             # (idempotent) directory writes, clear migrated entries, and
             # unlock everything at new_depth.
-            new_seg_addr = sibling["addr"]
-            dir_writes = []
-            for idx in range(new_pattern, params.directory_slots, stride):
-                word = DIR_ENTRY.pack(addr=new_seg_addr,
-                                      local_depth=new_depth, occupied=1)
-                dir_writes.append(WriteOp(self.info.dir_addr + idx * 8,
-                                          u64_to_bytes(word)))
-                self._dir_cache[idx] = DirCacheEntry(new_seg_addr, new_depth)
-            for idx in range(old_pattern, params.directory_slots, stride):
-                word = DIR_ENTRY.pack(addr=seg_addr,
-                                      local_depth=new_depth, occupied=1)
-                dir_writes.append(WriteOp(self.info.dir_addr + idx * 8,
-                                          u64_to_bytes(word)))
-                self._dir_cache[idx] = DirCacheEntry(seg_addr, new_depth)
-            yield Batch(dir_writes)
+            yield self._repoint_directory(old_pattern, seg_addr,
+                                          sibling["addr"], new_depth)
             finalize = []
             for group in groups:
                 for i, entry in enumerate(group.entries):

@@ -100,17 +100,26 @@ def test_delete_removes_only_matching_addr(table):
     assert ex.run(client.lookup(b"k1")) == []
 
 
-def test_cas_entry_type_switch(table):
+def test_replace_type_switch(table):
     cluster, info, client = table
     ex = cluster.direct_executor()
     old = entry_for(client, b"k1", 0x40, node_type=1)
     slot = ex.run(client.insert(b"k1", old))
     new = entry_for(client, b"k1", 0x80, node_type=2)
-    assert ex.run(client.cas_entry(slot, old, new))
-    matches = ex.run(client.lookup(b"k1"))
-    assert matches[0][1].addr == 0x80
-    # Second CAS with the stale old entry fails.
-    assert not ex.run(client.cas_entry(slot, old, new))
+    assert ex.run(client.replace(b"k1", old, new))
+    assert ex.run(client.lookup(b"k1")) == [(slot, new)]
+    # A repeat finds the new word in place and writes nothing.
+    assert ex.run(client.replace(b"k1", old, new))
+    assert ex.run(client.lookup(b"k1")) == [(slot, new)]
+
+
+def test_insert_is_idempotent(table):
+    cluster, info, client = table
+    ex = cluster.direct_executor()
+    entry = entry_for(client, b"k1", 0x40)
+    slot = ex.run(client.insert(b"k1", entry))
+    assert ex.run(client.insert(b"k1", entry)) == slot
+    assert ex.run(client.lookup(b"k1")) == [(slot, entry)]
 
 
 def test_splits_preserve_all_entries(table):
