@@ -28,6 +28,7 @@ from zlib import crc32
 from ..errors import ReproError
 from ..util.bits import BitStruct, round_up, u64_from_bytes, u64_to_bytes
 from ..util.checksum import LEAF_CHECKSUM_SEED, leaf_checksum
+from ..util.hashing import cache_put, memo
 
 # -- status values (2 bits) --------------------------------------------------
 STATUS_IDLE = 0
@@ -101,15 +102,14 @@ EMPTY_WORD = 0
 # Decoded-word memos.  Header/Slot/HashEntry are frozen dataclasses, so
 # one instance per distinct word can be shared by every decode; traversals
 # re-read the same hot nodes constantly and allocating a fresh object per
-# unpack dominated decode time.  Bounded: cleared wholesale at _MEMO_MAX
-# (purity makes refilling correct).
-_MEMO_MAX = 1 << 20
-_HEADER_MEMO: Dict[int, "Header"] = {}
-_SLOT_MEMO: Dict[int, "Slot"] = {}
-_HASH_ENTRY_MEMO: Dict[int, "HashEntry"] = {}
+# unpack dominated decode time.  Process-wide ``hashing.memo`` tables
+# under the one ``cache_put`` bound (DESIGN.md 11.9).
+_HEADER_MEMO = memo("layout.header")
+_SLOT_MEMO = memo("layout.slot")
+_HASH_ENTRY_MEMO = memo("layout.hash_entry")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Header:
     """Decoded ART node header."""
 
@@ -138,15 +138,14 @@ class Header:
         # Hand-coded (hot path): equivalent to HEADER.unpack().
         header = _HEADER_MEMO.get(word)
         if header is None:
-            if len(_HEADER_MEMO) >= _MEMO_MAX:
-                _HEADER_MEMO.clear()
-            header = _HEADER_MEMO[word] = Header(
+            header = Header(
                 word & 0x3, (word >> 2) & 0x7, (word >> 5) & 0xFF,
                 (word >> 13) & 0x3FFFFFFFFFF, (word >> 55) & 0x1FF)
+            cache_put(_HEADER_MEMO, word, header)
         return header
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slot:
     """Decoded child slot."""
 
@@ -173,12 +172,11 @@ class Slot:
         # Hand-coded (hot path): equivalent to SLOT.unpack().
         slot = _SLOT_MEMO.get(word)
         if slot is None:
-            if len(_SLOT_MEMO) >= _MEMO_MAX:
-                _SLOT_MEMO.clear()
-            slot = _SLOT_MEMO[word] = Slot(
+            slot = Slot(
                 word & 0xFFFFFFFFFFFF, (word >> 48) & 0xFF,
                 (word >> 56) & 0x3F, bool((word >> 62) & 1),
                 bool((word >> 63) & 1))
+            cache_put(_SLOT_MEMO, word, slot)
         return slot
 
     def leaf_size(self) -> int:
@@ -194,7 +192,7 @@ class Slot:
         return node_size(self.size_class)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HashEntry:
     """Decoded inner-node hash-table entry."""
 
@@ -218,11 +216,10 @@ class HashEntry:
         # Hand-coded (hot path): equivalent to HASH_ENTRY.unpack().
         entry = _HASH_ENTRY_MEMO.get(word)
         if entry is None:
-            if len(_HASH_ENTRY_MEMO) >= _MEMO_MAX:
-                _HASH_ENTRY_MEMO.clear()
-            entry = _HASH_ENTRY_MEMO[word] = HashEntry(
+            entry = HashEntry(
                 word & 0xFFFFFFFFFFFF, (word >> 48) & 0xFFF,
                 (word >> 60) & 0x7, bool((word >> 63) & 1))
+            cache_put(_HASH_ENTRY_MEMO, word, entry)
         return entry
 
 

@@ -323,26 +323,29 @@ class OutbackClient:
     def insert(self, key: bytes, value: bytes):
         """Op generator: upsert; True if the key was new."""
         self.metrics["inserts"] += 1
-        result = yield from self._upsert(key, value)
+        result = yield from self._upsert(key, value, create=True)
         return result
 
     def update(self, key: bytes, value: bytes):
-        """Op generator: overwrite; False when absent."""
+        """Op generator: overwrite; False when absent (never creates)."""
         self.metrics["updates"] += 1
-        if self.index.dir_lookup(key) is None:
-            return False
-        result = yield from self._upsert(key, value)
-        return True if result is not None else False
+        result = yield from self._upsert(key, value, create=False)
+        return result is not None
 
-    def _upsert(self, key: bytes, value: bytes):
+    def _upsert(self, key: bytes, value: bytes, create: bool):
+        """True if ``key`` was created, False if overwritten, None if it
+        is absent and ``create`` is False (nothing allocated or written)."""
         attempts = self._attempts("upsert", key)
         for attempt in attempts:
             hinted = self.index.dir_lookup(key)
+            if hinted is None and not create:
+                return None
             try:
                 if hinted is None:
                     outcome = yield from self._insert_new(key, value)
                 else:
-                    outcome = yield from self._overwrite(key, value, hinted)
+                    outcome = yield from self._overwrite(key, value, hinted,
+                                                         create)
             except InjectedFault:
                 outcome = _RETRY
             if outcome is not _RETRY:
@@ -364,7 +367,7 @@ class OutbackClient:
         return True
 
     def _overwrite(self, key: bytes, value: bytes,
-                   hinted: Tuple[int, int]):
+                   hinted: Tuple[int, int], create: bool):
         addr, units = hinted
         leaf = yield from leaf_ops.read_leaf(addr, units,
                                              retry=self.config.retry)
@@ -374,6 +377,8 @@ class OutbackClient:
             # Fingerprint collision on a never-committed key: this is
             # somebody else's leaf, so the key is genuinely absent.
             self.metrics["false_routes"] += 1
+            if not create:
+                return None
             new_addr, new_units = self._alloc_leaf(key, value)
             yield WriteOp(new_addr, encode_leaf(key, value, units=new_units))
             if self.index.dir_lookup(key) != hinted:

@@ -38,7 +38,10 @@ and reports how many workers died per cell.  ``--workloads A,C`` and
 Profile mode: ``--profile`` attaches a ``repro.obs`` tracer to every
 fig4/fig5 cell and prints the per-op round-trip/bytes/retry breakdown
 and, under it, the memo census (``repro.util.hashing.memo_census()``:
-entries held by every process-wide memo of a pure function);
+entries held by every process-wide memo of a pure function - ``hash64``
+per seed, the ART word decoders' ``layout.*``, the filter's
+``filter.*`` tables, ``zipf.zeta``; each is cleared wholesale at one
+bound);
 ``--trace-out trace.json`` additionally writes the Chrome
 ``trace_event`` JSON (load it in chrome://tracing or Perfetto), and
 ``--trace-jsonl trace.jsonl`` the compact JSONL span log.  Attached

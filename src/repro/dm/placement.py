@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..errors import ConfigError, InvalidArgument
-from ..util.hashing import ConsistentHashRing, hash64
+from ..util.hashing import ConsistentHashRing, hash64, hash64_raw
 
 
 class NodePlacement:
@@ -42,9 +42,11 @@ class NodePlacement:
         """The MN that stores the leaf for ``key``.
 
         Leaves hash by full key so that hot inner prefixes do not
-        concentrate leaf traffic on one MN.
+        concentrate leaf traffic on one MN.  A key is placed when its
+        leaf is allocated, about once per key, so its hash is not
+        memoised (a memo entry would keep ``b"leaf:" + key`` alive).
         """
-        return self._ring.lookup(b"leaf:" + key)
+        return self._ring.lookup(b"leaf:" + key, hash64_raw)
 
 
 class ShardMap:

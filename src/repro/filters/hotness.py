@@ -49,7 +49,7 @@ EMPTY = 0
 #   prefixes, which many keys and every CN's filter share, so the prefix
 #   is the unit that repeats.
 # * the *ladder table* ``filter.ladder(fp_bits, buckets)``: key bytes ->
-#   its ladder, an ``array("Q")`` with the two codes of ``key[:d]`` at
+#   its ladder, an ``array`` with the two codes of ``key[:d]`` at
 #   ``[2d - 2, 2d - 1]``, for ``deepest_hit``.  A search walks ~13-16
 #   rungs of its key and almost every rung is a prefix no other key
 #   shares, so the key is the unit that repeats.  0 means "rung not
@@ -109,6 +109,11 @@ class SuccinctFilterCache:
         geometry = (fp_bits, self.num_buckets)
         self._table = memo(f"filter.probe{geometry}")
         self._ladders = memo(f"filter.ladder{geometry}")
+        # A resident code is fp_bits + log2(num_buckets) bits wide, so a
+        # ladder rung pair is two 4-byte words when that fits, else 8-byte.
+        rung = "I" if fp_bits + self._mask.bit_length() <= \
+            8 * array("I").itemsize else "Q"
+        self._empty_rung = array(rung, (0, 0))
         # Resident index: code -> slot for every occupied slot.  ``_fps``
         # and ``_hot`` stay the ground truth (eviction, relocation and
         # every RNG draw read them in slot order); the index only answers
@@ -218,7 +223,7 @@ class SuccinctFilterCache:
         ladders = self._ladders
         ladder = ladders.get(key)
         if ladder is None:
-            ladder = array("Q", bytes(16 * (len(key) or 1)))
+            ladder = self._empty_rung * (len(key) or 1)
             cache_put(ladders, key, ladder)
         index = self._index
         last = len(ladder)

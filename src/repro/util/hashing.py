@@ -16,7 +16,6 @@ splitmix64 finalizer to de-correlate the two 32-bit halves.
 from __future__ import annotations
 
 import bisect
-import weakref
 import zlib
 from typing import Dict, List, Sequence, Tuple
 
@@ -42,11 +41,8 @@ def _splitmix64(x: int) -> int:
 _CACHE_MAX = 1 << 21
 _hash_tables: dict = {}
 
-# Every memo that goes through ``cache_put``, registered where it is
-# created: the process-wide tables by name (``memo``), the per-ring
-# lookup memos through their (weakly held) rings.
+# Every memo that goes through ``cache_put``, by name (``memo``).
 _memos: Dict[str, dict] = {}
-_rings: "weakref.WeakSet[ConsistentHashRing]" = weakref.WeakSet()
 
 FINGERPRINT_SEED = 0x0F1E2D3C
 
@@ -66,13 +62,12 @@ def memo(name: str) -> dict:
 
 def memo_census() -> Dict[str, int]:
     """``{name: entries}`` for every memo of a pure function in this
-    process: ``hash64[<seed>]``, ``ring.lookup`` (summed over the live
-    rings) and whatever other modules asked :func:`memo` for (the
-    filter cache's ``filter.probe(...)`` / ``filter.ladder(...)``).  It
-    is where host memory that is not simulated state goes."""
-    census = {name: len(table) for name, table in _memos.items()}
-    census["ring.lookup"] = sum(len(ring._memo) for ring in _rings)
-    return census
+    process: ``hash64[<seed>]`` and whatever other modules asked
+    :func:`memo` for (the ART word decoders' ``layout.*``, the filter
+    cache's ``filter.probe(...)`` / ``filter.ladder(...)``, the zipfian
+    ``zipf.zeta``).  It is where host memory that is not simulated
+    state goes."""
+    return {name: len(table) for name, table in _memos.items()}
 
 
 def hash64_raw(data: bytes, seed: int = 0) -> int:
@@ -82,7 +77,8 @@ def hash64_raw(data: bytes, seed: int = 0) -> int:
     sensitive bits; splitmix64 mixes them so that low bits are usable as
     bucket indexes and high bits as fingerprints.  For callers that keep
     their own table of derived values (the filter's probe and ladder
-    tables) and so would only store every hash twice.
+    tables) and so would only store every hash twice, and for bytes that
+    are hashed once (a new key's leaf placement).
     """
     lo = zlib.crc32(data, seed & 0xFFFFFFFF)
     hi = zlib.crc32(data, (~seed ^ 0x5BD1E995) & 0xFFFFFFFF)
@@ -142,40 +138,27 @@ class ConsistentHashRing:
         self._seed = seed
         points: List[Tuple[int, int]] = []
         for member in self._members:
-            for v in range(vnodes):
-                token = hash64(f"{member}:{v}".encode(), seed)
+            for v in range(vnodes):  # once per ring: not worth a memo
+                token = hash64_raw(f"{member}:{v}".encode(), seed)
                 points.append((token, member))
         points.sort()
         self._tokens = [p[0] for p in points]
         self._owners = [p[1] for p in points]
-        # Placement memo: ring membership is immutable, so the owner of
-        # a given byte string never changes; placement sits on every
-        # alloc and every INHT client lookup.
-        self._memo: dict = {}
-        _rings.add(self)
-
-    def __deepcopy__(self, memo):
-        # Membership and tokens are immutable after construction and the
-        # placement memo caches a pure function of them, so a copy can be
-        # the ring itself; this keeps benchmark snapshot restores from
-        # walking the memo's entry per key of every loaded dataset.
-        return self
 
     @property
     def members(self) -> List[int]:
         return list(self._members)
 
-    def lookup(self, data: bytes) -> int:
-        """Return the member owning ``data``."""
-        member = self._memo.get(data)
-        if member is None:
-            h = hash64(data, self._seed ^ 0xC0FFEE)
-            idx = bisect.bisect_right(self._tokens, h)
-            if idx == len(self._tokens):
-                idx = 0
-            member = self._owners[idx]
-            cache_put(self._memo, data, member)
-        return member
+    def lookup(self, data: bytes, hasher=hash64) -> int:
+        """Return the member owning ``data``.
+
+        ``hasher`` is :func:`hash64`, whose memo already makes a repeated
+        lookup one dict probe plus a bisect, or :func:`hash64_raw` for
+        bytes that are looked up once and so are not worth keeping.
+        """
+        idx = bisect.bisect_right(self._tokens,
+                                  hasher(data, self._seed ^ 0xC0FFEE))
+        return self._owners[idx if idx < len(self._tokens) else 0]
 
     def lookup_int(self, value: int) -> int:
         return self.lookup(value.to_bytes(8, "little", signed=False))

@@ -18,7 +18,7 @@ import math
 import random
 
 from ..errors import InvalidArgument
-from ..util.hashing import hash64
+from ..util.hashing import cache_put, hash64, memo
 
 ZIPFIAN_CONSTANT = 0.99
 
@@ -30,14 +30,15 @@ ZIPFIAN_CONSTANT = 0.99
 # extend incrementally.  Both ``sum()`` and the extension loop accumulate
 # terms left to right in a single double, so the extended value is bit
 # for bit the value a from-scratch sum would produce.
-_zeta_prefix: dict = {}
+_zeta_prefix = memo("zipf.zeta")
 
 
 def zeta(n: int, theta: float) -> float:
     """The generalized harmonic number sum_{i=1..n} 1/i^theta."""
     prefix = _zeta_prefix.get(theta)
     if prefix is None:
-        prefix = _zeta_prefix[theta] = [0.0]  # prefix[i] == zeta(i, theta)
+        prefix = [0.0]  # prefix[i] == zeta(i, theta)
+        cache_put(_zeta_prefix, theta, prefix)
     if n >= len(prefix):
         z = prefix[-1]
         for i in range(len(prefix), n + 1):

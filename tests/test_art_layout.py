@@ -1,5 +1,8 @@
 """Unit tests for the Fig-3 byte layouts."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -94,6 +97,27 @@ def test_slot_helpers():
     assert inner.child_node_size() == 136
     with pytest.raises(ReproError):
         inner.leaf_size()
+
+
+@pytest.mark.parametrize("value", [
+    Header(STATUS_LOCKED, NODE48, 3, 12345, 7),
+    Slot(4096, 0x61, NODE16, False, True),
+    HashEntry(8192, 0xABC, NODE256, True),
+], ids=["header", "slot", "hash_entry"])
+def test_decoded_words_are_slotted_frozen_and_copyable(value):
+    """One memoised instance per word is shared by every decode, so it
+    must be immutable; ``__slots__`` keeps each one small.  Snapshot
+    restore deep-copies them and fork-pool results pickle them."""
+    cls, word = type(value), value.pack()
+    shared = cls.unpack(word)
+    assert shared == value and shared is cls.unpack(word)
+    assert cls.__slots__ and not hasattr(shared, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(shared, dataclasses.fields(cls)[0].name, 0)
+    assert {shared: 1}[value] == 1
+    for twin in (copy.deepcopy(shared), pickle.loads(pickle.dumps(shared))):
+        assert type(twin) is cls and twin == shared
+        assert hash(twin) == hash(shared) and twin.pack() == word
 
 
 def test_encode_decode_node_roundtrip():

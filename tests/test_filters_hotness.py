@@ -8,11 +8,14 @@ from itertools import product
 import pytest
 
 from repro.core import SphinxConfig, SphinxIndex
-from repro.dm import Cluster, ClusterConfig
+from repro.dm import Cluster, ClusterConfig, ClusterSpec
+from repro.dm.rdma import OpStats
 from repro.errors import FilterError
 from repro.filters import SuccinctFilterCache
+from repro.tenancy import run_rack
 from repro.util import hashing
-from repro.util.hashing import fingerprint, hash64
+from repro.util.hashing import ConsistentHashRing, fingerprint, hash64
+from repro.util.zipf import ScrambledZipfianGenerator
 
 
 def test_insert_contains_delete():
@@ -293,6 +296,23 @@ def test_ladder_codes_fit_widest_geometry():
         assert getattr(real, op)(*args) == getattr(ref, op)(*args), (op, args)
     assert _state(real) == _state(ref)
     assert max(real._index) >> 48
+    assert {ladder.itemsize for ladder in real._ladders.values()} == {8}
+
+
+@pytest.mark.parametrize("budget,fp_bits,itemsize", [
+    (4096, 12, 4),   # the benchmark's (12, 512): 21-bit codes
+    (6144, 23, 4),   # 23 + 9 = 32 bits: still 4-byte words
+    (6400, 24, 8),   # 24 + 9 = 33 bits: 8-byte words
+])
+def test_ladder_words_are_as_wide_as_the_codes(budget, fp_bits, itemsize):
+    real = SuccinctFilterCache(budget, fp_bits=fp_bits)
+    assert real.num_buckets == 512
+    ref = _SlotScanReference(real, random.Random(0))
+    for op, args in _op_mix(random.Random(fp_bits), 600):
+        assert getattr(real, op)(*args) == getattr(ref, op)(*args), (op, args)
+    assert _state(real) == _state(ref)
+    assert {ladder.itemsize for ladder in real._ladders.values()} == \
+        {itemsize}
 
 
 # -- the shared probe table: same hashes, bounded ---------------------------
@@ -317,6 +337,7 @@ def test_probe_table_matches_hashing_functions(fp_bits):
         assert f._probe(p) is f._table[p]
         f.deepest_hit(p, len(p))  # whole-key rung: the ladder's last pair
         assert tuple(f._ladders[p][-2:]) == (code1, code2)
+        assert f._ladders[p].itemsize == (8 if fp_bits == 32 else 4)
         assert hashing.hash64_raw(p, fp_bits) == hash64(p, fp_bits)
 
 
@@ -349,6 +370,58 @@ def test_tables_clear_wholesale_at_cache_max(monkeypatch):
     assert _replay(SuccinctFilterCache(200, fp_bits=9), 3) == capped
     assert len(f._table) > 8 and len(f._ladders) > 8
     assert hashed == [hashing.hash64_raw(k, 0xBEEF) for k in KEYS]
+
+
+# -- every memo: one bound, listed by the census ---------------------------
+
+# The process-wide memos a single-cluster Sphinx run asks for: the ART
+# word decoders, and hash64 for prefix placement, prefix_hash42, the
+# three MNs' INHT tables and the zipf scramble.
+SPHINX_MEMOS = {"layout.header", "layout.slot", "layout.hash_entry",
+                "hash64[0xc0ffe5]", "hash64[0x424242]", "hash64[0xd15c0]",
+                "hash64[0x9e3a6c71]", "hash64[0x13c63e6a2]",
+                "hash64[0x5c4a]"}
+
+
+def _sphinx_script():
+    """Answers, ``OpStats`` and ``TreeMetrics`` of a small Sphinx insert /
+    zipfian search / scan run."""
+    cluster = Cluster(ClusterConfig())
+    client = SphinxIndex(cluster, SphinxConfig(
+        filter_budget_bytes=1 << 12)).client(0)
+    stats = OpStats()
+    run = cluster.direct_executor(stats).run
+    rng = random.Random(27)
+    # Three letters of eight: ~140 inner nodes, dozens per MN's INHT.
+    keys = [bytes(rng.choice(b"abcdefgh") for _ in range(3)) + b"/%d\0" % i
+            for i in range(300)]
+    answers = [run(client.insert(key, b"v%d" % i))
+               for i, key in enumerate(keys)]
+    zipf = ScrambledZipfianGenerator(len(keys), 0.99, rng)
+    answers += [run(client.search(keys[zipf.next()])) for _ in range(300)]
+    answers += [run(client.scan_count(keys[i], 5)) for i in range(0, 300, 30)]
+    return answers, stats, client.metrics
+
+
+def _empty_every_memo():
+    for table in hashing._memos.values():
+        table.clear()  # pure functions: refilling cannot change an answer
+
+
+def test_every_memo_clears_at_cache_max_and_replays_equal(monkeypatch):
+    _empty_every_memo()
+    uncapped = _sphinx_script()
+    asked = {name: n for name, n in hashing.memo_census().items() if n}
+    _empty_every_memo()
+    with monkeypatch.context() as patch:
+        patch.setattr(hashing, "_CACHE_MAX", 8)
+        assert _sphinx_script() == uncapped
+        held = hashing.memo_census()
+    # Both runs ask the same keys, so a table asked for more than 8 that
+    # holds at most 8 was cleared at least once.
+    assert SPHINX_MEMOS <= {name for name, n in asked.items() if n > 8}, \
+        asked
+    assert all(held[name] <= 8 for name in asked), held
 
 
 # -- footprint: ladders are per key, probes per inner-node prefix ----------
@@ -386,6 +459,23 @@ def test_sphinx_load_memoises_inner_prefixes_and_keys_only(monkeypatch):
     census = hashing.memo_census()
     assert 0 < census[f"filter.probe{geometry}"] <= len(asked)
     assert 0 < census[f"filter.ladder{geometry}"] <= len(keys)
+
+
+def test_census_is_complete_and_holds_no_leaf_keys():
+    """After a Sphinx cell and a rack call: the ART decoders are on the
+    census, the ring keeps no memo of its own (lookups, tokens), and no
+    table holds a ``b"leaf:" + key`` (leaf placement is hashed once,
+    unmemoised)."""
+    ConsistentHashRing([0, 1, 2], seed=0x7E57)
+    assert "hash64[0x7e57]" not in hashing.memo_census()
+    _sphinx_script()
+    run_rack(ClusterSpec(num_cns=2, num_mns=4, group_size=2, num_shards=8,
+                         clients=8, replicas=1), tenants=2, num_keys=300,
+             insert_pool=60, ops=300, seed=5)
+    census = hashing.memo_census()
+    assert SPHINX_MEMOS <= set(census) and "ring.lookup" not in census
+    assert not [key for table in hashing._memos.values() for key in table
+                if isinstance(key, bytes) and key.startswith(b"leaf:")]
 
 
 # -- snapshot / deepcopy ---------------------------------------------------

@@ -10,6 +10,8 @@ tests pin it down instead of trusting throughput numbers:
 * an Outback directory hit is likewise exactly one READ; a directory
   miss is zero round trips (the CN-resident directory is authoritative
   for absence);
+* an Outback update false-routed by a fingerprint collision costs one
+  READ and creates nothing;
 * a stale locator entry costs extra round trips but still returns the
   correct value (the fallback ladder: fence-check fail -> drop ->
   INHT path);
@@ -20,7 +22,7 @@ tests pin it down instead of trusting throughput numbers:
 import random
 
 from repro.art import encode_str
-from repro.baselines import OutbackIndex
+from repro.baselines import OutbackConfig, OutbackIndex
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.rdma import OpStats
@@ -41,9 +43,9 @@ def _load_sphinx_loc():
     return cluster, index, client, keys
 
 
-def _load_outback():
+def _load_outback(config=None):
     cluster = Cluster(ClusterConfig(mn_capacity_bytes=64 << 20))
-    index = OutbackIndex(cluster)
+    index = OutbackIndex(cluster, config)
     client = index.client(0)
     ex = cluster.direct_executor()
     keys = [encode_str(f"k/{i:03d}") for i in range(N_KEYS)]
@@ -126,6 +128,34 @@ def test_outback_spans_show_single_read_verb():
     for span in spans:
         assert span.round_trips == 1, span
         assert [v.kind for v in span.verbs] == ["read"], span.verbs
+
+
+def test_false_routed_outback_update_creates_nothing():
+    """An absent key whose MPH fingerprint collides with a member's slot
+    is routed to that member's leaf.  ``update`` pays the one wasted
+    READ, counts a false route and returns False: no alloc, no write, no
+    publish.  (The nightly ``u64-zipfian-15`` seed hit this with a 16-bit
+    fingerprint and the update created the key; 8 bits finds a collision
+    in a few hundred candidates.)  ``insert`` of the same key still
+    creates it."""
+    cluster, index, client, keys = _load_outback(OutbackConfig(dir_fp_bits=8))
+    index.rebuild()  # fold the delta: every lookup now routes by MPH slot
+    absent = next(c for c in (b"zz/%d" % i for i in range(1 << 16))
+                  if index.dir_lookup(c) is not None)
+    assert absent not in keys
+    stats = OpStats()
+    ex = cluster.direct_executor(stats)
+    leaf_bytes = cluster.mn_bytes_by_category()["leaf"]
+    false_routes = client.metrics["false_routes"]
+    assert ex.run(client.update(absent, b"never")) is False
+    assert client.metrics["false_routes"] == false_routes + 1
+    assert (stats.round_trips, stats.reads, stats.writes, stats.cas) == \
+        (1, 1, 0, 0)
+    assert cluster.mn_bytes_by_category()["leaf"] == leaf_bytes
+    assert index.delta == {}
+    assert ex.run(client.search(absent)) is None
+    assert ex.run(client.insert(absent, b"now")) is True
+    assert ex.run(client.search(absent)) == b"now"
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.util.hashing import (
     ConsistentHashRing,
     fingerprint,
     hash64,
+    hash64_raw,
     hash_pair,
     prefix_hash42,
 )
@@ -65,6 +66,9 @@ def test_prefix_hash42_range(data):
 def test_ring_lookup_stable():
     ring = ConsistentHashRing([0, 1, 2])
     assert ring.lookup(b"abc") == ring.lookup(b"abc")
+    # The unmemoised hash places exactly where the memoised one does.
+    assert all(ring.lookup(b"k%d" % i, hash64_raw) == ring.lookup(b"k%d" % i)
+               for i in range(500))
 
 
 def test_ring_covers_all_members():
