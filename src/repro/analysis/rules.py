@@ -10,14 +10,14 @@ Scoping: S001-S004 govern client protocol code and inherit the lint
 exemption lists (the dm/sim/obs/bench layers pace engine events, own
 the data plane, or replay recovery - their loops and CASes are not
 client retries or client locks).  S005 and S006 apply everywhere: a
-dead verb or a malformed hook class is a bug in any layer.
+dead verb or a malformed observer class is a bug in any layer.
 """
 
 from __future__ import annotations
 
 import ast
 import re as _re
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import model
 from .cfg import BRANCH, CFG, DISPATCH, RETURN, STMT, contains_yield
@@ -344,38 +344,27 @@ def s005_rules(cfgs: Sequence[CFG]) -> List[RawFinding]:
 
 
 # ----------------------------------------------------------------------
-# S006: attach_* hook classes must conform to the executor interface
+# S006: observer classes must conform to the executor interface
 # ----------------------------------------------------------------------
 
-# Required (method -> (positional args excluding self, required
-# keywords the call sites pass)).  Derived from the unconditional call
-# sites in repro/dm/{rdma,cluster,memory}.py.
-_MONITOR_IFACE: Dict[str, Tuple[int, Tuple[str, ...]]] = {
-    "bind_clock": (1, ()),
-    "on_issue": (3, ()),
-    "on_apply": (3, ()),
-    "on_complete": (2, ()),
-    "on_alloc": (4, ()),
-    "on_free": (4, ()),
-    "on_retire": (4, ()),
+# An observer is a class deriving from ``Observer`` or handed to
+# ``attach(...)``.  Required (method -> positional args excluding self),
+# from the call sites in repro/dm/{rdma,memory}.py: every hook is called
+# on every attached observer, so a class without the no-op ``Observer``
+# base must define them all.
+_OBSERVER_IFACE: Dict[str, int] = {
+    "on_post": 1,
+    "on_apply": 1,
+    "on_complete": 1,
+    "op_begin": 3,
+    "on_round_trip": 1,
+    "on_fault": 4,
+    "op_end": 3,            # status is passed positionally
+    "on_alloc": 4,
+    "on_free": 4,
+    "on_retire": 4,
 }
-_TRACER_IFACE: Dict[str, Tuple[int, Tuple[str, ...]]] = {
-    "attach_resources": (1, ()),
-    "op_begin": (3, ()),
-    "op_end": (3, ()),          # status is passed positionally
-    "on_verb": (4, ("fault",)),
-    "on_round_trip": (1, ()),
-    "on_fault": (4, ()),
-    "tag_verb": (2, ()),
-}
-_LEASE_IFACE: Dict[str, Tuple[int, Tuple[str, ...]]] = {
-    "on_verb": (4, ()),
-}
-_IFACES: Dict[str, Dict[str, Tuple[int, Tuple[str, ...]]]] = {
-    "monitor": _MONITOR_IFACE,
-    "tracer": _TRACER_IFACE,
-    "lease": _LEASE_IFACE,
-}
+_OBSERVER_BASE = "Observer"
 
 
 def _class_methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
@@ -386,19 +375,8 @@ def _class_methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
     return methods
 
 
-def _explicit_role(cls: ast.ClassDef) -> Optional[str]:
-    for stmt in cls.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name) \
-                and stmt.targets[0].id == "DMVERIFY_ROLE" \
-                and isinstance(stmt.value, ast.Constant) \
-                and isinstance(stmt.value.value, str):
-            return stmt.value.value
-    return None
-
-
-def _attach_roles(tree: ast.Module) -> Dict[str, str]:
-    """class name -> role, from ``attach_monitor(X())`` style calls."""
+def _attached_classes(tree: ast.Module) -> Set[str]:
+    """Names of the classes handed to ``attach(X())`` style calls."""
     env: Dict[str, str] = {}
     for sub in ast.walk(tree):
         if isinstance(sub, ast.Assign) and len(sub.targets) == 1 \
@@ -406,46 +384,22 @@ def _attach_roles(tree: ast.Module) -> Dict[str, str]:
                 and isinstance(sub.value, ast.Call) \
                 and isinstance(sub.value.func, ast.Name):
             env[sub.targets[0].id] = sub.value.func.id
-    roles: Dict[str, str] = {}
+    attached: Set[str] = set()
     for sub in ast.walk(tree):
-        if not isinstance(sub, ast.Call):
-            continue
-        name = model.call_name(sub)
-        if name == "attach_monitor":
-            role = "monitor"
-        elif name == "attach_tracer":
-            role = "tracer"
-        else:
+        if not isinstance(sub, ast.Call) or model.call_name(sub) != "attach":
             continue
         for arg in sub.args:
             if isinstance(arg, ast.Call) \
                     and isinstance(arg.func, ast.Name):
-                roles[arg.func.id] = role
+                attached.add(arg.func.id)
             elif isinstance(arg, ast.Name) and arg.id in env:
-                roles[env[arg.id]] = role
-    return roles
+                attached.add(env[arg.id])
+    return attached
 
 
-def _role_of(cls: ast.ClassDef, attach_roles: Dict[str, str],
-             methods: Dict[str, ast.FunctionDef]) -> Optional[str]:
-    explicit = _explicit_role(cls)
-    if explicit in _IFACES:
-        return explicit
-    if cls.name in attach_roles:
-        return attach_roles[cls.name]
-    if cls.name.endswith("Monitor"):
-        return "monitor"
-    if cls.name.endswith("Tracer"):
-        return "tracer"
-    if "Lease" in cls.name and "on_verb" in methods:
-        return "lease"
-    return None
-
-
-def _accepts(fn: ast.FunctionDef, n_pos: int,
-             keywords: Tuple[str, ...]) -> Optional[str]:
-    """None when ``fn(self, *<n_pos args>, **<keywords>)`` is callable;
-    otherwise a short description of the mismatch."""
+def _accepts(fn: ast.FunctionDef, n_pos: int) -> Optional[str]:
+    """None when ``fn(self, *<n_pos args>)`` is callable; otherwise a
+    short description of the mismatch."""
     args = fn.args
     positional = list(args.posonlyargs) + list(args.args)
     is_static = any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
@@ -462,13 +416,8 @@ def _accepts(fn: ast.FunctionDef, n_pos: int,
     if n_pos > n_params and args.vararg is None:
         return (f"takes at most {n_params} argument(s), call sites "
                 f"pass {n_pos}")
-    param_names = {p.arg for p in positional} | {
-        k.arg for k in args.kwonlyargs}
-    for keyword in keywords:
-        if args.kwarg is None and keyword not in param_names:
-            return f"does not accept keyword `{keyword}`"
-    missing = {k.arg for k, d in zip(args.kwonlyargs, args.kw_defaults)
-               if d is None} - set(keywords)
+    missing = [k.arg for k, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is None]
     if missing:
         return ("requires keyword-only argument(s) "
                 + ", ".join(f"`{m}`" for m in sorted(missing))
@@ -476,45 +425,46 @@ def _accepts(fn: ast.FunctionDef, n_pos: int,
     return None
 
 
+def _base_names(cls: ast.ClassDef) -> List[Optional[str]]:
+    return [base.id if isinstance(base, ast.Name)
+            else base.attr if isinstance(base, ast.Attribute) else None
+            for base in cls.bases]
+
+
 def s006_rules(tree: ast.Module) -> List[RawFinding]:
     findings: List[RawFinding] = []
-    attach_roles = _attach_roles(tree)
-    local_classes = {sub.name for sub in ast.walk(tree)
-                     if isinstance(sub, ast.ClassDef)}
-    for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
+    attached = _attached_classes(tree)
+    classes = {sub.name: sub for sub in ast.walk(tree)
+               if isinstance(sub, ast.ClassDef)}
+    for cls in classes.values():
         methods = _class_methods(cls)
-        role = _role_of(cls, attach_roles, methods)
-        if role is None:
+        bases = _base_names(cls)
+        parents = [classes[base] for base in bases
+                   if base is not None and base in classes]
+        for parent in parents:  # fold one level of local inheritance
+            for name, fn in _class_methods(parent).items():
+                methods.setdefault(name, fn)
+        inherits_noops = _OBSERVER_BASE in bases or any(
+            _OBSERVER_BASE in _base_names(parent) for parent in parents)
+        if not (inherits_noops or cls.name in attached):
             continue
-        unresolvable_base = any(
-            not (isinstance(base, ast.Name)
-                 and (base.id in local_classes or base.id == "object"))
-            for base in cls.bases)
-        if unresolvable_base:
+        if any(base not in classes and base not in (_OBSERVER_BASE, "object")
+               for base in bases):
             continue  # inherited methods are invisible to us
-        for base in cls.bases:
-            if isinstance(base, ast.Name) and base.id in local_classes:
-                # fold one level of local inheritance
-                for sub in ast.walk(tree):
-                    if isinstance(sub, ast.ClassDef) \
-                            and sub.name == base.id:
-                        for name, fn in _class_methods(sub).items():
-                            methods.setdefault(name, fn)
         problems: List[str] = []
-        for name, (n_pos, keywords) in sorted(_IFACES[role].items()):
+        for name, n_pos in sorted(_OBSERVER_IFACE.items()):
             fn = methods.get(name)
             if fn is None:
-                problems.append(f"missing {name}()")
+                if not inherits_noops:
+                    problems.append(f"missing {name}()")
                 continue
-            mismatch = _accepts(fn, n_pos, keywords)
+            mismatch = _accepts(fn, n_pos)
             if mismatch is not None:
                 problems.append(f"{name}() {mismatch}")
         if problems:
             findings.append(RawFinding(
                 "S006", cls.lineno,
-                f"class {cls.name} plays the {role} hook role but "
-                f"does not conform to the executor callback "
-                f"interface: " + "; ".join(problems)))
+                f"class {cls.name} is an executor observer but does not "
+                f"conform to the observer interface: "
+                + "; ".join(problems)))
     return findings

@@ -10,14 +10,14 @@ machines each hosting a CN and an MN - and hands out executors:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..errors import ConfigError
 from ..sim import Engine
 from .memory import Memory, addr_mn, addr_offset, make_addr
 from .network import NetworkConfig, Nic
 from .placement import NodePlacement
-from .rdma import DirectExecutor, OpStats, SimExecutor
+from .rdma import DirectExecutor, Observer, OpStats, SimExecutor
 
 
 @dataclass(frozen=True)
@@ -65,41 +65,70 @@ class Cluster:
         self.placement = NodePlacement(
             list(self.memories), vnodes=self.config.ring_vnodes,
             seed=self.config.placement_seed)
-        self.monitor = None        # optional DMSan AccessMonitor
+        self.observers: Tuple[Observer, ...] = ()
         self.injector = None       # optional repro.fault FaultInjector
-        self.tracer = None         # optional repro.obs Tracer
         self.recovery = None       # optional repro.recover RecoveryManager
         self._client_seq = 0
         self._seed_seq = 0
 
-    # -- sanitizer ---------------------------------------------------------
-    def attach_monitor(self, monitor) -> None:
-        """Route every verb and allocator event through ``monitor``.
+    # -- observers ---------------------------------------------------------
+    def attach(self, observer: Observer) -> Observer:
+        """Report to ``observer`` (DMSan, a lease table, a tracer) every
+        allocator block from now on, and every verb and op of the
+        executors created *after* this call; executors created before it
+        are untouched.  Observers never create engine events, so the
+        simulated schedule stays bit-identical (DESIGN.md §8.4).
+        Returns ``observer``."""
+        self._observe(self.observers + (observer,))
+        return observer
 
-        Executors created *after* this call carry the monitor; attach it
-        before building indexes so the monitor sees every allocation.
-        """
-        self.monitor = monitor
-        monitor.bind_clock(lambda: self.engine.now)
+    def detach(self, observer: Observer) -> Observer:
+        """Stop reporting to ``observer``: executors created from here on
+        no longer see it.  Returns ``observer``."""
+        self._observe(tuple(o for o in self.observers if o is not observer))
+        return observer
+
+    def _observe(self, observers: Tuple[Observer, ...]) -> None:
+        self.observers = observers
         for memory in self.memories.values():
-            memory.tracker = monitor
+            memory.observers = observers
 
     def attach_sanitizer(self, config=None):
-        """Create a DMSan :class:`repro.san.AccessMonitor`, attach it, and
-        return it (convenience for tests and debugging sessions)."""
+        """Attach a new DMSan :class:`repro.san.AccessMonitor` and return
+        it; attach before building indexes so it sees every allocation."""
         from ..san import AccessMonitor  # local import: san depends on dm
-        monitor = AccessMonitor(config)
-        self.attach_monitor(monitor)
-        return monitor
+        return self.attach(AccessMonitor(config))
+
+    def attach_tracer(self, tracer=None, config=None):
+        """Attach a :class:`repro.obs.Tracer` (created from ``config`` when
+        not given) bound to this cluster's NIC gauges, and return it."""
+        from ..obs import Tracer  # local import: obs depends on dm
+        tracer = tracer if tracer is not None else Tracer(config)
+        tracer.attach_resources(self)
+        return self.attach(tracer)
+
+    def detach_tracer(self):
+        """Detach the last tracer attached and return it (None if none)."""
+        from ..obs import Tracer  # local import: obs depends on dm
+        tracers = [o for o in self.observers if isinstance(o, Tracer)]
+        return self.detach(tracers[-1]) if tracers else None
+
+    def attach_recovery(self, config=None):
+        """Create a :class:`repro.recover.RecoveryManager`, attach its
+        :class:`repro.recover.LeaseTable`, and return the manager."""
+        from ..recover import RecoveryManager  # local: recover uses dm
+        self.recovery = RecoveryManager(self, config)
+        self.attach(self.recovery.lease_table)
+        return self.recovery
 
     # -- fault injection ---------------------------------------------------
     def attach_faults(self, plan):
         """Bind a :class:`repro.fault.FaultPlan` to this cluster and
         return the live :class:`repro.fault.FaultInjector`.
 
-        Mirrors :meth:`attach_monitor`: executors created *after* this
-        call ask the injector's fault gate about every verb as they post
-        it; executors created before it are untouched.  A verb the gate
+        Like :meth:`attach`: executors created *after* this call ask the
+        injector's fault gate about every verb as they post it;
+        executors created before it are untouched.  A verb the gate
         passes runs exactly as with no plan attached - the plan selects
         no verb path and does not serialise doorbells (DESIGN.md 7.1).
         Attach after bulk loading so the loaded image is fault-free and
@@ -109,54 +138,6 @@ class Cluster:
         injector = FaultInjector(plan, self.memories)
         self.injector = injector
         return injector
-
-    # -- observability -----------------------------------------------------
-    def attach_tracer(self, tracer=None, config=None):
-        """Bind a :class:`repro.obs.Tracer` (created from ``config`` when
-        not given) to this cluster and return it.
-
-        Mirrors :meth:`attach_monitor` / :meth:`attach_faults`: executors
-        created *after* this call report op spans and verb events into
-        the tracer; executors created before it are untouched.  The
-        tracer samples resource gauges passively (never creating engine
-        events), so an attached tracer leaves the simulated schedule
-        bit-identical - see DESIGN.md §8.
-        """
-        if tracer is None:
-            from ..obs import Tracer  # local import: obs depends on dm
-            tracer = Tracer(config)
-        self.tracer = tracer
-        tracer.attach_resources(self)
-        return tracer
-
-    def detach_tracer(self):
-        """Stop tracing: executors created from here on run the
-        zero-overhead clean path.  Returns the detached tracer."""
-        tracer, self.tracer = self.tracer, None
-        return tracer
-
-    # -- crash recovery ----------------------------------------------------
-    def attach_recovery(self, config=None):
-        """Create a :class:`repro.recover.RecoveryManager`, attach it, and
-        return it.
-
-        Mirrors :meth:`attach_monitor` / :meth:`attach_faults` /
-        :meth:`attach_tracer`: executors created *after* this call report
-        lease-tagged lock verbs into the manager's
-        :class:`repro.recover.LeaseTable`; executors created before it -
-        and every cluster with no manager attached - run the exact
-        pre-recovery path, so schedules and OpStats stay bit-identical.
-        """
-        from ..recover import RecoveryManager  # local: recover uses dm
-        manager = RecoveryManager(self, config)
-        self.recovery = manager
-        return manager
-
-    def detach_recovery(self):
-        """Stop lease tracking: executors created from here on run the
-        clean path.  Returns the detached manager."""
-        manager, self.recovery = self.recovery, None
-        return manager
 
     def _next_client_id(self, prefix: str) -> str:
         self._client_seq += 1
@@ -199,30 +180,22 @@ class Cluster:
 
     # -- executors ---------------------------------------------------------
     def direct_executor(self, stats: OpStats | None = None) -> DirectExecutor:
-        recovery = self.recovery
         return DirectExecutor(self.memories, stats,
-                              monitor=self.monitor,
                               client_id=self._next_client_id("direct"),
                               clock=lambda: self.engine.now,
                               injector=self.injector,
-                              tracer=self.tracer,
-                              lease_hook=None if recovery is None
-                              else recovery.lease_table.on_verb)
+                              observers=self.observers)
 
     def sim_executor(self, cn_id: int,
                      stats: OpStats | None = None) -> SimExecutor:
         if cn_id not in self.cn_nics:
             raise ConfigError(f"no such compute node {cn_id}")
-        recovery = self.recovery
         return SimExecutor(self.engine, self.memories,
                            self.cn_nics[cn_id], self.mn_nics,
                            self.config.network, stats,
-                           monitor=self.monitor,
                            client_id=self._next_client_id(f"cn{cn_id}"),
                            injector=self.injector,
-                           tracer=self.tracer,
-                           lease_hook=None if recovery is None
-                           else recovery.lease_table.on_verb)
+                           observers=self.observers)
 
     # -- accounting --------------------------------------------------------
     def mn_bytes_by_category(self) -> Dict[str, int]:

@@ -88,10 +88,9 @@ class Memory:
         self.uaf_policy = "flag"                  # "ignore" | "flag" | "raise"
         self.uaf_hits = 0
         self.uaf_samples: List[str] = []
-        # Optional allocation observer (e.g. a DMSan AccessMonitor): an
-        # object with on_alloc/on_free/on_retire(mn_id, offset, size,
-        # category) methods.
-        self.tracker = None
+        # The cluster's observers (repro.dm.rdma.Observer), told of
+        # every block allocated, freed or retired.
+        self.observers: tuple = ()
 
     # -- freed-region registry -----------------------------------------
     def _freed_overlap(self, offset: int, size: int
@@ -164,8 +163,8 @@ class Memory:
                 )
             offset = self._bump
             self._bump += size
-        if self.tracker is not None:
-            self.tracker.on_alloc(self.mn_id, offset, size, category)
+        for obs in self.observers:
+            obs.on_alloc(self.mn_id, offset, size, category)
         return offset
 
     def free(self, offset: int, size: int, category: str = "generic") -> None:
@@ -180,8 +179,8 @@ class Memory:
         self.allocated_by_category[category] -= size
         self._free_lists[size].append(offset)
         self._register_freed(offset, size)
-        if self.tracker is not None:
-            self.tracker.on_free(self.mn_id, offset, size, category)
+        for obs in self.observers:
+            obs.on_free(self.mn_id, offset, size, category)
 
     def retire(self, offset: int, size: int, category: str = "generic") -> None:
         """Account a block as freed *without* recycling its memory.
@@ -198,8 +197,8 @@ class Memory:
         self.free_calls += 1
         self.allocated_by_category[category] -= size
         self._retired[offset] = size
-        if self.tracker is not None:
-            self.tracker.on_retire(self.mn_id, offset, size, category)
+        for obs in self.observers:
+            obs.on_retire(self.mn_id, offset, size, category)
 
     def allocated_bytes(self) -> int:
         """Net live bytes across all categories."""

@@ -117,8 +117,8 @@ class TopologyEvent:
 class GroupCluster:
     """A group-scoped view of the rack's cluster.
 
-    Same engine, NICs, executors and attachment points (sanitizer, fault
-    injector, tracer, recovery) as the underlying :class:`Cluster` - but
+    Same engine, NICs, executors and attachment points (observers, fault
+    injector, recovery) as the underlying :class:`Cluster` - but
     ``memories`` and node placement restricted to the group's MNs, so an
     index built against the view allocates, hashes and creates its INHT
     tables only inside the group.  Everything else delegates.
@@ -133,7 +133,7 @@ class GroupCluster:
 
     def __getattr__(self, name):
         # Everything not group-scoped (engine, executors, alloc/free,
-        # injector, tracer, recovery, config, NIC dicts...) is the rack's.
+        # injector, observers, recovery, config, NIC dicts...) is the rack's.
         return getattr(self._cluster, name)
 
     def alloc_for_prefix(self, prefix: bytes, size: int,
@@ -233,17 +233,17 @@ class Rack:
 
         New memories and NICs join the live cluster dicts, so executors,
         the fault injector and NIC accounting - all of which hold those
-        dict references - see the new nodes without re-attachment.
+        dict references - see the new nodes without re-attachment; the
+        new memories report to the cluster's observers.
         """
         net = self.cluster.config.network
         mn_ids = []
         for _ in range(self.spec.group_size):
             mn = self._next_mn
             self._next_mn += 1
-            self.cluster.memories[mn] = Memory(
+            memory = self.cluster.memories[mn] = Memory(
                 mn, self.spec.mn_capacity_bytes)
-            if self.cluster.monitor is not None:
-                self.cluster.memories[mn].tracker = self.cluster.monitor
+            memory.observers = self.cluster.observers
             self.cluster.mn_nics[mn] = Nic(
                 self.cluster.engine, f"mn{mn}.nic", net, "mn",
                 net.mn_nic_capacity)

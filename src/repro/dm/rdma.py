@@ -23,7 +23,9 @@ An attached :class:`repro.fault.FaultPlan` is not a mode of either
 executor: both ask ``FaultInjector.gate`` once per verb as they post it,
 a verb the gate passes runs as if no plan were attached, and only a verb
 with a decision takes a faulted continuation - inside a doorbell that
-still posts every member at once.
+still posts every member at once.  An attached :class:`Observer` (DMSan,
+the lease table, the tracer) selects no path either: every path reports
+each verb to it as one :class:`VerbRecord`.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def apply_verb(memories: Mapping[int, Memory], op: Verb) -> Any:
     raise SimulationError(f"unknown verb {op!r}")
 
 
-def _verb_sizes(op: Verb) -> Tuple[int, int]:
+def verb_sizes(op: Verb) -> Tuple[int, int]:
     """(request payload bytes, response payload bytes) for timing."""
     cls = op.__class__
     if cls is ReadOp:
@@ -189,6 +191,11 @@ def _verb_sizes(op: Verb) -> Tuple[int, int]:
     if cls is FaaOp:
         return 8, 8
     raise SimulationError(f"unknown verb {op!r}")
+
+
+#: Fault kinds whose verb still completes: the client gets a result (late,
+#: twice applied, or a forged CAS failure), not an exception.
+SILENT_FAULTS = ("delay", "duplicate", "stale_cas")
 
 
 def _fault_error(client: str, op: Verb, decision) -> Exception:
@@ -230,6 +237,76 @@ def _raise_member_faults(results: Sequence[Any]) -> None:
 
 
 # --------------------------------------------------------------------------
+# Observers
+# --------------------------------------------------------------------------
+
+@dataclass(slots=True, eq=False)
+class VerbRecord:
+    """One verb as its observers see it: posted by ``client`` at
+    ``t_post``, executed by the MN at ``t_applied`` with ``result``,
+    completed at ``t_done``.  ``fault`` is the kind of the fault gate's
+    decision, known when the verb is posted.  A verb the MN never saw (a
+    NAK, a dead MN, a request drop) is only completed, with
+    ``t_applied`` None.  Built only by an executor that has observers;
+    compared by identity (one record per verb posted)."""
+
+    client: str
+    op: Verb
+    t_post: int
+    t_applied: Optional[int] = None
+    result: Any = None
+    t_done: Optional[int] = None
+    fault: Optional[str] = None
+
+
+class Observer:
+    """A passive watcher bound with ``Cluster.attach``: executors created
+    after the attach report every verb and op to it, and every MN
+    allocator its blocks.  It never steers a verb (the fault injector,
+    which does, is not one), so attaching it moves no simulated digit.
+
+    * per verb, in this order: ``on_post(rec)``, ``on_apply(rec)``,
+      ``on_complete(rec)`` - a verb the MN never saw gets only
+      ``on_complete``;
+    * per op (one executor ``run``): ``op_begin(client, name, now)``,
+      ``on_round_trip(client)`` per posted op, ``on_fault(client, kind,
+      addr, now)`` per fault delivered into the generator, and
+      ``op_end(client, now, status)``;
+    * per allocator block: ``on_alloc`` / ``on_free`` /
+      ``on_retire(mn_id, offset, size, category)``.
+
+    Every hook is a no-op here; a subclass overrides what it reads."""
+
+    def _ignore(self, *_event) -> None:
+        pass
+
+    on_post = on_apply = on_complete = _ignore
+    op_begin = on_round_trip = on_fault = op_end = _ignore
+    on_alloc = on_free = on_retire = _ignore
+
+
+def _post(observers, client: str, op: Verb, now: int,
+          fault: Optional[str] = None) -> VerbRecord:
+    rec = VerbRecord(client, op, now, fault=fault)
+    for obs in observers:
+        obs.on_post(rec)
+    return rec
+
+
+def _applied(observers, rec: VerbRecord, now: int, result: Any) -> None:
+    rec.t_applied = now
+    rec.result = result
+    for obs in observers:
+        obs.on_apply(rec)
+
+
+def _done(observers, rec: VerbRecord, now: int) -> None:
+    rec.t_done = now
+    for obs in observers:
+        obs.on_complete(rec)
+
+
+# --------------------------------------------------------------------------
 # Executors
 # --------------------------------------------------------------------------
 
@@ -242,17 +319,15 @@ class DirectExecutor:
 
     def __init__(self, memories: Mapping[int, Memory],
                  stats: OpStats | None = None, *,
-                 monitor=None, client_id: str = "direct",
+                 client_id: str = "direct",
                  clock: Optional[Callable[[], int]] = None,
-                 injector=None, tracer=None, lease_hook=None):
+                 injector=None, observers: Tuple[Observer, ...] = ()):
         self._memories = memories
         self.stats = stats if stats is not None else OpStats()
-        self.monitor = monitor
         self.client_id = client_id
         self._clock = clock if clock is not None else (lambda: 0)
         self._injector = injector
-        self._tracer = tracer
-        self._lease_hook = lease_hook
+        self._observers = observers
         self._budget = 0  # message ceiling armed by arm_verb_budget
 
     def arm_verb_budget(self, extra_messages: int) -> None:
@@ -261,25 +336,15 @@ class DirectExecutor:
         livelock bound ("never a hang")."""
         self._budget = self.stats.messages + extra_messages
 
-    def _apply(self, verb: Verb) -> Any:
-        monitor = self.monitor
-        tracer = self._tracer
-        if monitor is None and tracer is None \
-                and self._lease_hook is None:
+    def _apply(self, verb: Verb, fault: Optional[str] = None) -> Any:
+        observers = self._observers
+        if not observers:
             return apply_verb(self._memories, verb)
         now = self._clock()
-        if monitor is None:
-            result = apply_verb(self._memories, verb)
-        else:
-            token = monitor.on_issue(self.client_id, verb, now)
-            result = apply_verb(self._memories, verb)
-            monitor.on_apply(token, now, result)
-            monitor.on_complete(token, now)
-        if self._lease_hook is not None \
-                and getattr(verb, "lease", None) is not None:
-            self._lease_hook(self.client_id, verb, result, now)
-        if tracer is not None:
-            tracer.on_verb(self.client_id, verb, now, now)
+        rec = _post(observers, self.client_id, verb, now, fault)
+        result = apply_verb(self._memories, verb)
+        _applied(observers, rec, now, result)
+        _done(observers, rec, now)
         return result
 
     def _gated(self, verb: Verb) -> Any:
@@ -289,12 +354,9 @@ class DirectExecutor:
         if decision is None:
             return self._apply(verb)
         kind = decision.kind
-        tracer = self._tracer
         self.stats.faults_injected += 1
-        if kind in ("delay", "duplicate", "stale_cas"):
-            result = self._apply(verb)
-            if tracer is not None:
-                tracer.tag_verb(self.client_id, kind)
+        if kind in SILENT_FAULTS:
+            result = self._apply(verb, kind)
             if kind == "duplicate":
                 apply_verb(self._memories, verb)  # phantom retransmission
             elif kind == "stale_cas" \
@@ -303,9 +365,11 @@ class DirectExecutor:
             return result  # untimed executor: a delay is invisible
         if decision.applied:
             # The side effect lands; the completion - or the CN - is lost.
-            self._apply(verb)
-            if tracer is not None:
-                tracer.tag_verb(self.client_id, kind)
+            self._apply(verb, kind)
+        elif self._observers:  # lost before the MN: completed only
+            now = self._clock()
+            _done(self._observers,
+                  VerbRecord(self.client_id, verb, now, fault=kind), now)
         raise _fault_error(self.client_id, verb, decision)
 
     def execute(self, op: OpOrBatch) -> Any:
@@ -344,15 +408,13 @@ class DirectExecutor:
 
         Injected faults are delivered *into* the client generator with
         ``gen.throw`` - the client sees them at its ``yield``, exactly
-        where a real completion error would surface.  An attached tracer
-        brackets the op in a span.
+        where a real completion error would surface.
         """
-        tracer = self._tracer
-        span = None
-        if tracer is not None:
-            span = tracer.op_begin(self.client_id,
-                                   getattr(gen, "__name__", "op"),
-                                   self._clock())
+        observers = self._observers
+        client = self.client_id
+        for obs in observers:
+            obs.op_begin(client, getattr(gen, "__name__", "op"),
+                         self._clock())
         status = "error"
         try:
             result = None
@@ -369,12 +431,13 @@ class DirectExecutor:
                     return stop.value
                 except RetryLimitExceeded as exc:
                     status = "failed"
-                    exc.attach_context(self.client_id, replace(self.stats))
+                    exc.attach_context(client, replace(self.stats))
                     if self._injector is not None:
                         exc.attach_fault_trace(self._injector.trace_tuple())
                     raise
-                if tracer is not None and op.__class__ is not LocalCompute:
-                    tracer.on_round_trip(span)
+                if observers and op.__class__ is not LocalCompute:
+                    for obs in observers:
+                        obs.on_round_trip(client)
                 try:
                     result = self.execute(op)
                 except (InjectedFault, MNUnavailable) as exc:
@@ -383,25 +446,24 @@ class DirectExecutor:
                     # (MNUnavailable) at the yield; ClientCrash
                     # deliberately is NOT - a dead CN runs no cleanup,
                     # so the generator is just abandoned.
-                    if tracer is not None:
+                    for obs in observers:
                         # MNUnavailable is not a fault-rule kind.
-                        tracer.on_fault(
-                            self.client_id,
-                            getattr(exc, "kind", "mn_unavailable"),
-                            exc.addr or 0, self._clock())
+                        obs.on_fault(client,
+                                     getattr(exc, "kind", "mn_unavailable"),
+                                     exc.addr or 0, self._clock())
                     pending = exc
                     result = None
         finally:
-            if tracer is not None:
-                tracer.op_end(span, self._clock(), status)
+            for obs in observers:
+                obs.op_end(client, self._clock(), status)
 
 
 class _VerbTrip(SimEvent):
     """One verb as a single engine event that re-arms itself for each of
     its four NIC stages - no generator frame, no per-stage
     :class:`Timeout`.  Every verb on the fast engine is one, with or
-    without a tracer or a FaultPlan attached, unless a monitor is
-    watching or the fault gate returned a decision for it.
+    without observers or a FaultPlan attached, unless the fault gate
+    returned a decision for it.
 
     The trip is its own only callback (``_cb1 = self``): each dispatch
     does exactly the work :meth:`SimExecutor._verb` does at the matching
@@ -413,13 +475,16 @@ class _VerbTrip(SimEvent):
     before its first yield).  A scalar verb's last arming turns the trip
     into the event that resumes ``worker`` with the result; a doorbell
     member (``worker`` None) reports into its :class:`_BatchTrip`
-    ``ctx`` instead.  The dispatch loop marks ``_cb1`` processed before
-    each call, so a finished trip keeps no reference to itself (the e2e
-    timed region runs with the cycle collector off).
+    ``ctx`` instead.  The observers' post / apply / complete hooks run
+    where ``_verb`` runs them, so they see the same event order; ``rec``
+    is None when the executor has none.  The dispatch loop
+    marks ``_cb1`` processed before each call, so a finished trip keeps
+    no reference to itself (the e2e timed region runs with the cycle
+    collector off).
     """
 
     __slots__ = ("ex", "op", "worker", "ctx", "idx",
-                 "mn", "req", "resp", "extra", "stage")
+                 "mn", "req", "resp", "extra", "stage", "rec")
 
     def __init__(self, ex: "SimExecutor", op: Verb,
                  worker, ctx: "_BatchTrip | None" = None, idx: int = 0):
@@ -445,21 +510,21 @@ class _VerbTrip(SimEvent):
             op = self.op
             ex.stats.count_verb(op)
             self.mn = ex._mn_nics[addr_mn(op.addr)]
-            self.req, self.resp = _verb_sizes(op)
+            self.req, self.resp = verb_sizes(op)
             cls = op.__class__
             self.extra = cfg.atomic_extra_ns \
                 if (cls is CasOp or cls is FaaOp) else 0
+            self.rec = _post(ex._observers, ex.client_id, op, engine.now) \
+                if ex._observers else None
             done = ex._cn_nic.charge(self.req)
         elif stage == 1:
             # CN request sent; request crosses the wire to the MN NIC.
             done = self.mn.charge(self.req, self.extra, cfg.prop_ns)
         elif stage == 2:
             # MN NIC executed the verb: side effect lands now.
-            op = self.op
-            result = self._value = apply_verb(ex._memories, op)
-            if ex._lease_hook is not None \
-                    and getattr(op, "lease", None) is not None:
-                ex._lease_hook(ex.client_id, op, result, engine.now)
+            result = self._value = apply_verb(ex._memories, self.op)
+            if self.rec is not None:
+                _applied(ex._observers, self.rec, engine.now, result)
             done = self.mn.charge(self.resp, 0, cfg.mem_access_ns)
         elif stage == 3:
             # Response back across the wire through the CN NIC.
@@ -477,9 +542,8 @@ class _VerbTrip(SimEvent):
             # one creates anything, so every other member joins inline.
             ctx = self.ctx
             ctx.results[self.idx] = self._value
-            tracer = ex._tracer
-            if tracer is not None:
-                tracer.on_verb(ex.client_id, self.op, ctx.t0, engine.now)
+            if self.rec is not None:
+                _done(ex._observers, self.rec, engine.now)
             ctx.remaining -= 1
             if ctx.remaining == 0:
                 self._cb1 = self
@@ -520,10 +584,10 @@ class _BatchTrip(SimEvent):
     under ties.
     """
 
-    __slots__ = ("ex", "ops", "worker", "results", "remaining", "t0")
+    __slots__ = ("ex", "ops", "worker", "results", "remaining")
 
     def __init__(self, ex: "SimExecutor", ops: Tuple[Verb, ...], worker):
-        self.engine = engine = ex.engine
+        self.engine = ex.engine
         self._spill = self._proc = None
         self._cb1 = self
         self.ex = ex
@@ -531,8 +595,7 @@ class _BatchTrip(SimEvent):
         self.worker = worker
         self.results: list = [None] * len(ops)
         self.remaining = len(ops)
-        self.t0 = engine.now
-        engine._queue_event(self)
+        self.engine._queue_event(self)
 
     def __call__(self, _event: SimEvent) -> None:
         ex = self.ex
@@ -558,28 +621,24 @@ class SimExecutor:
     def __init__(self, engine, memories: Mapping[int, Memory],
                  cn_nic: Nic, mn_nics: Mapping[int, Nic],
                  config, stats: OpStats | None = None, *,
-                 monitor=None, client_id: str = "sim",
-                 injector=None, tracer=None, lease_hook=None):
+                 client_id: str = "sim", injector=None,
+                 observers: Tuple[Observer, ...] = ()):
         self.engine = engine
         self._memories = memories
         self._cn_nic = cn_nic
         self._mn_nics = mn_nics
         self._config = config
         self.stats = stats if stats is not None else OpStats()
-        self.monitor = monitor
         self.client_id = client_id
         self._injector = injector
-        self._tracer = tracer
-        self._lease_hook = lease_hook
+        self._observers = observers
         self._budget = 0  # message ceiling armed by arm_verb_budget
         # Verb trips (self-re-arming events replacing the per-stage
         # generator resume; schedule-identical to _verb) need only the
-        # fast dispatch loop.  A tracer rides them (run() and the batch
-        # members call it from the same dispatch positions _verb does),
-        # and so does an attached FaultPlan: run() asks the fault gate
-        # at post time, and only a verb that got a decision leaves them.
-        # A monitor is checked per-op in run() since it can be attached
-        # after construction.
+        # fast dispatch loop.  Observers ride them (the trips call their
+        # hooks from the dispatch positions _verb does), and so does an
+        # attached FaultPlan: run() asks the fault gate at post time,
+        # and only a verb that got a decision leaves them.
         self._trips = not engine._slow
 
     def arm_verb_budget(self, extra_messages: int) -> None:
@@ -587,22 +646,22 @@ class SimExecutor:
         self._budget = self.stats.messages + extra_messages
 
     # -- single verb ----------------------------------------------------
-    def _request_leg(self, op: Verb):
-        """The half of a verb that lands its side effect: issue -> CN NIC
-        -> wire -> MN NIC -> apply, with the monitor/lease hooks (a
-        generator of engine events).  Returns ``(token, result, mn_nic,
-        resp_bytes)`` - what the response leg, or a fault that loses the
-        completion, needs to finish the verb."""
+    def _request_leg(self, op: Verb, fault: Optional[str] = None):
+        """The half of a verb that lands its side effect: post -> CN NIC
+        -> wire -> MN NIC -> apply, with the observers' post and apply
+        hooks (a generator of engine events).  Returns ``(rec, result,
+        mn_nic, resp_bytes)`` - what the response leg, or a fault that
+        loses the completion, needs to finish the verb; ``rec`` is None
+        without observers."""
         cfg = self._config
+        observers = self._observers
         mn_nic = self._mn_nics[addr_mn(op.addr)]
-        req_bytes, resp_bytes = _verb_sizes(op)
+        req_bytes, resp_bytes = verb_sizes(op)
         cls = op.__class__
         extra = cfg.atomic_extra_ns if (cls is CasOp or cls is FaaOp) else 0
         self.stats.count_verb(op)
-        monitor = self.monitor
-        token = None
-        if monitor is not None:
-            token = monitor.on_issue(self.client_id, op, self.engine.now)
+        rec = _post(observers, self.client_id, op, self.engine.now,
+                    fault) if observers else None
         # Request through the CN NIC ...
         yield self._cn_nic.process(req_bytes)
         # ... across the wire, processed by the MN NIC ...
@@ -610,27 +669,21 @@ class SimExecutor:
                              arrive_delay=cfg.prop_ns)
         # Side effect happens the instant the MN NIC executes the verb.
         result = apply_verb(self._memories, op)
-        if monitor is not None:
-            monitor.on_apply(token, self.engine.now, result)
-        if self._lease_hook is not None \
-                and getattr(op, "lease", None) is not None:
-            self._lease_hook(self.client_id, op, result, self.engine.now)
-        return token, result, mn_nic, resp_bytes
+        if rec is not None:
+            _applied(observers, rec, self.engine.now, result)
+        return rec, result, mn_nic, resp_bytes
 
-    def _verb(self, op: Verb):
+    def _verb(self, op: Verb, fault: Optional[str] = None):
         """Timed execution of one verb (a generator of engine events)."""
         cfg = self._config
-        monitor = self.monitor
-        t0 = self.engine.now
-        token, result, mn_nic, resp_bytes = yield from self._request_leg(op)
+        rec, result, mn_nic, resp_bytes = \
+            yield from self._request_leg(op, fault)
         # Response: DRAM/DMA access, back through the MN NIC ...
         yield mn_nic.process(resp_bytes, arrive_delay=cfg.mem_access_ns)
         # ... across the wire, delivered by the CN NIC.
         yield self._cn_nic.process(resp_bytes, arrive_delay=cfg.prop_ns)
-        if monitor is not None:
-            monitor.on_complete(token, self.engine.now)
-        if self._tracer is not None:
-            self._tracer.on_verb(self.client_id, op, t0, self.engine.now)
+        if rec is not None:
+            _done(self._observers, rec, self.engine.now)
         return result
 
     def _gate(self, op: OpOrBatch):
@@ -664,14 +717,11 @@ class SimExecutor:
         """Timed execution of a verb the fault gate decided about (a
         generator of engine events, on either engine)."""
         engine = self.engine
-        tracer = self._tracer
-        t0 = engine.now
+        observers = self._observers
         kind = decision.kind
         self.stats.faults_injected += 1
-        if kind in ("delay", "duplicate", "stale_cas"):
-            result = yield from self._verb(op)
-            if tracer is not None:
-                tracer.tag_verb(self.client_id, kind)
+        if kind in SILENT_FAULTS:
+            result = yield from self._verb(op, kind)
             if kind == "delay":
                 yield engine.timeout(decision.delay_ns)
             elif kind == "duplicate":
@@ -682,29 +732,26 @@ class SimExecutor:
         if decision.applied:
             # The request got out and its side effect lands at the MN;
             # the completion never arrives (dropped, or the CN died).
-            # The monitor sees the full issue/apply/complete life cycle
-            # - the access happened - closing at the client's timeout
-            # decision, or at apply time when no client is left to wait.
-            monitor = self.monitor
-            token = (yield from self._request_leg(op))[0]
+            # Observers see the full post/apply/complete life cycle - the
+            # access happened - closing at the client's timeout decision,
+            # or at apply time when no client is left to wait.
+            rec = (yield from self._request_leg(op, kind))[0]
             if kind == "drop":
                 yield engine.timeout(self._injector.plan.timeout_ns)
-            if monitor is not None:
-                monitor.on_complete(token, engine.now)
-            if tracer is not None:
-                tracer.on_verb(self.client_id, op, t0, engine.now,
-                               fault=kind)
+            if rec is not None:
+                _done(observers, rec, engine.now)
         elif kind != "crash_cn":
             # Dead MN, NAK or a drop in the fabric: the MN never saw it.
             # Charge the send plus the client's completion timeout.  (A
             # CN that died before the request left its NIC leaves no NIC
             # load and no completion either - just a corpse.)
+            t_post = engine.now
             self.stats.count_verb(op)
-            yield self._cn_nic.process(_verb_sizes(op)[0])
+            yield self._cn_nic.process(verb_sizes(op)[0])
             yield engine.timeout(self._injector.plan.timeout_ns)
-            if tracer is not None:
-                tracer.on_verb(self.client_id, op, t0, engine.now,
-                               fault=kind)
+            if observers:
+                _done(observers, VerbRecord(self.client_id, op, t_post,
+                                            fault=kind), engine.now)
         raise _fault_error(self.client_id, op, decision)
 
     def _member(self, op: Verb, decision):
@@ -720,8 +767,8 @@ class SimExecutor:
 
     def _perform(self, op: OpOrBatch, decision):
         """The generator path of one op: the reference engine, a
-        monitor, a hand-stepped generator - and, on either engine, any
-        op the fault gate returned a ``decision`` for."""
+        hand-stepped generator - and, on either engine, any op the fault
+        gate returned a ``decision`` for."""
         cls = op.__class__
         if cls is LocalCompute:
             self.stats.local_compute_ns += op.ns
@@ -751,20 +798,17 @@ class SimExecutor:
         """Drive ``gen`` under the clock; yields engine events throughout.
 
         Injected faults are delivered into the client generator with
-        ``gen.throw``, exactly like :meth:`DirectExecutor.run`.  An
-        attached tracer brackets the op in a span; the traced schedule
-        stays bit-identical because the tracer never creates engine
-        events.
+        ``gen.throw``, exactly like :meth:`DirectExecutor.run`.  The
+        observed schedule stays bit-identical because observers never
+        create engine events.
         """
-        tracer = self._tracer
+        observers = self._observers
+        client = self.client_id
         injector = self._injector
         trips = self._trips
         engine = self.engine
-        span = None
-        if tracer is not None:
-            span = tracer.op_begin(self.client_id,
-                                   getattr(gen, "__name__", "op"),
-                                   engine.now)
+        for obs in observers:
+            obs.op_begin(client, getattr(gen, "__name__", "op"), engine.now)
         status = "error"
         try:
             result = None
@@ -781,16 +825,17 @@ class SimExecutor:
                     return stop.value
                 except RetryLimitExceeded as exc:
                     status = "failed"
-                    exc.attach_context(self.client_id, replace(self.stats))
+                    exc.attach_context(client, replace(self.stats))
                     if injector is not None:
                         exc.attach_fault_trace(injector.trace_tuple())
                     raise
                 cls = op.__class__
-                if tracer is not None and cls is not LocalCompute:
-                    tracer.on_round_trip(span)
+                if observers and cls is not LocalCompute:
+                    for obs in observers:
+                        obs.on_round_trip(client)
                 decision = None if injector is None or cls is LocalCompute \
                     else self._gate(op)
-                if decision is None and trips and self.monitor is None:
+                if decision is None and trips:
                     # Untouched op, fast path: post it as a trip and tell
                     # the dispatch loop we already subscribed ourselves.
                     # engine._active is the process currently being
@@ -802,12 +847,13 @@ class SimExecutor:
                         if cls is ReadOp or cls is WriteOp \
                                 or cls is CasOp or cls is FaaOp:
                             self.stats.round_trips += 1
-                            t0 = engine.now
-                            _VerbTrip(self, op, worker)
+                            # Stage 0 ran in the constructor, so the
+                            # record exists; hold it, not the trip (a
+                            # trip -> worker -> frame cycle).
+                            rec = _VerbTrip(self, op, worker).rec
                             result = yield _DEFER
-                            if tracer is not None:
-                                tracer.on_verb(self.client_id, op, t0,
-                                               engine.now)
+                            if rec is not None:
+                                _done(observers, rec, engine.now)
                             continue
                         if cls is Batch:
                             self.stats.batches += 1
@@ -821,14 +867,13 @@ class SimExecutor:
                     # Delivered into the generator (retry vs. degrade at
                     # the yield); ClientCrash is NOT - the generator of
                     # a dead CN is abandoned with its locks still held.
-                    if tracer is not None:
+                    for obs in observers:
                         # MNUnavailable is not a fault-rule kind.
-                        tracer.on_fault(
-                            self.client_id,
-                            getattr(exc, "kind", "mn_unavailable"),
-                            exc.addr or 0, engine.now)
+                        obs.on_fault(client,
+                                     getattr(exc, "kind", "mn_unavailable"),
+                                     exc.addr or 0, engine.now)
                     pending = exc
                     result = None
         finally:
-            if tracer is not None:
-                tracer.op_end(span, engine.now, status)
+            for obs in observers:
+                obs.op_end(client, engine.now, status)

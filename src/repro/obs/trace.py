@@ -1,15 +1,15 @@
 """Structured tracing: per-op spans, nested verb events, resource gauges.
 
-A :class:`Tracer` attaches to a cluster through
-:meth:`repro.dm.cluster.Cluster.attach_tracer` - the same pattern as the
-DMSan monitor and the fault injector.  Executors created afterwards
-report into it:
+A :class:`Tracer` is an :class:`repro.dm.rdma.Observer`, attached to a
+cluster through :meth:`repro.dm.cluster.Cluster.attach_tracer` like the
+DMSan monitor and the lease table.  Executors created afterwards report
+into it:
 
 * ``op_begin``/``op_end`` bracket one client operation (one
   ``executor.run(...)`` of an op generator) into an :class:`OpSpan`;
-* ``on_verb`` nests one executed RDMA verb - kind, target MN, address,
-  request/response payload bytes, simulated start/end time, the op's
-  retry round, and an injected-fault tag when the chaos substrate
+* ``on_complete`` nests one executed RDMA verb - kind, target MN,
+  address, request/response payload bytes, simulated start/end time, the
+  op's retry round, and an injected-fault tag when the chaos substrate
   perturbed it - into the client's open span;
 * ``on_fault`` tags the span when an :class:`repro.errors.InjectedFault`
   is delivered into the client generator and bumps its retry counter.
@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..dm.memory import addr_mn
-from ..dm.rdma import CasOp, FaaOp, ReadOp, Verb, WriteOp
+from ..dm.rdma import SILENT_FAULTS, CasOp, FaaOp, Observer, ReadOp, \
+    VerbRecord, WriteOp, verb_sizes
 
 _VERB_KIND = {ReadOp: "read", WriteOp: "write", CasOp: "cas", FaaOp: "faa"}
 
@@ -109,20 +110,7 @@ class ResourceSample:
     gauges: Dict[str, float]
 
 
-def _verb_payloads(op: Verb) -> tuple:
-    """(request payload bytes, response payload bytes) - mirrors the
-    executor's timing model."""
-    cls = op.__class__
-    if cls is ReadOp:
-        return 0, op.size
-    if cls is WriteOp:
-        return len(op.data), 0
-    if cls is CasOp:
-        return 16, 8
-    return 8, 8
-
-
-class Tracer:
+class Tracer(Observer):
     """Event sink for spans, verb events, and resource samples."""
 
     def __init__(self, config: TraceConfig | None = None):
@@ -154,14 +142,13 @@ class Tracer:
         self._open.setdefault(client, []).append(span)
         return span
 
-    def op_end(self, span: OpSpan, now: int, status: str = "ok") -> None:
-        if span.t_end >= 0:
+    def op_end(self, client: str, now: int, status: str = "ok") -> None:
+        stack = self._open.get(client)
+        if not stack:
             return
+        span = stack.pop()
         span.t_end = now
         span.status = status
-        stack = self._open.get(span.client)
-        if stack and stack[-1] is span:
-            stack.pop()
         agg = self.op_totals.get(span.name)
         if agg is None:
             agg = self.op_totals[span.name] = {
@@ -185,15 +172,17 @@ class Tracer:
         return stack[-1] if stack else None
 
     # -- executor hooks --------------------------------------------------
-    def on_verb(self, client: str, op: Verb, t_start: int, t_end: int,
-                fault: Optional[str] = None) -> None:
-        """Record one executed verb into the client's open span."""
-        req_bytes, resp_bytes = _verb_payloads(op)
-        span = self._current(client)
+    def on_complete(self, rec: VerbRecord) -> None:
+        """Record one executed verb into the client's open span; a fault
+        that does not surface as an exception (a delay, a phantom
+        duplicate, a stale CAS reply) also tags the span."""
+        op = rec.op
+        req_bytes, resp_bytes = verb_sizes(op)
+        span = self._current(rec.client)
         event = VerbEvent(_VERB_KIND[op.__class__], op.addr, addr_mn(op.addr),
-                          req_bytes, resp_bytes, t_start, t_end,
+                          req_bytes, resp_bytes, rec.t_post, rec.t_done,
                           retry=span.retries if span is not None else 0,
-                          fault=fault)
+                          fault=rec.fault)
         if span is None:
             self.orphan_verbs.append(event)
         else:
@@ -204,10 +193,14 @@ class Tracer:
                 span.bytes_written += req_bytes
             if self.config.record_verbs:
                 span.verbs.append(event)
-        self._maybe_sample(t_end)
+            if rec.fault in SILENT_FAULTS:
+                span.faults.append(FaultTag(rec.fault, 0, span.t_start))
+        self._maybe_sample(rec.t_done)
 
-    def on_round_trip(self, span: OpSpan) -> None:
-        span.round_trips += 1
+    def on_round_trip(self, client: str) -> None:
+        span = self._current(client)
+        if span is not None:
+            span.round_trips += 1
 
     def on_fault(self, client: str, kind: str, addr: int, now: int) -> None:
         """An injected fault surfaced at the client's yield point."""
@@ -216,17 +209,6 @@ class Tracer:
             return
         span.retries += 1
         span.faults.append(FaultTag(kind, addr, now))
-
-    def tag_verb(self, client: str, kind: str) -> None:
-        """Tag the most recent verb of the open span as fault-perturbed
-        (delays, phantom duplicates, stale CAS replies - faults that do
-        not surface as exceptions)."""
-        span = self._current(client)
-        if span is None:
-            return
-        span.faults.append(FaultTag(kind, 0, span.t_start))
-        if span.verbs:
-            span.verbs[-1].fault = kind
 
     # -- resource sampling ----------------------------------------------
     def attach_resources(self, cluster) -> None:

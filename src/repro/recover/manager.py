@@ -8,10 +8,10 @@ Lock-acquiring CASes across the index protocols carry a ``lease`` tag
 ``("leaf",)`` for leaf in-place-update locks, ``("hash", seg_addr,
 local_depth)`` for hash-table split group locks.  Lock-releasing verbs
 carry ``("release",)``.  When a :class:`RecoveryManager` is attached to
-the cluster, executors call :meth:`LeaseTable.on_verb` for every tagged
-verb, so the table always knows **who** holds **which** remote lock word
-and **since when** - state the 8-byte lock words themselves have no room
-for.
+the cluster, its :class:`LeaseTable` observes every applied verb and
+keeps the tagged ones, so it always knows **who** holds **which** remote
+lock word and **since when** - state the 8-byte lock words themselves
+have no room for.
 
 After a crash (``crash_cn`` kills a client mid-operation, abandoning its
 locks) a survivor calls :meth:`RecoveryManager.recover`:
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..dm.memory import addr_mn
-from ..dm.rdma import CasOp, ReadOp
+from ..dm.rdma import CasOp, Observer, ReadOp, VerbRecord
 from ..errors import ConfigError, InjectedFault, MNUnavailable
 from ..fault.retry import DEFAULT_RETRY, UNTIMED, RetryPolicy
 from ..util.bits import u64_from_bytes
@@ -76,10 +76,10 @@ class LeaseRecord:
     meta: Tuple[int, ...]     # kind extras; hash: (seg_addr, local_depth)
 
 
-class LeaseTable:
+class LeaseTable(Observer):
     """Live leases keyed by lock-word address.
 
-    Fed by executors (:meth:`on_verb`); a lock word is held by at most
+    Fed by executors (:meth:`on_apply`); a lock word is held by at most
     one client at a time, so the address is a sufficient key.
     """
 
@@ -101,10 +101,13 @@ class LeaseTable:
         if self._leases.pop(addr, None) is not None:
             self.released += 1
 
-    def on_verb(self, client_id: str, verb, result, now: int) -> None:
-        """Executor hook: called for every verb carrying a lease tag,
-        *after* it applied, with its result and the engine time."""
-        tag = verb.lease
+    def on_apply(self, rec: VerbRecord) -> None:
+        """Observer hook, *after* a verb applied: keep what a verb
+        carrying a lease tag acquired or released."""
+        verb, result = rec.op, rec.result
+        tag = getattr(verb, "lease", None)
+        if tag is None:
+            return
         if tag[0] == "release":
             # A release CAS that lost did not release anything (e.g. a
             # split-undo CAS racing another client); a release WRITE is
@@ -117,7 +120,8 @@ class LeaseTable:
         if not result[0]:
             return  # lost the acquiring CAS: no lock, no lease
         self._leases[verb.addr] = LeaseRecord(
-            verb.addr, client_id, now, verb.desired, tag[0], tuple(tag[1:]))
+            verb.addr, rec.client, rec.t_applied, verb.desired, tag[0],
+            tuple(tag[1:]))
         self.acquired += 1
 
 

@@ -1,12 +1,14 @@
 """The DMSan access monitor: dynamic race/protocol analysis for RDMA verbs.
 
-The monitor sits underneath the executors (see
-:meth:`repro.dm.cluster.Cluster.attach_monitor`): every verb any client
-issues is reported three times - at **issue** (the client posts the work
-request), at **apply** (the MN NIC executes the memory side effect), and
-at **complete** (the completion reaches the client).  Allocator traffic
-arrives through ``on_alloc``/``on_free``/``on_retire``.  From this event
-stream the monitor runs four online analyses:
+The monitor is an :class:`repro.dm.rdma.Observer` (see
+:meth:`repro.dm.cluster.Cluster.attach`): every verb any client posts
+reaches it as one :class:`repro.dm.rdma.VerbRecord`, three times - at
+**post** (the client posts the work request), at **apply** (the MN NIC
+executes the memory side effect), and at **complete** (the completion
+reaches the client).  A verb the MN never saw changed nothing and is
+ignored.  Allocator traffic arrives through
+``on_alloc``/``on_free``/``on_retire``.  From this event stream the
+monitor runs four online analyses:
 
 1. **Lockset / ownership** - a plain ``WriteOp`` to a *published* object
    (one that a second client has observed) must come from a client that
@@ -44,10 +46,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dm.memory import format_addr, make_addr
-from ..dm.rdma import CasOp, FaaOp, ReadOp, Verb, WriteOp
+from ..dm.rdma import CasOp, Observer, ReadOp, VerbRecord, WriteOp
 from .report import ABA, ATOMIC_MIX, STALE_READ, TORN_READ, UNLOCKED_WRITE, \
     USE_AFTER_FREE, WRITE_AFTER_FREE, SanConfig, SanReport, Violation, \
     raise_or_record, warn
@@ -79,21 +81,7 @@ class _AtomicWord:
     observations: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
 
-class _Event:
-    """One verb in flight (the token returned by :meth:`on_issue`)."""
-
-    __slots__ = ("client", "op", "issue", "applied", "complete", "result")
-
-    def __init__(self, client: str, op: Verb, issue: int):
-        self.client = client
-        self.op = op
-        self.issue = issue
-        self.applied: Optional[int] = None
-        self.complete: Optional[int] = None
-        self.result: Any = None
-
-
-class AccessMonitor:
+class AccessMonitor(Observer):
     """DMSan's event sink and analysis engine.
 
     Attach via :meth:`repro.dm.cluster.Cluster.attach_sanitizer` *before*
@@ -105,7 +93,6 @@ class AccessMonitor:
     def __init__(self, config: SanConfig | None = None):
         self.config = config if config is not None else SanConfig()
         self.report = SanReport()
-        self._clock = lambda: 0
         # Object map, ordered by global address for overlap queries.
         self._obj_addrs: List[int] = []
         self._objects: Dict[int, _Object] = {}
@@ -114,14 +101,9 @@ class AccessMonitor:
         # Lockset: client -> {word global addr: value the CAS installed}.
         self._owned: Dict[str, Dict[int, int]] = {}
         # Torn-read tracking.
-        self._inflight_reads: List[_Event] = []
-        self._inflight_writes: List[_Event] = []
-        self._done_writes: List[_Event] = []
-
-    # -- wiring ---------------------------------------------------------
-    def bind_clock(self, clock) -> None:
-        """Timestamp source for allocator events (executors pass their own)."""
-        self._clock = clock
+        self._inflight_reads: List[VerbRecord] = []
+        self._inflight_writes: List[VerbRecord] = []
+        self._done_writes: List[VerbRecord] = []
 
     def check_clean(self) -> None:
         """Raise :class:`repro.errors.SanViolation` unless the run is clean."""
@@ -194,42 +176,39 @@ class AccessMonitor:
         return None
 
     # -- verb events ----------------------------------------------------
-    def on_issue(self, client: str, op: Verb, now: int) -> _Event:
-        event = _Event(client, op, now)
-        if isinstance(op, WriteOp):
-            self._inflight_writes.append(event)
-        elif isinstance(op, ReadOp):
-            self._inflight_reads.append(event)
-        return event
+    def on_post(self, rec: VerbRecord) -> None:
+        if isinstance(rec.op, WriteOp):
+            self._inflight_writes.append(rec)
+        elif isinstance(rec.op, ReadOp):
+            self._inflight_reads.append(rec)
 
-    def on_apply(self, event: _Event, now: int, result: Any) -> None:
-        event.applied = now
-        event.result = result
-        op = event.op
+    def on_apply(self, rec: VerbRecord) -> None:
+        op = rec.op
         self.report.events += 1
         if isinstance(op, ReadOp):
             self.report.reads += 1
-            self._apply_read(event)
+            self._apply_read(rec)
         elif isinstance(op, WriteOp):
             self.report.writes += 1
-            self._apply_write(event)
+            self._apply_write(rec)
         else:
             self.report.atomics += 1
-            self._apply_atomic(event)
+            self._apply_atomic(rec)
 
-    def on_complete(self, event: _Event, now: int) -> None:
-        event.complete = now
-        op = event.op
+    def on_complete(self, rec: VerbRecord) -> None:
+        if rec.t_applied is None:
+            return  # lost before the MN: never posted to us
+        op = rec.op
         if isinstance(op, ReadOp):
-            self._check_torn(event)
-            self._inflight_reads.remove(event)
+            self._check_torn(rec)
+            self._inflight_reads.remove(rec)
         elif isinstance(op, WriteOp):
-            self._inflight_writes.remove(event)
-            self._done_writes.append(event)
-            self._prune_done_writes(now)
+            self._inflight_writes.remove(rec)
+            self._done_writes.append(rec)
+            self._prune_done_writes(rec.t_done)
 
     # -- analysis: reads ------------------------------------------------
-    def _apply_read(self, event: _Event) -> None:
+    def _apply_read(self, event: VerbRecord) -> None:
         op = event.op
         obj = self._find_object(op.addr, op.size)
         if obj is None:
@@ -250,7 +229,7 @@ class AccessMonitor:
                     value = int.from_bytes(data[off:off + _WORD], "little")
                     state.observations[event.client] = (state.version, value)
 
-    def _check_torn(self, read: _Event) -> None:
+    def _check_torn(self, read: VerbRecord) -> None:
         op = read.op
         r_end = op.addr + op.size
         for write in self._inflight_writes + self._done_writes:
@@ -258,9 +237,9 @@ class AccessMonitor:
                 continue
             # Strict service-interval overlap; an in-flight write will
             # complete no earlier than "now", i.e. after this read.
-            if write.complete is not None and read.issue >= write.complete:
+            if write.t_done is not None and read.t_post >= write.t_done:
                 continue
-            if write.issue >= read.complete:
+            if write.t_post >= read.t_done:
                 continue
             lo = max(op.addr, write.op.addr)
             hi = min(r_end, write.op.addr + len(write.op.data))
@@ -274,22 +253,22 @@ class AccessMonitor:
                 self.report.torn_tolerated += 1
                 continue
             raise_or_record(self.report, self.config, Violation(
-                TORN_READ, read.client, op.addr, op.size, read.complete,
-                f"read [{read.issue}, {read.complete}] overlaps write of "
+                TORN_READ, read.client, op.addr, op.size, read.t_done,
+                f"read [{read.t_post}, {read.t_done}] overlaps write of "
                 f"{len(write.op.data)} B at {format_addr(write.op.addr)} "
                 f"by {write.client} (overlap {hi - lo} B spans words, "
                 f"category={obj.category if obj else '?'})"))
             return  # one violation per read is enough
 
     def _prune_done_writes(self, now: int) -> None:
-        horizon = min((e.issue for e in self._inflight_reads), default=now)
+        horizon = min((e.t_post for e in self._inflight_reads), default=now)
         horizon = min(horizon, now)
         if len(self._done_writes) > 64:
             self._done_writes = [w for w in self._done_writes
-                                 if w.complete > horizon]
+                                 if w.t_done > horizon]
 
     # -- analysis: writes -----------------------------------------------
-    def _apply_write(self, event: _Event) -> None:
+    def _apply_write(self, event: VerbRecord) -> None:
         op = event.op
         size = len(op.data)
         obj = self._find_object(op.addr, size)
@@ -305,7 +284,7 @@ class AccessMonitor:
             elif obj.published and not self._holds_lock(event.client, obj):
                 raise_or_record(self.report, self.config, Violation(
                     UNLOCKED_WRITE, event.client, op.addr, size,
-                    event.applied,
+                    event.t_applied,
                     f"plain write to published {obj.category!r} object "
                     f"{format_addr(obj.addr)}+{obj.size}B without holding "
                     f"a CAS-acquired word in it"))
@@ -336,11 +315,11 @@ class AccessMonitor:
         return any(obj.addr <= word < obj.end for word in owned)
 
     # -- analysis: atomics ----------------------------------------------
-    def _apply_atomic(self, event: _Event) -> None:
+    def _apply_atomic(self, event: VerbRecord) -> None:
         op = event.op
         if op.addr % _WORD:
             raise_or_record(self.report, self.config, Violation(
-                ATOMIC_MIX, event.client, op.addr, _WORD, event.applied,
+                ATOMIC_MIX, event.client, op.addr, _WORD, event.t_applied,
                 f"{type(op).__name__} on unaligned address (atomics act "
                 f"on aligned 8-byte words)"))
             return
@@ -362,7 +341,7 @@ class AccessMonitor:
                 if prior is not None and prior[1] == op.expected and \
                         state.version - prior[0] >= 2:
                     warn(self.report, self.config,
-                         f"[{ABA}] t={event.applied}ns client="
+                         f"[{ABA}] t={event.t_applied}ns client="
                          f"{event.client} {format_addr(op.addr)}: CAS "
                          f"succeeded on a value last observed "
                          f"{state.version - prior[0]} mutations ago "
@@ -381,7 +360,7 @@ class AccessMonitor:
                 (state.version, (old + op.delta) & ((1 << 64) - 1))
 
     # -- shared helpers --------------------------------------------------
-    def _flag_freed_access(self, event: _Event, obj: _Object, size: int,
+    def _flag_freed_access(self, event: VerbRecord, obj: _Object, size: int,
                            *, is_write: bool) -> None:
         op = event.op
         if obj.category in self.config.checksummed_categories:
@@ -390,18 +369,18 @@ class AccessMonitor:
             # + key validation, so this is expected traffic, not a bug.
             self.report.stale_reads += 1
             warn(self.report, self.config,
-                 f"[{STALE_READ}] t={event.applied}ns client={event.client} "
+                 f"[{STALE_READ}] t={event.t_applied}ns client={event.client} "
                  f"{'write' if is_write else 'read'} of freed "
                  f"{obj.category!r} object {format_addr(obj.addr)}"
                  f"+{obj.size}B")
             return
         kind = WRITE_AFTER_FREE if is_write else USE_AFTER_FREE
         raise_or_record(self.report, self.config, Violation(
-            kind, event.client, op.addr, size, event.applied,
+            kind, event.client, op.addr, size, event.t_applied,
             f"{type(op).__name__} touches freed {obj.category!r} object "
             f"{format_addr(obj.addr)}+{obj.size}B"))
 
-    def _check_partial_words(self, event: _Event, addr: int,
+    def _check_partial_words(self, event: VerbRecord, addr: int,
                              size: int) -> None:
         """Flag plain accesses that partially cover a CAS/FAA word."""
         if size <= 0:
@@ -414,7 +393,7 @@ class AccessMonitor:
                 continue
             if word < addr or word + _WORD > end:
                 raise_or_record(self.report, self.config, Violation(
-                    ATOMIC_MIX, event.client, addr, size, event.applied,
+                    ATOMIC_MIX, event.client, addr, size, event.t_applied,
                     f"plain {type(event.op).__name__} partially covers "
                     f"atomic word {format_addr(word)} (bytes "
                     f"[{max(addr, word) - word}, "

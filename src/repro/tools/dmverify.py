@@ -22,8 +22,8 @@ Rules (see DESIGN.md section 10 for the catalog with examples):
   of lint L006: constants are propagated, `while` counters count).
 * **S005** - verb constructed but never yielded: invisible to the
   executor, the fault injector, and the tracer.
-* **S006** - a class playing an ``attach_*`` hook role whose methods
-  do not match the executor callback interface.
+* **S006** - an executor observer (an ``Observer`` subclass, or a class
+  handed to ``Cluster.attach``) whose hooks do not match the interface.
 
 Suppressions: ``# dmverify: disable=S001`` on the line, or
 ``# dmverify: disable-file=S001`` in the first ten lines.  Rules that

@@ -1,8 +1,11 @@
-"""S006: a lease-table hook whose on_verb signature does not match
-what executors deliver (client_id, verb, result, now)."""
+"""S006: an ``Observer`` subclass whose override keeps a lease hook's
+(client_id, verb, result, now) signature instead of taking the one
+VerbRecord the executors deliver."""
+
+from repro.dm.rdma import Observer
 
 
-class ShadowLeaseTable:
-    # BUG: drops the result and now arguments the executor passes.
-    def on_verb(self, client_id, verb):
+class ShadowLeaseTable(Observer):
+    # BUG: executors call on_apply(rec) - one argument.
+    def on_apply(self, client_id, verb, result, now):
         pass

@@ -1,22 +1,24 @@
-"""S006: a monitor hook class whose callbacks cannot be invoked by the
-executors (wrong arities, missing methods)."""
+"""S006: a standalone observer (no ``Observer`` base, so no no-op
+defaults) whose hooks the executors cannot invoke (wrong arities,
+missing methods)."""
 
 
 class CountingMonitor:
     def __init__(self):
         self.events = 0
 
-    def bind_clock(self, clock):
-        self.clock = clock
-
-    # BUG: executors call on_issue(client, op, now) - three arguments.
-    def on_issue(self, client):
+    # BUG: executors call on_post(rec) - one argument.
+    def on_post(self, client, op, now):
         self.events += 1
 
-    def on_apply(self, token, now, result):
+    def on_apply(self, rec):
         pass
 
-    # BUG: on_complete(token, now) takes two; on_alloc/on_free/
-    # on_retire are missing entirely.
+    # BUG: on_complete(rec) takes one; every per-op and allocator hook
+    # is missing entirely.
     def on_complete(self):
         pass
+
+
+def attach_counting(cluster):
+    return cluster.attach(CountingMonitor())

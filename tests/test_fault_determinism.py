@@ -7,9 +7,10 @@ contract as the engine: one seed, one history.  These tests pin down
   two runs of the same seeded plan;
 * bit-identical chaos benchmark cells across repeats and across the
   fork-pool grid path;
-* the zero-overhead guarantee: an attached-but-empty plan, and a grid
-  with ``chaos_seed=None``, are byte-identical to runs with no fault
-  machinery at all (including the ``row()`` schema);
+* the zero-overhead guarantee: an attached-but-empty plan, an attached
+  DMSan monitor, and a grid with ``chaos_seed=None``, are byte-identical
+  to runs with no fault machinery at all (including the ``row()``
+  schema);
 * a doorbell with a faulted member is still one doorbell: every member
   posted, one round trip (+ the completion timeout), per-member
   outcomes identical fast vs ``REPRO_SIM_SLOW=1`` and vs the untimed
@@ -149,16 +150,20 @@ def test_chaos_does_not_pollute_fault_free_cells():
 # -- zero overhead ---------------------------------------------------------
 
 def test_empty_plan_is_zero_overhead(monkeypatch):
-    """Attaching a plan with no rules must not move a single simulated
-    digit - nor a single engine dispatch: the empty ruleset draws no RNG,
-    injects nothing, and every verb leaves the fault gate on the path it
-    would have taken with no plan.  The mix posts multi-member doorbells
+    """Attaching a plan with no rules, or a DMSan monitor, must not move
+    a single simulated digit - nor a single engine dispatch: the empty
+    ruleset draws no RNG, injects nothing, and every verb leaves the
+    fault gate on the path it would have taken with no plan; the monitor
+    watches the same trips.  The mix posts multi-member doorbells
     (50-key scans; with ``use_filter=False`` every search is the
     Theta(L) INHT probe): an attached plan once ran their members one
-    after another, 4.4x the simulated time of this very mix."""
+    after another, 4.4x the simulated time of this very mix.  DMSan's
+    verdict on the mix is the same on the trips and on the reference
+    engine's generator path."""
 
-    def run(attach_empty, use_filter):
+    def run(attach, use_filter):
         cluster = Cluster(ClusterConfig(mn_capacity_bytes=64 << 20))
+        monitor = cluster.attach_sanitizer() if attach == "san" else None
         index = SphinxIndex(cluster,
                             SphinxConfig(filter_budget_bytes=1 << 14,
                                          use_filter=use_filter))
@@ -167,7 +172,7 @@ def test_empty_plan_is_zero_overhead(monkeypatch):
         keys = [encode_str(f"z/{i:04d}") for i in range(400)]
         for i, key in enumerate(keys):
             ex.run(client.insert(key, f"v{i}".encode()))
-        if attach_empty:
+        if attach == "plan":
             cluster.attach_faults(FaultPlan(seed=0, rules=()))
         stats = OpStats()
         executor = cluster.sim_executor(0, stats)
@@ -189,12 +194,20 @@ def test_empty_plan_is_zero_overhead(monkeypatch):
         engine.run_until_complete(engine.process(mix(), name="zo"))
         assert stats.batches >= len(latencies) // 3
         return (_stats_tuple(stats), engine.now, engine.events_processed,
-                latencies)
+                latencies), monitor
 
+    verdicts = {}
     for slow in ("0", "1"):
         monkeypatch.setenv("REPRO_SIM_SLOW", slow)
         for use_filter in (True, False):
-            assert run(False, use_filter) == run(True, use_filter)
+            bare = run(None, use_filter)[0]
+            assert run("plan", use_filter)[0] == bare
+            sanitized, monitor = run("san", use_filter)
+            assert sanitized == bare
+            monitor.check_clean()
+            verdicts[slow, use_filter] = monitor.report.summary()
+    for use_filter in (True, False):
+        assert verdicts["0", use_filter] == verdicts["1", use_filter]
 
 
 # -- a doorbell under faults is still one doorbell ----------------------------

@@ -14,9 +14,9 @@ from repro.art import encode_str
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.memory import addr_mn
-from repro.dm.rdma import OpStats, ReadOp
-from repro.errors import RetryLimitExceeded
-from repro.fault import FaultPlan
+from repro.dm.rdma import OpStats, ReadOp, VerbRecord, WriteOp
+from repro.errors import InjectedFault, RetryLimitExceeded
+from repro.fault import FaultPlan, drop
 from repro.obs import (
     chrome_trace,
     iter_jsonl,
@@ -126,7 +126,7 @@ def test_detach_stops_new_executors_from_tracing():
     ex = cluster.direct_executor()
     ex.run(client.search(keys[0]))
     assert tracer.spans == []
-    assert cluster.tracer is None
+    assert tracer not in cluster.observers
 
 
 def test_attach_accepts_custom_tracer_and_config():
@@ -168,7 +168,7 @@ def test_record_verbs_off_keeps_aggregates():
 
 def test_orphan_verbs_collected_outside_spans():
     tracer = Tracer()
-    tracer.on_verb("loose", ReadOp(0x10, 8), 5, 9)
+    tracer.on_complete(VerbRecord("loose", ReadOp(0x10, 8), 5, t_done=9))
     assert tracer.spans == []
     assert len(tracer.orphan_verbs) == 1
     assert tracer.orphan_verbs[0].kind == "read"
@@ -254,6 +254,39 @@ def test_spans_record_injected_faults_and_retries():
         assert span.retries <= len(span.faults)
     # every span still closed with a status
     assert all(s.status in ("ok", "failed", "error") for s in tracer.spans)
+
+
+@pytest.mark.parametrize("applied_prob", [0.0, 1.0], ids=["lost", "applied"])
+@pytest.mark.parametrize("sim", [False, True], ids=["direct", "sim"])
+def test_dropped_verb_traced_once_by_either_executor(sim, applied_prob):
+    """A dropped WRITE - lost before the MN or applied and its
+    completion lost - is one traced message and one fault tag, on the
+    untimed executor exactly as on the timed one."""
+    cluster = _cluster()
+    addr = cluster.alloc(0, 8)
+    cluster.attach_faults(FaultPlan(seed=1, rules=(
+        drop(1.0, ("write",), applied_prob=applied_prob),)))
+    tracer = cluster.attach_tracer()
+    stats = OpStats()
+
+    def op():
+        try:
+            yield WriteOp(addr, b"w" * 8)
+        except InjectedFault:
+            pass
+        return (yield ReadOp(addr, 8))
+
+    if sim:
+        engine = cluster.engine
+        executor = cluster.sim_executor(0, stats)
+        engine.run_until_complete(engine.process(executor.run(op()),
+                                                 name="drop"))
+    else:
+        cluster.direct_executor(stats).run(op())
+    span, = tracer.spans
+    assert span.messages == stats.messages == 2
+    assert [v.fault for v in span.verbs] == ["drop", None]
+    assert [(f.kind, f.addr) for f in span.faults] == [("drop", addr)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +398,8 @@ def test_unfinished_span_marked_open():
     assert span.status == "open" and span.t_end == -1
     assert span.duration_ns == 0
     # op_end is idempotent once closed
-    tracer.op_end(span, 200, "ok")
-    tracer.op_end(span, 999, "error")
+    tracer.op_end("c", 200, "ok")
+    tracer.op_end("c", 999, "error")
     assert span.t_end == 200 and span.status == "ok"
     with pytest.raises(KeyError):
         tracer.op_totals["missing"]

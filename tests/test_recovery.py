@@ -17,7 +17,8 @@ from repro.art import encode_str
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.memory import make_addr
-from repro.dm.rdma import Batch, CasOp, OpStats, ReadOp, WriteOp
+from repro.dm.rdma import Batch, CasOp, OpStats, ReadOp, VerbRecord, \
+    WriteOp
 from repro.errors import ClientCrash, InjectedFault, MNUnavailable, \
     RetryLimitExceeded
 from repro.fault import FaultPlan, RetryPolicy, crash_cn, crash_mn, drop
@@ -30,6 +31,11 @@ from repro.ycsb import WorkloadSpec, bulk_load, make_dataset, run_workload
 # Idle(0) -> Locked(1); everything above survives the transition.
 _IDLE_WORD = 0xABCD_EF12_3456_7800
 _LOCKED_WORD = _IDLE_WORD | 0x1
+
+
+def _applied(client, verb, result, now):
+    """The record an executor hands its observers once ``verb`` applied."""
+    return VerbRecord(client, verb, now, t_applied=now, result=result)
 
 
 def _small_sphinx(num_keys=24):
@@ -81,7 +87,8 @@ def test_lease_expires_exactly_at_deadline_not_one_tick_before():
     manager = cluster.attach_recovery()
     lease_ns = manager.config.lease_ns
     verb = CasOp(0x1234, _IDLE_WORD, _LOCKED_WORD, lease=("node",))
-    manager.lease_table.on_verb("cn0", verb, (True, _IDLE_WORD), now=1_000)
+    manager.lease_table.on_apply(_applied("cn0", verb, (True, _IDLE_WORD),
+                                          now=1_000))
     assert manager.expired_leases(now=1_000 + lease_ns - 1) == []
     expired = manager.expired_leases(now=1_000 + lease_ns)
     assert [lease.addr for lease in expired] == [0x1234]
@@ -91,7 +98,8 @@ def test_losing_acquire_cas_records_no_lease():
     cluster = Cluster(ClusterConfig())
     manager = cluster.attach_recovery()
     verb = CasOp(0x1234, _IDLE_WORD, _LOCKED_WORD, lease=("node",))
-    manager.lease_table.on_verb("cn0", verb, (False, _LOCKED_WORD), now=5)
+    manager.lease_table.on_apply(_applied("cn0", verb, (False, _LOCKED_WORD),
+                                          now=5))
     assert len(manager.lease_table) == 0
 
 
@@ -330,7 +338,8 @@ def test_recovery_counters_shape():
     cluster = Cluster(ClusterConfig())
     manager = cluster.attach_recovery()
     verb = CasOp(0x88, _IDLE_WORD, _LOCKED_WORD, lease=("node",))
-    manager.lease_table.on_verb("cn0", verb, (True, _IDLE_WORD), now=0)
+    manager.lease_table.on_apply(_applied("cn0", verb, (True, _IDLE_WORD),
+                                          now=0))
     counters = manager.counters()
     assert counters["leases_live"] == 1
     assert counters["leases_acquired"] == 1

@@ -142,6 +142,16 @@ def _nic_digest(cluster):
                         *cluster.mn_nics.values())]
 
 
+def _racy_cluster(config: ClusterConfig) -> Cluster:
+    """A cluster for hand-written clients that race plain WRITEs on
+    shared words on purpose: there is no lock protocol for DMSan to
+    judge, so a monitor ``REPRO_SAN=1`` attached is detached again."""
+    cluster = Cluster(config)
+    for observer in cluster.observers:
+        cluster.detach(observer)
+    return cluster
+
+
 def _mixed_digest(slice_ns=None):
     """Mixed scalar/batch/local workload: a contended phase (several
     clients) then a solo phase (one client on an otherwise idle engine,
@@ -151,7 +161,7 @@ def _mixed_digest(slice_ns=None):
     modes, the dispatch count of the engine that ran, and the sum of
     2N-2 over the doorbells posted - how many more dispatches the
     reference path must have made."""
-    cluster = Cluster(ClusterConfig(mn_capacity_bytes=1 << 20))
+    cluster = _racy_cluster(ClusterConfig(mn_capacity_bytes=1 << 20))
     addrs = [cluster.alloc(i % 3, 8) for i in range(24)]
     engine = cluster.engine
     join_slack = 0
@@ -234,7 +244,8 @@ def _lockstep_digest(slice_ns=None, empty_plan=False):
     instant as the charge before them.  ``empty_plan`` attaches a
     ``FaultPlan`` with no rules first: every verb then passes the fault
     gate, and must come out exactly where it went in."""
-    cluster = Cluster(ClusterConfig(num_cns=2, mn_capacity_bytes=1 << 20))
+    cluster = _racy_cluster(ClusterConfig(num_cns=2,
+                                          mn_capacity_bytes=1 << 20))
     addrs = [cluster.alloc(i % 3, 8) for i in range(18)]
     if empty_plan:
         cluster.attach_faults(FaultPlan(seed=0, rules=()))
