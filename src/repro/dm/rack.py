@@ -28,7 +28,7 @@ real hash-sharded stores have.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..errors import (
     ConfigError,
@@ -37,7 +37,7 @@ from ..errors import (
     RetryLimitExceeded,
     StaleEpoch,
 )
-from ..obs.counters import Counters, client_counters
+from ..obs.counters import Counters
 from .cluster import Cluster, ClusterConfig
 from .network import NetworkConfig, Nic
 from .memory import Memory
@@ -66,8 +66,8 @@ class ClusterSpec:
     shard_seed: int = 23
     shard_vnodes: int = 32
     #: Replication degree K: each shard keeps K replica groups beyond
-    #: its primary (0 = the original unreplicated rack, byte-identical
-    #: schedules to the pre-replication code).
+    #: its primary (0 = unreplicated: the same code runs with empty
+    #: replica sets).
     replicas: int = 0
 
     def validate(self) -> None:
@@ -157,23 +157,16 @@ class Migration:
     copied: Set[bytes] = field(default_factory=set)
 
 
-def _default_index_factory(view: GroupCluster):
-    """One Sphinx cell per group (the rack family's default system)."""
-    from ..core import SphinxConfig, SphinxIndex  # local: core uses dm
-    return SphinxIndex(view, SphinxConfig(filter_budget_bytes=1 << 16))
-
-
 class Rack:
     """The rack-scale testbed: one cluster, many group-sharded cells.
 
-    ``index_factory(view)`` builds one index per group against its
-    :class:`GroupCluster` view; the default is a Sphinx cell.  The rack
-    itself quacks like an index for the YCSB runner: ``client(cn)``
-    returns a routing :class:`RackClient`.
+    Every group hosts one Sphinx cell built against its
+    :class:`GroupCluster` view.  The rack itself quacks like an index
+    for the YCSB runner: ``client(cn)`` returns a routing
+    :class:`RackClient`.
     """
 
-    def __init__(self, spec: ClusterSpec | None = None,
-                 index_factory: Optional[Callable] = None):
+    def __init__(self, spec: ClusterSpec | None = None):
         self.spec = spec if spec is not None else ClusterSpec()
         self.spec.validate()
         self.cluster = Cluster(ClusterConfig(
@@ -181,8 +174,6 @@ class Rack:
             mn_capacity_bytes=self.spec.mn_capacity_bytes,
             network=self.spec.network, ring_vnodes=self.spec.ring_vnodes,
             placement_seed=self.spec.placement_seed))
-        self._index_factory = index_factory if index_factory is not None \
-            else _default_index_factory
         self._groups: Dict[int, GroupCluster] = {}
         self._indexes: Dict[int, object] = {}
         self._next_mn = self.spec.num_mns
@@ -226,7 +217,9 @@ class Rack:
                             vnodes=self.spec.ring_vnodes,
                             seed=self.spec.placement_seed ^ (gid * 0x9E37))
         self._groups[gid] = view
-        self._indexes[gid] = self._index_factory(view)
+        from ..core import SphinxConfig, SphinxIndex  # local: core uses dm
+        self._indexes[gid] = SphinxIndex(
+            view, SphinxConfig(filter_budget_bytes=1 << 16))
 
     def add_group(self) -> int:
         """Provision one fresh MN group (the ``mn_join`` event body).
@@ -296,6 +289,12 @@ class Rack:
     def live_replicas(self, shard: int) -> List[int]:
         return [g for g in self.shards.replica_assignment[shard]
                 if g not in self.failed_groups]
+
+    def note_lag(self, shard: int, gid: int) -> None:
+        """Replica ``gid`` of ``shard`` missed one write or copy; anti-
+        entropy repairs it later."""
+        lag = self.replica_lag[shard]
+        lag[gid] = lag.get(gid, 0) + 1
 
     # -- accounting / checking ---------------------------------------------
     def total_keys(self) -> int:
@@ -439,15 +438,15 @@ class RackClient:
                     # Upsert: a lagging replica may not hold the key yet.
                     yield from client.insert(key, value)
             except (RetryLimitExceeded, InjectedFault, MNUnavailable):
-                lag = rack.replica_lag[shard]
-                lag[gid] = lag.get(gid, 0) + 1
+                rack.note_lag(shard, gid)
                 rack.repl.inc("replica_write_failures")
             else:
                 rack.repl.inc("replica_writes")
 
-    def _replica_read(self, shard: int, key: bytes):
+    def _replica_read(self, shard: int, key: bytes, error: MNUnavailable):
         """Read fallback: serve ``key`` from the freshest live replica
-        chain after the primary failed with ``MNUnavailable``."""
+        chain after the primary failed with ``error``, which is re-raised
+        when no replica answers."""
         rack = self.rack
         for gid in rack.live_replicas(shard):
             try:
@@ -456,26 +455,19 @@ class RackClient:
                 continue
             rack.repl.inc("replica_fallback_reads")
             return result
-        raise MNUnavailable(
-            f"shard {shard}: primary and every replica unavailable")
+        raise error
 
     # -- op generators -----------------------------------------------------
     def search(self, key: bytes):
-        if not self.rack.spec.replicas:
-            result = yield from self._route(key).search(key)
-            return result
         try:
             result = yield from self._route(key).search(key)
-        except MNUnavailable:
+        except MNUnavailable as error:
             result = yield from self._replica_read(
-                self.rack.shard_of(key), key)
+                self.rack.shard_of(key), key, error)
         return result
 
     def update(self, key: bytes, value: bytes):
         rack = self.rack
-        if not rack.spec.replicas:
-            result = yield from self._route(key).update(key, value)
-            return result
         shard = rack.shard_of(key)
         epoch = rack.epochs[shard]
         result = yield from self._route(key).update(key, value)
@@ -485,8 +477,7 @@ class RackClient:
     def insert(self, key: bytes, value: bytes):
         rack = self.rack
         shard = rack.shard_of(key)
-        replicated = rack.spec.replicas > 0
-        epoch = rack.epochs[shard] if replicated else 0
+        epoch = rack.epochs[shard]
         fresh = key not in rack.registry[shard]
         migration = rack.migrations.get(shard)
         if migration is not None and fresh:
@@ -498,31 +489,27 @@ class RackClient:
         else:
             result = yield from self._route(key).insert(key, value)
         rack.registry[shard].add(key)
-        if replicated:
-            try:
-                yield from self._replicate(shard, epoch, "insert", key,
-                                           value)
-            except StaleEpoch:
-                # The op fails (stale route) and must not claim a commit:
-                # a key this op introduced is unregistered again - its
-                # only apply landed on the deposed (dead) primary.
-                if fresh:
-                    rack.registry[shard].discard(key)
-                raise
+        try:
+            yield from self._replicate(shard, epoch, "insert", key, value)
+        except StaleEpoch:
+            # The op fails (stale route) and must not claim a commit: a
+            # key this op introduced is unregistered again - its only
+            # apply landed on the deposed (dead) primary.
+            if fresh:
+                rack.registry[shard].discard(key)
+            raise
         return result
 
     def delete(self, key: bytes):
         rack = self.rack
         shard = rack.shard_of(key)
-        replicated = rack.spec.replicas > 0
-        epoch = rack.epochs[shard] if replicated else 0
+        epoch = rack.epochs[shard]
         removed = yield from self._route(key).delete(key)
         rack.registry[shard].discard(key)
         migration = rack.migrations.get(shard)
         if migration is not None:
             migration.copied.discard(key)
-        if replicated:
-            yield from self._replicate(shard, epoch, "delete", key)
+        yield from self._replicate(shard, epoch, "delete", key)
         return removed
 
     def scan_count(self, key: bytes, length: int):
@@ -534,9 +521,8 @@ class RackClient:
     def counters(self) -> Counters:
         """Merged counters of every group client this CN materialized."""
         return Counters.aggregate(
-            client_counters(self._made[gid]) for gid in sorted(self._made))
+            self._made[gid].counters() for gid in sorted(self._made))
 
     def cn_cache_bytes(self) -> int:
         return sum(self._made[gid].cn_cache_bytes()
-                   for gid in sorted(self._made)
-                   if hasattr(self._made[gid], "cn_cache_bytes"))
+                   for gid in sorted(self._made))

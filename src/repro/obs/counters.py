@@ -6,10 +6,8 @@ hits and misses, filter false positives, lock conflicts, splits.  Before
 plain dicts, loose attributes) and every consumer re-implemented the
 aggregation.  :class:`Counters` is the one shape they all funnel into:
 
-* clients expose ``counters() -> Counters`` (see
+* every index client exposes ``counters() -> Counters`` (see
   :meth:`repro.core.remote_art.RemoteArtTree.counters` and friends);
-* :func:`client_counters` adapts any client - including legacy ones that
-  only carry a ``metrics`` mapping - to the facade;
 * the YCSB runner and the figure code aggregate through
   :meth:`Counters.merge` / :meth:`Counters.from_opstats` instead of
   reading individual fields.
@@ -47,7 +45,7 @@ class Counters:
     def merge(self, other: CounterSource) -> "Counters":
         """Add ``other``'s counts into this store; returns self."""
         data = self._data
-        for name, value in _items(other):
+        for name, value in other.items():
             data[name] = data.get(name, 0) + value
         return self
 
@@ -108,25 +106,6 @@ class Counters:
         return total
 
 
-def _items(source: CounterSource) -> Iterable[Tuple[str, int]]:
-    if isinstance(source, Counters):
-        return source.items()
-    return source.items()
-
-
 def client_counters(client) -> Counters:
-    """Adapt any index client to the facade.
-
-    Prefers the client's own ``counters()`` snapshot; falls back to a
-    ``metrics`` attribute carrying either an ``as_dict()``-style dataclass
-    or a plain mapping.
-    """
-    counters = getattr(client, "counters", None)
-    if callable(counters):
-        return counters()
-    metrics = getattr(client, "metrics", None)
-    if metrics is None:
-        return Counters()
-    if hasattr(metrics, "as_dict"):
-        return Counters(metrics.as_dict())
-    return Counters(metrics)
+    """``client.counters()``: kept as a name the benchmark imports."""
+    return client.counters()

@@ -29,14 +29,15 @@ replicas worth their verbs:
   the rack's Counters facade (``repro.obs``).
 
 * **The daemon.**  :meth:`FailoverManager.daemon` is the online loop
-  the rack runner spawns next to recoveryd: every ``interval_ns`` it
-  fails over any newly dead group, then sweeps one shard - lagging
+  the rack runner spawns next to recoveryd: every :data:`INTERVAL_NS`
+  it fails over any newly dead group, then sweeps one shard - lagging
   shards first, else round-robin - so repair bandwidth is bounded and
   the schedule is a pure function of the seeded simulation state.
 
-Like every recover component, the manager issues verbs through a
-*timed* executor: failover and repair traffic competes for NIC
-bandwidth with the tenants it protects.
+The manager issues its verbs through its rebalancer's guarded step
+(:meth:`.rebalance.Rebalancer.session`): failover and repair traffic is
+timed, competes for NIC bandwidth with the tenants it protects, and is
+counted in the rebalancer's one control-plane ``OpStats``.
 """
 
 from __future__ import annotations
@@ -45,16 +46,10 @@ import zlib
 from typing import Dict, List, Optional, Tuple
 
 from ..dm.rack import Rack
-from ..dm.rdma import OpStats
-from ..errors import (
-    ClientCrash,
-    InjectedFault,
-    MNUnavailable,
-    RetryLimitExceeded,
-)
 from .rebalance import Rebalancer
 
-_TRANSIENT = (RetryLimitExceeded, InjectedFault)
+#: The replicationd tick, in simulated ns.
+INTERVAL_NS = 2_000_000
 
 
 def _digest(items: List[Tuple[bytes, Optional[bytes]]]) -> int:
@@ -68,18 +63,24 @@ def _digest(items: List[Tuple[bytes, Optional[bytes]]]) -> int:
     return crc
 
 
+def _read_all(session, gid: int, keys: List[bytes]):
+    """``({key: value}, failure)`` of one cell's ``keys``; stops at the
+    first failed step."""
+    values: Dict[bytes, Optional[bytes]] = {}
+    for key in keys:
+        values[key], failure = yield from session.step(gid, "search", key)
+        if failure:
+            return values, failure
+    return values, None
+
+
 class FailoverManager:
     """Promotes replicas over dead MN groups and repairs divergence."""
 
-    def __init__(self, rack: Rack, rebalancer: Optional[Rebalancer] = None,
-                 *, cn_id: int = 0, interval_ns: int = 2_000_000):
+    def __init__(self, rack: Rack, rebalancer: Optional[Rebalancer] = None):
         self.rack = rack
-        self.cn_id = cn_id
-        self.interval_ns = interval_ns
         self.rebalancer = rebalancer if rebalancer is not None \
-            else Rebalancer(rack, cn_id=cn_id)
-        #: Verb totals of every failover/anti-entropy pass (timed).
-        self.op_stats = OpStats()
+            else Rebalancer(rack)
         #: ``[(shard, dead_gid, new_gid, epoch), ...]`` promotions.
         self.promotions: List[Tuple[int, int, int, int]] = []
         #: Keys lost because a shard's primary died with no live replica
@@ -88,9 +89,6 @@ class FailoverManager:
         #: Promotions that raced an in-flight migration (the property
         #: suite asserts its crash schedule actually lands mid-copy).
         self.mid_migration_failovers = 0
-
-    def _executor(self):
-        return self.rack.cluster.sim_executor(self.cn_id, self.op_stats)
 
     # -- failure detection -------------------------------------------------
     def dead_groups(self) -> List[int]:
@@ -179,7 +177,7 @@ class FailoverManager:
         and repair divergence from the primary (a simulation process).
         Returns the number of keys repaired."""
         rack = self.rack
-        if not rack.spec.replicas or shard in rack.migrations:
+        if shard in rack.migrations:
             return 0
         primary = rack.shards.assignment[shard]
         if primary in rack.failed_groups:
@@ -187,25 +185,17 @@ class FailoverManager:
         replicas = rack.live_replicas(shard)
         if not replicas:
             return 0
-        executor = self._executor()
-        pclient = rack.group_index(primary).client(self.cn_id)
+        session = self.rebalancer.session()
         keys = sorted(rack.registry[shard])
-        pvals: Dict[bytes, Optional[bytes]] = {}
-        try:
-            for key in keys:
-                pvals[key] = yield from executor.run(pclient.search(key))
-        except _TRANSIENT + (MNUnavailable, ClientCrash):
+        pvals, failure = yield from _read_all(session, primary, keys)
+        if failure:
             rack.repl.inc("anti_entropy_aborts")
             return 0
         pdigest = _digest([(k, pvals[k]) for k in keys])
         repaired = 0
         for gid in replicas:
-            rclient = rack.group_index(gid).client(self.cn_id)
-            rvals: Dict[bytes, Optional[bytes]] = {}
-            try:
-                for key in keys:
-                    rvals[key] = yield from executor.run(rclient.search(key))
-            except _TRANSIENT + (MNUnavailable, ClientCrash):
+            rvals, failure = yield from _read_all(session, gid, keys)
+            if failure:
                 rack.repl.inc("anti_entropy_aborts")
                 continue
             rack.repl.inc("anti_entropy_compares")
@@ -217,14 +207,12 @@ class FailoverManager:
             for key in keys:
                 if rvals[key] == pvals[key] or pvals[key] is None:
                     continue
-                try:
-                    yield from executor.run(rclient.insert(key, pvals[key]))
+                _, failure = yield from session.step(gid, "insert", key,
+                                                     pvals[key])
+                if failure:
+                    clean = False
+                else:
                     repaired += 1
-                except _TRANSIENT + (MNUnavailable,):
-                    clean = False
-                except ClientCrash:
-                    executor = self._executor()
-                    clean = False
             if clean:
                 rack.replica_lag[shard].pop(gid, None)
         if repaired:
@@ -239,10 +227,9 @@ class FailoverManager:
         the post-run fsck sees replicas at rest, not mid-repair."""
         for gid in self.dead_groups():
             yield from self.failover(gid)
-        if self.rack.spec.replicas:
-            yield from self.rebalancer.sync_all_replicas()
-            for shard in range(self.rack.spec.num_shards):
-                yield from self.anti_entropy(shard)
+        yield from self.rebalancer.sync_all_replicas()
+        for shard in range(self.rack.spec.num_shards):
+            yield from self.anti_entropy(shard)
 
     def daemon(self):
         """The online loop (replicationd): spawn as an engine process."""
@@ -250,11 +237,9 @@ class FailoverManager:
         engine = rack.cluster.engine
         cursor = 0
         while True:
-            yield engine.timeout(self.interval_ns)
+            yield engine.timeout(INTERVAL_NS)
             for gid in self.dead_groups():
                 yield from self.failover(gid)
-            if not rack.spec.replicas:
-                continue
             dirty = [s for s in range(rack.spec.num_shards)
                      if rack.replica_lag[s] and s not in rack.migrations]
             if dirty:
@@ -263,8 +248,3 @@ class FailoverManager:
                 shard = cursor
                 cursor = (cursor + 1) % rack.spec.num_shards
             yield from self.anti_entropy(shard)
-
-    # -- reporting ---------------------------------------------------------
-    def counters(self):
-        """The rack's replication counters (the obs facade)."""
-        return self.rack.repl

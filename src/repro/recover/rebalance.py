@@ -28,25 +28,27 @@ its copy departs is lost to the copy - last-writer-wins at copy time -
 the same relaxation online resharding systems document; the differential
 oracle treats both the pre- and post-copy value as possible.
 
-Under chaos the sweep degrades, never wedges, and the two degradation
-modes are accounted separately:
+Every control-plane verb - migration, re-replication, and the failover
+manager's anti-entropy - goes through one guarded step,
+:meth:`_Session.step`, which runs one op on one group's cell and names
+its failure ``"dead"`` (the cell is gone) or ``"transient"`` (a lost
+reply, an exhausted retry budget, or a crash of the coordinator itself,
+after which the session continues on a fresh executor).  Callers keep
+only their own policy:
 
-* a retryable fault skips the key until the next sweep, and a key whose
-  copy keeps failing across ``max_key_attempts`` sweeps is forfeited as
-  **chaos damage** (``forfeited_chaos``): chaos-era "applied" write
-  drops can leave a key in a state no online retry resolves (only
-  ``fsck --repair`` can), and a migration must converge rather than
-  sweep such a key forever;
-* an ``MNUnavailable`` source (crashed MN group) forfeits the key as
-  **source-died** (``forfeited_dead``) *unless the rack replicates*
-  (``spec.replicas > 0``), in which case the sweep recovers the key's
-  value from a live replica and the copy proceeds - a crash mid-
-  migration loses nothing;
-* with replication, an ``MNUnavailable`` *destination* aborts the
-  migration outright: copied keys are restored to the source from the
-  replicas and the shard stays where it was (the failover manager
-  retires the dead destination; :meth:`Rebalancer.leave` re-plans any
-  move an abort interrupted).
+* a transient failure leaves a migrating key pending until the next
+  sweep, and a key whose copy keeps failing across
+  :data:`MAX_KEY_ATTEMPTS` sweeps is forfeited as **chaos damage**
+  (``forfeited_chaos``): chaos-era "applied" write drops can leave a key
+  in a state no online retry resolves (only ``fsck --repair`` can), and
+  a migration must converge rather than sweep such a key forever;
+* a dead source makes the sweep recover the key's value from a live
+  replica; with none left (always, at K=0) the key is forfeited as
+  **source-died** (``forfeited_dead``);
+* with replication, a dead *destination* aborts the migration outright:
+  copied keys are restored to the source from the replicas and the shard
+  stays where it was (the failover manager retires the dead destination;
+  :meth:`Rebalancer.leave` re-plans any move an abort interrupted).
 
 :meth:`Rebalancer.sync_replicas` is the replica-set reconciler the same
 machinery exposes to the failover manager: it moves a shard's replica
@@ -68,19 +70,53 @@ from ..errors import (
     RetryLimitExceeded,
 )
 
+#: The CN whose NIC every control-plane verb crosses.
+CONTROL_CN = 0
+#: Sweeps a migrating key may fail transiently before it is forfeited.
+MAX_KEY_ATTEMPTS = 8
+
 _TRANSIENT = (RetryLimitExceeded, InjectedFault)
+
+
+class _Session:
+    """One control-plane invocation's timed executor and its one guarded
+    step.  Made per invocation, never shared: a coordinator crash latches
+    its executor, and the topology and replication daemons run
+    concurrently."""
+
+    def __init__(self, rack: Rack, op_stats: OpStats):
+        self.rack = rack
+        self.op_stats = op_stats
+        self.executor = rack.cluster.sim_executor(CONTROL_CN, op_stats)
+
+    def step(self, gid: int, op: str, *args):
+        """Run ``op`` (``search`` / ``insert`` / ``delete``) on group
+        ``gid``'s cell; returns ``(value, failure)`` with ``failure``
+        ``None``, ``"dead"`` or ``"transient"``."""
+        client = self.rack.group_index(gid).client(CONTROL_CN)
+        try:
+            value = yield from self.executor.run(getattr(client, op)(*args))
+        except MNUnavailable:
+            return None, "dead"
+        except _TRANSIENT:
+            return None, "transient"
+        except ClientCrash:
+            # The coordinator CN was a crash victim: later steps run on a
+            # fresh executor, as the recovery manager's daemons do.
+            self.executor = self.rack.cluster.sim_executor(
+                CONTROL_CN, self.op_stats)
+            return None, "transient"
+        return value, None
 
 
 class Rebalancer:
     """Migrates shards between a rack's MN groups while traffic runs."""
 
-    def __init__(self, rack: Rack, cn_id: int = 0,
-                 max_key_attempts: int = 8):
+    def __init__(self, rack: Rack):
         self.rack = rack
-        self.cn_id = cn_id
-        self.max_key_attempts = max_key_attempts
-        #: Verb totals of every migration this rebalancer ran (timed, so
-        #: migration traffic shows up in NIC utilization like any tenant).
+        #: Verb totals of every control-plane step (migration, re-
+        #: replication, anti-entropy; timed, so that traffic shows up in
+        #: NIC utilization like any tenant).
         self.op_stats = OpStats()
         #: ``[(shard, src, dst, keys_moved), ...]`` of finished moves.
         self.completed: List[Tuple[int, int, int, int]] = []
@@ -98,13 +134,8 @@ class Rebalancer:
         #: replica targets (their keys are on the way out).
         self.draining: set = set()
 
-    @property
-    def forfeited(self) -> List[Tuple[int, bytes]]:
-        """Every forfeited key, both modes lumped (legacy accessor)."""
-        return self.forfeited_chaos + self.forfeited_dead
-
-    def _executor(self):
-        return self.rack.cluster.sim_executor(self.cn_id, self.op_stats)
+    def session(self) -> _Session:
+        return _Session(self.rack, self.op_stats)
 
     # -- membership changes (simulation processes) -------------------------
     def join(self, gid: Optional[int] = None):
@@ -121,8 +152,7 @@ class Rebalancer:
                 # moves ran; this plan entry is stale.
                 continue
             yield from self.migrate_shard(shard, src, dst)
-        if rack.spec.replicas:
-            yield from self.sync_all_replicas()
+        yield from self.sync_all_replicas()
         return gid
 
     def leave(self, gid: Optional[int] = None):
@@ -149,24 +179,23 @@ class Rebalancer:
             # dies; a planned drain of a group that crashed mid-drain
             # must not commit it out of the ring twice.
             rack.shards.commit_leave(gid)
-        if rack.spec.replicas:
-            # A destination death can abort a drain move; re-plan any
-            # shard still assigned to the leaving group against the
-            # shrunk ring until the group is fully drained.
-            # Intrinsic protocol bound, not a retry budget: each round
-            # re-plans against a ring that lost at least one candidate,
-            # so the rounds are bounded by the (tiny) group count.
-            for _attempt in range(3):  # lint: disable=L006
-                stuck = [] if gid in rack.failed_groups \
-                    else rack.shards.shards_of(gid)
-                if not stuck:
+        # A destination death can abort a drain move; re-plan any shard
+        # still assigned to the leaving group against the shrunk ring
+        # until the group is fully drained.
+        # Intrinsic protocol bound, not a retry budget: each round
+        # re-plans against a ring that lost at least one candidate, so
+        # the rounds are bounded by the (tiny) group count.
+        for _attempt in range(3):  # lint: disable=L006
+            stuck = [] if gid in rack.failed_groups \
+                else rack.shards.shards_of(gid)
+            if not stuck:
+                break
+            for shard in stuck:
+                dst = self._pick_owner(shard, exclude={gid})
+                if dst is None:
                     break
-                for shard in stuck:
-                    dst = self._pick_owner(shard, exclude={gid})
-                    if dst is None:
-                        break
-                    yield from self.migrate_shard(shard, gid, dst)
-            yield from self.sync_all_replicas()
+                yield from self.migrate_shard(shard, gid, dst)
+        yield from self.sync_all_replicas()
         rack.retired_groups.add(gid)
         self.draining.discard(gid)
         return gid
@@ -181,54 +210,40 @@ class Rebalancer:
         return None
 
     # -- replica recovery helpers ------------------------------------------
-    def _read_from_replicas(self, shard: int, key: bytes, executor):
+    def _read_from_replicas(self, session: _Session, shard: int,
+                            key: bytes):
         """Recover ``key``'s value from the freshest live replica chain;
         returns ``None`` when no live replica holds it."""
         rack = self.rack
         for gid in rack.live_replicas(shard):
-            client = rack.group_index(gid).client(self.cn_id)
-            try:
-                value = yield from executor.run(client.search(key))
-            except (MNUnavailable,) + _TRANSIENT:
-                continue
+            value, _failure = yield from session.step(gid, "search", key)
             if value is not None:
                 rack.repl.inc("replica_recovered_reads")
                 return value
         return None
 
-    def _abort_migration(self, migration: Migration, executor):
+    def _abort_migration(self, session: _Session, migration: Migration):
         """Destination died mid-copy: restore copied keys to the source
         and retire the migration without flipping.  Source copies are
         deleted only after a replicated migration completes, so the
         common case finds every copied key still at the source; replicas
         back up anything the source lost."""
         rack = self.rack
-        shard = migration.shard
-        src_client = rack.group_index(migration.src).client(self.cn_id)
+        shard, src = migration.shard, migration.src
         for key in sorted(rack.registry[shard] & migration.copied):
-            try:
-                value = yield from executor.run(src_client.search(key))
-            except _TRANSIENT + (MNUnavailable,):
-                value = None
-            except ClientCrash:
-                executor = self._executor()
-                value = None
+            value, _failure = yield from session.step(src, "search", key)
             if value is not None:
                 continue              # the source never lost it
-            value = yield from self._read_from_replicas(shard, key, executor)
-            if value is None:
-                rack.registry[shard].discard(key)
-                self.forfeited_dead.append((shard, key))
-                continue
-            try:
-                yield from executor.run(src_client.insert(key, value))
-            except _TRANSIENT + (MNUnavailable,):
-                rack.registry[shard].discard(key)
-                self.forfeited_dead.append((shard, key))
-            except ClientCrash:
-                executor = self._executor()
+            value = yield from self._read_from_replicas(session, shard, key)
+            if value is not None:
+                _, failure = yield from session.step(src, "insert", key,
+                                                     value)
+                if failure is None:
+                    continue
+            rack.registry[shard].discard(key)
+            self.forfeited_dead.append((shard, key))
         del rack.migrations[shard]
-        self.aborted.append((shard, migration.src, migration.dst))
+        self.aborted.append((shard, src, migration.dst))
         rack.repl.inc("migrations_aborted")
 
     def sync_all_replicas(self):
@@ -240,48 +255,34 @@ class Rebalancer:
         """Move ``shard``'s replica set to the current ring's successor-
         chain picks: copy the shard's keys to groups gaining the replica
         role, drop them from live groups losing it.  Returns the number
-        of keys copied.  A no-op at K=0 and whenever the materialized
-        set already matches - the common case, so calling this for every
-        shard after a membership change stays cheap."""
+        of keys copied.  A no-op whenever the materialized set already
+        matches (always, at K=0) - the common case, so calling this for
+        every shard after a membership change stays cheap."""
         rack = self.rack
-        if not rack.spec.replicas:
-            return 0
         exclude = rack.retired_groups | rack.failed_groups | self.draining
         desired = rack.shards.desired_replicas(shard, exclude=exclude)
         current = rack.shards.replica_assignment[shard]
         if desired == current:
             return 0
         primary = rack.shards.assignment[shard]
-        executor = self._executor()
+        session = self.session()
         copied = 0
         for gid in [g for g in desired if g not in current]:
-            dst_client = rack.group_index(gid).client(self.cn_id)
             for key in sorted(rack.registry[shard]):
-                value = None
-                try:
-                    pclient = rack.group_index(primary).client(self.cn_id)
-                    value = yield from executor.run(pclient.search(key))
-                except MNUnavailable:
+                value, failure = yield from session.step(primary, "search",
+                                                         key)
+                if failure == "dead":
                     value = yield from self._read_from_replicas(
-                        shard, key, executor)
-                except _TRANSIENT:
-                    pass
-                except ClientCrash:
-                    executor = self._executor()
-                if value is None:
-                    # Unreadable right now: leave the replica lagging and
-                    # let anti-entropy repair it.
-                    lag = rack.replica_lag[shard]
-                    lag[gid] = lag.get(gid, 0) + 1
-                    continue
-                try:
-                    yield from executor.run(dst_client.insert(key, value))
-                    copied += 1
-                except _TRANSIENT + (MNUnavailable,):
-                    lag = rack.replica_lag[shard]
-                    lag[gid] = lag.get(gid, 0) + 1
-                except ClientCrash:
-                    executor = self._executor()
+                        session, shard, key)
+                if value is not None:
+                    _, failure = yield from session.step(gid, "insert", key,
+                                                         value)
+                    if failure is None:
+                        copied += 1
+                        continue
+                # Unreadable or unwritable right now: leave the replica
+                # lagging and let anti-entropy repair it.
+                rack.note_lag(shard, gid)
         for gid in [g for g in current if g not in desired]:
             rack.replica_lag[shard].pop(gid, None)
             if gid == primary or gid in rack.failed_groups \
@@ -290,14 +291,8 @@ class Rebalancer:
                 # primary's data now); dead/retiring cells keep theirs
                 # for the coroner.
                 continue
-            dst_client = rack.group_index(gid).client(self.cn_id)
             for key in sorted(rack.registry[shard]):
-                try:
-                    yield from executor.run(dst_client.delete(key))
-                except _TRANSIENT + (MNUnavailable,):
-                    pass
-                except ClientCrash:
-                    executor = self._executor()
+                yield from session.step(gid, "delete", key)
         rack.shards.replica_assignment[shard] = desired
         if copied:
             rack.repl.inc("rereplicated_keys", copied)
@@ -309,9 +304,7 @@ class Rebalancer:
         rack = self.rack
         migration = Migration(shard=shard, src=src, dst=dst)
         rack.migrations[shard] = migration
-        src_client = rack.group_index(src).client(self.cn_id)
-        dst_client = rack.group_index(dst).client(self.cn_id)
-        executor = self._executor()
+        session = self.session()
         moved = 0
         failures: dict = {}
         # Replicated racks retire source copies only after the whole
@@ -323,99 +316,75 @@ class Rebalancer:
         # original per-key delete (and its verb schedule) exactly.
         deferred_deletes: List[bytes] = []
 
-        def transient_forfeit(key: bytes) -> None:
-            # Transient: leave the key pending; the next sweep retries
-            # it - up to the per-key budget, past which the damage is
-            # beyond online repair and the key's data is forfeit (fsck
-            # finds the debris).
+        def forfeit(key: bytes, into: list) -> None:
+            # Mark the key copied so the migration still converges; its
+            # data is gone (fsck finds any debris).
+            migration.copied.add(key)
+            rack.registry[shard].discard(key)
+            into.append((shard, key))
+
+        def transient(key: bytes) -> None:
+            # Leave the key pending; the next sweep retries it - up to
+            # the per-key budget, past which the damage is beyond online
+            # repair and the key's data is forfeit.
             failures[key] = failures.get(key, 0) + 1
-            if failures[key] >= self.max_key_attempts:
-                migration.copied.add(key)
-                rack.registry[shard].discard(key)
-                self.forfeited_chaos.append((shard, key))
+            if failures[key] >= MAX_KEY_ATTEMPTS:
+                forfeit(key, self.forfeited_chaos)
 
         while True:
             pending = sorted(rack.registry[shard] - migration.copied)
             if not pending:
                 break
             for key in pending:
-                recovered = False
-                try:
-                    value = yield from executor.run(src_client.search(key))
-                except _TRANSIENT:
-                    transient_forfeit(key)
+                value, failure = yield from session.step(src, "search", key)
+                if failure == "transient":
+                    transient(key)
                     continue
-                except MNUnavailable:
-                    if rack.spec.replicas:
-                        value = yield from self._read_from_replicas(
-                            shard, key, executor)
-                        recovered = value is not None
-                    if not recovered:
+                recovered = failure == "dead"
+                if recovered:
+                    value = yield from self._read_from_replicas(
+                        session, shard, key)
+                    if value is None:
                         # The source cell is gone and nothing replicates
-                        # it: the key's data is forfeit, but the
-                        # migration must still converge - mark it copied
-                        # and move on.
-                        migration.copied.add(key)
-                        rack.registry[shard].discard(key)
-                        self.forfeited_dead.append((shard, key))
+                        # the key.
+                        forfeit(key, self.forfeited_dead)
                         continue
-                except ClientCrash:
-                    # The coordinator CN was a crash victim: continue the
-                    # sweep with a fresh executor, as the recovery
-                    # manager's daemons do.
-                    executor = self._executor()
-                    continue
-                try:
-                    if value is not None:
-                        yield from executor.run(dst_client.insert(key, value))
-                except _TRANSIENT:
-                    transient_forfeit(key)
-                    continue
-                except MNUnavailable:
-                    if rack.spec.replicas:
-                        yield from self._abort_migration(migration, executor)
-                        return
-                    migration.copied.add(key)
-                    rack.registry[shard].discard(key)
-                    self.forfeited_dead.append((shard, key))
-                    continue
-                except ClientCrash:
-                    executor = self._executor()
-                    continue
+                if value is not None:
+                    _, failure = yield from session.step(dst, "insert", key,
+                                                         value)
+                    if failure == "transient":
+                        transient(key)
+                        continue
+                    if failure == "dead":
+                        if rack.spec.replicas:
+                            yield from self._abort_migration(session,
+                                                             migration)
+                            return
+                        forfeit(key, self.forfeited_dead)
+                        continue
                 # The copy is durable at the destination: flip the router
                 # first, then retire the source copy - readers in the
                 # delete window are already served by the destination.
                 migration.copied.add(key)
-                if value is not None:
-                    moved += 1
-                    if recovered:
-                        # The source cell is dead; there is no copy to
-                        # retire there.
-                        continue
-                    if rack.spec.replicas:
-                        deferred_deletes.append(key)
-                        continue
-                    try:
-                        yield from executor.run(src_client.delete(key))
-                    except _TRANSIENT + (MNUnavailable,):
-                        # The key is already routed to the destination;
-                        # a source copy that outlives a faulted delete is
-                        # an orphan in a cell that is either about to
-                        # retire or internally consistent without it.
-                        pass
-                    except ClientCrash:
-                        executor = self._executor()
+                if value is None:
+                    continue
+                moved += 1
+                if recovered:
+                    # The source cell is dead; there is no copy to
+                    # retire there.
+                    continue
+                if rack.spec.replicas:
+                    deferred_deletes.append(key)
+                    continue
+                # A source copy that outlives a failed delete is an
+                # orphan in a cell that is either about to retire or
+                # internally consistent without it.
+                yield from session.step(src, "delete", key)
         rack.shards.assignment[shard] = dst
         del rack.migrations[shard]
         for key in deferred_deletes:
             # Unconditional: even a key concurrently deleted or updated
             # mid-migration must lose its (stale) source copy.
-            try:
-                yield from executor.run(src_client.delete(key))
-            except _TRANSIENT + (MNUnavailable,):
-                pass
-            except ClientCrash:
-                executor = self._executor()
+            yield from session.step(src, "delete", key)
         self.completed.append((shard, src, dst, moved))
-        if rack.spec.replicas:
-            yield from self.sync_replicas(shard)
+        yield from self.sync_replicas(shard)

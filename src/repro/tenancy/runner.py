@@ -4,9 +4,9 @@
 family, the `rack-smoke` CI cell, and the tenancy test suites.  It
 
 1. builds a :class:`repro.dm.Rack` from a :class:`~repro.dm.ClusterSpec`
-   and bulk-loads the dataset across its shards;
-2. optionally attaches the chaos fault plan (widened to the rack's MN
-   count) and the recovery manager;
+   and bulk-loads the u64 dataset across its shards;
+2. optionally attaches a fault plan: an explicit one, or the chaos plan
+   widened to the rack's MN count;
 3. spawns a **topology daemon** - a simulation process that sleeps until
    each scheduled :class:`~repro.dm.TopologyEvent` and executes it
    through the :class:`repro.recover.Rebalancer`, so MN joins/leaves and
@@ -37,6 +37,10 @@ from ..ycsb.workloads import workload
 from .sched import TenancyController
 from .spec import TenancyConfig, default_tenants
 
+#: Simulated-time bound of a run's traffic; draining the topology work
+#: and settling failover get multiples of it.
+TIME_LIMIT_NS = 10_000_000_000_000
+
 
 @dataclass
 class RackRunResult:
@@ -57,6 +61,9 @@ class RackRunResult:
     #: The run's FailoverManager (promotion/forfeit logs for the
     #: property suites); ``None`` when K=0.
     failover: Optional[FailoverManager] = field(repr=False, default=None)
+    #: The run's Rebalancer: migration logs and the control plane's
+    #: verb totals (``op_stats``).
+    rebalancer: Optional[Rebalancer] = field(repr=False, default=None)
 
     def rows(self) -> Dict:
         """A JSON-serializable digest: the aggregate row, per-tenant
@@ -118,17 +125,10 @@ def run_rack(spec: Optional[ClusterSpec] = None, *,
              tenants: Union[TenancyConfig, int, None] = 16,
              workload_name: str = "A",
              num_keys: int = 20_000, insert_pool: int = 2_000,
-             dataset_name: str = "u64",
              ops: int = 20_000, seed: int = 0,
-             warmup_ops_per_cn: int = 0,
              events: Sequence[TopologyEvent] = (),
              chaos_seed: Optional[int] = None,
-             chaos_crashes: bool = False,
-             fault_plan=None,
-             recovery: bool = False,
-             fsck_repair: bool = False,
-             index_factory=None,
-             time_limit_ns: int = 10_000_000_000_000) -> RackRunResult:
+             fault_plan=None) -> RackRunResult:
     """One rack-scale serving run; see the module docstring for phases.
 
     ``tenants`` is a roster (:class:`TenancyConfig`), a count (the
@@ -146,18 +146,15 @@ def run_rack(spec: Optional[ClusterSpec] = None, *,
     spec = spec if spec is not None else ClusterSpec()
     for event in events:
         event.validate()
-    rack = Rack(spec, index_factory=index_factory)
-    dataset = make_dataset(dataset_name, num_keys, seed=1,
-                           insert_pool=insert_pool)
+    rack = Rack(spec)
+    dataset = make_dataset("u64", num_keys, seed=1, insert_pool=insert_pool)
     bulk_load(rack.cluster, rack, dataset)
     if fault_plan is not None:
         rack.cluster.attach_faults(fault_plan)
     elif chaos_seed is not None:
         from ..fault import FaultPlan  # local: fault is optional here
         rack.cluster.attach_faults(FaultPlan.chaos(
-            chaos_seed, crashes=chaos_crashes, num_mns=spec.num_mns))
-    if recovery or chaos_crashes:
-        rack.cluster.attach_recovery()
+            chaos_seed, num_mns=spec.num_mns))
     controller = None
     if tenants is not None:
         config = tenants if isinstance(tenants, TenancyConfig) \
@@ -179,22 +176,21 @@ def run_rack(spec: Optional[ClusterSpec] = None, *,
             name="topologyd")
     result = run_workload(
         rack.cluster, rack, workload(workload_name), dataset,
-        system="Rack", workers=spec.clients, ops=ops,
-        warmup_ops_per_cn=warmup_ops_per_cn, seed=seed,
-        time_limit_ns=time_limit_ns, tenancy=controller)
+        system="Rack", workers=spec.clients, ops=ops, seed=seed,
+        time_limit_ns=TIME_LIMIT_NS, tenancy=controller)
     if topo_proc is not None and not topo_proc.triggered:
         # Traffic finished first: drive the remaining migrations (and
         # any not-yet-due events) to completion on the same clock.
         engine.run_until_complete(topo_proc,
-                                  limit=start_ns + 2 * time_limit_ns)
+                                  limit=start_ns + 2 * TIME_LIMIT_NS)
     if failover is not None:
         # Settle: fail over any still-unhandled dead group, reconcile
         # every replica set, and run one full anti-entropy pass, so the
         # fsck below sees replicas at rest, not mid-repair.
         engine.run_until_complete(
             engine.process(failover.settle(), name="replication-settle"),
-            limit=start_ns + 4 * time_limit_ns)
-    fsck_reports = rack.fsck_all(repair=fsck_repair)
+            limit=start_ns + 4 * TIME_LIMIT_NS)
+    fsck_reports = rack.fsck_all()
     fsck_exit = max((_fsck_exit(report) for _gid, report in fsck_reports),
                     default=0)
     rebalance_row = {
@@ -219,4 +215,4 @@ def run_rack(spec: Optional[ClusterSpec] = None, *,
                          fsck_exit=fsck_exit, fsck_reports=fsck_reports,
                          rebalance=rebalance_row,
                          replication=replication_row,
-                         failover=failover)
+                         failover=failover, rebalancer=rebalancer)

@@ -29,7 +29,7 @@ from ..errors import (
     RetryLimitExceeded,
     StaleEpoch,
 )
-from ..obs.counters import Counters, client_counters
+from ..obs.counters import Counters
 from ..sim.resources import LatencyRecorder
 from ..util.zipf import (
     LatestGenerator,
@@ -435,7 +435,7 @@ def run_workload(cluster: Cluster, index, spec: WorkloadSpec,
         nic_util[f"cn{cn}"] = round(nic.server.busy_time
                                     / max(sim_ns, 1), 4)
     metrics = Counters.aggregate(
-        client_counters(index.client(cn)) for cn in range(num_cns))
+        index.client(cn).counters() for cn in range(num_cns))
     if tenancy is not None:
         # Tenant lanes charged their verbs to per-tenant OpStats; fold
         # them into the run-level totals the row() metrics read.

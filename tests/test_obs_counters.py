@@ -2,8 +2,8 @@
 
 The facade is the one shape every index client's counters funnel into;
 these tests pin its mapping semantics (default-zero reads, merge
-aggregation), the ``client_counters`` adapter over the three legacy
-counter shapes, and the ``counters()`` snapshots of every real client.
+aggregation), the ``client_counters`` alias, and the ``counters()``
+snapshots of every real client.
 """
 
 from repro.art import encode_str, encode_u64
@@ -96,36 +96,8 @@ class _HasCounters:
         return Counters({"native": 1})
 
 
-class _HasMetricsDataclass:
-    class _M:
-        @staticmethod
-        def as_dict():
-            return {"legacy": 2}
-    metrics = _M()
-
-
-class _HasMetricsMapping:
-    metrics = {"plain": 3}
-
-
-class _HasNothing:
-    pass
-
-
 def test_adapter_prefers_native_counters():
     assert client_counters(_HasCounters()) == {"native": 1}
-
-
-def test_adapter_falls_back_to_as_dict_metrics():
-    assert client_counters(_HasMetricsDataclass()) == {"legacy": 2}
-
-
-def test_adapter_accepts_plain_mapping_metrics():
-    assert client_counters(_HasMetricsMapping()) == {"plain": 3}
-
-
-def test_adapter_degrades_to_empty():
-    assert client_counters(_HasNothing()) == Counters()
 
 
 # ---------------------------------------------------------------------------

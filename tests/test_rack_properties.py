@@ -24,6 +24,7 @@ import os
 
 import pytest
 
+from rack_golden import check_control_golden
 from repro.dm import ClusterSpec, TopologyEvent
 from repro.tenancy import TenancyConfig, TenantSpec, run_rack
 from repro.ycsb import make_dataset
@@ -74,12 +75,24 @@ def _assert_registry_is_truth(out, tag):
 READERS = TenancyConfig(tuple(
     TenantSpec(f"r{i}", workload="C", weight=i + 1) for i in range(4)))
 
+FAMILIES = ("readonly", "mixed", "chaos")
+
+
+def churn_run(family: str, seed: int):
+    """One family's join + leave run (tests/rack_golden.py replays it)."""
+    if family == "readonly":
+        return run_rack(SPEC, tenants=READERS, workload_name="C",
+                        num_keys=NUM_KEYS, insert_pool=100, ops=OPS,
+                        seed=seed, events=EVENTS)
+    return run_rack(SPEC, tenants=4, workload_name="A", num_keys=NUM_KEYS,
+                    insert_pool=200, ops=OPS, seed=seed, events=EVENTS,
+                    chaos_seed=seed + 1 if family == "chaos" else None)
+
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rebalance_readonly_preserves_exact_values(seed):
-    out = run_rack(SPEC, tenants=READERS, workload_name="C",
-                   num_keys=NUM_KEYS,
-                   insert_pool=100, ops=OPS, seed=seed, events=EVENTS)
+    out = churn_run("readonly", seed)
+    check_control_golden(f"readonly/seed={seed}", out)
     tag = f"seed={seed}"
     assert out.fsck_exit == 0, f"{tag}: fsck {out.fsck_exit} after churn"
     assert not out.rack.migrations, f"{tag}: migration left in flight"
@@ -97,17 +110,15 @@ def test_rebalance_readonly_preserves_exact_values(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rebalance_mixed_workload_registry_oracle(seed):
-    out = run_rack(SPEC, tenants=4, workload_name="A", num_keys=NUM_KEYS,
-                   insert_pool=200, ops=OPS, seed=seed, events=EVENTS)
+    out = churn_run("mixed", seed)
+    check_control_golden(f"mixed/seed={seed}", out)
     tag = f"seed={seed}"
     assert out.fsck_exit == 0, f"{tag}: fsck {out.fsck_exit} after churn"
     assert not out.rack.migrations
     assert out.rack.total_keys() >= NUM_KEYS  # A inserts, never deletes
     _assert_registry_is_truth(out, tag)
     # Same seed, same digest - churn and all.
-    again = run_rack(SPEC, tenants=4, workload_name="A",
-                     num_keys=NUM_KEYS, insert_pool=200, ops=OPS,
-                     seed=seed, events=EVENTS)
+    again = churn_run("mixed", seed)
     assert json.dumps(out.rows(), sort_keys=True) \
         == json.dumps(again.rows(), sort_keys=True), (
         f"{tag}: rack run not bit-identical across repeats")
@@ -115,11 +126,9 @@ def test_rebalance_mixed_workload_registry_oracle(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chaos_rebalance_converges_and_stays_deterministic(seed):
-    runs = [run_rack(SPEC, tenants=4, workload_name="A",
-                     num_keys=NUM_KEYS, insert_pool=200, ops=OPS,
-                     seed=seed, events=EVENTS, chaos_seed=seed + 1)
-            for _ in range(2)]
+    runs = [churn_run("chaos", seed) for _ in range(2)]
     out = runs[0]
+    check_control_golden(f"chaos/seed={seed}", out)
     tag = f"seed={seed}"
     injector = out.rack.cluster.injector
     assert injector is not None and injector.faults_total() > 0, (

@@ -1,6 +1,6 @@
 """Shard replication, failover, and anti-entropy suites (ISSUE 10).
 
-Four families:
+Five families:
 
 * **placement units**: the successor-chain replica placement is
   deterministic, disjoint from the primary, and keeps its invariants
@@ -13,7 +13,10 @@ Four families:
   multi-tenant traffic - including seeds whose crash lands mid-
   migration - must forfeit **zero** committed keys, keep every
   registered key readable through the router, and end replica-aware
-  fsck-clean;
+  fsck-clean; each sweep run must also reproduce its entry in
+  ``tests/fixtures/rack_control_golden.json`` (``tests/rack_golden.py``);
+* **coordinator crashes**: a drain survives its own coordinator CN
+  crashing on a lattice of verbs, mid-recovery reads included;
 * **K=0 detachment**: an unreplicated rack run carries no replication
   state at all - the new machinery is invisible until K > 0.
 """
@@ -23,12 +26,13 @@ import os
 
 import pytest
 
+from rack_golden import check_control_golden
 from repro.dm import ClusterSpec, TopologyEvent
 from repro.dm.placement import ShardMap
 from repro.dm.rack import Rack
 from repro.errors import StaleEpoch
-from repro.fault import FaultPlan, crash_mn
-from repro.recover import FailoverManager
+from repro.fault import FaultPlan, crash_cn, crash_mn
+from repro.recover import FailoverManager, Rebalancer
 from repro.tenancy import run_rack
 from repro.util.hashing import ConsistentHashRing
 from repro.ycsb import make_dataset
@@ -257,6 +261,7 @@ def test_crash_sweep_forfeits_no_committed_key():
     failovers = 0
     for seed in SWEEP_SEEDS:
         out = run_rack(RSPEC, **_sweep_kwargs(seed))
+        check_control_golden(f"sweep/seed={seed}", out)
         tag = f"seed={seed}"
         assert out.rack.cluster.injector.dead_mns, (
             f"{tag}: the crash never fired")
@@ -272,6 +277,41 @@ def test_crash_sweep_forfeits_no_committed_key():
     # somewhere in the sweep, or the mid-migration machinery is untested.
     assert mid_migration > 0, (
         "no sweep seed crashed mid-migration; widen the at_verb lattice")
+
+
+#: (crash_mn verb, crash_cn verb) pairs: 93 at the stock seed count, a
+#: finer stride as ``REPRO_PROPERTY_SEEDS`` widens the sweep.
+CRASH_LATTICE = [(a, b) for a in (0, 50, 200)
+                 for b in range(a + 5, a + 400,
+                                max(1, round(13 * 50 / N_SEEDS)))]
+
+
+def test_coordinator_crash_during_drain_is_survived():
+    """A K=1 drain whose source MN dies and whose coordinator CN crashes
+    on a lattice of verb pairs: the crash may land inside the recovery
+    read from a replica, and ``leave`` must still return with nothing in
+    flight and every key readable or accounted as forfeit."""
+    dataset = make_dataset("u64", NUM_KEYS, seed=1, insert_pool=0)
+    for a, b in CRASH_LATTICE:
+        tag = f"crash_mn at {a}, crash_cn at {b}"
+        rack = Rack(RSPEC)
+        bulk_load(rack.cluster, rack, dataset)
+        rack.cluster.attach_faults(FaultPlan(seed=0, rules=(
+            crash_mn(0, at_verb=a), crash_cn(b))))
+        rebalancer = Rebalancer(rack)
+        engine = rack.cluster.engine
+        engine.run_until_complete(
+            engine.process(rebalancer.leave(0), name="leave"))
+        assert not rack.migrations, f"{tag}: migration left in flight"
+        assert rack.cluster.injector.crashed_clients, (
+            f"{tag}: the coordinator crash never fired")
+        forfeited = set(rebalancer.forfeited_chaos
+                        + rebalancer.forfeited_dead)
+        ex, client = rack.cluster.direct_executor(), rack.client(0)
+        for key in dataset.keys:
+            assert (rack.shard_of(key), key) in forfeited \
+                or ex.run(client.search(key)) is not None, (
+                    f"{tag}: {key!r} neither readable nor forfeited")
 
 
 @pytest.mark.parametrize("seed", [1, 6])
