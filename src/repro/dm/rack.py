@@ -199,10 +199,12 @@ class Rack:
         #: apply; a failover promotion bumps the epoch, fencing off
         #: writes routed against the deposed primary (DESIGN.md §14).
         self.epochs: List[int] = [0] * self.spec.num_shards
-        #: Per-shard ``{replica_gid: missed_writes}`` - how many
-        #: replicated applies each replica failed to absorb since its
-        #: last successful anti-entropy sweep.  "Freshest replica" at
-        #: promotion time = minimal lag (ties broken by lowest gid).
+        #: Per-shard ``{replica_gid: debts}`` - the repair debts each
+        #: replica ran up since its last clean anti-entropy compare (a
+        #: missed replicated apply, a failed copy, a re-replication that
+        #: made it a replica).  The only trigger of a repair; "freshest
+        #: replica" at promotion time = fewest debts (ties broken by
+        #: lowest gid).
         self.replica_lag: List[Dict[int, int]] = [
             {} for _ in range(self.spec.num_shards)]
         #: Replication-tier counters (fallback reads, fenced writes,
@@ -291,8 +293,9 @@ class Rack:
                 if g not in self.failed_groups]
 
     def note_lag(self, shard: int, gid: int) -> None:
-        """Replica ``gid`` of ``shard`` missed one write or copy; anti-
-        entropy repairs it later."""
+        """Record one repair debt: replica ``gid`` of ``shard`` missed
+        one write or copy, or just gained the replica role; anti-entropy
+        compares it later."""
         lag = self.replica_lag[shard]
         lag[gid] = lag.get(gid, 0) + 1
 

@@ -248,7 +248,7 @@ class FaultInjector:
                 self._record(now, "env", "poke", "-", rule.addr)
             elif rule.kind == "flip":
                 self._random_flip(rule, now)
-            else:  # crash_mn
+            elif rule.kind == "crash_mn":
                 self._crash(rule.mn)
                 self._record(now, "env", "crash_mn", "-",
                              make_addr(rule.mn, 64))

@@ -58,6 +58,9 @@ class FaultRule:
 
     def validate(self) -> None:
         if self.kind in FABRIC_KINDS:
+            if self.at_verb is not None:
+                raise ConfigError(f"{self.kind}: a fabric rule is a per-"
+                                  "verb rate; at_verb is not supported")
             if not (0.0 <= self.prob <= 1.0):
                 raise ConfigError(f"{self.kind}: prob must be in [0, 1]")
             if not (0.0 <= self.applied_prob <= 1.0):

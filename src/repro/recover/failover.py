@@ -21,18 +21,25 @@ replicas worth their verbs:
   shard is then scheduled through the :class:`.rebalance.Rebalancer`'s
   ``sync_replicas`` machinery.
 
-* **Anti-entropy.**  :meth:`FailoverManager.anti_entropy` checksum-
-  compares one shard's primary against each live replica (a CRC over
-  the sorted key/value stream, then a per-key diff on mismatch) and
-  repairs divergence by re-applying the primary's values - the backstop
-  for replica applies lost to chaos.  Everything is reported through
-  the rack's Counters facade (``repro.obs``).
+* **Repair by exception.**  A replica owes a compare exactly when the
+  CN recorded a debt for it (``Rack.note_lag``): a replicated write it
+  missed, a copy that failed, or a re-replication that made it a replica
+  while writes still fanned out to the old set.
+  :meth:`FailoverManager.anti_entropy` compares one shard's primary
+  against each live replica that owes one, value map against value map,
+  repairs divergence by re-applying the primary's values, and clears the
+  debt on the first clean compare.  A shard without a debt costs no
+  verb.  Everything is reported through the rack's Counters facade
+  (``repro.obs``).
 
 * **The daemon.**  :meth:`FailoverManager.daemon` is the online loop
   the rack runner spawns next to recoveryd: every :data:`INTERVAL_NS`
-  it fails over any newly dead group, then sweeps one shard - lagging
-  shards first, else round-robin - so repair bandwidth is bounded and
-  the schedule is a pure function of the seeded simulation state.
+  it fails over any newly dead group, then repairs the first shard with
+  a debt (or issues no verb at all), so repair bandwidth is bounded and
+  the schedule is a pure function of the seeded simulation state.  Once
+  :meth:`FailoverManager.stop` is called its next tick is
+  :meth:`FailoverManager.settle` and it exits, so one repairer at a
+  time ever compares a shard.
 
 The manager issues its verbs through its rebalancer's guarded step
 (:meth:`.rebalance.Rebalancer.session`): failover and repair traffic is
@@ -42,7 +49,6 @@ counted in the rebalancer's one control-plane ``OpStats``.
 
 from __future__ import annotations
 
-import zlib
 from typing import Dict, List, Optional, Tuple
 
 from ..dm.rack import Rack
@@ -50,17 +56,6 @@ from .rebalance import Rebalancer
 
 #: The replicationd tick, in simulated ns.
 INTERVAL_NS = 2_000_000
-
-
-def _digest(items: List[Tuple[bytes, Optional[bytes]]]) -> int:
-    """CRC32 over a sorted key/value stream - the per-shard checksum the
-    anti-entropy sweep compares before diffing key by key."""
-    crc = 0
-    for key, value in items:
-        crc = zlib.crc32(key, crc)
-        crc = zlib.crc32(value if value is not None else b"\x00<missing>",
-                         crc)
-    return crc
 
 
 def _read_all(session, gid: int, keys: List[bytes]):
@@ -89,6 +84,7 @@ class FailoverManager:
         #: Promotions that raced an in-flight migration (the property
         #: suite asserts its crash schedule actually lands mid-copy).
         self.mid_migration_failovers = 0
+        self._stopping = False
 
     # -- failure detection -------------------------------------------------
     def dead_groups(self) -> List[int]:
@@ -173,17 +169,18 @@ class FailoverManager:
 
     # -- anti-entropy ------------------------------------------------------
     def anti_entropy(self, shard: int):
-        """Checksum-compare ``shard``'s primary against each live replica
-        and repair divergence from the primary (a simulation process).
-        Returns the number of keys repaired."""
+        """Compare ``shard``'s primary against each live replica that
+        carries a debt and repair divergence from the primary (a
+        simulation process).  Returns the number of keys repaired."""
         rack = self.rack
         if shard in rack.migrations:
             return 0
         primary = rack.shards.assignment[shard]
         if primary in rack.failed_groups:
             return 0
-        replicas = rack.live_replicas(shard)
-        if not replicas:
+        lag = rack.replica_lag[shard]
+        debtors = [g for g in rack.live_replicas(shard) if g in lag]
+        if not debtors:
             return 0
         session = self.rebalancer.session()
         keys = sorted(rack.registry[shard])
@@ -191,16 +188,15 @@ class FailoverManager:
         if failure:
             rack.repl.inc("anti_entropy_aborts")
             return 0
-        pdigest = _digest([(k, pvals[k]) for k in keys])
         repaired = 0
-        for gid in replicas:
+        for gid in debtors:
             rvals, failure = yield from _read_all(session, gid, keys)
             if failure:
                 rack.repl.inc("anti_entropy_aborts")
                 continue
             rack.repl.inc("anti_entropy_compares")
-            if _digest([(k, rvals[k]) for k in keys]) == pdigest:
-                rack.replica_lag[shard].pop(gid, None)
+            if rvals == pvals:
+                lag.pop(gid, None)
                 continue
             rack.repl.inc("anti_entropy_checksum_mismatches")
             clean = True
@@ -214,7 +210,7 @@ class FailoverManager:
                 else:
                     repaired += 1
             if clean:
-                rack.replica_lag[shard].pop(gid, None)
+                lag.pop(gid, None)
         if repaired:
             rack.repl.inc("anti_entropy_repaired_keys", repaired)
         return repaired
@@ -222,29 +218,33 @@ class FailoverManager:
     # -- orchestration -----------------------------------------------------
     def settle(self):
         """Drain all outstanding failover work: fail over any dead group,
-        reconcile every replica set, then run one full anti-entropy pass.
-        The rack runner drives this to completion after traffic ends so
-        the post-run fsck sees replicas at rest, not mid-repair."""
+        reconcile every replica set, then compare every shard that
+        carries a debt.  The rack runner makes this the daemon's last
+        tick after traffic ends, so the post-run fsck sees replicas at
+        rest, not mid-repair; its replica-agreement stage proves the
+        shards no debt named."""
         for gid in self.dead_groups():
             yield from self.failover(gid)
         yield from self.rebalancer.sync_all_replicas()
         for shard in range(self.rack.spec.num_shards):
-            yield from self.anti_entropy(shard)
+            yield from self.anti_entropy(shard)     # no debt, no verb
+
+    def stop(self) -> None:
+        """Make the daemon's next tick :meth:`settle`, then end it."""
+        self._stopping = True
 
     def daemon(self):
         """The online loop (replicationd): spawn as an engine process."""
         rack = self.rack
         engine = rack.cluster.engine
-        cursor = 0
         while True:
             yield engine.timeout(INTERVAL_NS)
+            if self._stopping:
+                yield from self.settle()
+                return
             for gid in self.dead_groups():
                 yield from self.failover(gid)
-            dirty = [s for s in range(rack.spec.num_shards)
-                     if rack.replica_lag[s] and s not in rack.migrations]
-            if dirty:
-                shard = dirty[0]
-            else:
-                shard = cursor
-                cursor = (cursor + 1) % rack.spec.num_shards
-            yield from self.anti_entropy(shard)
+            for shard in range(rack.spec.num_shards):
+                if rack.replica_lag[shard] and shard not in rack.migrations:
+                    yield from self.anti_entropy(shard)
+                    break

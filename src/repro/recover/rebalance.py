@@ -54,7 +54,10 @@ only their own policy:
 machinery exposes to the failover manager: it moves a shard's replica
 set to whatever the current ring's successor chain picks, copying keys
 to newly chosen replica groups and dropping the shard's keys from
-groups that lost the role.
+groups that lost the role.  Writes keep fanning out to the old replica
+set until the copy ends, so every gaining group starts with a recorded
+debt (``Rack.note_lag``) that the failover manager's first clean compare
+clears.
 """
 
 from __future__ import annotations
@@ -268,6 +271,9 @@ class Rebalancer:
         session = self.session()
         copied = 0
         for gid in [g for g in desired if g not in current]:
+            # Writes fan out to ``current`` until the copy ends, so one
+            # committed mid-copy can miss ``gid``: it owes a compare.
+            rack.note_lag(shard, gid)
             for key in sorted(rack.registry[shard]):
                 value, failure = yield from session.step(primary, "search",
                                                          key)
@@ -280,8 +286,8 @@ class Rebalancer:
                     if failure is None:
                         copied += 1
                         continue
-                # Unreadable or unwritable right now: leave the replica
-                # lagging and let anti-entropy repair it.
+                # Unreadable or unwritable right now: one more key for
+                # anti-entropy to repair.
                 rack.note_lag(shard, gid)
         for gid in [g for g in current if g not in desired]:
             rack.replica_lag[shard].pop(gid, None)

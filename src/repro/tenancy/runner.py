@@ -140,8 +140,8 @@ def run_rack(spec: Optional[ClusterSpec] = None, *,
     (e.g. a scheduled ``crash_mn``) instead of the ``chaos_seed``
     generated one; with ``spec.replicas > 0`` a ``replicationd`` daemon
     runs next to the traffic - failing over dead groups online and
-    sweeping anti-entropy repairs - and the run settles all failover
-    work before the final fsck.
+    repairing the replicas that carry a recorded debt - and the run
+    settles all failover work before the final fsck.
     """
     spec = spec if spec is not None else ClusterSpec()
     for event in events:
@@ -165,10 +165,10 @@ def run_rack(spec: Optional[ClusterSpec] = None, *,
     topology_log: List[Dict] = []
     topo_proc = None
     rebalancer = Rebalancer(rack)
-    failover = None
+    failover = replicationd = None
     if spec.replicas > 0:
         failover = FailoverManager(rack, rebalancer)
-        engine.process(failover.daemon(), name="replicationd")
+        replicationd = engine.process(failover.daemon(), name="replicationd")
     if events:
         topo_proc = engine.process(
             _topology_daemon(rack, rebalancer, events, start_ns,
@@ -184,12 +184,13 @@ def run_rack(spec: Optional[ClusterSpec] = None, *,
         engine.run_until_complete(topo_proc,
                                   limit=start_ns + 2 * TIME_LIMIT_NS)
     if failover is not None:
-        # Settle: fail over any still-unhandled dead group, reconcile
-        # every replica set, and run one full anti-entropy pass, so the
-        # fsck below sees replicas at rest, not mid-repair.
-        engine.run_until_complete(
-            engine.process(failover.settle(), name="replication-settle"),
-            limit=start_ns + 4 * TIME_LIMIT_NS)
+        # Settle as replicationd's last tick: fail over any still-
+        # unhandled dead group, reconcile every replica set, and repair
+        # every recorded debt, so the fsck below sees replicas at rest,
+        # not mid-repair.
+        failover.stop()
+        engine.run_until_complete(replicationd,
+                                  limit=start_ns + 4 * TIME_LIMIT_NS)
     fsck_reports = rack.fsck_all()
     fsck_exit = max((_fsck_exit(report) for _gid, report in fsck_reports),
                     default=0)

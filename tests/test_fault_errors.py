@@ -8,7 +8,8 @@ addresses must NAK like a real NIC instead of raising a Python
 two monitors watch the same verbs and must not confuse each other); and
 the fault kinds deliberately *excluded* from the chaos mix (``stale_cas``)
 must still be containable by a correctly written client when targeted
-explicitly.
+explicitly.  A fabric rule is a per-verb rate: one scheduled with
+``at_verb`` is refused at validation, not filed as an environment event.
 """
 
 import pytest
@@ -19,8 +20,9 @@ from repro.baselines.outback import OutbackConfig, OutbackIndex
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.rdma import OpStats, ReadOp
-from repro.errors import InjectedFault, RetryLimitExceeded
-from repro.fault import FaultPlan, RetryPolicy, drop, stale_cas
+from repro.errors import ConfigError, InjectedFault, RetryLimitExceeded
+from repro.fault import FaultPlan, FaultRule, RetryPolicy, drop, stale_cas
+from repro.fault.plan import FABRIC_KINDS
 from repro.race import RaceClient, TableParams, create_table, fp2_of, key_hash
 
 
@@ -301,3 +303,15 @@ def test_stale_cas_is_contained_when_targeted():
             f"stale_cas corrupted {key!r}: {got!r}"
     assert cluster.injector.counters.get("stale_cas", 0) > 0
     assert survived > 0, "every insert failed - containment untestable"
+
+
+@pytest.mark.parametrize("kind", FABRIC_KINDS)
+def test_scheduled_fabric_rule_is_refused(kind):
+    # Filed with the environment rules, it would fire at verb 2 as the
+    # crash_mn fallback: a KeyError with mn=None, a blanked MN with mn=1.
+    rule = FaultRule(kind=kind, at_verb=2, prob=1.0, delay_ns=1000, mn=1)
+    with pytest.raises(ConfigError, match="at_verb"):
+        rule.validate()
+    with pytest.raises(ConfigError, match="at_verb"):
+        Cluster(ClusterConfig()).attach_faults(
+            FaultPlan(seed=0, rules=(rule,)))

@@ -1,6 +1,6 @@
 """Shard replication, failover, and anti-entropy suites (ISSUE 10).
 
-Five families:
+Six families:
 
 * **placement units**: the successor-chain replica placement is
   deterministic, disjoint from the primary, and keeps its invariants
@@ -15,6 +15,9 @@ Five families:
   registered key readable through the router, and end replica-aware
   fsck-clean; each sweep run must also reproduce its entry in
   ``tests/fixtures/rack_control_golden.json`` (``tests/rack_golden.py``);
+* **repair by exception**: a write racing a re-replication copy leaves
+  the gaining group a recorded debt, settle repairs it, and each
+  divergent key is repaired and counted once;
 * **coordinator crashes**: a drain survives its own coordinator CN
   crashing on a lattice of verbs, mid-recovery reads included;
 * **K=0 detachment**: an unreplicated rack run carries no replication
@@ -205,6 +208,49 @@ def test_failover_promotes_and_rereplicates():
         assert report.clean and not report.findings, (gid, report.findings)
 
 
+def test_rereplication_race_leaves_a_debt_that_settle_repairs():
+    """An update that commits on the primary while ``sync_replicas``
+    copies the shard to a gaining replica group fans out to the old
+    replica set only; the copier already read the old value, so the
+    gaining group ends the copy stale.  The copy must leave a recorded
+    debt, and settle - which compares only shards with a debt - must
+    leave the replica-agreement fsck clean."""
+    rack, _ = _loaded_rack()
+    engine = rack.cluster.engine
+    gid = rack.add_group()
+    rack.shards.commit_join(gid)
+    shard = next(s for s in range(rack.spec.num_shards)
+                 if gid in rack.shards.desired_replicas(s))
+    first = min(rack.registry[shard])       # the copier's first key
+    fresh = b"u" * 64
+    rebalancer = Rebalancer(rack)
+    sync = engine.process(rebalancer.sync_replicas(shard), name="sync")
+    writer_ex = rack.cluster.sim_executor(1)
+
+    def writer():
+        # The copier searches, then inserts, key by key: its first
+        # non-read verb means it has read ``first`` already.
+        stats = rebalancer.op_stats
+        while stats.writes + stats.cas == 0:
+            yield engine.timeout(100)
+        yield from writer_ex.run(rack.client(1).update(first, fresh))
+        assert gid not in rack.shards.replica_assignment[shard], (
+            "the update fanned out after the copy ended; no race")
+
+    engine.run_until_complete(engine.process(writer(), name="writer"))
+    engine.run_until_complete(sync)
+    ex = rack.cluster.direct_executor()
+    assert ex.run(rack.group_index(gid).client(0).search(first)) != fresh
+    assert rack.replica_lag[shard].get(gid), (
+        "re-replication left the gaining group stale with no debt")
+    engine.run_until_complete(engine.process(
+        FailoverManager(rack, rebalancer).settle(), name="settle"))
+    assert rack.repl["anti_entropy_repaired_keys"] == 1
+    assert not rack.replica_lag[shard]
+    agreement = dict(rack.fsck_all())[-1]
+    assert agreement.clean and not agreement.findings, agreement.findings
+
+
 # ---------------------------------------------------------------------------
 # The zero-forfeit sweep
 # ---------------------------------------------------------------------------
@@ -277,6 +323,18 @@ def test_crash_sweep_forfeits_no_committed_key():
     # somewhere in the sweep, or the mid-migration machinery is untested.
     assert mid_migration > 0, (
         "no sweep seed crashed mid-migration; widen the at_verb lattice")
+
+
+def test_one_repairer_counts_each_divergent_key_once():
+    """Seed 18: topologyd's re-replication of shard 0 to group 1 misses
+    exactly one key.  replicationd makes settle its last tick, so the
+    key is compared and repaired once; a daemon tick racing settle over
+    the same shard used to count it twice."""
+    out = run_rack(RSPEC, **_sweep_kwargs(18))
+    counters = out.rows()["replication"]["counters"]
+    assert counters["anti_entropy_checksum_mismatches"] == 1, counters
+    assert counters["anti_entropy_repaired_keys"] == 1, counters
+    _assert_zero_forfeit(out, "seed=18")
 
 
 #: (crash_mn verb, crash_cn verb) pairs: 93 at the stock seed count, a
