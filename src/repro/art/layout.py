@@ -99,6 +99,41 @@ HASH_ENTRY = BitStruct("hash_entry", [
 FP2_BITS = 12
 EMPTY_WORD = 0
 
+
+def header_word(status: int, node_type: int, depth: int, prefix_hash: int,
+                count: int) -> int:
+    """One packed header word: the hand-coded (hot path) equivalent of
+    ``HEADER.pack(**fields)``, with the same out-of-range rejection.
+    ``Header.pack`` and the lock words of ``core/lock.py`` share it."""
+    if not (0 <= status < 4 and 0 <= node_type < 8 and
+            0 <= depth < 256 and 0 <= prefix_hash < (1 << 42) and
+            0 <= count < 512):
+        return HEADER.pack(status=status, node_type=node_type,
+                           depth=depth, prefix_hash=prefix_hash,
+                           count=count)  # raises the precise error
+    return (status | (node_type << 2) | (depth << 5)
+            | (prefix_hash << 13) | (count << 55))
+
+
+# The status is a header word's low two bits, so the Locked or Invalid
+# word of a node is its Idle word ORed with the status, and an install
+# advances the Idle word's count by this unit (core/lock.py).
+HEADER_COUNT_ONE = header_word(STATUS_IDLE, 0, 0, 0, 1)
+
+
+def slot_word(addr: int, partial: int, size_class: int, is_leaf: bool,
+              occupied: bool = True) -> int:
+    """One packed slot word: the hand-coded (hot path) equivalent of
+    ``SLOT.pack(**fields)``; ``Slot.pack`` and the child installs of
+    ``core/remote_art.py`` share it."""
+    if not (0 <= addr < (1 << 48) and 0 <= partial < 256 and
+            0 <= size_class < 64):
+        return SLOT.pack(addr=addr, partial=partial, size_class=size_class,
+                         is_leaf=int(is_leaf), occupied=int(occupied))
+    return (addr | (partial << 48) | (size_class << 56)
+            | (bool(is_leaf) << 62) | (bool(occupied) << 63))
+
+
 # Decoded-word memos.  Header/Slot/HashEntry are frozen dataclasses, so
 # one instance per distinct word can be shared by every decode; traversals
 # re-read the same hot nodes constantly and allocating a fresh object per
@@ -120,18 +155,8 @@ class Header:
     count: int
 
     def pack(self) -> int:
-        # Hand-coded (hot path): equivalent to HEADER.pack(**fields),
-        # with the same out-of-range rejection.
-        status, node_type, depth = self.status, self.node_type, self.depth
-        prefix_hash, count = self.prefix_hash, self.count
-        if not (0 <= status < 4 and 0 <= node_type < 8 and
-                0 <= depth < 256 and 0 <= prefix_hash < (1 << 42) and
-                0 <= count < 512):
-            return HEADER.pack(status=status, node_type=node_type,
-                               depth=depth, prefix_hash=prefix_hash,
-                               count=count)  # raises the precise error
-        return (status | (node_type << 2) | (depth << 5)
-                | (prefix_hash << 13) | (count << 55))
+        return header_word(self.status, self.node_type, self.depth,
+                           self.prefix_hash, self.count)
 
     @staticmethod
     def unpack(word: int) -> "Header":
@@ -156,16 +181,8 @@ class Slot:
     occupied: bool
 
     def pack(self) -> int:
-        # Hand-coded (hot path): equivalent to SLOT.pack(**fields).
-        addr, partial, size_class = self.addr, self.partial, self.size_class
-        if not (0 <= addr < (1 << 48) and 0 <= partial < 256 and
-                0 <= size_class < 64):
-            return SLOT.pack(addr=addr, partial=partial,
-                             size_class=size_class,
-                             is_leaf=int(self.is_leaf),
-                             occupied=int(self.occupied))
-        return (addr | (partial << 48) | (size_class << 56)
-                | (bool(self.is_leaf) << 62) | (bool(self.occupied) << 63))
+        return slot_word(self.addr, self.partial, self.size_class,
+                         self.is_leaf, self.occupied)
 
     @staticmethod
     def unpack(word: int) -> "Slot":
@@ -227,16 +244,20 @@ class HashEntry:
 
 def encode_node(header: Header, slots: List[Optional[Slot]]) -> bytes:
     """Serialize a node; ``slots`` must have exactly the type's capacity."""
+    return encode_node_words(header, [
+        slot.pack() if slot is not None else EMPTY_WORD for slot in slots])
+
+
+def encode_node_words(header: Header, words: List[int]) -> bytes:
+    """Serialize a node from packed slot words (``EMPTY_WORD`` for an
+    empty slot); ``words`` must have exactly the type's capacity."""
     capacity = NODE_CAPACITY[header.node_type]
-    if len(slots) != capacity:
+    if len(words) != capacity:
         raise ReproError(
             f"node type {header.node_type} needs {capacity} slots, "
-            f"got {len(slots)}"
+            f"got {len(words)}"
         )
-    words = [header.pack()]
-    words.extend(slot.pack() if slot is not None else EMPTY_WORD
-                 for slot in slots)
-    return _NODE_STRUCTS[header.node_type].pack(*words)
+    return _NODE_STRUCTS[header.node_type].pack(header.pack(), *words)
 
 
 class NodeView:

@@ -57,6 +57,8 @@ from ..art.layout import (
     STATUS_IDLE,
     STATUS_INVALID,
     STATUS_LOCKED,
+    EMPTY_WORD,
+    HEADER_COUNT_ONE,
     Header,
     NodeView,
     Slot,
@@ -64,10 +66,12 @@ from ..art.layout import (
     decode_node,
     encode_leaf,
     encode_node,
+    encode_node_words,
     leaf_status_word,
     leaf_units_for,
     next_node_type,
     node_size,
+    slot_word,
     smallest_type_for,
 )
 from ..dm.cluster import Cluster
@@ -79,7 +83,7 @@ from ..obs.counters import Counters
 from ..util.bits import u64_to_bytes
 from ..util.hashing import prefix_hash42
 from . import leaf as leaf_ops
-from .lock import idle_header, invalidate_op, locked_header, try_lock_node, unlock_op
+from .lock import idle_word, invalidate_op, try_lock_node, unlock_op
 
 RETRY = object()
 """Internal sentinel: the attempt raced a concurrent writer; re-run it."""
@@ -290,20 +294,20 @@ class RemoteArtTree:
         self.cluster.retire(addr, node_size(node_type), INNER_CATEGORY)
 
     def _build_node_image(self, header: Header,
-                          children: List[Slot]) -> bytes:
-        """Serialize a node from a child list, honouring direct indexing
-        for Node-256 and append order for the smaller types."""
+                          children: List[int]) -> bytes:
+        """Serialize a node from its children's slot words, honouring
+        direct indexing for Node-256 and append order for the smaller
+        types."""
         capacity = NODE_CAPACITY[header.node_type]
-        slots: List[Optional[Slot]] = [None] * capacity
+        words = [EMPTY_WORD] * capacity
         if header.node_type == NODE256:
-            for child in children:
-                slots[child.partial] = child
+            for word in children:
+                words[(word >> SLOT_PARTIAL_SHIFT) & 0xFF] = word
         else:
             if len(children) > capacity:
                 raise ReproError("too many children for node type")
-            for i, child in enumerate(children):
-                slots[i] = child
-        return encode_node(header, slots)
+            words[:len(children)] = children
+        return encode_node_words(header, words)
 
     # ------------------------------------------------------------------
     # Retry harness
@@ -510,13 +514,12 @@ class RemoteArtTree:
         depth = view.header.depth
         leaf_addr, units = self._alloc_leaf(key, value)
         leaf_image = encode_leaf(key, value)
-        slot_word = Slot(addr=leaf_addr, partial=key[depth],
-                         size_class=units, is_leaf=True, occupied=True).pack()
+        leaf_word = slot_word(leaf_addr, key[depth], units, is_leaf=True)
         if view.header.node_type == NODE256:
             # Lock-free install: leaf write + slot CAS in one doorbell.
             _w, cas = yield Batch([
                 WriteOp(leaf_addr, leaf_image),
-                CasOp(self._slot_addr(node_addr, key[depth]), 0, slot_word),
+                CasOp(self._slot_addr(node_addr, key[depth]), 0, leaf_word),
             ])
             if cas[0]:
                 self.note_leaf(key, leaf_addr, units)
@@ -535,21 +538,18 @@ class RemoteArtTree:
         count = header.count
         if count >= NODE_CAPACITY[header.node_type]:
             outcome = yield from self._install_into_full(
-                node_addr, view, parent, key, slot_word,
+                node_addr, view, parent, key, leaf_word,
                 leaf_addr, leaf_image)
             if outcome is RETRY:
                 self._free_leaf(leaf_addr, units)
                 return RETRY
             self.note_leaf(key, leaf_addr, units)
             return True
-        idle = Header(STATUS_IDLE, header.node_type, header.depth,
-                      header.prefix_hash, count)
-        locked = Header(1, header.node_type, header.depth,
-                        header.prefix_hash, count + 1)
-        unlocked = Header(STATUS_IDLE, header.node_type, header.depth,
-                          header.prefix_hash, count + 1)
+        idle = idle_word(header)
+        unlocked = idle + HEADER_COUNT_ONE
+        locked = unlocked | STATUS_LOCKED
         cas, _w = yield Batch([
-            CasOp(node_addr, idle.pack(), locked.pack(), lease=("node",)),
+            CasOp(node_addr, idle, locked, lease=("node",)),
             WriteOp(leaf_addr, leaf_image),
         ])
         if not cas[0]:
@@ -558,22 +558,21 @@ class RemoteArtTree:
             return RETRY
         yield Batch([
             WriteOp(self._slot_addr(node_addr, count),
-                    u64_to_bytes(slot_word)),
-            WriteOp(node_addr, u64_to_bytes(unlocked.pack()),
-                    lease=("release",)),
+                    u64_to_bytes(leaf_word)),
+            WriteOp(node_addr, u64_to_bytes(unlocked), lease=("release",)),
         ])
         self.note_leaf(key, leaf_addr, units)
         return True
 
     def _install_into_full(self, node_addr: int, view: NodeView,
                            parent: Optional[Tuple[int, NodeView]],
-                           key: bytes, slot_word: int,
+                           key: bytes, leaf_word: int,
                            leaf_addr: int, leaf_image: bytes):
         """Install into a node whose append cursor hit capacity: reuse a
         hole left by a delete if one exists, otherwise type-switch."""
+        idle = idle_word(view.header)
         cas, _w = yield Batch([
-            CasOp(node_addr, idle_header(view.header).pack(),
-                  locked_header(view.header).pack(), lease=("node",)),
+            CasOp(node_addr, idle, idle | STATUS_LOCKED, lease=("node",)),
             WriteOp(leaf_addr, leaf_image),
         ])
         if not cas[0]:
@@ -588,12 +587,12 @@ class RemoteArtTree:
         if free_index is not None:
             yield Batch([
                 WriteOp(self._slot_addr(node_addr, free_index),
-                        u64_to_bytes(slot_word)),
+                        u64_to_bytes(leaf_word)),
                 unlock_op(node_addr, fresh.header),
             ])
             return True
         outcome = yield from self._type_switch(
-            node_addr, fresh, parent, key, extra_child=Slot.unpack(slot_word))
+            node_addr, fresh, parent, key, extra_child=leaf_word)
         return outcome
 
     def _replace_empty_child(self, node_addr: int, view: NodeView,
@@ -621,8 +620,7 @@ class RemoteArtTree:
             return RETRY
         leaf_addr, units = self._alloc_leaf(key, value)
         depth = view.header.depth
-        new_word = Slot(addr=leaf_addr, partial=key[depth],
-                        size_class=units, is_leaf=True, occupied=True).pack()
+        new_word = slot_word(leaf_addr, key[depth], units, is_leaf=True)
         yield WriteOp(leaf_addr, encode_leaf(key, value))
         ok = yield from self._replace_slot(node_addr, view, slot, new_word)
         if not ok:
@@ -671,8 +669,7 @@ class RemoteArtTree:
         if not swapped:
             return RETRY
         new_addr, units = self._alloc_leaf(leaf.key, value)
-        new_word = Slot(addr=new_addr, partial=slot.partial,
-                        size_class=units, is_leaf=True, occupied=True).pack()
+        new_word = slot_word(new_addr, slot.partial, units, is_leaf=True)
         yield WriteOp(new_addr, encode_leaf(leaf.key, value))
         ok = yield from self._replace_slot(node_addr, view, slot, new_word)
         if not ok:
@@ -703,12 +700,11 @@ class RemoteArtTree:
         leaf_addr, units = self._alloc_leaf(key, value)
         node_type = self.node_type_for(2)
         inner_addr = self._alloc_inner(prefix, node_type)
-        existing_child = Slot(addr=slot.addr,
-                              partial=existing_key[split_depth],
-                              size_class=slot.size_class,
-                              is_leaf=slot.is_leaf, occupied=True)
-        new_leaf_child = Slot(addr=leaf_addr, partial=key[split_depth],
-                              size_class=units, is_leaf=True, occupied=True)
+        existing_child = slot_word(
+            slot.addr, existing_key[split_depth], slot.size_class,
+            is_leaf=slot.is_leaf)
+        new_leaf_child = slot_word(leaf_addr, key[split_depth], units,
+                                   is_leaf=True)
         header = Header(STATUS_IDLE, node_type, split_depth,
                         prefix_hash42(prefix), 2)
         image = self._build_node_image(header,
@@ -721,9 +717,8 @@ class RemoteArtTree:
         ] + list(extra_ops))
         if coupling is not None and extra_ops:
             coupling.parse(results[2:])
-        inner_slot = Slot(addr=inner_addr, partial=slot.partial,
-                          size_class=node_type, is_leaf=False,
-                          occupied=True).pack()
+        inner_slot = slot_word(inner_addr, slot.partial, node_type,
+                               is_leaf=False)
         ok = yield from self._replace_slot(node_addr, view, slot, inner_slot)
         if not ok:
             self._free_leaf(leaf_addr, units)
@@ -769,7 +764,7 @@ class RemoteArtTree:
 
     def _type_switch(self, old_addr: int, fresh: NodeView,
                      parent: Optional[Tuple[int, NodeView]],
-                     key: bytes, extra_child: Slot):
+                     key: bytes, extra_child: int):
         """Grow a full node (whose lock we hold) into the next type.
 
         Order per the paper: make the new node visible via the parent
@@ -781,7 +776,8 @@ class RemoteArtTree:
         new_type = self.grown_type(old_type)
         depth = header.depth
         prefix = key[:depth]
-        children = fresh.occupied_slots() + [extra_child]
+        children = [word for word in fresh.words if word & SLOT_OCCUPIED]
+        children.append(extra_child)
         new_header = Header(STATUS_IDLE, new_type, depth,
                             header.prefix_hash, len(children))
         new_addr = self._alloc_inner(prefix, new_type)
@@ -797,10 +793,8 @@ class RemoteArtTree:
                                partial=key[parent_view.header.depth],
                                size_class=old_type, is_leaf=False,
                                occupied=True)
-        new_parent_word = Slot(addr=new_addr,
-                               partial=key[parent_view.header.depth],
-                               size_class=new_type, is_leaf=False,
-                               occupied=True).pack()
+        new_parent_word = slot_word(
+            new_addr, key[parent_view.header.depth], new_type, is_leaf=False)
         ok = yield from self._replace_slot(parent_addr, parent_view,
                                            old_parent_slot, new_parent_word)
         if not ok:

@@ -220,9 +220,11 @@ class Memory:
             new_len = max(end, min(self.capacity, 2 * len(self._data)))
             self._data.extend(bytes(new_len - len(self._data)))
 
+    # The data-plane verbs below inline the happy path of _check_range:
+    # the backing never outgrows `capacity`, so a well-formed range
+    # inside it needs no call; anything else (growth, BadAddress) goes
+    # through it.
     def read(self, offset: int, size: int) -> bytes:
-        # Inlined happy path of _check_range: the backing never outgrows
-        # `capacity`, so a well-formed range inside it needs no call.
         if size < 0 or offset < 64 or offset + size > len(self._data):
             self._check_range(offset, size)
         if self._freed_offsets:
@@ -232,10 +234,12 @@ class Memory:
         return memoryview(self._data)[offset:offset + size].tobytes()
 
     def write(self, offset: int, data: bytes) -> None:
-        self._check_range(offset, len(data))
+        end = offset + len(data)
+        if offset < 64 or end > len(self._data):
+            self._check_range(offset, len(data))
         if self._freed_offsets:
             self._flag_uaf(offset, len(data), "write")
-        self._data[offset:offset + len(data)] = data
+        self._data[offset:end] = data
 
     def read_u64(self, offset: int) -> int:
         self._check_range(offset, 8)
@@ -251,14 +255,25 @@ class Memory:
 
     def cas_u64(self, offset: int, expected: int, desired: int):
         """Atomic 8-byte compare-and-swap; returns (swapped, old_value)."""
-        old = self.read_u64(offset)
-        if old == expected:
-            self.write_u64(offset, desired)
-            return True, old
-        return False, old
+        if offset < 64 or offset + 8 > len(self._data):
+            self._check_range(offset, 8)
+        if self._freed_offsets:
+            self._flag_uaf(offset, 8, "read_u64")
+        old = _U64.unpack_from(self._data, offset)[0]
+        if old != expected:
+            return False, old
+        if self._freed_offsets:
+            self._flag_uaf(offset, 8, "write_u64")
+        _U64.pack_into(self._data, offset, desired)
+        return True, old
 
     def faa_u64(self, offset: int, delta: int) -> int:
         """Atomic 8-byte fetch-and-add; returns the pre-add value."""
-        old = self.read_u64(offset)
-        self.write_u64(offset, (old + delta) & ((1 << 64) - 1))
+        if offset < 64 or offset + 8 > len(self._data):
+            self._check_range(offset, 8)
+        if self._freed_offsets:
+            self._flag_uaf(offset, 8, "read_u64")
+            self._flag_uaf(offset, 8, "write_u64")
+        old = _U64.unpack_from(self._data, offset)[0]
+        _U64.pack_into(self._data, offset, (old + delta) & ((1 << 64) - 1))
         return old

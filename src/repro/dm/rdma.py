@@ -3,8 +3,11 @@
 Index algorithms in this library are written **once** as plain generators
 that yield verb descriptors (:class:`ReadOp`, :class:`WriteOp`,
 :class:`CasOp`, :class:`FaaOp`, a doorbell :class:`Batch`, or
-:class:`LocalCompute`) and receive the verb's result back.  Two executors
-drive such generators:
+:class:`LocalCompute`) and receive the verb's result back.  A descriptor
+is an immutable slotted record, cheap to build once per verb: assigning
+a field raises, and equality, hashing, ``repr``, ``copy`` and ``pickle``
+go by class and field values.  A :class:`Batch` admits only the four
+verb classes.  Two executors drive such generators:
 
 * :class:`DirectExecutor` applies every verb immediately with no notion of
   time - used for bulk loading, unit tests, and memory measurements.
@@ -31,12 +34,13 @@ each verb to it as one :class:`VerbRecord`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from heapq import heappush
-from typing import Any, Callable, Generator, Mapping, Optional, Sequence, \
-    Tuple, Union
+from typing import Any, Callable, ClassVar, Generator, Mapping, Optional, \
+    Sequence, Tuple, Union
 
-from ..errors import ClientCrash, InjectedFault, MNUnavailable, \
-    RetryLimitExceeded, SimulationError
+from ..errors import ClientCrash, FrozenRecord, InjectedFault, \
+    MNUnavailable, RetryLimitExceeded, SimulationError
 from ..sim.engine import _DEFER, Event as SimEvent
 from .memory import OFFSET_BITS, OFFSET_MASK, Memory, addr_mn
 from .network import Nic
@@ -53,61 +57,144 @@ from .network import Nic
 # ``Cluster.attach_recovery`` reads it (the node header has no spare bits
 # for an owner/epoch, so the lease lives CN-side).  The ``None`` default
 # keeps untagged verbs - and every pre-recovery schedule - byte-identical.
+#
+# The records are built once per verb of every op (bulk load included),
+# so they are slotted classes, not frozen dataclasses (DESIGN.md 4.3):
+# ``__init__`` fills each slot through its member descriptor, and plain
+# assignment raises.  Field reads are ordinary slot reads.
 
-@dataclass(frozen=True)
-class ReadOp:
+class _Record:
+    """An immutable record: slotted, compared (class included), hashed,
+    printed, copied and pickled by its field values in slot order."""
+
+    __slots__ = ()
+    #: Each slot's descriptor ``__set__``, in slot order (set per class).
+    _setters: ClassVar[Tuple[Callable[[Any, Any], None], ...]] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(cls.__dict__[name].__set__
+                             for name in cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenRecord(f"{self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenRecord(f"{self.__class__.__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class ReadOp(_Record):
     """RDMA READ of ``size`` bytes at global address ``addr`` -> bytes."""
+
+    __slots__ = ("addr", "size")
     addr: int
     size: int
 
+    def __init__(self, addr: int, size: int) -> None:
+        set_addr, set_size = self._setters
+        set_addr(self, addr)
+        set_size(self, size)
 
-@dataclass(frozen=True)
-class WriteOp:
+
+class WriteOp(_Record):
     """RDMA WRITE of ``data`` at global address ``addr`` -> None."""
+
+    __slots__ = ("addr", "data", "lease")
     addr: int
     data: bytes
-    lease: Optional[tuple] = None
+    lease: Optional[tuple]
+
+    def __init__(self, addr: int, data: bytes,
+                 lease: Optional[tuple] = None) -> None:
+        set_addr, set_data, set_lease = self._setters
+        set_addr(self, addr)
+        set_data(self, data)
+        set_lease(self, lease)
 
 
-@dataclass(frozen=True)
-class CasOp:
+class CasOp(_Record):
     """RDMA CAS on the 8-byte word at ``addr`` -> (swapped, old_value)."""
+
+    __slots__ = ("addr", "expected", "desired", "lease")
     addr: int
     expected: int
     desired: int
-    lease: Optional[tuple] = None
+    lease: Optional[tuple]
+
+    def __init__(self, addr: int, expected: int, desired: int,
+                 lease: Optional[tuple] = None) -> None:
+        set_addr, set_expected, set_desired, set_lease = self._setters
+        set_addr(self, addr)
+        set_expected(self, expected)
+        set_desired(self, desired)
+        set_lease(self, lease)
 
 
-@dataclass(frozen=True)
-class FaaOp:
+class FaaOp(_Record):
     """RDMA FAA on the 8-byte word at ``addr`` -> old_value."""
+
+    __slots__ = ("addr", "delta")
     addr: int
     delta: int
 
+    def __init__(self, addr: int, delta: int) -> None:
+        set_addr, set_delta = self._setters
+        set_addr(self, addr)
+        set_delta(self, delta)
 
-@dataclass(frozen=True)
-class LocalCompute:
+
+class LocalCompute(_Record):
     """CN-side CPU work of ``ns`` nanoseconds (hashing, filter probes)."""
+
+    __slots__ = ("ns",)
     ns: int
+
+    def __init__(self, ns: int) -> None:
+        self._setters[0](self, ns)
 
 
 Verb = Union[ReadOp, WriteOp, CasOp, FaaOp]
+_VERB_CLASSES = (ReadOp, WriteOp, CasOp, FaaOp)
 
 
-@dataclass(frozen=True)
-class Batch:
+class Batch(_Record):
     """A doorbell batch: verbs posted together, completing together."""
+
+    __slots__ = ("ops",)
     ops: Tuple[Verb, ...]
 
-    def __init__(self, ops: Sequence[Verb]):
-        object.__setattr__(self, "ops", tuple(ops))
-        if not self.ops:
+    def __init__(self, ops: Sequence[Verb]) -> None:
+        ops = tuple(ops)
+        if not ops:
             # An empty doorbell would silently charge a full round trip
             # for zero messages - always a caller bug.
             raise SimulationError("empty batch: doorbell needs >= 1 verb")
-        for op in self.ops:
-            if isinstance(op, (Batch, LocalCompute)):
-                raise SimulationError("batches must contain plain verbs")
+        for op in ops:
+            # Exactly the four verb classes: a nested batch, a
+            # LocalCompute, a raw tuple or None would otherwise surface
+            # only when an executor reaches that member.
+            if op.__class__ not in _VERB_CLASSES:
+                raise SimulationError(
+                    f"batches must contain plain verbs, not {op!r}")
+        self._setters[0](self, ops)
 
 
 OpOrBatch = Union[Verb, Batch, LocalCompute]
@@ -243,19 +330,24 @@ def _raise_member_faults(results: Sequence[Any]) -> None:
 @dataclass(slots=True, eq=False)
 class VerbRecord:
     """One verb as its observers see it: posted by ``client`` at
-    ``t_post``, executed by the MN at ``t_applied`` with ``result``,
-    completed at ``t_done``.  ``fault`` is the kind of the fault gate's
-    decision, known when the verb is posted.  A verb the MN never saw (a
-    NAK, a dead MN, a request drop) is only completed, with
-    ``t_applied`` None.  Built only by an executor that has observers;
-    compared by identity (one record per verb posted)."""
+    ``t_post``, its request out of the CN NIC at ``t_sent``, executed by
+    the MN at ``t_applied`` with ``result``, its response out of the MN
+    NIC at ``t_replied``, completed at ``t_done``.  ``fault`` is the kind
+    of the fault gate's decision, known when the verb is posted.  A stamp
+    stays None for a leg that never ran: a verb the MN never saw (a NAK,
+    a dead MN, a request drop) is only sent and completed, and one whose
+    completion was lost is never replied to.  The untimed executor stamps
+    every leg that ran at ``t_post``.  Built only by an executor that has
+    observers; compared by identity (one record per verb posted)."""
 
     client: str
     op: Verb
     t_post: int
+    t_sent: Optional[int] = None
     t_applied: Optional[int] = None
-    result: Any = None
+    t_replied: Optional[int] = None
     t_done: Optional[int] = None
+    result: Any = None
     fault: Optional[str] = None
 
 
@@ -329,6 +421,11 @@ class DirectExecutor:
         self._injector = injector
         self._observers = observers
         self._budget = 0  # message ceiling armed by arm_verb_budget
+        # What runs one counted verb, fixed by what is attached now: the
+        # fault gate, the observers' record, or the side effect alone.
+        self._step: Callable[[Verb], Any] = \
+            self._gated if injector is not None else \
+            self._apply if observers else partial(apply_verb, memories)
 
     def arm_verb_budget(self, extra_messages: int) -> None:
         """Fail with SimulationError once ``stats.messages`` exceeds its
@@ -336,14 +433,21 @@ class DirectExecutor:
         livelock bound ("never a hang")."""
         self._budget = self.stats.messages + extra_messages
 
-    def _apply(self, verb: Verb, fault: Optional[str] = None) -> Any:
+    def _apply(self, verb: Verb, fault: Optional[str] = None,
+               replied: bool = True) -> Any:
+        """Apply one verb and report it to the observers, every leg that
+        ran stamped now; ``replied`` is False when the fault lost the
+        completion."""
         observers = self._observers
         if not observers:
             return apply_verb(self._memories, verb)
         now = self._clock()
         rec = _post(observers, self.client_id, verb, now, fault)
+        rec.t_sent = now
         result = apply_verb(self._memories, verb)
         _applied(observers, rec, now, result)
+        if replied:
+            rec.t_replied = now
         _done(observers, rec, now)
         return result
 
@@ -365,41 +469,43 @@ class DirectExecutor:
             return result  # untimed executor: a delay is invisible
         if decision.applied:
             # The side effect lands; the completion - or the CN - is lost.
-            self._apply(verb, kind)
+            self._apply(verb, kind, replied=False)
         elif self._observers:  # lost before the MN: completed only
             now = self._clock()
             _done(self._observers,
-                  VerbRecord(self.client_id, verb, now, fault=kind), now)
+                  VerbRecord(self.client_id, verb, now, fault=kind,
+                             t_sent=None if kind == "crash_cn" else now),
+                  now)
         raise _fault_error(self.client_id, verb, decision)
 
     def execute(self, op: OpOrBatch) -> Any:
-        if self._budget and self.stats.messages > self._budget:
+        stats = self.stats
+        if self._budget and stats.messages > self._budget:
             raise SimulationError(
                 f"verb budget exceeded for {self.client_id}: "
-                f"{self.stats.messages} messages - livelock under faults?")
+                f"{stats.messages} messages - livelock under faults?")
         cls = op.__class__
         if cls is LocalCompute:
-            self.stats.local_compute_ns += op.ns
+            stats.local_compute_ns += op.ns
             return None
-        faults = self._injector is not None
-        apply = self._gated if faults else self._apply
-        self.stats.round_trips += 1
+        step = self._step
+        stats.round_trips += 1
         if cls is not Batch:
-            self.stats.count_verb(op)
-            return apply(op)
+            stats.count_verb(op)
+            return step(op)
         # Doorbell: every member is posted (and counted), so under
         # faults surviving members still apply and a member's fault is
         # raised at the join.  Only a crash_cn stops the posting: later
         # members are neither gated nor counted.
-        self.stats.batches += 1
+        stats.batches += 1
         results = []
         for verb in op.ops:
-            self.stats.count_verb(verb)
+            stats.count_verb(verb)
             try:
-                results.append(apply(verb))
+                results.append(step(verb))
             except (InjectedFault, MNUnavailable) as exc:
                 results.append(exc)
-        if faults:
+        if self._injector is not None:
             _raise_member_faults(results)
         return results
 
@@ -519,6 +625,8 @@ class _VerbTrip(SimEvent):
             done = ex._cn_nic.charge(self.req)
         elif stage == 1:
             # CN request sent; request crosses the wire to the MN NIC.
+            if self.rec is not None:
+                self.rec.t_sent = engine.now
             done = self.mn.charge(self.req, self.extra, cfg.prop_ns)
         elif stage == 2:
             # MN NIC executed the verb: side effect lands now.
@@ -527,7 +635,9 @@ class _VerbTrip(SimEvent):
                 _applied(ex._observers, self.rec, engine.now, result)
             done = self.mn.charge(self.resp, 0, cfg.mem_access_ns)
         elif stage == 3:
-            # Response back across the wire through the CN NIC.
+            # MN response sent; back across the wire through the CN NIC.
+            if self.rec is not None:
+                self.rec.t_replied = engine.now
             done = ex._cn_nic.charge(self.resp, 0, cfg.prop_ns)
             if self.worker is not None:
                 # Scalar verb: the last dispatch resumes the client
@@ -664,6 +774,8 @@ class SimExecutor:
                     fault) if observers else None
         # Request through the CN NIC ...
         yield self._cn_nic.process(req_bytes)
+        if rec is not None:
+            rec.t_sent = self.engine.now
         # ... across the wire, processed by the MN NIC ...
         yield mn_nic.process(req_bytes, extra_ns=extra,
                              arrive_delay=cfg.prop_ns)
@@ -680,6 +792,8 @@ class SimExecutor:
             yield from self._request_leg(op, fault)
         # Response: DRAM/DMA access, back through the MN NIC ...
         yield mn_nic.process(resp_bytes, arrive_delay=cfg.mem_access_ns)
+        if rec is not None:
+            rec.t_replied = self.engine.now
         # ... across the wire, delivered by the CN NIC.
         yield self._cn_nic.process(resp_bytes, arrive_delay=cfg.prop_ns)
         if rec is not None:
@@ -748,10 +862,11 @@ class SimExecutor:
             t_post = engine.now
             self.stats.count_verb(op)
             yield self._cn_nic.process(verb_sizes(op)[0])
+            t_sent = engine.now
             yield engine.timeout(self._injector.plan.timeout_ns)
             if observers:
                 _done(observers, VerbRecord(self.client_id, op, t_post,
-                                            fault=kind), engine.now)
+                                            t_sent, fault=kind), engine.now)
         raise _fault_error(self.client_id, op, decision)
 
     def _member(self, op: Verb, decision):

@@ -36,6 +36,12 @@ class SimulationError(ReproError):
     inconsistent state (e.g. running a finished process)."""
 
 
+class FrozenRecord(ReproError, AttributeError):
+    """A field of an immutable record (a verb descriptor) was assigned or
+    deleted.  Also derives from :class:`AttributeError`, as a frozen
+    dataclass's error does."""
+
+
 class MemoryError_(ReproError):
     """Simulated memory-node failure (out of memory, bad address, bad size).
 

@@ -91,6 +91,10 @@ def test_bounds_checks():
         mem.read(1 << 12, 8)
     with pytest.raises(BadAddress):
         mem.write((1 << 12) - 4, b"too long")
+    for offset, size in ((128, -1), ((1 << 12) + 64, -8)):
+        with pytest.raises(BadAddress):
+            mem.read(offset, size)
+    assert mem.read(64, 0) == b""
 
 
 def test_u64_roundtrip():
@@ -196,25 +200,47 @@ def test_retired_block_stays_readable():
     assert memory.uaf_hits == 0
 
 
-def test_read_checks_survive_the_inlined_fast_path():
-    """``read`` skips ``_check_range`` only for a well-formed range inside
-    the committed backing; everything else still goes through it."""
+#: Each data-plane verb on one 8-byte word, and the UAF kinds it flags on
+#: a freed block (a CAS that swaps and an FAA both read and write it).
+_WORD_VERBS = {
+    "read": (lambda m, off: m.read(off, 8), ["read"]),
+    "write": (lambda m, off: m.write(off, bytes(8)), ["write"]),
+    "cas_u64": (lambda m, off: m.cas_u64(off, 0, 0),
+                ["read_u64", "write_u64"]),
+    "faa_u64": (lambda m, off: m.faa_u64(off, 0), ["read_u64", "write_u64"]),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_WORD_VERBS))
+def test_word_checks_survive_the_inlined_fast_path(verb):
+    """Each verb skips ``_check_range`` only for a well-formed range
+    inside the committed backing; everything else still goes through
+    it, and a freed block is still flagged with the verb's kinds."""
+    access, kinds = _WORD_VERBS[verb]
     capacity = 4 << 20
     memory = Memory(0, capacity)
     committed = len(memory._data)
     assert committed < capacity
     # Past the committed backing but inside capacity: grows, reads zeros.
-    assert memory.read(committed + 4096, 32) == bytes(32)
-    assert len(memory._data) >= committed + 4096 + 32
+    access(memory, committed + 4096)
+    assert len(memory._data) >= committed + 4096 + 8
+    assert memory.read(committed + 4096, 8) == bytes(8)
     # Straddling the (new) end of the backing.
     edge = len(memory._data)
-    assert memory.read(edge - 8, 16) == bytes(16)
-    assert memory.read(capacity - 8, 8) == bytes(8)
-    for offset, size in ((capacity - 8, 9), (capacity, 1), (63, 8),
-                         (0, 8), (-8, 8), (128, -1), (capacity + 64, -8)):
+    access(memory, edge - 4)
+    assert len(memory._data) >= edge + 4
+    access(memory, capacity - 8)
+    for offset in (capacity - 7, capacity, 63, 0, -8, capacity + 64):
         with pytest.raises(BadAddress):
-            memory.read(offset, size)
-    assert memory.read(64, 0) == b""
+            access(memory, offset)
+    keep, victim = memory.alloc(64), memory.alloc(64)
+    memory.free(victim, 64)
+    access(memory, keep)
+    assert memory.uaf_hits == 0
+    access(memory, victim + 56)   # last word of the freed block
+    assert memory.uaf_hits == len(kinds)
+    assert [sample.split(":")[1].split()[0] for sample in
+            memory.uaf_samples] == kinds
 
 
 def test_read_of_a_freed_block_still_counts_a_uaf():

@@ -1,5 +1,8 @@
 """Unit tests for RDMA verbs and executors (timing + semantics)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.dm import (
@@ -14,7 +17,9 @@ from repro.dm import (
     ReadOp,
     WriteOp,
 )
-from repro.errors import SimulationError
+from repro.dm.rdma import Observer
+from repro.errors import FrozenRecord, InjectedFault, SimulationError
+from repro.fault import FaultPlan, drop
 
 
 @pytest.fixture
@@ -72,6 +77,50 @@ def test_batch_rejects_nested():
         Batch([Batch([ReadOp(0, 1)])])
     with pytest.raises(SimulationError):
         Batch([LocalCompute(5)])
+    # Only the four verb classes: anything else is refused when the
+    # doorbell is built, not when an executor reaches the member.
+    for member in (None, (64, 8), 64):
+        with pytest.raises(SimulationError):
+            Batch([ReadOp(64, 8), member])
+
+
+_RIVALS = (
+    ReadOp(64, 8),
+    WriteOp(64, b"abc", lease=("release",)),
+    CasOp(64, 1, 2, lease=("node",)),
+    FaaOp(64, 8),
+    LocalCompute(5),
+    Batch([ReadOp(64, 8), CasOp(72, 0, 1)]),
+)
+
+
+@pytest.mark.parametrize("record", _RIVALS,
+                         ids=lambda record: type(record).__name__)
+def test_verb_records_are_immutable_values(record):
+    """Verbs are built once per verb and shared by executors, observers
+    and fault traces: a field never changes after construction, and two
+    records are equal only when their class and fields are."""
+    cls = type(record)
+    field = cls.__slots__[0]
+    with pytest.raises(FrozenRecord):
+        setattr(record, field, 0)
+    with pytest.raises(FrozenRecord):
+        delattr(record, field)
+    assert issubclass(FrozenRecord, AttributeError)
+    assert not hasattr(record, "__dict__")
+    values = tuple(getattr(record, name) for name in cls.__slots__)
+    twin = cls(*values)
+    assert twin == record and not twin != record
+    assert hash(twin) == hash(record) and {record: 1}[twin] == 1
+    assert record != values and values != record
+    # Same field values, another class (READ and FAA both hold two ints).
+    assert ReadOp(64, 8) != FaaOp(64, 8) and FaaOp(64, 8) != ReadOp(64, 8)
+    assert all(record != rival for rival in _RIVALS if type(rival) is not cls)
+    assert repr(record).startswith(f"{cls.__name__}(")
+    for copied in (copy.deepcopy(record),
+                   pickle.loads(pickle.dumps(record))):
+        assert type(copied) is cls and copied == record
+        assert hash(copied) == hash(record)
 
 
 def test_sim_executor_same_results_as_direct(setup):
@@ -187,3 +236,88 @@ def test_batch_rejects_empty():
         Batch([])
     with pytest.raises(SimulationError, match="empty batch"):
         Batch(())
+
+
+class _Recorder(Observer):
+    def __init__(self):
+        self.records = []
+
+    def on_complete(self, rec):
+        self.records.append(rec)
+
+
+@pytest.mark.parametrize("doorbell", [False, True],
+                         ids=["scalar", "doorbell"])
+@pytest.mark.parametrize("verb", [ReadOp(0, 8), CasOp(0, 0, 1)],
+                         ids=["read", "cas"])
+def test_verb_record_stamps_split_an_idle_round_trip(verb, doorbell):
+    """On an idle fabric each leg between two stamps is its service and
+    wire time alone, and the four legs sum to the unloaded round trip."""
+    net = NetworkConfig()
+    cluster = Cluster(ClusterConfig(mn_capacity_bytes=1 << 20, network=net))
+    addr = cluster.alloc(0, 64)
+    recorder = cluster.attach(_Recorder())
+    sx = cluster.sim_executor(0)
+    cls = type(verb)
+    op = ReadOp(addr, 8) if cls is ReadOp else CasOp(addr, 0, 1)
+
+    def client():
+        yield Batch([op]) if doorbell else op
+
+    cluster.engine.run_until_complete(cluster.engine.process(sx.run(client())))
+    (rec,) = recorder.records
+    req, resp = (0, 8) if cls is ReadOp else (16, 8)
+    extra = net.atomic_extra_ns if cls is CasOp else 0
+    assert rec.t_sent - rec.t_post == net.msg_service_ns("cn", req)
+    assert rec.t_applied - rec.t_sent == \
+        net.prop_ns + net.msg_service_ns("mn", req) + extra
+    assert rec.t_replied - rec.t_applied == \
+        net.mem_access_ns + net.msg_service_ns("mn", resp)
+    assert rec.t_done - rec.t_replied == \
+        net.prop_ns + net.msg_service_ns("cn", resp)
+    assert rec.t_done - rec.t_post == net.unloaded_rtt_ns(req, resp) + extra
+
+
+@pytest.mark.parametrize("executor", ["direct", "sim"])
+@pytest.mark.parametrize("applied", [False, True],
+                         ids=["request_lost", "completion_lost"])
+def test_verb_record_stamps_stay_none_on_legs_that_never_ran(executor,
+                                                             applied):
+    cluster = Cluster(ClusterConfig(mn_capacity_bytes=1 << 20))
+    addr = cluster.alloc(0, 64)
+    recorder = cluster.attach(_Recorder())
+    cluster.attach_faults(FaultPlan(seed=1, rules=(
+        drop(1.0, applied_prob=1.0 if applied else 0.0),)))
+
+    def client():
+        try:
+            yield ReadOp(addr, 8)
+        except InjectedFault:
+            return "lost"
+
+    if executor == "direct":
+        assert cluster.direct_executor().run(client()) == "lost"
+    else:
+        sx = cluster.sim_executor(0)
+        proc = cluster.engine.process(sx.run(client()))
+        assert cluster.engine.run_until_complete(proc) == "lost"
+    (rec,) = recorder.records
+    assert rec.fault == "drop" and rec.t_sent is not None
+    assert (rec.t_applied is not None) == applied
+    assert rec.t_replied is None and rec.t_done is not None
+
+
+def test_direct_executor_stamps_every_leg_at_post(setup):
+    cluster, addr = setup
+    recorder = cluster.attach(_Recorder())
+    ex = cluster.direct_executor()
+
+    def client():
+        yield Batch([WriteOp(addr, b"x"), CasOp(addr, 0, 1)])
+        yield FaaOp(addr, 1)
+
+    ex.run(client())
+    assert len(recorder.records) == 3
+    for rec in recorder.records:
+        assert rec.t_sent == rec.t_applied == rec.t_replied == rec.t_done \
+            == rec.t_post

@@ -25,7 +25,7 @@ from repro.art.layout import (
     node_size,
 )
 from repro.core import SphinxConfig, SphinxIndex
-from repro.core.lock import locked_header
+from repro.core.lock import idle_word
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.memory import addr_mn, addr_offset
 from repro.errors import RetryLimitExceeded
@@ -81,7 +81,7 @@ def _abandon_lock_on_leaf_parent(cluster, index, key):
     path, _leaf_slot = walk_to_leaf(cluster, index, key)
     node_addr, view = path[-1]
     ex = inject(cluster, poke(
-        node_addr, u64_to_bytes(locked_header(view.header).pack())))
+        node_addr, u64_to_bytes(idle_word(view.header) | STATUS_LOCKED)))
     return node_addr, view, ex
 
 
