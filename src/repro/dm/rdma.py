@@ -266,6 +266,11 @@ def apply_verb(memories: Mapping[int, Memory], op: Verb) -> Any:
     raise SimulationError(f"unknown verb {op!r}")
 
 
+#: The name of each verb class, as fault rules filter on it and traces
+#: and fault schedules report it.
+VERB_KIND = {ReadOp: "read", WriteOp: "write", CasOp: "cas", FaaOp: "faa"}
+
+
 def verb_sizes(op: Verb) -> Tuple[int, int]:
     """(request payload bytes, response payload bytes) for timing."""
     cls = op.__class__
@@ -283,6 +288,18 @@ def verb_sizes(op: Verb) -> Tuple[int, int]:
 #: Fault kinds whose verb still completes: the client gets a result (late,
 #: twice applied, or a forged CAS failure), not an exception.
 SILENT_FAULTS = ("delay", "duplicate", "stale_cas")
+
+
+def _silent_result(memories: Mapping[int, Memory], op: Verb, kind: str,
+                   result: Any) -> Any:
+    """What a verb under a silent fault returns, once it has run: a
+    phantom retransmission applies it a second time, and a stale CAS
+    reply turns a swap into a failure carrying the pre-swap word."""
+    if kind == "duplicate":
+        apply_verb(memories, op)
+    elif kind == "stale_cas" and op.__class__ is CasOp and result[0]:
+        return (False, op.expected)
+    return result
 
 
 def _fault_error(client: str, op: Verb, decision) -> Exception:
@@ -459,14 +476,9 @@ class DirectExecutor:
             return self._apply(verb)
         kind = decision.kind
         self.stats.faults_injected += 1
-        if kind in SILENT_FAULTS:
-            result = self._apply(verb, kind)
-            if kind == "duplicate":
-                apply_verb(self._memories, verb)  # phantom retransmission
-            elif kind == "stale_cas" \
-                    and verb.__class__ is CasOp and result[0]:
-                result = (False, verb.expected)
-            return result  # untimed executor: a delay is invisible
+        if kind in SILENT_FAULTS:  # untimed: a delay is invisible
+            return _silent_result(self._memories, verb, kind,
+                                  self._apply(verb, kind))
         if decision.applied:
             # The side effect lands; the completion - or the CN - is lost.
             self._apply(verb, kind, replied=False)
@@ -838,11 +850,7 @@ class SimExecutor:
             result = yield from self._verb(op, kind)
             if kind == "delay":
                 yield engine.timeout(decision.delay_ns)
-            elif kind == "duplicate":
-                apply_verb(self._memories, op)  # phantom retransmission
-            elif op.__class__ is CasOp and result[0]:
-                result = (False, op.expected)
-            return result
+            return _silent_result(self._memories, op, kind, result)
         if decision.applied:
             # The request got out and its side effect lands at the MN;
             # the completion never arrives (dropped, or the CN died).

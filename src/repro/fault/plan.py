@@ -1,19 +1,23 @@
 """Declarative fault plans.
 
 A :class:`FaultPlan` is a seed plus an ordered tuple of
-:class:`FaultRule`.  Rules come in two flavours:
+:class:`FaultRule`.  Every rule has one of two triggers:
 
-* **Stochastic fabric rules** (``drop``, ``delay``, ``duplicate``,
-  ``stale_cas``, ``brownout``) are evaluated per verb by the injector's
-  seeded RNG; the first matching rule that fires decides the verb's fate.
-* **Scheduled environment rules** (``poke``, ``flip``, ``crash_mn`` with
-  ``at_verb`` set) fire exactly once, when the global verb sequence
-  number reaches ``at_verb``, and mutate memory-node bytes directly -
-  modelling corruption and node loss rather than fabric behaviour.
-* **Scheduled client rules** (``crash_cn``) also key on ``at_verb`` but
-  kill the *client* that issues the matching verb: the op generator is
-  abandoned mid-flight (locks stay held for lease recovery to reclaim)
-  and the executor is dead from then on.
+* **A rate** (``prob``): the rule is tried on every verb that passes its
+  filters (``verbs``, ``mn``, the ``[start_ns, end_ns)`` window,
+  ``client``) with one draw of the injector's seeded RNG; the first rate
+  rule that fires decides the verb's fate.  Only fabric kinds (``drop``,
+  ``delay``, ``duplicate``, ``stale_cas``, ``brownout``) take a rate.
+* **A schedule** (``at_verb=k``): the rule fires exactly once, at the
+  first verb with global sequence number ``>= k`` that passes its
+  filters.  Any fabric kind may be scheduled ("verb k lands d ns late"),
+  and so is a client crash (``crash_cn``: the op generator of the client
+  issuing that verb is abandoned mid-flight, its locks stay held for
+  lease recovery to reclaim, and its executor is dead from then on).
+  Environment kinds (``poke``, ``flip``, ``crash_mn``) are always
+  scheduled and take no filters: they mutate memory-node bytes directly
+  before the verb is decided - corruption and node loss rather than
+  fabric behaviour - and ``mn`` names the node ``crash_mn`` kills.
 
 Everything is frozen and value-like so plans can sit inside benchmark
 ``CellSpec``s and be compared/hashed.  Plans never hold RNG state; the
@@ -28,12 +32,11 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..dm.rdma import VERB_KIND
 from ..errors import ConfigError
 
 FABRIC_KINDS = ("drop", "delay", "duplicate", "stale_cas", "brownout")
 ENV_KINDS = ("poke", "flip", "crash_mn")
-CLIENT_KINDS = ("crash_cn",)
-VERB_KINDS = ("read", "write", "cas", "faa")
 
 
 @dataclass(frozen=True)
@@ -42,55 +45,58 @@ class FaultRule:
     (:func:`drop`, :func:`delay`, ...) rather than building directly."""
 
     kind: str
-    prob: float = 0.0                       # stochastic rules
+    prob: float = 0.0                       # rate trigger: P(per verb)
     verbs: Optional[Tuple[str, ...]] = None  # None = all verb kinds
-    mn: Optional[int] = None                # None = any MN
+    mn: Optional[int] = None                # None = any MN; crash_mn target
     applied_prob: float = 0.0               # drop: P(side effect applied)
     delay_ns: int = 0                       # delay / brownout
     start_ns: int = 0                       # matching window (sim time)
     end_ns: Optional[int] = None
-    at_verb: Optional[int] = None           # scheduled env rules
+    at_verb: Optional[int] = None           # schedule trigger: verb seq
     addr: Optional[int] = None              # poke/flip target
     data: bytes = b""                       # poke payload
     xor: int = 0                            # flip mask (0 = random bit)
     length: int = 1                         # flip span in bytes
-    client: Optional[str] = None            # crash_cn victim prefix filter
+    client: Optional[str] = None            # client id prefix filter
 
     def validate(self) -> None:
-        if self.kind in FABRIC_KINDS:
-            if self.at_verb is not None:
-                raise ConfigError(f"{self.kind}: a fabric rule is a per-"
-                                  "verb rate; at_verb is not supported")
-            if not (0.0 <= self.prob <= 1.0):
-                raise ConfigError(f"{self.kind}: prob must be in [0, 1]")
-            if not (0.0 <= self.applied_prob <= 1.0):
-                raise ConfigError(
-                    f"{self.kind}: applied_prob must be in [0, 1]")
-        elif self.kind in CLIENT_KINDS:
-            if self.at_verb is None:
-                raise ConfigError("crash_cn: needs at_verb (a crash is a "
-                                  "scheduled event, not a fabric rate)")
-            if not (0.0 <= self.applied_prob <= 1.0):
-                raise ConfigError(
-                    f"{self.kind}: applied_prob must be in [0, 1]")
-        elif self.kind in ENV_KINDS:
-            if self.at_verb is None and self.prob == 0.0:
-                raise ConfigError(
-                    f"{self.kind}: needs at_verb (scheduled) or prob > 0")
-            if self.kind == "poke" and (self.addr is None or not self.data):
-                raise ConfigError("poke: needs addr and data")
-            if self.kind == "crash_mn" and self.mn is None:
-                raise ConfigError("crash_mn: needs mn")
-        else:
-            raise ConfigError(f"unknown fault kind {self.kind!r}")
+        kind = self.kind
+        if kind not in FABRIC_KINDS and kind not in ENV_KINDS \
+                and kind != "crash_cn":
+            raise ConfigError(f"unknown fault kind {kind!r}")
+        if self.at_verb is None:
+            if kind not in FABRIC_KINDS:
+                raise ConfigError(f"{kind}: needs at_verb (a scheduled "
+                                  "event, not a per-verb rate)")
+        elif self.at_verb < 0:
+            raise ConfigError(f"{kind}: at_verb must be >= 0")
+        elif self.prob:
+            raise ConfigError(f"{kind}: at_verb and prob are two "
+                              "triggers; set one")
+        if not (0.0 <= self.prob <= 1.0
+                and 0.0 <= self.applied_prob <= 1.0):
+            raise ConfigError(
+                f"{kind}: prob and applied_prob must be in [0, 1]")
+        if kind in ENV_KINDS and (
+                self.verbs is not None or self.client is not None
+                or self.start_ns or self.end_ns is not None
+                or (kind != "crash_mn" and self.mn is not None)):
+            raise ConfigError(f"{kind}: an environment rule takes no "
+                              "filters")
+        if kind == "crash_mn" and self.mn is None:
+            raise ConfigError("crash_mn: needs mn")
+        if kind == "poke" and (self.addr is None or not self.data):
+            raise ConfigError("poke: needs addr and data")
+        if kind == "flip" and self.addr is None:
+            raise ConfigError("flip: needs addr")
         if self.verbs is not None:
             for verb in self.verbs:
-                if verb not in VERB_KINDS:
+                if verb not in VERB_KIND.values():
                     raise ConfigError(f"unknown verb kind {verb!r}")
         if self.delay_ns < 0 or self.start_ns < 0 or self.length < 1:
-            raise ConfigError(f"{self.kind}: negative/zero-size field")
+            raise ConfigError(f"{kind}: negative/zero-size field")
         if self.end_ns is not None and self.end_ns <= self.start_ns:
-            raise ConfigError(f"{self.kind}: empty time window")
+            raise ConfigError(f"{kind}: empty time window")
 
 
 # -- rule constructors ------------------------------------------------------
@@ -141,14 +147,12 @@ def poke(addr: int, data: bytes, *, at_verb: int = 0) -> FaultRule:
                      at_verb=at_verb)
 
 
-def flip(addr: Optional[int] = None, *, xor: int = 0, length: int = 1,
-         at_verb: Optional[int] = None, prob: float = 0.0,
-         mn: Optional[int] = None) -> FaultRule:
-    """Flip bits: XOR ``xor`` (0 = one random bit) into ``length`` bytes
-    at ``addr``, or - when ``addr`` is None - at a seeded-random offset
-    within one MN's allocated range."""
+def flip(addr: int, *, xor: int = 0, length: int = 1,
+         at_verb: int = 0) -> FaultRule:
+    """Scheduled bit flips: XOR ``xor`` (0 = one seeded-random bit) into
+    ``length`` bytes at ``addr``."""
     return FaultRule(kind="flip", addr=addr, xor=xor, length=length,
-                     at_verb=at_verb, prob=prob, mn=mn)
+                     at_verb=at_verb)
 
 
 def crash_mn(mn: int, *, at_verb: int = 0) -> FaultRule:

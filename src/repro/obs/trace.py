@@ -33,10 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..dm.memory import addr_mn
-from ..dm.rdma import SILENT_FAULTS, CasOp, FaaOp, Observer, ReadOp, \
-    VerbRecord, WriteOp, verb_sizes
-
-_VERB_KIND = {ReadOp: "read", WriteOp: "write", CasOp: "cas", FaaOp: "faa"}
+from ..dm.rdma import SILENT_FAULTS, VERB_KIND, Observer, VerbRecord, \
+    verb_sizes
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,7 @@ class Tracer(Observer):
         op = rec.op
         req_bytes, resp_bytes = verb_sizes(op)
         span = self._current(rec.client)
-        event = VerbEvent(_VERB_KIND[op.__class__], op.addr, addr_mn(op.addr),
+        event = VerbEvent(VERB_KIND[op.__class__], op.addr, addr_mn(op.addr),
                           req_bytes, resp_bytes, rec.t_post, rec.t_done,
                           retry=span.retries if span is not None else 0,
                           fault=rec.fault)

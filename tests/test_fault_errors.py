@@ -8,8 +8,10 @@ addresses must NAK like a real NIC instead of raising a Python
 two monitors watch the same verbs and must not confuse each other); and
 the fault kinds deliberately *excluded* from the chaos mix (``stale_cas``)
 must still be containable by a correctly written client when targeted
-explicitly.  A fabric rule is a per-verb rate: one scheduled with
-``at_verb`` is refused at validation, not filed as an environment event.
+explicitly.  A rule that cannot fire as written - a missing or doubled
+trigger, a probability outside [0, 1], a filter on an environment rule,
+a target the cluster does not have - is refused when it is attached,
+not discovered mid-run.
 """
 
 import pytest
@@ -21,8 +23,9 @@ from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.rdma import OpStats, ReadOp
 from repro.errors import ConfigError, InjectedFault, RetryLimitExceeded
-from repro.fault import FaultPlan, FaultRule, RetryPolicy, drop, stale_cas
-from repro.fault.plan import FABRIC_KINDS
+from repro.dm.memory import make_addr
+from repro.fault import FaultPlan, FaultRule, RetryPolicy, crash_cn, \
+    crash_mn, drop, flip, poke, stale_cas
 from repro.race import RaceClient, TableParams, create_table, fp2_of, key_hash
 
 
@@ -305,13 +308,56 @@ def test_stale_cas_is_contained_when_targeted():
     assert survived > 0, "every insert failed - containment untestable"
 
 
-@pytest.mark.parametrize("kind", FABRIC_KINDS)
-def test_scheduled_fabric_rule_is_refused(kind):
-    # Filed with the environment rules, it would fire at verb 2 as the
-    # crash_mn fallback: a KeyError with mn=None, a blanked MN with mn=1.
-    rule = FaultRule(kind=kind, at_verb=2, prob=1.0, delay_ns=1000, mn=1)
-    with pytest.raises(ConfigError, match="at_verb"):
+_MN0 = make_addr(0, 128)
+_CAP = 1 << 16  # the smallest MN a ClusterConfig admits
+
+#: (id, rule, refused by FaultRule.validate too - not only at attach).
+_MALFORMED = [
+    ("crash_cn-negative-at_verb", crash_cn(-5), True),
+    ("crash_mn-negative-at_verb", crash_mn(0, at_verb=-3), True),
+    ("flip-prob-out-of-range",
+     FaultRule(kind="flip", addr=_MN0, prob=7.0), True),
+    ("delay-both-triggers",
+     FaultRule(kind="delay", at_verb=2, prob=0.5, delay_ns=100), True),
+    ("drop-prob-out-of-range", drop(1.5), True),
+    # Misfired as a bare "drop" with no MN lost and no byte poked:
+    ("crash_mn-rate", FaultRule(kind="crash_mn", mn=0, prob=1.0), True),
+    ("poke-rate",
+     FaultRule(kind="poke", addr=_MN0, data=b"x", prob=1.0), True),
+    ("crash_mn-unscheduled", FaultRule(kind="crash_mn", mn=0), True),
+    ("poke-unscheduled", FaultRule(kind="poke", addr=_MN0, data=b"x"),
+     True),
+    ("flip-unscheduled", FaultRule(kind="flip", addr=_MN0), True),
+    ("crash_cn-unscheduled", FaultRule(kind="crash_cn"), True),
+    ("flip-verb-filter",
+     FaultRule(kind="flip", addr=_MN0, at_verb=0, verbs=("read",)), True),
+    # Targets a cluster of 3 MNs of _CAP bytes does not have:
+    ("poke-missing-mn", poke(make_addr(5, 128), b"x"), False),
+    ("poke-past-capacity", poke(make_addr(0, 2 * _CAP), b"xy"), False),
+    ("poke-reserved-page", poke(make_addr(0, 8), b"x"), False),
+    ("flip-span-past-capacity", flip(make_addr(1, _CAP - 6), length=8),
+     False),
+    ("crash_mn-missing-mn", crash_mn(7), False),
+]
+
+
+@pytest.mark.parametrize("rule,in_validate",
+                         [case[1:] for case in _MALFORMED],
+                         ids=[case[0] for case in _MALFORMED])
+def test_malformed_rule_is_refused(rule, in_validate):
+    """A rule that cannot fire as written is refused with a
+    ``ConfigError`` when it is attached - by ``FaultRule.validate`` when
+    the rule alone is malformed, by the target check against the
+    cluster's memories when it names memory the cluster does not have -
+    never at fire time, mid-run."""
+    if in_validate:
+        with pytest.raises(ConfigError):
+            rule.validate()
+    else:
         rule.validate()
-    with pytest.raises(ConfigError, match="at_verb"):
-        Cluster(ClusterConfig()).attach_faults(
-            FaultPlan(seed=0, rules=(rule,)))
+    cluster = Cluster(ClusterConfig(mn_capacity_bytes=_CAP))
+    with pytest.raises(ConfigError):
+        cluster.attach_faults(FaultPlan(seed=0, rules=(rule,)))
+    assert cluster.injector is None
+    assert all(len(memory._data) <= memory.capacity
+               for memory in cluster.memories.values())
