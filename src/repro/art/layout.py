@@ -80,8 +80,8 @@ SLOT = BitStruct("slot", [
     ("occupied", 1),
 ])
 
-# The same layout as masks and shifts, for code that works on raw slot
-# words (NodeView, the scan walk) instead of building Slot objects.
+# The same layout as masks and shifts: the data path keeps slot words
+# raw (NodeView.child_word, the walks, fsck) and never builds a Slot.
 SLOT_ADDR_MASK = SLOT.fields["addr"].mask
 SLOT_PARTIAL_SHIFT = SLOT.fields["partial"].shift
 SLOT_SIZE_SHIFT = SLOT.fields["size_class"].shift
@@ -95,6 +95,14 @@ HASH_ENTRY = BitStruct("hash_entry", [
     ("node_type", 3),
     ("occupied", 1),
 ])
+
+# The entry layout as masks and shifts, for RACE lookups and the INHT.
+HASH_ENTRY_ADDR_MASK = HASH_ENTRY.fields["addr"].mask
+HASH_ENTRY_FP2_SHIFT = HASH_ENTRY.fields["fp2"].shift
+HASH_ENTRY_FP2_MASK = (1 << HASH_ENTRY.fields["fp2"].width) - 1
+HASH_ENTRY_TYPE_SHIFT = HASH_ENTRY.fields["node_type"].shift
+HASH_ENTRY_TYPE_MASK = (1 << HASH_ENTRY.fields["node_type"].width) - 1
+HASH_ENTRY_OCCUPIED = HASH_ENTRY.fields["occupied"].mask
 
 FP2_BITS = 12
 EMPTY_WORD = 0
@@ -134,14 +142,24 @@ def slot_word(addr: int, partial: int, size_class: int, is_leaf: bool,
             | (bool(is_leaf) << 62) | (bool(occupied) << 63))
 
 
-# Decoded-word memos.  Header/Slot/HashEntry are frozen dataclasses, so
-# one instance per distinct word can be shared by every decode; traversals
-# re-read the same hot nodes constantly and allocating a fresh object per
-# unpack dominated decode time.  Process-wide ``hashing.memo`` tables
-# under the one ``cache_put`` bound (DESIGN.md 11.9).
+def hash_entry_word(addr: int, fp2: int, node_type: int,
+                    occupied: bool = True) -> int:
+    """One packed hash-table entry word: the hand-coded (hot path)
+    equivalent of ``HASH_ENTRY.pack(**fields)``; ``HashEntry.pack`` and
+    the INHT share it."""
+    if not (0 <= addr < (1 << 48) and 0 <= fp2 < (1 << 12) and
+            0 <= node_type < 8):
+        return HASH_ENTRY.pack(addr=addr, fp2=fp2, node_type=node_type,
+                               occupied=int(occupied))
+    return addr | (fp2 << 48) | (node_type << 60) | (bool(occupied) << 63)
+
+
+# The decoded-header memo.  Header is a frozen dataclass, so one instance
+# per distinct word is shared by every decode of the hot nodes' headers.
+# A process-wide ``hashing.memo`` table under the one ``cache_put`` bound
+# (DESIGN.md 11.9).  Slot and hash-entry words have no memo: the data
+# path reads them raw through the masks above (DESIGN.md 11.11).
 _HEADER_MEMO = memo("layout.header")
-_SLOT_MEMO = memo("layout.slot")
-_HASH_ENTRY_MEMO = memo("layout.hash_entry")
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +190,8 @@ class Header:
 
 @dataclass(frozen=True, slots=True)
 class Slot:
-    """Decoded child slot."""
+    """Decoded child slot (tests and introspection; the data path reads
+    the raw word)."""
 
     addr: int
     partial: int
@@ -186,15 +205,10 @@ class Slot:
 
     @staticmethod
     def unpack(word: int) -> "Slot":
-        # Hand-coded (hot path): equivalent to SLOT.unpack().
-        slot = _SLOT_MEMO.get(word)
-        if slot is None:
-            slot = Slot(
-                word & 0xFFFFFFFFFFFF, (word >> 48) & 0xFF,
-                (word >> 56) & 0x3F, bool((word >> 62) & 1),
-                bool((word >> 63) & 1))
-            cache_put(_SLOT_MEMO, word, slot)
-        return slot
+        # Equivalent to SLOT.unpack().
+        return Slot(word & SLOT_ADDR_MASK, (word >> SLOT_PARTIAL_SHIFT) & 0xFF,
+                    (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK,
+                    bool(word & SLOT_LEAF), bool(word & SLOT_OCCUPIED))
 
     def leaf_size(self) -> int:
         """Byte size of the leaf this slot points at (LeafLen * 64)."""
@@ -211,7 +225,8 @@ class Slot:
 
 @dataclass(frozen=True, slots=True)
 class HashEntry:
-    """Decoded inner-node hash-table entry."""
+    """Decoded inner-node hash-table entry (tests and introspection; the
+    data path reads the raw word)."""
 
     addr: int
     fp2: int
@@ -219,25 +234,17 @@ class HashEntry:
     occupied: bool
 
     def pack(self) -> int:
-        # Hand-coded (hot path): equivalent to HASH_ENTRY.pack(**fields).
-        addr, fp2, node_type = self.addr, self.fp2, self.node_type
-        if not (0 <= addr < (1 << 48) and 0 <= fp2 < (1 << 12) and
-                0 <= node_type < 8):
-            return HASH_ENTRY.pack(addr=addr, fp2=fp2, node_type=node_type,
-                                   occupied=int(self.occupied))
-        return (addr | (fp2 << 48) | (node_type << 60)
-                | (bool(self.occupied) << 63))
+        return hash_entry_word(self.addr, self.fp2, self.node_type,
+                               self.occupied)
 
     @staticmethod
     def unpack(word: int) -> "HashEntry":
-        # Hand-coded (hot path): equivalent to HASH_ENTRY.unpack().
-        entry = _HASH_ENTRY_MEMO.get(word)
-        if entry is None:
-            entry = HashEntry(
-                word & 0xFFFFFFFFFFFF, (word >> 48) & 0xFFF,
-                (word >> 60) & 0x7, bool((word >> 63) & 1))
-            cache_put(_HASH_ENTRY_MEMO, word, entry)
-        return entry
+        # Equivalent to HASH_ENTRY.unpack().
+        return HashEntry(
+            word & HASH_ENTRY_ADDR_MASK,
+            (word >> HASH_ENTRY_FP2_SHIFT) & HASH_ENTRY_FP2_MASK,
+            (word >> HASH_ENTRY_TYPE_SHIFT) & HASH_ENTRY_TYPE_MASK,
+            bool(word & HASH_ENTRY_OCCUPIED))
 
 
 # -- whole-node encode/decode -------------------------------------------------
@@ -260,12 +267,20 @@ def encode_node_words(header: Header, words: List[int]) -> bytes:
     return _NODE_STRUCTS[header.node_type].pack(header.pack(), *words)
 
 
+# A word's bits 48-63 masked to "occupied | partial byte": equal to
+# ``_OCCUPIED_PARTIAL | partial`` exactly for an occupied slot of that byte.
+_OCCUPIED_PARTIAL = SLOT_OCCUPIED >> SLOT_PARTIAL_SHIFT
+_PARTIAL_MATCH_MASK = _OCCUPIED_PARTIAL | 0xFF
+
+
 class NodeView:
     """A decoded node as read from remote memory.
 
-    Slot words are kept raw and decoded lazily: a Node-256 read touches a
-    single slot in the common case, so eagerly building 256 Slot objects
-    per read dominated benchmark wall time.
+    Slot words stay raw: every consumer on the data path takes the word
+    from :meth:`child_word` or :attr:`words` and reads its fields through
+    the ``SLOT_*`` masks.  :attr:`slots`, :meth:`occupied_slots` and
+    :meth:`find_child` decode :class:`Slot` records for tests and
+    introspection only.
     """
 
     __slots__ = ("header", "words")
@@ -274,29 +289,38 @@ class NodeView:
         self.header = header
         self.words = words  # exactly capacity raw 64-bit slot words
 
+    def child_word(self, partial: int) -> int:
+        """The occupied slot word for key byte ``partial``, or 0 if the
+        node has no such child: the one child lookup.
+
+        Node256 is direct-indexed by the byte; smaller nodes are scanned
+        and the first matching index wins.
+        """
+        if self.header.node_type == NODE256:
+            word = self.words[partial]
+            return word if word & SLOT_OCCUPIED else 0
+        want = _OCCUPIED_PARTIAL | partial
+        for word in self.words:
+            if ((word >> SLOT_PARTIAL_SHIFT) & _PARTIAL_MATCH_MASK) == want:
+                return word
+        return 0
+
     @property
     def slots(self) -> List[Slot]:
-        """All slots decoded (tests/introspection; not the hot path)."""
+        """All slots decoded (introspection)."""
         return [Slot.unpack(w) for w in self.words]
 
     def occupied_slots(self) -> List[Slot]:
+        """The occupied slots decoded, in index order (introspection)."""
         return [Slot.unpack(w) for w in self.words if w & SLOT_OCCUPIED]
 
     def occupied_count(self) -> int:
         return sum(1 for w in self.words if w & SLOT_OCCUPIED)
 
     def find_child(self, partial: int) -> Optional[Slot]:
-        """Locate the child slot for key byte ``partial``.
-
-        Node256 is direct-indexed by the byte; smaller nodes are scanned.
-        """
-        if self.header.node_type == NODE256:
-            word = self.words[partial]
-            return Slot.unpack(word) if word & SLOT_OCCUPIED else None
-        for word in self.words:
-            if word & SLOT_OCCUPIED and ((word >> 48) & 0xFF) == partial:
-                return Slot.unpack(word)
-        return None
+        """:meth:`child_word` decoded, None if absent (introspection)."""
+        word = self.child_word(partial)
+        return Slot.unpack(word) if word else None
 
     def first_free_index(self) -> Optional[int]:
         if self.header.node_type == NODE256:

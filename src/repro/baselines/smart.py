@@ -24,7 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..art.layout import NODE256, STATUS_INVALID, NodeView
+from ..art.layout import (
+    NODE256,
+    SLOT_ADDR_MASK,
+    SLOT_LEAF,
+    STATUS_INVALID,
+    NodeView,
+)
 from ..core.remote_art import RETRY, OpContext, RemoteArtTree
 from ..dm.cluster import Cluster
 from ..errors import ReproError
@@ -114,22 +120,23 @@ class SmartClient(RemoteArtTree):
                 depth = cur.header.depth
                 if depth >= len(key):
                     break
-                slot = cur.find_child(key[depth])
-                if slot is None or slot.is_leaf:
+                word = cur.child_word(key[depth])
+                if not word or word & SLOT_LEAF:
                     break
-                child = self.cache.get(slot.addr)
+                child_addr = word & SLOT_ADDR_MASK
+                child = self.cache.get(child_addr)
                 if child is None:
                     break
                 cheader = child.header
                 if cheader.status == STATUS_INVALID:
-                    self.cache.drop(slot.addr)
+                    self.cache.drop(child_addr)
                     break
                 if (cheader.depth > ctx.limit
                         or cheader.depth >= len(key)
                         or cheader.prefix_hash
                         != prefix_hash42(key[:cheader.depth])):
                     break
-                cur_addr, cur = slot.addr, child
+                cur_addr, cur = child_addr, child
             stop_addr, stop_view = cur_addr, cur
         if stop_view is not None and ctx.attempt == 0:
             return stop_addr, stop_view, False  # trust the cache for now

@@ -39,7 +39,7 @@ Profile mode: ``--profile`` attaches a ``repro.obs`` tracer to every
 fig4/fig5 cell and prints the per-op round-trip/bytes/retry breakdown
 and, under it, the memo census (``repro.util.hashing.memo_census()``:
 entries held by every process-wide memo of a pure function - ``hash64``
-per seed, the ART word decoders' ``layout.*``, the filter's
+per seed, the ART header decoder's ``layout.header``, the filter's
 ``filter.*`` tables, ``zipf.zeta``; each is cleared wholesale at one
 bound);
 ``--trace-out trace.json`` additionally writes the Chrome

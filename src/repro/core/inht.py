@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..art.layout import HashEntry
+from ..art.layout import hash_entry_word
 from ..dm.cluster import Cluster
 from ..fault.retry import UNTIMED
 from ..race.client import RaceClient
@@ -65,23 +65,22 @@ class InhtClient:
         return self._clients[self._placement.mn_for_prefix(prefix)]
 
     def entry_for(self, prefix: bytes, node_addr: int,
-                  node_type: int) -> HashEntry:
-        """Build the wire entry for ``prefix`` (fp2 derived per-table)."""
+                  node_type: int) -> int:
+        """The wire entry word for ``prefix`` (fp2 derived per-table)."""
         client = self._client_for(prefix)
         h = key_hash(prefix, client.params.seed)
-        return HashEntry(addr=node_addr, fp2=fp2_of(h),
-                         node_type=node_type, occupied=True)
+        return hash_entry_word(node_addr, fp2_of(h), node_type)
 
     # -- op generators -----------------------------------------------------
     def lookup(self, prefix: bytes, deadline: Optional[int] = None):
-        """Candidate entries for ``prefix`` -> [(slot_addr, HashEntry)]."""
+        """Candidate entries for ``prefix`` -> [(slot_addr, word)]."""
         return (yield from self._client_for(prefix).lookup(prefix, deadline))
 
     def insert(self, prefix: bytes, node_addr: int, node_type: int):
         """Register a freshly published inner node: post-commit
         bookkeeping, so it runs ``UNTIMED``."""
-        entry = self.entry_for(prefix, node_addr, node_type)
-        return (yield from self._client_for(prefix).insert(prefix, entry,
+        word = self.entry_for(prefix, node_addr, node_type)
+        return (yield from self._client_for(prefix).insert(prefix, word,
                                                            UNTIMED))
 
     def update_for_type_switch(self, prefix: bytes, old_addr: int,

@@ -61,7 +61,6 @@ from ..art.layout import (
     HEADER_COUNT_ONE,
     Header,
     NodeView,
-    Slot,
     decode_leaf,
     decode_node,
     encode_leaf,
@@ -343,11 +342,12 @@ class RemoteArtTree:
         42-bit prefix hash match the key is on the path - it becomes the
         current node and, having just been read, is trusted.
 
-        Returns RETRY or the *landing* ``(addr, view, trusted, slot,
-        child, parent)``: ``slot`` is None (no child for the byte), a leaf
-        slot (``child`` None, leaf not read yet), or an inner slot whose
-        ``child`` diverges from the key; ``parent`` is the ``(addr,
-        view)`` hop above ``addr``, None when the walk never advanced.
+        Returns RETRY or the *landing* ``(addr, view, trusted, word,
+        child, parent)``: ``word`` is the raw slot word for the key's byte
+        - 0 (no child), a leaf slot (``child`` None, leaf not read yet),
+        or an inner slot whose ``child`` diverges from the key; ``parent``
+        is the ``(addr, view)`` hop above ``addr``, None when the walk
+        never advanced.
         """
         if located is RETRY:
             return RETRY
@@ -363,26 +363,28 @@ class RemoteArtTree:
             depth = header.depth
             if depth >= key_len:
                 return self._false_positive(ctx, depth)
-            slot = view.find_child(key[depth])
-            if slot is None or slot.is_leaf:
-                return addr, view, trusted, slot, None, parent
-            child = yield from self._read_node(slot.addr, slot.size_class)
+            word = view.child_word(key[depth])
+            if not word or word & SLOT_LEAF:
+                return addr, view, trusted, word, None, parent
+            child_addr = word & SLOT_ADDR_MASK
+            child = yield from self._read_node(
+                child_addr, (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK)
             if child is None:
                 return RETRY
             cheader = child.header
             if cheader.status == STATUS_INVALID:
-                self.invalidate_hint(slot.addr)
+                self.invalidate_hint(child_addr)
                 return RETRY
             if cheader.depth <= depth:
                 return RETRY  # structurally impossible -> stale read
             if (cheader.depth >= key_len
                     or cheader.prefix_hash
                     != prefix_hash42(key[:cheader.depth])):
-                return addr, view, trusted, slot, child, parent
+                return addr, view, trusted, word, child, parent
             if note_path:
                 self.on_path(key[:cheader.depth])
             parent = (addr, view)
-            addr, view, trusted = slot.addr, child, True
+            addr, view, trusted = child_addr, child, True
 
     def _absent(self, ctx: OpContext, landing, leaf):
         """The negative verdict at ``landing``: the key's byte has no
@@ -428,15 +430,17 @@ class RemoteArtTree:
             landing = yield from self._descend(ctx, located)
             if landing is RETRY:
                 return RETRY
-            slot = landing[3]
+            word = landing[3]
             leaf = None
-            if slot is not None and slot.is_leaf:
-                leaf = yield from leaf_ops.read_leaf(
-                    slot.addr, slot.size_class, retry=self.retry)
+            if word & SLOT_LEAF:
+                leaf_addr = word & SLOT_ADDR_MASK
+                units = (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK
+                leaf = yield from leaf_ops.read_leaf(leaf_addr, units,
+                                                     retry=self.retry)
                 if leaf.status == STATUS_INVALID:
                     return RETRY  # mid-delete; retry until slot clears
                 if leaf.key == key:
-                    self.note_leaf(key, slot.addr, slot.size_class)
+                    self.note_leaf(key, leaf_addr, units)
                     return leaf.value
             located = yield from self._absent(ctx, landing, leaf)
             if located is None:
@@ -461,19 +465,20 @@ class RemoteArtTree:
         landing = yield from self._descend(ctx, located)
         if landing is RETRY:
             return RETRY
-        addr, view, _trusted, slot, child, parent = landing
+        addr, view, _trusted, word, child, parent = landing
         depth = view.header.depth
-        if slot is None:
+        if not word:
             return (yield from self._install_new_leaf(
                 addr, view, parent, key, value))
         if child is None:
             leaf = yield from leaf_ops.read_leaf(
-                slot.addr, slot.size_class, retry=self.retry)
+                word & SLOT_ADDR_MASK,
+                (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK, retry=self.retry)
             if leaf.status != STATUS_IDLE:
                 return RETRY
             if leaf.key == key:
                 outcome = yield from self._update_leaf(
-                    addr, view, slot, leaf, value)
+                    addr, view, word, leaf, value)
                 return False if outcome is not RETRY else RETRY
             existing_key = leaf.key
             split_depth = common_prefix_len(key, existing_key)
@@ -486,13 +491,13 @@ class RemoteArtTree:
                 return RETRY
             if witness is EMPTY_SUBTREE:
                 return (yield from self._replace_empty_child(
-                    addr, view, slot, child, key, value))
+                    addr, view, word, child, key, value))
             existing_key = witness[:child.header.depth]
             split_depth = common_prefix_len(key, existing_key)
             if not depth < split_depth < child.header.depth:
                 return RETRY  # raced a structural change
         outcome = yield from self._split_at_slot(
-            addr, view, slot, key, value,
+            addr, view, word, key, value,
             existing_key=existing_key, split_depth=split_depth)
         if outcome is RETRY:
             return RETRY
@@ -579,8 +584,7 @@ class RemoteArtTree:
             self.metrics.lock_failures += 1
             return RETRY
         fresh = yield from self._read_node(node_addr, view.header.node_type)
-        if fresh is None or fresh.find_child(key[view.header.depth]) \
-                is not None:
+        if fresh is None or fresh.child_word(key[view.header.depth]):
             yield unlock_op(node_addr, view.header)
             return RETRY
         free_index = fresh.first_free_index()
@@ -596,7 +600,7 @@ class RemoteArtTree:
         return outcome
 
     def _replace_empty_child(self, node_addr: int, view: NodeView,
-                             slot: Slot, child: NodeView, key: bytes,
+                             word: int, child: NodeView, key: bytes,
                              value: bytes):
         """Swap a verifiably empty inner child for a fresh leaf.
 
@@ -607,34 +611,36 @@ class RemoteArtTree:
         tolerate entries pointing at Invalid nodes, so the entry is a
         bounded space leak, not a correctness issue.
         """
-        locked = yield from try_lock_node(slot.addr, child.header)
+        child_addr = word & SLOT_ADDR_MASK
+        child_type = (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK
+        locked = yield from try_lock_node(child_addr, child.header)
         if not locked:
             self.metrics.lock_failures += 1
             return RETRY
-        fresh = yield from self._read_node(slot.addr, slot.size_class)
+        fresh = yield from self._read_node(child_addr, child_type)
         if fresh is None:
-            yield unlock_op(slot.addr, child.header)
+            yield unlock_op(child_addr, child.header)
             return RETRY
         if fresh.occupied_count() > 0:
-            yield unlock_op(slot.addr, fresh.header)
+            yield unlock_op(child_addr, fresh.header)
             return RETRY
         leaf_addr, units = self._alloc_leaf(key, value)
         depth = view.header.depth
         new_word = slot_word(leaf_addr, key[depth], units, is_leaf=True)
         yield WriteOp(leaf_addr, encode_leaf(key, value))
-        ok = yield from self._replace_slot(node_addr, view, slot, new_word)
+        ok = yield from self._replace_slot(node_addr, view, word, new_word)
         if not ok:
-            yield unlock_op(slot.addr, fresh.header)
+            yield unlock_op(child_addr, fresh.header)
             self._free_leaf(leaf_addr, units)
             return RETRY
-        yield invalidate_op(slot.addr, fresh.header)
-        self.invalidate_hint(slot.addr)
-        self._retire_inner(slot.addr, slot.size_class)
+        yield invalidate_op(child_addr, fresh.header)
+        self.invalidate_hint(child_addr)
+        self._retire_inner(child_addr, child_type)
         self.metrics.empty_replacements += 1
         self.note_leaf(key, leaf_addr, units)
         return True
 
-    def _update_leaf(self, node_addr: int, view: NodeView, slot: Slot,
+    def _update_leaf(self, node_addr: int, view: NodeView, word: int,
                      leaf, value: bytes):
         """Overwrite an existing leaf's value, in place when it fits.
 
@@ -643,16 +649,18 @@ class RemoteArtTree:
         backoff instead of restarting the whole operation (~5 round
         trips), which is both cheaper and far less convoy-prone.
         """
+        leaf_addr = word & SLOT_ADDR_MASK
         if leaf_units_for(len(leaf.key), len(value)) <= leaf.units:
             for attempt in range(self.retry.inplace_update_retries):
-                ok = yield from leaf_ops.in_place_update(slot.addr, leaf,
+                ok = yield from leaf_ops.in_place_update(leaf_addr, leaf,
                                                          value)
                 if ok:
-                    self.note_leaf(leaf.key, slot.addr, leaf.units)
+                    self.note_leaf(leaf.key, leaf_addr, leaf.units)
                     return True
                 yield LocalCompute(self._backoff_delay(attempt))
                 leaf = yield from leaf_ops.read_leaf(
-                    slot.addr, slot.size_class, retry=self.retry)
+                    leaf_addr, (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK,
+                    retry=self.retry)
                 if (leaf.status != STATUS_IDLE
                         or not leaf.checksum_ok
                         or leaf_units_for(len(leaf.key), len(value))
@@ -665,44 +673,47 @@ class RemoteArtTree:
                                 len(leaf.value))
         locked = leaf_status_word(STATUS_LOCKED, leaf.units, len(leaf.key),
                                   len(leaf.value))
-        swapped, _ = yield CasOp(slot.addr, idle, locked, lease=("leaf",))
+        swapped, _ = yield CasOp(leaf_addr, idle, locked, lease=("leaf",))
         if not swapped:
             return RETRY
         new_addr, units = self._alloc_leaf(leaf.key, value)
-        new_word = slot_word(new_addr, slot.partial, units, is_leaf=True)
+        new_word = slot_word(new_addr, (word >> SLOT_PARTIAL_SHIFT) & 0xFF,
+                             units, is_leaf=True)
         yield WriteOp(new_addr, encode_leaf(leaf.key, value))
-        ok = yield from self._replace_slot(node_addr, view, slot, new_word)
+        ok = yield from self._replace_slot(node_addr, view, word, new_word)
         if not ok:
             # Roll back: release the old leaf and drop the new one.
-            unlocked, _ = yield CasOp(slot.addr, locked, idle,
+            unlocked, _ = yield CasOp(leaf_addr, locked, idle,
                                       lease=("release",))
             if not unlocked:
                 # We hold this leaf's lock; nobody may touch the word.
                 raise ReproError(
                     f"leaf unlock CAS failed while holding the lock at "
-                    f"{format_addr(slot.addr)}: index corruption")
+                    f"{format_addr(leaf_addr)}: index corruption")
             self._free_leaf(new_addr, units)
             return RETRY
         invalid = leaf_status_word(STATUS_INVALID, leaf.units, len(leaf.key),
                                    len(leaf.value))
-        yield WriteOp(slot.addr, invalid.to_bytes(8, "little"),
+        yield WriteOp(leaf_addr, invalid.to_bytes(8, "little"),
                       lease=("release",))
-        self._free_leaf(slot.addr, leaf.units)
+        self._free_leaf(leaf_addr, leaf.units)
         self.note_leaf(leaf.key, new_addr, units)
         return True
 
-    def _split_at_slot(self, node_addr: int, view: NodeView, slot: Slot,
+    def _split_at_slot(self, node_addr: int, view: NodeView, word: int,
                        key: bytes, value: bytes, existing_key: bytes,
                        split_depth: int):
-        """Replace ``slot`` with a new inner node holding the existing
-        child and a new leaf for ``key`` (leaf split or edge split)."""
+        """Replace the slot holding ``word`` with a new inner node holding
+        the existing child and a new leaf for ``key`` (leaf split or edge
+        split)."""
         prefix = key[:split_depth]
         leaf_addr, units = self._alloc_leaf(key, value)
         node_type = self.node_type_for(2)
         inner_addr = self._alloc_inner(prefix, node_type)
         existing_child = slot_word(
-            slot.addr, existing_key[split_depth], slot.size_class,
-            is_leaf=slot.is_leaf)
+            word & SLOT_ADDR_MASK, existing_key[split_depth],
+            (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK,
+            is_leaf=bool(word & SLOT_LEAF))
         new_leaf_child = slot_word(leaf_addr, key[split_depth], units,
                                    is_leaf=True)
         header = Header(STATUS_IDLE, node_type, split_depth,
@@ -717,9 +728,9 @@ class RemoteArtTree:
         ] + list(extra_ops))
         if coupling is not None and extra_ops:
             coupling.parse(results[2:])
-        inner_slot = slot_word(inner_addr, slot.partial, node_type,
-                               is_leaf=False)
-        ok = yield from self._replace_slot(node_addr, view, slot, inner_slot)
+        inner_slot = slot_word(inner_addr, (word >> SLOT_PARTIAL_SHIFT) & 0xFF,
+                               node_type, is_leaf=False)
+        ok = yield from self._replace_slot(node_addr, view, word, inner_slot)
         if not ok:
             self._free_leaf(leaf_addr, units)
             self._free_inner(inner_addr, node_type)
@@ -731,24 +742,26 @@ class RemoteArtTree:
         self.note_leaf(key, leaf_addr, units)
         return True
 
-    def _replace_slot(self, node_addr: int, view: NodeView, old_slot: Slot,
+    def _replace_slot(self, node_addr: int, view: NodeView, old_word: int,
                       new_word: int):
-        """Atomically swap one child slot of ``node_addr``.
+        """Atomically swap one child slot of ``node_addr`` from the raw
+        word ``old_word`` (the CAS's expected value) to ``new_word``.
 
         Node-256 slots are CASed lock-free (a Node-256 never type-switches,
         so the slot address is stable); smaller nodes take the node lock to
         exclude a concurrent type switch migrating the slots.
         """
         if view.header.node_type == NODE256:
-            slot_addr = self._slot_addr(node_addr, old_slot.partial)
-            swapped, _ = yield CasOp(slot_addr, old_slot.pack(), new_word)
+            slot_addr = self._slot_addr(
+                node_addr, (old_word >> SLOT_PARTIAL_SHIFT) & 0xFF)
+            swapped, _ = yield CasOp(slot_addr, old_word, new_word)
             return swapped
         # Small node, 2 round trips: lock, then [slot CAS + unlock] in one
         # doorbell.  The slot CAS needs no fresh read - slot indexes are
         # stable (append-only cursor) and the CAS expected value detects
         # any concurrent replacement; the unlock rides the same batch, so
         # a failed CAS leaves the node consistent and the caller retries.
-        index = view.find_index_by_addr(old_slot.addr)
+        index = view.find_index_by_addr(old_word & SLOT_ADDR_MASK)
         if index is None:
             return False
         locked = yield from try_lock_node(node_addr, view.header)
@@ -756,8 +769,7 @@ class RemoteArtTree:
             self.metrics.lock_failures += 1
             return False
         cas, _u = yield Batch([
-            CasOp(self._slot_addr(node_addr, index), old_slot.pack(),
-                  new_word),
+            CasOp(self._slot_addr(node_addr, index), old_word, new_word),
             unlock_op(node_addr, view.header),
         ])
         return cas[0]
@@ -789,14 +801,13 @@ class RemoteArtTree:
             self._free_inner(new_addr, new_type)
             return RETRY
         parent_addr, parent_view = parent
-        old_parent_slot = Slot(addr=old_addr,
-                               partial=key[parent_view.header.depth],
-                               size_class=old_type, is_leaf=False,
-                               occupied=True)
-        new_parent_word = slot_word(
-            new_addr, key[parent_view.header.depth], new_type, is_leaf=False)
+        partial = key[parent_view.header.depth]
+        old_parent_word = slot_word(old_addr, partial, old_type,
+                                    is_leaf=False)
+        new_parent_word = slot_word(new_addr, partial, new_type,
+                                    is_leaf=False)
         ok = yield from self._replace_slot(parent_addr, parent_view,
-                                           old_parent_slot, new_parent_word)
+                                           old_parent_word, new_parent_word)
         if not ok:
             yield unlock_op(old_addr, header)
             self._free_inner(new_addr, new_type)
@@ -822,15 +833,17 @@ class RemoteArtTree:
             header = cur.header
             if header.status == STATUS_INVALID or header.depth >= child_depth:
                 return None
-            slot = cur.find_child(key[header.depth])
-            if slot is None or slot.is_leaf:
+            word = cur.child_word(key[header.depth])
+            if not word or word & SLOT_LEAF:
                 return None
-            if slot.addr == child_addr:
+            addr = word & SLOT_ADDR_MASK
+            if addr == child_addr:
                 return cur_addr, cur
-            child = yield from self._read_node(slot.addr, slot.size_class)
+            child = yield from self._read_node(
+                addr, (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK)
             if child is None or child.header.status == STATUS_INVALID:
                 return None
-            cur_addr, cur = slot.addr, child
+            cur_addr, cur = addr, child
         return None
 
     def _recover_leaf_key(self, view: NodeView, depth_budget: int = 64):
@@ -843,19 +856,21 @@ class RemoteArtTree:
         """
         if depth_budget <= 0:
             return None
-        occupied = view.occupied_slots()
+        occupied = [word for word in view.words if word & SLOT_OCCUPIED]
         if not occupied:
             return EMPTY_SUBTREE
         transient = False
-        for slot in occupied:
-            if slot.is_leaf:
-                leaf = yield from leaf_ops.read_leaf(
-                    slot.addr, slot.size_class, retry=self.retry)
+        for word in occupied:
+            addr = word & SLOT_ADDR_MASK
+            size_class = (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK
+            if word & SLOT_LEAF:
+                leaf = yield from leaf_ops.read_leaf(addr, size_class,
+                                                     retry=self.retry)
                 if leaf.status == STATUS_INVALID or not leaf.checksum_ok:
                     transient = True
                     continue
                 return leaf.key
-            child = yield from self._read_node(slot.addr, slot.size_class)
+            child = yield from self._read_node(addr, size_class)
             if child is None or child.header.status == STATUS_INVALID:
                 transient = True
                 continue
@@ -885,18 +900,20 @@ class RemoteArtTree:
             landing = yield from self._descend(ctx, located)
             if landing is RETRY:
                 return RETRY
-            addr, view, _trusted, slot, _child, _parent = landing
+            addr, view, _trusted, word, _child, _parent = landing
             leaf = None
-            if slot is not None and slot.is_leaf:
+            if word & SLOT_LEAF:
                 leaf = yield from leaf_ops.read_leaf(
-                    slot.addr, slot.size_class, retry=self.retry)
+                    word & SLOT_ADDR_MASK,
+                    (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK,
+                    retry=self.retry)
                 # Unlike search / delete, a Locked leaf restarts the
                 # update *before* its key is compared (DESIGN.md 4.1).
                 if leaf.status != STATUS_IDLE:
                     return RETRY
                 if leaf.key == key:
                     return (yield from self._update_leaf(
-                        addr, view, slot, leaf, value))
+                        addr, view, word, leaf, value))
             located = yield from self._absent(ctx, landing, leaf)
             if located is None:
                 return False
@@ -920,27 +937,29 @@ class RemoteArtTree:
             landing = yield from self._descend(ctx, located, note_path=False)
             if landing is RETRY:
                 return RETRY
-            addr, view, _trusted, slot, _child, _parent = landing
+            addr, view, _trusted, word, _child, _parent = landing
             leaf = None
-            if slot is not None and slot.is_leaf:
+            if word & SLOT_LEAF:
+                leaf_addr = word & SLOT_ADDR_MASK
                 leaf = yield from leaf_ops.read_leaf(
-                    slot.addr, slot.size_class, retry=self.retry)
+                    leaf_addr, (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK,
+                    retry=self.retry)
                 if leaf.status == STATUS_INVALID:
                     return RETRY  # another delete is mid-flight
                 if leaf.key == key:
                     if leaf.status != STATUS_IDLE:
                         return RETRY
-                    ok = yield from leaf_ops.invalidate_leaf(slot.addr, leaf)
+                    ok = yield from leaf_ops.invalidate_leaf(leaf_addr, leaf)
                     if not ok:
                         return RETRY
                     return (yield from self._clear_leaf_slot(
-                        key, addr, view, slot, leaf.units))
+                        key, addr, view, word, leaf.units))
             located = yield from self._absent(ctx, landing, leaf)
             if located is None:
                 return False
 
     def _clear_leaf_slot(self, key: bytes, node_addr: int, view: NodeView,
-                         slot: Slot, units: int):
+                         word: int, units: int):
         """Unlink the leaf a delete just invalidated, then free it.
 
         The invalid leaf's slot must be cleared before the delete
@@ -952,18 +971,18 @@ class RemoteArtTree:
         cleared".  The leaf is already invalidated, so this loop keeps
         its budget but ignores the op's deadline (DESIGN.md 7.3).
         """
-        victim_addr = slot.addr
+        victim_addr = word & SLOT_ADDR_MASK
         attempts = self.retry.attempts(self.cluster, "clear leaf slot", key,
                                        UNTIMED)
         for _ in attempts:
-            cleared = yield from self._replace_slot(node_addr, view, slot, 0)
+            cleared = yield from self._replace_slot(node_addr, view, word, 0)
             if not cleared:
                 found = yield from self._chase_leaf_slot(key, victim_addr)
                 if found is RETRY:
                     yield attempts.pause(self.retry.flat_delay())
                     continue
                 if found is not None:  # relinked: clear it where it is
-                    node_addr, view, slot = found
+                    node_addr, view, word = found
                     continue
             # Cleared, or the key's path no longer reaches the victim:
             # either way it is unlinked and safe to reclaim.
@@ -972,7 +991,7 @@ class RemoteArtTree:
             return True
 
     def _chase_leaf_slot(self, key: bytes, leaf_addr: int):
-        """Find the (node, view, slot) currently linking ``leaf_addr`` on
+        """Find the (node, view, word) currently linking ``leaf_addr`` on
         ``key``'s path, descending from the root with full validation.
 
         Returns the triple, None if the key's path *definitely* does not
@@ -985,9 +1004,9 @@ class RemoteArtTree:
         landing = yield from self._descend(ctx, located, note_path=False)
         if landing is RETRY:
             return RETRY
-        addr, view, _trusted, slot, _child, _parent = landing
-        if slot is not None and slot.is_leaf and slot.addr == leaf_addr:
-            return addr, view, slot
+        addr, view, _trusted, word, _child, _parent = landing
+        if word & SLOT_LEAF and (word & SLOT_ADDR_MASK) == leaf_addr:
+            return addr, view, word
         return None  # path ends, diverges, or reaches a different leaf
 
     # ------------------------------------------------------------------

@@ -34,6 +34,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..art.layout import (
+    HASH_ENTRY_ADDR_MASK,
+    HASH_ENTRY_TYPE_MASK,
+    HASH_ENTRY_TYPE_SHIFT,
     LEAF_ALIGN,
     STATUS_INVALID,
     decode_leaf,
@@ -368,14 +371,16 @@ class SphinxClient(RemoteArtTree):
         return (yield from super().locate_start(ctx))
 
     @staticmethod
-    def _candidate_reads(matches: List[Tuple[int, object]]) -> Batch:
-        """One doorbell batch reading every fp2-matching INHT candidate."""
-        return Batch([ReadOp(entry.addr, node_size(entry.node_type))
-                      for _slot, entry in matches])
+    def _candidate_reads(matches: List[Tuple[int, int]]) -> Batch:
+        """One doorbell batch reading every fp2-matching INHT candidate
+        (``matches``: ``(slot_addr, entry_word)``)."""
+        return Batch([ReadOp(word & HASH_ENTRY_ADDR_MASK, node_size(
+            (word >> HASH_ENTRY_TYPE_SHIFT) & HASH_ENTRY_TYPE_MASK))
+            for _slot, word in matches])
 
     @staticmethod
     def _validate_candidates(prefix: bytes, depth: int,
-                             matches: List[Tuple[int, object]], blobs):
+                             matches: List[Tuple[int, int]], blobs):
         """Validate the candidates' images (``_candidate_reads``) by node
         type, header depth and 42-bit prefix hash.  A plain function: no
         generator frame between the ladder and its verbs.
@@ -386,19 +391,20 @@ class SphinxClient(RemoteArtTree):
         """
         target_hash = prefix_hash42(prefix)
         saw_invalid = False
-        for (_slot, entry), blob in zip(matches, blobs):
+        for (_slot, word), blob in zip(matches, blobs):
             try:
                 view = decode_node(blob)
             except ReproError:
                 continue
             header = view.header
-            if header.node_type != entry.node_type:
+            entry_type = (word >> HASH_ENTRY_TYPE_SHIFT) & HASH_ENTRY_TYPE_MASK
+            if header.node_type != entry_type:
                 continue
             if header.status == STATUS_INVALID:
                 saw_invalid = True
             elif (header.depth == depth
                     and header.prefix_hash == target_hash):
-                return entry.addr, view, True
+                return word & HASH_ENTRY_ADDR_MASK, view, True
         return RETRY if saw_invalid else None
 
     # ------------------------------------------------------------------

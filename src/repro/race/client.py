@@ -50,7 +50,12 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..art.layout import HashEntry
+from ..art.layout import (
+    HASH_ENTRY_ADDR_MASK,
+    HASH_ENTRY_FP2_MASK,
+    HASH_ENTRY_FP2_SHIFT,
+    HASH_ENTRY_OCCUPIED,
+)
 from ..dm.cluster import Cluster
 from ..dm.rdma import Batch, CasOp, LocalCompute, ReadOp, WriteOp
 from ..errors import HashTableError, InjectedFault, RetryLimitExceeded
@@ -75,12 +80,11 @@ class DirCacheEntry:
     local_depth: int
 
 
-_OCC = 1 << 63
-
-
 @dataclass
 class GroupView:
-    """A decoded bucket group (entry words decoded lazily - hot path)."""
+    """A decoded bucket group.  Entry words stay raw: readers take their
+    fields through the ``HASH_ENTRY_*`` masks (``HashEntry.unpack``
+    decodes one for introspection)."""
 
     addr: int
     local_depth: int
@@ -88,21 +92,20 @@ class GroupView:
     version: int
     words: Tuple[int, ...]            # slots_per_group raw entry words
 
-    @property
-    def entries(self) -> List[HashEntry]:
-        return [HashEntry.unpack(w) for w in self.words]
-
     def slot_addr(self, index: int) -> int:
         return self.addr + HEADER_SIZE + index * ENTRY_SIZE
 
-    def matches(self, fp2: int) -> List[Tuple[int, HashEntry]]:
-        return [(self.slot_addr(i), HashEntry.unpack(w))
+    def matches(self, fp2: int) -> List[Tuple[int, int]]:
+        """``(slot_addr, entry_word)`` of every occupied entry whose
+        fingerprint is ``fp2``, in slot order."""
+        return [(self.slot_addr(i), w)
                 for i, w in enumerate(self.words)
-                if w & _OCC and ((w >> 48) & 0xFFF) == fp2]
+                if w & HASH_ENTRY_OCCUPIED
+                and ((w >> HASH_ENTRY_FP2_SHIFT) & HASH_ENTRY_FP2_MASK) == fp2]
 
     def free_slot(self) -> Optional[int]:
         for i, w in enumerate(self.words):
-            if not w & _OCC:
+            if not w & HASH_ENTRY_OCCUPIED:
                 return self.slot_addr(i)
         return None
 
@@ -229,19 +232,19 @@ class RaceClient:
     # ``deadline``: the enclosing op's absolute deadline; None makes the
     # call an op of its own (repro.fault.retry.RetryPolicy.attempts).
     def lookup(self, key: bytes, deadline: Optional[int] = None):
-        """All entries whose fp2 matches ``key`` -> [(slot_addr, entry)]."""
+        """All entries whose fp2 matches ``key`` -> [(slot_addr, word)]."""
         h = key_hash(key, self.params.seed)
         group = yield from self._read_group(key, h, deadline)
         return group.matches(fp2_of(h))
 
-    def insert(self, key: bytes, entry: HashEntry,
+    def insert(self, key: bytes, word: int,
                deadline: Optional[int] = None):
-        """Install ``entry`` for ``key``; returns its slot address.  An
-        entry already present is not planted twice."""
+        """Install the entry ``word`` for ``key``; returns its slot
+        address.  An entry already present is not planted twice."""
         h = key_hash(key, self.params.seed)
-        if entry.fp2 != fp2_of(h):
+        fp2 = (word >> HASH_ENTRY_FP2_SHIFT) & HASH_ENTRY_FP2_MASK
+        if fp2 != fp2_of(h):
             raise HashTableError("entry fp2 inconsistent with key hash")
-        word = entry.pack()
 
         def rule(group: GroupView, _ambiguous: bool):
             held = group.slot_of(word)
@@ -252,13 +255,13 @@ class RaceClient:
 
         return (yield from self._write_slot("insert", key, h, rule, deadline))
 
-    def replace(self, key: bytes, old: HashEntry, new: HashEntry,
+    def replace(self, key: bytes, old_word: int, new_word: int,
                 deadline: Optional[int] = None):
-        """Repoint ``key``'s entry from ``old`` to ``new`` (a node type
-        switch).  True once ``new`` holds; False if ``old`` was gone, in
-        which case ``new`` is installed outright."""
+        """Repoint ``key``'s entry from ``old_word`` to ``new_word`` (a
+        node type switch).  True once ``new_word`` holds; False if
+        ``old_word`` was gone, in which case ``new_word`` is installed
+        outright."""
         h = key_hash(key, self.params.seed)
-        old_word, new_word = old.pack(), new.pack()
 
         def rule(group: GroupView, _ambiguous: bool):
             if group.slot_of(new_word) is not None:
@@ -279,9 +282,9 @@ class RaceClient:
         fp2 = fp2_of(h)
 
         def rule(group: GroupView, ambiguous: bool):
-            for slot_addr, entry in group.matches(fp2):
-                if entry.addr == node_addr:
-                    return _Write(slot_addr, entry.pack(), 0, True)
+            for slot_addr, word in group.matches(fp2):
+                if (word & HASH_ENTRY_ADDR_MASK) == node_addr:
+                    return _Write(slot_addr, word, 0, True)
             return ambiguous
 
         return (yield from self._write_slot("delete", key, h, rule, None))
@@ -354,9 +357,9 @@ class RaceClient:
             return None
         return self._group_addr(cached.seg_addr, h), h, cached.local_depth
 
-    def insert_into_group(self, key: bytes, entry: HashEntry,
-                          group: GroupView):
-        """One :meth:`_step` into a group read earlier (piggybacked).
+    def insert_into_group(self, key: bytes, word: int, group: GroupView):
+        """One :meth:`_step` of the entry ``word`` into a group read
+        earlier (piggybacked).
 
         True if the entry was installed; False sends the caller to
         :meth:`insert`, whose re-check resolves an ambiguous try.
@@ -367,7 +370,7 @@ class RaceClient:
         h = key_hash(key, self.params.seed)
         try:
             applied = yield from self._step(
-                h, group, _Write(free, 0, entry.pack(), free))
+                h, group, _Write(free, 0, word, free))
         except InjectedFault:
             return False
         return bool(applied)
@@ -470,9 +473,10 @@ class RaceClient:
         for group in groups:
             blob = bytearray(u64_to_bytes(GROUP_HEADER.pack(
                 local_depth=new_depth, locked=0, version=0)))
-            for i, entry in enumerate(group.entries):
-                if entry.occupied and entry.fp2 & move_bit:
-                    blob += u64_to_bytes(entry.pack())
+            for i, word in enumerate(group.words):
+                if word & HASH_ENTRY_OCCUPIED \
+                        and (word >> HASH_ENTRY_FP2_SHIFT) & move_bit:
+                    blob += u64_to_bytes(word)
                     moved_slots.append(group.slot_addr(i))
                 else:
                     blob += bytes(8)
@@ -568,8 +572,9 @@ class RaceClient:
                                           sibling["addr"], new_depth)
             finalize = []
             for group in groups:
-                for i, entry in enumerate(group.entries):
-                    if entry.occupied and entry.fp2 & move_bit:
+                for i, word in enumerate(group.words):
+                    if word & HASH_ENTRY_OCCUPIED \
+                            and (word >> HASH_ENTRY_FP2_SHIFT) & move_bit:
                         finalize.append(WriteOp(group.slot_addr(i),
                                                 bytes(8)))
             # Headers last, fence last of all: its word is what grants

@@ -18,8 +18,8 @@ Layout summary (little-endian 64-bit words):
 * meta word: ``global_depth | lock``
 * directory entry: ``segment addr (48) | local_depth (8) | occupied``
 * group header: ``local_depth (8) | locked (1) | version (40)``
-* entry: :class:`repro.art.layout.HashEntry` (addr 48, fp2 12, type 3,
-  occupied 1)
+* entry: ``repro.art.layout.HASH_ENTRY`` (addr 48, fp2 12, type 3,
+  occupied 1), read through its ``HASH_ENTRY_*`` masks
 
 A segment is ``groups_per_segment`` contiguous groups; a group is one
 header word plus ``slots_per_group`` entry words.

@@ -66,11 +66,18 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, \
 
 from ..art.keys import common_prefix_len
 from ..art.layout import (
-    HashEntry,
+    HASH_ENTRY_ADDR_MASK,
+    HASH_ENTRY_OCCUPIED,
     Header,
     NODE256,
     NODE_CAPACITY,
     NODE_TYPES,
+    SLOT_ADDR_MASK,
+    SLOT_LEAF,
+    SLOT_OCCUPIED,
+    SLOT_PARTIAL_SHIFT,
+    SLOT_SIZE_MASK,
+    SLOT_SIZE_SHIFT,
     STATUS_IDLE,
     STATUS_INVALID,
     STATUS_LOCKED,
@@ -85,8 +92,6 @@ from ..errors import ReproError
 from ..race.layout import DIR_ENTRY
 from ..util.bits import u64_from_bytes
 from ..util.hashing import prefix_hash42
-
-_OCC = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -186,19 +191,22 @@ def collect_leaves(cluster: Cluster, root_addr: int) -> Dict[bytes, bytes]:
             return
         if view.header.status == STATUS_INVALID:
             return
-        for slot in view.occupied_slots():
-            if slot.is_leaf:
-                if addr_mn(slot.addr) in dead:
+        for word in view.words:
+            if not word & SLOT_OCCUPIED:
+                continue
+            child = word & SLOT_ADDR_MASK
+            size_class = (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK
+            if word & SLOT_LEAF:
+                if addr_mn(child) in dead:
                     continue
                 try:
-                    leaf = _read_leaf_raw(cluster, slot.addr,
-                                          slot.size_class)
+                    leaf = _read_leaf_raw(cluster, child, size_class)
                 except ReproError:
                     continue
                 if leaf.status != STATUS_INVALID and leaf.checksum_ok:
                     out[leaf.key] = leaf.value
             else:
-                walk(slot.addr, slot.size_class)
+                walk(child, size_class)
 
     walk(root_addr, NODE256)
     return out
@@ -256,52 +264,53 @@ def check_tree(cluster: Cluster, root_addr: int,
                 report.error(f"node {addr:#x}: cursor {header.count} "
                              f"exceeds capacity {capacity}")
             for i, word in enumerate(view.words):
-                if i >= header.count and word & _OCC:
+                if i >= header.count and word & SLOT_OCCUPIED:
                     report.error(f"node {addr:#x}: occupied slot {i} at/"
                                  f"past append cursor {header.count}")
-        slot_indexes = [i for i, w in enumerate(view.words) if w & _OCC]
-        occupied = view.occupied_slots()
-        partials = [s.partial for s in occupied]
+        occupied = [(i, w) for i, w in enumerate(view.words)
+                    if w & SLOT_OCCUPIED]
+        partials = [(w >> SLOT_PARTIAL_SHIFT) & 0xFF for _i, w in occupied]
         if len(partials) != len(set(partials)):
             report.error(f"node {addr:#x}: duplicate partial bytes "
                          f"{sorted(partials)}")
         witness: Optional[bytes] = None
-        for index, slot in zip(slot_indexes, occupied):
-            child_path = path + [(header.depth, slot.partial)]
+        for (index, word), partial in zip(occupied, partials):
+            child_path = path + [(header.depth, partial)]
             slot_addr = addr + 8 + index * 8
-            if slot.is_leaf:
-                if addr_mn(slot.addr) in dead:
-                    report.warn(f"leaf {slot.addr:#x}: MN crashed; skipped")
+            child = word & SLOT_ADDR_MASK
+            size_class = (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK
+            if word & SLOT_LEAF:
+                if addr_mn(child) in dead:
+                    report.warn(f"leaf {child:#x}: MN crashed; skipped")
                     continue
-                leaf = _read_leaf_raw(cluster, slot.addr, slot.size_class)
+                leaf = _read_leaf_raw(cluster, child, size_class)
                 report.leaves += 1
                 if leaf.status == STATUS_INVALID:
-                    report.error(f"leaf {slot.addr:#x}: reachable but "
+                    report.error(f"leaf {child:#x}: reachable but "
                                  "Invalid (delete did not clear slot)")
-                    report.find("invalid_leaf", slot.addr,
+                    report.find("invalid_leaf", child,
                                 f"reachable Invalid leaf under {addr:#x}",
-                                repairable=True,
-                                meta=(slot_addr, slot.pack()))
+                                repairable=True, meta=(slot_addr, word))
                     continue
                 if leaf.status == STATUS_LOCKED:
-                    report.find("orphan_lock", slot.addr,
-                                f"leaf {slot.addr:#x} locked at rest",
+                    report.find("orphan_lock", child,
+                                f"leaf {child:#x} locked at rest",
                                 repairable=False)
                 if not leaf.checksum_ok:
                     if leaf.status == STATUS_LOCKED:
-                        report.warn(f"leaf {slot.addr:#x}: torn under an "
+                        report.warn(f"leaf {child:#x}: torn under an "
                                     "in-flight lock")
                     else:
-                        report.error(f"leaf {slot.addr:#x}: checksum "
+                        report.error(f"leaf {child:#x}: checksum "
                                      "mismatch at rest")
                     continue
                 bad = False
-                for depth, partial in child_path:
-                    if len(leaf.key) <= depth or leaf.key[depth] != partial:
+                for depth, key_byte in child_path:
+                    if len(leaf.key) <= depth or leaf.key[depth] != key_byte:
                         report.error(
-                            f"leaf {slot.addr:#x} key {leaf.key!r} violates "
+                            f"leaf {child:#x} key {leaf.key!r} violates "
                             f"ancestor constraint (depth {depth}, "
-                            f"partial {partial})")
+                            f"partial {key_byte})")
                         bad = True
                         break
                 if bad:
@@ -312,7 +321,7 @@ def check_tree(cluster: Cluster, root_addr: int,
                 if witness is None:
                     witness = leaf.key
             else:
-                sub = walk(slot.addr, slot.size_class, child_path)
+                sub = walk(child, size_class, child_path)
                 if witness is None and sub is not None:
                     witness = sub
         # Prefix-hash check needs real bytes: recover from a witness leaf.
@@ -368,33 +377,34 @@ def _walk_tables_raw(cluster: Cluster, index, report: FsckReport) -> None:
                 for s in range(params.slots_per_group):
                     off = base + 8 + s * 8
                     word = u64_from_bytes(seg_raw[off:off + 8])
-                    if not word & _OCC:
+                    if not word & HASH_ENTRY_OCCUPIED:
                         continue
                     report.inht_entries += 1
-                    entry = HashEntry.unpack(word)
-                    if entry.addr in reachable:
+                    target = word & HASH_ENTRY_ADDR_MASK
+                    if target in reachable:
                         continue
                     slot_addr = seg_addr + off
-                    detail = _classify_orphan(cluster, entry, dead)
+                    detail = _classify_orphan(cluster, target, dead)
                     if detail is None:
                         continue  # live-but-unvisited (e.g. dead-MN skip)
                     report.inht_orphans += 1
                     report.warn(f"INHT entry {slot_addr:#x} -> "
-                                f"{entry.addr:#x}: {detail}")
+                                f"{target:#x}: {detail}")
                     report.find("inht_orphan", slot_addr,
-                                f"entry -> {entry.addr:#x}: {detail}",
+                                f"entry -> {target:#x}: {detail}",
                                 repairable=True, meta=(word,))
 
 
-def _classify_orphan(cluster: Cluster, entry,
+def _classify_orphan(cluster: Cluster, target: int,
                      dead: Set[int]) -> Optional[str]:
-    """Why an unreachable INHT entry is garbage, or None if unknowable."""
-    mn = addr_mn(entry.addr)
+    """Why an unreachable INHT entry pointing at ``target`` is garbage,
+    or None if unknowable."""
+    mn = addr_mn(target)
     if mn in dead:
         return None
     memory = cluster.memories[mn]
     try:
-        word = memory.read_u64(addr_offset(entry.addr))
+        word = memory.read_u64(addr_offset(target))
         header = Header.unpack(word)
     except ReproError:
         return "target undecodable"
@@ -429,10 +439,9 @@ def check_sphinx(cluster: Cluster, index, report: Optional[FsckReport] = None
             report.warn(f"INHT check for {prefix!r} skipped: bucket "
                         "unreadable (locked group?)")
             continue
-        live = [entry for _slot, entry in matches
-                if entry.addr == node_addr]
-        stale = [entry for _slot, entry in matches
-                 if entry.addr != node_addr]
+        live = [word for _slot, word in matches
+                if (word & HASH_ENTRY_ADDR_MASK) == node_addr]
+        stale = len(matches) - len(live)
         if not live:
             report.inht_missing += 1
             report.error(f"INHT: no entry for reachable prefix {prefix!r} "
@@ -441,7 +450,7 @@ def check_sphinx(cluster: Cluster, index, report: Optional[FsckReport] = None
             report.find("inht_missing", node_addr,
                         f"no INHT entry for prefix {prefix!r}",
                         repairable=True, meta=(prefix, node_type))
-        report.inht_stale_tolerated += len(stale)
+        report.inht_stale_tolerated += stale
     _walk_tables_raw(cluster, index, report)
     return report
 

@@ -63,7 +63,7 @@ def memo(name: str) -> dict:
 def memo_census() -> Dict[str, int]:
     """``{name: entries}`` for every memo of a pure function in this
     process: ``hash64[<seed>]`` and whatever other modules asked
-    :func:`memo` for (the ART word decoders' ``layout.*``, the filter
+    :func:`memo` for (the ART header decoder's ``layout.header``, the filter
     cache's ``filter.probe(...)`` / ``filter.ladder(...)``, the zipfian
     ``zipf.zeta``).  It is where host memory that is not simulated
     state goes."""

@@ -352,7 +352,10 @@ def _client(cluster: Cluster, index, state: _SharedRunState, wid: int,
         latency.record(elapsed)
         if controller is not None:
             controller.latency[tenant].record(elapsed)
-        latency_by_op.setdefault(op_name, LatencyRecorder()).record(elapsed)
+        recorder = latency_by_op.get(op_name)
+        if recorder is None:
+            recorder = latency_by_op[op_name] = LatencyRecorder()
+        recorder.record(elapsed)
         completed += 1
 
 

@@ -105,12 +105,15 @@ def test_slot_helpers():
     HashEntry(8192, 0xABC, NODE256, True),
 ], ids=["header", "slot", "hash_entry"])
 def test_decoded_words_are_slotted_frozen_and_copyable(value):
-    """One memoised instance per word is shared by every decode, so it
-    must be immutable; ``__slots__`` keeps each one small.  Snapshot
-    restore deep-copies them and fork-pool results pickle them."""
+    """A decoded header is one memoised instance per word, shared by
+    every decode, so it must be immutable; slot and hash-entry words have
+    no memo (DESIGN.md 11.11) but decode to the same kind of value.
+    ``__slots__`` keeps each one small.  Snapshot restore deep-copies
+    them and fork-pool results pickle them."""
     cls, word = type(value), value.pack()
     shared = cls.unpack(word)
-    assert shared == value and shared is cls.unpack(word)
+    assert shared == value
+    assert (shared is cls.unpack(word)) == (cls is Header)
     assert cls.__slots__ and not hasattr(shared, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(shared, dataclasses.fields(cls)[0].name, 0)

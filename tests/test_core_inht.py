@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.art.layout import NODE4, NODE16
+from repro.art.layout import NODE4, NODE16, HashEntry
 from repro.core.inht import InhtClient, InnerNodeHashTable
 from repro.race.layout import TableParams
+
+
+def _entries(matches):
+    """Decode ``lookup``'s ``(slot_addr, entry_word)`` pairs."""
+    return [HashEntry.unpack(word) for _slot, word in matches]
 
 
 @pytest.fixture
@@ -31,7 +36,7 @@ def test_entry_routed_to_placement_mn(inht):
     owner = cluster.placement.mn_for_prefix(prefix)
     # The entry must be findable and it must live in the owner's table.
     matches = ex.run(client.lookup(prefix))
-    assert any(e.addr == 0x40 for _s, e in matches)
+    assert any(e.addr == 0x40 for e in _entries(matches))
     assert client._client_for(prefix) is client._clients[owner]
 
 
@@ -49,7 +54,7 @@ def test_update_for_type_switch(inht):
     assert ex.run(client.update_for_type_switch(prefix, 0x100, NODE4,
                                                 0x200, NODE16))
     matches = ex.run(client.lookup(prefix))
-    entries = [e for _s, e in matches]
+    entries = _entries(matches)
     assert any(e.addr == 0x200 and e.node_type == NODE16 for e in entries)
     assert not any(e.addr == 0x100 for e in entries)
 
@@ -62,7 +67,7 @@ def test_update_for_type_switch_missing_entry_reinstalls(inht):
                                               0x400, NODE16))
     assert not ok  # reports the CAS didn't happen...
     matches = ex.run(client.lookup(b"XY"))
-    assert any(e.addr == 0x400 for _s, e in matches)  # ...but heals
+    assert any(e.addr == 0x400 for e in _entries(matches))  # ...but heals
 
 
 def test_delete(inht):
@@ -82,7 +87,7 @@ def test_probe_all_matches_individual_lookups(inht):
     out = ex.run(client.probe_all(prefixes + [b"absent"]))
     for i, p in enumerate(prefixes):
         assert out[p] is not None
-        assert any(e.addr == 0x40 + i * 8 for _s, e in out[p])
+        assert any(e.addr == 0x40 + i * 8 for e in _entries(out[p]))
     assert out[b"absent"] == []
 
 

@@ -16,7 +16,8 @@ not discovered mid-run.
 
 import pytest
 
-from repro.art import HashEntry, encode_str
+from repro.art import encode_str
+from repro.art.layout import hash_entry_word
 from repro.baselines.bplus import BplusConfig, BplusIndex
 from repro.baselines.outback import OutbackConfig, OutbackIndex
 from repro.core import SphinxConfig, SphinxIndex
@@ -139,8 +140,7 @@ def _race_ops(cluster, retry):
                         retry=retry)
 
     def entry(key):
-        return HashEntry(addr=0x4000, fp2=fp2_of(key_hash(key, params.seed)),
-                         node_type=0, occupied=True)
+        return hash_entry_word(0x4000, fp2_of(key_hash(key, params.seed)), 0)
     loader = cluster.direct_executor()
     for key in _KEYS:
         loader.run(client.insert(key, entry(key)))

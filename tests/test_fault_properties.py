@@ -27,7 +27,7 @@ import textwrap
 import pytest
 
 from repro.art import encode_str
-from repro.art.layout import HashEntry
+from repro.art.layout import HashEntry, hash_entry_word
 from repro.baselines import SmartConfig, SmartIndex
 from repro.core import SphinxConfig, SphinxIndex
 from repro.core.remote_art import RemoteArtTree
@@ -205,7 +205,12 @@ def test_tree_chaos_linearizable_or_clean_failure(system, seed):
 
 def _entry(client, key, addr):
     h = key_hash(key, client.params.seed)
-    return HashEntry(addr=addr, fp2=fp2_of(h), node_type=1, occupied=True)
+    return hash_entry_word(addr, fp2_of(h), 1)
+
+
+def _addrs(matches):
+    """The node addresses of ``lookup``'s ``(slot_addr, word)`` pairs."""
+    return [HashEntry.unpack(word).addr for _slot, word in matches]
 
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
@@ -242,7 +247,7 @@ def test_race_chaos_presence_or_clean_failure(seed):
                     matches = yield from executor.run(client.lookup(key))
                 except RetryLimitExceeded:
                     continue
-                hit = any(e.addr == addr_of[key] for _sa, e in matches)
+                hit = addr_of[key] in _addrs(matches)
                 if state is True:
                     assert hit, (f"seed={seed} step={step}: lookup lost "
                                  f"present key {key!r}")

@@ -375,9 +375,9 @@ def test_tables_clear_wholesale_at_cache_max(monkeypatch):
 # -- every memo: one bound, listed by the census ---------------------------
 
 # The process-wide memos a single-cluster Sphinx run asks for: the ART
-# word decoders, and hash64 for prefix placement, prefix_hash42, the
+# header decoder, and hash64 for prefix placement, prefix_hash42, the
 # three MNs' INHT tables and the zipf scramble.
-SPHINX_MEMOS = {"layout.header", "layout.slot", "layout.hash_entry",
+SPHINX_MEMOS = {"layout.header",
                 "hash64[0xc0ffe5]", "hash64[0x424242]", "hash64[0xd15c0]",
                 "hash64[0x9e3a6c71]", "hash64[0x13c63e6a2]",
                 "hash64[0x5c4a]"}

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.art import encode_str, encode_u64
-from repro.art.layout import NODE256, decode_node, node_size
+from repro.art.layout import NODE256, STATUS_INVALID, decode_node, node_size
 from repro.baselines import ArtDmIndex, SmartIndex
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
@@ -178,6 +178,26 @@ def test_corrupted_leaf_error_names_address():
     assert not report.clean
     assert any("checksum" in e and f"{slot.addr:#x}" in e
                for e in report.errors)
+
+
+def test_repair_clears_the_slot_of_a_reachable_invalid_leaf():
+    """A delete that crashed between invalidating its leaf and clearing
+    the slot: fsck reports ``invalid_leaf`` and its repair CASes the
+    slot from the word it read to empty."""
+    cluster, index, client, ex, keys = build_sphinx(n=100)
+    root = decode_node(cluster.memories[addr_mn(index.root_addr)].read(
+        addr_offset(index.root_addr), node_size(NODE256)))
+    slot = next(s for s in root.occupied_slots() if s.is_leaf)
+    memory = cluster.memories[addr_mn(slot.addr)]
+    memory.write(addr_offset(slot.addr), bytes([STATUS_INVALID]))
+    report = check_index(cluster, index)
+    assert [f.kind for f in report.findings] == ["invalid_leaf"]
+    report = check_index(cluster, index, repair=True)
+    assert report.repaired == 1 and report.clean, report.errors
+    root = decode_node(cluster.memories[addr_mn(index.root_addr)].read(
+        addr_offset(index.root_addr), node_size(NODE256)))
+    assert root.child_word(slot.partial) == 0
+    assert report.leaves == len(keys) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.art import LocalART, encode_str, encode_u64
-from repro.art.layout import HashEntry
+from repro.art.layout import hash_entry_word
 from repro.baselines import ArtDmIndex, SmartIndex
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
@@ -90,8 +90,8 @@ def test_concurrent_race_table_clients():
         client = clients[wid]
         for i, key in enumerate(keys[wid::2]):
             h = key_hash(key, params.seed)
-            entry = HashEntry(addr=0x40 + (wid * 1000 + i) * 8,
-                              fp2=fp2_of(h), node_type=1, occupied=True)
+            entry = hash_entry_word(0x40 + (wid * 1000 + i) * 8,
+                                    fp2_of(h), 1)
             yield from executor.run(client.insert(key, entry))
 
     procs = [cluster.engine.process(worker(w)) for w in range(2)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.art.layout import HashEntry
+from repro.art.layout import HashEntry, hash_entry_word
 from repro.dm import Cluster, ClusterConfig
 from repro.errors import HashTableError
 from repro.race import (
@@ -30,8 +30,12 @@ def make_table(cluster, mn=0, **kwargs):
 
 def entry_for(client, key, addr, node_type=1):
     h = key_hash(key, client.params.seed)
-    return HashEntry(addr=addr, fp2=fp2_of(h), node_type=node_type,
-                     occupied=True)
+    return hash_entry_word(addr, fp2_of(h), node_type)
+
+
+def addrs(matches):
+    """The node addresses of ``lookup``'s ``(slot_addr, word)`` pairs."""
+    return [HashEntry.unpack(word).addr for _slot, word in matches]
 
 
 @pytest.fixture
@@ -71,7 +75,7 @@ def test_insert_lookup_roundtrip(table):
     e = entry_for(client, b"k1", 0x40)
     ex.run(client.insert(b"k1", e))
     matches = ex.run(client.lookup(b"k1"))
-    assert any(found.addr == 0x40 for _slot, found in matches)
+    assert 0x40 in addrs(matches)
 
 
 def test_lookup_missing_returns_empty(table):
@@ -83,10 +87,10 @@ def test_lookup_missing_returns_empty(table):
 def test_insert_rejects_inconsistent_fp2(table):
     cluster, info, client = table
     ex = cluster.direct_executor()
-    bad = HashEntry(addr=0x40, fp2=0x123, node_type=1, occupied=True)
+    bad = hash_entry_word(0x40, 0x123, 1)
     h = key_hash(b"k1", client.params.seed)
     if fp2_of(h) == 0x123:  # pragma: no cover - astronomically unlikely
-        bad = HashEntry(addr=0x40, fp2=0x124, node_type=1, occupied=True)
+        bad = hash_entry_word(0x40, 0x124, 1)
     with pytest.raises(HashTableError):
         ex.run(client.insert(b"k1", bad))
 
@@ -131,7 +135,7 @@ def test_splits_preserve_all_entries(table):
     assert client.splits > 0
     for i, key in enumerate(keys):
         matches = ex.run(client.lookup(key))
-        assert any(e.addr == 0x40 + i * 8 for _s, e in matches), key
+        assert 0x40 + i * 8 in addrs(matches), key
 
 
 def test_split_updates_depths(table):
@@ -160,7 +164,7 @@ def test_stale_directory_cache_heals(table):
     # The stale client must heal and find everything.
     for i, key in enumerate(keys):
         matches = ex.run(other.lookup(key))
-        assert any(e.addr == 0x1000 + i * 8 for _s, e in matches)
+        assert 0x1000 + i * 8 in addrs(matches)
     assert other.stale_refreshes > 0
 
 
@@ -196,14 +200,14 @@ def test_model_based_insert_lookup_delete(keys):
         model[key] = addr
     for key, addr in model.items():
         matches = ex.run(client.lookup(key))
-        assert any(e.addr == addr for _s, e in matches)
+        assert addr in addrs(matches)
     # Delete half, verify the rest intact.
     doomed = sorted(model)[::2]
     for key in doomed:
         assert ex.run(client.delete(key, model.pop(key)))
     for key, addr in model.items():
         matches = ex.run(client.lookup(key))
-        assert any(e.addr == addr for _s, e in matches)
+        assert addr in addrs(matches)
 
 
 def test_probe_prepare_parse_matches_lookup(table):

@@ -23,7 +23,7 @@ import textwrap
 import pytest
 
 from repro.art import encode_str
-from repro.art.layout import NODE4, NODE16, HashEntry
+from repro.art.layout import NODE4, NODE16, hash_entry_word
 from repro.art.keys import common_prefix_len
 from repro.core import SphinxConfig, SphinxIndex
 from repro.core.inht import InhtClient, InnerNodeHashTable
@@ -132,8 +132,8 @@ def _split_of(inht_client, prefix):
 
 
 def _entry(client, key, addr, node_type=NODE4):
-    return HashEntry(addr=addr, fp2=fp2_of(key_hash(key, client.params.seed)),
-                     node_type=node_type, occupied=True)
+    return hash_entry_word(addr, fp2_of(key_hash(key, client.params.seed)),
+                           node_type)
 
 
 @pytest.fixture
@@ -173,7 +173,7 @@ def test_insert_whose_header_read_was_lost_leaves_one_entry(race):
     op.throw(InjectedFault("header read dropped", kind="drop",
                            addr=read.addr))
     op.finish()
-    assert _raw_words(cluster, info, entry.pack()) == 1
+    assert _raw_words(cluster, info, entry) == 1
     assert ex.run(client.delete(key, 0x4000))
     assert ex.run(client.lookup(key)) == []
 
@@ -206,7 +206,7 @@ def test_insert_racing_a_split_leaves_one_reachable_entry(race, window):
         op.step()  # the undo, before the phase-5 clear
     split.finish()
     op.finish()
-    assert _raw_words(cluster, info, entry.pack()) == 1
+    assert _raw_words(cluster, info, entry) == 1
     assert [e for _s, e in ex.run(client.lookup(key))] == [entry]
 
 

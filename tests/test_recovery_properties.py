@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro.art import encode_str
-from repro.art.layout import HashEntry
+from repro.art.layout import HashEntry, hash_entry_word
 from repro.baselines import SmartConfig, SmartIndex
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
@@ -244,7 +244,12 @@ def test_crash_mn_degrades_without_wrong_answers(seed):
 
 def _entry(client, key, addr):
     h = key_hash(key, client.params.seed)
-    return HashEntry(addr=addr, fp2=fp2_of(h), node_type=1, occupied=True)
+    return hash_entry_word(addr, fp2_of(h), 1)
+
+
+def _addrs(matches):
+    """The node addresses of ``lookup``'s ``(slot_addr, word)`` pairs."""
+    return [HashEntry.unpack(word).addr for _slot, word in matches]
 
 
 @pytest.mark.parametrize("seed", range(RACE_SEEDS))
@@ -277,7 +282,7 @@ def test_race_crash_recovery_oracle(seed):
         try:
             if dice < 0.4:
                 matches = victim.run(client.lookup(key))
-                hit = any(e.addr == addr_of[key] for _sa, e in matches)
+                hit = addr_of[key] in _addrs(matches)
                 if state is True:
                     assert hit, f"seed={seed} step={step}: lost {key!r}"
                 elif state is False:
@@ -308,7 +313,7 @@ def test_race_crash_recovery_oracle(seed):
     survivor = cluster.direct_executor()
     for key in keys:
         matches = survivor.run(client.lookup(key))
-        hit = any(e.addr == addr_of[key] for _sa, e in matches)
+        hit = addr_of[key] in _addrs(matches)
         if present[key] is True:
             assert hit, f"seed={seed}: post-recovery lost {key!r}"
         elif present[key] is False:
@@ -317,7 +322,7 @@ def test_race_crash_recovery_oracle(seed):
     fresh = b"q/99"
     survivor.run(client.insert(fresh, _entry(client, fresh, 0x9000)))
     matches = survivor.run(client.lookup(fresh))
-    assert any(e.addr == 0x9000 for _sa, e in matches), (
+    assert 0x9000 in _addrs(matches), (
         f"seed={seed}: bucket wedged after recovery")
 
 

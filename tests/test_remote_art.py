@@ -142,8 +142,8 @@ def test_chase_leaf_slot():
     leaf_addr = root.find_child(ord("c")).addr
     found = ex.run(client._chase_leaf_slot(key, leaf_addr))
     assert found is not None and found is not RETRY
-    _addr, _view, slot = found
-    assert slot.addr == leaf_addr
+    _addr, _view, word = found
+    assert word == root.child_word(ord("c"))
     # A different target address on the same path: definitively unlinked.
     assert ex.run(client._chase_leaf_slot(key, 0xDEAD00)) is None
     # A key whose path ends before reaching any leaf.
