@@ -91,25 +91,17 @@ class Nic:
         # memoize rather than redo the bandwidth arithmetic per message.
         self._service_ns: dict = {}
 
-    def process(self, payload_bytes: int, extra_ns: int = 0,
-                arrive_delay: int = 0):
-        """Submit one message; returns the completion event.
-
-        ``arrive_delay`` is the wire time before the message reaches this
-        NIC (propagation from the far side, DMA completion, ...).
-        """
-        done = self.charge(payload_bytes, extra_ns, arrive_delay)
-        return self.engine.timeout(done - self.engine.now)
-
     def charge(self, payload_bytes: int, extra_ns: int = 0,
                arrive_delay: int = 0) -> int:
         """Account one message and advance the FIFO station, returning
         the **absolute** completion time without scheduling an event.
 
-        Exactly :meth:`process` minus the event: same counters, same
-        station math (the :meth:`FifoServer.submit` recurrence).  The
-        verb trips in :mod:`repro.dm.rdma` re-arm themselves at the
-        returned time, once per stage.
+        ``arrive_delay`` is the wire time before the message reaches this
+        NIC (propagation from the far side, DMA completion, ...); service
+        starts at the later of its arrival and the first free unit, and
+        takes the message's service time plus ``extra_ns``.  The verb
+        trips in :mod:`repro.dm.rdma` re-arm themselves at the returned
+        time, once per stage.
         """
         self.messages += 1
         self.payload_bytes += payload_bytes

@@ -16,6 +16,8 @@ verb classes.  Two executors drive such generators:
   engine - used for all benchmarks.  Memory side effects are applied at
   the simulated instant the MN NIC processes the request, so concurrent
   clients interleave with exactly the atomicity of real one-sided RDMA.
+  Every verb is one such trip, a single self-re-arming engine event, on
+  either dispatch loop.
 
 A :class:`Batch` models doorbell batching (Kalia et al., ATC'16): all verbs
 are posted together, traverse the network in parallel, and the client
@@ -24,11 +26,11 @@ resumes when the last completion arrives - one round trip of latency, but
 
 An attached :class:`repro.fault.FaultPlan` is not a mode of either
 executor: both ask ``FaultInjector.gate`` once per verb as they post it,
-a verb the gate passes runs as if no plan were attached, and only a verb
-with a decision takes a faulted continuation - inside a doorbell that
+a verb the gate passes runs as if no plan were attached, and a verb's
+decision only selects the stages of its trip - inside a doorbell that
 still posts every member at once.  An attached :class:`Observer` (DMSan,
-the lease table, the tracer) selects no path either: every path reports
-each verb to it as one :class:`VerbRecord`.
+the lease table, the tracer) selects nothing either: each verb is
+reported to it as one :class:`VerbRecord`.
 """
 
 from __future__ import annotations
@@ -578,39 +580,39 @@ class DirectExecutor:
 
 class _VerbTrip(SimEvent):
     """One verb as a single engine event that re-arms itself for each of
-    its four NIC stages - no generator frame, no per-stage
-    :class:`Timeout`.  Every verb on the fast engine is one, with or
-    without observers or a FaultPlan attached, unless the fault gate
-    returned a decision for it.
+    its NIC stages - no generator frame, no per-stage :class:`Timeout`.
+    Every verb on either engine is one, whatever is attached.
 
     The trip is its own only callback (``_cb1 = self``): each dispatch
-    does exactly the work :meth:`SimExecutor._verb` does at the matching
-    resume point - same NIC charges at the same simulated times, one
-    ``_seq`` draw per stage in the same order - and queues the trip
-    again at the stage's completion time, so the schedule (and every
-    committed baseline) is bit-identical to the generator path.
-    Constructing a trip posts the verb (stage 0, what ``_verb`` does
-    before its first yield).  A scalar verb's last arming turns the trip
-    into the event that resumes ``worker`` with the result; a doorbell
-    member (``worker`` None) reports into its :class:`_BatchTrip`
-    ``ctx`` instead.  The observers' post / apply / complete hooks run
-    where ``_verb`` runs them, so they see the same event order; ``rec``
-    is None when the executor has none.  The dispatch loop
-    marks ``_cb1`` processed before each call, so a finished trip keeps
-    no reference to itself (the e2e timed region runs with the cycle
-    collector off).
+    charges one NIC stage and queues the trip again at the stage's
+    completion time, one ``_seq`` draw per stage.  Constructing a trip
+    posts the verb (stage 0).  The fault gate's ``decision`` (None for
+    almost every verb) selects the stages that run: a verb lost before
+    the MN stops after the CN NIC and completes a plan timeout later; a
+    completion lost after the apply completes a timeout after it, or -
+    the CN died - at once; a delayed completion takes one more stage.
+    A scalar verb's last arming turns the trip into the event that
+    resumes ``worker`` with the verb's raw result, and the client's
+    :meth:`SimExecutor.run` finishes it; a doorbell member (``worker``
+    None) finishes itself into its :class:`_BatchTrip` ``ctx``.  The
+    observers' post / apply / complete hooks run at the stage they
+    describe; ``rec`` is None when the executor has none.  The dispatch
+    loop marks ``_cb1`` processed before each call, so a finished trip
+    keeps no reference to itself (the e2e timed region runs with the
+    cycle collector off).
     """
 
-    __slots__ = ("ex", "op", "worker", "ctx", "idx",
-                 "mn", "req", "resp", "extra", "stage", "rec")
+    __slots__ = ("ex", "op", "worker", "decision", "ctx", "idx",
+                 "mn", "req", "resp", "stage", "rec")
 
-    def __init__(self, ex: "SimExecutor", op: Verb,
-                 worker, ctx: "_BatchTrip | None" = None, idx: int = 0):
+    def __init__(self, ex: "SimExecutor", op: Verb, worker, decision=None,
+                 ctx: "_BatchTrip | None" = None, idx: int = 0):
         self.engine = ex.engine
         self._spill = self._proc = None
         self.ex = ex
         self.op = op
         self.worker = worker
+        self.decision = decision
         self.ctx = ctx
         self.idx = idx
         self.stage = 0
@@ -622,59 +624,116 @@ class _VerbTrip(SimEvent):
         cfg = ex._config
         stage = self.stage
         self.stage = stage + 1
-        again = self
+        again = self  # the next dispatch is this trip's next stage
         if stage == 0:
-            # Posting the verb: what _verb does before its first yield.
+            # Posting the verb.
             op = self.op
+            decision = self.decision
+            if decision is not None:
+                ex.stats.faults_injected += 1
+                if not decision.applied \
+                        and decision.kind not in SILENT_FAULTS:
+                    # Lost before the MN: a dead MN, a NAK, a request
+                    # drop, or a CN that died posting it - which sends
+                    # nothing (only a doorbell member gets here; it
+                    # joins now).
+                    if decision.kind == "crash_cn":
+                        self.rec = self._value = None
+                        self.stage = 4
+                        self(self)
+                        return
+                    self.stage = 6
             ex.stats.count_verb(op)
-            self.mn = ex._mn_nics[addr_mn(op.addr)]
             self.req, self.resp = verb_sizes(op)
-            cls = op.__class__
-            self.extra = cfg.atomic_extra_ns \
-                if (cls is CasOp or cls is FaaOp) else 0
-            self.rec = _post(ex._observers, ex.client_id, op, engine.now) \
-                if ex._observers else None
+            if ex._observers:
+                self.rec = _post(ex._observers, ex.client_id, op,
+                                 engine.now, decision and decision.kind) \
+                    if self.stage == 1 else \
+                    VerbRecord(ex.client_id, op, engine.now,
+                               fault=decision.kind)  # completed only
+            else:
+                self.rec = None
             done = ex._cn_nic.charge(self.req)
         elif stage == 1:
             # CN request sent; request crosses the wire to the MN NIC.
             if self.rec is not None:
                 self.rec.t_sent = engine.now
-            done = self.mn.charge(self.req, self.extra, cfg.prop_ns)
+            op = self.op
+            cls = op.__class__
+            self.mn = ex._mn_nics[addr_mn(op.addr)]
+            done = self.mn.charge(
+                self.req, cfg.atomic_extra_ns
+                if (cls is CasOp or cls is FaaOp) else 0, cfg.prop_ns)
         elif stage == 2:
             # MN NIC executed the verb: side effect lands now.
             result = self._value = apply_verb(ex._memories, self.op)
             if self.rec is not None:
                 _applied(ex._observers, self.rec, engine.now, result)
-            done = self.mn.charge(self.resp, 0, cfg.mem_access_ns)
+            decision = self.decision
+            if decision is not None and decision.applied:
+                # The completion is lost: dropped (the client times out)
+                # or the CN died (no client is left to wait).
+                if decision.kind == "drop":
+                    done = engine.now + ex._injector.plan.timeout_ns
+                else:
+                    if self.rec is not None:
+                        _done(ex._observers, self.rec, engine.now)
+                    if self.ctx is not None:  # a member joins now
+                        self.stage = 4
+                        self(self)
+                        return
+                    done = engine.now
+                again = self._complete_next()
+            else:
+                done = self.mn.charge(self.resp, 0, cfg.mem_access_ns)
         elif stage == 3:
             # MN response sent; back across the wire through the CN NIC.
             if self.rec is not None:
                 self.rec.t_replied = engine.now
             done = ex._cn_nic.charge(self.resp, 0, cfg.prop_ns)
-            if self.worker is not None:
-                # Scalar verb: the last dispatch resumes the client
-                # process with the result, exactly where the generator
-                # path's return would land it.
+            if self.decision is not None and self.decision.kind == "delay":
+                self.stage = 7
+            elif self.worker is not None:
+                # Scalar verb: the last dispatch resumes the client.
                 self._proc = self.worker
                 again = None
         elif stage == 4:
-            # Batch member complete.  The generator path queues a member
-            # Process event here whose dispatch decrements the AllOf;
-            # those events fire in this same order and only the last
-            # one creates anything, so every other member joins inline.
+            # Batch member complete: it joins inline.  The last member
+            # keeps the two zero-delay hops - member done, then batch
+            # done - that place the client's resume among same-time
+            # events, so the schedule is exact under ties.
+            decision = self.decision
+            if decision is None:
+                value = self._value
+                if self.rec is not None:
+                    _done(ex._observers, self.rec, engine.now)
+            else:
+                value = ex._finish(self.rec, self.op, decision, self._value)
             ctx = self.ctx
-            ctx.results[self.idx] = self._value
-            if self.rec is not None:
-                _done(ex._observers, self.rec, engine.now)
+            ctx.results[self.idx] = value
             ctx.remaining -= 1
             if ctx.remaining == 0:
                 self._cb1 = self
                 engine._queue_event(self)
             return
-        else:
+        elif stage == 5:
             # The last member's completion event: queue the batch's.
             self.ctx.complete()
             return
+        elif stage == 6:
+            # A request lost before the MN (dead MN, NAK, drop in the
+            # fabric) is sent; the client waits out its timeout.
+            if self.rec is not None:
+                self.rec.t_sent = engine.now
+            self._value = None
+            again = self._complete_next()
+            done = engine.now + ex._injector.plan.timeout_ns
+        else:
+            # A delayed completion: arrived now, delivered later.
+            if self.rec is not None:
+                _done(ex._observers, self.rec, engine.now)
+            again = self._complete_next()
+            done = engine.now + self.decision.delay_ns
         # Re-arm: Engine._schedule(self, done - now), inlined (one call
         # per stage was worth 6 % of sphinx-e host time, DESIGN.md 11.7).
         # A stage that completes at this very instant joins the FIFO run
@@ -689,40 +748,50 @@ class _VerbTrip(SimEvent):
             self._seq = seq
             engine._fifo.append(self)
 
+    def _complete_next(self) -> "_VerbTrip | None":
+        """Make the next dispatch the verb's completion: the client's
+        resume for a scalar verb (no callback), the member's join
+        (stage 4) for a doorbell member."""
+        self.stage = 4
+        if self.worker is None:
+            return self
+        self._proc = self.worker
+        return None
+
 
 class _BatchTrip(SimEvent):
     """A doorbell batch as one boot event and, re-armed, one completion
-    event: 4N+3 dispatches where the generator path's member processes
-    and :class:`AllOf` take 6N+1.
+    event: 4N+3 dispatches for N clean members.
 
-    The generator path boots N member processes with N consecutive
-    zero-delay events that nothing can interleave; the single boot here
-    sits at the first one's queue position and starts every member trip
-    in member order.  Members join inline (see :class:`_VerbTrip`
-    stage 4) except the last, which keeps the two zero-delay hops -
-    member done, then batch done - that place the client's resume among
-    same-time events exactly where the ``AllOf`` would.  Surviving
-    events keep their relative creation order, so the schedule is exact
-    under ties.
-    """
+    The boot starts every member trip in member order, each with its
+    fault decision; ``decisions`` (None when the gate passed every
+    member) is cut short after a ``crash_cn``, and the members after it
+    are not posted.  A faulted member's failure is its result, and the
+    client's join raises it."""
 
-    __slots__ = ("ex", "ops", "worker", "results", "remaining")
+    __slots__ = ("ex", "ops", "worker", "decisions", "results",
+                 "remaining")
 
-    def __init__(self, ex: "SimExecutor", ops: Tuple[Verb, ...], worker):
+    def __init__(self, ex: "SimExecutor", ops: Tuple[Verb, ...], worker,
+                 decisions=None):
         self.engine = ex.engine
         self._spill = self._proc = None
         self._cb1 = self
         self.ex = ex
-        self.ops = ops
+        self.ops = ops if decisions is None else ops[:len(decisions)]
         self.worker = worker
-        self.results: list = [None] * len(ops)
-        self.remaining = len(ops)
+        self.decisions = decisions
+        self.results: list = [None] * len(self.ops)
+        self.remaining = len(self.ops)
         self.engine._queue_event(self)
 
     def __call__(self, _event: SimEvent) -> None:
         ex = self.ex
+        decisions = self.decisions
         for idx, verb in enumerate(self.ops):
-            _VerbTrip(ex, verb, None, self, idx)
+            _VerbTrip(ex, verb, None,
+                      None if decisions is None else decisions[idx],
+                      self, idx)
 
     def complete(self) -> None:
         """Re-arm as the event that resumes the client with the results
@@ -755,62 +824,10 @@ class SimExecutor:
         self._injector = injector
         self._observers = observers
         self._budget = 0  # message ceiling armed by arm_verb_budget
-        # Verb trips (self-re-arming events replacing the per-stage
-        # generator resume; schedule-identical to _verb) need only the
-        # fast dispatch loop.  Observers ride them (the trips call their
-        # hooks from the dispatch positions _verb does), and so does an
-        # attached FaultPlan: run() asks the fault gate at post time,
-        # and only a verb that got a decision leaves them.
-        self._trips = not engine._slow
 
     def arm_verb_budget(self, extra_messages: int) -> None:
         """See :meth:`DirectExecutor.arm_verb_budget`."""
         self._budget = self.stats.messages + extra_messages
-
-    # -- single verb ----------------------------------------------------
-    def _request_leg(self, op: Verb, fault: Optional[str] = None):
-        """The half of a verb that lands its side effect: post -> CN NIC
-        -> wire -> MN NIC -> apply, with the observers' post and apply
-        hooks (a generator of engine events).  Returns ``(rec, result,
-        mn_nic, resp_bytes)`` - what the response leg, or a fault that
-        loses the completion, needs to finish the verb; ``rec`` is None
-        without observers."""
-        cfg = self._config
-        observers = self._observers
-        mn_nic = self._mn_nics[addr_mn(op.addr)]
-        req_bytes, resp_bytes = verb_sizes(op)
-        cls = op.__class__
-        extra = cfg.atomic_extra_ns if (cls is CasOp or cls is FaaOp) else 0
-        self.stats.count_verb(op)
-        rec = _post(observers, self.client_id, op, self.engine.now,
-                    fault) if observers else None
-        # Request through the CN NIC ...
-        yield self._cn_nic.process(req_bytes)
-        if rec is not None:
-            rec.t_sent = self.engine.now
-        # ... across the wire, processed by the MN NIC ...
-        yield mn_nic.process(req_bytes, extra_ns=extra,
-                             arrive_delay=cfg.prop_ns)
-        # Side effect happens the instant the MN NIC executes the verb.
-        result = apply_verb(self._memories, op)
-        if rec is not None:
-            _applied(observers, rec, self.engine.now, result)
-        return rec, result, mn_nic, resp_bytes
-
-    def _verb(self, op: Verb, fault: Optional[str] = None):
-        """Timed execution of one verb (a generator of engine events)."""
-        cfg = self._config
-        rec, result, mn_nic, resp_bytes = \
-            yield from self._request_leg(op, fault)
-        # Response: DRAM/DMA access, back through the MN NIC ...
-        yield mn_nic.process(resp_bytes, arrive_delay=cfg.mem_access_ns)
-        if rec is not None:
-            rec.t_replied = self.engine.now
-        # ... across the wire, delivered by the CN NIC.
-        yield self._cn_nic.process(resp_bytes, arrive_delay=cfg.prop_ns)
-        if rec is not None:
-            _done(self._observers, rec, self.engine.now)
-        return result
 
     def _gate(self, op: OpOrBatch):
         """Ask the fault gate about ``op`` as it is posted.  ``None``:
@@ -819,10 +836,6 @@ class SimExecutor:
         a doorbell's per-member decisions in member order - cut short
         after a ``crash_cn``, whose later members are neither gated nor
         posted."""
-        if self._budget and self.stats.messages > self._budget:
-            raise SimulationError(
-                f"verb budget exceeded for {self.client_id}: "
-                f"{self.stats.messages} messages - livelock under faults?")
         gate = self._injector.gate
         client = self.client_id
         now = self.engine.now
@@ -839,87 +852,30 @@ class SimExecutor:
                     break
         return decisions if faulted else None
 
-    def _verb_faulted(self, op: Verb, decision):
-        """Timed execution of a verb the fault gate decided about (a
-        generator of engine events, on either engine)."""
-        engine = self.engine
-        observers = self._observers
-        kind = decision.kind
-        self.stats.faults_injected += 1
-        if kind in SILENT_FAULTS:
-            result = yield from self._verb(op, kind)
-            if kind == "delay":
-                yield engine.timeout(decision.delay_ns)
-            return _silent_result(self._memories, op, kind, result)
-        if decision.applied:
-            # The request got out and its side effect lands at the MN;
-            # the completion never arrives (dropped, or the CN died).
-            # Observers see the full post/apply/complete life cycle - the
-            # access happened - closing at the client's timeout decision,
-            # or at apply time when no client is left to wait.
-            rec = (yield from self._request_leg(op, kind))[0]
-            if kind == "drop":
-                yield engine.timeout(self._injector.plan.timeout_ns)
-            if rec is not None:
-                _done(observers, rec, engine.now)
-        elif kind != "crash_cn":
-            # Dead MN, NAK or a drop in the fabric: the MN never saw it.
-            # Charge the send plus the client's completion timeout.  (A
-            # CN that died before the request left its NIC leaves no NIC
-            # load and no completion either - just a corpse.)
-            t_post = engine.now
-            self.stats.count_verb(op)
-            yield self._cn_nic.process(verb_sizes(op)[0])
-            t_sent = engine.now
-            yield engine.timeout(self._injector.plan.timeout_ns)
-            if observers:
-                _done(observers, VerbRecord(self.client_id, op, t_post,
-                                            t_sent, fault=kind), engine.now)
-        raise _fault_error(self.client_id, op, decision)
-
-    def _member(self, op: Verb, decision):
-        """One member of a doorbell posted under faults: its own process
-        like any member, but its fault comes back as its value so the
-        others still complete; the join raises it."""
-        try:
-            if decision is None:
-                return (yield from self._verb(op))
-            return (yield from self._verb_faulted(op, decision))
-        except (InjectedFault, MNUnavailable, ClientCrash) as exc:
-            return exc
-
-    def _perform(self, op: OpOrBatch, decision):
-        """The generator path of one op: the reference engine, a
-        hand-stepped generator - and, on either engine, any op the fault
-        gate returned a ``decision`` for."""
-        cls = op.__class__
-        if cls is LocalCompute:
-            self.stats.local_compute_ns += op.ns
-            yield self.engine.timeout(op.ns)
-            return None
-        self.stats.round_trips += 1
-        if cls is not Batch:
-            if decision is None:
-                return (yield from self._verb(op))
-            return (yield from self._verb_faulted(op, decision))
-        self.stats.batches += 1
-        process = self.engine.process
+    def _finish(self, rec: Optional[VerbRecord], op: Verb, decision,
+                result: Any) -> Any:
+        """A verb's outcome, the instant its client learns it: closes
+        the observers' record (unless a lost completion closed it
+        earlier) and returns the result - made late, twice applied or
+        stale by a silent fault - or the typed failure a fault ended
+        the verb with."""
+        if rec is not None and rec.t_done is None:
+            _done(self._observers, rec, self.engine.now)
         if decision is None:
-            procs = [process(self._verb(verb), name="verb")
-                     for verb in op.ops]
-            return (yield self.engine.all_of(procs))
-        # Doorbell with a faulted member: still one doorbell - every
-        # member is posted now and they travel in parallel.
-        procs = [process(self._member(verb, member), name="verb")
-                 for verb, member in zip(op.ops, decision)]
-        results = yield self.engine.all_of(procs)
-        _raise_member_faults(results)
-        return results
+            return result
+        kind = decision.kind
+        if kind in SILENT_FAULTS:
+            return _silent_result(self._memories, op, kind, result)
+        return _fault_error(self.client_id, op, decision)
 
     # -- generator driver -------------------------------------------------
     def run(self, gen: OpGenerator):
         """Drive ``gen`` under the clock; yields engine events throughout.
 
+        Every verb and doorbell is posted as a trip that resumes the
+        driving process, so ``run`` must be driven by one (``yield
+        from`` inside an engine process); a generator stepped by hand
+        gets a :class:`SimulationError` at its first posted verb.
         Injected faults are delivered into the client generator with
         ``gen.throw``, exactly like :meth:`DirectExecutor.run`.  The
         observed schedule stays bit-identical because observers never
@@ -928,8 +884,8 @@ class SimExecutor:
         observers = self._observers
         client = self.client_id
         injector = self._injector
-        trips = self._trips
         engine = self.engine
+        stats = self.stats
         for obs in observers:
             obs.op_begin(client, getattr(gen, "__name__", "op"), engine.now)
         status = "error"
@@ -948,44 +904,58 @@ class SimExecutor:
                     return stop.value
                 except RetryLimitExceeded as exc:
                     status = "failed"
-                    exc.attach_context(client, replace(self.stats))
+                    exc.attach_context(client, replace(stats))
                     if injector is not None:
                         exc.attach_fault_trace(injector.trace_tuple())
                     raise
                 cls = op.__class__
-                if observers and cls is not LocalCompute:
-                    for obs in observers:
-                        obs.on_round_trip(client)
-                decision = None if injector is None or cls is LocalCompute \
-                    else self._gate(op)
-                if decision is None and trips:
-                    # Untouched op, fast path: post it as a trip and tell
-                    # the dispatch loop we already subscribed ourselves.
-                    # engine._active is the process currently being
-                    # dispatched - our driving client - and is None when
-                    # this generator is stepped by hand, which falls
-                    # back to the yield-per-stage path below.
-                    worker = engine._active
-                    if worker is not None:
-                        if cls is ReadOp or cls is WriteOp \
-                                or cls is CasOp or cls is FaaOp:
-                            self.stats.round_trips += 1
-                            # Stage 0 ran in the constructor, so the
-                            # record exists; hold it, not the trip (a
-                            # trip -> worker -> frame cycle).
-                            rec = _VerbTrip(self, op, worker).rec
-                            result = yield _DEFER
-                            if rec is not None:
-                                _done(observers, rec, engine.now)
-                            continue
-                        if cls is Batch:
-                            self.stats.batches += 1
-                            self.stats.round_trips += 1
-                            _BatchTrip(self, op.ops, worker)
-                            result = yield _DEFER
-                            continue
+                if cls is LocalCompute:
+                    stats.local_compute_ns += op.ns
+                    yield engine.timeout(op.ns)
+                    result = None
+                    continue
+                for obs in observers:
+                    obs.on_round_trip(client)
+                if self._budget and stats.messages > self._budget:
+                    raise SimulationError(
+                        f"verb budget exceeded for {client}: "
+                        f"{stats.messages} messages - livelock under "
+                        "faults?")
+                decision = None if injector is None else self._gate(op)
+                stats.round_trips += 1
+                if cls is not Batch and decision is not None \
+                        and decision.kind == "crash_cn" \
+                        and not decision.applied:
+                    # The CN dies posting the verb: nothing is sent.
+                    stats.faults_injected += 1
+                    raise _fault_error(client, op, decision)
+                # engine._active is the process being dispatched - our
+                # driving client, which the trip resumes.
+                worker = engine._active
+                if worker is None:
+                    raise SimulationError(
+                        f"{client}: SimExecutor.run posted a verb outside "
+                        "an engine process (a hand-stepped generator)")
                 try:
-                    result = yield from self._perform(op, decision)
+                    if cls is Batch:
+                        stats.batches += 1
+                        _BatchTrip(self, op.ops, worker, decision)
+                        result = yield _DEFER
+                        if decision is not None:
+                            _raise_member_faults(result)
+                        continue
+                    # Stage 0 ran in the constructor, so the record
+                    # exists; hold it, not the trip (a trip -> worker ->
+                    # frame cycle).
+                    rec = _VerbTrip(self, op, worker, decision).rec
+                    result = yield _DEFER
+                    if decision is None:
+                        if rec is not None:
+                            _done(observers, rec, engine.now)
+                        continue
+                    result = self._finish(rec, op, decision, result)
+                    if isinstance(result, Exception):
+                        raise result
                 except (InjectedFault, MNUnavailable) as exc:
                     # Delivered into the generator (retry vs. degrade at
                     # the yield); ClientCrash is NOT - the generator of

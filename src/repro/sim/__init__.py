@@ -1,10 +1,9 @@
 """Deterministic discrete-event simulation engine (the timing substrate)."""
 
-from .engine import AllOf, Engine, Event, Process, Timeout
+from .engine import Engine, Event, Process, Timeout
 from .resources import FifoServer, LatencyRecorder
 
 __all__ = [
-    "AllOf",
     "Engine",
     "Event",
     "Process",

@@ -10,8 +10,6 @@ what the RDMA substrate needs:
 * :class:`Timeout` - an event scheduled ``delay`` ns in the future.
 * :class:`Process` - wraps a generator; itself an event that fires with
   the generator's return value.
-* :class:`AllOf` - fires when every child event has fired (used for
-  doorbell-batched RDMA operations, which complete together).
 * :class:`Engine` - the clock and the event heap.
 
 Time is integer **nanoseconds**; all ordering is deterministic (ties broken
@@ -20,8 +18,8 @@ by schedule order), which keeps benchmark results reproducible.
 Fast path
 ---------
 
-Most events in an RDMA workload are *zero-delay bookkeeping* - process
-bootstraps, ``succeed()`` of batch members, AllOf completions - not
+Many events in an RDMA workload are *zero-delay bookkeeping* - process
+bootstraps, doorbell boots and joins, zero-length computes - not
 timing-relevant completions.  The engine therefore keeps two structures:
 
 * a min-heap of ``(time, seq, event)`` for events scheduled strictly in
@@ -51,12 +49,15 @@ slots; dispatch order is always ``_proc`` then ``_cb1`` then ``_spill``
 = subscription order.
 
 Setting the environment variable ``REPRO_SIM_SLOW=1`` (checked at
-:class:`Engine` construction) routes every event through the heap again
-and dispatches strictly one event at a time through the callback slots,
-with no ``_proc`` specialization - the bit-identical reference oracle.
-The equivalence suites in ``tests/test_sim_fastpath.py`` and
-``tests/test_perf_equivalence.py`` diff benchmark rows across the two
-paths.
+:class:`Engine` construction) selects :meth:`Engine._run_ref`: the
+engine's own zero-delay events go through the heap again, and events
+are dispatched strictly one at a time, merged head-to-head by ``(time,
+seq)``, through the callback slots with no ``_proc`` specialization -
+the bit-identical reference oracle of the dispatch loop.  Both loops
+dispatch the same events (``repro.dm.rdma``'s verb trips included), so
+``events_processed`` is equal across them.  The equivalence suites in
+``tests/test_sim_fastpath.py`` and ``tests/test_perf_equivalence.py``
+diff benchmark rows across the two loops.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from ..errors import SimulationError
 
@@ -140,7 +141,7 @@ class Event:
             self._cb1 = fn
         elif cb1 is _PROCESSED:
             # Already processed: run the callback immediately so late
-            # subscribers (e.g. AllOf over a triggered event) still fire.
+            # subscribers still fire.
             fn(self)
         elif self._spill is None:
             self._spill = [fn]
@@ -210,31 +211,6 @@ class Process(Event):
         )
 
 
-class AllOf(Event):
-    """Fires once all ``events`` have fired; value is the list of values.
-
-    Models doorbell batching: a batch of RDMA verbs is posted at once and
-    the client proceeds when the last completion arrives.
-    """
-
-    __slots__ = ("_children", "_remaining")
-
-    def __init__(self, engine: "Engine", events: Iterable[Event]):
-        super().__init__(engine)
-        self._children = list(events)
-        self._remaining = len(self._children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for child in self._children:
-            child.add_callback(self._child_done)
-
-    def _child_done(self, _event: Event) -> None:
-        self._remaining -= 1
-        if self._remaining == 0 and not self.triggered:
-            self.succeed([c.value for c in self._children])
-
-
 class Engine:
     """The simulation clock and scheduler.
 
@@ -289,9 +265,8 @@ class Engine:
 
     # -- public factory helpers ---------------------------------------
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        # Inlined Timeout construction + scheduling: the hottest
-        # allocation site of the generator verb path (one per NIC
-        # service completion; clean verbs run as trips and allocate no
+        # Inlined Timeout construction + scheduling: one per
+        # LocalCompute of every op (verbs run as trips and allocate no
         # Timeout), so it bypasses __init__ and _schedule.
         if type(delay) is not int:
             delay = int(delay)
@@ -317,9 +292,6 @@ class Engine:
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- main loop ----------------------------------------------------
     def run(self, until: Optional[int] = None) -> int:

@@ -13,15 +13,15 @@ from array import array
 from typing import Dict, List
 
 from ..errors import InvalidArgument
-from .engine import Engine, Event
+from .engine import Engine
 
 
 class FifoServer:
-    """A FIFO queue in front of ``capacity`` identical servers.
-
-    ``submit(service_time)`` returns an event that fires when the job has
-    *finished* service.  With capacity 1 this is an M/G/1-style station;
-    NICs with multiple processing units can use a higher capacity.
+    """A FIFO queue in front of ``capacity`` identical servers: the
+    station state (when each server frees up) and its busy-time
+    counters.  :meth:`repro.dm.network.Nic.charge` advances it, one job
+    per message.  With capacity 1 this is an M/G/1-style station; NICs
+    with multiple processing units can use a higher capacity.
     """
 
     def __init__(self, engine: Engine, name: str, capacity: int = 1):
@@ -38,33 +38,6 @@ class FifoServer:
         self._free1: int = 0
         self.busy_time: int = 0
         self.jobs: int = 0
-
-    def submit(self, service_time: int, arrive_delay: int = 0) -> Event:
-        """Enqueue a job needing ``service_time`` ns; event fires at completion.
-
-        ``arrive_delay`` models a job that reaches this station only after a
-        fixed delay (e.g. wire propagation): service cannot start before
-        ``now + arrive_delay``.
-        """
-        if service_time < 0:
-            raise InvalidArgument("service_time must be >= 0")
-        if arrive_delay < 0:
-            raise InvalidArgument("arrive_delay must be >= 0")
-        now = self.engine.now
-        if self.capacity == 1:
-            start = now + arrive_delay
-            if self._free1 > start:
-                start = self._free1
-            done = start + service_time
-            self._free1 = done
-        else:
-            free_at = heapq.heappop(self._free_at)
-            start = max(now + arrive_delay, free_at)
-            done = start + service_time
-            heapq.heappush(self._free_at, done)
-        self.busy_time += service_time
-        self.jobs += 1
-        return self.engine.timeout(done - now)
 
     def utilization(self) -> float:
         """Fraction of elapsed simulated time this station spent busy."""

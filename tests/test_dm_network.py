@@ -34,9 +34,9 @@ def test_nic_counts_messages_and_bytes():
     engine = Engine()
     net = NetworkConfig()
     nic = Nic(engine, "test", net, "cn")
-    nic.process(100)
-    nic.process(200)
-    engine.run()
+    nic.charge(100)
+    done = nic.charge(200)
+    engine.run_until_complete(engine.process(_sleep(engine, done)))
     assert nic.messages == 2
     assert nic.payload_bytes == 300
     assert nic.utilization() > 0
@@ -44,38 +44,21 @@ def test_nic_counts_messages_and_bytes():
     assert nic.messages == 0 and nic.payload_bytes == 0
 
 
+def _sleep(engine, ns):
+    yield engine.timeout(ns)
+
+
 def test_nic_serializes_under_load():
-    engine = Engine()
     net = NetworkConfig()
-    nic = Nic(engine, "test", net, "mn")
-    done = []
-
-    def sender(tag):
-        yield nic.process(64)
-        done.append((tag, engine.now))
-
-    for tag in range(3):
-        engine.process(sender(tag))
-    engine.run()
-    times = [t for _tag, t in done]
+    nic = Nic(Engine(), "test", net, "mn")
+    times = [nic.charge(64) for _ in range(3)]
     service = net.msg_service_ns("mn", 64)
     assert times == [service, 2 * service, 3 * service]
 
 
 def test_nic_capacity_allows_parallel_service():
-    engine = Engine()
-    net = NetworkConfig()
-    nic = Nic(engine, "test", net, "mn", capacity=2)
-    done = []
-
-    def sender():
-        yield nic.process(64)
-        done.append(engine.now)
-
-    for _ in range(2):
-        engine.process(sender())
-    engine.run()
-    assert done[0] == done[1]
+    nic = Nic(Engine(), "test", NetworkConfig(), "mn", capacity=2)
+    assert nic.charge(64) == nic.charge(64)
 
 
 def test_atomic_extra_cost_configured():
@@ -84,14 +67,7 @@ def test_atomic_extra_cost_configured():
 
 
 def test_arrive_delay_models_propagation():
-    engine = Engine()
     net = NetworkConfig()
-    nic = Nic(engine, "test", net, "mn")
-
-    def sender():
-        yield nic.process(8, arrive_delay=net.prop_ns)
-        return engine.now
-
-    p = engine.process(sender())
-    assert engine.run_until_complete(p) == \
+    nic = Nic(Engine(), "test", net, "mn")
+    assert nic.charge(8, arrive_delay=net.prop_ns) == \
         net.prop_ns + net.msg_service_ns("mn", 8)

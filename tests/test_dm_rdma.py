@@ -321,3 +321,46 @@ def test_direct_executor_stamps_every_leg_at_post(setup):
     for rec in recorder.records:
         assert rec.t_sent == rec.t_applied == rec.t_replied == rec.t_done \
             == rec.t_post
+
+
+def _spin(addr):
+    while True:
+        yield ReadOp(addr, 8)
+
+
+@pytest.mark.parametrize("executor", ["direct", "sim"])
+def test_verb_budget_holds_without_a_fault_plan(setup, executor):
+    """``arm_verb_budget`` is the "never a hang" bound: it holds on both
+    executors whether or not a plan is attached."""
+    cluster, addr = setup
+    if executor == "direct":
+        ex = cluster.direct_executor()
+        ex.arm_verb_budget(50)
+        with pytest.raises(SimulationError, match="verb budget"):
+            ex.run(_spin(addr))
+    else:
+        ex = cluster.sim_executor(0)
+        ex.arm_verb_budget(50)
+        proc = cluster.engine.process(ex.run(_spin(addr)))
+        with pytest.raises(SimulationError, match="verb budget"):
+            # The limit turns a missing bound into an error, not a hang.
+            cluster.engine.run_until_complete(proc, limit=10_000_000)
+    assert ex.stats.messages == 51
+
+
+def test_hand_stepped_sim_run_raises_at_its_first_verb(setup):
+    """A verb trip resumes the engine process driving ``run``; a
+    generator stepped by hand has none, and gets an error, not a second
+    verb path."""
+    cluster, addr = setup
+    ex = cluster.sim_executor(0)
+
+    def client():
+        yield LocalCompute(10)
+        yield ReadOp(addr, 8)
+
+    steps = ex.run(client())
+    next(steps)  # the LocalCompute's timeout is an ordinary event
+    with pytest.raises(SimulationError, match="hand-stepped"):
+        next(steps)
+    assert ex.stats.messages == 0

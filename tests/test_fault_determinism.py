@@ -158,8 +158,7 @@ def test_empty_plan_is_zero_overhead(monkeypatch):
     (50-key scans; with ``use_filter=False`` every search is the
     Theta(L) INHT probe): an attached plan once ran their members one
     after another, 4.4x the simulated time of this very mix.  DMSan's
-    verdict on the mix is the same on the trips and on the reference
-    engine's generator path."""
+    verdict on the mix is the same on both dispatch loops."""
 
     def run(attach, use_filter):
         cluster = Cluster(ClusterConfig(mn_capacity_bytes=64 << 20))

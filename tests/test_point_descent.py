@@ -15,8 +15,8 @@ both ``OpStats``.
 The fixture was generated at the commit *before* the four hand-written
 walks were folded into ``_descend`` and must be reproduced byte for byte
 by any later one, on the fast engine and under ``REPRO_SIM_SLOW=1``
-(``events_processed`` is recorded per engine: the reference engine
-dispatches member processes where the fast one rides trips).  A change
+(``events_processed`` is recorded per engine; both dispatch the same
+verb trips, so the two counts are equal).  A change
 that moves the model regenerates it in the open, in the same diff::
 
     PYTHONPATH=src python tests/test_point_descent.py --regenerate
@@ -313,10 +313,7 @@ def test_two_client_interleaving_reproduces_the_golden_schedule(system):
     got = json.loads(json.dumps(got))
     for field in ("results", "now", "stats", "metrics"):
         assert got[field] == want[field], f"{system}: {field} moved"
-    if os.environ.get("REPRO_SAN") != "1":
-        # A DMSan monitor forces the generator path: same clock, other
-        # event count.
-        assert events == want["events_processed"][engine], system
+    assert events == want["events_processed"][engine], system
     # Not vacuous: the two clients really collided.
     assert sum(m["op_restarts"] for m in got["metrics"]) > 0
     assert ["update", 1, False] in got["results"] \

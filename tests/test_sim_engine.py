@@ -81,33 +81,6 @@ def test_process_is_event():
     assert engine.run_until_complete(p) == "xy"
 
 
-def test_all_of_waits_for_slowest():
-    engine = Engine()
-
-    def child(delay):
-        yield engine.timeout(delay)
-        return delay
-
-    def parent():
-        procs = [engine.process(child(d)) for d in (50, 150, 100)]
-        values = yield engine.all_of(procs)
-        return values
-
-    p = engine.process(parent())
-    assert engine.run_until_complete(p) == [50, 150, 100]
-    assert engine.now == 150
-
-
-def test_all_of_empty():
-    engine = Engine()
-
-    def parent():
-        values = yield engine.all_of([])
-        return values
-
-    assert engine.run_until_complete(engine.process(parent())) == []
-
-
 def test_run_until_bound():
     engine = Engine()
 

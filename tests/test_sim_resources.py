@@ -1,95 +1,62 @@
-"""Unit tests for FIFO servers and latency recording."""
+"""Unit tests for the NIC's FIFO station and latency recording."""
 
 import pytest
 
+from repro.dm.network import NetworkConfig, Nic
 from repro.sim import Engine, FifoServer, LatencyRecorder
 
 
-def test_fifo_serializes_jobs():
+#: Every message costs nothing, so ``Nic.charge``'s ``extra_ns`` is the
+#: whole service time of a job at the NIC's FIFO station.
+FREE = NetworkConfig(prop_ns=0, cn_msg_ns=0, mn_msg_ns=0, mem_access_ns=0,
+                     atomic_extra_ns=0, header_bytes=0)
+
+
+def _station(capacity=1):
     engine = Engine()
-    server = FifoServer(engine, "s")
-    completions = []
+    return engine, Nic(engine, "s", FREE, "mn", capacity=capacity)
 
-    def job(tag, service):
-        yield server.submit(service)
-        completions.append((tag, engine.now))
 
-    engine.process(job("a", 100))
-    engine.process(job("b", 100))
-    engine.run()
-    assert completions == [("a", 100), ("b", 200)]
+def test_fifo_serializes_jobs():
+    _engine, nic = _station()
+    assert [nic.charge(0, 100), nic.charge(0, 100)] == [100, 200]
 
 
 def test_fifo_capacity_parallelism():
-    engine = Engine()
-    server = FifoServer(engine, "s", capacity=2)
-    completions = []
-
-    def job(tag):
-        yield server.submit(100)
-        completions.append((tag, engine.now))
-
-    for tag in ("a", "b", "c"):
-        engine.process(job(tag))
-    engine.run()
-    assert completions == [("a", 100), ("b", 100), ("c", 200)]
+    _engine, nic = _station(capacity=2)
+    assert [nic.charge(0, 100) for _ in range(3)] == [100, 100, 200]
 
 
 def test_arrive_delay_defers_service():
-    engine = Engine()
-    server = FifoServer(engine, "s")
-
-    def job():
-        yield server.submit(10, arrive_delay=500)
-        return engine.now
-
-    p = engine.process(job())
-    assert engine.run_until_complete(p) == 510
+    _engine, nic = _station()
+    assert nic.charge(0, 10, arrive_delay=500) == 510
 
 
 def test_arrive_delay_does_not_break_busy_server():
-    engine = Engine()
-    server = FifoServer(engine, "s")
-
-    def early():
-        yield server.submit(1_000)
-        return engine.now
-
-    def late():
-        yield server.submit(10, arrive_delay=100)
-        return engine.now
-
-    p1 = engine.process(early())
-    p2 = engine.process(late())
-    engine.run()
-    assert p1.value == 1_000
-    assert p2.value == 1_010  # waited for the busy server
+    _engine, nic = _station()
+    assert nic.charge(0, 1_000) == 1_000
+    # Arrives at 100 but waits for the busy server.
+    assert nic.charge(0, 10, arrive_delay=100) == 1_010
 
 
 def test_utilization_accounting():
-    engine = Engine()
-    server = FifoServer(engine, "s")
-
-    def job():
-        yield server.submit(400)
-        yield engine.timeout(600)
-
-    engine.run_until_complete(engine.process(job()))
+    engine, nic = _station()
+    server = nic.server
+    nic.charge(0, 400)
+    engine.run_until_complete(engine.process(_sleep(engine, 1_000)))
     assert engine.now == 1_000
     assert server.utilization() == pytest.approx(0.4)
     server.reset_stats()
     assert server.busy_time == 0 and server.jobs == 0
 
 
+def _sleep(engine, ns):
+    yield engine.timeout(ns)
+
+
 def test_invalid_service_times_rejected():
-    engine = Engine()
-    server = FifoServer(engine, "s")
     with pytest.raises(ValueError):
-        server.submit(-1)
-    with pytest.raises(ValueError):
-        server.submit(1, arrive_delay=-1)
-    with pytest.raises(ValueError):
-        FifoServer(engine, "s", capacity=0)
+        FifoServer(Engine(), "s", capacity=0)
 
 
 def test_latency_recorder_percentiles():
