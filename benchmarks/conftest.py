@@ -4,8 +4,8 @@ Every figure's computation runs exactly once per session and its rendered
 table is both printed (visible with ``pytest -s`` and in the benchmark
 report's extra info) and saved under ``benchmarks/results/``.
 
-Scale knobs: REPRO_BENCH_KEYS / REPRO_BENCH_OPS / REPRO_BENCH_WORKERS
-(see repro.bench.harness).  The defaults regenerate every figure in
+Scale knobs: REPRO_BENCH_KEYS / REPRO_BENCH_OPS (see
+repro.bench.harness).  The defaults regenerate every figure in
 roughly half an hour; REPRO_BENCH_KEYS=15000 gives a quick smoke pass.
 """
 

@@ -25,9 +25,11 @@ The model here:
   their MPH slot; out-of-place value growth patches the slot's packed
   leaf ref in place (the "incremental" part: a moved leaf invalidates
   exactly its own directory entry, nothing else).  Once the overflow
-  exceeds ``rebuild_min``/``rebuild_frac`` the whole directory is
+  exceeds ``rebuild_min``/:data:`REBUILD_FRAC` the whole directory is
   rebuilt deterministically over the live key set with the same base
-  seed - same keys, same seed, same tables, bit for bit.
+  seed (:data:`DIR_SEED`) - same keys, same seed, same tables, bit for
+  bit - and the rebuilding client is charged :data:`REBUILD_NS_PER_KEY`
+  of CN compute per live key.
 
 * Leaves are the shared 64-B-aligned checksummed blobs of
   :mod:`repro.core.leaf`, with the same CAS lock word protocol, so MN
@@ -66,27 +68,27 @@ LEAF_ALIGN = 64
 
 _RETRY = object()
 
+#: Base seed of the MPH construction (rebuilds reuse it, so the
+#: directory is a pure function of the live key set).
+DIR_SEED = 0x0B1A5
+#: A rebuild triggers once delta + tombstones exceed
+#: ``max(rebuild_min, directory_size // REBUILD_FRAC)``.
+REBUILD_FRAC = 4
+#: CN CPU charged per live key when a rebuild runs (hash + placement
+#: are local compute; no verbs are issued).
+REBUILD_NS_PER_KEY = 40
+
 
 @dataclass(frozen=True)
 class OutbackConfig:
     """Tunables of the Outback-style directory index."""
-
-    dir_seed: int = 0x0B1A5
-    """Base seed of the MPH construction (rebuilds reuse it, so the
-    directory is a pure function of the live key set)."""
 
     dir_fp_bits: int = 16
     """Fingerprint bits per directory slot: an absent key false-routes
     (costing one wasted READ) with probability ``2**-dir_fp_bits``."""
 
     rebuild_min: int = 256
-    rebuild_frac: int = 4
-    """A rebuild triggers once delta + tombstones exceed
-    ``max(rebuild_min, directory_size // rebuild_frac)``."""
-
-    rebuild_ns_per_key: int = 40
-    """CN CPU charged per live key when a rebuild runs (hash + placement
-    are local compute; no verbs are issued)."""
+    """The overflow floor of the rebuild trigger (see :data:`REBUILD_FRAC`)."""
 
     retry: RetryPolicy = DEFAULT_RETRY
     """The unified retry/backoff/timeout policy (see repro.fault.retry)."""
@@ -196,7 +198,7 @@ class OutbackIndex:
 
     def rebuild_due(self) -> bool:
         threshold = max(self.config.rebuild_min,
-                        len(self._mph_keys) // self.config.rebuild_frac)
+                        len(self._mph_keys) // REBUILD_FRAC)
         return self.overflow() > threshold
 
     def rebuild(self) -> int:
@@ -205,7 +207,7 @@ class OutbackIndex:
         pairs = self.live_pairs()
         keys = [key for key, _a, _u in pairs]
         if keys:
-            mph = MinimalPerfectHash.build(keys, seed=self.config.dir_seed,
+            mph = MinimalPerfectHash.build(keys, seed=DIR_SEED,
                                            fp_bits=self.config.dir_fp_bits)
             for key, addr, units in pairs:
                 mph.values[mph.slot_of(key)] = pack_leaf_ref(addr, units)
@@ -278,8 +280,7 @@ class OutbackClient:
         if not self.index.rebuild_due():
             return
         hashed = self.index.rebuild()
-        if self.config.rebuild_ns_per_key:
-            yield LocalCompute(self.config.rebuild_ns_per_key * hashed)
+        yield LocalCompute(REBUILD_NS_PER_KEY * hashed)
 
     # -- search ------------------------------------------------------------
     def search(self, key: bytes):

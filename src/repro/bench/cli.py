@@ -6,18 +6,19 @@ Usage::
     python -m repro.bench.cli fig5 --dataset email
     python -m repro.bench.cli fig6
     python -m repro.bench.cli ablations
-    python -m repro.bench.cli rack --tenants 16 --clients 64
+    python -m repro.bench.cli rack --clients 64
     python -m repro.bench.cli all
 
 The ``rack`` family (not part of ``all``: it has its own BENCH_RACK
-baseline) runs the multi-tenant serving grid - sharded MN groups, a
-weighted-fair tenant roster, and an online MN join/leave rebalance cell
-that must end fsck-clean (a dirty fsck exits nonzero).  ``--rows-out``
-writes its deterministic digest for bit-identity checks.
+baseline) runs the multi-tenant serving grid at workload seed 0 - sharded
+MN groups, the 16-tenant weighted-fair default roster, and an online MN
+join/leave rebalance cell that must end fsck-clean (a dirty fsck exits
+nonzero).  ``--rows-out`` writes its deterministic digest for
+bit-identity checks.
 
 Scale knobs: ``--keys`` (dataset size), ``--ops`` (timed operations per
 run), ``--workers``; environment variables REPRO_BENCH_KEYS /
-REPRO_BENCH_OPS / REPRO_BENCH_WORKERS set the defaults.
+REPRO_BENCH_OPS set the defaults of the first two.
 
 Perf knobs: ``--parallel N`` fans grid cells over N forked processes
 (rows stay bit-identical to a serial run); ``--perf-out BENCH_2.json``
@@ -26,8 +27,9 @@ nonzero if a cell's simulated result (``sim_ns``, ``throughput_mops``)
 differs from the baseline's - host time is reported, never gated.
 
 Chaos mode: ``--chaos`` attaches the deterministic
-``FaultPlan.chaos(--chaos-seed)`` fault mix to every fig4/fig5 cell and
-reports goodput (successful ops/s) next to raw throughput.
+``FaultPlan.chaos(42)`` fault mix to every fig4/fig5 cell (and to the
+rack family's steady and rebalance cells) and reports goodput
+(successful ops/s) next to raw throughput.
 ``--chaos-crashes`` additionally mixes in crash scenarios - ``crash_cn``
 kills a client generator mid-op (its orphaned locks are reclaimed by the
 attached ``repro.recover`` manager's lease protocol) and ``crash_mn``
@@ -74,12 +76,15 @@ from .figures import (
     render_rtt_histograms,
     rtt_histograms,
 )
-from .harness import DEFAULT_KEYS, DEFAULT_OPS, DEFAULT_PARALLEL, \
-    DEFAULT_WORKERS, EXTRA_SYSTEMS, SYSTEMS
+from .harness import DEFAULT_KEYS, DEFAULT_OPS, DEFAULT_WORKERS, \
+    EXTRA_SYSTEMS, SYSTEMS
 from .perftrack import TRACKER, gate
 from .rackfig import rack_family, render_rack
 from .reporting import banner, format_table
 from ..util.hashing import memo_census
+
+#: Seed of the ``--chaos`` fault plan.
+CHAOS_SEED = 42
 
 
 def _rows_table(rows) -> str:
@@ -100,7 +105,7 @@ def main(argv=None) -> int:
     parser.add_argument("--keys", type=int, default=DEFAULT_KEYS)
     parser.add_argument("--ops", type=int, default=DEFAULT_OPS)
     parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
-    parser.add_argument("--parallel", type=int, default=DEFAULT_PARALLEL,
+    parser.add_argument("--parallel", type=int, default=0,
                         help="fan grid cells over N forked processes "
                              "(0 = serial; results are bit-identical)")
     parser.add_argument("--perf-out", metavar="PATH",
@@ -109,10 +114,8 @@ def main(argv=None) -> int:
                         help="baseline BENCH_2.json; exit 1 if a shared "
                              "cell's simulated result differs")
     parser.add_argument("--chaos", action="store_true",
-                        help="attach FaultPlan.chaos(--chaos-seed) to every "
+                        help="attach FaultPlan.chaos(42) to every "
                              "fig4/fig5 cell and report goodput")
-    parser.add_argument("--chaos-seed", type=int, default=42,
-                        help="seed of the chaos fault plan (default 42)")
     parser.add_argument("--chaos-crashes", action="store_true",
                         help="with --chaos: mix in crash_cn/crash_mn "
                              "scenarios, attach the recovery manager and "
@@ -145,12 +148,6 @@ def main(argv=None) -> int:
                             help="key-space shards (default 64)")
     rack_group.add_argument("--clients", type=int, default=64,
                             help="closed-loop client generators (default 64)")
-    rack_group.add_argument("--tenants", type=int, default=16,
-                            help="tenant roster size (default 16)")
-    rack_group.add_argument("--rack-seed", type=int, default=0,
-                            help="workload seed of the rack cells")
-    rack_group.add_argument("--no-rebalance", action="store_true",
-                            help="skip the online MN join/leave cell")
     rack_group.add_argument("--replicas", type=int, default=0,
                             help="shard replication degree K; K > 0 adds "
                                  "the 'replicated' cell (default 0)")
@@ -173,7 +170,7 @@ def main(argv=None) -> int:
     for name in systems:
         if name not in SYSTEMS + EXTRA_SYSTEMS:
             parser.error(f"unknown system {name!r}")
-    chaos_seed = args.chaos_seed if args.chaos else None
+    chaos_seed = CHAOS_SEED if args.chaos else None
     if args.chaos_crashes and not args.chaos:
         parser.error("--chaos-crashes requires --chaos")
     if (args.trace_out or args.trace_jsonl) and not args.profile:
@@ -192,7 +189,7 @@ def main(argv=None) -> int:
                              chaos_crashes=args.chaos_crashes,
                              profile=args.profile)
             if args.chaos:
-                print(render_chaos(fig4, args.chaos_seed))
+                print(render_chaos(fig4, CHAOS_SEED))
             else:
                 print(render_fig4(fig4))
             for label, prof in fig4.profiles.items():
@@ -215,10 +212,8 @@ def main(argv=None) -> int:
         figure = rack_family(num_cns=args.rack_cns, num_mns=args.rack_mns,
                              group_size=args.rack_group_size,
                              num_shards=args.rack_shards,
-                             clients=args.clients, tenants=args.tenants,
+                             clients=args.clients,
                              num_keys=args.keys, ops=args.ops,
-                             seed=args.rack_seed,
-                             rebalance=not args.no_rebalance,
                              chaos_seed=chaos_seed,
                              replicas=args.replicas,
                              crash_mn_verb=args.crash_mn_verb)

@@ -74,7 +74,7 @@ class Fig4Result:
 def fig4_ycsb(dataset_name: str, num_keys: int = DEFAULT_KEYS,
               ops: int = DEFAULT_OPS, workers: int = DEFAULT_WORKERS,
               systems=SYSTEMS, scan_ops: Optional[int] = None,
-              parallel: Optional[int] = None,
+              parallel: int = 0,
               workloads=FIG4_WORKLOADS,
               chaos_seed: Optional[int] = None,
               chaos_crashes: bool = False,
@@ -192,7 +192,7 @@ class Fig5Result:
 def fig5_scalability(dataset_name: str, num_keys: int = DEFAULT_KEYS,
                      ops: int = DEFAULT_OPS, systems=SYSTEMS,
                      worker_counts=FIG5_WORKERS,
-                     parallel: Optional[int] = None,
+                     parallel: int = 0,
                      chaos_seed: Optional[int] = None,
                      chaos_crashes: bool = False,
                      profile: bool = False) -> Fig5Result:

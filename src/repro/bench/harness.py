@@ -8,9 +8,9 @@ cache-coverage ratios that drive the results:
     budget = 20 MB * (keys / 60 M)          (Sphinx filter, SMART cache)
     budget_C = 10x budget                   (SMART+C)
 
-``REPRO_BENCH_KEYS`` / ``REPRO_BENCH_OPS`` / ``REPRO_BENCH_WORKERS``
-environment variables override the default dataset / per-run operation /
-worker counts for quicker smoke runs or bigger, higher-fidelity runs.
+``REPRO_BENCH_KEYS`` / ``REPRO_BENCH_OPS`` environment variables
+override the default dataset size / per-run operation count for quicker
+smoke runs or bigger, higher-fidelity runs.
 
 Grid execution model
 --------------------
@@ -27,8 +27,8 @@ cell a pure function of its spec:
   snapshot, so no cell observes another cell's mutations.
 
 Because cells are pure, ``run_grid`` can fan them over a fork-based
-process pool (``--parallel`` / ``REPRO_BENCH_PARALLEL``) and the rows are
-bit-identical to a serial run.
+process pool (``--parallel``) and the rows are bit-identical to a serial
+run.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ PAPER_CACHE_BYTES = 20 << 20
 SMART_C_FACTOR = 10
 
 
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
+def _env_int(name: str, default: int) -> int:
     """An integer environment override, validated.
 
     A malformed or out-of-range value raises :class:`ConfigError` naming
@@ -69,16 +69,14 @@ def _env_int(name: str, default: int, minimum: int = 1) -> int:
     except ValueError:
         raise ConfigError(
             f"{name} must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
     return value
 
 
 DEFAULT_KEYS = _env_int("REPRO_BENCH_KEYS", 60_000)
 DEFAULT_OPS = _env_int("REPRO_BENCH_OPS", 4_800)
-DEFAULT_WORKERS = _env_int("REPRO_BENCH_WORKERS", 192)
-# 0 = serial; N > 1 = fan grid cells over N forked worker processes.
-DEFAULT_PARALLEL = _env_int("REPRO_BENCH_PARALLEL", 0, minimum=0)
+DEFAULT_WORKERS = 192
 
 SYSTEMS = ("ART", "SMART", "SMART+C", "Sphinx")
 
@@ -110,8 +108,7 @@ class SystemSetup:
                    for cn in range(self.cluster.config.num_cns))
 
 
-def make_index(name: str, cluster: Cluster, num_keys: int,
-               use_filter: bool = True):
+def make_index(name: str, cluster: Cluster, num_keys: int):
     """Instantiate one of the paper's systems (or an EXTRA_SYSTEMS
     variant) with paper-scaled CN budgets."""
     budget = scaled_cache_bytes(num_keys)
@@ -123,8 +120,7 @@ def make_index(name: str, cluster: Cluster, num_keys: int,
         return SmartIndex(cluster, SmartConfig(
             cache_budget_bytes=budget * SMART_C_FACTOR))
     if name == "Sphinx":
-        return SphinxIndex(cluster, SphinxConfig(
-            filter_budget_bytes=budget, use_filter=use_filter))
+        return SphinxIndex(cluster, SphinxConfig(filter_budget_bytes=budget))
     if name == "Sphinx-NoFilter":
         return SphinxIndex(cluster, SphinxConfig(
             filter_budget_bytes=budget, use_filter=False))
@@ -133,8 +129,8 @@ def make_index(name: str, cluster: Cluster, num_keys: int,
         # gets the same paper-scaled CN budget (its entries are 16 B, so
         # at equal budget it covers a large slice of the hot key set).
         return SphinxIndex(cluster, SphinxConfig(
-            filter_budget_bytes=budget, use_filter=use_filter,
-            use_locator=True, locator_budget_bytes=budget))
+            filter_budget_bytes=budget, use_locator=True,
+            locator_budget_bytes=budget))
     if name == "Outback":
         # CN budget is implicit: the MPH directory covers every loaded
         # key at ~12 B/key and rebuilds are seeded from the key set.
@@ -332,10 +328,10 @@ def _run_cell_batch(batch: List[CellSpec]) -> List[RunResult]:
 
 
 def run_grid(cells: Iterable[CellSpec],
-             parallel: Optional[int] = None) -> List[RunResult]:
+             parallel: int = 0) -> List[RunResult]:
     """Run a grid of cells, serially or over a fork-based process pool.
 
-    ``parallel`` defaults to ``REPRO_BENCH_PARALLEL`` (0 = serial).  Cells
+    ``parallel`` is the pool size (0 = serial).  Cells
     are grouped by loaded-snapshot key so each worker process bulk-loads a
     (system, dataset) once; results come back in input order and are
     bit-identical to a serial run because every cell restores a pristine
@@ -343,9 +339,7 @@ def run_grid(cells: Iterable[CellSpec],
     :mod:`repro.bench.perftrack` for BENCH reports.
     """
     cells = list(cells)
-    if parallel is None:
-        parallel = DEFAULT_PARALLEL
-    if parallel and parallel > 1 and len(cells) > 1:
+    if parallel > 1 and len(cells) > 1:
         groups: Dict[Tuple, List[int]] = {}
         for i, cell in enumerate(cells):
             groups.setdefault(cell.load_key(), []).append(i)

@@ -68,12 +68,12 @@ class RackFigure:
 
 
 def _run_cell(label: str, system: str, spec: ClusterSpec, figure: RackFigure,
-              *, tenants, num_keys: int, ops: int, seed: int,
+              *, tenants, num_keys: int, ops: int,
               events=(), chaos_seed: Optional[int] = None,
               fault_plan=None) -> None:
     wall_start = time.perf_counter()
     rr = run_rack(spec, tenants=tenants, num_keys=num_keys,
-                  insert_pool=max(64, num_keys // 10), ops=ops, seed=seed,
+                  insert_pool=max(64, num_keys // 10), ops=ops, seed=0,
                   events=events, chaos_seed=chaos_seed,
                   fault_plan=fault_plan)
     wall_s = time.perf_counter() - wall_start
@@ -101,12 +101,13 @@ def _run_cell(label: str, system: str, spec: ClusterSpec, figure: RackFigure,
 def rack_family(*, num_cns: int = 8, num_mns: int = 8, group_size: int = 2,
                 num_shards: int = 64, clients: int = 64, tenants: int = 16,
                 num_keys: int = DEFAULT_KEYS, ops: int = DEFAULT_OPS,
-                seed: int = 0, rebalance: bool = True,
+                rebalance: bool = True,
                 chaos_seed: Optional[int] = None,
                 replicas: int = 0,
                 crash_mn_verb: Optional[int] = None,
                 mn_capacity_bytes: int = 256 << 20) -> RackFigure:
-    """Run the rack cell family and return every cell's outputs.
+    """Run the rack cell family (workload seed 0) and return every cell's
+    outputs.
 
     ``tenants`` picks the deterministic :func:`repro.tenancy.
     default_tenants` roster of that size; ``rebalance=False`` drops the
@@ -123,13 +124,13 @@ def rack_family(*, num_cns: int = 8, num_mns: int = 8, group_size: int = 2,
     roster = default_tenants(tenants)
     figure = RackFigure()
     _run_cell("steady", "Rack", spec, figure, tenants=roster,
-              num_keys=num_keys, ops=ops, seed=seed, chaos_seed=chaos_seed)
+              num_keys=num_keys, ops=ops, chaos_seed=chaos_seed)
     if rebalance:
         events = (TopologyEvent(at_ns=REBALANCE_JOIN_NS, kind="mn_join"),
                   TopologyEvent(at_ns=REBALANCE_LEAVE_NS, kind="mn_leave",
                                 group=0))
         _run_cell("rebalance", "Rack+Rebal", spec, figure, tenants=roster,
-                  num_keys=num_keys, ops=ops, seed=seed, events=events,
+                  num_keys=num_keys, ops=ops, events=events,
                   chaos_seed=chaos_seed)
     if replicas > 0:
         rspec = ClusterSpec(num_cns=num_cns, num_mns=num_mns,
@@ -139,10 +140,10 @@ def rack_family(*, num_cns: int = 8, num_mns: int = 8, group_size: int = 2,
         fault_plan = None
         if crash_mn_verb is not None:
             from ..fault import FaultPlan, crash_mn  # local: optional dep
-            fault_plan = FaultPlan(seed=seed, rules=(
+            fault_plan = FaultPlan(seed=0, rules=(
                 crash_mn(group_size, at_verb=crash_mn_verb),))
         _run_cell("replicated", f"Rack+Rep{replicas}", rspec, figure,
-                  tenants=roster, num_keys=num_keys, ops=ops, seed=seed,
+                  tenants=roster, num_keys=num_keys, ops=ops,
                   fault_plan=fault_plan)
     return figure
 

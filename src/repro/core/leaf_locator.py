@@ -227,6 +227,13 @@ class MinimalPerfectHash:
                 + self.values.itemsize * len(self.values))
 
 
+#: Set associativity of the locator cache, and its tag-hash seed (one
+#: seed, shared by every client: hash64 memoizes per seed, so distinct
+#: per-client seeds would defeat the memo).
+LOCATOR_WAYS = 4
+LOCATOR_SEED = 0x10CA
+
+
 class LeafLocator:
     """Budget-bounded CN cache: full key -> packed (leaf addr, units).
 
@@ -244,16 +251,14 @@ class LeafLocator:
     __slots__ = ("ways", "num_sets", "seed", "_tags", "_refs", "_clock",
                  "hits", "misses", "drops", "inserts")
 
-    def __init__(self, budget_bytes: int, ways: int = 4, seed: int = 0x10CA):
+    def __init__(self, budget_bytes: int):
         if budget_bytes <= 0:
             raise InvalidArgument("locator budget must be positive")
-        if ways < 1:
-            raise InvalidArgument("locator needs at least one way")
+        ways = self.ways = LOCATOR_WAYS
         entry_bytes = 16  # one u64 tag + one u64 payload word
         entries = max(ways, budget_bytes // entry_bytes)
-        self.ways = ways
         self.num_sets = max(1, entries // ways)
-        self.seed = seed
+        self.seed = LOCATOR_SEED
         self._tags = array("Q", [0] * (self.num_sets * ways))
         self._refs = array("Q", [0] * (self.num_sets * ways))
         self._clock = array("B", [0] * self.num_sets)

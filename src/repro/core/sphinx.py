@@ -60,6 +60,13 @@ from .leaf_locator import LeafLocator
 from .remote_art import RETRY, OpContext, RemoteArtTree
 
 
+#: Seed of the inner-node hash table's bucket hash.
+TABLE_SEED = 0xD15C0
+#: Caps the INHT's preallocated directory at 2^10 slots per MN (8 KiB);
+#: the fp2 scheme allows up to 12.
+TABLE_MAX_DEPTH = 10
+
+
 @dataclass(frozen=True)
 class SphinxConfig:
     """Tunables of one Sphinx index (defaults follow the paper)."""
@@ -69,7 +76,6 @@ class SphinxConfig:
     keys; scale proportionally to dataset size)."""
 
     filter_fp_bits: int = 12
-    filter_bucket_slots: int = 4
 
     use_filter: bool = True
     """False = base design: batched Theta(L) hash-entry reads (Sec III-A)."""
@@ -77,16 +83,9 @@ class SphinxConfig:
     table_groups_per_segment: int = 64
     table_slots_per_group: int = 8
     table_initial_depth: int = 2
-    table_max_depth: int = 10
-    """Caps the preallocated directory at 2^max_depth slots per MN (8 KiB
-    at the default); the fp2 scheme allows up to 12."""
-    table_seed: int = 0xD15C0
 
     retry: RetryPolicy = DEFAULT_RETRY
     """The unified retry/backoff/timeout policy (see repro.fault.retry)."""
-
-    filter_probe_ns: int = 0
-    """Optional CN CPU cost charged per local filter probe sweep."""
 
     use_locator: bool = False
     """Graft in the Outback-style leaf-locator tier: point reads probe a
@@ -97,19 +96,12 @@ class SphinxConfig:
     locator_budget_bytes: int = 1 << 16
     """CN-side budget of the leaf locator (16 B per entry)."""
 
-    locator_ways: int = 4
-    """Set associativity of the locator cache."""
-
-    locator_seed: int = 0x10CA
-    """Tag-hash seed (one seed, shared by every client: hash64 memoizes
-    per seed, so distinct per-client seeds would defeat the memo)."""
-
     def table_params(self) -> TableParams:
-        return TableParams(seed=self.table_seed,
+        return TableParams(seed=TABLE_SEED,
                            groups_per_segment=self.table_groups_per_segment,
                            slots_per_group=self.table_slots_per_group,
                            initial_depth=self.table_initial_depth,
-                           max_depth=self.table_max_depth)
+                           max_depth=TABLE_MAX_DEPTH)
 
 
 class _InhtSplitCoupling:
@@ -190,8 +182,7 @@ class SphinxClient(RemoteArtTree):
         self.cn_id = cn_id
         self.config = config
         self.filter = SuccinctFilterCache(
-            config.filter_budget_bytes, fp_bits=config.filter_fp_bits,
-            bucket_slots=config.filter_bucket_slots)
+            config.filter_budget_bytes, fp_bits=config.filter_fp_bits)
         self.inht = InhtClient(index.cluster, index.inht,
                                retry=config.retry)
         self.multi_candidate_lookups = 0
@@ -200,9 +191,8 @@ class SphinxClient(RemoteArtTree):
         self.inht_fallbacks = 0
         """Searches that degraded to root traversal because the INHT was
         unreachable (e.g. a bucket stuck behind an abandoned lock)."""
-        self.locator = LeafLocator(
-            config.locator_budget_bytes, ways=config.locator_ways,
-            seed=config.locator_seed) if config.use_locator else None
+        self.locator = LeafLocator(config.locator_budget_bytes) \
+            if config.use_locator else None
         self.locator_fallbacks = 0
         """Locator-guided leaf reads rejected by the fence check (stale
         address, tag collision, torn read, fault) and retried via the
@@ -290,8 +280,6 @@ class SphinxClient(RemoteArtTree):
     # ------------------------------------------------------------------
     def _locate_with_filter(self, ctx: OpContext):
         key = ctx.key
-        if self.config.filter_probe_ns:
-            yield LocalCompute(self.config.filter_probe_ns)
         depth = self.filter.deepest_hit(key, min(len(key) - 1, ctx.limit))
         while depth:
             try:

@@ -28,8 +28,6 @@ class ClusterConfig:
     num_cns: int = 3
     mn_capacity_bytes: int = 1 << 30
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    ring_vnodes: int = 64
-    placement_seed: int = 11
 
     def validate(self) -> None:
         if self.num_mns < 1:
@@ -53,18 +51,14 @@ class Cluster:
             for mn in range(self.config.num_mns)
         }
         self.mn_nics: Dict[int, Nic] = {
-            mn: Nic(self.engine, f"mn{mn}.nic", net, "mn",
-                    net.mn_nic_capacity)
+            mn: Nic(self.engine, f"mn{mn}.nic", net, "mn")
             for mn in range(self.config.num_mns)
         }
         self.cn_nics: Dict[int, Nic] = {
-            cn: Nic(self.engine, f"cn{cn}.nic", net, "cn",
-                    net.cn_nic_capacity)
+            cn: Nic(self.engine, f"cn{cn}.nic", net, "cn")
             for cn in range(self.config.num_cns)
         }
-        self.placement = NodePlacement(
-            list(self.memories), vnodes=self.config.ring_vnodes,
-            seed=self.config.placement_seed)
+        self.placement = NodePlacement(list(self.memories))
         self.observers: Tuple[Observer, ...] = ()
         self.injector = None       # optional repro.fault FaultInjector
         self.recovery = None       # optional repro.recover RecoveryManager
@@ -113,11 +107,11 @@ class Cluster:
         tracers = [o for o in self.observers if isinstance(o, Tracer)]
         return self.detach(tracers[-1]) if tracers else None
 
-    def attach_recovery(self, config=None):
+    def attach_recovery(self):
         """Create a :class:`repro.recover.RecoveryManager`, attach its
         :class:`repro.recover.LeaseTable`, and return the manager."""
         from ..recover import RecoveryManager  # local: recover uses dm
-        self.recovery = RecoveryManager(self, config)
+        self.recovery = RecoveryManager(self)
         self.attach(self.recovery.lease_table)
         return self.recovery
 

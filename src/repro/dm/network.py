@@ -17,10 +17,9 @@ Defaults approximate the paper's testbed (ConnectX-6, ~2 us RTT,
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
-from ..sim import Engine, FifoServer
+from ..sim import Engine
 
 
 @dataclass(frozen=True)
@@ -45,12 +44,6 @@ class NetworkConfig:
     atomic_extra_ns: int = 30
     """Extra NIC-side cost of CAS/FAA over a plain READ/WRITE."""
 
-    cn_nic_capacity: int = 1
-    """Parallel message-processing units per CN NIC."""
-
-    mn_nic_capacity: int = 1
-    """Parallel message-processing units per MN NIC."""
-
     header_bytes: int = 32
     """Per-message wire overhead (RoCE/IB headers) added to payloads."""
 
@@ -73,19 +66,23 @@ class NetworkConfig:
 
 @dataclass
 class Nic:
-    """One NIC: a FIFO message-processing station plus byte accounting."""
+    """One NIC: a single-server FIFO message-processing station (jobs
+    are served in arrival order, one at a time, M/G/1-style) plus byte
+    accounting.  Queueing here under load is what produces the
+    throughput-latency saturation curves of the paper's Fig 5."""
 
     engine: Engine
     name: str
     config: NetworkConfig
     side: str  # "cn" or "mn"
-    capacity: int = 1
-    server: FifoServer = field(init=False)
     messages: int = field(init=False, default=0)
     payload_bytes: int = field(init=False, default=0)
+    busy_time: int = field(init=False, default=0)
+    jobs: int = field(init=False, default=0)
+    free_at: int = field(init=False, default=0)
+    """Simulated time at which the station finishes its accepted work."""
 
     def __post_init__(self):
-        self.server = FifoServer(self.engine, self.name, self.capacity)
         # Service time is a pure function of the payload size and the
         # (frozen) config, and verbs reuse a handful of payload sizes, so
         # memoize rather than redo the bandwidth arithmetic per message.
@@ -98,10 +95,10 @@ class Nic:
 
         ``arrive_delay`` is the wire time before the message reaches this
         NIC (propagation from the far side, DMA completion, ...); service
-        starts at the later of its arrival and the first free unit, and
-        takes the message's service time plus ``extra_ns``.  The verb
-        trips in :mod:`repro.dm.rdma` re-arm themselves at the returned
-        time, once per stage.
+        starts at the later of its arrival and the end of the station's
+        accepted work, and takes the message's service time plus
+        ``extra_ns``.  The verb trips in :mod:`repro.dm.rdma` re-arm
+        themselves at the returned time, once per stage.
         """
         self.messages += 1
         self.payload_bytes += payload_bytes
@@ -110,29 +107,29 @@ class Nic:
             service = self._service_ns[payload_bytes] = \
                 self.config.msg_service_ns(self.side, payload_bytes)
         service += extra_ns
-        server = self.server
-        now = self.engine.now
-        if server.capacity == 1:
-            start = now + arrive_delay
-            free = server._free1
-            if free > start:
-                start = free
-            done = start + service
-            server._free1 = done
-            server.busy_time += service
-            server.jobs += 1
-            return done
-        free_at = heapq.heappop(server._free_at)
-        done = max(now + arrive_delay, free_at) + service
-        heapq.heappush(server._free_at, done)
-        server.busy_time += service
-        server.jobs += 1
+        start = self.engine.now + arrive_delay
+        free = self.free_at
+        if free > start:
+            start = free
+        done = self.free_at = start + service
+        self.busy_time += service
+        self.jobs += 1
         return done
 
     def utilization(self) -> float:
-        return self.server.utilization()
+        """Fraction of elapsed simulated time this station spent busy."""
+        now = self.engine.now
+        return self.busy_time / now if now else 0.0
+
+    def backlog_ns(self, now: int) -> int:
+        """Accepted-but-unfinished work, in ns, ahead of a message
+        arriving at simulated time ``now`` - the queue-depth gauge
+        sampled by :class:`repro.obs.Tracer`."""
+        free = self.free_at
+        return free - now if free > now else 0
 
     def reset_stats(self) -> None:
         self.messages = 0
         self.payload_bytes = 0
-        self.server.reset_stats()
+        self.busy_time = 0
+        self.jobs = 0

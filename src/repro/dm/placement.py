@@ -22,12 +22,21 @@ from typing import List, Sequence, Tuple
 from ..errors import ConfigError, InvalidArgument
 from ..util.hashing import ConsistentHashRing, hash64, hash64_raw
 
+#: Virtual nodes per MN on a node-placement ring, and the ring's seed
+#: (a rack group's ring salts it per group id).
+RING_VNODES = 64
+PLACEMENT_SEED = 11
+#: Virtual nodes per group on the shard ring, and its seed.
+SHARD_VNODES = 32
+SHARD_SEED = 23
+_SHARD_KEY_SEED = SHARD_SEED ^ 0x5A4D
+
 
 class NodePlacement:
     """Consistent-hashing placement over a fixed set of memory nodes."""
 
-    def __init__(self, mn_ids: Sequence[int], vnodes: int = 64, seed: int = 11):
-        self._ring = ConsistentHashRing(mn_ids, vnodes=vnodes, seed=seed)
+    def __init__(self, mn_ids: Sequence[int], seed: int = PLACEMENT_SEED):
+        self._ring = ConsistentHashRing(mn_ids, vnodes=RING_VNODES, seed=seed)
         self._mn_ids = list(mn_ids)
 
     @property
@@ -62,7 +71,7 @@ class ShardMap:
     """
 
     def __init__(self, num_shards: int, groups: Sequence[int], *,
-                 seed: int = 23, vnodes: int = 32, replicas: int = 0):
+                 replicas: int = 0):
         if num_shards < 1:
             raise InvalidArgument("need at least one shard")
         if not groups:
@@ -70,8 +79,6 @@ class ShardMap:
         if replicas < 0:
             raise InvalidArgument("replicas must be >= 0")
         self.num_shards = num_shards
-        self._seed = seed
-        self._vnodes = vnodes
         self._groups: List[int] = sorted(groups)
         ring = self._ring()
         self._cur_ring = ring
@@ -93,14 +100,14 @@ class ShardMap:
     def _ring(self, groups: Sequence[int] | None = None) -> ConsistentHashRing:
         return ConsistentHashRing(self._groups if groups is None
                                   else sorted(groups),
-                                  vnodes=self._vnodes, seed=self._seed)
+                                  vnodes=SHARD_VNODES, seed=SHARD_SEED)
 
     @property
     def groups(self) -> List[int]:
         return list(self._groups)
 
     def shard_for_key(self, key: bytes) -> int:
-        return hash64(key, self._seed ^ 0x5A4D) % self.num_shards
+        return hash64(key, _SHARD_KEY_SEED) % self.num_shards
 
     def group_for_key(self, key: bytes) -> int:
         return self.assignment[self.shard_for_key(key)]

@@ -41,7 +41,7 @@ from ..obs.counters import Counters
 from .cluster import Cluster, ClusterConfig
 from .network import NetworkConfig, Nic
 from .memory import Memory
-from .placement import NodePlacement, ShardMap
+from .placement import PLACEMENT_SEED, NodePlacement, ShardMap
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,6 @@ class ClusterSpec:
     clients: int = 2000
     mn_capacity_bytes: int = 1 << 30
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    ring_vnodes: int = 64
-    placement_seed: int = 11
-    shard_seed: int = 23
-    shard_vnodes: int = 32
     #: Replication degree K: each shard keeps K replica groups beyond
     #: its primary (0 = unreplicated: the same code runs with empty
     #: replica sets).
@@ -125,11 +121,11 @@ class GroupCluster:
     """
 
     def __init__(self, cluster: Cluster, mn_ids: Sequence[int], *,
-                 vnodes: int = 64, seed: int = 11):
+                 seed: int = PLACEMENT_SEED):
         self._cluster = cluster
         self.mn_ids = list(mn_ids)
         self.memories = {mn: cluster.memories[mn] for mn in mn_ids}
-        self.placement = NodePlacement(self.mn_ids, vnodes=vnodes, seed=seed)
+        self.placement = NodePlacement(self.mn_ids, seed=seed)
 
     def __getattr__(self, name):
         # Everything not group-scoped (engine, executors, alloc/free,
@@ -172,8 +168,7 @@ class Rack:
         self.cluster = Cluster(ClusterConfig(
             num_mns=self.spec.num_mns, num_cns=self.spec.num_cns,
             mn_capacity_bytes=self.spec.mn_capacity_bytes,
-            network=self.spec.network, ring_vnodes=self.spec.ring_vnodes,
-            placement_seed=self.spec.placement_seed))
+            network=self.spec.network))
         self._groups: Dict[int, GroupCluster] = {}
         self._indexes: Dict[int, object] = {}
         self._next_mn = self.spec.num_mns
@@ -183,8 +178,6 @@ class Rack:
             self._provision(gid, list(range(base, base + self.spec.group_size)))
         self.shards = ShardMap(self.spec.num_shards,
                                list(range(self.spec.num_groups)),
-                               seed=self.spec.shard_seed,
-                               vnodes=self.spec.shard_vnodes,
                                replicas=self.spec.replicas)
         #: Committed keys per shard - the migration source of truth.
         self.registry: List[Set[bytes]] = [set() for _ in
@@ -216,8 +209,7 @@ class Rack:
     # -- topology ----------------------------------------------------------
     def _provision(self, gid: int, mn_ids: List[int]) -> None:
         view = GroupCluster(self.cluster, mn_ids,
-                            vnodes=self.spec.ring_vnodes,
-                            seed=self.spec.placement_seed ^ (gid * 0x9E37))
+                            seed=PLACEMENT_SEED ^ (gid * 0x9E37))
         self._groups[gid] = view
         from ..core import SphinxConfig, SphinxIndex  # local: core uses dm
         self._indexes[gid] = SphinxIndex(
@@ -240,8 +232,7 @@ class Rack:
                 mn, self.spec.mn_capacity_bytes)
             memory.observers = self.cluster.observers
             self.cluster.mn_nics[mn] = Nic(
-                self.cluster.engine, f"mn{mn}.nic", net, "mn",
-                net.mn_nic_capacity)
+                self.cluster.engine, f"mn{mn}.nic", net, "mn")
             mn_ids.append(mn)
         gid = self._next_group
         self._next_group += 1

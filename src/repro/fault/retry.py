@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 from ..dm.rdma import LocalCompute
 from ..errors import ConfigError, RetryLimitExceeded
@@ -41,33 +41,31 @@ class RetryPolicy:
     * ``op_timeout_ns`` - 0 disables; otherwise an operation that is
       still retrying ``op_timeout_ns`` simulated ns after it started
       raises :class:`RetryLimitExceeded` even with retries left.
-    * ``torn_read_retries`` / ``inplace_update_retries`` - inner-loop
-      budgets for checksum-failed leaf reads and contended in-place
-      leaf updates; both historically hard-coded per call site (lint
-      rule L006 now requires every retry loop to be policy-bound).
+    * ``torn_read_retries`` - inner-loop budget for checksum-failed
+      leaf reads, historically hard-coded per call site (lint rule L006
+      now requires every retry loop to be policy-bound).
+
+    Two class constants complete the policy: ``max_backoff_shift`` caps
+    the exponential growth, and ``inplace_update_retries`` bounds the
+    re-read + CAS loop of a contended in-place leaf update.
     """
 
     max_retries: int = 64
     backoff_ns: int = 2_000
-    max_backoff_shift: int = 6
     op_timeout_ns: int = 0
     torn_read_retries: int = 16
-    inplace_update_retries: int = 8
+    max_backoff_shift: ClassVar[int] = 6
+    inplace_update_retries: ClassVar[int] = 8
 
     def validate(self) -> None:
         if self.max_retries < 1:
             raise ConfigError("RetryPolicy.max_retries must be >= 1")
         if self.backoff_ns < 0:
             raise ConfigError("RetryPolicy.backoff_ns must be >= 0")
-        if self.max_backoff_shift < 0:
-            raise ConfigError("RetryPolicy.max_backoff_shift must be >= 0")
         if self.op_timeout_ns < 0:
             raise ConfigError("RetryPolicy.op_timeout_ns must be >= 0")
         if self.torn_read_retries < 1:
             raise ConfigError("RetryPolicy.torn_read_retries must be >= 1")
-        if self.inplace_update_retries < 1:
-            raise ConfigError(
-                "RetryPolicy.inplace_update_retries must be >= 1")
 
     def attempts(self, cluster, op: str, key: Optional[bytes] = None,
                  deadline: Optional[int] = None) -> "Attempts":

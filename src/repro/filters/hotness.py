@@ -76,6 +76,11 @@ _BUCKET_LO = _BUCKET_SEED & 0xFFFFFFFF
 _BUCKET_HI = (~_BUCKET_SEED ^ 0x5BD1E995) & 0xFFFFFFFF
 
 
+#: Fingerprint slots per bucket: 4-way buckets, the cuckoo-filter
+#: geometry the paper's filter cache uses.
+BUCKET_SLOTS = 4
+
+
 def _floor_pow2(n: int) -> int:
     p = 1
     while p * 2 <= n:
@@ -87,7 +92,7 @@ class SuccinctFilterCache:
     """Budget-bound cuckoo filter with hot-prefix retention."""
 
     def __init__(self, budget_bytes: int, fp_bits: int = 12,
-                 bucket_slots: int = 4, max_kicks: int = 64,
+                 max_kicks: int = 64,
                  rng: random.Random | None = None,
                  second_chance: bool = True):
         if budget_bytes < 16:
@@ -95,7 +100,7 @@ class SuccinctFilterCache:
         if not 2 <= fp_bits <= 32:
             raise FilterError("fp_bits must be in [2, 32]")
         self.fp_bits = fp_bits
-        self.bucket_slots = bucket_slots
+        bucket_slots = self.bucket_slots = BUCKET_SLOTS
         self.max_kicks = max_kicks
         bits_per_slot = fp_bits + 1  # fingerprint + hotness bit
         total_slots = max(bucket_slots * 2,

@@ -235,10 +235,9 @@ class Tracer(Observer):
         dt = now - self._last_sample_t
         gauges: Dict[str, float] = {}
         for nic in self._nics:
-            server = nic.server
-            busy = server.busy_time / (now * server.capacity) if now else 0.0
+            busy = nic.busy_time / now if now else 0.0
             gauges[f"{nic.name}.busy_frac"] = round(busy, 6)
-            gauges[f"{nic.name}.queue_ns"] = float(server.backlog_ns(now))
+            gauges[f"{nic.name}.queue_ns"] = float(nic.backlog_ns(now))
             delta = nic.payload_bytes - self._last_bytes.get(nic.name, 0)
             self._last_bytes[nic.name] = nic.payload_bytes
             gbps = (delta * 8.0 / dt) if dt > 0 else 0.0

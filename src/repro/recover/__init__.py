@@ -11,9 +11,9 @@ structural the lock protocol alone cannot mend.
 
 from .failover import FailoverManager
 from .manager import (
+    LEASE_NS,
     LeaseRecord,
     LeaseTable,
-    RecoveryConfig,
     RecoveryManager,
     RecoveryReport,
 )
@@ -21,9 +21,9 @@ from .rebalance import Rebalancer
 
 __all__ = [
     "FailoverManager",
+    "LEASE_NS",
     "LeaseRecord",
     "LeaseTable",
-    "RecoveryConfig",
     "RecoveryManager",
     "RecoveryReport",
     "Rebalancer",

@@ -16,8 +16,8 @@ have no room for.
 After a crash (``crash_cn`` kills a client mid-operation, abandoning its
 locks) a survivor calls :meth:`RecoveryManager.recover`:
 
-1. every expired lease - owner crashed, or held for ``lease_ns`` or more
-   - is reclaimed: re-read the word, and if it still holds the recorded
+1. every expired lease - owner crashed, or held for :data:`LEASE_NS` or
+   more - is reclaimed: re-read the word, and if it still holds the recorded
    locked value, CAS it back to Idle (node/leaf kinds);
 2. ``hash`` leases delegate to
    :meth:`repro.race.client.RaceClient.recover_segment`, which decides
@@ -31,6 +31,12 @@ mutating (survivors naturally stall on the orphaned locks anyway).  The
 recovery pass itself runs under the same fault injector as regular
 clients, so its verbs can be dropped or NAKed - every step retries
 through the shared :class:`repro.fault.RetryPolicy`.
+
+During a timed run, :meth:`RecoveryManager.daemon` (recoveryd) sweeps
+the table every :data:`LEASE_NS` of simulated time, so a ``crash_cn``
+victim's orphaned locks stall survivors for at most one lease period;
+:func:`repro.ycsb.run_workload` spawns it and stops it when the run's
+traffic ends.
 """
 
 from __future__ import annotations
@@ -40,8 +46,14 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..dm.memory import addr_mn
 from ..dm.rdma import CasOp, Observer, ReadOp, VerbRecord
-from ..errors import ConfigError, InjectedFault, MNUnavailable
-from ..fault.retry import DEFAULT_RETRY, UNTIMED, RetryPolicy
+from ..errors import (
+    ClientCrash,
+    ConfigError,
+    InjectedFault,
+    MNUnavailable,
+    RetryLimitExceeded,
+)
+from ..fault.retry import DEFAULT_RETRY, UNTIMED
 from ..util.bits import u64_from_bytes
 
 # Where the status lives inside each kind's lock word (STATUS_IDLE is 0
@@ -50,18 +62,9 @@ _NODE_STATUS_MASK = 0x3    # art.layout.Header: status in bits 0-1
 _LEAF_STATUS_MASK = 0xFF   # art.layout.leaf_status_word: bits 0-7
 
 
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Tunables for lease expiry and repair."""
-
-    lease_ns: int = 2_000_000      # lease lifetime; >= this age == expired
-    repair: bool = True            # run fsck --repair when an index is given
-    retry: RetryPolicy = DEFAULT_RETRY
-
-    def validate(self) -> None:
-        if self.lease_ns < 0:
-            raise ConfigError("lease_ns must be non-negative")
-        self.retry.validate()
+#: Lease lifetime in simulated ns: a lease held this long or longer has
+#: expired (and recoveryd sweeps once per lease period).
+LEASE_NS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -151,14 +154,16 @@ class RecoveryReport:
 class RecoveryManager:
     """Orphan-lock reclamation and online repair for one cluster."""
 
-    def __init__(self, cluster, config: Optional[RecoveryConfig] = None):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.config = config if config is not None else RecoveryConfig()
-        self.config.validate()
         self.lease_table = LeaseTable()
         self._declared_dead: Set[str] = set()
         self.recoveries = 0
         self.last_report: Optional[RecoveryReport] = None
+        # Bumped by stop(): a daemon whose epoch is stale ends when it
+        # next wakes, so each run's sweeper outlives its run by at most
+        # one sleep and never sweeps inside the next run.
+        self._daemon_epoch = 0
 
     # -- membership ------------------------------------------------------
     def declare_dead(self, client_id: str) -> None:
@@ -175,13 +180,12 @@ class RecoveryManager:
 
     def expired_leases(self, now: Optional[int] = None) -> List[LeaseRecord]:
         """Leases eligible for reclamation: the owner is known dead, or
-        the lease has been held for ``lease_ns`` or more (``>=``: a lease
-        expires *exactly* at its deadline, not one tick after)."""
+        the lease has been held for :data:`LEASE_NS` or more (``>=``: a
+        lease expires *exactly* at its deadline, not one tick after)."""
         now = self.cluster.engine.now if now is None else now
         dead = self.dead_clients()
         return [lease for lease in self.lease_table.records()
-                if lease.owner in dead
-                or now - lease.epoch >= self.config.lease_ns]
+                if lease.owner in dead or now - lease.epoch >= LEASE_NS]
 
     # -- recovery --------------------------------------------------------
     def _run(self, executor, thunk):
@@ -189,8 +193,8 @@ class RecoveryManager:
         through the shared policy (the recovery pass runs under the same
         chaotic network as everyone else).  Untimed: it repairs state a
         dead client left behind, so it keeps its budget only."""
-        for _ in self.config.retry.attempts(self.cluster, "recovery op",
-                                            deadline=UNTIMED):
+        for _ in DEFAULT_RETRY.attempts(self.cluster, "recovery op",
+                                        deadline=UNTIMED):
             try:
                 return executor.run(thunk())
             except InjectedFault:
@@ -236,13 +240,13 @@ class RecoveryManager:
 
     def recover(self, index=None, race_clients: Iterable = (),
                 now: Optional[int] = None,
-                repair: Optional[bool] = None) -> RecoveryReport:
+                repair: bool = True) -> RecoveryReport:
         """One full recovery pass; see the module docstring.
 
         ``index`` (optional) enables the fsck repair stage and INHT
         client discovery; ``race_clients`` supplies hash-table clients
         for standalone-RACE recovery; ``now`` overrides the engine clock
-        for lease-age tests; ``repair`` overrides ``config.repair`` (the
+        for lease-age tests; ``repair=False`` skips the fsck stage (the
         in-run recovery daemon reclaims locks online but defers the fsck
         walk, which wants a quiescent tree, to after the run).
         """
@@ -292,13 +296,43 @@ class RecoveryManager:
                 if lease.kind == "hash" and lease.meta \
                         and lease.meta[0] == seg_addr:
                     self.lease_table.drop(lease.addr)
-        repair = self.config.repair if repair is None else repair
         if index is not None and repair:
             from ..tools import fsck   # local import: tools sits above us
             report.fsck = fsck.check_index(self.cluster, index, repair=True)
         self.recoveries += 1
         self.last_report = report
         return report
+
+    # -- the online sweep (recoveryd) -------------------------------------
+    def stop(self) -> None:
+        """End the running daemon at its next wakeup, without a sweep.
+        Advances no clock: the daemon reads the flag when it wakes."""
+        self._daemon_epoch += 1
+
+    def daemon(self, index):
+        """The online lease-reclamation loop: spawn as an engine process.
+
+        Every :data:`LEASE_NS` of simulated time it reclaims expired
+        leases (fsck repair deferred, ``repair=False``; callers run it
+        after the workload if they need it).  With no expired leases a
+        wakeup issues zero verbs, so the daemon never perturbs the fault
+        schedule of a healthy run.  :meth:`stop` ends it.
+        """
+        engine = self.cluster.engine
+        epoch = self._daemon_epoch
+        while True:
+            yield engine.timeout(LEASE_NS)
+            if self._daemon_epoch != epoch:
+                return
+            if not self.expired_leases():
+                continue
+            try:
+                self.recover(index=index, repair=False)
+            except (RetryLimitExceeded, ClientCrash):
+                # The pass itself runs under chaos: out of retry budget,
+                # or the coordinator was the crash victim.  Next tick
+                # retries with a fresh executor.
+                continue
 
     # -- observability ---------------------------------------------------
     def counters(self):

@@ -8,7 +8,8 @@ Usage::
     assert monitor.report.clean, monitor.report.render_violations()
 
 See :mod:`repro.san.monitor` for what the analyses check and
-:class:`repro.san.report.SanConfig` for the policy knobs.
+:mod:`repro.san.report` for the trusted-defense category sets and
+:class:`repro.san.report.SanConfig`'s one policy knob.
 """
 
 from .monitor import AccessMonitor

@@ -16,21 +16,21 @@ monitor runs four online analyses:
    protocol is *learned*, not declared: a successful CAS grants ownership
    of the word, and a later plain write that stores a different value than
    the CAS installed releases it (the unlock/invalidate pattern).
-   Categories in ``SanConfig.external_sync_categories`` (the RACE
+   Categories in ``EXTERNAL_SYNC_CATEGORIES`` (the RACE
    directory, repointed under the old segment's group locks) only require
    the writer to hold *some* CAS word somewhere.
 2. **Torn reads** - a ``ReadOp`` whose service interval overlaps a
    concurrent ``WriteOp`` from another client on overlapping bytes would
    tear on real hardware.  Overlap confined to one aligned 8-byte word is
    benign (NIC atomicity unit); categories in
-   ``tear_tolerant_categories`` carry their own tear detector (leaf CRC)
+   ``TEAR_TOLERANT_CATEGORIES`` carry their own tear detector (leaf CRC)
    and are counted, not flagged.
 3. **Atomic-word hygiene** - unaligned CAS/FAA, and plain reads/writes
    that *partially* overlap a word some client targets with CAS/FAA
    (full 8-byte coverage is the legitimate unlock pattern).  Per-word
    version counters additionally surface ABA patterns as warnings.
 4. **Use-after-free** - verbs landing in freed objects.  Reads of freed
-   ``checksummed_categories`` objects degrade to stale-read warnings
+   ``CHECKSUMMED_CATEGORIES`` objects degrade to stale-read warnings
    (the shipped protocols free leaves that stale pointers may still
    reach, and defend with checksum + key validation).
 
@@ -50,9 +50,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dm.memory import format_addr, make_addr
 from ..dm.rdma import CasOp, Observer, ReadOp, VerbRecord, WriteOp
-from .report import ABA, ATOMIC_MIX, STALE_READ, TORN_READ, UNLOCKED_WRITE, \
-    USE_AFTER_FREE, WRITE_AFTER_FREE, SanConfig, SanReport, Violation, \
-    raise_or_record, warn
+from .report import ABA, ATOMIC_MIX, CHECKSUMMED_CATEGORIES, \
+    EXTERNAL_SYNC_CATEGORIES, STALE_READ, TEAR_TOLERANT_CATEGORIES, \
+    TORN_READ, UNLOCKED_WRITE, USE_AFTER_FREE, WRITE_AFTER_FREE, SanConfig, \
+    SanReport, Violation, raise_or_record, warn
 
 _WORD = 8
 
@@ -249,7 +250,7 @@ class AccessMonitor(Observer):
                 continue  # confined to one aligned word: NIC-atomic
             obj = self._find_object(op.addr, op.size)
             if obj is not None and \
-                    obj.category in self.config.tear_tolerant_categories:
+                    obj.category in TEAR_TOLERANT_CATEGORIES:
                 self.report.torn_tolerated += 1
                 continue
             raise_or_record(self.report, self.config, Violation(
@@ -308,7 +309,7 @@ class AccessMonitor(Observer):
         owned = self._owned.get(client)
         if not owned:
             return False
-        if obj.category in self.config.external_sync_categories:
+        if obj.category in EXTERNAL_SYNC_CATEGORIES:
             # Lock lives in a different object (e.g. RACE directory writes
             # guarded by the old segment's group locks).
             return True
@@ -340,7 +341,7 @@ class AccessMonitor(Observer):
                 prior = state.observations.get(event.client)
                 if prior is not None and prior[1] == op.expected and \
                         state.version - prior[0] >= 2:
-                    warn(self.report, self.config,
+                    warn(self.report,
                          f"[{ABA}] t={event.t_applied}ns client="
                          f"{event.client} {format_addr(op.addr)}: CAS "
                          f"succeeded on a value last observed "
@@ -363,12 +364,12 @@ class AccessMonitor(Observer):
     def _flag_freed_access(self, event: VerbRecord, obj: _Object, size: int,
                            *, is_write: bool) -> None:
         op = event.op
-        if obj.category in self.config.checksummed_categories:
+        if obj.category in CHECKSUMMED_CATEGORIES:
             # The shipped protocols free leaves that stale pointers may
             # still reach; readers (and lock CAS) are defended by checksum
             # + key validation, so this is expected traffic, not a bug.
             self.report.stale_reads += 1
-            warn(self.report, self.config,
+            warn(self.report,
                  f"[{STALE_READ}] t={event.t_applied}ns client={event.client} "
                  f"{'write' if is_write else 'read'} of freed "
                  f"{obj.category!r} object {format_addr(obj.addr)}"

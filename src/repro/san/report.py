@@ -26,37 +26,37 @@ ABA = "aba"
 STALE_READ = "stale-read"
 
 
+# Which protocol defenses DMSan trusts, per allocation category - the
+# sanitizer analogue of a suppression file, fixed to this repo's shipped
+# protocols.
+
+TEAR_TOLERANT_CATEGORIES: FrozenSet[str] = frozenset({"leaf"})
+"""Allocation categories whose multi-word reads may race writes: the
+protocol carries an explicit tear detector (leaf CRC32)."""
+
+CHECKSUMMED_CATEGORIES: FrozenSet[str] = frozenset({"leaf"})
+"""Categories where a read of a freed block is degraded to a
+:data:`STALE_READ` warning: readers validate content (checksum + key)
+before trusting it, which is the repo's documented defense for leaves
+reclaimed while stale pointers exist."""
+
+EXTERNAL_SYNC_CATEGORIES: FrozenSet[str] = frozenset({"hash_table"})
+"""Categories whose plain writes may be guarded by a lock in a
+*different* object (the RACE directory is repointed under the old
+segment's group locks); the writer must still hold some CAS-acquired
+word somewhere."""
+
+MAX_WARNINGS = 64
+"""Warnings are sampled beyond this count (counters keep counting)."""
+
+
 @dataclass(frozen=True)
 class SanConfig:
-    """Policy knobs for the sanitizer.
-
-    The category sets encode which protocol defenses DMSan trusts; they
-    default to this repo's shipped protocols and are the sanitizer
-    analogue of a suppression file.
-    """
+    """Policy knob for the sanitizer."""
 
     on_violation: str = "record"
     """``"record"`` collects violations into the report; ``"raise"`` turns
     the first one into a :class:`repro.errors.SanViolation`."""
-
-    tear_tolerant_categories: FrozenSet[str] = frozenset({"leaf"})
-    """Allocation categories whose multi-word reads may race writes:
-    the protocol carries an explicit tear detector (leaf CRC32)."""
-
-    checksummed_categories: FrozenSet[str] = frozenset({"leaf"})
-    """Categories where a read of a freed block is degraded to a
-    :data:`STALE_READ` warning: readers validate content (checksum + key)
-    before trusting it, which is the repo's documented defense for leaves
-    reclaimed while stale pointers exist."""
-
-    external_sync_categories: FrozenSet[str] = frozenset({"hash_table"})
-    """Categories whose plain writes may be guarded by a lock in a
-    *different* object (the RACE directory is repointed under the old
-    segment's group locks); the writer must still hold some CAS-acquired
-    word somewhere."""
-
-    max_warnings: int = 64
-    """Warnings are sampled beyond this count (counters keep counting)."""
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def raise_or_record(report: SanReport, config: SanConfig,
         raise SanViolation(violation.render())
 
 
-def warn(report: SanReport, config: SanConfig, message: str) -> None:
+def warn(report: SanReport, message: str) -> None:
     report.warning_count += 1
-    if len(report.warnings) < config.max_warnings:
+    if len(report.warnings) < MAX_WARNINGS:
         report.warnings.append(message)

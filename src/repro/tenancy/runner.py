@@ -31,15 +31,12 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..dm.rack import ClusterSpec, Rack, TopologyEvent
 from ..recover.failover import FailoverManager
 from ..recover.rebalance import Rebalancer
+from ..tools.fsck import exit_code
 from ..ycsb.datasets import make_dataset
-from ..ycsb.runner import RunResult, bulk_load, run_workload
+from ..ycsb.runner import TIME_LIMIT_NS, RunResult, bulk_load, run_workload
 from ..ycsb.workloads import workload
 from .sched import TenancyController
 from .spec import TenancyConfig, default_tenants
-
-#: Simulated-time bound of a run's traffic; draining the topology work
-#: and settling failover get multiples of it.
-TIME_LIMIT_NS = 10_000_000_000_000
 
 
 @dataclass
@@ -85,15 +82,6 @@ class RackRunResult:
         if self.replication is not None:
             out["replication"] = self.replication
         return out
-
-
-def _fsck_exit(report) -> int:
-    """Map one dry-run FsckReport to the fsck CLI's exit convention."""
-    if report.clean and not report.findings:
-        return 0
-    if report.findings and all(f.repairable for f in report.findings):
-        return 1
-    return 2
 
 
 def _topology_daemon(rack: Rack, rebalancer: Rebalancer,
@@ -177,7 +165,7 @@ def run_rack(spec: Optional[ClusterSpec] = None, *,
     result = run_workload(
         rack.cluster, rack, workload(workload_name), dataset,
         system="Rack", workers=spec.clients, ops=ops, seed=seed,
-        time_limit_ns=TIME_LIMIT_NS, tenancy=controller)
+        tenancy=controller)
     if topo_proc is not None and not topo_proc.triggered:
         # Traffic finished first: drive the remaining migrations (and
         # any not-yet-due events) to completion on the same clock.
@@ -192,8 +180,8 @@ def run_rack(spec: Optional[ClusterSpec] = None, *,
         engine.run_until_complete(replicationd,
                                   limit=start_ns + 4 * TIME_LIMIT_NS)
     fsck_reports = rack.fsck_all()
-    fsck_exit = max((_fsck_exit(report) for _gid, report in fsck_reports),
-                    default=0)
+    fsck_exit = max((exit_code(report, dry_run=True, recovered=False)
+                     for _gid, report in fsck_reports), default=0)
     rebalance_row = {
         "shards_moved": len(rebalancer.completed),
         "keys_moved": sum(m[3] for m in rebalancer.completed),

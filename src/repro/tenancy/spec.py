@@ -89,14 +89,18 @@ _DEFAULT_WHEEL = (
 )
 
 
-def default_tenants(count: int = 16, *,
-                    throttled_every: int = 8,
-                    throttled_rate: int = 50_000) -> TenancyConfig:
+#: Every THROTTLED_EVERY-th tenant of a default roster is capped at
+#: THROTTLED_RATE ops per simulated second.
+THROTTLED_EVERY = 8
+THROTTLED_RATE = 50_000
+
+
+def default_tenants(count: int = 16) -> TenancyConfig:
     """A deterministic heterogeneous roster of ``count`` tenants.
 
     Workloads and weights cycle through a fixed wheel; every
-    ``throttled_every``-th tenant carries a token-bucket rate cap so a
-    default roster always demonstrates admission control, not just
+    :data:`THROTTLED_EVERY`-th tenant carries a token-bucket rate cap so
+    a default roster always demonstrates admission control, not just
     weighted sharing.  Purely index-derived - no randomness - so the same
     ``count`` always yields the same roster.
     """
@@ -105,8 +109,8 @@ def default_tenants(count: int = 16, *,
     tenants = []
     for i in range(count):
         workload, weight, rate = _DEFAULT_WHEEL[i % len(_DEFAULT_WHEEL)]
-        if throttled_every and i % throttled_every == throttled_every - 1:
-            rate = throttled_rate
+        if i % THROTTLED_EVERY == THROTTLED_EVERY - 1:
+            rate = THROTTLED_RATE
         tenants.append(TenantSpec(name=f"t{i:02d}", workload=workload,
                                   weight=weight, rate_ops_per_s=rate))
     config = TenancyConfig(tuple(tenants))

@@ -574,7 +574,9 @@ def _build_scenario(keys: int, seed: int,
     return cluster, index, manager
 
 
-def _exit_code(report: FsckReport, dry_run: bool, recovered: bool) -> int:
+def exit_code(report: FsckReport, dry_run: bool, recovered: bool) -> int:
+    """The CLI's exit convention for ``report``; :func:`repro.tenancy.
+    run_rack` maps every group's dry-run report through it too."""
     if dry_run:
         if report.clean and not report.findings:
             return EXIT_CLEAN
@@ -665,7 +667,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report = check_index(cluster, index, repair=repair)
     recovered = bool(args.recover and manager.last_report is not None
                      and manager.last_report.reclaimed)
-    code = _exit_code(report, args.dry_run, recovered)
+    code = exit_code(report, args.dry_run, recovered)
     # --max-exit folds tolerated codes to 0 at the process boundary only;
     # the JSON report keeps the true fsck verdict.
     status = 0 if args.max_exit is not None and code <= args.max_exit \

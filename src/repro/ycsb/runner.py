@@ -39,6 +39,11 @@ from ..util.zipf import (
 from .datasets import Dataset
 from .workloads import ZIPFIAN_THETA, WorkloadSpec
 
+#: Simulated-time bound of a run's traffic (a guard against deadlock and
+#: livelock bugs, far beyond any real run); the rack runner gives
+#: draining topology work and settling failover multiples of it.
+TIME_LIMIT_NS = 10_000_000_000_000
+
 
 @dataclass
 class RunResult:
@@ -359,39 +364,10 @@ def _client(cluster: Cluster, index, state: _SharedRunState, wid: int,
         completed += 1
 
 
-def _recovery_daemon(cluster: Cluster, index, manager):
-    """Online lease-reclamation sweep (a simulation process).
-
-    Spawned by :func:`run_workload` whenever a
-    :class:`repro.recover.RecoveryManager` is attached: every
-    ``lease_ns`` of simulated time it reclaims expired leases so a
-    ``crash_cn`` victim's orphaned locks stall survivors for at most one
-    lease period instead of wedging the run.  The fsck repair walk wants
-    a quiescent tree, so the daemon defers it (``repair=False``);
-    callers run it after the workload if they need it.  With no expired
-    leases a wakeup issues zero verbs, so the daemon never perturbs the
-    fault schedule of a healthy run.
-    """
-    engine = cluster.engine
-    interval = max(1, manager.config.lease_ns)
-    while True:
-        yield engine.timeout(interval)
-        if not manager.expired_leases():
-            continue
-        try:
-            manager.recover(index=index, repair=False)
-        except (RetryLimitExceeded, ClientCrash):
-            # The pass itself runs under chaos: out of retry budget, or
-            # the coordinator was the crash victim.  Next tick retries
-            # with a fresh executor.
-            continue
-
-
 def run_workload(cluster: Cluster, index, spec: WorkloadSpec,
                  dataset: Dataset, *, system: str = "index",
                  workers: int = 12, ops: int = 6_000,
                  warmup_ops_per_cn: int = 0, seed: int = 0,
-                 time_limit_ns: int = 10_000_000_000_000,
                  tenancy=None) -> RunResult:
     """Execute one timed run and collect throughput/latency/verb stats.
 
@@ -403,6 +379,10 @@ def run_workload(cluster: Cluster, index, spec: WorkloadSpec,
     with ``tenancy=None`` each client is one lane with no controller,
     ``result.tenants`` is None, and the results stay byte-identical to
     the golden fixture in tests/test_tenancy.py.
+
+    With a :class:`repro.recover.RecoveryManager` attached, its
+    :meth:`~repro.recover.RecoveryManager.daemon` (recoveryd) sweeps
+    expired leases while the traffic runs and is stopped when it ends.
     """
     if workers < 1:
         raise ConfigError("need at least one worker")
@@ -419,24 +399,27 @@ def run_workload(cluster: Cluster, index, spec: WorkloadSpec,
     actual_ops = per_worker * workers
     failed = {"ops": 0, "crashed": 0, "degraded": 0} \
         if cluster.injector is not None else None
-    if cluster.recovery is not None:
-        engine.process(_recovery_daemon(cluster, index, cluster.recovery),
-                       name="recoveryd")
+    recovery = cluster.recovery
+    if recovery is not None:
+        engine.process(recovery.daemon(index), name="recoveryd")
     processes = []
     for wid in range(workers):
         gen = _client(cluster, index, state, wid, wid % num_cns, per_worker,
                       tenancy, latency, stats, latency_by_op, failed)
         processes.append(engine.process(gen, name=f"worker{wid}"))
-    for process in processes:
-        engine.run_until_complete(process, limit=start_ns + time_limit_ns)
+    try:
+        for process in processes:
+            engine.run_until_complete(process,
+                                      limit=start_ns + TIME_LIMIT_NS)
+    finally:
+        if recovery is not None:
+            recovery.stop()
     sim_ns = engine.now - start_ns
     nic_util = {}
     for mn, nic in cluster.mn_nics.items():
-        nic_util[f"mn{mn}"] = round(nic.server.busy_time
-                                    / max(sim_ns, 1), 4)
+        nic_util[f"mn{mn}"] = round(nic.busy_time / max(sim_ns, 1), 4)
     for cn, nic in cluster.cn_nics.items():
-        nic_util[f"cn{cn}"] = round(nic.server.busy_time
-                                    / max(sim_ns, 1), 4)
+        nic_util[f"cn{cn}"] = round(nic.busy_time / max(sim_ns, 1), 4)
     metrics = Counters.aggregate(
         index.client(cn).counters() for cn in range(num_cns))
     if tenancy is not None:

@@ -56,11 +56,6 @@ def test_nic_serializes_under_load():
     assert times == [service, 2 * service, 3 * service]
 
 
-def test_nic_capacity_allows_parallel_service():
-    nic = Nic(Engine(), "test", NetworkConfig(), "mn", capacity=2)
-    assert nic.charge(64) == nic.charge(64)
-
-
 def test_atomic_extra_cost_configured():
     net = NetworkConfig()
     assert net.atomic_extra_ns > 0

@@ -207,11 +207,11 @@ def test_repair_clears_the_slot_of_a_reachable_invalid_leaf():
 def test_json_report_mirrors_exit_code():
     import json
 
-    from repro.tools.fsck import EXIT_CLEAN, _exit_code, report_json
+    from repro.tools.fsck import EXIT_CLEAN, exit_code, report_json
 
     cluster, index, client, ex, keys = build_sphinx(n=60)
     report = check_index(cluster, index)
-    code = _exit_code(report, dry_run=False, recovered=False)
+    code = exit_code(report, dry_run=False, recovered=False)
     payload = report_json(report, code)
     assert code == EXIT_CLEAN
     assert payload["exit_code"] == EXIT_CLEAN
@@ -225,14 +225,14 @@ def test_json_report_on_unrepairable_defect():
     import json
 
     from repro.tools.fsck import (EXIT_REPAIRED, EXIT_UNREPAIRABLE,
-                                  _exit_code, report_json)
+                                  exit_code, report_json)
 
     cluster, index, client, ex, keys = build_sphinx(n=60)
     report = check_index(cluster, index)
     report.error("synthetic: torn leaf at rest")
     report.find("orphan_lock", 0x1000, "node locked at rest",
                 repairable=False)
-    code = _exit_code(report, dry_run=False, recovered=False)
+    code = exit_code(report, dry_run=False, recovered=False)
     payload = report_json(report, code)
     assert code == EXIT_UNREPAIRABLE
     assert payload["exit_code"] == EXIT_UNREPAIRABLE
@@ -242,4 +242,4 @@ def test_json_report_on_unrepairable_defect():
     # dry-run with only repairable findings maps to EXIT_REPAIRED
     fresh = check_index(cluster, index)
     fresh.find("invalid_leaf", 0x2000, "synthetic", repairable=True)
-    assert _exit_code(fresh, dry_run=True, recovered=False) == EXIT_REPAIRED
+    assert exit_code(fresh, dry_run=True, recovered=False) == EXIT_REPAIRED

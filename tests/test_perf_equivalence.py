@@ -146,8 +146,7 @@ def test_env_int_accepts_valid_values(monkeypatch):
     assert _env_int("REPRO_BENCH_KEYS", 60_000) == 60_000
 
 
-@pytest.mark.parametrize("name", ["REPRO_BENCH_KEYS", "REPRO_BENCH_OPS",
-                                  "REPRO_BENCH_WORKERS"])
+@pytest.mark.parametrize("name", ["REPRO_BENCH_KEYS", "REPRO_BENCH_OPS"])
 def test_env_int_rejects_garbage(monkeypatch, name):
     monkeypatch.setenv(name, "lots")
     with pytest.raises(ConfigError, match=name):
@@ -155,12 +154,12 @@ def test_env_int_rejects_garbage(monkeypatch, name):
 
 
 def test_env_int_rejects_out_of_range(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_WORKERS", "0")
-    with pytest.raises(ConfigError, match="REPRO_BENCH_WORKERS"):
-        _env_int("REPRO_BENCH_WORKERS", 192)
-    monkeypatch.setenv("REPRO_BENCH_PARALLEL", "-2")
-    with pytest.raises(ConfigError, match="REPRO_BENCH_PARALLEL"):
-        _env_int("REPRO_BENCH_PARALLEL", 0, minimum=0)
+    monkeypatch.setenv("REPRO_BENCH_KEYS", "0")
+    with pytest.raises(ConfigError, match="REPRO_BENCH_KEYS"):
+        _env_int("REPRO_BENCH_KEYS", 60_000)
+    monkeypatch.setenv("REPRO_BENCH_OPS", "-2")
+    with pytest.raises(ConfigError, match="REPRO_BENCH_OPS"):
+        _env_int("REPRO_BENCH_OPS", 4_800)
 
 
 # -- perftrack -------------------------------------------------------------

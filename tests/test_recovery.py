@@ -22,7 +22,7 @@ from repro.dm.rdma import Batch, CasOp, OpStats, ReadOp, VerbRecord, \
 from repro.errors import ClientCrash, InjectedFault, MNUnavailable, \
     RetryLimitExceeded
 from repro.fault import FaultPlan, RetryPolicy, crash_cn, crash_mn, drop
-from repro.recover import RecoveryConfig, RecoveryManager
+from repro.recover import LEASE_NS
 from repro.tools import fsck
 from repro.util.bits import u64_from_bytes, u64_to_bytes
 from repro.ycsb import WorkloadSpec, bulk_load, make_dataset, run_workload
@@ -85,12 +85,11 @@ def test_lock_verbs_feed_the_lease_table_and_drain_it():
 def test_lease_expires_exactly_at_deadline_not_one_tick_before():
     cluster = Cluster(ClusterConfig())
     manager = cluster.attach_recovery()
-    lease_ns = manager.config.lease_ns
     verb = CasOp(0x1234, _IDLE_WORD, _LOCKED_WORD, lease=("node",))
     manager.lease_table.on_apply(_applied("cn0", verb, (True, _IDLE_WORD),
                                           now=1_000))
-    assert manager.expired_leases(now=1_000 + lease_ns - 1) == []
-    expired = manager.expired_leases(now=1_000 + lease_ns)
+    assert manager.expired_leases(now=1_000 + LEASE_NS - 1) == []
+    expired = manager.expired_leases(now=1_000 + LEASE_NS)
     assert [lease.addr for lease in expired] == [0x1234]
 
 
@@ -256,6 +255,36 @@ def test_ycsb_crash_accounting():
         "row() must stay byte-compatible with pre-recovery baselines"
 
 
+def test_recoveryd_ends_with_its_run():
+    """Two back-to-back runs on one recovery-attached cluster: the first
+    run's sweeper is stopped when its traffic ends, so every sweep
+    during the second run is the second run's own daemon's - one per
+    lease period, counted from the run's start."""
+    cluster = Cluster(ClusterConfig(mn_capacity_bytes=64 << 20))
+    index = SphinxIndex(cluster, SphinxConfig(filter_budget_bytes=1 << 14))
+    dataset = make_dataset("u64", 400, seed=1, insert_pool=40)
+    bulk_load(cluster, index, dataset)
+    manager = cluster.attach_recovery()
+    engine = cluster.engine
+    sweeps = []
+    expired_leases = manager.expired_leases
+
+    def spy(now=None):
+        sweeps.append(engine.now)
+        return expired_leases(now)
+
+    manager.expired_leases = spy
+    spec = WorkloadSpec("reads", read=1.0)
+    run_workload(cluster, index, spec, dataset, workers=2, ops=1_200)
+    assert sweeps, "the first run must span a lease period"
+    start = engine.now
+    del sweeps[:]
+    run_workload(cluster, index, spec, dataset, workers=2, ops=3_000, seed=1)
+    periods = (engine.now - start) // LEASE_NS
+    assert periods >= 2, "the second run must span several lease periods"
+    assert sweeps == [start + k * LEASE_NS for k in range(1, periods + 1)]
+
+
 # ---------------------------------------------------------------------------
 # RetryPolicy deadline clamp (satellite 1)
 # ---------------------------------------------------------------------------
@@ -324,15 +353,8 @@ def test_fsck_cli_exit_repaired_with_recovery():
 
 
 # ---------------------------------------------------------------------------
-# Config validation and counters
+# Counters
 # ---------------------------------------------------------------------------
-
-def test_recovery_config_validates():
-    from repro.errors import ConfigError
-    with pytest.raises(ConfigError):
-        RecoveryManager(Cluster(ClusterConfig()),
-                        RecoveryConfig(lease_ns=-1))
-
 
 def test_recovery_counters_shape():
     cluster = Cluster(ClusterConfig())

@@ -608,7 +608,7 @@ def _sim_run(use_reference):
         cluster.engine.run_until_complete(
             p, limit=cluster.engine.now + 60_000_000_000)
     metrics = [index.client(cn).metrics.as_dict() for cn in range(3)]
-    nics = [(nic.name, nic.messages, nic.payload_bytes, nic.server.busy_time)
+    nics = [(nic.name, nic.messages, nic.payload_bytes, nic.busy_time)
             for nic in list(cluster.cn_nics.values())
             + list(cluster.mn_nics.values())]
     return (results, cluster.engine.now, cluster.engine.events_processed,

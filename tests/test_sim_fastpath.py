@@ -137,7 +137,7 @@ def _drive(engine, procs, slice_ns):
 
 def _nic_digest(cluster):
     return [(nic.name, nic.messages, nic.payload_bytes,
-             nic.server.busy_time, nic.server.jobs, nic.server._free1)
+             nic.busy_time, nic.jobs, nic.free_at)
             for nic in (*cluster.cn_nics.values(),
                         *cluster.mn_nics.values())]
 

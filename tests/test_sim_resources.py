@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dm.network import NetworkConfig, Nic
-from repro.sim import Engine, FifoServer, LatencyRecorder
+from repro.sim import Engine, LatencyRecorder
 
 
 #: Every message costs nothing, so ``Nic.charge``'s ``extra_ns`` is the
@@ -12,19 +12,14 @@ FREE = NetworkConfig(prop_ns=0, cn_msg_ns=0, mn_msg_ns=0, mem_access_ns=0,
                      atomic_extra_ns=0, header_bytes=0)
 
 
-def _station(capacity=1):
+def _station():
     engine = Engine()
-    return engine, Nic(engine, "s", FREE, "mn", capacity=capacity)
+    return engine, Nic(engine, "s", FREE, "mn")
 
 
 def test_fifo_serializes_jobs():
     _engine, nic = _station()
     assert [nic.charge(0, 100), nic.charge(0, 100)] == [100, 200]
-
-
-def test_fifo_capacity_parallelism():
-    _engine, nic = _station(capacity=2)
-    assert [nic.charge(0, 100) for _ in range(3)] == [100, 100, 200]
 
 
 def test_arrive_delay_defers_service():
@@ -41,22 +36,16 @@ def test_arrive_delay_does_not_break_busy_server():
 
 def test_utilization_accounting():
     engine, nic = _station()
-    server = nic.server
     nic.charge(0, 400)
     engine.run_until_complete(engine.process(_sleep(engine, 1_000)))
     assert engine.now == 1_000
-    assert server.utilization() == pytest.approx(0.4)
-    server.reset_stats()
-    assert server.busy_time == 0 and server.jobs == 0
+    assert nic.utilization() == pytest.approx(0.4)
+    nic.reset_stats()
+    assert nic.busy_time == 0 and nic.jobs == 0
 
 
 def _sleep(engine, ns):
     yield engine.timeout(ns)
-
-
-def test_invalid_service_times_rejected():
-    with pytest.raises(ValueError):
-        FifoServer(Engine(), "s", capacity=0)
 
 
 def test_latency_recorder_percentiles():

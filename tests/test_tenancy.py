@@ -144,6 +144,24 @@ def test_controller_reports_wait_when_every_bucket_empty():
     assert controller.throttle_waits == 1
 
 
+def test_controller_defers_over_budget_tenant_while_another_is_ready():
+    """Retry budgets (DESIGN.md §14.5): a tenant that spent its budget
+    is admitted only when no in-budget tenant is ready."""
+    controller = TenancyController(TenancyConfig((
+        TenantSpec("spender", retry_budget=1),
+        TenantSpec("steady", rate_ops_per_s=1, burst_ops=1))))
+    controller.charge_retry(0)
+    assert controller.over_budget(0) and not controller.over_budget(1)
+    # Both ready (WFQ alone would pick the lower index): the in-budget
+    # tenant wins and the over-budget one is charged a deferral.
+    assert controller.acquire(0) == (1, 0)
+    assert controller.budget_deferrals == [1, 0]
+    # "steady" spent its one token; alone at the ready set, the
+    # over-budget tenant is still admitted, with no deferral counted.
+    assert controller.acquire(0) == (0, 0)
+    assert controller.budget_deferrals == [1, 0]
+
+
 def test_default_tenants_deterministic_and_throttled():
     a, b = default_tenants(16), default_tenants(16)
     assert a == b
