@@ -426,9 +426,12 @@ class LeafView:
         return self.units * LEAF_ALIGN
 
 
-def decode_leaf(data: bytes) -> LeafView:
-    """Parse a leaf blob; checksum mismatches are reported, not raised,
-    because a failed check is a normal concurrency event (torn read)."""
+def leaf_fields(data: bytes) -> Tuple[int, int, bytes, bytes, bool, int]:
+    """Parse a leaf blob into ``(status, units, key, value, checksum_ok,
+    version)`` - the fields of :class:`LeafView`, without building one.
+    Checksum mismatches are reported, not raised, because a failed check
+    is a normal concurrency event (torn read); a blob shorter than the
+    header raises :class:`ReproError`."""
     if len(data) < LEAF_HEADER_SIZE:
         raise ReproError("short leaf read")
     status, units, key_len, val_len, _res, checksum, version = \
@@ -436,11 +439,17 @@ def decode_leaf(data: bytes) -> LeafView:
     split = LEAF_HEADER_SIZE + key_len
     end = split + val_len
     if end > len(data):
-        return LeafView(status, units, b"", b"", False, version)
+        return status, units, b"", b"", False, version
     # The checksummed payload "lengths + key + value" sits in the blob as
     # bytes 2..6 and 16..end, and CRC32 chains: crc(a + b, seed) ==
     # crc(b, crc(a, seed)).  So it is checked in place, not re-assembled.
     ok = crc32(data[LEAF_HEADER_SIZE:end],
                crc32(data[2:6], LEAF_CHECKSUM_SEED)) == checksum
-    return LeafView(status, units, data[LEAF_HEADER_SIZE:split],
-                    data[split:end], ok, version)
+    return (status, units, data[LEAF_HEADER_SIZE:split], data[split:end],
+            ok, version)
+
+
+def decode_leaf(data: bytes) -> LeafView:
+    """Parse a leaf blob into a :class:`LeafView` (see
+    :func:`leaf_fields`)."""
+    return LeafView(*leaf_fields(data))

@@ -61,11 +61,11 @@ from ..art.layout import (
     HEADER_COUNT_ONE,
     Header,
     NodeView,
-    decode_leaf,
     decode_node,
     encode_leaf,
     encode_node,
     encode_node_words,
+    leaf_fields,
     leaf_status_word,
     leaf_units_for,
     next_node_type,
@@ -257,7 +257,13 @@ class RemoteArtTree:
     def _read_node(self, addr: int, node_type: int):
         """Read + decode a node; None means the read was inconsistent
         (freed/retyped memory) and the operation should retry."""
-        data = yield ReadOp(addr, node_size(node_type))
+        return self._visit_node(
+            addr, node_type, (yield ReadOp(addr, node_size(node_type))))
+
+    def _visit_node(self, addr: int, node_type: int, data: bytes):
+        """The node a READ of ``addr`` returned as ``data``, noted as
+        visited; None if the image is not a ``node_type`` node.  Plain
+        method: the scan walk posts its child READs itself."""
         try:
             view = decode_node(data)
         except ReproError:
@@ -1063,22 +1069,23 @@ class RemoteArtTree:
         for word, blob in zip(pending, blobs):
             if count is not None and len(results) >= count:
                 break
-            leaf = decode_leaf(blob)
-            if not leaf.checksum_ok:
+            status, _units, key, value, ok, _version = leaf_fields(blob)
+            if not ok:
                 leaf = yield from leaf_ops.read_leaf(
                     word & SLOT_ADDR_MASK,
                     (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK,
                     retry=self.retry)
-            if leaf.status == STATUS_INVALID or not leaf.checksum_ok:
+                status, key, value, ok = \
+                    leaf.status, leaf.key, leaf.value, leaf.checksum_ok
+            if status == STATUS_INVALID or not ok:
                 continue
-            key = leaf.key
             if key < start_key:
                 continue
             if hi is not None and key > hi:
                 # Leaves are buffered in key order: nothing later fits.
                 over = True
                 break
-            results.append((key, leaf.value))
+            results.append((key, value))
         pending.clear()
         return over or (count is not None and len(results) >= count)
 
@@ -1088,8 +1095,8 @@ class RemoteArtTree:
         is exhausted.
 
         One generator with an explicit stack: a verb result is delivered
-        to this frame (plus ``_read_node`` / ``_flush_leaves``), not
-        through one ``yield from`` frame per tree level.  A stack entry is
+        to this frame (plus ``_flush_leaves``), not through one ``yield
+        from`` frame per tree level or per child read.  A stack entry is
         ``(children, real_prefix, threshold)`` with ``children`` a live
         iterator, so popping an entry resumes its node's loop.
         """
@@ -1160,9 +1167,11 @@ class RemoteArtTree:
                     continue
                 # Descend; len(pending) < want here (every append above is
                 # checked), so there is never a flush to do first.
-                child = yield from self._read_node(
-                    word & SLOT_ADDR_MASK,
-                    (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK)
+                addr = word & SLOT_ADDR_MASK
+                node_type = (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK
+                child = self._visit_node(
+                    addr, node_type,
+                    (yield ReadOp(addr, node_size(node_type))))
                 if child is None or child.header.status == STATUS_INVALID:
                     continue  # retired under a held parent image: skipped
                 # Only the child on the start key's own path stays

@@ -18,7 +18,6 @@ Defaults approximate the paper's testbed (ConnectX-6, ~2 us RTT,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
 from ..sim import Engine
 
 
@@ -81,6 +80,9 @@ class Nic:
     jobs: int = field(init=False, default=0)
     free_at: int = field(init=False, default=0)
     """Simulated time at which the station finishes its accepted work."""
+    stats_since: int = field(init=False, default=0)
+    """Simulated time of the last :meth:`reset_stats`: ``messages``,
+    ``payload_bytes``, ``busy_time`` and ``jobs`` count from here."""
 
     def __post_init__(self):
         # Service time is a pure function of the payload size and the
@@ -117,9 +119,11 @@ class Nic:
         return done
 
     def utilization(self) -> float:
-        """Fraction of elapsed simulated time this station spent busy."""
-        now = self.engine.now
-        return self.busy_time / now if now else 0.0
+        """Fraction of the simulated time since the last stats reset this
+        station spent busy.  Accepted work still queued past now counts
+        as busy, so the fraction is capped at 1."""
+        elapsed = self.engine.now - self.stats_since
+        return min(self.busy_time / elapsed, 1.0) if elapsed > 0 else 0.0
 
     def backlog_ns(self, now: int) -> int:
         """Accepted-but-unfinished work, in ns, ahead of a message
@@ -129,6 +133,7 @@ class Nic:
         return free - now if free > now else 0
 
     def reset_stats(self) -> None:
+        self.stats_since = self.engine.now
         self.messages = 0
         self.payload_bytes = 0
         self.busy_time = 0

@@ -594,9 +594,12 @@ class _VerbTrip(SimEvent):
     A scalar verb's last arming turns the trip into the event that
     resumes ``worker`` with the verb's raw result, and the client's
     :meth:`SimExecutor.run` finishes it; a doorbell member (``worker``
-    None) finishes itself into its :class:`_BatchTrip` ``ctx``.  The
-    observers' post / apply / complete hooks run at the stage they
-    describe; ``rec`` is None when the executor has none.  The dispatch
+    None) finishes itself into its :class:`_BatchTrip` ``ctx`` - at its
+    CN NIC reply charge when its doorbell has no fault decision, its
+    executor no observer and another member is still to reach that
+    charge, otherwise at its own completion event.  The observers'
+    post / apply / complete hooks run at the stage they describe;
+    ``rec`` is None when the executor has none.  The dispatch
     loop marks ``_cb1`` processed before each call, so a finished trip
     keeps no reference to itself (the e2e timed region runs with the
     cycle collector off).
@@ -697,8 +700,21 @@ class _VerbTrip(SimEvent):
                 # Scalar verb: the last dispatch resumes the client.
                 self._proc = self.worker
                 again = None
+            else:
+                ctx = self.ctx
+                if ctx.remaining > 1 and self.rec is None \
+                        and ctx.decisions is None:
+                    # A clean, unobserved member that is not the last to
+                    # reach this charge joins now: the CN NIC completes
+                    # in charge order, so its done event would create
+                    # nothing and dispatch before the last member's.
+                    ctx.results[self.idx] = self._value
+                    ctx.remaining -= 1
+                    return
         elif stage == 4:
-            # Batch member complete: it joins inline.  The last member
+            # Batch member complete: it joins inline (observed or
+            # faulted members; a clean unobserved one joined at its
+            # reply charge unless it was the last).  The last member
             # keeps the two zero-delay hops - member done, then batch
             # done - that place the client's resume among same-time
             # events, so the schedule is exact under ties.
@@ -761,7 +777,9 @@ class _VerbTrip(SimEvent):
 
 class _BatchTrip(SimEvent):
     """A doorbell batch as one boot event and, re-armed, one completion
-    event: 4N+3 dispatches for N clean members.
+    event: 3N+4 dispatches for N clean members on an executor with no
+    observer (only the last member to reach its reply charge keeps its
+    own completion event), 4N+3 with an observer or a fault decision.
 
     The boot starts every member trip in member order, each with its
     fault decision; ``decisions`` (None when the gate passed every

@@ -30,7 +30,7 @@ traces are bit-reproducible: same seed, same bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..dm.memory import addr_mn
 from ..dm.rdma import SILENT_FAULTS, VERB_KIND, Observer, VerbRecord, \
@@ -125,7 +125,8 @@ class Tracer(Observer):
         self._engine = None
         self._nics: List = []
         self._next_sample = 0
-        self._last_bytes: Dict[str, int] = {}
+        # Per NIC: its stats_since and payload_bytes at the last sample.
+        self._last_bytes: Dict[str, Tuple[int, int]] = {}
         self._last_sample_t = 0
 
     # -- span lifecycle --------------------------------------------------
@@ -215,7 +216,7 @@ class Tracer(Observer):
         self._nics = (sorted(cluster.mn_nics.values(), key=lambda n: n.name)
                       + sorted(cluster.cn_nics.values(),
                                key=lambda n: n.name))
-        self._last_bytes = {nic.name: nic.payload_bytes
+        self._last_bytes = {nic.name: (nic.stats_since, nic.payload_bytes)
                             for nic in self._nics}
         self._last_sample_t = cluster.engine.now
         self._next_sample = cluster.engine.now
@@ -232,15 +233,18 @@ class Tracer(Observer):
         """Snapshot every bound NIC's gauges at simulated time ``now``."""
         if self._engine is None:
             return
-        dt = now - self._last_sample_t
         gauges: Dict[str, float] = {}
         for nic in self._nics:
-            busy = nic.busy_time / now if now else 0.0
-            gauges[f"{nic.name}.busy_frac"] = round(busy, 6)
+            gauges[f"{nic.name}.busy_frac"] = round(nic.utilization(), 6)
             gauges[f"{nic.name}.queue_ns"] = float(nic.backlog_ns(now))
-            delta = nic.payload_bytes - self._last_bytes.get(nic.name, 0)
-            self._last_bytes[nic.name] = nic.payload_bytes
-            gbps = (delta * 8.0 / dt) if dt > 0 else 0.0
+            since, last = self._last_bytes[nic.name]
+            start = self._last_sample_t
+            if since != nic.stats_since:
+                # Stats reset since the last sample: count from the reset.
+                last, start = 0, nic.stats_since
+            self._last_bytes[nic.name] = (nic.stats_since, nic.payload_bytes)
+            dt = now - start
+            gbps = (nic.payload_bytes - last) * 8.0 / dt if dt > 0 else 0.0
             gauges[f"{nic.name}.gbps"] = round(gbps, 4)
         self.samples.append(ResourceSample(now, gauges))
         self._last_sample_t = now

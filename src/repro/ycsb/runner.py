@@ -417,9 +417,9 @@ def run_workload(cluster: Cluster, index, spec: WorkloadSpec,
     sim_ns = engine.now - start_ns
     nic_util = {}
     for mn, nic in cluster.mn_nics.items():
-        nic_util[f"mn{mn}"] = round(nic.busy_time / max(sim_ns, 1), 4)
+        nic_util[f"mn{mn}"] = round(nic.utilization(), 4)
     for cn, nic in cluster.cn_nics.items():
-        nic_util[f"cn{cn}"] = round(nic.busy_time / max(sim_ns, 1), 4)
+        nic_util[f"cn{cn}"] = round(nic.utilization(), 4)
     metrics = Counters.aggregate(
         index.client(cn).counters() for cn in range(num_cns))
     if tenancy is not None:

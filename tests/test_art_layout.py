@@ -29,6 +29,7 @@ from repro.art.layout import (
     decode_node,
     encode_leaf,
     encode_node,
+    leaf_fields,
     leaf_size_for,
     leaf_status_word,
     leaf_units_for,
@@ -228,6 +229,28 @@ def test_decode_leaf_truncated_payload_flagged():
     blob[2:4] = (5000).to_bytes(2, "little")  # absurd key_len
     view = decode_leaf(bytes(blob))
     assert not view.checksum_ok
+
+
+def test_leaf_fields_and_decode_leaf_agree():
+    """The scan checks leaves through ``leaf_fields`` without building a
+    ``LeafView``; ``decode_leaf`` wraps the same decoder."""
+    clean = encode_leaf(b"key1", b"value1", STATUS_LOCKED, 2, 7)
+    torn = bytearray(clean)
+    torn[20] ^= 0xFF
+    overrun = bytearray(clean)
+    overrun[4:6] = (5000).to_bytes(2, "little")  # val_len past the end
+    cases = [clean, bytes(torn), bytes(overrun)]
+    for blob in cases:
+        view = decode_leaf(blob)
+        assert leaf_fields(blob) == (view.status, view.units, view.key,
+                                     view.value, view.checksum_ok,
+                                     view.version)
+    assert leaf_fields(clean) == (STATUS_LOCKED, 2, b"key1", b"value1",
+                                  True, 7)
+    assert [leaf_fields(blob)[4] for blob in cases] == [True, False, False]
+    for decoder in (leaf_fields, decode_leaf):
+        with pytest.raises(ReproError):
+            decoder(clean[:LEAF_HEADER_SIZE - 1])
 
 
 def test_header_size_is_8_bytes():

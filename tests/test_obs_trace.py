@@ -26,6 +26,7 @@ from repro.obs import (
     Tracer,
     TraceConfig,
 )
+from repro.ycsb import bulk_load, make_email_dataset, run_workload, workload
 
 
 def _cluster():
@@ -202,6 +203,34 @@ def test_resource_samples_from_sim_run():
     for key, value in gauges.items():
         if key.endswith(".busy_frac"):
             assert 0.0 <= value <= 1.0
+
+
+def test_nic_gauges_count_from_the_stats_reset():
+    """``run_workload`` resets the NIC stats before its traffic; a tracer
+    attached across two runs must measure busy time and bandwidth from
+    that reset, not from time 0 or from a byte count taken before it."""
+    cluster = _cluster()
+    index = SphinxIndex(cluster, SphinxConfig(filter_budget_bytes=1 << 14))
+    dataset = make_email_dataset(3000)
+    bulk_load(cluster, index, dataset)
+    spec = workload("C")
+    run_workload(cluster, index, spec, dataset, workers=48, ops=2000)
+    tracer = cluster.attach_tracer()
+    result = run_workload(cluster, index, spec, dataset, workers=48,
+                          ops=2000)
+    tracer.finish()
+    assert len(tracer.samples) > 2
+    for sample in tracer.samples:
+        for key, value in sample.gauges.items():
+            if key.endswith(".gbps"):
+                assert value >= 0.0, (sample.t, key, value)
+            elif key.endswith(".busy_frac"):
+                assert 0.0 <= value <= 1.0, (sample.t, key, value)
+    last = tracer.samples[-1].gauges
+    for name, utilization in result.nic_utilization.items():
+        assert last[f"{name}.nic.busy_frac"] == \
+            pytest.approx(utilization, abs=5e-5), name
+    assert result.nic_utilization["mn0"] > 0.1
 
 
 def test_sampling_disabled_by_zero_interval():

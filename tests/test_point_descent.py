@@ -14,10 +14,14 @@ both ``OpStats``.
 
 The fixture was generated at the commit *before* the four hand-written
 walks were folded into ``_descend`` and must be reproduced byte for byte
-by any later one, on the fast engine and under ``REPRO_SIM_SLOW=1``
-(``events_processed`` is recorded per engine; both dispatch the same
-verb trips, so the two counts are equal).  A change
-that moves the model regenerates it in the open, in the same diff::
+by any later one, on the fast engine and under ``REPRO_SIM_SLOW=1``.
+``events_processed`` is recorded per engine (both dispatch the same verb
+trips, so the two counts are equal) and per observation: ``plain`` with
+no observer attached, ``observed`` with one, where every doorbell member
+keeps its own completion event.  Under ``REPRO_SAN=1`` the harness
+monitor is attached, so the observed count is the one checked.  A
+change that moves the model regenerates it in the open, in the same
+diff::
 
     PYTHONPATH=src python tests/test_point_descent.py --regenerate
     REPRO_SIM_SLOW=1 PYTHONPATH=src python tests/test_point_descent.py --regenerate
@@ -45,7 +49,8 @@ from repro.baselines import ArtDmIndex, SmartConfig, SmartIndex
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.memory import addr_mn, addr_offset
-from repro.dm.rdma import Batch, CasOp, LocalCompute, OpStats, ReadOp, WriteOp
+from repro.dm.rdma import Batch, CasOp, LocalCompute, Observer, OpStats, \
+    ReadOp, WriteOp
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "point_ops_golden.json")
@@ -225,11 +230,20 @@ def _engine_name(engine):
     return "slow" if engine._slow else "fast"
 
 
-def _run_interleaving(system):
+def _run_interleaving(system, observed=None):
     """Client 0 hammers one leaf with in-place and out-of-place updates;
     client 1 deletes and re-inserts that leaf and grows the Node-4 it
-    hangs off through a type switch, on its own CN (its own caches)."""
+    hangs off through a type switch, on its own CN (its own caches).
+    ``observed`` None runs with whatever observers the cluster was built
+    with; True / False replace them with one no-op :class:`Observer` /
+    none.  The second value returned is ``(engine, observation,
+    events_processed)``."""
     cluster, index = _build(system)
+    if observed is not None:
+        for observer in cluster.observers:
+            cluster.detach(observer)
+        if observed:
+            cluster.attach(Observer())
     loader = cluster.direct_executor()
     for c in "abc":
         loader.run(index.client(2).insert(encode_str(f"h/{c}"), b"h" + c.encode()))
@@ -270,7 +284,9 @@ def _run_interleaving(system):
     metrics = [index.client(cn).metrics.as_dict() for cn in (0, 1)]
     return {"results": [list(r) for r in results], "now": engine.now,
             "stats": [asdict(s) for s in stats], "metrics": metrics}, \
-        (_engine_name(engine), engine.events_processed)
+        (_engine_name(engine),
+         "observed" if cluster.observers else "plain",
+         engine.events_processed)
 
 
 # -- generation and the tests -------------------------------------------------
@@ -282,10 +298,14 @@ def _generate(previous=None):
     golden = {"script": {s: _run_script(s) for s in SYSTEMS},
               "interleaving": {}}
     for system in INTERLEAVED:
-        row, (engine, events) = _run_interleaving(system)
+        row, (engine, _, plain) = _run_interleaving(system, observed=False)
+        observed_row, (_, _, observed) = \
+            _run_interleaving(system, observed=True)
+        assert observed_row == row, system
         old = ((previous or {}).get("interleaving") or {}).get(system) or {}
-        row["events_processed"] = dict(old.get("events_processed") or {},
-                                       **{engine: events})
+        row["events_processed"] = dict(
+            old.get("events_processed") or {},
+            **{engine: {"plain": plain, "observed": observed}})
         golden["interleaving"][system] = row
     return golden
 
@@ -309,11 +329,11 @@ def test_point_ops_reproduce_the_golden_verb_stream(system):
 @pytest.mark.parametrize("system", INTERLEAVED)
 def test_two_client_interleaving_reproduces_the_golden_schedule(system):
     want = _golden()["interleaving"][system]
-    got, (engine, events) = _run_interleaving(system)
+    got, (engine, observation, events) = _run_interleaving(system)
     got = json.loads(json.dumps(got))
     for field in ("results", "now", "stats", "metrics"):
         assert got[field] == want[field], f"{system}: {field} moved"
-    assert events == want["events_processed"][engine], system
+    assert events == want["events_processed"][engine][observation], system
     # Not vacuous: the two clients really collided.
     assert sum(m["op_restarts"] for m in got["metrics"]) > 0
     assert ["update", 1, False] in got["results"] \

@@ -40,7 +40,7 @@ from repro.art.layout import (
     decode_node,
     node_size,
 )
-from repro.baselines import ArtDmConfig, ArtDmIndex
+from repro.baselines import ArtDmConfig, ArtDmIndex, SmartConfig, SmartIndex
 from repro.core import SphinxConfig, SphinxIndex
 from repro.core import leaf as leaf_ops
 from repro.core.remote_art import EMPTY_SUBTREE, OpContext
@@ -567,9 +567,28 @@ def test_torn_read_budget_follows_the_tree_policy():
 
 # -- SimExecutor: the same schedule, to the nanosecond ------------------------
 
-def _sim_run(use_reference):
+def _sim_run(use_reference, system="Sphinx"):
+    """Five scanners (the walk, or the reference) race four inserters on
+    a tree that reshapes itself under them.  Returns ``(results, now,
+    events, nics, metrics, visits)``; ``visits`` is every
+    ``note_visited(addr, view)`` call, in order, as ``(addr, node_type,
+    status)`` - the walk reads its children inline, so it must note the
+    nodes the reference's ``_read_node`` does, in the same order."""
     cluster = Cluster(ClusterConfig(mn_capacity_bytes=64 << 20))
-    index = SphinxIndex(cluster, SphinxConfig(filter_budget_bytes=1 << 14))
+    if system == "SMART":
+        index = SmartIndex(cluster, SmartConfig(cache_budget_bytes=1 << 20))
+    else:
+        index = SphinxIndex(cluster,
+                            SphinxConfig(filter_budget_bytes=1 << 14))
+    visits = []
+    for cn in range(3):
+        client = index.client(cn)
+
+        def note(addr, view, noted=client.note_visited):
+            visits.append((addr, view.header.node_type, view.header.status))
+            noted(addr, view)
+
+        client.note_visited = note
     loader = cluster.direct_executor()
     loaded = _keys("email")[0][::2]
     for i, key in enumerate(loaded):
@@ -612,16 +631,33 @@ def _sim_run(use_reference):
             for nic in list(cluster.cn_nics.values())
             + list(cluster.mn_nics.values())]
     return (results, cluster.engine.now, cluster.engine.events_processed,
-            nics, metrics)
+            nics, metrics, visits)
 
 
 def test_walk_and_reference_share_one_simulated_schedule():
     walk, ref = _sim_run(False), _sim_run(True)
-    results, now, events, nics, metrics = walk
-    assert (now, events, nics, metrics) == ref[1:]
+    results, now, events, nics, metrics, visits = walk
+    assert (now, events, nics, metrics, visits) == ref[1:]
     assert results == ref[0]
     # Not vacuous: the scans ran against a tree that was reshaping itself,
     # and they returned data.
     assert sum(m["type_switches"] for m in metrics) > 0
+    assert sum(m["leaf_splits"] + m["edge_splits"] for m in metrics) > 0
+    assert sum(len(pairs) for pairs in results.values()) > 1000
+
+
+def test_walk_and_reference_note_the_same_visits_on_smart():
+    """SMART is the one client that overrides ``note_visited`` (its CN
+    node cache): the walk's inline child reads fill the cache exactly as
+    ``_read_node`` does in the reference - the same nodes, in the same
+    order, skipped in the same cases - so the whole schedule matches."""
+    walk, ref = _sim_run(False, "SMART"), _sim_run(True, "SMART")
+    results, now, events, nics, metrics, visits = walk
+    assert visits == ref[5]
+    assert (now, events, nics, metrics) == ref[1:5]
+    assert results == ref[0]
+    # Not vacuous: the walk noted nodes below the root, and the tree
+    # split under the scanners.
+    assert len({addr for addr, _type, _status in visits}) > 10
     assert sum(m["leaf_splits"] + m["edge_splits"] for m in metrics) > 0
     assert sum(len(pairs) for pairs in results.values()) > 1000

@@ -7,9 +7,9 @@ digests - benchmark rows, raw latency samples, the final clock, NIC
 station counters - across the two modes, over clean, chaos,
 crash-recovery, and tracer-attached runs.  ``events_processed`` is not
 an observable of the simulated system but the dispatch count of the
-engine that ran; both engines dispatch the same verb trips (a doorbell
-of N verbs is 4N+3 dispatches on either), so the count is equal across
-modes too.
+engine that ran; both engines dispatch the same verb trips (a clean
+doorbell of N verbs is 3N+4 dispatches on either with no observer
+attached, 4N+3 with one), so the count is equal across modes too.
 """
 
 import functools
@@ -155,7 +155,8 @@ def _racy_cluster(config: ClusterConfig) -> Cluster:
 def _mixed_digest(slice_ns=None, prepare=None):
     """Mixed scalar/batch/local workload: a contended phase (several
     clients) then a solo phase (one client on an otherwise idle engine,
-    still event-per-stage trips: 4 events per verb, 4N+3 per doorbell).
+    still event-per-stage trips: 4 events per verb, 3N+4 per doorbell on
+    this observer-free cluster).
     Returns ``(observables, events)``: everything the equivalence
     contract covers across modes, and the dispatch count of the engine
     that ran.  ``prepare(cluster)``, when given, runs before anything is
