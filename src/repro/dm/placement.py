@@ -141,11 +141,6 @@ class ShardMap:
         return self._cur_ring.lookup_chain(self._token(shard),
                                            len(self._groups))
 
-    def replicas_of(self, group: int) -> List[int]:
-        """Shards currently keeping a replica on ``group``."""
-        return [s for s, gs in enumerate(self.replica_assignment)
-                if group in gs]
-
     # -- rebalancing plans -------------------------------------------------
     def plan_join(self, new_group: int) -> List[Tuple[int, int, int]]:
         """Moves ``[(shard, src, dst), ...]`` a joining group triggers.

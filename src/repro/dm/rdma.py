@@ -580,7 +580,7 @@ class DirectExecutor:
 
 class _VerbTrip(SimEvent):
     """One verb as a single engine event that re-arms itself for each of
-    its NIC stages - no generator frame, no per-stage :class:`Timeout`.
+    its NIC stages - no generator frame, no per-stage timeout event.
     Every verb on either engine is one, whatever is attached.
 
     The trip is its own only callback (``_cb1 = self``): each dispatch
@@ -611,7 +611,7 @@ class _VerbTrip(SimEvent):
     def __init__(self, ex: "SimExecutor", op: Verb, worker, decision=None,
                  ctx: "_BatchTrip | None" = None, idx: int = 0):
         self.engine = ex.engine
-        self._spill = self._proc = None
+        self._proc = None
         self.ex = ex
         self.op = op
         self.worker = worker
@@ -750,7 +750,7 @@ class _VerbTrip(SimEvent):
                 _done(ex._observers, self.rec, engine.now)
             again = self._complete_next()
             done = engine.now + self.decision.delay_ns
-        # Re-arm: Engine._schedule(self, done - now), inlined (one call
+        # Re-arm: Engine.timeout's scheduling rule, inlined (one call
         # per stage was worth 6 % of sphinx-e host time, DESIGN.md 11.7).
         # A stage that completes at this very instant joins the FIFO run
         # like timeout(0); a heap entry at its own timestamp would break
@@ -793,7 +793,7 @@ class _BatchTrip(SimEvent):
     def __init__(self, ex: "SimExecutor", ops: Tuple[Verb, ...], worker,
                  decisions=None):
         self.engine = ex.engine
-        self._spill = self._proc = None
+        self._proc = None
         self._cb1 = self
         self.ex = ex
         self.ops = ops if decisions is None else ops[:len(decisions)]

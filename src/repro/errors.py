@@ -75,14 +75,6 @@ class IndexError_(ReproError):
     """Base class for index-structure failures."""
 
 
-class KeyNotFound(IndexError_):
-    """A search/update/delete referenced a key that is not in the index."""
-
-
-class DuplicateKey(IndexError_):
-    """An insert-only operation found the key already present."""
-
-
 class InjectedFault(ReproError):
     """A fault injected by :mod:`repro.fault` fired on a verb: the
     completion was lost, the request NAK'd, or the reply forged.

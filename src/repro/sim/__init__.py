@@ -1,12 +1,11 @@
 """Deterministic discrete-event simulation engine (the timing substrate)."""
 
-from .engine import Engine, Event, Process, Timeout
+from .engine import Engine, Event, Process
 from .resources import LatencyRecorder
 
 __all__ = [
     "Engine",
     "Event",
     "Process",
-    "Timeout",
     "LatencyRecorder",
 ]

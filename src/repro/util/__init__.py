@@ -15,7 +15,6 @@ from .zipf import (
     UniformGenerator,
     ZipfianGenerator,
     zeta,
-    zipf_pmf,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "UniformGenerator",
     "ZipfianGenerator",
     "zeta",
-    "zipf_pmf",
 ]

@@ -14,7 +14,6 @@ Faithful ports of the generators in the YCSB core package:
 
 from __future__ import annotations
 
-import math
 import random
 
 from ..errors import InvalidArgument
@@ -147,13 +146,3 @@ def zipf_pmf(n: int, theta: float) -> list:
     """
     zn = zeta(n, theta)
     return [1.0 / (i ** theta) / zn for i in range(1, n + 1)]
-
-
-def expected_unique_fraction(n: int, samples: int, theta: float) -> float:
-    """Expected fraction of distinct items in ``samples`` zipfian draws.
-
-    A coarse analytic helper used by workload sizing code: for item i with
-    probability p_i, P(drawn at least once) = 1 - (1 - p_i)^samples.
-    """
-    pmf = zipf_pmf(n, theta)
-    return sum(1.0 - math.exp(samples * math.log1p(-p)) for p in pmf) / n

@@ -145,3 +145,55 @@ def test_event_double_trigger_raises():
     event.succeed(1)
     with pytest.raises(SimulationError):
         event.succeed(2)
+
+
+# One waiter per event, and a clock that never moves backwards: each case
+# runs on both dispatch loops (the REPRO_SIM_SLOW step re-runs the rest).
+@pytest.fixture(params=[False, True], ids=["fast", "ref"])
+def loop_engine(request):
+    return Engine(slow=request.param)
+
+
+def test_second_waiter_on_one_event_raises(loop_engine):
+    engine = loop_engine
+    shared = engine.event()
+
+    def waiter():
+        yield shared
+
+    engine.process(waiter(), name="first")
+    engine.process(waiter(), name="second")
+    with pytest.raises(SimulationError, match="'second'.*already has a waiter"):
+        engine.run()
+
+
+def test_waiting_on_fired_event_raises(loop_engine):
+    engine = loop_engine
+    fired = engine.event()
+    fired.succeed("v")
+
+    def late():
+        yield engine.timeout(10)  # ``fired`` is dispatched at t=0
+        yield fired
+
+    engine.process(late(), name="late")
+    with pytest.raises(SimulationError, match="'late'.*already fired"):
+        engine.run()
+
+
+def test_run_until_before_now_refused(loop_engine):
+    engine = loop_engine
+    woke = []
+
+    def sleeper():
+        yield engine.timeout(10)
+        yield engine.timeout(10)
+        woke.append(engine.now)
+
+    engine.process(sleeper())
+    assert engine.run(until=10) == 10
+    with pytest.raises(SimulationError):
+        engine.run(until=5)
+    assert engine.now == 10
+    assert engine.run() == 20
+    assert woke == [20]
