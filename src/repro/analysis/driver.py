@@ -1,9 +1,9 @@
-"""File discovery, the summary fixpoint, and report assembly.
+"""File discovery, the summary fixpoint, and report assembly: the one
+driver behind ``python -m repro.tools.lint``.
 
-Per file: parse, build CFGs (module body, class bodies, one per def),
-compute the function-local constant environment, and read both pragma
-namespaces (``# dmverify: disable=...`` plus the pre-existing
-``# lint: disable=...`` for rules with a lint equivalent).
+Per file: parse once, build CFGs once (module body, class bodies, one
+per def), read the ``# lint:`` pragmas, and run every CFG rule - the
+lint rules L001-L004 and the protocol S-rules - over those graphs.
 
 Across files: function summaries (acquire helpers, release helpers,
 verb factories) are iterated to a fixpoint - protocol helpers call at
@@ -28,21 +28,18 @@ from . import model, rules
 from .cfg import CFG, build_cfgs, is_generator
 from .dataflow import (SEED_SUMMARIES, FlowAnalysis, FuncSummary,
                        RawFinding, Resolver, factory_summary)
-from .findings import (Finding, Suppressions, apply_suppressions,
-                       dedupe, sort_key)
+from .findings import Finding, Suppressions, dedupe, sort_key
 
 _MAX_SUMMARY_ROUNDS = 4
 
 
 @dataclass
 class _FileUnit:
-    path: Path
     rel: str
     tree: ast.Module
     cfgs: List[CFG]
-    tool_sup: Suppressions
-    lint_sup: Suppressions
-    flow: bool  # S001-S004 apply (not an infrastructure layer)
+    suppressions: Suppressions
+    protocol: bool  # S001-S004 apply (not an infrastructure layer)
 
     def function_cfgs(self) -> List[CFG]:
         return [cfg for cfg in self.cfgs if cfg.func is not None]
@@ -102,21 +99,22 @@ class Report:
 
     def to_json(self, targets: Sequence[str] = ()) -> Dict[str, object]:
         return {
-            "tool": "dmverify",
-            "version": 1,
+            "tool": "lint",
+            "version": 2,
             "targets": list(targets),
             "files": self.files,
             "functions": self.functions,
             "counts": self.counts(),
             "findings": [f.to_json() for f in self.findings],
             "clean": self.clean,
+            "exit_code": 0 if self.clean else 1,
         }
 
 
 def discover(paths: Sequence[Path]) -> List[Tuple[Path, str]]:
-    """(path, display-relative-name) pairs, sorted - same convention
-    as repro.tools.lint: directories are walked recursively and names
-    are relative to the directory's parent."""
+    """(path, display-relative-name) pairs, sorted: directories are
+    walked recursively and names are relative to the directory's
+    parent."""
     out: List[Tuple[Path, str]] = []
     for base in paths:
         base = base.resolve()
@@ -133,14 +131,13 @@ def _load(path: Path, rel: str) -> "Tuple[Optional[_FileUnit], Optional[Finding]
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
-        return None, Finding(rel, exc.lineno or 0, "S000",
+        return None, Finding(rel, exc.lineno or 0, "L000",
                              f"syntax error: {exc.msg}")
     unit = _FileUnit(
-        path=path, rel=rel, tree=tree,
+        rel=rel, tree=tree,
         cfgs=build_cfgs(tree, modname=rel),
-        tool_sup=Suppressions.for_source("dmverify", source),
-        lint_sup=Suppressions.for_source("lint", source),
-        flow=not rules.is_exempt(rel, rules.L006_EXEMPT_PARTS))
+        suppressions=Suppressions.for_source(source),
+        protocol=not rules.is_exempt(rel, rules.PROTOCOL_EXEMPT_PARTS))
     return unit, None
 
 
@@ -191,7 +188,7 @@ def analyze_paths(paths: Sequence[Path]) -> Report:
             if factory is not None:
                 table.set(cfg.func.name, unit.rel, cfg.cls, cfg.name,
                           factory)
-    flow_units = [unit for unit in units if unit.flow]
+    flow_units = [unit for unit in units if unit.protocol]
     for _round in range(_MAX_SUMMARY_ROUNDS):
         changed = False
         for unit in flow_units:
@@ -203,8 +200,10 @@ def analyze_paths(paths: Sequence[Path]) -> Report:
 
     findings: List[Finding] = list(parse_failures)
     for unit in units:
-        raw: List[RawFinding] = []
-        if unit.flow:
+        raw = rules.lint_rules(
+            unit.cfgs,
+            l001_exempt=rules.is_exempt(unit.rel, rules.L001_EXEMPT_PARTS))
+        if unit.protocol:
             flow_found, _changed = _flow_findings(unit, table,
                                                   collect=True)
             raw.extend(flow_found)
@@ -215,7 +214,6 @@ def analyze_paths(paths: Sequence[Path]) -> Report:
         wrapped = [Finding(unit.rel, item.line, item.rule, item.message,
                            witness=item.witness)
                    for item in raw]
-        findings.extend(apply_suppressions(wrapped, unit.tool_sup,
-                                           unit.lint_sup))
+        findings.extend(unit.suppressions.apply(wrapped))
     report.findings = dedupe(sorted(findings, key=sort_key))
     return report

@@ -1,18 +1,16 @@
-"""Findings and inline suppressions shared by dmverify and lint.
+"""Findings and inline suppressions of the static checker.
 
-A :class:`Finding` is one diagnostic anchored to a file/line; dmverify
-findings additionally carry a *witness* - the sequence of abstract
-events (lock acquired here, CAS flag tested there) along the concrete
-CFG path that reaches the violation, so a reader can replay the path
-without re-running the analysis.
+A :class:`Finding` is one diagnostic anchored to a file/line; flow
+findings (S001/S003) additionally carry a *witness* - the sequence of
+abstract events (lock acquired here, CAS flag tested there) along the
+concrete CFG path that reaches the violation, so a reader can replay
+the path without re-running the analysis.
 
-:class:`Suppressions` implements the pragma convention shared by both
-tools, parameterized on the tool name::
+:class:`Suppressions` implements the one pragma namespace, for every
+rule::
 
-    yield CasOp(a, 0, 1)  # dmverify: disable=S002
-    # dmverify: disable-file=S001   (first ten lines of the file)
-
-which mirrors the existing ``# lint: disable=L001`` syntax exactly.
+    yield CasOp(a, 0, 1)  # lint: disable=S002
+    # lint: disable-file=L001,S001   (first ten lines of the file)
 """
 
 from __future__ import annotations
@@ -77,64 +75,42 @@ def dedupe(findings: List[Finding]) -> List[Finding]:
     return out
 
 
+_LINE_PRAGMA = re.compile(r"#\s*lint:\s*disable=([A-Z0-9,\s]+)")
+_FILE_PRAGMA = re.compile(r"#\s*lint:\s*disable-file=([A-Z0-9,\s]+)")
+
+
+def _rule_ids(match: "re.Match[str]") -> Set[str]:
+    return {rule.strip() for rule in match.group(1).split(",")}
+
+
 @dataclass
 class Suppressions:
-    """Line and file pragmas for one tool (``dmverify`` or ``lint``)."""
+    """The ``# lint:`` line and file pragmas of one source file."""
 
-    tool: str
     lines: List[str] = field(default_factory=list)
-    _line_pragma: "re.Pattern[str]" = field(init=False, repr=False)
     _file_disabled: Set[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._line_pragma = re.compile(
-            rf"#\s*{self.tool}:\s*disable=([A-Z0-9,\s]+)")
-        file_pragma = re.compile(
-            rf"#\s*{self.tool}:\s*disable-file=([A-Z0-9,\s]+)")
         disabled: Set[str] = set()
         for line in self.lines[:10]:
-            match = file_pragma.search(line)
+            match = _FILE_PRAGMA.search(line)
             if match:
-                disabled.update(
-                    r.strip() for r in match.group(1).split(","))
+                disabled.update(_rule_ids(match))
         self._file_disabled = disabled
 
     @classmethod
-    def for_source(cls, tool: str, source: str) -> "Suppressions":
-        return cls(tool=tool, lines=source.splitlines())
+    def for_source(cls, source: str) -> "Suppressions":
+        return cls(lines=source.splitlines())
 
     def suppressed(self, rule: str, lineno: int) -> bool:
         if rule in self._file_disabled:
             return True
         if 1 <= lineno <= len(self.lines):
-            match = self._line_pragma.search(self.lines[lineno - 1])
-            if match:
-                tagged = {r.strip() for r in match.group(1).split(",")}
-                if rule in tagged:
-                    return True
+            match = _LINE_PRAGMA.search(self.lines[lineno - 1])
+            if match and rule in _rule_ids(match):
+                return True
         return False
 
     def apply(self, findings: List[Finding]) -> List[Finding]:
         return [f for f in findings
                 if not self.suppressed(f.rule, f.line)]
-
-
-#: dmverify rules that semantically upgrade an existing lint rule: a
-#: ``# lint: disable=<old>`` pragma at the same site also silences the
-#: upgraded rule, so justifications written once are not demanded twice.
-LINT_EQUIVALENTS: Dict[str, str] = {"S004": "L006"}
-
-
-def apply_suppressions(findings: List[Finding], tool_sup: Suppressions,
-                       lint_sup: Suppressions) -> List[Finding]:
-    """Filter ``findings`` by the tool's own pragmas and, for rules with
-    a lint equivalent, by the pre-existing lint pragma as well."""
-    kept: List[Finding] = []
-    for finding in findings:
-        if tool_sup.suppressed(finding.rule, finding.line):
-            continue
-        old = LINT_EQUIVALENTS.get(finding.rule)
-        if old is not None and lint_sup.suppressed(old, finding.line):
-            continue
-        kept.append(finding)
-    return kept

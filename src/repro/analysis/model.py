@@ -1,6 +1,6 @@
 """AST-level model of the one-sided verb vocabulary.
 
-Everything dmverify knows about the protocol layer that is not generic
+Everything the checker knows about the protocol layer that is not generic
 control flow lives here: which calls construct verbs, what a lease tag
 looks like, what counts as a lock word, and how to enumerate the verbs
 inside a yielded expression (including ``Batch`` literals, list

@@ -1,16 +1,18 @@
-"""The dmverify S-rule catalog and the CFG-based lint rules.
+"""The rule catalog: CFG-based lint rules (L001-L004) and the protocol
+S-rules (S002/S004/S005/S006).
 
-Syntactic rules (S002/S004/S005/S006 and L001/L002/L006) walk the CFG
-node set - each statement of a file is owned by exactly one node, so
-nothing is scanned twice (``finally`` duplicates are deduped by the
-driver).  Flow rules (S001/S003) live in :mod:`repro.analysis.dataflow`
-and are orchestrated by the driver.
+Syntactic rules walk the CFG node set - each statement of a file is
+owned by exactly one node, so nothing is scanned twice (``finally``
+duplicates are deduped by the driver).  Flow rules (S001/S003) live in
+:mod:`repro.analysis.dataflow` and are orchestrated by the driver; L005
+is a git query in :mod:`repro.tools.lint`.
 
-Scoping: S001-S004 govern client protocol code and inherit the lint
-exemption lists (the dm/sim/obs/bench layers pace engine events, own
-the data plane, or replay recovery - their loops and CASes are not
-client retries or client locks).  S005 and S006 apply everywhere: a
-dead verb or a malformed observer class is a bug in any layer.
+Scoping: S001-S004 govern client protocol code (the dm/sim/obs/bench
+layers pace engine events, own the data plane, or replay recovery -
+their loops and CASes are not client retries or client locks).  L001
+exempts the layers that own the data plane.  L002-L004, S005 and S006
+apply everywhere: a dead verb or a malformed observer class is a bug in
+any layer.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from . import model
 from .cfg import BRANCH, CFG, DISPATCH, RETURN, STMT, contains_yield
 from .dataflow import RawFinding
 
-# Canonical exemption lists (lint imports these; see lint.py L001/L006
-# docs for the rationale).
+#: Layers that own the data plane and may touch ``Memory`` directly.
 L001_EXEMPT_PARTS: Tuple[str, ...] = (
     "repro/dm/", "repro/tools/", "repro/san/", "repro/fault/")
-L006_EXEMPT_PARTS: Tuple[str, ...] = L001_EXEMPT_PARTS + (
+#: Layers outside the client protocol, where S001-S004 do not apply.
+PROTOCOL_EXEMPT_PARTS: Tuple[str, ...] = L001_EXEMPT_PARTS + (
     "repro/sim/", "repro/obs/", "repro/bench/", "repro/ycsb/")
 
 _DATA_PLANE_METHODS = frozenset(
@@ -104,65 +106,80 @@ def _cfg_env(cfg: CFG) -> Dict[str, Optional[ast.expr]]:
 
 
 # ----------------------------------------------------------------------
-# Lint rules on the CFG (L001 / L002 / L006)
+# Lint rules on the CFG (L001-L004)
 # ----------------------------------------------------------------------
+
+_BUILTIN_EXCEPTIONS = frozenset({
+    "Exception", "ValueError", "KeyError", "TypeError", "RuntimeError",
+    "IndexError", "LookupError", "ArithmeticError", "OSError",
+    "AttributeError", "MemoryError",
+})
+
 
 def _looks_like_memory(node: ast.expr) -> bool:
     return any(_MEMORY_NAME.search(name)
                for name in model.identifiers(node))
 
 
-def lint_rules(cfgs: Sequence[CFG], l001_exempt: bool,
-               l006_exempt: bool) -> List[RawFinding]:
+def _call_findings(call: ast.Call, l001_exempt: bool) -> List[RawFinding]:
+    """L001 (direct Memory data-plane access) and L003 (empty Batch
+    literal) on one call expression."""
+    func = call.func
+    if not l001_exempt and isinstance(func, ast.Attribute) \
+            and func.attr in _DATA_PLANE_METHODS \
+            and _looks_like_memory(func.value):
+        return [RawFinding(
+            "L001", call.lineno,
+            f"direct Memory.{func.attr}() bypasses the executors (and "
+            f"DMSan); go through verb generators, or pragma a "
+            f"control-plane exception")]
+    if isinstance(func, ast.Name) and func.id == "Batch" \
+            and len(call.args) == 1 and not call.keywords:
+        arg = call.args[0]
+        if isinstance(arg, (ast.List, ast.Tuple)) and not arg.elts:
+            return [RawFinding(
+                "L003", call.lineno,
+                "empty Batch literal: a doorbell needs >= 1 verb")]
+    return []
+
+
+def _stmt_findings(stmt: ast.stmt) -> List[RawFinding]:
+    """L002 (discarded ``yield CasOp(...)``) and L004 (builtin raise) on
+    one simple statement."""
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Yield):
+        yielded = stmt.value.value
+        if isinstance(yielded, ast.Call) \
+                and isinstance(yielded.func, ast.Name) \
+                and yielded.func.id == "CasOp":
+            return [RawFinding(
+                "L002", stmt.lineno,
+                "CAS result discarded: the swapped flag must be "
+                "consumed (an unchecked CAS is a lock that may have "
+                "silently failed)")]
+    if isinstance(stmt, ast.Raise):
+        exc = stmt.exc
+        name: Optional[str] = None
+        if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name):
+            name = exc.func.id
+        elif isinstance(exc, ast.Name):
+            name = exc.id
+        if name in _BUILTIN_EXCEPTIONS:
+            return [RawFinding(
+                "L004", stmt.lineno,
+                f"raise of builtin {name}: library errors must derive "
+                f"from ReproError (see repro.errors)")]
+    return []
+
+
+def lint_rules(cfgs: Sequence[CFG], l001_exempt: bool) -> List[RawFinding]:
     findings: List[RawFinding] = []
     for cfg in cfgs:
-        for line, owned in node_exprs(cfg):
-            if not l001_exempt:
-                for call in _walk_calls(owned):
-                    if isinstance(call.func, ast.Attribute) \
-                            and call.func.attr in _DATA_PLANE_METHODS \
-                            and _looks_like_memory(call.func.value):
-                        findings.append(RawFinding(
-                            "L001", call.lineno,
-                            f"direct Memory.{call.func.attr}() bypasses "
-                            f"the executors (and DMSan); go through "
-                            f"verb generators, or pragma a "
-                            f"control-plane exception"))
+        for _line, owned in node_exprs(cfg):
+            for call in _walk_calls(owned):
+                findings.extend(_call_findings(call, l001_exempt))
         for node in cfg.nodes:
-            stmt = node.stmt
-            # L002: discarded `yield CasOp(...)` result.
-            if node.kind == STMT and isinstance(stmt, ast.Expr) \
-                    and isinstance(stmt.value, ast.Yield) \
-                    and stmt.value.value is not None:
-                yielded = stmt.value.value
-                if isinstance(yielded, ast.Call) \
-                        and isinstance(yielded.func, ast.Name) \
-                        and yielded.func.id == "CasOp":
-                    findings.append(RawFinding(
-                        "L002", stmt.lineno,
-                        "CAS result discarded: the swapped flag must "
-                        "be consumed (an unchecked CAS is a lock that "
-                        "may have silently failed)"))
-            # L006: bare retry loop over a literal range.
-            if not l006_exempt and node.kind == BRANCH \
-                    and isinstance(stmt, ast.For) \
-                    and isinstance(stmt.iter, ast.Call) \
-                    and isinstance(stmt.iter.func, ast.Name) \
-                    and stmt.iter.func.id == "range" \
-                    and stmt.iter.args \
-                    and all(isinstance(a, ast.Constant)
-                            for a in stmt.iter.args):
-                yields_verbs = any(
-                    isinstance(sub, (ast.Yield, ast.YieldFrom))
-                    for child in stmt.body for sub in ast.walk(child))
-                if yields_verbs:
-                    findings.append(RawFinding(
-                        "L006", stmt.lineno,
-                        "bare retry loop: a bounded loop that yields "
-                        "verbs must iterate RetryPolicy.attempts() "
-                        "(see repro.fault.retry), or pragma an "
-                        "intrinsic protocol bound with a "
-                        "justification"))
+            if node.kind == STMT and node.stmt is not None:
+                findings.extend(_stmt_findings(node.stmt))
     return findings
 
 

@@ -282,7 +282,7 @@ class BplusClient:
         _addr, view = yield from self._read_root()
         # Descent + B-link lateral-hop cap (tree geometry), not a retry
         # budget; genuine retries wrap this in the policy-bound caller.
-        for _hop in range(512):  # lint: disable=L006
+        for _hop in range(512):  # lint: disable=S004
             if view.header.status == STATUS_INVALID:
                 return _RETRY
             # B-link lateral move: a concurrent split may have shifted the

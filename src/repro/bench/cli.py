@@ -20,11 +20,10 @@ Scale knobs: ``--keys`` (dataset size), ``--ops`` (timed operations per
 run), ``--workers``; environment variables REPRO_BENCH_KEYS /
 REPRO_BENCH_OPS set the defaults of the first two.
 
-Perf knobs: ``--parallel N`` fans grid cells over N forked processes
-(rows stay bit-identical to a serial run); ``--perf-out BENCH_2.json``
-writes the per-cell perf records; ``--compare baseline.json`` exits
-nonzero if a cell's simulated result (``sim_ns``, ``throughput_mops``)
-differs from the baseline's - host time is reported, never gated.
+Perf knobs: ``--perf-out BENCH_2.json`` writes the per-cell perf
+records; ``--compare baseline.json`` exits nonzero if a cell's simulated
+result (``sim_ns``, ``throughput_mops``) differs from the baseline's -
+host time is reported, never gated.
 
 Chaos mode: ``--chaos`` attaches the deterministic
 ``FaultPlan.chaos(42)`` fault mix to every fig4/fig5 cell (and to the
@@ -105,9 +104,6 @@ def main(argv=None) -> int:
     parser.add_argument("--keys", type=int, default=DEFAULT_KEYS)
     parser.add_argument("--ops", type=int, default=DEFAULT_OPS)
     parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
-    parser.add_argument("--parallel", type=int, default=0,
-                        help="fan grid cells over N forked processes "
-                             "(0 = serial; results are bit-identical)")
     parser.add_argument("--perf-out", metavar="PATH",
                         help="write host-side perf per cell (BENCH_2.json)")
     parser.add_argument("--compare", metavar="BASELINE",
@@ -184,7 +180,7 @@ def main(argv=None) -> int:
         for dataset in datasets:
             fig4 = fig4_ycsb(dataset, num_keys=args.keys,
                              ops=args.ops, workers=args.workers,
-                             systems=systems, parallel=args.parallel,
+                             systems=systems,
                              workloads=workloads, chaos_seed=chaos_seed,
                              chaos_crashes=args.chaos_crashes,
                              profile=args.profile)
@@ -199,7 +195,6 @@ def main(argv=None) -> int:
         for dataset in datasets:
             fig5 = fig5_scalability(dataset, num_keys=args.keys,
                                     ops=args.ops, systems=systems,
-                                    parallel=args.parallel,
                                     chaos_seed=chaos_seed,
                                     chaos_crashes=args.chaos_crashes,
                                     profile=args.profile)

@@ -74,7 +74,6 @@ class Fig4Result:
 def fig4_ycsb(dataset_name: str, num_keys: int = DEFAULT_KEYS,
               ops: int = DEFAULT_OPS, workers: int = DEFAULT_WORKERS,
               systems=SYSTEMS, scan_ops: Optional[int] = None,
-              parallel: int = 0,
               workloads=FIG4_WORKLOADS,
               chaos_seed: Optional[int] = None,
               chaos_crashes: bool = False,
@@ -84,8 +83,8 @@ def fig4_ycsb(dataset_name: str, num_keys: int = DEFAULT_KEYS,
     Per system: the dataset is bulk-loaded untimed once; every workload
     (LOAD with fresh keys from the insert pool, then A-E) runs against a
     pristine copy of that loaded, cache-warmed state, so each cell is an
-    independent measurement and the grid can run in any order or in
-    parallel without changing a digit.
+    independent measurement and the grid can run in any order without
+    changing a digit.
 
     ``chaos_seed`` attaches a :func:`repro.fault.FaultPlan.chaos` plan to
     every cell's private cluster copy; the rows then also carry goodput
@@ -117,7 +116,7 @@ def fig4_ycsb(dataset_name: str, num_keys: int = DEFAULT_KEYS,
                  chaos_crashes=chaos_crashes, profile=profile)
         for system in systems for workload_name in workloads
     ]
-    for run in run_grid(cells, parallel):
+    for run in run_grid(cells):
         result.rows.append(_result_row(run, chaos_seed))
         if run.profile is not None:
             label = f"{run.system}/{run.workload}"
@@ -192,7 +191,6 @@ class Fig5Result:
 def fig5_scalability(dataset_name: str, num_keys: int = DEFAULT_KEYS,
                      ops: int = DEFAULT_OPS, systems=SYSTEMS,
                      worker_counts=FIG5_WORKERS,
-                     parallel: int = 0,
                      chaos_seed: Optional[int] = None,
                      chaos_crashes: bool = False,
                      profile: bool = False) -> Fig5Result:
@@ -205,7 +203,7 @@ def fig5_scalability(dataset_name: str, num_keys: int = DEFAULT_KEYS,
                  profile=profile)
         for system in systems for workers in worker_counts
     ]
-    for run in run_grid(cells, parallel):
+    for run in run_grid(cells):
         result.rows.append(_result_row(run, chaos_seed))
         if run.profile is not None:
             label = f"{run.system}/{run.workload}x{run.workers}"

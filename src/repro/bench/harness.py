@@ -25,17 +25,12 @@ cell a pure function of its spec:
   on a private copy, also cached;
 * the timed run executes against a ``copy.deepcopy`` of the warmed
   snapshot, so no cell observes another cell's mutations.
-
-Because cells are pure, ``run_grid`` can fan them over a fork-based
-process pool (``--parallel``) and the rows are bit-identical to a serial
-run.
 """
 
 from __future__ import annotations
 
 import copy
 import gc
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -228,9 +223,9 @@ class CellSpec:
 
 # Canonical snapshots, keyed per CellSpec.load_key()/warm_key().  Both hold
 # systems that are *never run against*: cells deepcopy them, so every cell
-# starts from identical state no matter how many ran before it (that is
-# what makes serial and parallel grids bit-identical).  Process-level by
-# design - a figure reuses one bulk load across its whole workload row.
+# starts from identical state no matter how many ran before it.
+# Process-level by design - a figure reuses one bulk load across its whole
+# workload row.
 #
 # Bounded: a full grid visits 8+ (system, dataset) groups, and keeping
 # every group's snapshots alive makes each gen-2 GC pass walk tens of
@@ -316,58 +311,35 @@ def run_cell(cell: CellSpec) -> RunResult:
                               engine.events_processed - events_before)
     if tracer is not None:
         from ..obs import profile_summary
-        tracer.finish()  # drops live refs: results stay pool-picklable
+        tracer.finish()  # drops the tracer's live refs to the engine
         result.profile = profile_summary(tracer)
         result.trace = tracer
     return result
 
 
-def _run_cell_batch(batch: List[CellSpec]) -> List[RunResult]:
-    """Pool worker: run one snapshot group's cells (shares its bulk load)."""
-    return [run_cell(cell) for cell in batch]
+def run_grid(cells: Iterable[CellSpec]) -> List[RunResult]:
+    """Run a grid of cells in order.
 
-
-def run_grid(cells: Iterable[CellSpec],
-             parallel: int = 0) -> List[RunResult]:
-    """Run a grid of cells, serially or over a fork-based process pool.
-
-    ``parallel`` is the pool size (0 = serial).  Cells
-    are grouped by loaded-snapshot key so each worker process bulk-loads a
-    (system, dataset) once; results come back in input order and are
-    bit-identical to a serial run because every cell restores a pristine
-    snapshot.  Per-cell host perf lands on ``result.perf`` and is fed to
-    :mod:`repro.bench.perftrack` for BENCH reports.
+    Every cell restores a pristine snapshot, so a cell's row does not
+    depend on the cells before it.  Per-cell host perf lands on
+    ``result.perf`` and is fed to :mod:`repro.bench.perftrack` for BENCH
+    reports.
     """
-    cells = list(cells)
-    if parallel > 1 and len(cells) > 1:
-        groups: Dict[Tuple, List[int]] = {}
-        for i, cell in enumerate(cells):
-            groups.setdefault(cell.load_key(), []).append(i)
-        index_groups = list(groups.values())
-        batches = [[cells[i] for i in idxs] for idxs in index_groups]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(parallel, len(batches))) as pool:
-            batch_results = pool.map(_run_cell_batch, batches)
-        results: List[Optional[RunResult]] = [None] * len(cells)
-        for idxs, batch in zip(index_groups, batch_results):
-            for i, result in zip(idxs, batch):
-                results[i] = result
-    else:
-        # Serial path: cells allocate millions of short-lived simulation
-        # objects while the cached snapshots pin tens of millions of
-        # long-lived ones, so automatic gen-2 collections trigger often
-        # and walk the whole snapshot graph each time.  Collect once per
-        # cell instead - same reclamation, a fraction of the passes.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            results = []
-            for cell in cells:
-                results.append(run_cell(cell))
-                gc.collect()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+    # Cells allocate millions of short-lived simulation objects while the
+    # cached snapshots pin tens of millions of long-lived ones, so
+    # automatic gen-2 collections trigger often and walk the whole
+    # snapshot graph each time.  Collect once per cell instead - same
+    # reclamation, a fraction of the passes.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        results = []
+        for cell in cells:
+            results.append(run_cell(cell))
+            gc.collect()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     for result in results:
         TRACKER.add(result)
     return results

@@ -38,7 +38,7 @@ def read_leaf(addr: int, units: int, retry: RetryPolicy = DEFAULT_RETRY):
     Returns a :class:`LeafView`; ``view.status`` may be ``STATUS_INVALID``
     (deleted) or ``STATUS_LOCKED`` (update in flight) - callers decide how
     to react.  Raises after ``retry.torn_read_retries`` consecutive torn
-    reads (lint L006: every retry loop is bound by the one RetryPolicy).
+    reads (lint S004: every retry loop is bound by the one RetryPolicy).
     """
     for attempt in range(retry.torn_read_retries):
         data = yield ReadOp(addr, units * LEAF_ALIGN)

@@ -835,7 +835,7 @@ class RemoteArtTree:
             return None
         cur_addr, cur, _trusted = located
         # Descent-depth cap (max key length), not a retry budget.
-        for _ in range(256):  # lint: disable=L006
+        for _ in range(256):  # lint: disable=S004
             header = cur.header
             if header.status == STATUS_INVALID or header.depth >= child_depth:
                 return None

@@ -309,7 +309,7 @@ class SphinxClient(RemoteArtTree):
         prefix = ctx.key[:depth]
         # One extra attempt is intrinsic: a type switch's fresh entry
         # lands within one round trip (backoff below is policy-derived).
-        for _attempt in range(2):  # lint: disable=L006
+        for _attempt in range(2):  # lint: disable=S004
             matches = yield from self.inht.lookup(prefix, ctx.deadline)
             if not matches:
                 return None

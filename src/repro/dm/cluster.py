@@ -143,8 +143,8 @@ class Cluster:
         Client-side jitter RNGs must be seeded from *cluster-scoped*
         state: a process-global counter would make a client's random
         stream depend on how many clusters the process built before this
-        one, breaking run-order independence (and with it, bit-identical
-        serial-vs-parallel benchmark grids)."""
+        one, breaking run-order independence (and with it, a grid cell's
+        independence from the cells run before it)."""
         self._seed_seq += 1
         return salt ^ self._seed_seq
 

@@ -42,7 +42,7 @@ class RetryPolicy:
       still retrying ``op_timeout_ns`` simulated ns after it started
       raises :class:`RetryLimitExceeded` even with retries left.
     * ``torn_read_retries`` - inner-loop budget for checksum-failed
-      leaf reads, historically hard-coded per call site (lint rule L006
+      leaf reads, historically hard-coded per call site (lint rule S004
       now requires every retry loop to be policy-bound).
 
     Two class constants complete the policy: ``max_backoff_shift`` caps

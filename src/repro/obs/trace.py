@@ -252,8 +252,8 @@ class Tracer(Observer):
     # -- teardown --------------------------------------------------------
     def finish(self) -> "Tracer":
         """Close out the trace: one final sample, live references dropped
-        (so results carrying the tracer pickle cleanly across the
-        fork-pool grid), open spans marked as such."""
+        (so a result carrying the tracer does not keep the engine and
+        NICs alive), open spans marked as such."""
         if self._engine is not None:
             self.sample(self._engine.now)
         self._engine = None

@@ -188,7 +188,7 @@ class Rebalancer:
         # Intrinsic protocol bound, not a retry budget: each round
         # re-plans against a ring that lost at least one candidate, so
         # the rounds are bounded by the (tiny) group count.
-        for _attempt in range(3):  # lint: disable=L006
+        for _attempt in range(3):  # lint: disable=S004
             stuck = [] if gid in rack.failed_groups \
                 else rack.shards.shards_of(gid)
             if not stuck:

@@ -201,17 +201,6 @@ class Engine:
             event._seq = seq
             self._fifo.append(event)
 
-    def _peek_time(self) -> Optional[int]:
-        """Timestamp of the next event across both queues, if any."""
-        if self._fifo:
-            when = self._fifo[0]._when
-            if self._heap and self._heap[0][0] < when:
-                return self._heap[0][0]
-            return when
-        if self._heap:
-            return self._heap[0][0]
-        return None
-
     # -- public factory helpers ---------------------------------------
     def timeout(self, delay: int, value: Any = None) -> Event:
         """An event that fires ``delay`` ns from now: one seq draw, then

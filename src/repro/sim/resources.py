@@ -19,8 +19,7 @@ class LatencyRecorder:
     cell records millions of latencies per run, and the recorder used to
     keep *two* full int lists resident (``samples`` plus the sorted
     view).  ``array`` supports the same ``==``/``len``/iteration
-    contract the equivalence suites rely on, and pickles across the
-    fork-pool boundary.
+    contract the equivalence suites rely on.
     """
 
     def __init__(self):

@@ -1,146 +1,62 @@
-"""Repo-invariant lint: static AST checks for the protocol idioms that
-keep this codebase honest.
+"""The static checker: repo-invariant lint rules and the path-sensitive
+protocol rules, one driver and one CLI.
 
 The simulator can only catch what a workload happens to execute; these
-rules catch the same classes of bug at rest:
+rules catch the same classes of bug at rest.  Every file is parsed once
+and its CFGs are built once (:func:`repro.analysis.analyze_paths`); each
+rule below runs over those graphs, except L005, a git query.
 
-* **L001** - direct ``Memory`` data-plane access (``read``/``write``/
-  ``read_u64``/``write_u64``/``cas_u64``/``faa_u64`` on a memory object)
-  outside ``repro/dm/`` and ``repro/tools/``.  Protocol code must go
-  through verb generators so executors (and DMSan) see every access;
-  host-side control-plane exceptions carry an explicit pragma.
-* **L002** - a ``yield CasOp(...)`` whose result is discarded.  A CAS
-  that nobody checks is a lock/claim that may silently have failed.
-* **L003** - an empty ``Batch([])`` literal.  The runtime rejects empty
-  doorbells too (see :class:`repro.dm.rdma.Batch`); the lint catches the
-  obvious literal before anything runs.
-* **L004** - ``raise`` of a builtin exception type.  Library errors must
-  derive from :class:`repro.errors.ReproError` so callers can catch
-  library failures without masking programming errors.
-* **L005** - a compiled ``.pyc`` file tracked by git.  Bytecode is
-  interpreter-specific build output; committing it bloats diffs and can
-  shadow source changes.  ``.gitignore`` keeps new ones out; this rule
-  fails the build if one sneaks back in.
-* **L006** - a bare retry loop in protocol code: ``for ... in range(<
-  literal>)`` whose body yields verbs.  Every bounded remote-op loop
-  must iterate the one shared :class:`repro.fault.RetryPolicy`'s
-  ``attempts()`` (budget, op deadline, backoff clamp) - magic-number
-  retry budgets drift apart and make timeout behaviour impossible to
-  reason about globally.
-  Loops whose bound is intrinsic to the protocol (not a tunable) carry a
-  pragma with a justification.  Infrastructure layers (dm/sim/obs/bench/
-  ycsb) are exempt: their loops pace engine events, not client retries.
+==== ============================================================ =====
+Rule Protocol invariant it guards                                 Scope
+==== ============================================================ =====
+L001 protocol code reaches ``Memory`` only through verbs, so the  not dm/
+     executors, the fault injector and DMSan see every access     tools/san/fault
+L002 a ``yield CasOp(...)`` result is consumed: an unchecked CAS  all
+     is a lock or claim that may silently have failed
+L003 no empty ``Batch([])`` literal: a doorbell needs >= 1 verb   all
+L004 raises derive from ``ReproError``, not a builtin exception   all
+L005 no compiled ``.pyc`` is tracked by git                       repo
+S001 an acquired node/leaf lock is released on every path,        client
+     exception exits included (findings carry a path witness)     protocol
+S002 a lock-acquiring CAS carries a lease tag, so crash recovery  client
+     can reclaim it                                               protocol
+S003 no remote write through a released lock key: the in-place    client
+     checksum update stays inside its lock window                 protocol
+S004 every retry loop is bounded by ``RetryPolicy.attempts()``,   client
+     not a magic constant (constants are propagated; ``while``    protocol
+     counters count)
+S005 a constructed verb is yielded, or it never reaches the       all
+     executor, the fault injector or the tracer
+S006 executor observers conform to the observer interface         all
+==== ============================================================ =====
 
-L001, L002, and L006 run over the CFGs built by :mod:`repro.analysis`
-(the same graphs dmverify's flow rules use), so each statement is
-checked exactly once and the exemption lists live in one place
-(``repro.analysis.rules``).  L003/L004 remain a plain AST visitor and
-L005 a git query.  ``python -m repro.tools.dmverify`` layers the
-path-sensitive S-rules on top; S004 is the semantic upgrade of L006
-(constants are propagated, ``while`` counters count) and honors
-``# lint: disable=L006`` pragmas at the same site.
+"Client protocol" excludes the layers that pace engine events or own
+the data plane (``repro.analysis.rules.PROTOCOL_EXEMPT_PARTS``).  L000
+reports a file that does not parse; S000 reports a function whose flow
+analysis exceeded its state budget (S001/S003 unchecked there).
 
-Suppressions: append ``# lint: disable=L001`` to the offending line, or
-put ``# lint: disable-file=L001`` in the first ten lines of a file.
-Run as ``python -m repro.tools.lint [--format=text|json] [paths...]``;
-exits non-zero when findings remain.
+Suppressions: append ``# lint: disable=S004`` to the offending line, or
+put ``# lint: disable-file=L001`` in the first ten lines of a file; a
+pragma names the rules it silences and carries its justification.
+
+Usage::
+
+    python -m repro.tools.lint [--format=text|json] [paths...]
+
+With no paths, checks the installed ``repro`` package (what CI gates).
+Exits 0 when clean, 1 on findings, 2 on a usage error.
 """
 
 from __future__ import annotations
 
-import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
-from repro.analysis import rules as _rules
-from repro.analysis.cfg import build_cfgs
-from repro.analysis.findings import (Finding, Suppressions, dedupe,
-                                     sort_key)
-
-_BUILTIN_EXCEPTIONS = frozenset({
-    "Exception", "ValueError", "KeyError", "TypeError", "RuntimeError",
-    "IndexError", "LookupError", "ArithmeticError", "OSError",
-    "AttributeError", "MemoryError",
-})
-
-#: Directories whose files own the data plane and may touch Memory
-#: directly.  Canonical list lives in repro.analysis.rules.
-_L001_EXEMPT_PARTS = _rules.L001_EXEMPT_PARTS
-
-#: Layers whose loops pace engine/bench events rather than client-side
-#: protocol retries; L006 only governs the latter.
-_L006_EXEMPT_PARTS = _rules.L006_EXEMPT_PARTS
-
-
-class _Visitor(ast.NodeVisitor):
-    """L003 (empty Batch literal) and L004 (builtin raise)."""
-
-    def __init__(self, rel: str) -> None:
-        self.rel = rel
-        self.findings: List[Finding] = []
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if isinstance(node.func, ast.Name) and node.func.id == "Batch" \
-                and len(node.args) == 1 and not node.keywords:
-            arg = node.args[0]
-            if isinstance(arg, (ast.List, ast.Tuple)) and not arg.elts:
-                self.findings.append(Finding(
-                    self.rel, node.lineno, "L003",
-                    "empty Batch literal: a doorbell needs >= 1 verb"))
-        self.generic_visit(node)
-
-    def visit_Raise(self, node: ast.Raise) -> None:
-        exc = node.exc
-        name = None
-        if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name):
-            name = exc.func.id
-        elif isinstance(exc, ast.Name):
-            name = exc.id
-        if name in _BUILTIN_EXCEPTIONS:
-            self.findings.append(Finding(
-                self.rel, node.lineno, "L004",
-                f"raise of builtin {name}: library errors must derive "
-                f"from ReproError (see repro.errors)"))
-        self.generic_visit(node)
-
-
-def lint_file(path: Path, root: Optional[Path] = None) -> List[Finding]:
-    rel = str(path.relative_to(root)) if root else str(path)
-    source = path.read_text(encoding="utf-8")
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [Finding(rel, exc.lineno or 0, "L000",
-                        f"syntax error: {exc.msg}")]
-    cfgs = build_cfgs(tree, modname=rel)
-    raw = _rules.lint_rules(
-        cfgs,
-        l001_exempt=_rules.is_exempt(rel, _L001_EXEMPT_PARTS),
-        l006_exempt=_rules.is_exempt(rel, _L006_EXEMPT_PARTS))
-    findings = [Finding(rel, item.line, item.rule, item.message)
-                for item in raw]
-    visitor = _Visitor(rel)
-    visitor.visit(tree)
-    findings.extend(visitor.findings)
-    suppressions = Suppressions.for_source("lint", source)
-    kept = [f for f in findings
-            if not suppressions.suppressed(f.rule, f.line)]
-    return dedupe(sorted(kept, key=sort_key))
-
-
-def lint_paths(paths: Sequence[Path]) -> List[Finding]:
-    findings: List[Finding] = []
-    for base in paths:
-        base = base.resolve()
-        if base.is_dir():
-            for file in sorted(base.rglob("*.py")):
-                findings.extend(lint_file(file, base.parent))
-        else:
-            findings.extend(lint_file(base, base.parent))
-    return findings
+from repro.analysis import Report, analyze_paths
+from repro.analysis.findings import Finding
 
 
 def lint_tracked_pyc(start: Optional[Path] = None) -> List[Finding]:
@@ -175,8 +91,31 @@ def lint_tracked_pyc(start: Optional[Path] = None) -> List[Finding]:
 
 
 def default_target() -> Path:
-    """The installed ``repro`` package (what CI lints)."""
+    """The installed ``repro`` package (what CI checks)."""
     return Path(__file__).resolve().parent.parent
+
+
+def check(targets: List[Path]) -> Report:
+    """Every rule over ``targets``: the CFG rules plus the L005 query."""
+    report = analyze_paths(targets)
+    report.findings.extend(lint_tracked_pyc(targets[0]))
+    return report
+
+
+def render_text(report: Report) -> str:
+    lines: List[str] = []
+    for finding in report.findings:
+        lines.append(finding.render())
+        lines.extend(finding.render_witness())
+    if report.findings:
+        breakdown = ", ".join(f"{rule}={count}" for rule, count
+                              in sorted(report.counts().items()))
+        lines.append(f"lint: {len(report.findings)} finding(s) "
+                     f"({breakdown})")
+    else:
+        lines.append(f"lint: clean ({report.files} files, "
+                     f"{report.functions} functions analyzed)")
+    return "\n".join(lines)
 
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
@@ -190,6 +129,9 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
             print("lint: error: --format requires =text or =json",
                   file=sys.stderr)
             return 2
+        elif arg.startswith("-"):
+            print(f"lint: error: unknown option: {arg}", file=sys.stderr)
+            return 2
         else:
             paths.append(arg)
     targets = [Path(p) for p in paths] if paths else [default_target()]
@@ -199,31 +141,13 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
             print(f"lint: error: no such file or directory: {target}",
                   file=sys.stderr)
         return 2
-    findings = lint_paths(targets)
-    findings.extend(lint_tracked_pyc(targets[0]))
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        counts[finding.rule] = counts.get(finding.rule, 0) + 1
+    report = check(targets)
     if fmt == "json":
-        payload = {
-            "tool": "lint",
-            "version": 1,
-            "targets": [str(t) for t in targets],
-            "counts": counts,
-            "findings": [f.to_json() for f in findings],
-            "clean": not findings,
-            "exit_code": 1 if findings else 0,
-        }
+        payload = report.to_json(targets=[str(t) for t in targets])
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if findings else 0
-    for finding in findings:
-        print(finding.render())
-    if findings:
-        breakdown = ", ".join(f"{r}={n}" for r, n in sorted(counts.items()))
-        print(f"lint: {len(findings)} finding(s) ({breakdown})")
-        return 1
-    print("lint: clean")
-    return 0
+    else:
+        print(render_text(report))
+    return 0 if report.clean else 1
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
-"""Near-miss for S004: intrinsic protocol bounds carry pragmas - the
-dmverify one, or a pre-existing lint L006 justification."""
+"""Near-miss for S004: intrinsic protocol bounds carry a
+``# lint: disable=S004`` pragma with their justification."""
 
 
 def walk_chain(head_addr):
-    for _hop in range(512):  # dmverify: disable=S004
+    for _hop in range(512):  # lint: disable=S004
         word = yield ReadOp(head_addr, 8)
         if word == b"\x00" * 8:
             return head_addr
@@ -13,7 +13,7 @@ def walk_chain(head_addr):
 
 def probe_groups(seg_addr):
     # 256 buckets is table geometry, not a retry budget.
-    for _probe in range(256):  # lint: disable=L006
+    for _probe in range(256):  # lint: disable=S004
         word = yield ReadOp(seg_addr, 8)
         if word != b"\x00" * 8:
             return word

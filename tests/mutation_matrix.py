@@ -1,0 +1,151 @@
+"""The protocol mutation matrix: which test and which static rule kill
+each one-site protocol mutant.
+
+Each mutant below is one the test suite already builds with ``inspect``
++ ``exec`` (the test named in ``pinned_by`` applies the same text
+replacement and asserts that ``killed_by`` fails under it).  This
+module applies the replacement to the method's module source in a copy
+of the ``repro`` package, runs the static checker
+(:func:`repro.analysis.analyze_paths`) over the whole copy, and records
+the findings that the mutation added.  ``static_rules`` is ``null`` when
+no rule flags the mutant.
+
+Regenerate ``benchmarks/results/MUTATION_MATRIX.json`` with::
+
+    PYTHONPATH=src python tests/mutation_matrix.py --regenerate
+"""
+
+import inspect
+import json
+import shutil
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import repro
+from repro.analysis import analyze_paths
+from repro.core.remote_art import RemoteArtTree
+from repro.dm.rdma import _VerbTrip
+from repro.race.client import RaceClient
+
+REPO = Path(__file__).resolve().parent.parent
+MATRIX = REPO / "benchmarks" / "results" / "MUTATION_MATRIX.json"
+
+MUTANTS = [
+    dict(id="descend-ignores-invalid",
+         target=RemoteArtTree._descend,
+         old="== STATUS_INVALID", new="== -1", count=2,
+         killed_by="tests/test_fault_properties.py::"
+                   "test_stale_pointer_to_retired_node_restarts_the_walk",
+         pinned_by="tests/test_fault_properties.py::"
+                   "test_mutation_descend_ignoring_invalid_is_caught"),
+    dict(id="write-slot-skips-re-check",
+         target=RaceClient._write_slot,
+         old="if applied:", new="if applied is not False:", count=1,
+         killed_by="tests/test_race_slot_writes.py::"
+                   "test_insert_whose_header_read_was_lost_leaves_one_entry",
+         pinned_by="tests/test_race_slot_writes.py::"
+                   "test_mutant_skipping_the_re_check_is_caught"),
+    dict(id="step-drops-header-read",
+         target=RaceClient._step,
+         old="GROUP_HEADER.unpack(u64_from_bytes(header))",
+         new='{"locked": 0, "version": group.version}', count=1,
+         killed_by="tests/test_race_slot_writes.py::"
+                   "test_type_switch_repoint_racing_a_split_ends_with_the_"
+                   "new_entry",
+         pinned_by="tests/test_race_slot_writes.py::"
+                   "test_mutant_dropping_the_header_read_is_caught"),
+    dict(id="step-skips-inverse-cas",
+         target=RaceClient._step,
+         old="if new:", new="if False:", count=1,
+         killed_by="tests/test_race_slot_writes.py::"
+                   "test_insert_racing_a_split_leaves_one_reachable_entry"
+                   "[stranded]",
+         pinned_by="tests/test_race_slot_writes.py::"
+                   "test_mutant_skipping_the_inverse_cas_is_caught"),
+    dict(id="first-member-keeps-join",
+         target=_VerbTrip.__call__,
+         old="if ctx.remaining > 1 and",
+         new="if ctx.remaining < len(ctx.results) and", count=1,
+         killed_by="tests/test_doorbell_join.py::"
+                   "test_contended_mix_matches_the_observed_join",
+         pinned_by="tests/test_doorbell_join.py::"
+                   "test_first_member_keeping_the_join_is_caught"),
+]
+
+
+def _where(target):
+    """(path relative to the package root, method source as it sits in
+    its module, module source)."""
+    module = Path(inspect.getsourcefile(target))
+    package = Path(repro.__file__).resolve().parent
+    return (module.resolve().relative_to(package),
+            inspect.getsource(target), module.read_text(encoding="utf-8"))
+
+
+def mutated_module(mutant):
+    """(relative path, module source with the mutation applied)."""
+    rel, method, module = _where(mutant["target"])
+    assert method.count(mutant["old"]) == mutant["count"], mutant["id"]
+    assert module.count(method) == 1, mutant["id"]
+    return rel, module.replace(
+        method, method.replace(mutant["old"], mutant["new"]))
+
+
+def _findings(package):
+    return {(f.path, f.rule, f.message)
+            for f in analyze_paths([package]).findings}
+
+
+def build_matrix():
+    with tempfile.TemporaryDirectory() as tmp:
+        package = Path(tmp) / "repro"
+        shutil.copytree(Path(repro.__file__).resolve().parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        started = time.perf_counter()
+        baseline = _findings(package)
+        check_s = time.perf_counter() - started
+        rows = []
+        for mutant in MUTANTS:
+            rel, source = mutated_module(mutant)
+            path = package / rel
+            original = path.read_text(encoding="utf-8")
+            path.write_text(source, encoding="utf-8")
+            try:
+                added = sorted(_findings(package) - baseline)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            rules = sorted({rule for _path, rule, _msg in added})
+            rows.append({
+                "id": mutant["id"],
+                "module": f"repro/{rel.as_posix()}",
+                "function": mutant["target"].__qualname__,
+                "mutation": {"old": mutant["old"], "new": mutant["new"],
+                             "sites": mutant["count"]},
+                "killed_by": mutant["killed_by"],
+                "pinned_by": mutant["pinned_by"],
+                "static_rules": rules or None,
+                "static_findings": [f"{p}: {rule} {msg}"
+                                    for p, rule, msg in added],
+            })
+    return {
+        "checker": "python -m repro.tools.lint (every rule, whole package)",
+        "baseline_findings": len(baseline),
+        "checker_wall_s": round(check_s, 2),
+        "mutants": rows,
+    }
+
+
+def main(argv):
+    if argv != ["--regenerate"]:
+        sys.exit("usage: python tests/mutation_matrix.py --regenerate")
+    matrix = build_matrix()
+    MATRIX.write_text(json.dumps(matrix, indent=2) + "\n")
+    for row in matrix["mutants"]:
+        print(f"{row['id']}: killed by {row['killed_by']}; "
+              f"static: {row['static_rules']}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -110,7 +110,7 @@ def test_decoded_words_are_slotted_frozen_and_copyable(value):
     every decode, so it must be immutable; slot and hash-entry words have
     no memo (DESIGN.md 11.11) but decode to the same kind of value.
     ``__slots__`` keeps each one small.  Snapshot restore deep-copies
-    them and fork-pool results pickle them."""
+    them; they pickle too."""
     cls, word = type(value), value.pack()
     shared = cls.unpack(word)
     assert shared == value

@@ -1,4 +1,5 @@
-"""Tests for the path-sensitive verifier (repro.tools.dmverify).
+"""Tests for the path-sensitive protocol rules (S001-S006) of the static
+checker (repro.tools.lint); the L-rules are in test_lint.py.
 
 The fixture corpus under ``tests/fixtures/dmverify/`` is the rule
 contract: every file in ``bad/`` must be flagged with exactly the rule
@@ -17,7 +18,7 @@ import pytest
 
 from repro.analysis import analyze_paths, build_function_cfg
 from repro.analysis.cfg import EXC, RAISE
-from repro.tools.dmverify import default_target, main
+from repro.tools.lint import default_target, main
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "tests" / "fixtures" / "dmverify"
@@ -92,7 +93,7 @@ def test_repo_is_clean():
 
 def test_cli_exit_zero_on_repo(capsys):
     assert main([]) == 0
-    assert "dmverify: clean" in capsys.readouterr().out
+    assert "lint: clean" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def test_json_is_deterministic_across_hash_seeds():
     outs = []
     for seed in ("1", "2"):
         result = subprocess.run(
-            [sys.executable, "-m", "repro.tools.dmverify",
+            [sys.executable, "-m", "repro.tools.lint",
              "--format=json", "src/repro"],
             capture_output=True, text=True, cwd=str(REPO),
             env=subprocess_env(PYTHONHASHSEED=seed))
@@ -156,11 +157,11 @@ def test_syntax_error_reported_not_crashed(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def f(:\n")
     report = analyze_paths([bad])
-    assert [f.rule for f in report.findings] == ["S000"]
+    assert [f.rule for f in report.findings] == ["L000"]
 
 
 # ---------------------------------------------------------------------------
-# Suppressions (dmverify pragmas, plus lint-equivalent pragmas)
+# Suppressions: the one ``# lint:`` pragma namespace covers the S-rules
 # ---------------------------------------------------------------------------
 
 def verify_source(tmp_path, source, name="sample.py"):
@@ -172,7 +173,7 @@ def verify_source(tmp_path, source, name="sample.py"):
 def test_line_pragma_suppresses(tmp_path):
     findings = verify_source(tmp_path, """
         def proto(addr):
-            ops = [WriteOp(addr, b"x")]  # dmverify: disable=S005
+            ops = [WriteOp(addr, b"x")]  # lint: disable=S005
             yield ReadOp(addr, 8)
     """)
     assert findings == []
@@ -180,7 +181,7 @@ def test_line_pragma_suppresses(tmp_path):
 
 def test_file_pragma_suppresses(tmp_path):
     findings = verify_source(tmp_path, """
-        # dmverify: disable-file=S005
+        # lint: disable-file=S005
         def proto(addr):
             WriteOp(addr, b"a")
             WriteOp(addr + 8, b"b")
@@ -192,7 +193,7 @@ def test_file_pragma_suppresses(tmp_path):
 def test_pragma_only_silences_named_rule(tmp_path):
     findings = verify_source(tmp_path, """
         def proto(addr):
-            WriteOp(addr, b"x")  # dmverify: disable=S001
+            WriteOp(addr, b"x")  # lint: disable=S001
             yield ReadOp(addr, 8)
     """)
     assert [f.rule for f in findings] == ["S005"]
@@ -201,7 +202,7 @@ def test_pragma_only_silences_named_rule(tmp_path):
 def test_lint_pragma_silences_s004(tmp_path):
     findings = verify_source(tmp_path, """
         def proto(addr):
-            for attempt in range(7):  # lint: disable=L006
+            for attempt in range(7):  # lint: disable=S004
                 swapped, _ = yield CasOp(addr, 0, 1, lease=("release",))
                 if swapped:
                     return

@@ -34,6 +34,7 @@ from repro.dm import Cluster, ClusterConfig
 from repro.dm.rdma import Batch, CasOp, Observer, OpStats, ReadOp, \
     WriteOp, _VerbTrip
 from repro.fault import FaultPlan, FaultRule
+from sim_helpers import has_pending
 
 ENGINES = ("fast", "slow")
 
@@ -147,7 +148,7 @@ def _mix(monkeypatch, engine, observed, slice_ns=None):
             engine_.run_until_complete(proc)
     else:
         while not all(p.triggered for p in procs):
-            assert engine_._peek_time() is not None, "deadlock"
+            assert has_pending(engine_), "deadlock"
             engine_.run(until=engine_.now + slice_ns)
     nics = [(nic.name, nic.messages, nic.payload_bytes, nic.busy_time,
              nic.jobs, nic.free_at)

@@ -5,8 +5,7 @@ contract as the engine: one seed, one history.  These tests pin down
 
 * bit-identical fault schedules, OpStats, and simulated clocks across
   two runs of the same seeded plan;
-* bit-identical chaos benchmark cells across repeats and across the
-  fork-pool grid path;
+* bit-identical chaos benchmark cells across repeats;
 * the zero-overhead guarantee: an attached-but-empty plan, an attached
   DMSan monitor, and a grid with ``chaos_seed=None``, are byte-identical
   to runs with no fault machinery at all (including the ``row()``
@@ -26,7 +25,7 @@ import os
 import pytest
 
 from repro.art import encode_str
-from repro.bench import CellSpec, clear_setup_caches, run_cell, run_grid
+from repro.bench import CellSpec, clear_setup_caches, run_cell
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.rdma import Batch, CasOp, Observer, OpStats, ReadOp, \
@@ -36,12 +35,8 @@ from repro.fault import FaultPlan, crash_cn, drop
 
 TINY = dict(num_keys=900, ops=120, workers=6, warmup_ops_per_cn=60)
 
-CHAOS_CELLS = [
-    CellSpec(system="Sphinx", dataset="u64", workload="A", chaos_seed=5,
-             **TINY),
-    CellSpec(system="ART", dataset="u64", workload="C", chaos_seed=5,
-             **TINY),
-]
+CHAOS_CELL = CellSpec(system="Sphinx", dataset="u64", workload="A",
+                      chaos_seed=5, **TINY)
 
 
 @pytest.fixture(autouse=True)
@@ -113,8 +108,8 @@ def test_different_seed_different_schedule():
 # -- chaos benchmark cells -------------------------------------------------
 
 def test_chaos_cell_bit_identical_across_repeats():
-    first = run_cell(CHAOS_CELLS[0])
-    second = run_cell(CHAOS_CELLS[0])
+    first = run_cell(CHAOS_CELL)
+    second = run_cell(CHAOS_CELL)
     assert first.row() == second.row()
     assert first.sim_ns == second.sim_ns
     assert first.failed_ops == second.failed_ops
@@ -124,16 +119,6 @@ def test_chaos_cell_bit_identical_across_repeats():
     assert sum(first.faults.values()) > 0
 
 
-def test_chaos_grid_parallel_matches_serial():
-    serial = run_grid(CHAOS_CELLS, parallel=0)
-    parallel = run_grid(CHAOS_CELLS, parallel=2)
-    assert [r.row() for r in serial] == [r.row() for r in parallel]
-    for s, p in zip(serial, parallel):
-        assert s.failed_ops == p.failed_ops
-        assert s.faults == p.faults
-        assert s.latency.samples == p.latency.samples
-
-
 def test_chaos_does_not_pollute_fault_free_cells():
     """chaos_seed is excluded from the snapshot keys: a fault-free cell
     run after a chaos cell must match one run in a fresh process."""
@@ -141,7 +126,7 @@ def test_chaos_does_not_pollute_fault_free_cells():
                           **TINY)
     alone = run_cell(clean_cell)
     clear_setup_caches()
-    run_cell(CHAOS_CELLS[0])
+    run_cell(CHAOS_CELL)
     after_chaos = run_cell(clean_cell)
     assert alone.row() == after_chaos.row()
     assert alone.latency.samples == after_chaos.latency.samples

@@ -1,18 +1,19 @@
-"""Tests for the repo-invariant lint (repro.tools.lint)."""
+"""Tests for the repo-invariant rules (L001-L005) of the static checker
+(repro.tools.lint); the protocol rules are in test_dmverify.py."""
 
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-from repro.tools.lint import default_target, lint_file, lint_paths, \
-    lint_tracked_pyc, main
+from repro.analysis import analyze_paths
+from repro.tools.lint import check, default_target, lint_tracked_pyc, main
 
 
 def lint_source(tmp_path, source, name="sample.py"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(source))
-    return lint_file(path)
+    return analyze_paths([path]).findings
 
 
 def rules(findings):
@@ -24,7 +25,7 @@ def rules(findings):
 # ---------------------------------------------------------------------------
 
 def test_repo_is_clean():
-    findings = lint_paths([default_target()])
+    findings = check([default_target()]).findings
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
@@ -81,7 +82,7 @@ def test_l001_exempt_inside_dm(tmp_path):
     package.mkdir(parents=True)
     path = package / "impl.py"
     path.write_text("def f(memory):\n    return memory.read(0, 8)\n")
-    assert lint_file(path, tmp_path) == []
+    assert analyze_paths([tmp_path / "repro"]).findings == []
 
 
 def test_l002_discarded_cas(tmp_path):
@@ -199,7 +200,7 @@ def test_missing_path_reports_cleanly(tmp_path, capsys):
 def test_syntax_error_reported_not_crashed(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def f(:\n")
-    findings = lint_file(bad)
+    findings = analyze_paths([bad]).findings
     assert rules(findings) == ["L000"]
 
 

@@ -10,7 +10,7 @@ state.  These tests pin the resulting contract down:
 * one seed, one trace: the JSONL and Chrome exports are byte-identical
   across repeats of the same seeded run;
 * a ``--profile`` benchmark cell reports the same simulated digits as a
-  plain cell, serially and across the fork-pool grid path;
+  plain cell;
 * (env-gated) the profiled smoke cell still reproduces the committed
   BENCH_2 baseline digits exactly - tracing never buys different
   results, attached or not.
@@ -23,7 +23,7 @@ import os
 import pytest
 
 from repro.art import encode_str
-from repro.bench import CellSpec, clear_setup_caches, run_cell, run_grid
+from repro.bench import CellSpec, clear_setup_caches, run_cell
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.rdma import OpStats
@@ -186,21 +186,6 @@ def test_profiled_chaos_cell_matches_plain_chaos_cell():
     assert plain.faults == profiled.faults
     assert plain.failed_ops == profiled.failed_ops
     assert sum(plain.faults.values()) > 0
-
-
-def test_profiled_grid_parallel_matches_serial():
-    cells = [
-        PROFILED_CELL,
-        CellSpec(system="ART", dataset="u64", workload="C", profile=True,
-                 **TINY),
-    ]
-    serial = run_grid(cells, parallel=0)
-    parallel = run_grid(cells, parallel=2)
-    assert [r.row() for r in serial] == [r.row() for r in parallel]
-    for s, p in zip(serial, parallel):
-        # traces survive the fork-pool pickle round-trip intact
-        assert s.profile == p.profile
-        assert to_jsonl(s.trace) == to_jsonl(p.trace)
 
 
 def test_profiled_cell_reuses_plain_snapshots():

@@ -8,7 +8,6 @@ digit.  These tests pin that down:
   runs of one cell at a fixed seed;
 * identical rows between the fast engine and the reference heap-only
   engine (``REPRO_SIM_SLOW=1``);
-* identical rows between a serial grid and a forked parallel grid;
 * validated ``REPRO_BENCH_*`` environment overrides (ConfigError naming
   the variable, never a bare ValueError).
 """
@@ -95,17 +94,6 @@ def test_fast_engine_matches_slow_reference(monkeypatch):
     clear_setup_caches()
     monkeypatch.setenv("REPRO_SIM_SLOW", "1")
     assert run_cell(CELLS[0]).latency.samples == fast_samples
-
-
-# -- serial vs parallel grid ----------------------------------------------
-
-def test_serial_and_parallel_grids_identical():
-    serial = run_grid(CELLS, parallel=0)
-    parallel = run_grid(CELLS, parallel=2)
-    assert [r.row() for r in serial] == [r.row() for r in parallel]
-    for s, p in zip(serial, parallel):
-        assert s.latency.samples == p.latency.samples
-        assert s.perf is not None and p.perf is not None
 
 
 def test_datasets_identical_across_processes():

@@ -7,7 +7,9 @@ Six families:
   across ring joins/leaves;
 * **replicated-write protocol**: on a K=1 rack every committed write is
   applied to the primary *and* its replica cell, deletes reach both,
-  and the per-shard epoch fence rejects stale writers;
+  and the per-shard epoch fence rejects stale writers; two racing
+  updates whose fan-outs reorder are a strict xfail until replica
+  applies follow primary order;
 * **zero-forfeit sweep**: a >=25-seed sweep (scaled by
   ``REPRO_PROPERTY_SEEDS``) of ``crash_mn`` + ``mn_leave`` under live
   multi-tenant traffic - including seeds whose crash lands mid-
@@ -34,7 +36,7 @@ from repro.dm import ClusterSpec, TopologyEvent
 from repro.dm.placement import ShardMap
 from repro.dm.rack import Rack
 from repro.errors import StaleEpoch
-from repro.fault import FaultPlan, crash_cn, crash_mn
+from repro.fault import FaultPlan, FaultRule, crash_cn, crash_mn
 from repro.recover import FailoverManager, Rebalancer
 from repro.tenancy import run_rack
 from repro.util.hashing import ConsistentHashRing
@@ -133,6 +135,40 @@ def test_replicated_delete_reaches_replicas():
     for gid in rack.live_groups():
         assert ex.run(rack.group_index(gid).client(0).search(victim)) \
             is None, f"delete missed group {gid}"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_racing_updates_reach_the_replica_in_primary_order():
+    """Two updates to one K=1 key: the primary's leaf lock orders their
+    applies, then each fans out on its own.  One delay on the first
+    writer's first verb to the replica lets the second fan-out overtake
+    it, so the replica keeps the older value and the acked newer write
+    would be lost after a failover."""
+    spec = ClusterSpec(num_cns=2, num_mns=2, group_size=1, num_shards=2,
+                       clients=2, replicas=1, mn_capacity_bytes=16 << 20)
+    rack = Rack(spec)
+    dataset = make_dataset("u64", 8, seed=1, insert_pool=2)
+    bulk_load(rack.cluster, rack, dataset)
+    key = dataset.keys[0]
+    shard = rack.shard_of(key)
+    primary = rack.shards.assignment[shard]
+    (replica,) = rack.shards.replica_assignment[shard]
+    (replica_mn,) = rack.group_view(replica).mn_ids
+    injector = rack.cluster.attach_faults(FaultPlan(seed=0, rules=(
+        FaultRule(kind="delay", at_verb=0, client="cn0", mn=replica_mn,
+                  delay_ns=50_000),)))
+    engine = rack.cluster.engine
+    writers = [engine.process(rack.cluster.sim_executor(cn).run(
+        rack.client(cn).update(key, value)))
+        for cn, value in ((0, b"A" * 8), (1, b"B" * 8))]
+    engine.run()
+    assert [w.value for w in writers] == [True, True]
+    assert [event.kind for event in injector.schedule()] == ["delay"]
+    ex = rack.cluster.direct_executor()
+    at_primary = ex.run(rack.group_index(primary).client(0).search(key))
+    at_replica = ex.run(rack.group_index(replica).client(0).search(key))
+    assert at_replica == at_primary
+    assert rack.check_replica_agreement().clean
 
 
 def test_epoch_fence_rejects_stale_writers():

@@ -32,6 +32,7 @@ from repro.dm.rdma import Batch, CasOp, FaaOp, LocalCompute, ReadOp, \
 from repro.errors import InjectedFault, SimulationError
 from repro.fault import FaultPlan
 from repro.sim.engine import Engine
+from sim_helpers import has_pending
 
 TINY = dict(num_keys=900, ops=140, workers=6, warmup_ops_per_cn=60)
 
@@ -131,7 +132,7 @@ def _drive(engine, procs, slice_ns):
             engine.run_until_complete(p)
         return
     while not all(p.triggered for p in procs):
-        assert engine._peek_time() is not None, "deadlock"
+        assert has_pending(engine), "deadlock"
         engine.run(until=engine.now + slice_ns)
 
 
