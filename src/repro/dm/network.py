@@ -77,12 +77,11 @@ class Nic:
     messages: int = field(init=False, default=0)
     payload_bytes: int = field(init=False, default=0)
     busy_time: int = field(init=False, default=0)
-    jobs: int = field(init=False, default=0)
     free_at: int = field(init=False, default=0)
     """Simulated time at which the station finishes its accepted work."""
     stats_since: int = field(init=False, default=0)
     """Simulated time of the last :meth:`reset_stats`: ``messages``,
-    ``payload_bytes``, ``busy_time`` and ``jobs`` count from here."""
+    ``payload_bytes`` and ``busy_time`` count from here."""
 
     def __post_init__(self):
         # Service time is a pure function of the payload size and the
@@ -115,7 +114,6 @@ class Nic:
             start = free
         done = self.free_at = start + service
         self.busy_time += service
-        self.jobs += 1
         return done
 
     def utilization(self) -> float:
@@ -137,4 +135,3 @@ class Nic:
         self.messages = 0
         self.payload_bytes = 0
         self.busy_time = 0
-        self.jobs = 0

@@ -20,7 +20,8 @@ therefore **never fails**; it may instead evict.
 Host side, the filter state proper is ``_fps`` / ``_hot`` plus a resident
 index over them.  *Where an item may live* is a pure function of its
 bytes and the geometry, memoised process-wide in two tables (below): point
-probes per inner-node prefix, search ladders per key.
+probes per inner-node prefix, search ladders per key.  A key's ladder is
+built whole, every rung in one pass, the first time the key is searched.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import copy
 import random
 from array import array
+from struct import Struct
 from typing import Dict, List, Tuple
 from zlib import crc32
 
@@ -52,28 +54,75 @@ EMPTY = 0
 #   its ladder, an ``array`` with the two codes of ``key[:d]`` at
 #   ``[2d - 2, 2d - 1]``, for ``deepest_hit``.  A search walks ~13-16
 #   rungs of its key and almost every rung is a prefix no other key
-#   shares, so the key is the unit that repeats.  0 means "rung not
-#   hashed yet" (a code is never 0: ``fp >= 1``); rungs are filled by
-#   the walks that visit them.
+#   shares, so the key is the unit that repeats.
 #
-# One hash (``_locate``), two memos over it.
+# One hash, ``hash64_raw`` for two seeds, in two shapes: ``_locate`` for
+# one item, ``_build_ladder`` for every prefix of a key at once.  Both
+# rest on CRC linearity: for data ``x`` of length ``n`` and any initial
+# value ``s``, ``crc32(x, s) == crc32(x) ^ crc32(bytes(n), s) ^
+# crc32(bytes(n))``.  So the four seeded CRCs ``hash64_raw`` takes of an
+# item are its one plain CRC xor a word that depends only on its length
+# (``_rung_words``), kept per length in ``filter.lanes(fp_bits,
+# buckets)`` (``_lane_constants``).
 
-# fp -> hash64 of its 4 little-endian bytes, seed 0xA17: the XOR that
-# takes a fingerprint from either of its buckets to the other.
-_alt_hashes = memo("filter.alt")
-
-# ``_locate`` is ``hash64_raw`` inlined for its two seeds (a cold rung
-# runs it ~13 times per inserted key; the frames were a third of its
-# cost, DESIGN.md 11.6).  These are the CRC initial values ``hash64_raw``
-# derives from a seed; both seeds are below 2^32, so the seed's high half
-# contributes nothing.  ``test_probe_table_matches_hashing_functions``
-# pins the copy to ``util.hashing``.
+# The two seeds' CRC initial values as ``hash64_raw`` derives them; both
+# seeds are below 2^32, so a seed's high half contributes nothing.
+# ``test_probe_table_matches_hashing_functions`` and
+# ``test_lane_ladders_match_scalar_hashes`` pin both shapes to
+# ``util.hashing``.
 _BUCKET_SEED = 0xB0CCE7
 _M64 = (1 << 64) - 1
 _FP_LO = FINGERPRINT_SEED & 0xFFFFFFFF
 _FP_HI = (~FINGERPRINT_SEED ^ 0x5BD1E995) & 0xFFFFFFFF
 _BUCKET_LO = _BUCKET_SEED & 0xFFFFFFFF
 _BUCKET_HI = (~_BUCKET_SEED ^ 0x5BD1E995) & 0xFFFFFFFF
+
+# A rung's 32-bit CRC, at bit 0 of its 256-bit group, times this is the
+# CRC in both halves of both of the rung's 128-bit lanes.
+_SPREAD = 1 | 1 << 32 | 1 << 128 | 1 << 160
+
+
+def _rung_words(n: int) -> Tuple[int, int]:
+    """For an item of length ``n``: the words that, xored with its
+    ``crc32 * 0x100000001``, give the ``(hi << 32) | lo`` CRC pairs
+    ``hash64_raw`` mixes for the fingerprint and the bucket seed."""
+    zeros = bytes(n)
+    plain = crc32(zeros)
+    return ((crc32(zeros, _FP_HI) ^ plain) << 32
+            | crc32(zeros, _FP_LO) ^ plain,
+            (crc32(zeros, _BUCKET_HI) ^ plain) << 32
+            | crc32(zeros, _BUCKET_LO) ^ plain)
+
+
+def _lane_constants(n: int, fp_bits: int, mask: int) -> tuple:
+    """What a key of length ``n`` needs to hash its ladder in one pass.
+
+    Rung ``r`` (the prefix of length ``lengths[r]``) takes bits
+    ``[256r, 256r + 256)`` of one int: the fingerprint hash in the low
+    128-bit lane, the bucket hash in the high one.  Each splitmix step
+    then runs once over every lane: a lane holds a 64-bit value, so a sum
+    or a 64 x 64-bit product stays inside it, and masking each lane to
+    its low 64 bits drops what a right shift carried in from the lane
+    above.  Returns ``(lengths, pack, seeds, add, m, lane_mask, unpack,
+    fp_word, bucket_word)``: the rungs' prefix lengths, a struct that
+    puts one CRC at the bottom of each group, every lane's seed word, the
+    splitmix increment and the 64-bit mask in every lane, the
+    fingerprint / bucket mask per lane, a struct that reads the bottom
+    64 bits of each group, and the longest rung's two words (what
+    ``_locate`` uses).
+    """
+    lengths = range(1, n + 1) or range(1)  # the empty key's one rung: b""
+    rungs = len(lengths)
+    seeds = 0
+    for r, d in enumerate(lengths):
+        fp_word, bucket_word = _rung_words(d)
+        seeds |= (bucket_word << 128 | fp_word) << 256 * r
+    lanes = sum(1 << 128 * i for i in range(2 * rungs))
+    groups = sum(1 << 256 * r for r in range(rungs))
+    return (lengths, Struct("<" + "I28x" * rungs), seeds,
+            0x9E3779B97F4A7C15 * lanes, _M64 * lanes,
+            ((1 << fp_bits) - 1 | mask << 128) * groups,
+            Struct("<" + "Q24x" * rungs), fp_word, bucket_word)
 
 
 #: Fingerprint slots per bucket: 4-way buckets, the cuckoo-filter
@@ -114,6 +163,13 @@ class SuccinctFilterCache:
         geometry = (fp_bits, self.num_buckets)
         self._table = memo(f"filter.probe{geometry}")
         self._ladders = memo(f"filter.ladder{geometry}")
+        self._lanes = memo(f"filter.lanes{geometry}")
+        # fp -> ``code1 ^ code2``: hash64 of the fingerprint's 4
+        # little-endian bytes, seed 0xA17, masked to a bucket and shifted
+        # over the fingerprint - the XOR that takes a resident code from
+        # either bucket of its pair to the other.
+        self._alt = memo(f"filter.alt{geometry}")
+        self._fp_mask = (1 << fp_bits) - 1
         # A resident code is fp_bits + log2(num_buckets) bits wide, so a
         # ladder rung pair is two 4-byte words when that fits, else 8-byte.
         rung = "I" if fp_bits + self._mask.bit_length() <= \
@@ -149,32 +205,73 @@ class SuccinctFilterCache:
         return clone
 
     # -- hashing (same scheme as the base filter) -------------------------
+    def _alt_code(self, fp: int) -> int:
+        alt = self._alt.get(fp)
+        if alt is None:
+            alt = (hash64_raw(fp.to_bytes(4, "little"), 0xA17)
+                   & self._mask) << self.fp_bits
+            cache_put(self._alt, fp, alt)
+        return alt
+
     def _alt_index(self, index: int, fp: int) -> int:
-        h = _alt_hashes.get(fp)
-        if h is None:
-            h = hash64_raw(fp.to_bytes(4, "little"), 0xA17)
-            cache_put(_alt_hashes, fp, h)
-        return (index ^ h) & self._mask
+        return index ^ self._alt_code(fp) >> self.fp_bits
+
+    def _lanes_of(self, n: int) -> tuple:
+        """``_lane_constants`` for keys of length ``n`` in this geometry."""
+        lanes = self._lanes.get(n)
+        if lanes is None:
+            lanes = _lane_constants(n, self.fp_bits, self._mask)
+            cache_put(self._lanes, n, lanes)
+        return lanes
 
     def _locate(self, item: bytes) -> Tuple[int, int, int]:
         """``(fp, bucket1, bucket2)`` for ``item``, the one hash:
         ``hash64_raw(item, FINGERPRINT_SEED)`` masked and never 0,
         ``hash64_raw(item, _BUCKET_SEED)`` masked, ``_alt_index`` of
-        the two - in one frame."""
-        x = (crc32(item, _FP_HI) << 32 | crc32(item, _FP_LO)) \
-            + 0x9E3779B97F4A7C15 & _M64
+        the two - from one ``crc32`` and the words of its length."""
+        lanes = self._lanes_of(len(item))
+        crc = crc32(item) * 0x100000001
+        x = (crc ^ lanes[-2]) + 0x9E3779B97F4A7C15 & _M64
         x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _M64
         x = (x ^ x >> 27) * 0x94D049BB133111EB & _M64
-        fp = (x ^ x >> 31) & ((1 << self.fp_bits) - 1) or 1
-        x = (crc32(item, _BUCKET_HI) << 32 | crc32(item, _BUCKET_LO)) \
-            + 0x9E3779B97F4A7C15 & _M64
+        fp = (x ^ x >> 31) & self._fp_mask or 1
+        x = (crc ^ lanes[-1]) + 0x9E3779B97F4A7C15 & _M64
         x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _M64
         x = (x ^ x >> 27) * 0x94D049BB133111EB & _M64
         i1 = (x ^ x >> 31) & self._mask
-        h = _alt_hashes.get(fp)
-        if h is None:
-            return fp, i1, self._alt_index(i1, fp)
-        return fp, i1, (i1 ^ h) & self._mask
+        return fp, i1, self._alt_index(i1, fp)
+
+    def _build_ladder(self, key: bytes) -> array:
+        """``key``'s ladder: ``_locate`` of every prefix, as one pass of
+        the splitmix steps over all rungs' 128-bit lanes."""
+        lengths, pack, x, add, m, lane_mask, unpack, _, _ = \
+            self._lanes_of(len(key))
+        x ^= int.from_bytes(pack.pack(*[crc32(key[:d]) for d in lengths]),
+                            "little") * _SPREAD
+        x = x + add & m
+        x = (x ^ x >> 30) & m
+        x = x * 0xBF58476D1CE4E5B9 & m
+        x = (x ^ x >> 27) & m
+        x = x * 0x94D049BB133111EB & m
+        x = (x ^ x >> 31) & lane_mask
+        # Each bucket lane onto its fingerprint lane: code1 at bit 0 of
+        # every 256-bit group.
+        x |= x >> 128 - self.fp_bits
+        fp_mask = self._fp_mask
+        codes = [code if code & fp_mask else code | 1  # fp 0 reads as 1
+                 for code in unpack.unpack(x.to_bytes(32 * len(lengths),
+                                                      "little"))]
+        ladder = self._empty_rung * len(codes)
+        rung = ladder.typecode
+        ladder[0::2] = array(rung, codes)
+        alt = self._alt
+        try:
+            ladder[1::2] = array(rung, [code ^ alt[code & fp_mask]
+                                        for code in codes])
+        except KeyError:  # a fingerprint this geometry has not met yet
+            ladder[1::2] = array(rung, [code ^ self._alt_code(code & fp_mask)
+                                        for code in codes])
+        return ladder
 
     def _probe(self, item: bytes):
         """``(fp, bucket1, bucket2, code1, code2)`` for ``item``."""
@@ -222,24 +319,20 @@ class SuccinctFilterCache:
         up to and including the first hit - same hot bit, same hit and
         miss counts - fused because the search path asks it of every key
         and nearly every rung is a miss.  The rungs come from the key's
-        ladder; every ``d`` past the end of the key names the key itself,
-        so it reads the last rung.
+        ladder, built whole on the key's first search; every ``d`` past
+        the end of the key names the key itself, so it reads the last
+        rung.
         """
         ladders = self._ladders
         ladder = ladders.get(key)
         if ladder is None:
-            ladder = self._empty_rung * (len(key) or 1)
+            ladder = self._build_ladder(key)
             cache_put(ladders, key, ladder)
         index = self._index
         last = len(ladder)
         for d in range(depth, 0, -1):
             end = d + d if d + d < last else last  # of this rung's pair
-            code = ladder[end - 2]
-            if not code:
-                fp, i1, i2 = self._locate(key[:end >> 1])
-                code = ladder[end - 2] = i1 << self.fp_bits | fp
-                ladder[end - 1] = i2 << self.fp_bits | fp
-            slot = index.get(code)
+            slot = index.get(ladder[end - 2])
             if slot is None:
                 slot = index.get(ladder[end - 1])
                 if slot is None:

@@ -64,7 +64,8 @@ def memo_census() -> Dict[str, int]:
     """``{name: entries}`` for every memo of a pure function in this
     process: ``hash64[<seed>]`` and whatever other modules asked
     :func:`memo` for (the ART header decoder's ``layout.header``, the filter
-    cache's ``filter.probe(...)`` / ``filter.ladder(...)``, the zipfian
+    cache's ``filter.probe(...)`` / ``filter.ladder(...)`` /
+    ``filter.lanes(...)`` / ``filter.alt(...)``, the zipfian
     ``zipf.zeta``).  It is where host memory that is not simulated
     state goes."""
     return {name: len(table) for name, table in _memos.items()}

@@ -1,5 +1,5 @@
-"""The protocol mutation matrix: which test and which static rule kill
-each one-site protocol mutant.
+"""The mutation matrix: which test and which static rule kill each
+one-site mutant of a protocol or of a hash the filter cache computes.
 
 Each mutant below is one the test suite already builds with ``inspect``
 + ``exec`` (the test named in ``pinned_by`` applies the same text
@@ -27,6 +27,7 @@ import repro
 from repro.analysis import analyze_paths
 from repro.core.remote_art import RemoteArtTree
 from repro.dm.rdma import _VerbTrip
+from repro.filters.hotness import SuccinctFilterCache, _lane_constants
 from repro.race.client import RaceClient
 
 REPO = Path(__file__).resolve().parent.parent
@@ -72,6 +73,20 @@ MUTANTS = [
                    "test_contended_mix_matches_the_observed_join",
          pinned_by="tests/test_doorbell_join.py::"
                    "test_first_member_keeping_the_join_is_caught"),
+    dict(id="ladder-drops-zero-fp-remap",
+         target=SuccinctFilterCache._build_ladder,
+         old="code if code & fp_mask else code | 1", new="code", count=1,
+         killed_by="tests/test_filters_hotness.py::"
+                   "test_lane_ladders_match_scalar_hashes[fp12]",
+         pinned_by="tests/test_filters_hotness.py::"
+                   "test_mutant_dropping_the_zero_fp_remap_is_caught"),
+    dict(id="lanes-use-shorter-crc-words",
+         target=_lane_constants,
+         old="_rung_words(d)", new="_rung_words(d - 1)", count=1,
+         killed_by="tests/test_filters_hotness.py::"
+                   "test_lane_ladders_match_scalar_hashes[fp12]",
+         pinned_by="tests/test_filters_hotness.py::"
+                   "test_mutant_using_the_shorter_crc_words_is_caught"),
 ]
 
 

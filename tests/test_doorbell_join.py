@@ -151,7 +151,7 @@ def _mix(monkeypatch, engine, observed, slice_ns=None):
             assert has_pending(engine_), "deadlock"
             engine_.run(until=engine_.now + slice_ns)
     nics = [(nic.name, nic.messages, nic.payload_bytes, nic.busy_time,
-             nic.jobs, nic.free_at)
+             nic.free_at)
             for nic in (*cluster.cn_nics.values(),
                         *cluster.mn_nics.values())]
     observables = (engine_.now, [p.value for p in procs], nics, stats)

@@ -1,9 +1,11 @@
 """Unit tests for the succinct filter cache (hotness-bit second chance)."""
 
 import copy
+import inspect
 import random
+import textwrap
 from collections import Counter
-from itertools import product
+from itertools import count, product
 
 import pytest
 
@@ -11,7 +13,7 @@ from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig, ClusterSpec
 from repro.dm.rdma import OpStats
 from repro.errors import FilterError
-from repro.filters import SuccinctFilterCache
+from repro.filters import SuccinctFilterCache, hotness
 from repro.tenancy import run_rack
 from repro.util import hashing
 from repro.util.hashing import ConsistentHashRing, fingerprint, hash64
@@ -339,6 +341,98 @@ def test_probe_table_matches_hashing_functions(fp_bits):
         assert tuple(f._ladders[p][-2:]) == (code1, code2)
         assert f._ladders[p].itemsize == (8 if fp_bits == 32 else 4)
         assert hashing.hash64_raw(p, fp_bits) == hash64(p, fp_bits)
+
+
+# -- the lane-built ladder: every rung is the scalar hash -------------------
+
+LANE_GEOMETRIES = {  # id -> (budget, fp_bits)
+    "fp2": (4096, 2), "fp8": (4096, 8), "fp12": (4096, 12),
+    "fp32": (4096, 32),
+    "fp32-2^17": ((1 << 17) * 4 * 33 // 8, 32),  # 49-bit codes, "Q" words
+}
+
+
+def _lane_keys(fp_bits, mask):
+    """Keys of every length 1-80, runs of 0x00 and 0xff, a key with a
+    rung whose fingerprint masks to 0 (where one can be found), and the
+    empty key last."""
+    rng = random.Random(fp_bits)
+    keys = [rng.randbytes(n) for n in range(1, 81)]
+    keys += [bytes([b]) * n for b in (0x00, 0xFF) for n in (1, 8, 33, 80)]
+    zero = None
+    if fp_bits <= 12:
+        zero = next(p for p in (b"z%d" % i for i in count())
+                    if hashing.hash64_raw(p, hashing.FINGERPRINT_SEED)
+                    & mask == 0)
+        keys.append(zero + b"/tail")
+    return keys + [b""], zero
+
+
+@pytest.mark.parametrize("budget,fp_bits", LANE_GEOMETRIES.values(),
+                         ids=LANE_GEOMETRIES.keys())
+def test_lane_ladders_match_scalar_hashes(monkeypatch, budget, fp_bits):
+    """Each rung of a ladder built in one pass equals ``fingerprint`` /
+    ``hash64`` / the 0xA17 alternate of its prefix - once while the
+    geometry meets its fingerprints for the first time, once after."""
+    # Fresh tables, dropped afterwards: every ladder is built here, and
+    # a mutant's wrong ladders never reach the process-wide tables.
+    monkeypatch.setattr(hashing, "_memos", {})
+    monkeypatch.setattr(hashing, "_hash_tables", {})
+    f = SuccinctFilterCache(budget, fp_bits=fp_bits)
+    mask = f.num_buckets - 1
+    keys, zero = _lane_keys(fp_bits, (1 << fp_bits) - 1)
+    for _ in range(2):
+        f._ladders.clear()
+        for key in keys:
+            f.deepest_hit(key, 0)  # builds the ladder, probes no rung
+            ladder = f._ladders[key]
+            assert len(ladder) == 2 * max(len(key), 1), key
+            for d in range(1, max(len(key), 1) + 1):
+                p = key[:d]
+                fp = fingerprint(p, fp_bits)
+                i1 = hash64(p, 0xB0CCE7) & mask
+                i2 = (i1 ^ hash64(fp.to_bytes(4, "little"), 0xA17)) & mask
+                assert ladder[2 * d - 2:2 * d].tolist() == \
+                    [i1 << fp_bits | fp, i2 << fp_bits | fp], (key, d)
+    if zero is not None:
+        assert f._ladders[zero + b"/tail"][2 * len(zero) - 2] \
+            & ((1 << fp_bits) - 1) == 1
+    assert budget == 4096 or f.num_buckets == 1 << 17
+    assert f._empty_rung.itemsize == \
+        (4 if fp_bits + mask.bit_length() <= 32 else 8)
+
+
+def _mutate(monkeypatch, owner, function, old, new):
+    """Replace ``function`` on ``owner`` by its source with ``old`` ->
+    ``new``, compiled in the filter module's namespace."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(compile(source.replace(old, new), f"<{function.__name__} mutant>",
+                 "exec"), vars(hotness), namespace)
+    monkeypatch.setattr(owner, function.__name__,
+                        namespace[function.__name__])
+
+
+def test_mutant_dropping_the_zero_fp_remap_is_caught(monkeypatch):
+    """A rung whose fingerprint masks to 0 keeps it: an empty slot's
+    code.  Killed by the lane differential at the benchmark's width."""
+    _mutate(monkeypatch, SuccinctFilterCache,
+            SuccinctFilterCache._build_ladder,
+            "code if code & fp_mask else code | 1", "code")
+    with pytest.raises(AssertionError):
+        test_lane_ladders_match_scalar_hashes(monkeypatch,
+                                              *LANE_GEOMETRIES["fp12"])
+
+
+def test_mutant_using_the_shorter_crc_words_is_caught(monkeypatch):
+    """Every rung xors in the seed words of a prefix one byte shorter.
+    Killed by the lane differential at the benchmark's width."""
+    _mutate(monkeypatch, hotness, hotness._lane_constants,
+            "_rung_words(d)", "_rung_words(d - 1)")
+    with pytest.raises(AssertionError):
+        test_lane_ladders_match_scalar_hashes(monkeypatch,
+                                              *LANE_GEOMETRIES["fp12"])
 
 
 def _replay(f, seed, steps=400):

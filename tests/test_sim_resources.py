@@ -41,7 +41,7 @@ def test_utilization_accounting():
     assert engine.now == 1_000
     assert nic.utilization() == pytest.approx(0.4)
     nic.reset_stats()
-    assert nic.busy_time == 0 and nic.jobs == 0
+    assert nic.busy_time == 0 and nic.messages == 0
 
 
 def _sleep(engine, ns):
