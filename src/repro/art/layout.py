@@ -365,6 +365,8 @@ LEAF_HEADER_SIZE = 16
 MAX_LEAF_UNITS = (1 << 6) - 1  # LeafLen lives in the slot's 6-bit size class
 _LEAF_HEADER = struct.Struct("<BBHHHI I".replace(" ", ""))
 # status(B) leaf_len(B) key_len(H) val_len(H) reserved(H) checksum(I) version(I)
+#: The status byte's bits in a leaf's lock word (``leaf_status_word``).
+LEAF_STATUS_MASK = 0xFF
 
 
 def leaf_units_for(key_len: int, val_len: int) -> int:
@@ -406,7 +408,7 @@ def leaf_status_word(status: int, units: int, key_len: int,
     Computed arithmetically (little-endian ``<BBHHH_`` layout) - this
     sits on every leaf lock/unlock CAS.
     """
-    return (status & 0xFF) | ((units & 0xFF) << 8) | \
+    return (status & LEAF_STATUS_MASK) | ((units & 0xFF) << 8) | \
         ((key_len & 0xFFFF) << 16) | ((val_len & 0xFFFF) << 32)
 
 

@@ -613,12 +613,19 @@ def render_rtt_histograms(histograms: Dict[str, Dict[str, Dict[int, int]]],
 
 
 def ablation_fingerprint_bits() -> List[dict]:
-    """False-positive rate vs fingerprint width (paper: >=10 bits -> <1%)."""
-    from ..filters.cuckoo import CuckooFilter
+    """False-positive rate vs fingerprint width (paper: >=10 bits -> <1%).
+
+    Each width gets a filter cache of 8 192 four-slot buckets (the
+    budget buys ``fp_bits`` + 1 hotness bit per slot), 18 000 members
+    and 50 000 non-member probes.  ``bound`` is the cuckoo-filter
+    estimate ``2 * slots / 2^fp_bits``.
+    """
+    from ..filters.hotness import BUCKET_SLOTS, SuccinctFilterCache
 
     rows = []
     for bits in (4, 6, 8, 10, 12, 16):
-        filt = CuckooFilter(20_000, fp_bits=bits)
+        filt = SuccinctFilterCache(8192 * BUCKET_SLOTS * (bits + 1) // 8,
+                                   fp_bits=bits)
         for i in range(18_000):
             filt.insert(f"m{i}".encode())
         false_positives = sum(filt.contains(f"x{i}".encode())
@@ -626,7 +633,7 @@ def ablation_fingerprint_bits() -> List[dict]:
         rows.append({
             "fp_bits": bits,
             "fp_rate": round(false_positives / 50_000, 5),
-            "bound": round(filt.expected_fp_rate(), 5),
+            "bound": round(min(1.0, 2 * BUCKET_SLOTS / (1 << bits)), 5),
             "bytes_per_item": round(filt.size_bytes() / filt.count, 3),
         })
     return rows

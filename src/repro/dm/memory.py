@@ -17,8 +17,7 @@ import struct
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import BadAddress, DoubleFree, InvalidArgument, OutOfMemory, \
-    UseAfterFree
+from ..errors import BadAddress, DoubleFree, InvalidArgument, OutOfMemory
 
 ADDR_BITS = 48
 OFFSET_BITS = 40
@@ -76,18 +75,15 @@ class Memory:
         self._bump = 64  # offset 0..63 reserved: addr 0 == NULL
         self._free_lists: Dict[int, List[int]] = defaultdict(list)
         self.allocated_by_category: Dict[str, int] = defaultdict(int)
-        self.alloc_calls = 0
-        self.free_calls = 0
         # Freed-region registry: every block currently sitting on a free
         # list, kept sorted by offset for overlap queries.  `free()` of a
-        # range overlapping these (or a retired block) is a double free;
-        # data-plane verbs landing in these are use-after-free.
+        # range overlapping these (or a retired block) is a double free.
+        # Verbs landing in a freed block are DMSan's to judge
+        # (repro.san), which tells a checksummed leaf's stale read from a
+        # use-after-free.
         self._freed_offsets: List[int] = []       # sorted
         self._freed_sizes: Dict[int, int] = {}    # offset -> size
         self._retired: Dict[int, int] = {}        # offset -> size
-        self.uaf_policy = "flag"                  # "ignore" | "flag" | "raise"
-        self.uaf_hits = 0
-        self.uaf_samples: List[str] = []
         # The cluster's observers (repro.dm.rdma.Observer), told of
         # every block allocated, freed or retired.
         self.observers: tuple = ()
@@ -131,24 +127,11 @@ class Memory:
                 f"mn{self.mn_id}: {verb}({offset:#x}, {size}) targets "
                 f"retired block of {retired} B")
 
-    def _flag_uaf(self, offset: int, size: int, kind: str) -> None:
-        freed = self._freed_overlap(offset, size)
-        if freed is None or self.uaf_policy == "ignore":
-            return
-        message = (f"mn{self.mn_id}: {kind} of ({offset:#x}, {size}) touches "
-                   f"freed block ({freed[0]:#x}, {freed[1]})")
-        if self.uaf_policy == "raise":
-            raise UseAfterFree(message)
-        self.uaf_hits += 1
-        if len(self.uaf_samples) < 16:
-            self.uaf_samples.append(message)
-
     # -- allocation ----------------------------------------------------
     def alloc(self, size: int, category: str = "generic") -> int:
         """Allocate ``size`` bytes; returns the within-node offset."""
         if size <= 0:
             raise InvalidArgument("allocation size must be positive")
-        self.alloc_calls += 1
         self.allocated_by_category[category] += size
         free_list = self._free_lists.get(size)
         if free_list:
@@ -175,7 +158,6 @@ class Memory:
         """
         self._check_range(offset, size)
         self._check_reclaimable(offset, size, "free")
-        self.free_calls += 1
         self.allocated_by_category[category] -= size
         self._free_lists[size].append(offset)
         self._register_freed(offset, size)
@@ -194,7 +176,6 @@ class Memory:
         """
         self._check_range(offset, size)
         self._check_reclaimable(offset, size, "retire")
-        self.free_calls += 1
         self.allocated_by_category[category] -= size
         self._retired[offset] = size
         for obs in self.observers:
@@ -227,8 +208,6 @@ class Memory:
     def read(self, offset: int, size: int) -> bytes:
         if size < 0 or offset < 64 or offset + size > len(self._data):
             self._check_range(offset, size)
-        if self._freed_offsets:
-            self._flag_uaf(offset, size, "read")
         # memoryview slice -> one copy; a bytearray slice plus bytes()
         # would copy the payload twice per verb.
         return memoryview(self._data)[offset:offset + size].tobytes()
@@ -237,33 +216,23 @@ class Memory:
         end = offset + len(data)
         if offset < 64 or end > len(self._data):
             self._check_range(offset, len(data))
-        if self._freed_offsets:
-            self._flag_uaf(offset, len(data), "write")
         self._data[offset:end] = data
 
     def read_u64(self, offset: int) -> int:
         self._check_range(offset, 8)
-        if self._freed_offsets:
-            self._flag_uaf(offset, 8, "read_u64")
         return _U64.unpack_from(self._data, offset)[0]
 
     def write_u64(self, offset: int, value: int) -> None:
         self._check_range(offset, 8)
-        if self._freed_offsets:
-            self._flag_uaf(offset, 8, "write_u64")
         _U64.pack_into(self._data, offset, value)
 
     def cas_u64(self, offset: int, expected: int, desired: int):
         """Atomic 8-byte compare-and-swap; returns (swapped, old_value)."""
         if offset < 64 or offset + 8 > len(self._data):
             self._check_range(offset, 8)
-        if self._freed_offsets:
-            self._flag_uaf(offset, 8, "read_u64")
         old = _U64.unpack_from(self._data, offset)[0]
         if old != expected:
             return False, old
-        if self._freed_offsets:
-            self._flag_uaf(offset, 8, "write_u64")
         _U64.pack_into(self._data, offset, desired)
         return True, old
 
@@ -271,9 +240,6 @@ class Memory:
         """Atomic 8-byte fetch-and-add; returns the pre-add value."""
         if offset < 64 or offset + 8 > len(self._data):
             self._check_range(offset, 8)
-        if self._freed_offsets:
-            self._flag_uaf(offset, 8, "read_u64")
-            self._flag_uaf(offset, 8, "write_u64")
         old = _U64.unpack_from(self._data, offset)[0]
         _U64.pack_into(self._data, offset, (old + delta) & ((1 << 64) - 1))
         return old

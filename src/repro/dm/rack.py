@@ -113,11 +113,13 @@ class TopologyEvent:
 class GroupCluster:
     """A group-scoped view of the rack's cluster.
 
-    Same engine, NICs, executors and attachment points (observers, fault
-    injector, recovery) as the underlying :class:`Cluster` - but
-    ``memories`` and node placement restricted to the group's MNs, so an
-    index built against the view allocates, hashes and creates its INHT
-    tables only inside the group.  Everything else delegates.
+    ``memories`` and node placement are restricted to the group's MNs,
+    so an index built against the view allocates, hashes and creates its
+    INHT tables only inside the group.  The rest of what an index cell
+    and fsck ask of a cluster is the rack's own: the engine and config,
+    the allocator entry points, direct executors, the fault injector,
+    and ``next_seed``, whose one shared counter keeps every cell's seeds
+    - and so the rack's digests - what they are.
     """
 
     def __init__(self, cluster: Cluster, mn_ids: Sequence[int], *,
@@ -126,11 +128,18 @@ class GroupCluster:
         self.mn_ids = list(mn_ids)
         self.memories = {mn: cluster.memories[mn] for mn in mn_ids}
         self.placement = NodePlacement(self.mn_ids, seed=seed)
+        self.engine = cluster.engine
+        self.config = cluster.config
+        self.alloc = cluster.alloc
+        self.free = cluster.free
+        self.retire = cluster.retire
+        self.next_seed = cluster.next_seed
+        self.direct_executor = cluster.direct_executor
 
-    def __getattr__(self, name):
-        # Everything not group-scoped (engine, executors, alloc/free,
-        # injector, observers, recovery, config, NIC dicts...) is the rack's.
-        return getattr(self._cluster, name)
+    @property
+    def injector(self):
+        """The rack's fault injector (``attach_faults`` may replace it)."""
+        return self._cluster.injector
 
     def alloc_for_prefix(self, prefix: bytes, size: int,
                          category: str = "generic") -> int:
@@ -306,10 +315,9 @@ class Rack:
         Returns ``[(gid, FsckReport), ...]``; pure memory walks, so the
         check never creates engine events or perturbs a paused run.
         With replication enabled a final rack-level report (gid ``-1``)
-        verifies replica agreement: every registered key present at its
-        primary cell, present with the identical value at every live
-        replica cell, and present *nowhere else*.  Groups a failover
-        retired (``failed_groups``) are skipped: their cells are
+        judges replica agreement over the leaves those cell checks
+        accepted, so each live cell's tree is walked once.  Groups a
+        failover retired (``failed_groups``) are skipped: their cells are
         half-blanked corpses already out of service, and their shards'
         health is judged by the replica-agreement stage instead.
         """
@@ -319,15 +327,28 @@ class Rack:
                    for gid in sorted(self._indexes)
                    if gid not in self.failed_groups]
         if self.spec.replicas:
-            reports.append((-1, self.check_replica_agreement()))
+            live = self._agreement_cells()
+            reports.append((-1, self._agreement(
+                {gid: report.values for gid, report in reports
+                 if gid in live})))
         return reports
 
     def check_replica_agreement(self):
-        """Offline replica-agreement check (the rack-level fsck stage).
+        """Offline replica-agreement check (the rack-level fsck stage):
+        :func:`~repro.tools.fsck.check_tree` walks every live cell, and
+        the leaves it accepts are judged as in :meth:`fsck_all`."""
+        from ..tools.fsck import check_tree
+        return self._agreement(
+            {gid: check_tree(self._groups[gid],
+                             self._indexes[gid].root_addr)[0].values
+             for gid in self._agreement_cells()})
 
-        Enumerates every live cell's leaves straight from MN memory (no
-        clock, no verbs, no injector RNG) and cross-checks them against
-        the shard registry and the replica map:
+    def _agreement_cells(self) -> List[int]:
+        return [g for g in self.live_groups() if g not in self.failed_groups]
+
+    def _agreement(self, cells: Dict[int, Dict[bytes, bytes]]):
+        """Cross-check each live cell's ``{key: value}`` against the
+        shard registry and the replica map:
 
         * ``replica_missing``  - a registered key absent from its
           primary cell or from a live replica cell;
@@ -337,12 +358,8 @@ class Rack:
         * ``replica_leak``     - a live cell holds a key of a shard it
           neither owns nor replicates.
         """
-        from ..tools.fsck import FsckReport, collect_leaves
+        from ..tools.fsck import FsckReport
         report = FsckReport()
-        live = [g for g in self.live_groups() if g not in self.failed_groups]
-        cells = {gid: collect_leaves(self._groups[gid],
-                                     self._indexes[gid].root_addr)
-                 for gid in live}
         for shard, keys in enumerate(self.registry):
             primary = self.shards.assignment[shard]
             replicas = [g for g in self.shards.replica_assignment[shard]
@@ -369,7 +386,7 @@ class Rack:
                                     f"shard {shard} key {key!r}: replica "
                                     f"group {gid} diverges from primary "
                                     f"{primary}", repairable=True)
-        for gid in live:
+        for gid in sorted(cells):
             for key in sorted(cells[gid]):
                 shard = self.shards.shard_for_key(key)
                 if gid != self.shards.assignment[shard] \

@@ -62,11 +62,6 @@ class DoubleFree(MemoryError_):
     already freed or retired (allocator misuse by a protocol)."""
 
 
-class UseAfterFree(MemoryError_):
-    """A verb touched a freed-and-not-yet-recycled region while the memory
-    node was configured with ``uaf_policy="raise"``."""
-
-
 class KeyCodecError(ReproError):
     """A key could not be encoded (e.g. contains the terminator byte)."""
 

@@ -1,6 +1,5 @@
-"""Succinct membership structures: cuckoo filter and the filter cache."""
+"""The succinct filter cache: a cuckoo filter with hotness bits."""
 
-from .cuckoo import CuckooFilter
 from .hotness import SuccinctFilterCache
 
-__all__ = ["CuckooFilter", "SuccinctFilterCache"]
+__all__ = ["SuccinctFilterCache"]

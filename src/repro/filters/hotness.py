@@ -14,8 +14,8 @@ hold every prefix, a second-chance (clock-like) policy keeps hot prefixes:
   dropped (an eviction - a tolerable false negative, repaired lazily by
   the search path's cache-refresh rule).
 
-Unlike the plain :class:`~repro.filters.cuckoo.CuckooFilter`, insertion
-therefore **never fails**; it may instead evict.
+Unlike a plain cuckoo filter, insertion therefore **never fails**; it
+may instead evict.
 
 Host side, the filter state proper is ``_fps`` / ``_hot`` plus a resident
 index over them.  *Where an item may live* is a pure function of its
@@ -204,7 +204,7 @@ class SuccinctFilterCache:
         clone._rng = copy.deepcopy(self._rng, memo)
         return clone
 
-    # -- hashing (same scheme as the base filter) -------------------------
+    # -- hashing: partial-key cuckoo hashing (i2 = i1 XOR hash(fp)) -------
     def _alt_code(self, fp: int) -> int:
         alt = self._alt.get(fp)
         if alt is None:

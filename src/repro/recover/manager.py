@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..art.layout import HEADER, LEAF_STATUS_MASK
 from ..dm.memory import addr_mn
 from ..dm.rdma import CasOp, Observer, ReadOp, VerbRecord
 from ..errors import (
@@ -57,9 +58,8 @@ from ..fault.retry import DEFAULT_RETRY, UNTIMED
 from ..util.bits import u64_from_bytes
 
 # Where the status lives inside each kind's lock word (STATUS_IDLE is 0
-# for both layouts, so clearing the field unlocks):
-_NODE_STATUS_MASK = 0x3    # art.layout.Header: status in bits 0-1
-_LEAF_STATUS_MASK = 0xFF   # art.layout.leaf_status_word: bits 0-7
+# for both layouts, so clearing the field unlocks).
+_NODE_STATUS_MASK = HEADER.fields["status"].mask
 
 
 #: Lease lifetime in simulated ns: a lease held this long or longer has
@@ -205,7 +205,7 @@ class RecoveryManager:
         if lease.kind == "node":
             return lease.word & ~_NODE_STATUS_MASK
         if lease.kind == "leaf":
-            return lease.word & ~_LEAF_STATUS_MASK
+            return lease.word & ~LEAF_STATUS_MASK
         raise ConfigError(f"no idle form for lease kind {lease.kind!r}")
 
     def _reclaim(self, lease: LeaseRecord):

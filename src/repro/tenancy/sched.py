@@ -92,7 +92,6 @@ class TenancyController:
         # Run-wide throttle accounting (a wait with every bucket empty
         # belongs to no single tenant).
         self.throttle_waits = 0
-        self.throttle_wait_ns = 0
 
     def acquire(self, now_ns: int) -> Tuple[int, int]:
         """``(tenant, 0)`` when a tenant is admitted at ``now_ns``, or
@@ -116,7 +115,6 @@ class TenancyController:
                    for bucket in self.buckets) - now_ns
         wait = max(wait, 1)
         self.throttle_waits += 1
-        self.throttle_wait_ns += wait
         return -1, wait
 
     # -- retry budgets -----------------------------------------------------

@@ -124,6 +124,10 @@ class FsckReport:
     repaired: int = 0
     reachable: Dict[bytes, Tuple[int, int]] = field(default_factory=dict)
     reachable_nodes: Set[int] = field(default_factory=set)
+    #: ``{key: value}`` of every leaf the tree walk accepted (not
+    #: Invalid, checksum ok, inside its ancestors' key constraints):
+    #: what the rack's replica-agreement stage compares.
+    values: Dict[bytes, bytes] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -168,50 +172,6 @@ def _read_leaf_raw(cluster: Cluster, addr: int, units: int):
     return decode_leaf(memory.read(addr_offset(addr), units * 64))
 
 
-def collect_leaves(cluster: Cluster, root_addr: int) -> Dict[bytes, bytes]:
-    """Best-effort offline ``{key: value}`` enumeration of one cell.
-
-    A light sibling of :func:`check_tree` for the rack's replica-
-    agreement stage: pure memory walks (no clock, no verbs, no injector
-    RNG), collecting every valid, checksum-ok leaf and silently skipping
-    dead MNs and undecodable structure - structural damage is
-    :func:`check_tree`'s job, not this walk's.
-    """
-    out: Dict[bytes, bytes] = {}
-    visited: Set[int] = set()
-    dead = _dead_mns(cluster)
-
-    def walk(addr: int, node_type: int) -> None:
-        if addr in visited or addr_mn(addr) in dead:
-            return
-        visited.add(addr)
-        try:
-            view = _read_node_raw(cluster, addr, node_type)
-        except ReproError:
-            return
-        if view.header.status == STATUS_INVALID:
-            return
-        for word in view.words:
-            if not word & SLOT_OCCUPIED:
-                continue
-            child = word & SLOT_ADDR_MASK
-            size_class = (word >> SLOT_SIZE_SHIFT) & SLOT_SIZE_MASK
-            if word & SLOT_LEAF:
-                if addr_mn(child) in dead:
-                    continue
-                try:
-                    leaf = _read_leaf_raw(cluster, child, size_class)
-                except ReproError:
-                    continue
-                if leaf.status != STATUS_INVALID and leaf.checksum_ok:
-                    out[leaf.key] = leaf.value
-            else:
-                walk(child, size_class)
-
-    walk(root_addr, NODE256)
-    return out
-
-
 def check_tree(cluster: Cluster, root_addr: int,
                report: Optional[FsckReport] = None
                ) -> Tuple[FsckReport, Dict[bytes, int]]:
@@ -219,12 +179,14 @@ def check_tree(cluster: Cluster, root_addr: int,
 
     Returns (report, {inner_prefix: node_addr}) - the prefix map feeds
     the INHT cross-check.  ``report.reachable`` additionally carries the
-    node type per prefix (repair needs it) and ``report.reachable_nodes``
-    every visited inner-node address (the orphan walk needs it).
+    node type per prefix (repair needs it), ``report.reachable_nodes``
+    every visited inner-node address (the orphan walk needs it) and
+    ``report.values`` every accepted leaf's value (the rack's replica
+    agreement needs it).
     """
     report = report if report is not None else FsckReport()
     prefixes: Dict[bytes, int] = {}
-    seen_keys: Set[bytes] = set()
+    values = report.values
     visited: Set[int] = set()
     dead = _dead_mns(cluster)
 
@@ -315,9 +277,9 @@ def check_tree(cluster: Cluster, root_addr: int,
                         break
                 if bad:
                     continue
-                if leaf.key in seen_keys:
+                if leaf.key in values:
                     report.error(f"duplicate key {leaf.key!r}")
-                seen_keys.add(leaf.key)
+                values[leaf.key] = leaf.value
                 if witness is None:
                     witness = leaf.key
             else:

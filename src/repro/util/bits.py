@@ -64,7 +64,6 @@ class BitStruct:
             shift += width
         if shift > 64:
             raise InvalidArgument(f"{name}: fields occupy {shift} bits > 64")
-        self.total_bits = shift
         # Flattened (shift, width, value-limit, positioned-mask) per field:
         # pack/unpack sit under every node encode/decode, so they work on
         # plain tuples instead of calling BitField methods per field.

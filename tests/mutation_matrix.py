@@ -1,5 +1,6 @@
 """The mutation matrix: which test and which static rule kill each
-one-site mutant of a protocol or of a hash the filter cache computes.
+one-site mutant of a protocol, of a hash the filter cache computes, or
+of the offline checker.
 
 Each mutant below is one the test suite already builds with ``inspect``
 + ``exec`` (the test named in ``pinned_by`` applies the same text
@@ -20,15 +21,18 @@ import json
 import shutil
 import sys
 import tempfile
+import textwrap
 import time
 from pathlib import Path
 
 import repro
 from repro.analysis import analyze_paths
 from repro.core.remote_art import RemoteArtTree
+from repro.dm.rack import Rack
 from repro.dm.rdma import _VerbTrip
 from repro.filters.hotness import SuccinctFilterCache, _lane_constants
 from repro.race.client import RaceClient
+from repro.tools.fsck import check_tree
 
 REPO = Path(__file__).resolve().parent.parent
 MATRIX = REPO / "benchmarks" / "results" / "MUTATION_MATRIX.json"
@@ -87,6 +91,21 @@ MUTANTS = [
                    "test_lane_ladders_match_scalar_hashes[fp12]",
          pinned_by="tests/test_filters_hotness.py::"
                    "test_mutant_using_the_shorter_crc_words_is_caught"),
+    dict(id="agreement-skips-replica-compare",
+         target=Rack._agreement,
+         old="for gid in replicas:", new="for gid in ():", count=1,
+         killed_by="tests/test_replication.py::"
+                   "test_agreement_reports_exactly_the_seeded_defects",
+         pinned_by="tests/test_replication.py::"
+                   "test_mutant_skipping_the_replica_compare_is_caught"),
+    dict(id="check-tree-keeps-checksum-bad-values",
+         target=check_tree,
+         old='"mismatch at rest")',
+         new='"mismatch at rest"); values[leaf.key] = leaf.value', count=1,
+         killed_by="tests/test_replication.py::"
+                   "test_agreement_reports_exactly_the_seeded_defects",
+         pinned_by="tests/test_replication.py::"
+                   "test_mutant_accepting_checksum_bad_values_is_caught"),
 ]
 
 
@@ -106,6 +125,19 @@ def mutated_module(mutant):
     assert module.count(method) == 1, mutant["id"]
     return rel, module.replace(
         method, method.replace(mutant["old"], mutant["new"]))
+
+
+def mutate(monkeypatch, owner, function, old, new):
+    """Replace ``function`` on ``owner`` by its source with its one
+    ``old`` -> ``new``, compiled in its own module's namespace: a
+    mutant in-process, for the ``pinned_by`` tests."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(compile(source.replace(old, new), f"<{function.__name__} mutant>",
+                 "exec"), vars(inspect.getmodule(function)), namespace)
+    monkeypatch.setattr(owner, function.__name__,
+                        namespace[function.__name__])
 
 
 def _findings(package):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dm import Cluster, ClusterConfig
 from repro.dm.memory import (
     NULL_ADDR,
     Memory,
@@ -10,7 +11,9 @@ from repro.dm.memory import (
     format_addr,
     make_addr,
 )
-from repro.errors import BadAddress, OutOfMemory
+from repro.dm.rdma import ReadOp, WriteOp
+from repro.errors import BadAddress, OutOfMemory, SanViolation
+from repro.san import USE_AFTER_FREE, WRITE_AFTER_FREE, SanConfig
 
 
 def test_addr_pack_roundtrip():
@@ -131,6 +134,8 @@ def test_capacity_validation():
 
 
 # -- freed-region registry (double free / use-after-free) -----------------
+# Memory raises on a double free; a verb landing in a freed block is
+# DMSan's to flag.
 
 def test_double_free_raises():
     from repro.errors import DoubleFree
@@ -159,35 +164,55 @@ def test_free_after_retire_raises():
         memory.free(offset, 64)
 
 
+def _freed_pair(san_config=None):
+    """A cluster under DMSan with two written 64-byte blocks, the second
+    freed: ``(cluster, executor, monitor, keep, victim)``."""
+    cluster = Cluster(ClusterConfig(mn_capacity_bytes=16 << 20))
+    monitor = cluster.attach_sanitizer(san_config)
+    keep = cluster.alloc(0, 64, "generic")
+    victim = cluster.alloc(0, 64, "generic")
+    executor = cluster.direct_executor()
+    executor.run(_verbs(WriteOp(keep, bytes(64)), WriteOp(victim, bytes(64))))
+    cluster.free(victim, 64, "generic")
+    return cluster, executor, monitor, keep, victim
+
+
+def _verbs(*ops):
+    def gen():
+        for op in ops:
+            yield op
+    return gen()
+
+
 def test_uaf_flag_policy_counts_hits():
-    memory = Memory(0, 1 << 20)
-    offset = memory.alloc(64)
-    memory.free(offset, 64)
-    assert memory.uaf_hits == 0
-    memory.read(offset, 8)
-    memory.write(offset + 8, b"x" * 8)
-    assert memory.uaf_hits == 2
-    assert any("freed block" in s for s in memory.uaf_samples)
+    _, executor, monitor, _, victim = _freed_pair()
+    assert monitor.report.clean
+    executor.run(_verbs(ReadOp(victim, 8), WriteOp(victim + 8, b"x" * 8)))
+    assert [v.kind for v in monitor.report.violations] == \
+        [USE_AFTER_FREE, WRITE_AFTER_FREE]
+    assert all("freed" in v.detail for v in monitor.report.violations)
 
 
 def test_uaf_raise_policy():
-    from repro.errors import UseAfterFree
-    memory = Memory(0, 1 << 20)
-    memory.uaf_policy = "raise"
-    offset = memory.alloc(64)
-    memory.free(offset, 64)
-    with pytest.raises(UseAfterFree, match="freed block"):
-        memory.read_u64(offset)
+    _, executor, _, _, victim = _freed_pair(SanConfig(on_violation="raise"))
+    with pytest.raises(SanViolation, match="freed"):
+        executor.run(_verbs(ReadOp(victim, 8)))
 
 
 def test_uaf_cleared_by_realloc():
-    memory = Memory(0, 1 << 20)
-    offset = memory.alloc(64)
-    memory.free(offset, 64)
-    again = memory.alloc(64)
-    assert again == offset            # recycled
-    memory.read(again, 64)            # fresh block: no flag
-    assert memory.uaf_hits == 0
+    cluster, executor, monitor, _, victim = _freed_pair()
+    again = cluster.alloc(0, 64, "generic")
+    assert again == victim            # recycled
+    executor.run(_verbs(ReadOp(again, 64)))   # fresh block: no flag
+    assert monitor.report.clean
+
+
+def test_read_of_a_freed_block_still_counts_a_uaf():
+    _, executor, monitor, keep, victim = _freed_pair()
+    executor.run(_verbs(ReadOp(keep, 64)))
+    assert monitor.report.clean
+    executor.run(_verbs(ReadOp(victim + 60, 1)))   # last bytes of the block
+    assert [v.kind for v in monitor.report.violations] == [USE_AFTER_FREE]
 
 
 def test_retired_block_stays_readable():
@@ -197,17 +222,14 @@ def test_retired_block_stays_readable():
     memory.write(offset, b"a" * 64)
     memory.retire(offset, 64)
     assert memory.read(offset, 64) == b"a" * 64
-    assert memory.uaf_hits == 0
 
 
-#: Each data-plane verb on one 8-byte word, and the UAF kinds it flags on
-#: a freed block (a CAS that swaps and an FAA both read and write it).
+#: Each data-plane verb on one 8-byte word.
 _WORD_VERBS = {
-    "read": (lambda m, off: m.read(off, 8), ["read"]),
-    "write": (lambda m, off: m.write(off, bytes(8)), ["write"]),
-    "cas_u64": (lambda m, off: m.cas_u64(off, 0, 0),
-                ["read_u64", "write_u64"]),
-    "faa_u64": (lambda m, off: m.faa_u64(off, 0), ["read_u64", "write_u64"]),
+    "read": lambda m, off: m.read(off, 8),
+    "write": lambda m, off: m.write(off, bytes(8)),
+    "cas_u64": lambda m, off: m.cas_u64(off, 0, 0),
+    "faa_u64": lambda m, off: m.faa_u64(off, 0),
 }
 
 
@@ -215,8 +237,8 @@ _WORD_VERBS = {
 def test_word_checks_survive_the_inlined_fast_path(verb):
     """Each verb skips ``_check_range`` only for a well-formed range
     inside the committed backing; everything else still goes through
-    it, and a freed block is still flagged with the verb's kinds."""
-    access, kinds = _WORD_VERBS[verb]
+    it."""
+    access = _WORD_VERBS[verb]
     capacity = 4 << 20
     memory = Memory(0, capacity)
     committed = len(memory._data)
@@ -233,22 +255,3 @@ def test_word_checks_survive_the_inlined_fast_path(verb):
     for offset in (capacity - 7, capacity, 63, 0, -8, capacity + 64):
         with pytest.raises(BadAddress):
             access(memory, offset)
-    keep, victim = memory.alloc(64), memory.alloc(64)
-    memory.free(victim, 64)
-    access(memory, keep)
-    assert memory.uaf_hits == 0
-    access(memory, victim + 56)   # last word of the freed block
-    assert memory.uaf_hits == len(kinds)
-    assert [sample.split(":")[1].split()[0] for sample in
-            memory.uaf_samples] == kinds
-
-
-def test_read_of_a_freed_block_still_counts_a_uaf():
-    memory = Memory(0, 1 << 20)
-    keep, victim = memory.alloc(64), memory.alloc(64)
-    memory.free(victim, 64)
-    memory.read(keep, 64)
-    assert memory.uaf_hits == 0
-    memory.read(victim + 60, 1)   # last bytes of the freed block
-    memory.read(keep, 64 + 1)     # a read running into it
-    assert memory.uaf_hits == 2

@@ -1,14 +1,13 @@
 """Unit tests for the succinct filter cache (hotness-bit second chance)."""
 
 import copy
-import inspect
 import random
-import textwrap
 from collections import Counter
 from itertools import count, product
 
 import pytest
 
+from mutation_matrix import mutate
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig, ClusterSpec
 from repro.dm.rdma import OpStats
@@ -97,11 +96,41 @@ def test_stats_shape():
     assert s["size_bytes"] == c.size_bytes()
 
 
+def test_fp_rate_grows_with_smaller_fingerprints():
+    small = SuccinctFilterCache(1 << 14, fp_bits=4)
+    large = SuccinctFilterCache(1 << 14, fp_bits=16)
+    for i in range(4_000):
+        small.insert(f"m{i}".encode())
+        large.insert(f"m{i}".encode())
+    probes = [f"x{i}".encode() for i in range(30_000)]
+    assert sum(map(small.contains, probes)) > \
+        sum(map(large.contains, probes))
+
+
+def test_load_factor_and_size():
+    c = SuccinctFilterCache(4096, fp_bits=12)
+    assert c.load_factor() == 0.0
+    for i in range(500):
+        c.insert(f"i{i}".encode())
+    assert 0 < c.load_factor() <= 1
+    assert c.size_bytes() == c.num_buckets * 4 * 13 // 8
+
+
 def test_validates_parameters():
     with pytest.raises(FilterError):
         SuccinctFilterCache(4)
     with pytest.raises(FilterError):
         SuccinctFilterCache(1024, fp_bits=1)
+    with pytest.raises(FilterError):
+        SuccinctFilterCache(1024, fp_bits=40)
+
+
+def test_alt_index_is_involution():
+    c = SuccinctFilterCache(4096)
+    for i in range(200):
+        fp, i1, i2 = c._probe(f"item{i}".encode())[:3]
+        assert c._alt_index(i2, fp) == i1
+        assert c._alt_index(i1, fp) == i2
 
 
 def test_delete_missing_returns_false():
@@ -402,24 +431,12 @@ def test_lane_ladders_match_scalar_hashes(monkeypatch, budget, fp_bits):
         (4 if fp_bits + mask.bit_length() <= 32 else 8)
 
 
-def _mutate(monkeypatch, owner, function, old, new):
-    """Replace ``function`` on ``owner`` by its source with ``old`` ->
-    ``new``, compiled in the filter module's namespace."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(old) == 1, old
-    namespace = {}
-    exec(compile(source.replace(old, new), f"<{function.__name__} mutant>",
-                 "exec"), vars(hotness), namespace)
-    monkeypatch.setattr(owner, function.__name__,
-                        namespace[function.__name__])
-
-
 def test_mutant_dropping_the_zero_fp_remap_is_caught(monkeypatch):
     """A rung whose fingerprint masks to 0 keeps it: an empty slot's
     code.  Killed by the lane differential at the benchmark's width."""
-    _mutate(monkeypatch, SuccinctFilterCache,
-            SuccinctFilterCache._build_ladder,
-            "code if code & fp_mask else code | 1", "code")
+    mutate(monkeypatch, SuccinctFilterCache,
+           SuccinctFilterCache._build_ladder,
+           "code if code & fp_mask else code | 1", "code")
     with pytest.raises(AssertionError):
         test_lane_ladders_match_scalar_hashes(monkeypatch,
                                               *LANE_GEOMETRIES["fp12"])
@@ -428,8 +445,8 @@ def test_mutant_dropping_the_zero_fp_remap_is_caught(monkeypatch):
 def test_mutant_using_the_shorter_crc_words_is_caught(monkeypatch):
     """Every rung xors in the seed words of a prefix one byte shorter.
     Killed by the lane differential at the benchmark's width."""
-    _mutate(monkeypatch, hotness, hotness._lane_constants,
-            "_rung_words(d)", "_rung_words(d - 1)")
+    mutate(monkeypatch, hotness, hotness._lane_constants,
+           "_rung_words(d)", "_rung_words(d - 1)")
     with pytest.raises(AssertionError):
         test_lane_ladders_match_scalar_hashes(monkeypatch,
                                               *LANE_GEOMETRIES["fp12"])

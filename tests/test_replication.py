@@ -28,17 +28,23 @@ Six families:
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
+from mutation_matrix import mutate
 from rack_golden import check_control_golden
+from repro.art.layout import LEAF_HEADER_SIZE, NODE256, decode_leaf, \
+    decode_node, node_size
 from repro.dm import ClusterSpec, TopologyEvent
+from repro.dm.memory import Memory, addr_mn, addr_offset
 from repro.dm.placement import ShardMap
 from repro.dm.rack import Rack
 from repro.errors import StaleEpoch
 from repro.fault import FaultPlan, FaultRule, crash_cn, crash_mn
 from repro.recover import FailoverManager, Rebalancer
 from repro.tenancy import run_rack
+from repro.tools import fsck
 from repro.util.hashing import ConsistentHashRing
 from repro.ycsb import make_dataset
 from repro.ycsb.runner import bulk_load
@@ -285,6 +291,111 @@ def test_rereplication_race_leaves_a_debt_that_settle_repairs():
     assert not rack.replica_lag[shard]
     agreement = dict(rack.fsck_all())[-1]
     assert agreement.clean and not agreement.findings, agreement.findings
+
+
+# ---------------------------------------------------------------------------
+# The replica-agreement stage
+# ---------------------------------------------------------------------------
+
+def _leaf_addr(cluster, root_addr, key):
+    """Address of ``key``'s leaf, found by an offline walk from the root."""
+    stack = [(root_addr, NODE256)]
+    while stack:
+        addr, node_type = stack.pop()
+        memory = cluster.memories[addr_mn(addr)]
+        view = decode_node(memory.read(addr_offset(addr),
+                                       node_size(node_type)))
+        for slot in view.occupied_slots():
+            if not slot.is_leaf:
+                stack.append((slot.addr, slot.size_class))
+            elif decode_leaf(cluster.memories[addr_mn(slot.addr)].read(
+                    addr_offset(slot.addr), slot.leaf_size())).key == key:
+                return slot.addr
+    raise AssertionError(f"no leaf for {key!r}")
+
+
+def _seed_agreement_defects(rack, dataset):
+    """One defect of each kind on a loaded three-group K=1 rack:
+
+    * ``replica_divergence``: a replica's value rewritten in place;
+    * ``replica_missing``: a replica leaf with one value byte flipped
+      (its checksum fails, so the walk must not accept it - an accepted
+      torn leaf would read as a divergence instead);
+    * ``replica_leak``: a key written into the one group that neither
+      owns nor replicates its shard.
+    """
+    ex = rack.cluster.direct_executor()
+    diverged, torn, leaked = dataset.keys[:3]
+    for key, flip in ((diverged, False), (torn, True)):
+        (gid,) = rack.shards.replica_assignment[rack.shard_of(key)]
+        client = rack.group_index(gid).client(0)
+        value = ex.run(client.search(key))
+        if not flip:
+            ex.run(client.update(key, bytes(b ^ 0xFF for b in value)))
+            continue
+        addr = _leaf_addr(rack.group_view(gid),
+                          rack.group_index(gid).root_addr, key)
+        memory = rack.cluster.memories[addr_mn(addr)]
+        offset = addr_offset(addr) + LEAF_HEADER_SIZE + len(key)
+        memory.write(offset, bytes([memory.read(offset, 1)[0] ^ 0xFF]))
+    shard = rack.shard_of(leaked)
+    (outsider,) = set(rack.live_groups()) - {
+        rack.shards.assignment[shard], *rack.shards.replica_assignment[shard]}
+    ex.run(rack.group_index(outsider).client(0).insert(leaked, b"L" * 8))
+    return diverged, torn, leaked
+
+
+def test_agreement_reports_exactly_the_seeded_defects():
+    rack, dataset = _loaded_rack()
+    assert not rack.check_replica_agreement().findings
+    diverged, torn, leaked = _seed_agreement_defects(rack, dataset)
+    want = sorted([("replica_divergence", diverged),
+                   ("replica_missing", torn), ("replica_leak", leaked)])
+    for agreement in (dict(rack.fsck_all())[-1],
+                      rack.check_replica_agreement()):
+        got = sorted((f.kind, key) for f in agreement.findings
+                     for key in (diverged, torn, leaked)
+                     if repr(key) in f.detail)
+        assert got == want, agreement.findings
+        assert len(agreement.findings) == 3, agreement.findings
+
+
+def test_fsck_all_reads_each_live_cell_tree_once(monkeypatch):
+    rack, _ = _loaded_rack()
+    reads = Counter()
+    plain_read = Memory.read
+
+    def counting_read(memory, offset, size):
+        reads[(memory.mn_id, offset)] += 1
+        return plain_read(memory, offset, size)
+
+    monkeypatch.setattr(Memory, "read", counting_read)
+    reports = dict(rack.fsck_all())
+    assert set(reports) == {*rack.live_groups(), -1}
+    for gid in rack.live_groups():
+        nodes = reports[gid].reachable_nodes
+        assert rack.group_index(gid).root_addr in nodes
+        assert {addr: reads[(addr_mn(addr), addr_offset(addr))]
+                for addr in nodes} == dict.fromkeys(nodes, 1), gid
+
+
+def test_mutant_skipping_the_replica_compare_is_caught(monkeypatch):
+    """The agreement stage judges the primary and the leaks but never
+    looks at a replica.  Killed by the seeded-defects test."""
+    mutate(monkeypatch, Rack, Rack._agreement,
+           "for gid in replicas:", "for gid in ():")
+    with pytest.raises(AssertionError):
+        test_agreement_reports_exactly_the_seeded_defects()
+
+
+def test_mutant_accepting_checksum_bad_values_is_caught(monkeypatch):
+    """``check_tree`` still reports a torn leaf but records its value,
+    so the agreement stage reads a divergence where the replica has
+    lost the key.  Killed by the seeded-defects test."""
+    mutate(monkeypatch, fsck, fsck.check_tree, '"mismatch at rest")',
+           '"mismatch at rest"); values[leaf.key] = leaf.value')
+    with pytest.raises(AssertionError):
+        test_agreement_reports_exactly_the_seeded_defects()
 
 
 # ---------------------------------------------------------------------------

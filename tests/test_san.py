@@ -215,6 +215,17 @@ class TestAtomicHygiene:
 # Use-after-free
 # ---------------------------------------------------------------------------
 
+#: Each verb on one 8-byte word, and what it is flagged as on a freed
+#: object: a read is a use-after-free; a write, CAS or FAA (an atomic
+#: writes its word, or may) is a write-after-free.
+FREED_WORD_VERBS = {
+    "read": (lambda addr: ReadOp(addr, 8), USE_AFTER_FREE),
+    "write": (lambda addr: WriteOp(addr, bytes(8)), WRITE_AFTER_FREE),
+    "cas": (lambda addr: CasOp(addr, 0, 0), WRITE_AFTER_FREE),
+    "faa": (lambda addr: FaaOp(addr, 0), WRITE_AFTER_FREE),
+}
+
+
 class TestUseAfterFree:
     def test_read_of_freed_object_flagged(self):
         cluster, monitor = fresh()
@@ -246,6 +257,21 @@ class TestUseAfterFree:
         assert monitor.report.clean
         assert monitor.report.stale_reads == 1
         assert any(STALE_READ in w for w in monitor.report.warnings)
+
+    @pytest.mark.parametrize("verb", sorted(FREED_WORD_VERBS))
+    def test_each_word_verb_on_a_freed_object_is_flagged(self, verb):
+        make, kind = FREED_WORD_VERBS[verb]
+        cluster, monitor = fresh()
+        keep = cluster.alloc(0, 64, "generic")
+        victim = cluster.alloc(0, 64, "generic")
+        executor = cluster.direct_executor()
+        executor.run(one(WriteOp(keep, bytes(64)),
+                         WriteOp(victim, bytes(64))))
+        cluster.free(victim, 64, "generic")
+        executor.run(one(make(keep)))
+        assert monitor.report.clean
+        executor.run(one(make(victim + 56)))   # last word of the freed block
+        assert kinds(monitor.report) == [kind]
 
     def test_realloc_resets_tracking(self):
         cluster, monitor = fresh()
