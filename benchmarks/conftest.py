@@ -21,7 +21,7 @@ def save_result(name: str, text: str) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Write host-side perf of this session's grid cells as BENCH_2.json.
+    """Write the gate records of this session's grid cells as BENCH_2.json.
 
     Every cell executed through ``repro.bench.harness.run_grid`` feeds the
     process-global tracker; sessions that ran no grids (collection-only,
@@ -33,5 +33,4 @@ def pytest_sessionfinish(session, exitstatus):
         return
     RESULTS_DIR.mkdir(exist_ok=True)
     report = TRACKER.write(str(RESULTS_DIR / "BENCH_2.json"))
-    print(f"\nBENCH_2.json: {len(report['cells'])} cells, "
-          f"total wall {report['total_wall_s']:.2f}s")
+    print(f"\nBENCH_2.json: {len(report['cells'])} cells")

@@ -53,7 +53,8 @@ def main() -> None:
           executor.run(client.search(encode_str("LIMA"))))
 
     print("\nMN memory by category:", cluster.mn_bytes_by_category())
-    print("CN cache:", client.cache_stats())
+    print(f"CN cache: {client.cn_cache_bytes()} B")
+    print("client counters:", client.counters().as_dict())
 
 
 if __name__ == "__main__":

@@ -155,6 +155,3 @@ class SmartClient(RemoteArtTree):
     # -- introspection -----------------------------------------------------
     def cn_cache_bytes(self) -> int:
         return self.cache.bytes
-
-    def cache_stats(self) -> dict:
-        return self.cache.stats()

@@ -10,10 +10,15 @@ EXPERIMENTS.md for the side-by-side record.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..dm import Cluster, ClusterConfig
+from ..dm.rdma import OpStats
 from ..errors import DataMissing
+from ..obs import Counters
+from ..ycsb import bulk_load
 from .harness import (
     DEFAULT_KEYS,
     DEFAULT_OPS,
@@ -304,6 +309,34 @@ def render_fig6(result: Fig6Result) -> str:
 # Ablations (design choices called out in Sec. III)
 # ---------------------------------------------------------------------------
 
+def _loaded(label: str, dataset_name: str, num_keys: int,
+            make_index) -> SystemSetup:
+    """A fresh default cluster with ``make_index(cluster)`` bulk-loaded
+    over the dataset."""
+    dataset = load_dataset(dataset_name, num_keys)
+    cluster = Cluster(ClusterConfig())
+    index = make_index(cluster)
+    bulk_load(cluster, index, dataset)
+    return SystemSetup(label, cluster, index, dataset)
+
+
+def _search_probe(setup: SystemSetup, probe_ops: int, seed: int) -> Counters:
+    """Per-search verb counts of one warmed client: up to 4 000 random
+    reads warm its caches, then ``probe_ops`` more are counted on a
+    direct executor."""
+    rng = random.Random(seed)
+    keys = setup.dataset.keys
+    client = setup.index.client(0)
+    executor = setup.cluster.direct_executor()
+    for _ in range(min(4_000, len(keys))):
+        executor.run(client.search(keys[rng.randrange(len(keys))]))
+    stats = OpStats()
+    counted = setup.cluster.direct_executor(stats)
+    for _ in range(probe_ops):
+        counted.run(client.search(keys[rng.randrange(len(keys))]))
+    return Counters.from_opstats(stats).per_op(probe_ops)
+
+
 def ablation_filter_cache(dataset_name: str = "email",
                           num_keys: int = DEFAULT_KEYS,
                           ops: int = DEFAULT_OPS,
@@ -385,24 +418,20 @@ def ablation_cache_budget(dataset_name: str = "email",
     """
     from ..baselines import SmartConfig, SmartIndex
     from ..core import SphinxConfig, SphinxIndex
-    from ..dm import Cluster, ClusterConfig
-    from ..ycsb import bulk_load
 
     base = scaled_cache_bytes(num_keys)
     rows = []
     for system, factor in (("Sphinx", 0.1), ("Sphinx", 1), ("Sphinx", 10),
                            ("SMART", 1), ("SMART", 10)):
         budget = max(256, int(base * factor))
-        dataset = load_dataset(dataset_name, num_keys)
-        cluster = Cluster(ClusterConfig())
         if system == "Sphinx":
-            index = SphinxIndex(cluster, SphinxConfig(
-                filter_budget_bytes=budget))
+            index_cls, config = SphinxIndex, SphinxConfig(
+                filter_budget_bytes=budget)
         else:
-            index = SmartIndex(cluster, SmartConfig(
-                cache_budget_bytes=budget))
-        bulk_load(cluster, index, dataset)
-        setup = SystemSetup(f"{system} x{factor}", cluster, index, dataset)
+            index_cls, config = SmartIndex, SmartConfig(
+                cache_budget_bytes=budget)
+        setup = _loaded(f"{system} x{factor}", dataset_name, num_keys,
+                        lambda cluster: index_cls(cluster, config))
         run = timed_run(setup, "C", workers=workers, ops=ops)
         row = run.row()
         row["cache_budget_bytes"] = budget
@@ -448,29 +477,12 @@ def ablation_depth_scaling(dataset_name: str = "u64",
     size while ART/SMART grow with depth - the extrapolation that links
     our small-scale numbers to the paper's.
     """
-    import random
-
-    from ..dm.rdma import OpStats
-    from ..obs import Counters
-
     rows = []
     for size in sizes:
         dataset = load_dataset(dataset_name, size, insert_fraction=0.0)
         for system in ("ART", "SMART", "Sphinx"):
-            setup = build_setup(system, dataset)
-            # Warm caches, then count verbs over zipfian reads.
-            rng = random.Random(5)
-            client = setup.index.client(0)
-            executor = setup.cluster.direct_executor()
-            for _ in range(min(4_000, size)):
-                executor.run(client.search(
-                    dataset.keys[rng.randrange(size)]))
-            stats = OpStats()
-            counted = setup.cluster.direct_executor(stats)
-            for _ in range(probe_ops):
-                counted.run(client.search(
-                    dataset.keys[rng.randrange(size)]))
-            per_op = Counters.from_opstats(stats).per_op(probe_ops)
+            per_op = _search_probe(build_setup(system, dataset), probe_ops,
+                                   seed=5)
             rows.append({
                 "dataset": dataset_name,
                 "keys": size,
@@ -504,63 +516,34 @@ def ablation_locator_budget(dataset_name: str = "u64",
     throughput and RTTs even when the simulated fabric is not the
     bottleneck.
     """
-    import random
-
+    from ..baselines import OutbackIndex
     from ..core import SphinxConfig, SphinxIndex
-    from ..dm import Cluster, ClusterConfig
-    from ..dm.rdma import OpStats
-    from ..obs import Counters
-    from ..ycsb import bulk_load
 
     base = scaled_cache_bytes(num_keys)
     rows = []
 
-    def _measure(label: str, index, cluster, dataset,
-                 budget: Optional[int]) -> None:
-        bulk_load(cluster, index, dataset)
-        setup = SystemSetup(label, cluster, index, dataset)
+    def _measure(label: str, make_index, budget: Optional[int]) -> None:
+        setup = _loaded(label, dataset_name, num_keys, make_index)
         run = timed_run(setup, "C", workers=workers, ops=ops)
-        # Warmed single-client probe: count verbs over zipfian reads.
-        rng = random.Random(11)
-        client = setup.index.client(0)
-        executor = setup.cluster.direct_executor()
-        for _ in range(min(4_000, dataset.size)):
-            executor.run(client.search(
-                dataset.keys[rng.randrange(dataset.size)]))
-        stats = OpStats()
-        counted = setup.cluster.direct_executor(stats)
-        for _ in range(probe_ops):
-            counted.run(client.search(
-                dataset.keys[rng.randrange(dataset.size)]))
-        per_op = Counters.from_opstats(stats).per_op(probe_ops)
+        per_op = _search_probe(setup, probe_ops, seed=11)
         row = run.row()
         row["system"] = label
         if budget is None:
             # Outback: CN spend is the (shared) MPH directory itself.
-            budget = index.dir_bytes()
+            budget = setup.index.dir_bytes()
         row["cn_budget_bytes"] = budget
         row["rts_per_search"] = round(per_op["round_trips"], 3)
         rows.append(row)
 
     for factor in factors:
         budget = max(256, int(base * factor))
-        dataset = load_dataset(dataset_name, num_keys)
-        cluster = Cluster(ClusterConfig())
-        _measure(f"Sphinx x{factor}",
-                 SphinxIndex(cluster, SphinxConfig(
-                     filter_budget_bytes=budget)),
-                 cluster, dataset, budget)
-        dataset = load_dataset(dataset_name, num_keys)
-        cluster = Cluster(ClusterConfig())
-        _measure(f"Sphinx+Loc x{factor}",
-                 SphinxIndex(cluster, SphinxConfig(
-                     filter_budget_bytes=budget, use_locator=True,
-                     locator_budget_bytes=budget)),
-                 cluster, dataset, budget)
-    from ..baselines import OutbackIndex
-    dataset = load_dataset(dataset_name, num_keys)
-    cluster = Cluster(ClusterConfig())
-    _measure("Outback", OutbackIndex(cluster), cluster, dataset, None)
+        _measure(f"Sphinx x{factor}", lambda cluster: SphinxIndex(
+            cluster, SphinxConfig(filter_budget_bytes=budget)), budget)
+        _measure(f"Sphinx+Loc x{factor}", lambda cluster: SphinxIndex(
+            cluster, SphinxConfig(filter_budget_bytes=budget,
+                                  use_locator=True,
+                                  locator_budget_bytes=budget)), budget)
+    _measure("Outback", OutbackIndex, None)
     return rows
 
 

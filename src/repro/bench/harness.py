@@ -32,7 +32,6 @@ from __future__ import annotations
 import copy
 import gc
 import os
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -42,7 +41,7 @@ from ..dm import Cluster, ClusterConfig
 from ..errors import ConfigError
 from ..ycsb import Dataset, RunResult, bulk_load, make_dataset, run_workload, \
     warm_clients, workload
-from .perftrack import TRACKER, perf_record
+from .perftrack import TRACKER
 
 PAPER_KEYS = 60_000_000
 PAPER_CACHE_BYTES = 20 << 20
@@ -147,12 +146,17 @@ def timed_run(setup: SystemSetup, workload_name: str, *,
               warmup_ops_per_cn: Optional[int] = None,
               seed: int = 0) -> RunResult:
     """One timed YCSB run against a loaded system."""
-    spec = workload(workload_name)
-    if warmup_ops_per_cn is None:
-        warmup_ops_per_cn = min(2_000, setup.dataset.size // 4)
-    return run_workload(setup.cluster, setup.index, spec, setup.dataset,
-                        system=setup.name, workers=workers, ops=ops,
-                        warmup_ops_per_cn=warmup_ops_per_cn, seed=seed)
+    return run_workload(setup.cluster, setup.index, workload(workload_name),
+                        setup.dataset, system=setup.name, workers=workers,
+                        ops=ops, warmup_ops_per_cn=_warmup_ops_per_cn(
+                            setup.dataset.size, warmup_ops_per_cn),
+                        seed=seed)
+
+
+def _warmup_ops_per_cn(num_keys: int, override: Optional[int]) -> int:
+    """Warm-up ops per CN: ``override``, else a quarter of the keys,
+    at most 2 000."""
+    return min(2_000, num_keys // 4) if override is None else override
 
 
 def load_dataset(name: str, num_keys: int = DEFAULT_KEYS,
@@ -200,9 +204,7 @@ class CellSpec:
     changes what the cell simulates, only what it records."""
 
     def resolved_warmup(self) -> int:
-        if self.warmup_ops_per_cn is not None:
-            return self.warmup_ops_per_cn
-        return min(2_000, self.num_keys // 4)
+        return _warmup_ops_per_cn(self.num_keys, self.warmup_ops_per_cn)
 
     def load_key(self) -> Tuple:
         """Cache key of the bulk-loaded canonical snapshot."""
@@ -279,13 +281,7 @@ def _warmed_setup(cell: CellSpec) -> SystemSetup:
 
 
 def run_cell(cell: CellSpec) -> RunResult:
-    """Execute one grid cell from a pristine loaded-and-warmed snapshot.
-
-    Returns the :class:`RunResult` with ``result.perf`` filled in by
-    :func:`repro.bench.perftrack.perf_record`; here ``wall_s`` includes
-    snapshot restore and any cache-miss build.
-    """
-    wall_start = time.perf_counter()
+    """Execute one grid cell from a pristine loaded-and-warmed snapshot."""
     live = copy.deepcopy(_warmed_setup(cell))
     if cell.chaos_seed is not None:
         from ..fault import FaultPlan
@@ -298,17 +294,10 @@ def run_cell(cell: CellSpec) -> RunResult:
     tracer = None
     if cell.profile:
         tracer = live.cluster.attach_tracer()
-    engine = live.cluster.engine
-    events_before = engine.events_processed
-    run_start = time.perf_counter()
     result = run_workload(live.cluster, live.index, workload(cell.workload),
                           live.dataset, system=cell.system,
                           workers=cell.workers, ops=cell.ops,
                           warmup_ops_per_cn=0, seed=cell.seed)
-    wall_end = time.perf_counter()
-    result.perf = perf_record(result, engine, wall_end - wall_start,
-                              wall_end - run_start,
-                              engine.events_processed - events_before)
     if tracer is not None:
         from ..obs import profile_summary
         tracer.finish()  # drops the tracer's live refs to the engine
@@ -321,9 +310,8 @@ def run_grid(cells: Iterable[CellSpec]) -> List[RunResult]:
     """Run a grid of cells in order.
 
     Every cell restores a pristine snapshot, so a cell's row does not
-    depend on the cells before it.  Per-cell host perf lands on
-    ``result.perf`` and is fed to :mod:`repro.bench.perftrack` for BENCH
-    reports.
+    depend on the cells before it.  Each result feeds its gate record to
+    :mod:`repro.bench.perftrack` for BENCH reports.
     """
     # Cells allocate millions of short-lived simulation objects while the
     # cached snapshots pin tens of millions of long-lived ones, so

@@ -14,22 +14,23 @@ and whether the grid survives elastic membership changes:
   The K=0 cells are untouched by the new axis, so their schedules (and
   the bit-identity gate over them) are exactly the pre-replication ones.
 
-Each cell contributes a BENCH_RACK perf record (same BENCH_2 schema, its
+Each cell contributes a BENCH_RACK gate record (same BENCH_2 schema, its
 own baseline file) through the shared :data:`repro.bench.perftrack.
 TRACKER`, so the rack-smoke CI job runs the same simulated-result
-identity gate as the other benchmark suites.
+identity gate as the other benchmark suites.  A cell's one digest is its
+:meth:`repro.tenancy.RackRunResult.rows`; the tables are rendered from
+the same run results.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..dm.rack import ClusterSpec, TopologyEvent
 from ..tenancy import RackRunResult, default_tenants, run_rack
 from .harness import DEFAULT_KEYS, DEFAULT_OPS
-from .perftrack import TRACKER, perf_record
+from .perftrack import TRACKER
 from .reporting import banner, format_table
 
 #: Simulated times of the rebalance cell's membership events: the join
@@ -41,61 +42,35 @@ REBALANCE_LEAVE_NS = 400_000
 
 @dataclass
 class RackFigure:
-    """All cells of one rack-family invocation."""
+    """All cells of one rack-family invocation, by cell label."""
 
-    rows: List[dict] = field(default_factory=list)
-    tenant_rows: Dict[str, List[dict]] = field(default_factory=dict)
-    topology: Dict[str, List[dict]] = field(default_factory=dict)
-    fsck_exits: Dict[str, int] = field(default_factory=dict)
     results: Dict[str, RackRunResult] = field(default_factory=dict)
-    #: Per-cell replication digests (only cells run with K > 0).
-    replication: Dict[str, dict] = field(default_factory=dict)
+
+    @property
+    def fsck_exits(self) -> Dict[str, int]:
+        return {label: rr.fsck_exit for label, rr in self.results.items()}
 
     @property
     def fsck_clean(self) -> bool:
         return all(code == 0 for code in self.fsck_exits.values())
 
     def digest(self) -> dict:
-        """JSON-serializable flattening (the CI determinism cell diffs
-        two same-seed digests byte-for-byte)."""
-        return {
-            "rows": self.rows,
-            "tenants": self.tenant_rows,
-            "topology": self.topology,
-            "fsck_exits": self.fsck_exits,
-            "replication": self.replication,
-        }
+        """Each cell's :meth:`RackRunResult.rows`, JSON-serializable (the
+        CI determinism cell diffs two same-seed digests byte-for-byte)."""
+        return {label: rr.rows() for label, rr in self.results.items()}
 
 
 def _run_cell(label: str, system: str, spec: ClusterSpec, figure: RackFigure,
               *, tenants, num_keys: int, ops: int,
               events=(), chaos_seed: Optional[int] = None,
               fault_plan=None) -> None:
-    wall_start = time.perf_counter()
     rr = run_rack(spec, tenants=tenants, num_keys=num_keys,
                   insert_pool=max(64, num_keys // 10), ops=ops, seed=0,
                   events=events, chaos_seed=chaos_seed,
                   fault_plan=fault_plan)
-    wall_s = time.perf_counter() - wall_start
-    engine = rr.rack.cluster.engine
-    result = rr.result
-    result.system = system
-    # run_rack builds its own cluster, so the whole call is the run.
-    result.perf = perf_record(result, engine, wall_s, wall_s,
-                              engine.events_processed)
-    TRACKER.add(result)
-    row = result.row()
-    row["cell"] = label
-    row["tenants"] = len(rr.tenants)
-    row["groups"] = len(rr.rack.live_groups())
-    row["fsck_exit"] = rr.fsck_exit
-    figure.rows.append(row)
-    figure.tenant_rows[label] = rr.tenants
-    figure.topology[label] = rr.topology
-    figure.fsck_exits[label] = rr.fsck_exit
+    rr.result.system = system
+    TRACKER.add(rr.result)
     figure.results[label] = rr
-    if rr.replication is not None:
-        figure.replication[label] = rr.replication
 
 
 def rack_family(*, num_cns: int = 8, num_mns: int = 8, group_size: int = 2,
@@ -153,23 +128,31 @@ def render_rack(figure: RackFigure) -> str:
     out = [banner("Rack - multi-tenant serving grid")]
     headers = ["cell", "workers", "tenants", "groups", "ops",
                "throughput_mops", "p99_latency_us", "fsck_exit"]
-    out.append(format_table(
-        headers, [[row[h] for h in headers] for row in figure.rows]))
-    for label, rows in figure.tenant_rows.items():
-        if not rows:
+    rows = []
+    for label, rr in figure.results.items():
+        row = rr.result.row()
+        row.update(cell=label, tenants=len(rr.tenants),
+                   groups=len(rr.rack.live_groups()), fsck_exit=rr.fsck_exit)
+        rows.append([row[h] for h in headers])
+    out.append(format_table(headers, rows))
+    for label, rr in figure.results.items():
+        if not rr.tenants:
             continue
         out.append(banner(f"Rack cell '{label}' - per-tenant goodput/p99"))
-        headers = list(rows[0].keys())
+        headers = list(rr.tenants[0].keys())
         out.append(format_table(
-            headers, [[row[h] for h in headers] for row in rows]))
-    for label, events in figure.topology.items():
-        if not events:
+            headers, [[row[h] for h in headers] for row in rr.tenants]))
+    for label, rr in figure.results.items():
+        if not rr.topology:
             continue
         out.append(banner(f"Rack cell '{label}' - topology events"))
-        headers = list(events[0].keys())
+        headers = list(rr.topology[0].keys())
         out.append(format_table(
-            headers, [[event[h] for h in headers] for event in events]))
-    for label, repl in figure.replication.items():
+            headers, [[event[h] for h in headers] for event in rr.topology]))
+    for label, rr in figure.results.items():
+        repl = rr.replication
+        if repl is None:
+            continue
         out.append(banner(f"Rack cell '{label}' - replication/failover"))
         rows = [[k, v] for k, v in sorted(repl.get("counters", {}).items())]
         rows += [[k, repl[k]] for k in ("failover_forfeited_keys",

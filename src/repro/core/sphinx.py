@@ -405,16 +405,6 @@ class SphinxClient(RemoteArtTree):
             total += self.locator.size_bytes()
         return total
 
-    def cache_stats(self) -> dict:
-        stats = self.filter.stats()
-        stats["directory_cache_bytes"] = self.inht.directory_cache_bytes()
-        stats["inht_splits"] = self.inht.splits()
-        stats["multi_candidate_lookups"] = self.multi_candidate_lookups
-        if self.locator is not None:
-            stats.update(self.locator.stats())
-            stats["locator_fallbacks"] = self.locator_fallbacks
-        return stats
-
     def counters(self):
         """Tree metrics plus the Sphinx-specific filter/INHT counters,
         in the shared :class:`repro.obs.Counters` shape."""

@@ -156,25 +156,23 @@ class AccessMonitor(Observer):
         self.report.objects_retired += 1
 
     def _evict_objects(self, addr: int, end: int) -> None:
-        idx = bisect.bisect_right(self._obj_addrs, addr) - 1
-        if idx >= 0 and self._objects[self._obj_addrs[idx]].end <= addr:
-            idx += 1
-        elif idx < 0:
-            idx = 0
-        while idx < len(self._obj_addrs) and self._obj_addrs[idx] < end:
-            victim = self._obj_addrs.pop(idx)
-            del self._objects[victim]
+        for obj in self._find_objects(addr, end - addr):
+            del self._obj_addrs[bisect.bisect_left(self._obj_addrs, obj.addr)]
+            del self._objects[obj.addr]
 
-    def _find_object(self, addr: int, size: int = 1) -> Optional[_Object]:
-        idx = bisect.bisect_right(self._obj_addrs, addr) - 1
-        if idx >= 0:
-            obj = self._objects[self._obj_addrs[idx]]
-            if obj.end > addr:
-                return obj
-        idx += 1
-        if idx < len(self._obj_addrs) and self._obj_addrs[idx] < addr + size:
-            return self._objects[self._obj_addrs[idx]]
-        return None
+    def _find_objects(self, addr: int, size: int = 1) -> List[_Object]:
+        """Every tracked object overlapping ``[addr, addr + size)``, in
+        address order (tracked objects never overlap each other)."""
+        addrs = self._obj_addrs
+        idx = bisect.bisect_right(addrs, addr) - 1
+        if idx < 0 or self._objects[addrs[idx]].end <= addr:
+            idx += 1
+        end = addr + size
+        found = []
+        while idx < len(addrs) and addrs[idx] < end:
+            found.append(self._objects[addrs[idx]])
+            idx += 1
+        return found
 
     # -- verb events ----------------------------------------------------
     def on_post(self, rec: VerbRecord) -> None:
@@ -211,10 +209,10 @@ class AccessMonitor(Observer):
     # -- analysis: reads ------------------------------------------------
     def _apply_read(self, event: VerbRecord) -> None:
         op = event.op
-        obj = self._find_object(op.addr, op.size)
-        if obj is None:
+        objects = self._find_objects(op.addr, op.size)
+        if not objects:
             self.report.untracked_accesses += 1
-        else:
+        for obj in objects:
             if obj.creator is not None and event.client != obj.creator:
                 obj.published = True
             if obj.freed:
@@ -248,7 +246,8 @@ class AccessMonitor(Observer):
                 continue
             if lo // _WORD == (hi - 1) // _WORD:
                 continue  # confined to one aligned word: NIC-atomic
-            obj = self._find_object(op.addr, op.size)
+            objects = self._find_objects(op.addr, op.size)
+            obj = objects[0] if objects else None
             if obj is not None and \
                     obj.category in TEAR_TOLERANT_CATEGORIES:
                 self.report.torn_tolerated += 1
@@ -272,10 +271,10 @@ class AccessMonitor(Observer):
     def _apply_write(self, event: VerbRecord) -> None:
         op = event.op
         size = len(op.data)
-        obj = self._find_object(op.addr, size)
-        if obj is None:
+        objects = self._find_objects(op.addr, size)
+        if not objects:
             self.report.untracked_accesses += 1
-        else:
+        for obj in objects:
             if obj.creator is None:
                 obj.creator = event.client
             elif event.client != obj.creator:
@@ -325,10 +324,10 @@ class AccessMonitor(Observer):
                 f"on aligned 8-byte words)"))
             return
         state = self._atomic.setdefault(op.addr, _AtomicWord())
-        obj = self._find_object(op.addr, _WORD)
-        if obj is None:
+        objects = self._find_objects(op.addr, _WORD)
+        if not objects:
             self.report.untracked_accesses += 1
-        else:
+        for obj in objects:
             if obj.creator is None:
                 obj.creator = event.client
             elif event.client != obj.creator:

@@ -74,10 +74,6 @@ class RunResult:
     # MN group (MNUnavailable) or a failover fence (StaleEpoch) - as
     # opposed to transient chaos retries.  Zero on fault-free runs.
     degraded_ops: int = 0
-    # Host-side performance of producing this result (wall seconds, engine
-    # events, ...).  Filled by the harness grid runner; not part of row(),
-    # which only carries simulated-world outputs.
-    perf: Optional[dict] = None
     # Observability (--profile): the per-op breakdown and the finished
     # repro.obs.Tracer that produced it.  Both stay None when no tracer
     # is attached; neither is part of row().

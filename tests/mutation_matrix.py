@@ -1,6 +1,6 @@
 """The mutation matrix: which test and which static rule kill each
-one-site mutant of a protocol, of a hash the filter cache computes, or
-of the offline checker.
+one-site mutant of a protocol, of a hash the filter cache computes, of
+the offline checker, or of the sanitizer.
 
 Each mutant below is one the test suite already builds with ``inspect``
 + ``exec`` (the test named in ``pinned_by`` applies the same text
@@ -32,6 +32,7 @@ from repro.dm.rack import Rack
 from repro.dm.rdma import _VerbTrip
 from repro.filters.hotness import SuccinctFilterCache, _lane_constants
 from repro.race.client import RaceClient
+from repro.san.monitor import AccessMonitor
 from repro.tools.fsck import check_tree
 
 REPO = Path(__file__).resolve().parent.parent
@@ -106,6 +107,13 @@ MUTANTS = [
                    "test_agreement_reports_exactly_the_seeded_defects",
          pinned_by="tests/test_replication.py::"
                    "test_mutant_accepting_checksum_bad_values_is_caught"),
+    dict(id="find-objects-judges-only-the-first",
+         target=AccessMonitor._find_objects,
+         old="return found", new="return found[:1]", count=1,
+         killed_by="tests/test_dm_memory.py::"
+                   "test_read_spanning_into_a_freed_block_counts_a_uaf",
+         pinned_by="tests/test_dm_memory.py::"
+                   "test_mutant_judging_only_the_first_object_is_caught"),
 ]
 
 

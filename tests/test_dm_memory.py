@@ -2,6 +2,7 @@
 
 import pytest
 
+from mutation_matrix import mutate
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.memory import (
     NULL_ADDR,
@@ -14,6 +15,7 @@ from repro.dm.memory import (
 from repro.dm.rdma import ReadOp, WriteOp
 from repro.errors import BadAddress, OutOfMemory, SanViolation
 from repro.san import USE_AFTER_FREE, WRITE_AFTER_FREE, SanConfig
+from repro.san.monitor import AccessMonitor
 
 
 def test_addr_pack_roundtrip():
@@ -213,6 +215,32 @@ def test_read_of_a_freed_block_still_counts_a_uaf():
     assert monitor.report.clean
     executor.run(_verbs(ReadOp(victim + 60, 1)))   # last bytes of the block
     assert [v.kind for v in monitor.report.violations] == [USE_AFTER_FREE]
+
+
+def test_read_spanning_into_a_freed_block_counts_a_uaf():
+    """A read that starts in a live block and runs into the freed one
+    right after it touches freed memory too."""
+    _, executor, monitor, keep, victim = _freed_pair()
+    assert victim == keep + 64                     # adjacent blocks
+    executor.run(_verbs(ReadOp(keep, 65)))
+    assert [v.kind for v in monitor.report.violations] == [USE_AFTER_FREE]
+    assert format_addr(victim) in monitor.report.violations[0].detail
+
+
+def test_write_spanning_into_a_freed_block_counts_a_waf():
+    _, executor, monitor, keep, victim = _freed_pair()
+    assert victim == keep + 64
+    executor.run(_verbs(WriteOp(keep + 56, bytes(16))))
+    assert [v.kind for v in monitor.report.violations] == [WRITE_AFTER_FREE]
+
+
+def test_mutant_judging_only_the_first_object_is_caught(monkeypatch):
+    """``_find_objects`` returning only the block a verb starts in hides
+    the freed neighbour.  Killed by the spanning-read test."""
+    mutate(monkeypatch, AccessMonitor, AccessMonitor._find_objects,
+           "return found", "return found[:1]")
+    with pytest.raises(AssertionError):
+        test_read_spanning_into_a_freed_block_counts_a_uaf()
 
 
 def test_retired_block_stays_readable():

@@ -128,9 +128,9 @@ def test_locator_differential_identity(kind, dist, mix, seed):
     cluster, index, client, with_loc = _run_sphinx(True, preload, ops)
     assert with_loc == plain, (
         f"{kind}/{dist}/{mix} seed={seed}: locator changed a result")
-    stats = client.cache_stats()
+    counters = client.counters()
     # Every search consults the locator first, so the fast path ran.
-    assert stats["locator_hits"] + stats["locator_misses"] > 0
+    assert counters["locator_hits"] + counters["locator_misses"] > 0
     report = check_index(cluster, index)
     assert report.clean, (
         f"{kind}/{dist}/{mix} seed={seed}: fsck found "

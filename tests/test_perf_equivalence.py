@@ -24,8 +24,8 @@ import repro
 
 from repro.bench import CellSpec, clear_setup_caches, run_cell, run_grid
 from repro.bench.harness import _env_int
-from repro.bench.perftrack import TRACKER, PerfTracker, compare, \
-    load_report, strip_host
+from repro.bench.perftrack import SIM_FIELDS, TRACKER, PerfTracker, \
+    CELL_ID_FIELDS, compare, load_report
 from repro.bench.perftrack import main as perftrack_main
 from repro.bench.rackfig import rack_family
 from repro.errors import ConfigError
@@ -161,35 +161,49 @@ def test_perf_records_and_report(tmp_path):
     assert len(report["cells"]) == 1
     cell = report["cells"][0]
     assert cell["system"] == "Sphinx" and cell["workload"] == "A"
-    assert cell["wall_s"] > 0 and cell["events"] > 0
     assert cell["sim_ns"] == result.sim_ns
+    assert cell["throughput_mops"] == round(result.throughput_mops, 4)
     path = tmp_path / "BENCH_2.json"
     tracker.write(str(path))
-    assert json.loads(path.read_text())["total_wall_s"] == \
-        report["total_wall_s"]
+    assert json.loads(path.read_text()) == report
+
+
+def test_tiny_grid_report_is_its_own_baseline(tmp_path):
+    """A report holds exactly cell id + simulated fields - the committed
+    baseline format - and passes the gate against itself."""
+    tracker = PerfTracker()
+    for result in [run_cell(cell) for cell in CELLS]:
+        tracker.add(result)
+    path = tmp_path / "BENCH_2.json"
+    report = tracker.write(str(path))
+    assert set(report) == {"schema", "cells"}
+    assert len(report["cells"]) == len(CELLS)
+    for cell in report["cells"]:
+        assert set(cell) == set(CELL_ID_FIELDS + SIM_FIELDS)
+    messages, failed = compare(report, load_report(str(path)))
+    assert not failed
+    assert messages == [f"identity gate OK: {len(CELLS)} of {len(CELLS)} "
+                        f"cells compared on sim_ns/throughput_mops"]
 
 
 def _cell(system, workload, *, sim_ns=1000, mops=1.5, wall=None):
+    """A gate record; ``wall`` adds the host fields older reports carried,
+    which the gate must ignore."""
     cell = {"system": system, "dataset": "u64", "workload": workload,
             "workers": 6, "ops": 120, "sim_ns": sim_ns,
             "throughput_mops": mops}
     if wall is not None:
-        cell.update(wall_s=wall, run_wall_s=wall, events=1000,
-                    events_per_s=round(1000 / wall), engine_mode="fast")
+        cell.update(wall_s=wall, events=1000)
     return cell
 
 
 def _report(*cells):
-    report = {"schema": "BENCH_2", "cells": list(cells)}
-    if all("wall_s" in c for c in cells):
-        report["total_wall_s"] = round(sum(c["wall_s"] for c in cells), 3)
-    return report
+    return {"schema": "BENCH_2", "cells": list(cells)}
 
 
 def test_compare_fails_on_sim_ns_off_by_one():
-    base = _report(_cell("Sphinx", "A", wall=1.0), _cell("ART", "C", wall=1.0))
-    cur = _report(_cell("Sphinx", "A", wall=1.0),
-                  _cell("ART", "C", sim_ns=1001, wall=1.0))
+    base = _report(_cell("Sphinx", "A"), _cell("ART", "C"))
+    cur = _report(_cell("Sphinx", "A"), _cell("ART", "C", sim_ns=1001))
     messages, failed = compare(cur, base)
     assert failed
     moved = [m for m in messages if "MOVED" in m]
@@ -212,16 +226,13 @@ def test_compare_passes_on_10x_wall_with_identical_simulated_fields():
                   _cell("ART", "C", wall=10.0))
     messages, failed = compare(cur, base)
     assert not failed
-    assert not any("MOVED" in m for m in messages)
-    # Host time is still reported - as a trend, never as a verdict.
-    assert any("not gated" in m and "10.00x" in m for m in messages)
-    assert any("identity gate OK: 2 of 2" in m for m in messages)
+    assert messages == ["identity gate OK: 2 of 2 cells compared on "
+                        "sim_ns/throughput_mops"]
 
 
 def test_compare_tolerates_new_cells():
-    base = _report(_cell("Sphinx", "A", wall=1.0))
-    cur = _report(_cell("Sphinx", "A", wall=1.0),
-                  _cell("ART", "C", sim_ns=7, mops=9.9, wall=9.0))
+    base = _report(_cell("Sphinx", "A"))
+    cur = _report(_cell("Sphinx", "A"), _cell("ART", "C", sim_ns=7, mops=9.9))
     messages, failed = compare(cur, base)
     assert not failed
     # The new cell has no baseline: it is named, and it is not gated.
@@ -230,11 +241,10 @@ def test_compare_tolerates_new_cells():
 
 
 def test_compare_tolerates_baselines_without_host_fields():
+    """A report carrying host fields still gates against a gate-record
+    baseline, on the simulated fields alone."""
     full = _report(_cell("Sphinx", "A", wall=1.0), _cell("ART", "C", wall=2.0))
-    base = strip_host(full)
-    assert "total_wall_s" not in base
-    assert all("wall_s" not in c and "events" not in c
-               for c in base["cells"])
+    base = _report(_cell("Sphinx", "A"), _cell("ART", "C"))
     messages, failed = compare(full, base)
     assert not failed
     full["cells"][1]["sim_ns"] += 1
@@ -248,11 +258,13 @@ BASELINES = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
 @pytest.mark.parametrize("name,cells", [("BENCH_2", 48), ("BENCH_LOC", 6),
                                         ("BENCH_RACK", 3)])
 def test_committed_baselines_carry_no_host_fields(name, cells):
-    """A committed baseline is a fixed point of strip_host: cell id +
-    simulated fields only, so host-only changes never regenerate it."""
+    """A committed baseline is what ``--perf-out`` writes: cell id +
+    simulated fields only."""
     report = load_report(str(BASELINES / f"{name}.baseline.json"))
+    assert set(report) == {"schema", "cells"}
     assert len(report["cells"]) == cells
-    assert strip_host(report) == report
+    for cell in report["cells"]:
+        assert set(cell) == set(CELL_ID_FIELDS + SIM_FIELDS)
 
 
 def test_gate_cli_names_the_moved_cell(tmp_path, capsys):
@@ -270,17 +282,18 @@ def test_gate_cli_names_the_moved_cell(tmp_path, capsys):
 
 
 def test_rack_and_grid_cells_share_one_perf_record():
-    """Both families build ``perf`` in one place: same keys, and
-    ``engine_mode`` names the engine that ran, never the family."""
-    grid = run_cell(CELLS[1]).perf
+    """Both families feed the tracker the same record shape, built from
+    the run's result, and a rack figure's digest is each cell's
+    ``RackRunResult.rows()``."""
     tracked = len(TRACKER.cells)
+    run_grid(CELLS[1:2])
     figure = rack_family(num_cns=2, num_mns=4, group_size=2, num_shards=8,
                          clients=4, tenants=2, num_keys=300, ops=80,
                          rebalance=False)
-    rack = figure.results["steady"].result.perf
-    assert set(rack) == set(grid)
-    assert rack["engine_mode"] == grid["engine_mode"]
-    assert grid["engine_mode"] in ("fast", "slow")
-    assert rack["events"] > 0 and rack["wall_s"] == rack["run_wall_s"]
-    assert TRACKER.cells[tracked]["system"] == "Rack"
-    assert TRACKER.cells[tracked]["sim_ns"] == rack["sim_ns"]
+    grid, rack = TRACKER.cells[tracked:]
+    assert set(rack) == set(grid) == set(CELL_ID_FIELDS + SIM_FIELDS)
+    steady = figure.results["steady"]
+    assert rack["system"] == "Rack"
+    assert rack["sim_ns"] == steady.result.sim_ns
+    assert figure.digest() == {"steady": steady.rows()}
+    assert figure.fsck_exits == {"steady": steady.fsck_exit}
