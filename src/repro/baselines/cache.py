@@ -59,8 +59,3 @@ class NodeCache:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def stats(self) -> dict:
-        return {"entries": len(self._items), "bytes": self.bytes,
-                "hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions}

@@ -323,13 +323,6 @@ class LeafLocator:
                 + self._refs.itemsize * len(self._refs)
                 + len(self._clock))
 
-    def stats(self) -> dict:
-        return {"locator_hits": self.hits, "locator_misses": self.misses,
-                "locator_drops": self.drops,
-                "locator_inserts": self.inserts,
-                "locator_entries": len(self),
-                "locator_bytes": self.size_bytes()}
-
 
 def build_directory(pairs: Iterable[Tuple[bytes, int, int]],
                     seed: int = 0x0B1A5,

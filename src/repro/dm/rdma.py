@@ -16,8 +16,11 @@ verb classes.  Two executors drive such generators:
   engine - used for all benchmarks.  Memory side effects are applied at
   the simulated instant the MN NIC processes the request, so concurrent
   clients interleave with exactly the atomicity of real one-sided RDMA.
-  Every verb is one such trip, a single self-re-arming engine event, on
-  either dispatch loop.
+  Every verb is one such trip on either dispatch loop: a single engine
+  event re-armed once per NIC stage, whose callback is the next stage -
+  a plain function (``_sent``, ``_applied``, ``_replied``, and for a
+  fault or a doorbell member ``_lost``, ``_delayed``, ``_member_done``,
+  ``_batch_done``) that the engine calls with the trip.
 
 A :class:`Batch` models doorbell batching (Kalia et al., ATC'16): all verbs
 are posted together, traverse the network in parallel, and the client
@@ -225,7 +228,8 @@ class OpStats:
 
     def count_verb(self, op: Verb) -> None:
         # Exact-class dispatch: the verb set is closed (no subclassing),
-        # and this runs once per verb of every benchmark op.
+        # and this runs once per verb of every benchmark op.  A timed
+        # verb is counted by its trip's constructor instead.
         cls = op.__class__
         if cls is ReadOp:
             self.reads += 1
@@ -396,22 +400,22 @@ class Observer:
     on_alloc = on_free = on_retire = _ignore
 
 
-def _post(observers, client: str, op: Verb, now: int,
-          fault: Optional[str] = None) -> VerbRecord:
+def _on_post(observers, client: str, op: Verb, now: int,
+             fault: Optional[str] = None) -> VerbRecord:
     rec = VerbRecord(client, op, now, fault=fault)
     for obs in observers:
         obs.on_post(rec)
     return rec
 
 
-def _applied(observers, rec: VerbRecord, now: int, result: Any) -> None:
+def _on_apply(observers, rec: VerbRecord, now: int, result: Any) -> None:
     rec.t_applied = now
     rec.result = result
     for obs in observers:
         obs.on_apply(rec)
 
 
-def _done(observers, rec: VerbRecord, now: int) -> None:
+def _on_complete(observers, rec: VerbRecord, now: int) -> None:
     rec.t_done = now
     for obs in observers:
         obs.on_complete(rec)
@@ -461,13 +465,13 @@ class DirectExecutor:
         if not observers:
             return apply_verb(self._memories, verb)
         now = self._clock()
-        rec = _post(observers, self.client_id, verb, now, fault)
+        rec = _on_post(observers, self.client_id, verb, now, fault)
         rec.t_sent = now
         result = apply_verb(self._memories, verb)
-        _applied(observers, rec, now, result)
+        _on_apply(observers, rec, now, result)
         if replied:
             rec.t_replied = now
-        _done(observers, rec, now)
+        _on_complete(observers, rec, now)
         return result
 
     def _gated(self, verb: Verb) -> Any:
@@ -486,10 +490,11 @@ class DirectExecutor:
             self._apply(verb, kind, replied=False)
         elif self._observers:  # lost before the MN: completed only
             now = self._clock()
-            _done(self._observers,
-                  VerbRecord(self.client_id, verb, now, fault=kind,
-                             t_sent=None if kind == "crash_cn" else now),
-                  now)
+            _on_complete(self._observers,
+                         VerbRecord(self.client_id, verb, now, fault=kind,
+                                    t_sent=None if kind == "crash_cn"
+                                    else now),
+                         now)
         raise _fault_error(self.client_id, verb, decision)
 
     def execute(self, op: OpOrBatch) -> Any:
@@ -579,38 +584,47 @@ class DirectExecutor:
 
 
 class _VerbTrip(SimEvent):
-    """One verb as a single engine event that re-arms itself for each of
-    its NIC stages - no generator frame, no per-stage timeout event.
-    Every verb on either engine is one, whatever is attached.
+    """One verb as a single engine event that re-arms itself once per
+    NIC stage - no generator frame, no per-stage timeout event.  Every
+    verb on either engine is one, whatever is attached.
 
-    The trip is its own only callback (``_cb1 = self``): each dispatch
-    charges one NIC stage and queues the trip again at the stage's
-    completion time, one ``_seq`` draw per stage.  Constructing a trip
-    posts the verb (stage 0).  The fault gate's ``decision`` (None for
-    almost every verb) selects the stages that run: a verb lost before
-    the MN stops after the CN NIC and completes a plan timeout later; a
-    completion lost after the apply completes a timeout after it, or -
-    the CN died - at once; a delayed completion takes one more stage.
-    A scalar verb's last arming turns the trip into the event that
-    resumes ``worker`` with the verb's raw result, and the client's
-    :meth:`SimExecutor.run` finishes it; a doorbell member (``worker``
-    None) finishes itself into its :class:`_BatchTrip` ``ctx`` - at its
-    CN NIC reply charge when its doorbell has no fault decision, its
+    Constructing a trip posts the verb: one verb-class dispatch counts
+    and sizes it, it charges the CN NIC, and the trip is queued at that
+    charge's completion time.  Each later dispatch calls the stage
+    function in ``_cb1`` - :func:`_sent`, :func:`_applied`,
+    :func:`_replied` - which charges one NIC stage, puts the next stage
+    function in ``_cb1`` and queues the trip again, one ``_seq`` draw
+    per stage.  The fault gate's ``decision`` (None
+    for almost every verb) selects the stages: a verb lost before the MN
+    goes from its post to :func:`_lost` and completes a plan timeout
+    later; a completion lost after the apply completes a timeout after
+    it, or - the CN died - at once; a delayed completion takes one more
+    stage, :func:`_delayed`.  A scalar verb's last arming turns the trip
+    into the event that resumes ``worker`` with the verb's raw result,
+    and the client's :meth:`SimExecutor.run` finishes it; a doorbell
+    member (``worker`` None) joins its :class:`_BatchTrip` ``ctx`` - at
+    its CN NIC reply charge when its doorbell has no fault decision, its
     executor no observer and another member is still to reach that
-    charge, otherwise at its own completion event.  The observers'
-    post / apply / complete hooks run at the stage they describe;
-    ``rec`` is None when the executor has none.  The dispatch
-    loop marks ``_cb1`` processed before each call, so a finished trip
-    keeps no reference to itself (the e2e timed region runs with the
-    cycle collector off).
+    charge, otherwise in :func:`_member_done` at its own completion
+    event.  The observers' post / apply / complete hooks run at the
+    stage they describe; ``rec`` is None when the executor has none.
+    A trip's callback is always a stage function, never the trip, so a
+    finished trip keeps no reference to itself (the e2e timed region
+    runs with the cycle collector off).
+
+    Every stage re-arms with ``Engine.timeout``'s scheduling rule,
+    inlined (a call per stage was worth 6 % of ``sphinx-e`` host time,
+    DESIGN.md 11.7): a stage that completes at this very instant joins
+    the FIFO run like ``timeout(0)``, since a heap entry at its own
+    timestamp would break the dispatch loop's heap-before-FIFO order.
     """
 
     __slots__ = ("ex", "op", "worker", "decision", "ctx", "idx",
-                 "mn", "req", "resp", "stage", "rec")
+                 "mn", "req", "resp", "rec")
 
     def __init__(self, ex: "SimExecutor", op: Verb, worker, decision=None,
                  ctx: "_BatchTrip | None" = None, idx: int = 0):
-        self.engine = ex.engine
+        engine = self.engine = ex.engine
         self._proc = None
         self.ex = ex
         self.op = op
@@ -618,144 +632,53 @@ class _VerbTrip(SimEvent):
         self.decision = decision
         self.ctx = ctx
         self.idx = idx
-        self.stage = 0
-        self(self)
-
-    def __call__(self, _event: SimEvent) -> None:
-        ex = self.ex
-        engine = self.engine
-        cfg = ex._config
-        stage = self.stage
-        self.stage = stage + 1
-        again = self  # the next dispatch is this trip's next stage
-        if stage == 0:
-            # Posting the verb.
-            op = self.op
-            decision = self.decision
-            if decision is not None:
-                ex.stats.faults_injected += 1
-                if not decision.applied \
-                        and decision.kind not in SILENT_FAULTS:
-                    # Lost before the MN: a dead MN, a NAK, a request
-                    # drop, or a CN that died posting it - which sends
-                    # nothing (only a doorbell member gets here; it
-                    # joins now).
-                    if decision.kind == "crash_cn":
-                        self.rec = self._value = None
-                        self.stage = 4
-                        self(self)
-                        return
-                    self.stage = 6
-            ex.stats.count_verb(op)
-            self.req, self.resp = verb_sizes(op)
-            if ex._observers:
-                self.rec = _post(ex._observers, ex.client_id, op,
-                                 engine.now, decision and decision.kind) \
-                    if self.stage == 1 else \
-                    VerbRecord(ex.client_id, op, engine.now,
-                               fault=decision.kind)  # completed only
-            else:
-                self.rec = None
-            done = ex._cn_nic.charge(self.req)
-        elif stage == 1:
-            # CN request sent; request crosses the wire to the MN NIC.
-            if self.rec is not None:
-                self.rec.t_sent = engine.now
-            op = self.op
-            cls = op.__class__
-            self.mn = ex._mn_nics[addr_mn(op.addr)]
-            done = self.mn.charge(
-                self.req, cfg.atomic_extra_ns
-                if (cls is CasOp or cls is FaaOp) else 0, cfg.prop_ns)
-        elif stage == 2:
-            # MN NIC executed the verb: side effect lands now.
-            result = self._value = apply_verb(ex._memories, self.op)
-            if self.rec is not None:
-                _applied(ex._observers, self.rec, engine.now, result)
-            decision = self.decision
-            if decision is not None and decision.applied:
-                # The completion is lost: dropped (the client times out)
-                # or the CN died (no client is left to wait).
-                if decision.kind == "drop":
-                    done = engine.now + ex._injector.plan.timeout_ns
-                else:
-                    if self.rec is not None:
-                        _done(ex._observers, self.rec, engine.now)
-                    if self.ctx is not None:  # a member joins now
-                        self.stage = 4
-                        self(self)
-                        return
-                    done = engine.now
-                again = self._complete_next()
-            else:
-                done = self.mn.charge(self.resp, 0, cfg.mem_access_ns)
-        elif stage == 3:
-            # MN response sent; back across the wire through the CN NIC.
-            if self.rec is not None:
-                self.rec.t_replied = engine.now
-            done = ex._cn_nic.charge(self.resp, 0, cfg.prop_ns)
-            if self.decision is not None and self.decision.kind == "delay":
-                self.stage = 7
-            elif self.worker is not None:
-                # Scalar verb: the last dispatch resumes the client.
-                self._proc = self.worker
-                again = None
-            else:
-                ctx = self.ctx
-                if ctx.remaining > 1 and self.rec is None \
-                        and ctx.decisions is None:
-                    # A clean, unobserved member that is not the last to
-                    # reach this charge joins now: the CN NIC completes
-                    # in charge order, so its done event would create
-                    # nothing and dispatch before the last member's.
-                    ctx.results[self.idx] = self._value
-                    ctx.remaining -= 1
+        stats = ex.stats
+        stage = _sent
+        if decision is not None:
+            stats.faults_injected += 1
+            if not decision.applied and decision.kind not in SILENT_FAULTS:
+                # Lost before the MN: a dead MN, a NAK, a request drop,
+                # or a CN that died posting it - which sends nothing
+                # (only a doorbell member gets here; it joins now).
+                if decision.kind == "crash_cn":
+                    self.rec = self._value = None
+                    _member_done(self)
                     return
-        elif stage == 4:
-            # Batch member complete: it joins inline (observed or
-            # faulted members; a clean unobserved one joined at its
-            # reply charge unless it was the last).  The last member
-            # keeps the two zero-delay hops - member done, then batch
-            # done - that place the client's resume among same-time
-            # events, so the schedule is exact under ties.
-            decision = self.decision
-            if decision is None:
-                value = self._value
-                if self.rec is not None:
-                    _done(ex._observers, self.rec, engine.now)
-            else:
-                value = ex._finish(self.rec, self.op, decision, self._value)
-            ctx = self.ctx
-            ctx.results[self.idx] = value
-            ctx.remaining -= 1
-            if ctx.remaining == 0:
-                self._cb1 = self
-                engine._queue_event(self)
-            return
-        elif stage == 5:
-            # The last member's completion event: queue the batch's.
-            self.ctx.complete()
-            return
-        elif stage == 6:
-            # A request lost before the MN (dead MN, NAK, drop in the
-            # fabric) is sent; the client waits out its timeout.
-            if self.rec is not None:
-                self.rec.t_sent = engine.now
-            self._value = None
-            again = self._complete_next()
-            done = engine.now + ex._injector.plan.timeout_ns
+                stage = _lost
+        # One verb-class dispatch counts the verb (as OpStats.count_verb
+        # does) and sizes it (as verb_sizes does).
+        cls = op.__class__
+        if cls is ReadOp:
+            stats.reads += 1
+            stats.bytes_read += op.size
+            self.req = 0
+            self.resp = op.size
+        elif cls is WriteOp:
+            stats.writes += 1
+            self.req = len(op.data)
+            stats.bytes_written += self.req
+            self.resp = 0
+        elif cls is CasOp:
+            stats.cas += 1
+            self.req = 16
+            self.resp = 8
+        elif cls is FaaOp:
+            stats.faa += 1
+            self.req = self.resp = 8
         else:
-            # A delayed completion: arrived now, delivered later.
-            if self.rec is not None:
-                _done(ex._observers, self.rec, engine.now)
-            again = self._complete_next()
-            done = engine.now + self.decision.delay_ns
-        # Re-arm: Engine.timeout's scheduling rule, inlined (one call
-        # per stage was worth 6 % of sphinx-e host time, DESIGN.md 11.7).
-        # A stage that completes at this very instant joins the FIFO run
-        # like timeout(0); a heap entry at its own timestamp would break
-        # the dispatch loop's heap-before-FIFO order.
-        self._cb1 = again
+            raise SimulationError(f"unknown verb {op!r}")
+        stats.messages += 1
+        observers = ex._observers
+        if not observers:
+            self.rec = None
+        elif stage is _sent:
+            self.rec = _on_post(observers, ex.client_id, op, engine.now,
+                                decision and decision.kind)
+        else:  # completed only
+            self.rec = VerbRecord(ex.client_id, op, engine.now,
+                                  fault=decision.kind)
+        done = ex._cn_nic.charge(self.req)
+        self._cb1 = stage
         seq = engine._seq = engine._seq + 1
         if done > engine.now:
             heappush(engine._heap, (done, seq, self))
@@ -764,15 +687,166 @@ class _VerbTrip(SimEvent):
             self._seq = seq
             engine._fifo.append(self)
 
-    def _complete_next(self) -> "_VerbTrip | None":
-        """Make the next dispatch the verb's completion: the client's
-        resume for a scalar verb (no callback), the member's join
-        (stage 4) for a doorbell member."""
-        self.stage = 4
-        if self.worker is None:
-            return self
-        self._proc = self.worker
-        return None
+
+def _sent(trip: _VerbTrip) -> None:
+    """The request is out of the CN NIC: it crosses the wire to the MN
+    NIC, which executes it."""
+    engine = trip.engine
+    if trip.rec is not None:
+        trip.rec.t_sent = engine.now
+    ex = trip.ex
+    cfg = ex._config
+    op = trip.op
+    cls = op.__class__
+    mn = trip.mn = ex._mn_nics[op.addr >> OFFSET_BITS]
+    done = mn.charge(trip.req, cfg.atomic_extra_ns
+                     if (cls is CasOp or cls is FaaOp) else 0, cfg.prop_ns)
+    trip._cb1 = _applied
+    seq = engine._seq = engine._seq + 1
+    if done > engine.now:
+        heappush(engine._heap, (done, seq, trip))
+    else:
+        trip._when = done
+        trip._seq = seq
+        engine._fifo.append(trip)
+
+
+def _applied(trip: _VerbTrip) -> None:
+    """The MN NIC executed the verb: its side effect lands now, and the
+    response leaves through the MN NIC - unless the completion is lost."""
+    ex = trip.ex
+    engine = trip.engine
+    result = trip._value = apply_verb(ex._memories, trip.op)
+    rec = trip.rec
+    if rec is not None:
+        _on_apply(ex._observers, rec, engine.now, result)
+    decision = trip.decision
+    if decision is not None and decision.applied:
+        # The completion is lost: dropped (the client times out) or the
+        # CN died (no client is left to wait).
+        if decision.kind == "drop":
+            _complete_at(trip, engine.now + ex._injector.plan.timeout_ns)
+            return
+        if rec is not None:
+            _on_complete(ex._observers, rec, engine.now)
+        if trip.ctx is None:
+            _complete_at(trip, engine.now)
+        else:  # a member joins now
+            _member_done(trip)
+        return
+    done = trip.mn.charge(trip.resp, 0, ex._config.mem_access_ns)
+    trip._cb1 = _replied
+    seq = engine._seq = engine._seq + 1
+    if done > engine.now:
+        heappush(engine._heap, (done, seq, trip))
+    else:
+        trip._when = done
+        trip._seq = seq
+        engine._fifo.append(trip)
+
+
+def _replied(trip: _VerbTrip) -> None:
+    """The response is out of the MN NIC: it crosses back through the CN
+    NIC, whose charge completes the verb - a delayed one a stage later."""
+    engine = trip.engine
+    rec = trip.rec
+    if rec is not None:
+        rec.t_replied = engine.now
+    ex = trip.ex
+    done = ex._cn_nic.charge(trip.resp, 0, ex._config.prop_ns)
+    decision = trip.decision
+    if decision is not None and decision.kind == "delay":
+        trip._cb1 = _delayed
+    elif trip.worker is not None:
+        # Scalar verb: the last dispatch resumes the client.
+        trip._proc = trip.worker
+        trip._cb1 = None
+    else:
+        ctx = trip.ctx
+        if ctx.remaining > 1 and rec is None and ctx.decisions is None:
+            # A clean, unobserved member that is not the last to reach
+            # this charge joins now: the CN NIC completes in charge
+            # order, so its done event would create nothing and
+            # dispatch before the last member's.
+            ctx.results[trip.idx] = trip._value
+            ctx.remaining -= 1
+            return
+        trip._cb1 = _member_done
+    seq = engine._seq = engine._seq + 1
+    if done > engine.now:
+        heappush(engine._heap, (done, seq, trip))
+    else:
+        trip._when = done
+        trip._seq = seq
+        engine._fifo.append(trip)
+
+
+def _lost(trip: _VerbTrip) -> None:
+    """A request lost before the MN (dead MN, NAK, drop in the fabric)
+    is out of the CN NIC; the client waits out its timeout."""
+    engine = trip.engine
+    if trip.rec is not None:
+        trip.rec.t_sent = engine.now
+    trip._value = None
+    _complete_at(trip, engine.now + trip.ex._injector.plan.timeout_ns)
+
+
+def _delayed(trip: _VerbTrip) -> None:
+    """A delayed completion: arrived now, delivered ``delay_ns`` later."""
+    engine = trip.engine
+    if trip.rec is not None:
+        _on_complete(trip.ex._observers, trip.rec, engine.now)
+    _complete_at(trip, engine.now + trip.decision.delay_ns)
+
+
+def _complete_at(trip: _VerbTrip, done: int) -> None:
+    """Re-arm ``trip`` as the verb's completion at ``done``: the client's
+    resume for a scalar verb, :func:`_member_done` for a member."""
+    worker = trip.worker
+    if worker is None:
+        trip._cb1 = _member_done
+    else:
+        trip._proc = worker
+        trip._cb1 = None
+    engine = trip.engine
+    seq = engine._seq = engine._seq + 1
+    if done > engine.now:
+        heappush(engine._heap, (done, seq, trip))
+    else:
+        trip._when = done
+        trip._seq = seq
+        engine._fifo.append(trip)
+
+
+def _member_done(trip: _VerbTrip) -> None:
+    """A doorbell member completes and joins inline (observed or faulted
+    members; a clean unobserved one joined at its reply charge unless
+    it was the last).  The last member keeps the two zero-delay hops -
+    member done, then batch done - that place the client's resume among
+    same-time events, so the schedule is exact under ties."""
+    decision = trip.decision
+    if decision is None:
+        value = trip._value
+        if trip.rec is not None:
+            _on_complete(trip.ex._observers, trip.rec, trip.engine.now)
+    else:
+        value = trip.ex._finish(trip.rec, trip.op, decision, trip._value)
+    ctx = trip.ctx
+    ctx.results[trip.idx] = value
+    ctx.remaining -= 1
+    if ctx.remaining == 0:
+        trip._cb1 = _batch_done
+        trip.engine._queue_event(trip)
+
+
+def _batch_done(trip: _VerbTrip) -> None:
+    """The last member's completion event: queue the batch's, which
+    resumes the client with the results in member order."""
+    batch = trip.ctx
+    batch._proc = batch.worker
+    batch._cb1 = None
+    batch._value = batch.results
+    trip.engine._queue_event(batch)
 
 
 class _BatchTrip(SimEvent):
@@ -781,11 +855,11 @@ class _BatchTrip(SimEvent):
     observer (only the last member to reach its reply charge keeps its
     own completion event), 4N+3 with an observer or a fault decision.
 
-    The boot starts every member trip in member order, each with its
-    fault decision; ``decisions`` (None when the gate passed every
-    member) is cut short after a ``crash_cn``, and the members after it
-    are not posted.  A faulted member's failure is its result, and the
-    client's join raises it."""
+    The boot (:func:`_boot`) starts every member trip in member order,
+    each with its fault decision; ``decisions`` (None when the gate
+    passed every member) is cut short after a ``crash_cn``, and the
+    members after it are not posted.  A faulted member's failure is its
+    result, and the client's join raises it."""
 
     __slots__ = ("ex", "ops", "worker", "decisions", "results",
                  "remaining")
@@ -794,7 +868,7 @@ class _BatchTrip(SimEvent):
                  decisions=None):
         self.engine = ex.engine
         self._proc = None
-        self._cb1 = self
+        self._cb1 = _boot
         self.ex = ex
         self.ops = ops if decisions is None else ops[:len(decisions)]
         self.worker = worker
@@ -803,21 +877,14 @@ class _BatchTrip(SimEvent):
         self.remaining = len(self.ops)
         self.engine._queue_event(self)
 
-    def __call__(self, _event: SimEvent) -> None:
-        ex = self.ex
-        decisions = self.decisions
-        for idx, verb in enumerate(self.ops):
-            _VerbTrip(ex, verb, None,
-                      None if decisions is None else decisions[idx],
-                      self, idx)
 
-    def complete(self) -> None:
-        """Re-arm as the event that resumes the client with the results
-        in member order."""
-        self._proc = self.worker
-        self._cb1 = None
-        self._value = self.results
-        self.engine._queue_event(self)
+def _boot(batch: _BatchTrip) -> None:
+    """A doorbell's boot: post every member, in member order."""
+    ex = batch.ex
+    decisions = batch.decisions
+    for idx, verb in enumerate(batch.ops):
+        _VerbTrip(ex, verb, None,
+                  None if decisions is None else decisions[idx], batch, idx)
 
 
 class SimExecutor:
@@ -878,7 +945,7 @@ class SimExecutor:
         stale by a silent fault - or the typed failure a fault ended
         the verb with."""
         if rec is not None and rec.t_done is None:
-            _done(self._observers, rec, self.engine.now)
+            _on_complete(self._observers, rec, self.engine.now)
         if decision is None:
             return result
         kind = decision.kind
@@ -962,14 +1029,14 @@ class SimExecutor:
                         if decision is not None:
                             _raise_member_faults(result)
                         continue
-                    # Stage 0 ran in the constructor, so the record
+                    # The constructor posted the verb, so the record
                     # exists; hold it, not the trip (a trip -> worker ->
                     # frame cycle).
                     rec = _VerbTrip(self, op, worker, decision).rec
                     result = yield _DEFER
                     if decision is None:
                         if rec is not None:
-                            _done(observers, rec, engine.now)
+                            _on_complete(observers, rec, engine.now)
                         continue
                     result = self._finish(rec, op, decision, result)
                     if isinstance(result, Exception):

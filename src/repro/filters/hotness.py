@@ -405,14 +405,3 @@ class SuccinctFilterCache:
     def size_bytes(self) -> int:
         """Packed size: (fp_bits + 1 hotness bit) per slot."""
         return (len(self._fps) * (self.fp_bits + 1) + 7) // 8
-
-    def stats(self) -> dict:
-        return {
-            "count": self.count,
-            "buckets": self.num_buckets,
-            "load": self.load_factor(),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size_bytes": self.size_bytes(),
-        }

@@ -44,10 +44,12 @@ A process yields either a fresh event that nobody waits on yet (a
 timeout, a child process, a pending :meth:`Engine.event`) or ``_DEFER``.
 The yielding process is stored in the event's ``_proc`` slot, and the
 dispatch loop calls ``gen.send`` directly, with no bound-method call
-and no callback list.  A ``repro.dm.rdma`` verb trip is instead its own
-callback, in the ``_cb1`` slot.  Waiting on an event that already has a
-waiter, or that has already fired, raises :class:`SimulationError`
-naming the process: there is no second subscriber to fall back to.
+and no callback list.  A ``repro.dm.rdma`` verb trip instead carries
+its next stage, a plain module-level function, in the ``_cb1`` slot,
+which the loop calls with the trip.  Waiting on an event that already
+has a waiter, or that has already fired, raises
+:class:`SimulationError` naming the process: there is no second
+subscriber to fall back to.
 
 Setting the environment variable ``REPRO_SIM_SLOW=1`` (checked at
 :class:`Engine` construction) selects :meth:`Engine._run_ref` as the one
@@ -207,8 +209,11 @@ class Engine:
         the FIFO for a zero delay and the heap otherwise.  The split is
         what `_run_fast` relies on - a heap entry is never created at
         its own timestamp.  ``repro.dm.rdma``'s verb trips re-arm
-        themselves with an inlined copy of this rule, once per NIC
-        stage; keep the two in step."""
+        themselves with an inlined copy of this rule - in the trip's
+        constructor (the post) and in the stage functions ``_sent``,
+        ``_applied``, ``_replied`` and ``_complete_at`` (which
+        ``_lost``, ``_delayed`` and a lost completion share); keep them
+        in step."""
         # Built inline, bypassing Event.__init__: one per LocalCompute
         # of every op.
         if type(delay) is not int:

@@ -29,7 +29,7 @@ import repro
 from repro.analysis import analyze_paths
 from repro.core.remote_art import RemoteArtTree
 from repro.dm.rack import Rack
-from repro.dm.rdma import _VerbTrip
+from repro.dm.rdma import _lost, _replied
 from repro.filters.hotness import SuccinctFilterCache, _lane_constants
 from repro.race.client import RaceClient
 from repro.san.monitor import AccessMonitor
@@ -71,13 +71,30 @@ MUTANTS = [
          pinned_by="tests/test_race_slot_writes.py::"
                    "test_mutant_skipping_the_inverse_cas_is_caught"),
     dict(id="first-member-keeps-join",
-         target=_VerbTrip.__call__,
+         target=_replied,
          old="if ctx.remaining > 1 and",
          new="if ctx.remaining < len(ctx.results) and", count=1,
          killed_by="tests/test_doorbell_join.py::"
                    "test_contended_mix_matches_the_observed_join",
          pinned_by="tests/test_doorbell_join.py::"
                    "test_first_member_keeping_the_join_is_caught"),
+    dict(id="replied-ignores-delay",
+         target=_replied,
+         old='decision is not None and decision.kind == "delay"',
+         new="False", count=1,
+         killed_by="tests/test_verb_path_golden.py::"
+                   "test_verb_path_matches_golden[lattice/delay/scalar]",
+         pinned_by="tests/test_verb_path_golden.py::"
+                   "test_mutant_ignoring_a_delay_is_caught"),
+    dict(id="lost-skips-timeout",
+         target=_lost,
+         old="engine.now + trip.ex._injector.plan.timeout_ns",
+         new="engine.now", count=1,
+         killed_by="tests/test_verb_path_golden.py::"
+                   "test_verb_path_matches_golden"
+                   "[lattice/drop-request/scalar]",
+         pinned_by="tests/test_verb_path_golden.py::"
+                   "test_mutant_completing_a_lost_request_at_once_is_caught"),
     dict(id="ladder-drops-zero-fp-remap",
          target=SuccinctFilterCache._build_ladder,
          old="code if code & fp_mask else code | 1", new="code", count=1,

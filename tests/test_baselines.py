@@ -179,8 +179,7 @@ def test_node_cache_lru_budget():
     cache.drop(4)
     assert cache.get(4) is None
     assert cache.evictions == 2
-    stats = cache.stats()
-    assert stats["entries"] == 2
+    assert len(cache) == 2
 
 
 def test_node_cache_oversized_item_skipped():

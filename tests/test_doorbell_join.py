@@ -24,16 +24,14 @@ The checks run on both engines:
   the join fails the mix.
 """
 
-import inspect
 import random
-import textwrap
 
 import pytest
 
-from repro.dm import Cluster, ClusterConfig
-from repro.dm.rdma import Batch, CasOp, Observer, OpStats, ReadOp, \
-    WriteOp, _VerbTrip
+from repro.dm import Cluster, ClusterConfig, rdma
+from repro.dm.rdma import Batch, CasOp, Observer, OpStats, ReadOp, WriteOp
 from repro.fault import FaultPlan, FaultRule
+from mutation_matrix import mutate
 from sim_helpers import has_pending
 
 ENGINES = ("fast", "slow")
@@ -187,15 +185,8 @@ def test_first_member_keeping_the_join_is_caught(monkeypatch):
     completion event and every later one joins at its charge, the last
     included - so the doorbell completes at the first member's
     completion, before its last reply has arrived."""
-    source = textwrap.dedent(inspect.getsource(_VerbTrip.__call__))
-    old = "if ctx.remaining > 1 and"
-    assert source.count(old) == 1
-    namespace = {}
-    exec(compile(source.replace(
-        old, "if ctx.remaining < len(ctx.results) and"),
-        "<_VerbTrip.__call__ mutant>", "exec"),
-        vars(inspect.getmodule(_VerbTrip)), namespace)
-    monkeypatch.setattr(_VerbTrip, "__call__", namespace["__call__"])
+    mutate(monkeypatch, rdma, rdma._replied, "if ctx.remaining > 1 and",
+           "if ctx.remaining < len(ctx.results) and")
     for engine in ENGINES:
         with pytest.raises(AssertionError):
             _check_mix(monkeypatch, engine)

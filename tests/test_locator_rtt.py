@@ -64,14 +64,14 @@ def test_locator_hit_is_exactly_one_round_trip():
     cluster, _index, client, keys = _load_sphinx_loc()
     stats = OpStats()
     ex = cluster.direct_executor(stats)
-    hits_before = client.locator.stats()["locator_hits"]
+    hits_before = client.locator.hits
     for i, key in enumerate(keys):
         before = stats.round_trips
         assert ex.run(client.search(key)) == f"v{i}".encode()
         assert stats.round_trips - before == 1, (
             f"locator hit on {key!r} took "
             f"{stats.round_trips - before} RTTs")
-    assert client.locator.stats()["locator_hits"] - hits_before == N_KEYS
+    assert client.locator.hits - hits_before == N_KEYS
     assert client.locator_fallbacks == 0
 
 

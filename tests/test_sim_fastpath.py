@@ -27,10 +27,10 @@ import repro
 from repro.bench import CellSpec, clear_setup_caches, run_cell
 from repro.dm.cluster import Cluster, ClusterConfig
 from repro.dm.network import NetworkConfig, Nic
-from repro.dm.rdma import Batch, CasOp, FaaOp, LocalCompute, ReadOp, \
-    WriteOp, _BatchTrip, _VerbTrip
-from repro.errors import InjectedFault, SimulationError
-from repro.fault import FaultPlan
+from repro.dm.rdma import Batch, CasOp, FaaOp, LocalCompute, Observer, \
+    ReadOp, WriteOp, _BatchTrip, _VerbTrip
+from repro.errors import ClientCrash, InjectedFault, SimulationError
+from repro.fault import FaultPlan, FaultRule
 from repro.sim.engine import Engine
 from sim_helpers import has_pending
 
@@ -370,28 +370,61 @@ def test_zero_cost_fabric_rearms_through_the_fifo(monkeypatch):
     assert now == 30 and all(nic[3] == 0 for nic in nics)
 
 
-def test_finished_trips_hold_no_self_reference():
-    """A trip is its own callback while in flight; once finished it must
-    not be (the e2e timed region runs with ``gc.disable()``, so a
-    surviving ``_cb1 = self`` cycle would be a leak)."""
-    cluster = Cluster(ClusterConfig(mn_capacity_bytes=1 << 20))
+#: The leak test's trip paths: a clean executor with no observer, one
+#: with a no-op observer, and a doorbell whose members take the delayed,
+#: lost-completion, lost-request and dead-client stages.
+TRIP_PATHS = ("plain", "observed", "faulted")
+
+
+@pytest.mark.parametrize("path", TRIP_PATHS)
+@pytest.mark.parametrize("engine", ["fast", "slow"])
+def test_finished_trips_hold_no_self_reference(monkeypatch, engine, path):
+    """A trip's callback is a stage function, never the trip, and a
+    finished trip must not be referenced at all: the e2e timed region
+    runs with ``gc.disable()``, so a surviving cycle would be a leak."""
+    monkeypatch.setenv("REPRO_SIM_SLOW", "1" if engine == "slow" else "0")
+    cluster = _racy_cluster(ClusterConfig(mn_capacity_bytes=1 << 20))
+    if path == "observed":
+        cluster.attach(Observer())
     addrs = [cluster.alloc(i % 3, 8) for i in range(4)]
+    if path == "faulted":
+        # Due from the last doorbell's first member (verb 6) on.
+        rules = tuple(FaultRule(at_verb=6, verbs=(verb,), mn=mn, **kind)
+                      for verb, mn, kind in (
+                          ("write", 0, dict(kind="delay", delay_ns=500)),
+                          ("cas", 1, dict(kind="drop", applied_prob=1.0)),
+                          ("read", 2, dict(kind="drop")),
+                          ("faa", 0, dict(kind="crash_cn"))))
+        cluster.attach_faults(FaultPlan(seed=1, rules=rules))
     engine = cluster.engine
     sx = cluster.sim_executor(0)
+    crashed = []
 
     def op():
         yield ReadOp(addrs[0], 8)
         yield Batch([ReadOp(a, 8) for a in addrs])
         yield CasOp(addrs[1], 0, 1)
+        if path == "faulted":
+            yield Batch([WriteOp(addrs[0], bytes(8)), CasOp(addrs[1], 1, 2),
+                         ReadOp(addrs[2], 8), FaaOp(addrs[3], 1)])
+
+    def client():
+        try:
+            yield from sx.run(op())
+        except ClientCrash:
+            crashed.append(True)
 
     gc.collect()
     gc.disable()
     try:
-        engine.run_until_complete(engine.process(sx.run(op())))
+        engine.run_until_complete(engine.process(client()))
         trips = [o for o in gc.get_objects()
                  if isinstance(o, (_VerbTrip, _BatchTrip))]
     finally:
         gc.enable()
+    assert crashed == ([True] if path == "faulted" else [])
+    if path == "faulted":  # every member took the stage its rule names
+        assert sx.stats.faults_injected == 4
     # With the collector off, the trips still alive are exactly the ones
     # something references - a self-referencing one would be among them.
     assert all(t._cb1 is not t for t in trips)

@@ -36,7 +36,7 @@ from unittest import mock
 
 import pytest
 
-from repro.dm import Cluster, ClusterConfig
+from repro.dm import Cluster, ClusterConfig, rdma
 from repro.dm.memory import make_addr
 from repro.dm.network import Nic
 from repro.dm.rdma import VERB_KIND, Batch, CasOp, FaaOp, Observer, \
@@ -44,6 +44,7 @@ from repro.dm.rdma import VERB_KIND, Batch, CasOp, FaaOp, Observer, \
 from repro.errors import ClientCrash, InjectedFault, MNUnavailable
 from repro.fault import FaultPlan, FaultRule, crash_mn
 
+from mutation_matrix import mutate
 from test_sim_fastpath import _lockstep_digest, _mixed_digest, \
     _zero_cost_digest
 
@@ -239,6 +240,24 @@ def test_verb_path_matches_golden(name):
     assert RUNS[name]() == _golden()[name], (
         f"{name}: the verb path drifted from "
         f"{os.path.basename(FIXTURE)}")
+
+
+def test_mutant_ignoring_a_delay_is_caught(monkeypatch):
+    """Mutant: the reply stage never routes a delayed verb to
+    ``_delayed``, so its completion arrives without the delay."""
+    mutate(monkeypatch, rdma, rdma._replied,
+           'decision is not None and decision.kind == "delay"', "False")
+    with pytest.raises(AssertionError):
+        test_verb_path_matches_golden("lattice/delay/scalar")
+
+
+def test_mutant_completing_a_lost_request_at_once_is_caught(monkeypatch):
+    """Mutant: a request lost before the MN completes as soon as it is
+    sent, without waiting out the plan's timeout."""
+    mutate(monkeypatch, rdma, rdma._lost,
+           "engine.now + trip.ex._injector.plan.timeout_ns", "engine.now")
+    with pytest.raises(AssertionError):
+        test_verb_path_matches_golden("lattice/drop-request/scalar")
 
 
 def _moved(old: dict, new: dict) -> list:
