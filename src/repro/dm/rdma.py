@@ -226,24 +226,29 @@ class OpStats:
     local_compute_ns: int = 0
     faults_injected: int = 0  # verbs perturbed by an attached FaultPlan
 
-    def count_verb(self, op: Verb) -> None:
+    def count_verb(self, op: Verb) -> Tuple[int, int]:
+        """Count one posted verb and return its (request, response)
+        payload bytes, which a timed verb's trip charges the NICs for."""
         # Exact-class dispatch: the verb set is closed (no subclassing),
-        # and this runs once per verb of every benchmark op.  A timed
-        # verb is counted by its trip's constructor instead.
+        # and this runs once per verb of every benchmark op.
+        self.messages += 1
         cls = op.__class__
         if cls is ReadOp:
             self.reads += 1
             self.bytes_read += op.size
-        elif cls is WriteOp:
+            return 0, op.size
+        if cls is WriteOp:
             self.writes += 1
-            self.bytes_written += len(op.data)
-        elif cls is CasOp:
+            size = len(op.data)
+            self.bytes_written += size
+            return size, 0
+        if cls is CasOp:
             self.cas += 1
-        elif cls is FaaOp:
+            return 16, 8
+        if cls is FaaOp:
             self.faa += 1
-        else:  # pragma: no cover - descriptor set is closed
-            raise SimulationError(f"unknown verb {op!r}")
-        self.messages += 1
+            return 8, 8
+        raise SimulationError(f"unknown verb {op!r}")
 
     def merge(self, other: "OpStats") -> None:
         for name in self.__dataclass_fields__:
@@ -612,11 +617,8 @@ class _VerbTrip(SimEvent):
     finished trip keeps no reference to itself (the e2e timed region
     runs with the cycle collector off).
 
-    Every stage re-arms with ``Engine.timeout``'s scheduling rule,
-    inlined (a call per stage was worth 6 % of ``sphinx-e`` host time,
-    DESIGN.md 11.7): a stage that completes at this very instant joins
-    the FIFO run like ``timeout(0)``, since a heap entry at its own
-    timestamp would break the dispatch loop's heap-before-FIFO order.
+    The post and every NIC stage re-arm through :func:`_rearm`, the one
+    copy of ``Engine.timeout``'s scheduling rule in the verb layer.
     """
 
     __slots__ = ("ex", "op", "worker", "decision", "ctx", "idx",
@@ -645,29 +647,7 @@ class _VerbTrip(SimEvent):
                     _member_done(self)
                     return
                 stage = _lost
-        # One verb-class dispatch counts the verb (as OpStats.count_verb
-        # does) and sizes it (as verb_sizes does).
-        cls = op.__class__
-        if cls is ReadOp:
-            stats.reads += 1
-            stats.bytes_read += op.size
-            self.req = 0
-            self.resp = op.size
-        elif cls is WriteOp:
-            stats.writes += 1
-            self.req = len(op.data)
-            stats.bytes_written += self.req
-            self.resp = 0
-        elif cls is CasOp:
-            stats.cas += 1
-            self.req = 16
-            self.resp = 8
-        elif cls is FaaOp:
-            stats.faa += 1
-            self.req = self.resp = 8
-        else:
-            raise SimulationError(f"unknown verb {op!r}")
-        stats.messages += 1
+        self.req, self.resp = stats.count_verb(op)
         observers = ex._observers
         if not observers:
             self.rec = None
@@ -677,15 +657,7 @@ class _VerbTrip(SimEvent):
         else:  # completed only
             self.rec = VerbRecord(ex.client_id, op, engine.now,
                                   fault=decision.kind)
-        done = ex._cn_nic.charge(self.req)
-        self._cb1 = stage
-        seq = engine._seq = engine._seq + 1
-        if done > engine.now:
-            heappush(engine._heap, (done, seq, self))
-        else:
-            self._when = done
-            self._seq = seq
-            engine._fifo.append(self)
+        _rearm(self, stage, ex._cn_nic.charge(self.req))
 
 
 def _sent(trip: _VerbTrip) -> None:
@@ -701,14 +673,7 @@ def _sent(trip: _VerbTrip) -> None:
     mn = trip.mn = ex._mn_nics[op.addr >> OFFSET_BITS]
     done = mn.charge(trip.req, cfg.atomic_extra_ns
                      if (cls is CasOp or cls is FaaOp) else 0, cfg.prop_ns)
-    trip._cb1 = _applied
-    seq = engine._seq = engine._seq + 1
-    if done > engine.now:
-        heappush(engine._heap, (done, seq, trip))
-    else:
-        trip._when = done
-        trip._seq = seq
-        engine._fifo.append(trip)
+    _rearm(trip, _applied, done)
 
 
 def _applied(trip: _VerbTrip) -> None:
@@ -734,15 +699,8 @@ def _applied(trip: _VerbTrip) -> None:
         else:  # a member joins now
             _member_done(trip)
         return
-    done = trip.mn.charge(trip.resp, 0, ex._config.mem_access_ns)
-    trip._cb1 = _replied
-    seq = engine._seq = engine._seq + 1
-    if done > engine.now:
-        heappush(engine._heap, (done, seq, trip))
-    else:
-        trip._when = done
-        trip._seq = seq
-        engine._fifo.append(trip)
+    _rearm(trip, _replied, trip.mn.charge(trip.resp, 0,
+                                          ex._config.mem_access_ns))
 
 
 def _replied(trip: _VerbTrip) -> None:
@@ -756,11 +714,11 @@ def _replied(trip: _VerbTrip) -> None:
     done = ex._cn_nic.charge(trip.resp, 0, ex._config.prop_ns)
     decision = trip.decision
     if decision is not None and decision.kind == "delay":
-        trip._cb1 = _delayed
+        stage = _delayed
     elif trip.worker is not None:
         # Scalar verb: the last dispatch resumes the client.
         trip._proc = trip.worker
-        trip._cb1 = None
+        stage = None
     else:
         ctx = trip.ctx
         if ctx.remaining > 1 and rec is None and ctx.decisions is None:
@@ -771,14 +729,8 @@ def _replied(trip: _VerbTrip) -> None:
             ctx.results[trip.idx] = trip._value
             ctx.remaining -= 1
             return
-        trip._cb1 = _member_done
-    seq = engine._seq = engine._seq + 1
-    if done > engine.now:
-        heappush(engine._heap, (done, seq, trip))
-    else:
-        trip._when = done
-        trip._seq = seq
-        engine._fifo.append(trip)
+        stage = _member_done
+    _rearm(trip, stage, done)
 
 
 def _lost(trip: _VerbTrip) -> None:
@@ -804,10 +756,22 @@ def _complete_at(trip: _VerbTrip, done: int) -> None:
     resume for a scalar verb, :func:`_member_done` for a member."""
     worker = trip.worker
     if worker is None:
-        trip._cb1 = _member_done
+        _rearm(trip, _member_done, done)
     else:
         trip._proc = worker
-        trip._cb1 = None
+        _rearm(trip, None, done)
+
+
+def _rearm(trip: _VerbTrip, stage, done: int) -> None:
+    """Queue ``trip`` again at ``done``, to be dispatched to ``stage``
+    (None: resume ``trip._proc`` with ``trip._value``).
+
+    This is ``Engine.timeout``'s scheduling rule: a stage that completes
+    at this very instant joins the FIFO run like ``timeout(0)``, since a
+    heap entry at its own timestamp would break the dispatch loop's
+    heap-before-FIFO order.  The post and every NIC stage re-arm here.
+    """
+    trip._cb1 = stage
     engine = trip.engine
     seq = engine._seq = engine._seq + 1
     if done > engine.now:

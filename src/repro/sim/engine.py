@@ -209,10 +209,9 @@ class Engine:
         the FIFO for a zero delay and the heap otherwise.  The split is
         what `_run_fast` relies on - a heap entry is never created at
         its own timestamp.  ``repro.dm.rdma``'s verb trips re-arm
-        themselves with an inlined copy of this rule - in the trip's
-        constructor (the post) and in the stage functions ``_sent``,
-        ``_applied``, ``_replied`` and ``_complete_at`` (which
-        ``_lost``, ``_delayed`` and a lost completion share); keep them
+        themselves with a copy of this rule, ``_rearm``, which the
+        post and the stage functions ``_sent``, ``_applied``,
+        ``_replied``, ``_lost`` and ``_delayed`` all call; keep the two
         in step."""
         # Built inline, bypassing Event.__init__: one per LocalCompute
         # of every op.

@@ -372,8 +372,19 @@ def test_zero_cost_fabric_rearms_through_the_fifo(monkeypatch):
 
 #: The leak test's trip paths: a clean executor with no observer, one
 #: with a no-op observer, and a doorbell whose members take the delayed,
-#: lost-completion, lost-request and dead-client stages.
-TRIP_PATHS = ("plain", "observed", "faulted")
+#: lost-completion, lost-request and dead-client stages - the client dying
+#: as it posts its member or after the MN applied it, with no observer
+#: or with one that records every completed verb.
+TRIP_PATHS = ("plain", "observed", "faulted-post", "faulted-applied",
+              "recorded-post", "recorded-applied")
+
+
+class _Recorder(Observer):
+    def __init__(self):
+        self.done = []
+
+    def on_complete(self, rec):
+        self.done.append(rec)
 
 
 @pytest.mark.parametrize("path", TRIP_PATHS)
@@ -384,29 +395,38 @@ def test_finished_trips_hold_no_self_reference(monkeypatch, engine, path):
     runs with ``gc.disable()``, so a surviving cycle would be a leak."""
     monkeypatch.setenv("REPRO_SIM_SLOW", "1" if engine == "slow" else "0")
     cluster = _racy_cluster(ClusterConfig(mn_capacity_bytes=1 << 20))
+    recorder = _Recorder() if path.startswith("recorded") else None
     if path == "observed":
         cluster.attach(Observer())
+    elif recorder is not None:
+        cluster.attach(recorder)
     addrs = [cluster.alloc(i % 3, 8) for i in range(4)]
-    if path == "faulted":
+    faulted = path not in ("plain", "observed")
+    crash_applied = path.endswith("applied")
+    plan = None
+    if faulted:
         # Due from the last doorbell's first member (verb 6) on.
         rules = tuple(FaultRule(at_verb=6, verbs=(verb,), mn=mn, **kind)
                       for verb, mn, kind in (
                           ("write", 0, dict(kind="delay", delay_ns=500)),
                           ("cas", 1, dict(kind="drop", applied_prob=1.0)),
                           ("read", 2, dict(kind="drop")),
-                          ("faa", 0, dict(kind="crash_cn"))))
-        cluster.attach_faults(FaultPlan(seed=1, rules=rules))
+                          ("faa", 0, dict(kind="crash_cn",
+                                          applied_prob=float(crash_applied)))))
+        plan = FaultPlan(seed=1, rules=rules)
+        cluster.attach_faults(plan)
     engine = cluster.engine
     sx = cluster.sim_executor(0)
+    doorbell = [WriteOp(addrs[0], bytes(8)), CasOp(addrs[1], 1, 2),
+                ReadOp(addrs[2], 8), FaaOp(addrs[3], 1)]
     crashed = []
 
     def op():
         yield ReadOp(addrs[0], 8)
         yield Batch([ReadOp(a, 8) for a in addrs])
         yield CasOp(addrs[1], 0, 1)
-        if path == "faulted":
-            yield Batch([WriteOp(addrs[0], bytes(8)), CasOp(addrs[1], 1, 2),
-                         ReadOp(addrs[2], 8), FaaOp(addrs[3], 1)])
+        if faulted:
+            yield Batch(doorbell)
 
     def client():
         try:
@@ -422,9 +442,27 @@ def test_finished_trips_hold_no_self_reference(monkeypatch, engine, path):
                  if isinstance(o, (_VerbTrip, _BatchTrip))]
     finally:
         gc.enable()
-    assert crashed == ([True] if path == "faulted" else [])
-    if path == "faulted":  # every member took the stage its rule names
+    assert crashed == ([True] if faulted else [])
+    if faulted:
         assert sx.stats.faults_injected == 4
+    if recorder is not None:  # every member took the stage its rule names
+        recs = {id(rec.op): rec for rec in recorder.done
+                if any(rec.op is verb for verb in doorbell)}
+        write, cas, read, faa = (recs.get(id(verb)) for verb in doorbell)
+        # Delayed: replied, then arrived at the CN NIC.
+        assert write.fault == "delay"
+        assert write.t_replied is not None and write.t_done >= write.t_replied
+        # Completion lost: applied, never replied, timed out.
+        assert cas.fault == "drop" and cas.t_replied is None
+        assert cas.t_done == cas.t_applied + plan.timeout_ns
+        # Request lost: sent, never applied, timed out.
+        assert read.fault == "drop" and read.t_applied is None
+        assert read.t_done == read.t_sent + plan.timeout_ns
+        if crash_applied:  # applied, then the client died: done at once
+            assert faa.fault == "crash_cn" and faa.t_replied is None
+            assert faa.t_applied is not None and faa.t_done == faa.t_applied
+        else:  # died posting it: nothing was sent, nothing is recorded
+            assert faa is None
     # With the collector off, the trips still alive are exactly the ones
     # something references - a self-referencing one would be among them.
     assert all(t._cb1 is not t for t in trips)
