@@ -449,11 +449,16 @@ class DirectExecutor:
         self._injector = injector
         self._observers = observers
         self._budget = 0  # message ceiling armed by arm_verb_budget
-        # What runs one counted verb, fixed by what is attached now: the
-        # fault gate, the observers' record, or the side effect alone.
+        # What runs one verb, fixed by what is attached now: the fault
+        # gate, the observers' record, or the side effect alone.  The
+        # gate counts the verbs it lets out itself: a CN that dies
+        # posting a verb sends nothing.
         self._step: Callable[[Verb], Any] = \
             self._gated if injector is not None else \
             self._apply if observers else partial(apply_verb, memories)
+        self._count: Callable[[Verb], Any] = \
+            (lambda _verb: None) if injector is not None \
+            else self.stats.count_verb
 
     def arm_verb_budget(self, extra_messages: int) -> None:
         """Fail with SimulationError once ``stats.messages`` exceeds its
@@ -483,10 +488,15 @@ class DirectExecutor:
         """One verb through the post-time fault gate: no decision, no
         difference; otherwise the untimed form of the decision."""
         decision = self._injector.gate(self.client_id, verb, self._clock())
+        stats = self.stats
         if decision is None:
+            stats.count_verb(verb)
             return self._apply(verb)
         kind = decision.kind
-        self.stats.faults_injected += 1
+        stats.faults_injected += 1
+        if kind == "crash_cn" and not decision.applied:
+            raise _fault_error(self.client_id, verb, decision)
+        stats.count_verb(verb)
         if kind in SILENT_FAULTS:  # untimed: a delay is invisible
             return _silent_result(self._memories, verb, kind,
                                   self._apply(verb, kind))
@@ -497,8 +507,7 @@ class DirectExecutor:
             now = self._clock()
             _on_complete(self._observers,
                          VerbRecord(self.client_id, verb, now, fault=kind,
-                                    t_sent=None if kind == "crash_cn"
-                                    else now),
+                                    t_sent=now),
                          now)
         raise _fault_error(self.client_id, verb, decision)
 
@@ -512,19 +521,19 @@ class DirectExecutor:
         if cls is LocalCompute:
             stats.local_compute_ns += op.ns
             return None
-        step = self._step
+        step, count = self._step, self._count
         stats.round_trips += 1
         if cls is not Batch:
-            stats.count_verb(op)
+            count(op)
             return step(op)
         # Doorbell: every member is posted (and counted), so under
         # faults surviving members still apply and a member's fault is
-        # raised at the join.  Only a crash_cn stops the posting: later
-        # members are neither gated nor counted.
+        # raised at the join.  Only a crash_cn stops the posting: neither
+        # its member nor a later one is counted.
         stats.batches += 1
         results = []
         for verb in op.ops:
-            stats.count_verb(verb)
+            count(verb)
             try:
                 results.append(step(verb))
             except (InjectedFault, MNUnavailable) as exc:

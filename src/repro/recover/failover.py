@@ -49,7 +49,7 @@ counted in the rebalancer's one control-plane ``OpStats``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..dm.rack import Rack
 from .rebalance import Rebalancer
@@ -76,14 +76,6 @@ class FailoverManager:
         self.rack = rack
         self.rebalancer = rebalancer if rebalancer is not None \
             else Rebalancer(rack)
-        #: ``[(shard, dead_gid, new_gid, epoch), ...]`` promotions.
-        self.promotions: List[Tuple[int, int, int, int]] = []
-        #: Keys lost because a shard's primary died with no live replica
-        #: (replication exhausted - K simultaneous failures).
-        self.forfeited: List[Tuple[int, bytes]] = []
-        #: Promotions that raced an in-flight migration (the property
-        #: suite asserts its crash schedule actually lands mid-copy).
-        self.mid_migration_failovers = 0
         self._stopping = False
 
     # -- failure detection -------------------------------------------------
@@ -123,10 +115,9 @@ class FailoverManager:
                     # remaining values from the replicas and the router
                     # flips to the destination when it converges - a
                     # promotion here would fight the migration.
-                    self.mid_migration_failovers += 1
                     rack.repl.inc("mid_migration_failovers")
                 else:
-                    self._promote(shard, gid)
+                    self._promote(shard)
                     touched.append(shard)
             if gid in rack.shards.replica_assignment[shard]:
                 rack.shards.replica_assignment[shard] = [
@@ -137,7 +128,7 @@ class FailoverManager:
         for shard in sorted(set(touched)):
             yield from self.rebalancer.sync_replicas(shard)
 
-    def _promote(self, shard: int, dead_gid: int) -> None:
+    def _promote(self, shard: int) -> None:
         """Flip ``shard`` to its freshest live replica and fence the old
         primary's epoch."""
         rack = self.rack
@@ -147,9 +138,8 @@ class FailoverManager:
             # primary.  Forfeit them explicitly (the registry must not
             # claim keys no live cell holds) and re-home the empty shard
             # on the ring so future inserts land somewhere live.
-            lost = sorted(rack.registry[shard])
-            self.forfeited.extend((shard, key) for key in lost)
-            rack.repl.inc("failover_forfeited_keys", len(lost))
+            rack.repl.inc("failover_forfeited_keys",
+                          len(rack.registry[shard]))
             rack.registry[shard].clear()
             new = next((g for g in rack.shards.owner_chain(shard)
                         if g not in rack.failed_groups
@@ -164,7 +154,6 @@ class FailoverManager:
         rack.shards.replica_assignment[shard] = [
             g for g in rack.shards.replica_assignment[shard] if g != new]
         rack.replica_lag[shard].pop(new, None)
-        self.promotions.append((shard, dead_gid, new, rack.epochs[shard]))
         rack.repl.inc("promotions")
 
     # -- anti-entropy ------------------------------------------------------

@@ -33,22 +33,30 @@ manager's anti-entropy - goes through one guarded step,
 :meth:`_Session.step`, which runs one op on one group's cell and names
 its failure ``"dead"`` (the cell is gone) or ``"transient"`` (a lost
 reply, an exhausted retry budget, or a crash of the coordinator itself,
-after which the session continues on a fresh executor).  Callers keep
-only their own policy:
+after which the session continues on a fresh executor).  Every key a
+migration, a re-replication or an abort's restore moves goes through one
+copy step, :meth:`Rebalancer.copy_key`: read at the source (a dead or
+``None`` source falls back to the first live replica holding the key),
+insert at the destination, and return one outcome.  Callers keep only
+their outcome -> action table:
 
-* a transient failure leaves a migrating key pending until the next
-  sweep, and a key whose copy keeps failing across
-  :data:`MAX_KEY_ATTEMPTS` sweeps is forfeited as **chaos damage**
-  (``forfeited_chaos``): chaos-era "applied" write drops can leave a key
-  in a state no online retry resolves (only ``fsck --repair`` can), and
-  a migration must converge rather than sweep such a key forever;
-* a dead source makes the sweep recover the key's value from a live
-  replica; with none left (always, at K=0) the key is forfeited as
-  **source-died** (``forfeited_dead``);
-* with replication, a dead *destination* aborts the migration outright:
-  copied keys are restored to the source from the replicas and the shard
-  stays where it was (the failover manager retires the dead destination;
-  :meth:`Rebalancer.leave` re-plans any move an abort interrupted).
+=========  ==========================  =============  =============
+outcome    ``migrate_shard``           sync_replicas  abort restore
+=========  ==========================  =============  =============
+copied     flip; retire source copy    count          (cannot)
+recovered  flip (source is dead)       count          keep
+absent     mark copied, not moved      ``note_lag``   (cannot)
+lost       forfeit: source died        ``note_lag``   forfeit
+transient  retry next sweep [*]_       ``note_lag``   forfeit
+dst_dead   abort (K>0), forfeit (K=0)  ``note_lag``   forfeit
+=========  ==========================  =============  =============
+
+.. [*] A key whose copy keeps failing across :data:`MAX_KEY_ATTEMPTS`
+   sweeps is forfeited as **chaos damage** (``forfeited_chaos``):
+   chaos-era "applied" write drops can leave a key in a state no online
+   retry resolves (only ``fsck --repair`` can), and a migration must
+   converge rather than sweep such a key forever.  Every other forfeit
+   is **source-died** (``forfeited_dead``).
 
 :meth:`Rebalancer.sync_replicas` is the replica-set reconciler the same
 machinery exposes to the failover manager: it moves a shard's replica
@@ -126,13 +134,11 @@ class Rebalancer:
         #: Keys whose copy kept failing (chaos damage) and whose data was
         #: forfeited so the migration could converge.
         self.forfeited_chaos: List[Tuple[int, bytes]] = []
-        #: Keys forfeited because their source cell died with no replica
-        #: to recover from (always empty when ``spec.replicas > 0`` and
-        #: the replica chain survives).
+        #: Keys forfeited because a cell died under their copy: a dead
+        #: source with no replica holding the key, a dead destination at
+        #: K=0, or an abort restore that failed (always empty when
+        #: ``spec.replicas > 0`` and the replica chain survives).
         self.forfeited_dead: List[Tuple[int, bytes]] = []
-        #: ``[(shard, src, dst), ...]`` of migrations aborted because the
-        #: destination group died mid-copy (replicated racks only).
-        self.aborted: List[Tuple[int, int, int]] = []
         #: Groups mid-drain: still ring members, but no longer eligible
         #: replica targets (their keys are on the way out).
         self.draining: set = set()
@@ -212,18 +218,43 @@ class Rebalancer:
                 return gid
         return None
 
-    # -- replica recovery helpers ------------------------------------------
-    def _read_from_replicas(self, session: _Session, shard: int,
-                            key: bytes):
-        """Recover ``key``'s value from the freshest live replica chain;
-        returns ``None`` when no live replica holds it."""
+    # -- the one copy step -------------------------------------------------
+    def copy_key(self, session: _Session, shard: int, key: bytes,
+                 src: Optional[int], dst: int):
+        """Copy ``key`` of ``shard`` from group ``src`` to group ``dst``
+        (a simulation process).  The value comes from ``src``, or - when
+        ``src`` is dead or ``None`` - from the first live replica that
+        holds it.  Returns the one outcome:
+
+        * ``"copied"`` / ``"recovered"``: durable at ``dst``, read from
+          ``src`` / from a replica;
+        * ``"absent"``: ``src`` no longer holds the key;
+        * ``"lost"``: ``src`` is gone and no live replica holds it;
+        * ``"transient"``: the ``src`` read or the ``dst`` insert failed
+          transiently;
+        * ``"dst_dead"``: ``dst`` is gone."""
         rack = self.rack
-        for gid in rack.live_replicas(shard):
-            value, _failure = yield from session.step(gid, "search", key)
-            if value is not None:
-                rack.repl.inc("replica_recovered_reads")
-                return value
-        return None
+        value, failure = None, "dead"
+        if src is not None:
+            value, failure = yield from session.step(src, "search", key)
+        outcome = "copied"
+        if failure == "dead":
+            outcome = "recovered"
+            for gid in rack.live_replicas(shard):
+                value, _failure = yield from session.step(gid, "search", key)
+                if value is not None:
+                    rack.repl.inc("replica_recovered_reads")
+                    break
+            else:
+                return "lost"
+        elif failure:
+            return "transient"
+        elif value is None:
+            return "absent"
+        _, failure = yield from session.step(dst, "insert", key, value)
+        if failure:
+            return "dst_dead" if failure == "dead" else "transient"
+        return outcome
 
     def _abort_migration(self, session: _Session, migration: Migration):
         """Destination died mid-copy: restore copied keys to the source
@@ -237,16 +268,11 @@ class Rebalancer:
             value, _failure = yield from session.step(src, "search", key)
             if value is not None:
                 continue              # the source never lost it
-            value = yield from self._read_from_replicas(session, shard, key)
-            if value is not None:
-                _, failure = yield from session.step(src, "insert", key,
-                                                     value)
-                if failure is None:
-                    continue
-            rack.registry[shard].discard(key)
-            self.forfeited_dead.append((shard, key))
+            outcome = yield from self.copy_key(session, shard, key, None, src)
+            if outcome != "recovered":
+                rack.registry[shard].discard(key)
+                self.forfeited_dead.append((shard, key))
         del rack.migrations[shard]
-        self.aborted.append((shard, src, migration.dst))
         rack.repl.inc("migrations_aborted")
 
     def sync_all_replicas(self):
@@ -275,20 +301,12 @@ class Rebalancer:
             # committed mid-copy can miss ``gid``: it owes a compare.
             rack.note_lag(shard, gid)
             for key in sorted(rack.registry[shard]):
-                value, failure = yield from session.step(primary, "search",
-                                                         key)
-                if failure == "dead":
-                    value = yield from self._read_from_replicas(
-                        session, shard, key)
-                if value is not None:
-                    _, failure = yield from session.step(gid, "insert", key,
-                                                         value)
-                    if failure is None:
-                        copied += 1
-                        continue
-                # Unreadable or unwritable right now: one more key for
-                # anti-entropy to repair.
-                rack.note_lag(shard, gid)
+                outcome = yield from self.copy_key(session, shard, key,
+                                                   primary, gid)
+                if outcome in ("copied", "recovered"):
+                    copied += 1
+                else:  # one more key for anti-entropy to repair
+                    rack.note_lag(shard, gid)
         for gid in [g for g in current if g not in desired]:
             rack.replica_lag[shard].pop(gid, None)
             if gid == primary or gid in rack.failed_groups \
@@ -329,53 +347,36 @@ class Rebalancer:
             rack.registry[shard].discard(key)
             into.append((shard, key))
 
-        def transient(key: bytes) -> None:
-            # Leave the key pending; the next sweep retries it - up to
-            # the per-key budget, past which the damage is beyond online
-            # repair and the key's data is forfeit.
-            failures[key] = failures.get(key, 0) + 1
-            if failures[key] >= MAX_KEY_ATTEMPTS:
-                forfeit(key, self.forfeited_chaos)
-
         while True:
             pending = sorted(rack.registry[shard] - migration.copied)
             if not pending:
                 break
             for key in pending:
-                value, failure = yield from session.step(src, "search", key)
-                if failure == "transient":
-                    transient(key)
+                outcome = yield from self.copy_key(session, shard, key,
+                                                   src, dst)
+                if outcome == "transient":
+                    # Leave the key pending; the next sweep retries it -
+                    # up to the per-key budget, past which the damage is
+                    # beyond online repair and the key's data is forfeit.
+                    failures[key] = failures.get(key, 0) + 1
+                    if failures[key] >= MAX_KEY_ATTEMPTS:
+                        forfeit(key, self.forfeited_chaos)
                     continue
-                recovered = failure == "dead"
-                if recovered:
-                    value = yield from self._read_from_replicas(
-                        session, shard, key)
-                    if value is None:
-                        # The source cell is gone and nothing replicates
-                        # the key.
-                        forfeit(key, self.forfeited_dead)
-                        continue
-                if value is not None:
-                    _, failure = yield from session.step(dst, "insert", key,
-                                                         value)
-                    if failure == "transient":
-                        transient(key)
-                        continue
-                    if failure == "dead":
-                        if rack.spec.replicas:
-                            yield from self._abort_migration(session,
-                                                             migration)
-                            return
-                        forfeit(key, self.forfeited_dead)
-                        continue
-                # The copy is durable at the destination: flip the router
-                # first, then retire the source copy - readers in the
-                # delete window are already served by the destination.
+                if outcome == "dst_dead" and rack.spec.replicas:
+                    yield from self._abort_migration(session, migration)
+                    return
+                if outcome in ("lost", "dst_dead"):
+                    forfeit(key, self.forfeited_dead)
+                    continue
+                # The copy is durable at the destination (or there is
+                # none to make): flip the router first, then retire the
+                # source copy - readers in the delete window are already
+                # served by the destination.
                 migration.copied.add(key)
-                if value is None:
+                if outcome == "absent":
                     continue
                 moved += 1
-                if recovered:
+                if outcome == "recovered":
                     # The source cell is dead; there is no copy to
                     # retire there.
                     continue

@@ -50,13 +50,13 @@ class RackRunResult:
     fsck_exit: int
     fsck_reports: list = field(repr=False, default_factory=list)
     #: Rebalancer accounting: shards/keys moved plus the forfeit split
-    #: (chaos-damaged vs source-died) and aborted migrations.
+    #: (chaos-damaged vs source-died) and aborted migrations (the
+    #: ``migrations_aborted`` counter of ``rack.repl``).
     rebalance: Dict = field(default_factory=dict)
     #: Replication digest (counters, promotions, forfeits, epochs);
     #: ``None`` on an unreplicated (K=0) run.
     replication: Optional[Dict] = None
-    #: The run's FailoverManager (promotion/forfeit logs for the
-    #: property suites); ``None`` when K=0.
+    #: The run's FailoverManager; ``None`` when K=0.
     failover: Optional[FailoverManager] = field(repr=False, default=None)
     #: The run's Rebalancer: migration logs and the control plane's
     #: verb totals (``op_stats``).
@@ -182,20 +182,21 @@ def run_rack(spec: Optional[ClusterSpec] = None, *,
     fsck_reports = rack.fsck_all()
     fsck_exit = max((exit_code(report, dry_run=True, recovered=False)
                      for _gid, report in fsck_reports), default=0)
+    repl = rack.repl
     rebalance_row = {
         "shards_moved": len(rebalancer.completed),
         "keys_moved": sum(m[3] for m in rebalancer.completed),
         "forfeited_chaos": len(rebalancer.forfeited_chaos),
         "forfeited_dead": len(rebalancer.forfeited_dead),
-        "aborted_migrations": len(rebalancer.aborted),
+        "aborted_migrations": repl.get("migrations_aborted"),
     }
     replication_row = None
     if failover is not None:
         replication_row = {
-            "counters": dict(sorted(rack.repl.as_dict().items())),
-            "promotions": len(failover.promotions),
-            "failover_forfeited_keys": len(failover.forfeited),
-            "mid_migration_failovers": failover.mid_migration_failovers,
+            "counters": dict(sorted(repl.as_dict().items())),
+            "promotions": repl.get("promotions"),
+            "failover_forfeited_keys": repl.get("failover_forfeited_keys"),
+            "mid_migration_failovers": repl.get("mid_migration_failovers"),
             "max_epoch": max(rack.epochs),
         }
     return RackRunResult(result=result, rack=rack,

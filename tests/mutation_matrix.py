@@ -32,6 +32,7 @@ from repro.dm.rack import Rack
 from repro.dm.rdma import _lost, _replied
 from repro.filters.hotness import SuccinctFilterCache, _lane_constants
 from repro.race.client import RaceClient
+from repro.recover import Rebalancer
 from repro.san.monitor import AccessMonitor
 from repro.tools.fsck import check_tree
 
@@ -124,6 +125,28 @@ MUTANTS = [
                    "test_agreement_reports_exactly_the_seeded_defects",
          pinned_by="tests/test_replication.py::"
                    "test_mutant_accepting_checksum_bad_values_is_caught"),
+    dict(id="copy-key-falls-back-on-a-transient-read",
+         target=Rebalancer.copy_key,
+         old='if failure == "dead":', new="if failure:", count=1,
+         killed_by="tests/test_replication.py::"
+                   "test_coordinator_crash_during_drain_is_survived",
+         pinned_by="tests/test_replication.py::"
+                   "test_mutant_falling_back_on_a_transient_read_is_caught"),
+    dict(id="migrate-retires-a-recovered-source-copy",
+         target=Rebalancer.migrate_shard,
+         old='if outcome == "recovered":', new="if False:", count=1,
+         killed_by="tests/test_replication.py::"
+                   "test_crash_sweep_forfeits_no_committed_key",
+         pinned_by="tests/test_replication.py::"
+                   "test_mutant_retiring_a_recovered_source_copy_is_caught"),
+    dict(id="sync-counts-a-failed-copy",
+         target=Rebalancer.sync_replicas,
+         old='if outcome in ("copied", "recovered"):', new="if True:",
+         count=1,
+         killed_by="tests/test_replication.py::"
+                   "test_sync_with_a_dead_primary_copies_from_the_replica",
+         pinned_by="tests/test_replication.py::"
+                   "test_mutant_counting_a_failed_copy_is_caught"),
     dict(id="find-objects-judges-only-the-first",
          target=AccessMonitor._find_objects,
          old="return found", new="return found[:1]", count=1,

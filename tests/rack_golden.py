@@ -15,6 +15,14 @@ suites check it inside the runs they already make
 ``tests/test_rack_properties.py`` families); a run the fixture does not
 hold (a wider nightly seed) is not checked.
 
+Runs that drive the control plane by hand, with no ``run_rack`` call -
+the 93-point coordinator-crash lattice (``lattice/...``) and one run
+per copy outcome the sweeps never reach (``outcome/...``) - have no
+``rows()``; their fingerprint (:func:`control_fingerprint`) holds the
+rebalancer's forfeits and the clock instead.  Those entries were
+captured before the copy loops were folded into
+``Rebalancer.copy_key``.
+
 Only when the model really moved, regenerate it in the open::
 
     PYTHONPATH=src python tests/rack_golden.py --regenerate
@@ -41,15 +49,33 @@ def _sha256(obj) -> str:
         json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def _schedule_sha256(injector):
+    return None if injector is None else _sha256(injector.schedule())
+
+
 def fingerprint(out) -> dict:
-    injector = out.rack.cluster.injector
+    """A :func:`repro.tenancy.run_rack` call's fingerprint."""
     return {
         "rows_sha256": _sha256(out.rows()),
         "sim_ns": out.result.sim_ns,
         "control_ops": Counters.from_opstats(
             out.rebalancer.op_stats).as_dict(),
-        "fault_schedule_sha256": (None if injector is None
-                                  else _sha256(injector.schedule())),
+        "fault_schedule_sha256": _schedule_sha256(
+            out.rack.cluster.injector),
+    }
+
+
+def control_fingerprint(rack, rebalancer) -> dict:
+    """A hand-driven control-plane run's fingerprint: it has no
+    ``rows()``, so its forfeits and the clock stand in for them."""
+    return {
+        "control_ops": Counters.from_opstats(rebalancer.op_stats).as_dict(),
+        "forfeited_chaos": sorted([shard, key.hex()] for shard, key
+                                  in rebalancer.forfeited_chaos),
+        "forfeited_dead": sorted([shard, key.hex()] for shard, key
+                                 in rebalancer.forfeited_dead),
+        "now_ns": rack.cluster.engine.now,
+        "fault_schedule_sha256": _schedule_sha256(rack.cluster.injector),
     }
 
 
@@ -59,11 +85,12 @@ def _golden() -> dict:
         return json.load(f)["runs"]
 
 
-def check_control_golden(name: str, out) -> None:
-    """Assert run ``name`` reproduces the fixture (when it holds one)."""
+def check_control_golden(name: str, got: dict) -> None:
+    """Assert run ``name``'s fingerprint ``got`` reproduces the fixture
+    (when it holds one)."""
     want = _golden().get(name)
     if want is not None:
-        assert fingerprint(out) == want, (
+        assert got == want, (
             f"{name}: the rack control plane drifted from "
             f"{os.path.basename(FIXTURE)}")
 
@@ -81,6 +108,11 @@ def _generate() -> dict:
         for seed in props.SEEDS:
             runs[f"{family}/seed={seed}"] = fingerprint(
                 props.churn_run(family, seed))
+    for a, b in repl.CRASH_LATTICE:
+        runs[f"lattice/a={a},b={b}"] = control_fingerprint(
+            *repl.crash_during_drain(a, b)[:2])
+    for name, case in repl.OUTCOME_CASES.items():
+        runs[f"outcome/{name}"] = control_fingerprint(*case()[:2])
     return {"runs": runs}
 
 

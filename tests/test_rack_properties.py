@@ -24,7 +24,7 @@ import os
 
 import pytest
 
-from rack_golden import check_control_golden
+from rack_golden import check_control_golden, fingerprint
 from repro.dm import ClusterSpec, TopologyEvent
 from repro.tenancy import TenancyConfig, TenantSpec, run_rack
 from repro.ycsb import make_dataset
@@ -92,7 +92,7 @@ def churn_run(family: str, seed: int):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rebalance_readonly_preserves_exact_values(seed):
     out = churn_run("readonly", seed)
-    check_control_golden(f"readonly/seed={seed}", out)
+    check_control_golden(f"readonly/seed={seed}", fingerprint(out))
     tag = f"seed={seed}"
     assert out.fsck_exit == 0, f"{tag}: fsck {out.fsck_exit} after churn"
     assert not out.rack.migrations, f"{tag}: migration left in flight"
@@ -111,7 +111,7 @@ def test_rebalance_readonly_preserves_exact_values(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rebalance_mixed_workload_registry_oracle(seed):
     out = churn_run("mixed", seed)
-    check_control_golden(f"mixed/seed={seed}", out)
+    check_control_golden(f"mixed/seed={seed}", fingerprint(out))
     tag = f"seed={seed}"
     assert out.fsck_exit == 0, f"{tag}: fsck {out.fsck_exit} after churn"
     assert not out.rack.migrations
@@ -128,7 +128,7 @@ def test_rebalance_mixed_workload_registry_oracle(seed):
 def test_chaos_rebalance_converges_and_stays_deterministic(seed):
     runs = [churn_run("chaos", seed) for _ in range(2)]
     out = runs[0]
-    check_control_golden(f"chaos/seed={seed}", out)
+    check_control_golden(f"chaos/seed={seed}", fingerprint(out))
     tag = f"seed={seed}"
     injector = out.rack.cluster.injector
     assert injector is not None and injector.faults_total() > 0, (

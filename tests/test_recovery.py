@@ -17,8 +17,8 @@ from repro.art import encode_str
 from repro.core import SphinxConfig, SphinxIndex
 from repro.dm import Cluster, ClusterConfig
 from repro.dm.memory import make_addr
-from repro.dm.rdma import Batch, CasOp, OpStats, ReadOp, VerbRecord, \
-    WriteOp
+from repro.dm.rdma import Batch, CasOp, Observer, OpStats, ReadOp, \
+    VerbRecord, WriteOp
 from repro.errors import ClientCrash, InjectedFault, MNUnavailable, \
     RetryLimitExceeded
 from repro.fault import FaultPlan, RetryPolicy, crash_cn, crash_mn, drop
@@ -201,40 +201,70 @@ def test_crash_mn_fails_fast_with_typed_error():
     assert cluster.injector.counters.get("mn_unavailable") == 1
 
 
-@pytest.mark.parametrize("dead_op", [
-    lambda live, dead: ReadOp(dead, 8),
-    lambda live, dead: Batch([WriteOp(live, b"x" * 8), CasOp(dead, 0, 1),
-                              ReadOp(live, 8)]),
-], ids=["scalar", "batch-member"])
-def test_dead_mn_verb_counts_match_direct_and_sim(dead_op):
+class _Completions(Observer):
+    """``(verb class, fault)`` of every verb an executor reports done
+    (the timed executor completes a doorbell's members out of order)."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_complete(self, rec):
+        self.seen.append((rec.op.__class__.__name__, rec.fault))
+
+
+@pytest.mark.parametrize("rule, posted, counts", [
+    (None, lambda live, dead: ReadOp(dead, 8), (1, 0, 0, 1)),
+    (None, lambda live, dead: Batch([WriteOp(live, b"x" * 8),
+                                     CasOp(dead, 0, 1), ReadOp(live, 8)]),
+     (1, 1, 1, 3)),
+    (crash_cn(0), lambda live, dead: ReadOp(live, 8), (0, 0, 0, 0)),
+    (crash_cn(1), lambda live, dead: Batch([WriteOp(live, b"x" * 8),
+                                            CasOp(live, 0, 1),
+                                            ReadOp(live, 8)]),
+     (0, 1, 0, 1)),
+], ids=["scalar", "batch-member", "crash-cn-scalar", "crash-cn-batch-member"])
+def test_dead_mn_verb_counts_match_direct_and_sim(rule, posted, counts):
     """A verb posted to a crashed MN is still a message: the timed
     executor once dropped it from OpStats, so a client spinning on a
-    dead MN never advanced the count ``arm_verb_budget`` bounds."""
-    def stats_of(sim):
+    dead MN never advanced the count ``arm_verb_budget`` bounds.  A verb
+    whose client dies as it posts it (``crash_cn``, not applied) is the
+    opposite: nothing is sent, so neither executor counts it or reports
+    it to an observer (the untimed one once did both)."""
+    error = MNUnavailable if rule is None else ClientCrash
+
+    def run_on(sim):
         cluster = Cluster(ClusterConfig())
-        cluster.attach_faults(FaultPlan(seed=1))
+        cluster.attach_faults(FaultPlan(seed=1, rules=(rule,) if rule
+                                        else ()))
         cluster.injector.dead_mns.add(1)
+        observer = _Completions()
+        cluster.attach(observer)
 
         def client():
-            with pytest.raises(MNUnavailable):
-                yield dead_op(make_addr(0, 128), make_addr(1, 128))
+            yield posted(make_addr(0, 128), make_addr(1, 128))
+
         if sim:
             ex = cluster.sim_executor(0)
-            cluster.engine.run_until_complete(
-                cluster.engine.process(ex.run(client())))
+
+            def drive():
+                with pytest.raises(error):
+                    yield from ex.run(client())
+            cluster.engine.run_until_complete(cluster.engine.process(drive()))
         else:
             ex = cluster.direct_executor()
-            ex.run(client())
-        return ex.stats
+            with pytest.raises(error):
+                ex.run(client())
+        return ex.stats, sorted(observer.seen)
 
-    direct = stats_of(sim=False)
+    direct, direct_seen = run_on(sim=False)
     assert direct.faults_injected == 1
-    # A doorbell posts every member: the WRITE before the dead member
-    # and the live READ after it are both on the wire, on both executors.
-    batch = direct.batches == 1
+    # A doorbell posts every member up to a crash_cn: the WRITE before
+    # the dead member and the live READ after it are both on the wire,
+    # on both executors; after a crash_cn member nothing is.
     assert (direct.reads, direct.writes, direct.cas, direct.messages) \
-        == ((1, 1, 1, 3) if batch else (1, 0, 0, 1))
-    assert stats_of(sim=True) == direct
+        == counts
+    assert len(direct_seen) == counts[-1]
+    assert run_on(sim=True) == (direct, direct_seen)
 
 
 def test_ycsb_crash_accounting():

@@ -1,6 +1,6 @@
 """Shard replication, failover, and anti-entropy suites (ISSUE 10).
 
-Six families:
+Seven families:
 
 * **placement units**: the successor-chain replica placement is
   deterministic, disjoint from the primary, and keeps its invariants
@@ -22,6 +22,11 @@ Six families:
   divergent key is repaired and counted once;
 * **coordinator crashes**: a drain survives its own coordinator CN
   crashing on a lattice of verbs, mid-recovery reads included;
+* **copy outcomes**: one hand-driven run per ``Rebalancer.copy_key``
+  outcome and caller that no sweep reaches (a re-replication from a
+  dead primary, an abort's restore and forfeit, a key deleted
+  mid-sweep, a K=0 destination death), each pinned in the golden
+  fixture beside the lattice;
 * **K=0 detachment**: an unreplicated rack run carries no replication
   state at all - the new machinery is invisible until K > 0.
 """
@@ -33,7 +38,8 @@ from collections import Counter
 import pytest
 
 from mutation_matrix import mutate
-from rack_golden import check_control_golden
+from rack_golden import check_control_golden, control_fingerprint, \
+    fingerprint
 from repro.art.layout import LEAF_HEADER_SIZE, NODE256, decode_leaf, \
     decode_node, node_size
 from repro.dm import ClusterSpec, TopologyEvent
@@ -236,8 +242,8 @@ def test_failover_promotes_and_rereplicates():
     engine.run_until_complete(
         engine.process(manager.settle(), name="settle"))
     assert 1 in rack.failed_groups            # MN 2 lives in group 1
-    assert manager.promotions, "no shard was promoted"
-    assert not manager.forfeited
+    assert rack.repl["promotions"], "no shard was promoted"
+    assert not rack.repl.get("failover_forfeited_keys")
     for shard in range(rack.spec.num_shards):
         assert rack.shards.assignment[shard] != 1
         assert 1 not in rack.shards.replica_assignment[shard]
@@ -454,7 +460,7 @@ def test_crash_sweep_forfeits_no_committed_key():
     failovers = 0
     for seed in SWEEP_SEEDS:
         out = run_rack(RSPEC, **_sweep_kwargs(seed))
-        check_control_golden(f"sweep/seed={seed}", out)
+        check_control_golden(f"sweep/seed={seed}", fingerprint(out))
         tag = f"seed={seed}"
         assert out.rack.cluster.injector.dead_mns, (
             f"{tag}: the crash never fired")
@@ -491,22 +497,35 @@ CRASH_LATTICE = [(a, b) for a in (0, 50, 200)
                                 max(1, round(13 * 50 / N_SEEDS)))]
 
 
+def crash_during_drain(a, b):
+    """One lattice point: a K=1 drain of group 0 whose source MN dies at
+    verb ``a`` and whose coordinator CN crashes at verb ``b``; returns
+    ``(rack, rebalancer, dataset)`` once ``leave`` returns."""
+    dataset = make_dataset("u64", NUM_KEYS, seed=1, insert_pool=0)
+    rack = Rack(RSPEC)
+    bulk_load(rack.cluster, rack, dataset)
+    rack.cluster.attach_faults(FaultPlan(seed=0, rules=(
+        crash_mn(0, at_verb=a), crash_cn(b))))
+    rebalancer = Rebalancer(rack)
+    engine = rack.cluster.engine
+    engine.run_until_complete(
+        engine.process(rebalancer.leave(0), name="leave"))
+    return rack, rebalancer, dataset
+
+
 def test_coordinator_crash_during_drain_is_survived():
     """A K=1 drain whose source MN dies and whose coordinator CN crashes
     on a lattice of verb pairs: the crash may land inside the recovery
     read from a replica, and ``leave`` must still return with nothing in
-    flight and every key readable or accounted as forfeit."""
-    dataset = make_dataset("u64", NUM_KEYS, seed=1, insert_pool=0)
+    flight and every key readable or accounted as forfeit.  The lattice
+    is the only place a migration's source read fails transiently or
+    finds no replica, so each point also reproduces its entry in
+    ``tests/fixtures/rack_control_golden.json``."""
     for a, b in CRASH_LATTICE:
         tag = f"crash_mn at {a}, crash_cn at {b}"
-        rack = Rack(RSPEC)
-        bulk_load(rack.cluster, rack, dataset)
-        rack.cluster.attach_faults(FaultPlan(seed=0, rules=(
-            crash_mn(0, at_verb=a), crash_cn(b))))
-        rebalancer = Rebalancer(rack)
-        engine = rack.cluster.engine
-        engine.run_until_complete(
-            engine.process(rebalancer.leave(0), name="leave"))
+        rack, rebalancer, dataset = crash_during_drain(a, b)
+        check_control_golden(f"lattice/a={a},b={b}",
+                             control_fingerprint(rack, rebalancer))
         assert not rack.migrations, f"{tag}: migration left in flight"
         assert rack.cluster.injector.crashed_clients, (
             f"{tag}: the coordinator crash never fired")
@@ -526,6 +545,227 @@ def test_crash_sweep_is_deterministic(seed):
     assert json.dumps(a.rows(), sort_keys=True) \
         == json.dumps(b.rows(), sort_keys=True), (
         f"seed={seed}: replicated crash run not bit-identical")
+
+
+# ---------------------------------------------------------------------------
+# Copy outcomes no sweep reaches
+# ---------------------------------------------------------------------------
+
+def _kill_group(rack, gid):
+    """Every MN of group ``gid`` is dead from now on."""
+    rack.cluster.injector.dead_mns.update(rack.group_view(gid).mn_ids)
+
+
+def _run(rack, gen):
+    engine = rack.cluster.engine
+    return engine.run_until_complete(engine.process(gen))
+
+
+def _fullest_shard(rack):
+    return max(range(rack.spec.num_shards),
+               key=lambda s: (len(rack.registry[s]), -s))
+
+
+def _move_plan(rack):
+    """``(shard, src, replica, dst)``: the fullest shard of a three-group
+    K=1 rack, moving to the one group that neither owns nor replicates
+    it."""
+    shard = _fullest_shard(rack)
+    src = rack.shards.assignment[shard]
+    (replica,) = rack.shards.replica_assignment[shard]
+    (dst,) = set(rack.live_groups()) - {src, replica}
+    return shard, src, replica, dst
+
+
+def sync_from_a_dead_primary():
+    """``sync_replicas`` onto a joined group while the shard's primary is
+    dead; the old replica has lost the shard's first key."""
+    rack, _ = _loaded_rack()
+    rack.cluster.attach_faults(FaultPlan(seed=0))
+    gid = rack.add_group()
+    rack.shards.commit_join(gid)
+    shard = next(s for s in range(rack.spec.num_shards)
+                 if gid in rack.shards.desired_replicas(s)
+                 and len(rack.registry[s]) > 1)
+    (old,) = rack.shards.replica_assignment[shard]
+    keys = sorted(rack.registry[shard])
+    rack.cluster.direct_executor().run(
+        rack.group_index(old).client(0).delete(keys[0]))
+    _kill_group(rack, rack.shards.assignment[shard])
+    rebalancer = Rebalancer(rack)
+    copied = _run(rack, rebalancer.sync_replicas(shard))
+    return rack, rebalancer, dict(shard=shard, gid=gid, keys=keys,
+                                  copied=copied)
+
+
+def abort_after_the_source_lost_a_copied_key(replica_keeps):
+    """A K=1 migration whose source loses the first copied key (and, if
+    ``replica_keeps`` is False, so does the replica) just before the
+    destination dies."""
+    rack, _ = _loaded_rack()
+    rack.cluster.attach_faults(FaultPlan(seed=0))
+    shard, src, replica, dst = _move_plan(rack)
+    first = min(rack.registry[shard])
+    rebalancer = Rebalancer(rack)
+    engine = rack.cluster.engine
+    move = engine.process(rebalancer.migrate_shard(shard, src, dst))
+
+    def saboteur():
+        # The sweep copies in sorted order: ``first`` goes first, and a
+        # replicated move defers its source delete.
+        while first not in rack.migrations[shard].copied:
+            yield engine.timeout(100)
+        ex = rack.cluster.direct_executor()
+        for gid in (src,) if replica_keeps else (src, replica):
+            ex.run(rack.group_index(gid).client(0).delete(first))
+        _kill_group(rack, dst)
+
+    engine.run_until_complete(engine.process(saboteur()))
+    engine.run_until_complete(move)
+    return rack, rebalancer, dict(shard=shard, src=src, replica=replica,
+                                  key=first)
+
+
+def key_deleted_mid_sweep():
+    """A tenant deletes the last key of a migrating shard before the
+    sweep reaches it."""
+    rack, _ = _loaded_rack()
+    shard, src, _replica, dst = _move_plan(rack)
+    keys = sorted(rack.registry[shard])
+    rebalancer = Rebalancer(rack)
+    engine = rack.cluster.engine
+    move = engine.process(rebalancer.migrate_shard(shard, src, dst))
+    migrations = []
+
+    def tenant():
+        migrations.append(rack.migrations[shard])
+        yield from rack.cluster.sim_executor(1).run(
+            rack.client(1).delete(keys[-1]))
+
+    engine.run_until_complete(engine.process(tenant()))
+    engine.run_until_complete(move)
+    return rack, rebalancer, dict(shard=shard, src=src, dst=dst, keys=keys,
+                                  migration=migrations[0])
+
+
+def unreplicated_destination_death():
+    """A K=0 migration onto a group that is already dead."""
+    rack, _ = _loaded_rack(replicas=0)
+    rack.cluster.attach_faults(FaultPlan(seed=0))
+    shard = _fullest_shard(rack)
+    src = rack.shards.assignment[shard]
+    dst = min(set(rack.live_groups()) - {src})
+    keys = sorted(rack.registry[shard])
+    _kill_group(rack, dst)
+    rebalancer = Rebalancer(rack)
+    _run(rack, rebalancer.migrate_shard(shard, src, dst))
+    return rack, rebalancer, dict(shard=shard, src=src, dst=dst, keys=keys)
+
+
+#: ``tests/rack_golden.py`` replays each as ``outcome/<name>``.
+OUTCOME_CASES = {
+    "sync-dead-primary": sync_from_a_dead_primary,
+    "abort-restores": lambda: abort_after_the_source_lost_a_copied_key(True),
+    "abort-forfeits": lambda: abort_after_the_source_lost_a_copied_key(
+        False),
+    "absent": key_deleted_mid_sweep,
+    "k0-dst-dead": unreplicated_destination_death,
+}
+
+
+def _outcome(name):
+    rack, rebalancer, case = OUTCOME_CASES[name]()
+    check_control_golden(f"outcome/{name}",
+                         control_fingerprint(rack, rebalancer))
+    return rack, rebalancer, case
+
+
+def test_sync_with_a_dead_primary_copies_from_the_replica():
+    rack, _, case = _outcome("sync-dead-primary")
+    shard, gid, keys = case["shard"], case["gid"], case["keys"]
+    # Every key the old replica still held is recovered from it; the one
+    # it lost is a debt, beside the one every gaining group starts with.
+    assert case["copied"] == len(keys) - 1
+    assert rack.repl["replica_recovered_reads"] == len(keys) - 1
+    assert rack.repl["rereplicated_keys"] == len(keys) - 1
+    assert rack.replica_lag[shard] == {gid: 2}
+    assert rack.shards.replica_assignment[shard] == [gid]
+    ex, client = rack.cluster.direct_executor(), \
+        rack.group_index(gid).client(0)
+    assert [ex.run(client.search(key)) is not None for key in keys] \
+        == [False] + [True] * (len(keys) - 1)
+
+
+@pytest.mark.parametrize("replica_keeps", [True, False],
+                         ids=["restores", "forfeits"])
+def test_abort_restores_a_lost_key_from_a_replica_or_forfeits_it(
+        replica_keeps):
+    name = "abort-restores" if replica_keeps else "abort-forfeits"
+    rack, rebalancer, case = _outcome(name)
+    shard, src, key = case["shard"], case["src"], case["key"]
+    assert rack.repl["migrations_aborted"] == 1
+    assert not rack.migrations and rack.shards.assignment[shard] == src
+    assert not rebalancer.completed
+    at_src = rack.cluster.direct_executor().run(
+        rack.group_index(src).client(0).search(key))
+    if replica_keeps:
+        assert rack.repl["replica_recovered_reads"] == 1
+        assert at_src is not None and key in rack.registry[shard]
+        assert not rebalancer.forfeited_dead
+    else:
+        assert "replica_recovered_reads" not in rack.repl
+        assert at_src is None and key not in rack.registry[shard]
+        assert rebalancer.forfeited_dead == [(shard, key)]
+
+
+def test_key_deleted_mid_sweep_is_marked_copied_but_not_moved():
+    rack, rebalancer, case = _outcome("absent")
+    shard, keys = case["shard"], case["keys"]
+    assert keys[-1] in case["migration"].copied
+    assert keys[-1] not in rack.registry[shard]
+    assert rebalancer.completed == [
+        (shard, case["src"], case["dst"], len(keys) - 1)]
+    assert not rebalancer.forfeited_dead and not rebalancer.forfeited_chaos
+
+
+def test_unreplicated_destination_death_forfeits_instead_of_aborting():
+    rack, rebalancer, case = _outcome("k0-dst-dead")
+    shard, keys = case["shard"], case["keys"]
+    assert rebalancer.forfeited_dead == [(shard, key) for key in keys]
+    assert not rack.registry[shard]
+    assert "migrations_aborted" not in rack.repl
+    assert rebalancer.completed == [(shard, case["src"], case["dst"], 0)]
+
+
+def test_mutant_counting_a_failed_copy_is_caught(monkeypatch):
+    """``sync_replicas`` counts every copy as done, so a key no live
+    cell could supply leaves no debt.  Killed by the dead-primary sync
+    test."""
+    mutate(monkeypatch, Rebalancer, Rebalancer.sync_replicas,
+           'if outcome in ("copied", "recovered"):', "if True:")
+    with pytest.raises(AssertionError):
+        test_sync_with_a_dead_primary_copies_from_the_replica()
+
+
+def test_mutant_falling_back_on_a_transient_read_is_caught(monkeypatch):
+    """``copy_key`` reads the replicas after a *transient* source read
+    too, so a drain copies a key its live source still holds from a
+    replica and never retires the source copy.  Killed by the crash
+    lattice's golden entries."""
+    mutate(monkeypatch, Rebalancer, Rebalancer.copy_key,
+           'if failure == "dead":', "if failure:")
+    with pytest.raises(AssertionError):
+        test_coordinator_crash_during_drain_is_survived()
+
+
+def test_mutant_retiring_a_recovered_source_copy_is_caught(monkeypatch):
+    """``migrate_shard`` queues a source delete for a key it recovered
+    from a replica, whose source cell is dead.  Killed by the
+    zero-forfeit sweep's golden entries."""
+    mutate(monkeypatch, Rebalancer, Rebalancer.migrate_shard,
+           'if outcome == "recovered":', "if False:")
+    with pytest.raises(AssertionError):
+        test_crash_sweep_forfeits_no_committed_key()
 
 
 # ---------------------------------------------------------------------------
